@@ -1,23 +1,21 @@
-"""GD inner-loop throughput: per-layer vs layer-batched vs batched + tape
+"""GD inner-loop throughput: per-layer oracle vs S=1 stack vs stack + tape
 vs start-batched (multi-start).
 
 The DOSA search spends essentially its whole budget in the gradient-descent
 inner loop (``gd_steps x num_start_points`` steps of loss forward/backward +
-Adam).  This module measures that loop in steps/second for the four
-implementations of the differentiable model:
+Adam).  This module measures that loop in steps/second for four ways of
+running the differentiable model:
 
-* **per-layer** — one scalar-node graph per layer, re-traced every step (the
-  seed implementation, ``DosaSettings(batched_model=False)``),
-* **batched** — the :class:`~repro.core.dmodel.factors.NetworkFactors`
-  layer-batched model: one array-op graph per network, re-traced every step
-  (``batched_model=True, use_tape=False``),
+* **per-layer** — the per-layer oracle model (``tests/oracles/layer_model.py``):
+  one scalar-node graph per layer, re-traced every step,
+* **batched** — one start point as an S=1
+  :class:`~repro.core.dmodel.factors.MultiStartFactors` stack: one array-op
+  graph per network, re-traced every step,
 * **batched + tape** — the same graph compiled once into a
-  :class:`~repro.autodiff.tape.Tape` and replayed
-  (``batched_model=True, use_tape=True``),
-* **multi-start** — the :class:`~repro.core.dmodel.factors.MultiStartFactors`
-  start-batched model: all S start points x L layers in one ``(S, L, ...)``
-  graph, so a single replayed step advances every start point
-  (``batched_starts=True`` — the default search configuration).
+  :class:`~repro.autodiff.tape.Tape` and replayed,
+* **multi-start** — all S start points x L layers in one ``(S, L, ...)``
+  stack, so a single replayed step advances every start point (what the
+  DOSA search runs).
 
 Besides the pytest-benchmark entries, the module runs standalone as the CI
 smoke check for the GD path::
@@ -38,20 +36,22 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from repro.arch import HardwareConfig
 from repro.autodiff import Adam, Tape, ops
 from repro.core.dmodel import (
     DifferentiableModel,
-    LayerFactors,
     MultiStartFactors,
-    NetworkFactors,
     network_edp_loss,
     validity_penalty,
 )
 from repro.core.optimizer import generate_start_points
 from repro.mapping import cosa_mapping
 from repro.workloads import get_network
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import layer_model as oracle  # noqa: E402
 
 CONFIG = HardwareConfig(16, 32, 128)
 PENALTY_WEIGHT = 1e9
@@ -68,16 +68,16 @@ def _start_mappings(workload: str):
 
 
 def make_per_layer_stepper(mappings, repeats):
-    """The seed inner loop: per-layer graphs, re-traced every step."""
-    factors = [LayerFactors.from_mapping(m) for m in mappings]
+    """The per-layer oracle inner loop: per-layer graphs, re-traced every step."""
+    factors = [oracle.LayerFactors.from_mapping(m) for m in mappings]
     optimizer = Adam([p for f in factors for p in f.parameters()], lr=LEARNING_RATE)
 
     def step() -> float:
         optimizer.zero_grad()
-        hardware = DifferentiableModel.derive_hardware(factors)
-        performances = DifferentiableModel.evaluate_network(factors, hardware)
-        loss = (network_edp_loss(performances, repeats)
-                + PENALTY_WEIGHT * validity_penalty(factors))
+        hardware = oracle.LayerModel.derive_hardware(factors)
+        performances = oracle.LayerModel.evaluate_network(factors, hardware)
+        loss = (oracle.network_edp_loss(performances, repeats)
+                + PENALTY_WEIGHT * oracle.validity_penalty(factors))
         loss.backward()
         optimizer.step()
         return float(loss.data)
@@ -86,39 +86,16 @@ def make_per_layer_stepper(mappings, repeats):
 
 
 def make_batched_stepper(mappings, repeats, use_tape: bool):
-    """The layer-batched inner loop, optionally replaying a compiled tape."""
-    factors = NetworkFactors.from_mappings(mappings)
-    optimizer = Adam(factors.parameters(), lr=LEARNING_RATE, fused=True)
-
-    def build_loss():
-        grid = factors.factor_grid()
-        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
-        performances = DifferentiableModel.evaluate_network(factors, hardware,
-                                                            grid=grid)
-        return (network_edp_loss(performances, repeats)
-                + PENALTY_WEIGHT * validity_penalty(factors, grid=grid))
-
-    tape = Tape(build_loss) if use_tape else None
-
-    def step() -> float:
-        optimizer.zero_grad()
-        if tape is not None:
-            loss = tape.forward()
-            tape.backward()
-        else:
-            loss = build_loss()
-            loss.backward()
-        optimizer.step()
-        return float(loss.data)
-
-    return step
+    """One start point's inner loop on an S=1 stack; returns its loss."""
+    step = make_multistart_stepper([mappings], repeats, use_tape=use_tape)
+    return lambda: float(step()[0])
 
 
 def make_multistart_stepper(mapping_sets, repeats, use_tape: bool = True):
     """The start-batched inner loop: one (S, L, ...) graph for all starts.
 
     ``step()`` returns the per-start loss vector, so callers can check each
-    start's loss bitwise against its own single-start batched stepper.
+    start's loss bitwise against its own S=1 stepper.
     """
     factors = MultiStartFactors.from_mapping_sets(mapping_sets)
     optimizer = Adam(factors.parameters(), lr=LEARNING_RATE, fused=True)
@@ -247,7 +224,7 @@ def run_quick_multistart(workload: str = "resnet50", steps: int = 25,
     layer_count = len(mapping_sets[0])
 
     # Correctness smoke: each start's first multi-start loss is bit-identical
-    # to the first loss of its own single-start batched + tape stepper.
+    # to the first loss of its own S=1 stack + tape stepper.
     multi_first = make_multistart_stepper(mapping_sets, repeats)()
     single_first = [make_batched_stepper(mappings, repeats, use_tape=True)()
                     for mappings in mapping_sets]

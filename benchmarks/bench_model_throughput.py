@@ -29,7 +29,7 @@ from repro.autodiff import Adam
 from repro.core.dmodel import (
     DifferentiableHardware,
     DifferentiableModel,
-    LayerFactors,
+    MultiStartFactors,
     network_edp_loss,
     validity_penalty,
 )
@@ -70,10 +70,10 @@ def test_reference_model_evaluation(benchmark):
 
 def test_differentiable_model_evaluation(benchmark):
     mapping = cosa_mapping(get_network("resnet50").layers[5], CONFIG)
-    factors = LayerFactors.from_mapping(mapping)
+    factors = MultiStartFactors.from_mapping_sets([[mapping]])
     hardware = DifferentiableHardware.from_config(CONFIG)
     performance = benchmark(DifferentiableModel.evaluate_layer, factors, hardware)
-    assert float(performance.edp.data) > 0
+    assert performance.edp.data.item() > 0
 
 
 def test_batched_engine_evaluation(benchmark):
@@ -103,16 +103,17 @@ def test_cached_engine_evaluation(benchmark):
 
 def test_gradient_descent_step_bert(benchmark):
     network = get_network("bert")
-    factors = [LayerFactors.from_mapping(cosa_mapping(layer, CONFIG))
-               for layer in network.layers]
+    factors = MultiStartFactors.from_mapping_sets(
+        [[cosa_mapping(layer, CONFIG) for layer in network.layers]])
     repeats = [layer.repeats for layer in network.layers]
-    optimizer = Adam([p for f in factors for p in f.parameters()], lr=0.05)
+    optimizer = Adam(factors.parameters(), lr=0.05)
 
     def step():
         optimizer.zero_grad()
         hardware = DifferentiableModel.derive_hardware(factors)
         performances = DifferentiableModel.evaluate_network(factors, hardware)
-        loss = network_edp_loss(performances, repeats) + 1e9 * validity_penalty(factors)
+        loss = (network_edp_loss(performances, repeats)
+                + 1e9 * validity_penalty(factors)).sum()
         loss.backward()
         optimizer.step()
         return float(loss.data)

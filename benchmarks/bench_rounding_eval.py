@@ -49,13 +49,10 @@ def build_rounding_sets(seed: int = 0) -> list:
     searcher = DosaSearcher(network, DosaSettings(num_start_points=NUM_STARTS,
                                                   seed=seed))
     starts = generate_start_points(network, count=NUM_STARTS, seed=seed)
-    sets = []
-    for point in starts:
-        rounded, hardware = searcher._prepare_rounded(
-            [m.with_dram_inferred() for m in point.mappings],
-            batched_ordering=True)
+    sets = searcher._prepare_rounded_sets(
+        [[m.with_dram_inferred() for m in point.mappings] for point in starts])
+    for rounded, hardware in sets:
         assert hardware == minimal_hardware_for_mappings(rounded)
-        sets.append((rounded, hardware))
     return sets
 
 

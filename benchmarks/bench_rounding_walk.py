@@ -14,9 +14,10 @@ Standalone CI smoke::
 
 builds the seeded multi-start resnet50 stack a DOSA search would round,
 verifies the batched walk is *bit-identical* to the scalar
-``round_mapping`` walk (and the batched re-selection decision-identical to
-the per-start passes), and fails (non-zero exit) if the kernel is less than
-1.5x faster than the per-start scalar walks.  ``--record PATH`` saves the
+``round_mapping`` walk kept as the oracle in ``tests/oracles/rounding.py``
+(and the batched re-selection decision-identical to per-start S=1 passes),
+and fails (non-zero exit) if the kernel is less than 1.5x faster than the
+per-start scalar walks.  ``--record PATH`` saves the
 measurements as a JSON baseline (``benchmarks/BENCH_rounding_walk.json`` is
 the checked-in one; see benchmarks/README.md for methodology).
 """
@@ -25,12 +26,16 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core.dmodel import MultiStartFactors, NetworkFactors, best_ordering_per_layer
+from repro.core.dmodel import MultiStartFactors, best_ordering_per_layer
 from repro.core.optimizer.startpoints import generate_start_points, stack_start_points
 from repro.workloads import get_network
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.rounding import rounded_mappings_of  # noqa: E402
 
 WORKLOAD = "resnet50"
 NUM_STARTS = 7
@@ -48,7 +53,7 @@ def build_multistart(seed: int = 0) -> MultiStartFactors:
 
 def walk_scalar(multi: MultiStartFactors) -> list:
     """The pre-change shape: one Python walk per start x layer."""
-    return [multi.rounded_mappings_of(start, max_spatial=MAX_SPATIAL)
+    return [rounded_mappings_of(multi, start, max_spatial=MAX_SPATIAL)
             for start in range(multi.num_starts)]
 
 
@@ -58,8 +63,8 @@ def walk_batched(multi: MultiStartFactors) -> list:
 
 
 def reselect_per_start(rounded_sets: list) -> list:
-    """The pre-change shape: one (3, L) ordering pass per start."""
-    return [best_ordering_per_layer(NetworkFactors.from_mappings(rounded))
+    """The pre-change shape: one (3, 1, L) ordering pass per start."""
+    return [best_ordering_per_layer(MultiStartFactors.from_mapping_sets([rounded]))[0]
             for rounded in rounded_sets]
 
 

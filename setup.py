@@ -1,15 +1,15 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so the package can be installed editable in
-offline environments whose setuptools/pip predate PEP 660 editable wheels
-(``pip install -e . --no-build-isolation --no-use-pep517``).
+Install with ``pip install -e .`` (or ``pip install -e . --no-build-isolation
+--no-use-pep517`` in offline environments whose setuptools/pip predate PEP 660
+editable wheels).  The package needs NumPy only.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="3.0.0",
     description=(
         "Reproduction of DOSA: Differentiable Model-Based One-Loop Search "
         "for DNN Accelerators (MICRO 2023)"
@@ -17,5 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
 )

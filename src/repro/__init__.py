@@ -73,7 +73,7 @@ from repro.service import SearchService, ServiceConfig
 from repro.timeloop import evaluate_mapping, evaluate_network_mappings
 from repro.workloads import LayerDims, conv2d_layer, get_network, matmul_layer
 
-__version__ = "2.5.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "GemminiSpec",

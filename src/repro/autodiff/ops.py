@@ -9,7 +9,7 @@ Every op records a forward-recompute closure (see
 :mod:`repro.autodiff.tensor`), so graphs built from these functions can be
 replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The two
 fused reductions at the bottom — :func:`fold_max` and :func:`reload_product` —
-replace long chains of scalar nodes in the layer-batched DOSA model with a
+replace long chains of scalar nodes in the stacked DOSA model with a
 single array node each, while reproducing the chained ops' values and
 (sub)gradients exactly.
 """
@@ -291,7 +291,7 @@ def dot(a: Sequence[TensorLike] | Tensor, b: Sequence[TensorLike] | Tensor) -> T
 
 
 # --------------------------------------------------------------------------- #
-# Fused reductions for the layer-batched DOSA model
+# Fused reductions for the stacked DOSA model
 # --------------------------------------------------------------------------- #
 def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
     """Left-fold sum along ``axis``, as a single node.
@@ -368,9 +368,9 @@ def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9) -> Ten
     ``walk`` holds, per batch row, the temporal factors in walk order (levels
     outward, innermost loop first within each level); ``relevant`` marks the
     positions whose dimension is relevant to the tensor being analyzed.  Any
-    number of leading batch axes is supported — ``(L, positions)`` for the
-    layer-batched model, ``(S, L, positions)`` for the multi-start model —
-    with each row reduced independently along the last axis.  A position
+    number of leading batch axes is supported — ``(S, L, positions)`` in
+    the start-batched model — with each row reduced independently along the
+    last axis.  A position
     multiplies into the product iff its factor exceeds ``1 + eps`` and it is
     either relevant or preceded by an active relevant position — exactly the
     ``seen_relevant`` state machine of

@@ -394,7 +394,12 @@ class CampaignScheduler:
         shard_count: int | None = None,
         on_job_done: JobCallback | None = None,
     ) -> CampaignRun:
-        """Run (up to ``max_jobs``) pending jobs of this shard and persist them."""
+        """Run (up to ``max_jobs``) pending jobs of this shard and persist them.
+
+        Raises ``ValueError`` before any job starts if a variant overrides a
+        setting its strategy does not have.
+        """
+        self.spec.check_settings()
         selected, skipped = self._select_jobs(max_jobs, shard_index, shard_count)
         run = CampaignRun(campaign=self.spec.name, skipped=skipped)
         log.debug("campaign %s: running %d jobs (%d already complete)",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.arch.config import HardwareConfig
-from repro.search.api import SearchBudget, get_searcher
+from repro.search.api import SearchBudget, check_settings_overrides, get_searcher
 from repro.utils.atomic import write_atomic
 from repro.utils.serialization import (
     budget_from_dict,
@@ -155,6 +155,19 @@ class CampaignSpec:
             if variant.strategy == "fixed_hw_random" and variant.hardware is None:
                 raise ValueError(f"variant {variant.name!r}: strategy "
                                  "'fixed_hw_random' requires hardware")
+
+    def check_settings(self) -> None:
+        """Refuse settings overrides that a variant's strategy does not have.
+
+        Not run on load, so stores written with since-removed settings stay
+        loadable and reportable; the scheduler and the search service run it
+        before any job starts.
+        """
+        for variant in self.strategies:
+            try:
+                check_settings_overrides(variant.strategy, variant.settings)
+            except ValueError as error:
+                raise ValueError(f"variant {variant.name!r}: {error}") from None
 
     # ------------------------------------------------------------------ #
     # Grid expansion

@@ -2,9 +2,9 @@
 
 from repro.core.dmodel import (
     DifferentiableHardware,
-    LayerFactors,
     DifferentiableModel,
     LayerPerformance,
+    MultiStartFactors,
     network_edp_loss,
     validity_penalty,
 )
@@ -18,9 +18,9 @@ from repro.core.optimizer import (
 
 __all__ = [
     "DifferentiableHardware",
-    "LayerFactors",
     "DifferentiableModel",
     "LayerPerformance",
+    "MultiStartFactors",
     "network_edp_loss",
     "validity_penalty",
     "DosaSearcher",

@@ -5,22 +5,13 @@ the whole-model energy-delay product is differentiable with respect to every
 layer's spatial and temporal tiling factors — which is what enables the
 one-loop, mapping-first gradient-descent search.
 
-Three interchangeable parameterizations are provided: the per-layer
-:class:`LayerFactors` (one scalar graph per layer), the layer-batched
-:class:`NetworkFactors` (all layers stacked into two tensors, one array graph
-per network), and the start-batched :class:`MultiStartFactors` (S start
-points x L layers stacked into one graph — the fast path of the whole
-multi-start GD search).
+One parameterization serves the whole search: :class:`MultiStartFactors`
+stacks S start points x L layers into one graph of array ops (S=1 is the
+single-start case).
 """
 
 from repro.core.dmodel.hardware import DifferentiableHardware
-from repro.core.dmodel.factors import (
-    LayerFactors,
-    MultiStartFactors,
-    MultiStartGrid,
-    NetworkFactors,
-    NetworkGrid,
-)
+from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
 from repro.core.dmodel.model import DifferentiableModel, LayerPerformance
 from repro.core.dmodel.loss import (
     best_ordering_per_layer,
@@ -31,11 +22,8 @@ from repro.core.dmodel.loss import (
 
 __all__ = [
     "DifferentiableHardware",
-    "LayerFactors",
     "MultiStartFactors",
     "MultiStartGrid",
-    "NetworkFactors",
-    "NetworkGrid",
     "DifferentiableModel",
     "LayerPerformance",
     "best_ordering_per_layer",

@@ -12,26 +12,14 @@ keeps them strictly positive under unconstrained gradient updates; the
 Equation-18 hinge penalty still discourages values below 1 so the inferred
 DRAM factors stay valid.
 
-Three parameterizations share these semantics:
-
-* :class:`LayerFactors` — one layer, scalar-graph factors.  Each forward pass
-  over L layers builds L small graphs of hundreds of scalar nodes.
-* :class:`NetworkFactors` — the layer-batched parameterization.  All L
-  layers' log-factors are stacked into two tensors of shape
-  ``(L, levels, dims)`` and ``(L, 2)``, so one forward pass over the whole
-  network builds a *single* small graph of array ops whose node count is
-  independent of the layer count.  Per-layer loop-ordering decisions become
-  precomputed gather-index arrays (re-derived only when mappings are
-  re-snapped at rounding points), and the per-factor structural masks are
-  re-derived from current values on every pass inside
-  :func:`repro.autodiff.ops.reload_product`.
-* :class:`MultiStartFactors` — one axis further: the factors of S independent
-  gradient-descent *start points* over the same L layers, stacked into
-  ``(S, L, levels, dims)`` and ``(S, L, 2)`` tensors.  One forward/backward
-  pass advances every start point of a DOSA search at once; since the starts
-  share no graph nodes across rows, per-start losses, gradients and hence
-  descent trajectories are bit-identical to running S separate
-  :class:`NetworkFactors` descents.
+:class:`MultiStartFactors` holds the factors of S independent gradient-descent
+*start points* over the same L layers, stacked into ``(S, L, levels, dims)``
+and ``(S, L, 2)`` tensors, so one forward/backward pass builds a single small
+graph of array ops that advances every start point of a DOSA search at once;
+S=1 is the single-start case.  Per-layer loop-ordering decisions become
+precomputed gather-index arrays (re-derived only when mappings are re-snapped
+at rounding points), and the per-factor structural masks are re-derived from
+current values on every pass inside :func:`repro.autodiff.ops.reload_product`.
 """
 
 from __future__ import annotations
@@ -40,12 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.components import (
-    LEVEL_ACCUMULATOR,
-    LEVEL_DRAM,
-    LEVEL_SCRATCHPAD,
-    MEMORY_LEVEL_INDICES,
-)
+from repro.arch.components import LEVEL_DRAM, MEMORY_LEVEL_INDICES
 from repro.autodiff import Tensor, ops
 from repro.mapping.mapping import (
     DEFAULT_ORDERINGS,
@@ -57,7 +40,6 @@ from repro.mapping.mapping import (
     SPATIAL_DIMS,
     ordering_for_tensor,
 )
-from repro.mapping.rounding import round_mapping
 from repro.mapping.rounding_walk import RoundingTables, round_factor_tensors
 from repro.workloads.layer import DIMENSIONS, LayerDims
 
@@ -72,11 +54,10 @@ def _raw_factor_tensors(log_temporal: np.ndarray,
     """Clamped-exp factor values in :class:`Mapping` layout.
 
     ``log_temporal`` is ``(..., len(OPTIMIZED_LEVELS), NUM_DIMS)`` and
-    ``log_spatial`` is ``(..., len(SPATIAL_DIMS))``; the leading axes (layer,
-    or start x layer) pass through.  Returns ``(temporal, spatial)`` arrays of
-    shape ``(..., NUM_LEVELS, NUM_DIMS)`` holding exactly the values the
-    per-mapping snapshot methods write — same exp, same clamp — with ones at
-    every position the snapshot leaves untouched (the rounding walk ignores
+    ``log_spatial`` is ``(..., len(SPATIAL_DIMS))``; the leading axes (start
+    x layer) pass through.  Returns ``(temporal, spatial)`` arrays of shape
+    ``(..., NUM_LEVELS, NUM_DIMS)`` holding the exp of the clamped log
+    factors, with ones at every other position (the rounding walk ignores
     the DRAM temporal row and resets non-WS spatial positions itself).
     """
     shape = log_temporal.shape[:-2] + (NUM_LEVELS, NUM_DIMS)
@@ -90,436 +71,48 @@ def _raw_factor_tensors(log_temporal: np.ndarray,
     return temporal, spatial
 
 
-class LayerFactors:
-    """Differentiable spatial/temporal tiling factors for one layer."""
+def _stacked_log_factors(mappings: Sequence[Mapping]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack one start's mappings into ``(L, levels, dims)`` / ``(L, 2)`` log arrays.
 
-    def __init__(
-        self,
-        layer: LayerDims,
-        log_temporal: np.ndarray | None = None,
-        log_spatial: np.ndarray | None = None,
-        orderings: Sequence[LoopOrdering] = DEFAULT_ORDERINGS,
-    ) -> None:
-        self.layer = layer
-        if log_temporal is None:
-            log_temporal = np.zeros((len(OPTIMIZED_LEVELS), NUM_DIMS))
-        if log_spatial is None:
-            log_spatial = np.zeros(len(SPATIAL_DIMS))
-        self.log_temporal = Tensor(log_temporal, requires_grad=True, name=f"{layer.name}:log_temporal")
-        self.log_spatial = Tensor(log_spatial, requires_grad=True, name=f"{layer.name}:log_spatial")
-        self.orderings: tuple[LoopOrdering, ...] = tuple(orderings)
-
-    # ------------------------------------------------------------------ #
-    # Construction from / conversion to concrete mappings
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def from_mapping(mapping: Mapping) -> "LayerFactors":
-        """Initialize log-factors from a concrete (valid) mapping."""
-        log_temporal = np.log(np.maximum(mapping.temporal[list(OPTIMIZED_LEVELS), :], 1e-12))
-        log_spatial = np.log(np.array([
-            max(mapping.spatial_factor(level, dim), 1e-12) for level, dim in SPATIAL_DIMS
-        ]))
-        return LayerFactors(
-            layer=mapping.layer,
-            log_temporal=log_temporal,
-            log_spatial=log_spatial,
-            orderings=mapping.orderings,
-        )
-
-    def load_mapping(self, mapping: Mapping) -> None:
-        """Overwrite the parameter values (in place) from a concrete mapping.
-
-        Used after periodic rounding: the optimizer keeps the same parameter
-        tensors (and momentum state) but continues from the snapped point.
-        """
-        self.log_temporal.data = np.log(
-            np.maximum(mapping.temporal[list(OPTIMIZED_LEVELS), :], 1e-12)
-        )
-        self.log_spatial.data = np.log(np.array([
-            max(mapping.spatial_factor(level, dim), 1e-12) for level, dim in SPATIAL_DIMS
-        ]))
-        self.orderings = tuple(mapping.orderings)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.log_temporal, self.log_spatial]
-
-    # ------------------------------------------------------------------ #
-    # Differentiable factor access
-    # ------------------------------------------------------------------ #
-    def factor_grid(self) -> dict[tuple[str, int, str], Tensor | float]:
-        """All factors as tensors, keyed by ``(kind, level, dim)``.
-
-        ``kind`` is ``"T"`` or ``"S"``.  Factors that are structurally 1
-        (unsupported spatial positions) are plain floats.  DRAM temporal
-        factors are derived so that every dimension's product equals the
-        problem size, keeping gradients flowing into the inner factors.
-        """
-        grid: dict[tuple[str, int, str], Tensor | float] = {}
-        temporal = ops.exp(self.log_temporal)
-        spatial = ops.exp(self.log_spatial)
-
-        for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-            for dim in DIMENSIONS:
-                grid[("T", level, dim)] = temporal[level_pos, DIM_INDEX[dim]]
-        for level in MEMORY_LEVEL_INDICES:
-            for dim in DIMENSIONS:
-                grid.setdefault(("S", level, dim), 1.0)
-        for position, (level, dim) in enumerate(SPATIAL_DIMS):
-            grid[("S", level, dim)] = spatial[position]
-
-        # DRAM temporal factors absorb the remaining problem size.
-        for dim in DIMENSIONS:
-            inner = ops.total_prod(
-                [grid[("T", level, dim)] for level in OPTIMIZED_LEVELS]
-                + [grid[("S", level, dim)] for level, d in SPATIAL_DIMS if d == dim]
-            )
-            grid[("T", LEVEL_DRAM, dim)] = float(self.layer.dim(dim)) / inner
-        return grid
-
-    # ------------------------------------------------------------------ #
-    # Numeric snapshots
-    # ------------------------------------------------------------------ #
-    def snapshot_mapping(self) -> Mapping:
-        """Current (possibly fractional) factors as a numeric :class:`Mapping`."""
-        mapping = Mapping(layer=self.layer, orderings=self.orderings)
-        temporal = np.exp(np.clip(self.log_temporal.data, _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        spatial = np.exp(np.clip(self.log_spatial.data, _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-            mapping.temporal[level, :] = temporal[level_pos, :]
-        for position, (level, dim) in enumerate(SPATIAL_DIMS):
-            mapping.spatial[level, DIM_INDEX[dim]] = spatial[position]
-        return mapping.with_dram_inferred()
-
-    def rounded_mapping(self, max_spatial: float | None = None) -> Mapping:
-        """Nearest valid mapping to the current factors (Section 5.3.2)."""
-        return round_mapping(self.snapshot_mapping(), max_spatial=max_spatial)
-
-    def with_orderings(self, orderings: Sequence[LoopOrdering]) -> "LayerFactors":
-        """Shallow view of the same parameters with different loop orderings."""
-        view = LayerFactors.__new__(LayerFactors)
-        view.layer = self.layer
-        view.log_temporal = self.log_temporal
-        view.log_spatial = self.log_spatial
-        view.orderings = tuple(orderings)
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LayerFactors({self.layer.name or self.layer.dims()}, orderings={[o.value for o in self.orderings]})"
-
-
-# --------------------------------------------------------------------------- #
-# Layer-batched parameterization
-# --------------------------------------------------------------------------- #
-class NetworkGrid(dict):
-    """Batched factor grid: ``(kind, level, dim) -> (L,) Tensor | float``.
-
-    Same keying as :meth:`LayerFactors.factor_grid`, with one ``(L,)`` column
-    per factor instead of a scalar.  The two matrix attributes expose the
-    underlying stacked tensors for walk-order gathers (the batched reload
-    factors index them with static per-layer permutation arrays).
+    The single source of the clamp and level-slice conventions shared by
+    :meth:`MultiStartFactors.from_mapping_sets` and
+    :meth:`MultiStartFactors.load_mapping_sets`.
     """
-
-    temporal_matrix: "Tensor"  # (L, optimized levels, dims)
-    dram_matrix: "Tensor"      # (L, dims) inferred DRAM temporal factors
-
-
-class _BatchedLayerView:
-    """Array-valued stand-in for ``LayerFactors.layer`` over a layer batch.
-
-    Lets the :class:`~repro.core.dmodel.model.DifferentiableModel` tile-size
-    formulas run unchanged on batched grids: ``stride_p``/``stride_q`` and
-    ``dim(name)`` return ``(L,)`` arrays that broadcast through the same
-    expressions the scalar path uses.  ``sizes`` is shared with the owning
-    :class:`NetworkFactors`' ``dim_sizes`` — one table, two readers.
-    """
-
-    def __init__(self, layers: Sequence[LayerDims], sizes: np.ndarray) -> None:
-        self.stride_p = np.array([layer.stride_p for layer in layers], dtype=np.float64)
-        self.stride_q = np.array([layer.stride_q for layer in layers], dtype=np.float64)
-        self._sizes = sizes
-
-    def dim(self, name: str) -> np.ndarray:
-        return self._sizes[:, DIM_INDEX[name]]
+    log_temporal = np.stack([
+        np.log(np.maximum(m.temporal[list(OPTIMIZED_LEVELS), :], 1e-12))
+        for m in mappings
+    ])
+    log_spatial = np.stack([
+        np.log(np.array([max(m.spatial_factor(level, dim), 1e-12)
+                         for level, dim in SPATIAL_DIMS]))
+        for m in mappings
+    ])
+    return log_temporal, log_spatial
 
 
-class NetworkFactors:
-    """Differentiable tiling factors of *all* layers, stacked layer-first.
-
-    The GD optimization variables of a whole network as two leaf tensors:
-    ``log_temporal`` of shape ``(L, len(OPTIMIZED_LEVELS), NUM_DIMS)`` and
-    ``log_spatial`` of shape ``(L, len(SPATIAL_DIMS))``.  One gradient step
-    through this parameterization builds a single graph of NumPy array ops
-    regardless of the layer count — the layer-batched counterpart of a list
-    of :class:`LayerFactors`.
-
-    Layers are heterogeneous: problem sizes and strides live in per-layer
-    rows of ``dim_sizes``/stride arrays, and ``dim_mask`` marks which columns
-    are real problem dimensions (size > 1).  Columns where the mask is False
-    are padding — structurally-unit dimensions (e.g. R/S/Q of a matmul layer)
-    whose factors stay pinned near 1 by the Eq.-18 penalty exactly as they do
-    in the per-layer model, so masking is informational, not semantic.
-
-    Loop orderings are per layer and per level; they are compiled once into
-    gather-permutation index arrays (:meth:`order_perm`) and re-derived only
-    when :meth:`load_mappings` re-snaps the parameterization at a rounding
-    point, matching the model's locally-constant-structure semantics.
-    """
-
-    def __init__(
-        self,
-        layers: Sequence[LayerDims],
-        log_temporal: np.ndarray | None = None,
-        log_spatial: np.ndarray | None = None,
-        orderings: Sequence[Sequence[LoopOrdering]] | None = None,
-    ) -> None:
-        if not layers:
-            raise ValueError("NetworkFactors requires at least one layer")
-        self.layers = list(layers)
-        count = len(self.layers)
-        if log_temporal is None:
-            log_temporal = np.zeros((count, len(OPTIMIZED_LEVELS), NUM_DIMS))
-        if log_spatial is None:
-            log_spatial = np.zeros((count, len(SPATIAL_DIMS)))
-        log_temporal = np.asarray(log_temporal, dtype=np.float64)
-        log_spatial = np.asarray(log_spatial, dtype=np.float64)
-        if log_temporal.shape != (count, len(OPTIMIZED_LEVELS), NUM_DIMS):
-            raise ValueError(f"log_temporal must have shape "
-                             f"{(count, len(OPTIMIZED_LEVELS), NUM_DIMS)}, "
-                             f"got {log_temporal.shape}")
-        if log_spatial.shape != (count, len(SPATIAL_DIMS)):
-            raise ValueError(f"log_spatial must have shape "
-                             f"{(count, len(SPATIAL_DIMS))}, got {log_spatial.shape}")
-        self.log_temporal = Tensor(log_temporal, requires_grad=True, name="network:log_temporal")
-        self.log_spatial = Tensor(log_spatial, requires_grad=True, name="network:log_spatial")
-        if orderings is None:
-            orderings = [DEFAULT_ORDERINGS] * count
-        self.orderings: list[tuple[LoopOrdering, ...]] = [tuple(o) for o in orderings]
-        if len(self.orderings) != count:
-            raise ValueError("one per-level ordering tuple is required per layer")
-        self.dim_sizes = np.array(
-            [[float(layer.dim(d)) for d in DIMENSIONS] for layer in self.layers],
-            dtype=np.float64,
-        )
-        self.dim_mask = self.dim_sizes > 1.0
-        self._layer_view = _BatchedLayerView(self.layers, self.dim_sizes)
-        self._order_perms: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    # ------------------------------------------------------------------ #
-    # Construction from / conversion to concrete mappings
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _stacked_log_factors(mappings: Sequence[Mapping]) -> tuple[np.ndarray, np.ndarray]:
-        """Stack mappings into ``(L, levels, dims)`` / ``(L, 2)`` log arrays.
-
-        The single source of the clamp and level-slice conventions shared by
-        :meth:`from_mappings` and :meth:`load_mappings` (mirroring the
-        per-layer :meth:`LayerFactors.load_mapping`).
-        """
-        log_temporal = np.stack([
-            np.log(np.maximum(m.temporal[list(OPTIMIZED_LEVELS), :], 1e-12))
-            for m in mappings
-        ])
-        log_spatial = np.stack([
-            np.log(np.array([max(m.spatial_factor(level, dim), 1e-12)
-                             for level, dim in SPATIAL_DIMS]))
-            for m in mappings
-        ])
-        return log_temporal, log_spatial
-
-    @staticmethod
-    def from_mappings(mappings: Sequence[Mapping]) -> "NetworkFactors":
-        """Initialize stacked log-factors from concrete (valid) mappings."""
-        log_temporal, log_spatial = NetworkFactors._stacked_log_factors(mappings)
-        return NetworkFactors(
-            layers=[m.layer for m in mappings],
-            log_temporal=log_temporal,
-            log_spatial=log_spatial,
-            orderings=[m.orderings for m in mappings],
-        )
-
-    @staticmethod
-    def from_layer_factors(all_factors: Sequence[LayerFactors]) -> "NetworkFactors":
-        """Stack per-layer :class:`LayerFactors` into one batched instance."""
-        return NetworkFactors(
-            layers=[f.layer for f in all_factors],
-            log_temporal=np.stack([f.log_temporal.data for f in all_factors]),
-            log_spatial=np.stack([f.log_spatial.data for f in all_factors]),
-            orderings=[f.orderings for f in all_factors],
-        )
-
-    def load_mappings(self, mappings: Sequence[Mapping]) -> None:
-        """Overwrite the parameter values (in place) from concrete mappings.
-
-        Used after periodic rounding: the same parameter tensors (and hence
-        the optimizer's momentum state) continue from the snapped point.  The
-        orderings may change here, which invalidates the compiled permutation
-        arrays — callers holding a :class:`~repro.autodiff.tape.Tape` over a
-        graph built from this instance must re-trace it.
-        """
-        if len(mappings) != len(self.layers):
-            raise ValueError(f"expected {len(self.layers)} mappings, got {len(mappings)}")
-        self.log_temporal.data, self.log_spatial.data = (
-            self._stacked_log_factors(mappings))
-        self.orderings = [tuple(m.orderings) for m in mappings]
-        self._order_perms = None
-
-    def parameters(self) -> list[Tensor]:
-        return [self.log_temporal, self.log_spatial]
-
-    # ------------------------------------------------------------------ #
-    # Structure compilation
-    # ------------------------------------------------------------------ #
-    @property
-    def layer(self) -> _BatchedLayerView:
-        """Batched stand-in for ``LayerFactors.layer`` (array-valued dims)."""
-        return self._layer_view
-
-    def order_perm(self, level: int) -> np.ndarray:
-        """``(L, dims)`` dimension indices in loop order (innermost first).
-
-        The batched counterpart of ``Mapping.loop_order``: row ``l`` permutes
-        the dimension axis of layer ``l``'s temporal factors at ``level`` into
-        that layer's walk order.  Compiled lazily from the current orderings
-        and cached until :meth:`load_mappings` changes them.
-        """
-        if self._order_perms is None:
-            self._order_perms = np.array(
-                [[[DIM_INDEX[d] for d in ordering_for_tensor(ordering)]
-                  for ordering in layer_orderings]
-                 for layer_orderings in self.orderings],
-                dtype=np.intp,
-            )
-        return self._order_perms[:, level, :]
-
-    # ------------------------------------------------------------------ #
-    # Differentiable factor access
-    # ------------------------------------------------------------------ #
-    def factor_grid(self) -> NetworkGrid:
-        """All factors as ``(L,)`` tensor columns, keyed like the scalar grid.
-
-        Column ``grid[(kind, level, dim)][l]`` equals (bitwise) the scalar
-        ``LayerFactors.factor_grid()`` entry of layer ``l``: the same exp,
-        and the same left-to-right DRAM-inference product chain, evaluated
-        elementwise over the layer axis.
-        """
-        grid = NetworkGrid()
-        temporal = ops.exp(self.log_temporal)
-        spatial = ops.exp(self.log_spatial)
-
-        for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-            for dim in DIMENSIONS:
-                grid[("T", level, dim)] = temporal[:, level_pos, DIM_INDEX[dim]]
-        for level in MEMORY_LEVEL_INDICES:
-            for dim in DIMENSIONS:
-                grid.setdefault(("S", level, dim), 1.0)
-        for position, (level, dim) in enumerate(SPATIAL_DIMS):
-            grid[("S", level, dim)] = spatial[:, position]
-
-        # DRAM temporal factors absorb the remaining problem size.
-        for dim in DIMENSIONS:
-            inner = ops.total_prod(
-                [grid[("T", level, dim)] for level in OPTIMIZED_LEVELS]
-                + [grid[("S", level, dim)] for level, d in SPATIAL_DIMS if d == dim]
-            )
-            grid[("T", LEVEL_DRAM, dim)] = (
-                Tensor(self.dim_sizes[:, DIM_INDEX[dim]]) / inner)
-
-        grid.temporal_matrix = temporal
-        grid.dram_matrix = ops.stack(
-            [grid[("T", LEVEL_DRAM, dim)] for dim in DIMENSIONS]).T
-        return grid
-
-    # ------------------------------------------------------------------ #
-    # Numeric snapshots
-    # ------------------------------------------------------------------ #
-    def snapshot_mappings(self) -> list[Mapping]:
-        """Current (possibly fractional) factors as numeric mappings."""
-        temporal = np.exp(np.clip(self.log_temporal.data, _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        spatial = np.exp(np.clip(self.log_spatial.data, _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        mappings = []
-        for index, layer in enumerate(self.layers):
-            mapping = Mapping(layer=layer, orderings=self.orderings[index])
-            for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-                mapping.temporal[level, :] = temporal[index, level_pos, :]
-            for position, (level, dim) in enumerate(SPATIAL_DIMS):
-                mapping.spatial[level, DIM_INDEX[dim]] = spatial[index, position]
-            mappings.append(mapping.with_dram_inferred())
-        return mappings
-
-    def rounded_mappings(self, max_spatial: float | None = None,
-                         batched: bool = True) -> list[Mapping]:
-        """Nearest valid mapping per layer (Section 5.3.2).
-
-        ``batched=True`` rounds every layer in one pass of the vectorized
-        walk (:mod:`repro.mapping.rounding_walk`), bit-identical to the
-        scalar :func:`~repro.mapping.rounding.round_mapping` oracle, which
-        ``batched=False`` keeps running per mapping.
-        """
-        if not batched:
-            return [round_mapping(mapping, max_spatial=max_spatial)
-                    for mapping in self.snapshot_mappings()]
-        temporal, spatial = _raw_factor_tensors(self.log_temporal.data,
-                                                self.log_spatial.data)
-        out_temporal, out_spatial = round_factor_tensors(
-            temporal[None], spatial[None], RoundingTables.for_layers(self.layers),
-            max_spatial=max_spatial)
-        return [
-            Mapping(layer=layer, temporal=out_temporal[0, index].copy(),
-                    spatial=out_spatial[0, index].copy(),
-                    orderings=self.orderings[index])
-            for index, layer in enumerate(self.layers)
-        ]
-
-    def with_uniform_orderings(self, ordering: LoopOrdering) -> "NetworkFactors":
-        """Shallow view sharing parameters, with ``ordering`` at every level.
-
-        Used by the softmax loop-ordering loss to evaluate the WS/IS/OS
-        candidates of every layer without duplicating parameter state.
-        """
-        view = NetworkFactors.__new__(NetworkFactors)
-        view.layers = self.layers
-        view.log_temporal = self.log_temporal
-        view.log_spatial = self.log_spatial
-        view.orderings = [(ordering,) * NUM_LEVELS] * len(self.layers)
-        view.dim_sizes = self.dim_sizes
-        view.dim_mask = self.dim_mask
-        view._layer_view = self._layer_view
-        view._order_perms = None
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        names = [layer.name or "?" for layer in self.layers]
-        return (f"NetworkFactors({len(self.layers)} layers: {names}, "
-                f"{int(self.dim_mask.sum())} active dims)")
-
-
-# --------------------------------------------------------------------------- #
-# Start-point-batched parameterization
-# --------------------------------------------------------------------------- #
 class MultiStartGrid(dict):
     """Start-batched factor grid: ``(kind, level, dim) -> (S, L) Tensor | float``.
 
-    Same keying as :class:`NetworkGrid`, with one ``(S, L)`` matrix per factor
-    instead of an ``(L,)`` column: row ``s`` is exactly the column the
-    :class:`NetworkFactors` grid of start point ``s`` would hold.
+    ``kind`` is ``"T"`` (temporal) or ``"S"`` (spatial); entry ``[s, l]`` is
+    the factor of start ``s``, layer ``l``.  Factors that are structurally 1
+    (unsupported spatial positions) are plain floats.  The two matrix
+    attributes expose the underlying stacked tensors for walk-order gathers
+    (the reload factors index them with static permutation arrays).
     """
 
     temporal_matrix: "Tensor"  # (S, L, optimized levels, dims)
     dram_matrix: "Tensor"      # (S, L, dims) inferred DRAM temporal factors
 
 
-class MultiStartFactors(NetworkFactors):
+class MultiStartFactors:
     """Differentiable tiling factors of S start points x L layers.
 
-    The GD optimization variables of *every* start point of a DOSA search as
+    The GD optimization variables of every start point of a DOSA search as
     two leaf tensors: ``log_temporal`` of shape
     ``(S, L, len(OPTIMIZED_LEVELS), NUM_DIMS)`` and ``log_spatial`` of shape
     ``(S, L, len(SPATIAL_DIMS))``.  One gradient step through this
-    parameterization advances all S descents in a single array-op graph —
-    the start-point-batched counterpart of S :class:`NetworkFactors`.
+    parameterization advances all S descents in a single array-op graph whose
+    node count is independent of S and L.
 
     Start points are independent: no graph node mixes rows, every reduction
     (:func:`~repro.autodiff.ops.fold_sum`, :func:`~repro.autodiff.ops.fold_max`,
@@ -527,15 +120,16 @@ class MultiStartFactors(NetworkFactors):
     only, and the scalar training loss is the fold of the per-start losses —
     whose gradient into each start is exactly the gradient of that start's own
     loss.  Per-start values and gradients are therefore bit-identical to S
-    separate single-start passes, which is what lets
-    ``DosaSettings(batched_starts=True)`` keep seeded outcomes design-identical
-    to the sequential schedule.
+    separate single-start (S=1) passes.
 
-    ``layers``, ``dim_sizes`` and the stride arrays are shared across starts
-    (every start descends the same network); ``dim_mask`` is the layer mask
-    broadcast to ``(S, L, NUM_DIMS)``.  Loop orderings are tracked per start
-    *and* per layer in ``start_orderings``; the compiled walk-order
-    permutations become ``(S, L, dims)`` gather arrays.
+    Layers are heterogeneous: problem sizes and strides live in per-layer
+    rows of ``dim_sizes``/stride arrays, shared across starts (every start
+    descends the same network).  ``dim_mask`` marks which columns are real
+    problem dimensions (size > 1), broadcast to ``(S, L, NUM_DIMS)``; padding
+    columns (e.g. R/S/Q of a matmul layer) stay pinned near 1 by the Eq.-18
+    penalty, so the mask is informational, not semantic.  Loop orderings are
+    tracked per start *and* per layer in ``start_orderings``; the compiled
+    walk-order permutations are ``(S, L, dims)`` gather arrays.
     """
 
     def __init__(
@@ -583,12 +177,12 @@ class MultiStartFactors(NetworkFactors):
             [[float(layer.dim(d)) for d in DIMENSIONS] for layer in self.layers],
             dtype=np.float64,
         )
-        # The per-layer padding mask, broadcast over the start axis: all
-        # starts descend the same network, so the mask is one (L, dims) table
-        # viewed as (S, L, dims).
+        self.stride_p = np.array([layer.stride_p for layer in self.layers],
+                                 dtype=np.float64)
+        self.stride_q = np.array([layer.stride_q for layer in self.layers],
+                                 dtype=np.float64)
         self.dim_mask = np.broadcast_to(self.dim_sizes > 1.0,
                                         (self.num_starts, count, NUM_DIMS))
-        self._layer_view = _BatchedLayerView(self.layers, self.dim_sizes)
         self._order_perms: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -599,8 +193,7 @@ class MultiStartFactors(NetworkFactors):
         """Stack one list of concrete per-layer mappings per start point."""
         if not mapping_sets:
             raise ValueError("from_mapping_sets requires at least one start point")
-        stacked = [NetworkFactors._stacked_log_factors(list(mappings))
-                   for mappings in mapping_sets]
+        stacked = [_stacked_log_factors(list(mappings)) for mappings in mapping_sets]
         return MultiStartFactors(
             layers=[m.layer for m in mapping_sets[0]],
             num_starts=len(mapping_sets),
@@ -612,11 +205,14 @@ class MultiStartFactors(NetworkFactors):
     def load_mapping_sets(self, mapping_sets: "dict[int, Sequence[Mapping]]") -> None:
         """Overwrite selected start points' parameters from concrete mappings.
 
+        Used after periodic rounding: the same parameter tensors (and hence
+        the optimizer's momentum state) continue from the snapped point.
         ``mapping_sets`` maps a start index to that start's per-layer rounded
         mappings; start points not in the dict (e.g. budget-frozen ones) keep
-        their current values.  Like :meth:`NetworkFactors.load_mappings` this
-        may change loop orderings, so callers holding a
-        :class:`~repro.autodiff.tape.Tape` must re-trace.
+        their current values.  The orderings may change here, which
+        invalidates the compiled permutation arrays — callers holding a
+        :class:`~repro.autodiff.tape.Tape` over a graph built from this
+        instance must re-trace it.
         """
         for start, mappings in mapping_sets.items():
             if not 0 <= start < self.num_starts:
@@ -625,17 +221,27 @@ class MultiStartFactors(NetworkFactors):
             if len(mappings) != len(self.layers):
                 raise ValueError(f"expected {len(self.layers)} mappings for "
                                  f"start {start}, got {len(mappings)}")
-            log_temporal, log_spatial = self._stacked_log_factors(list(mappings))
+            log_temporal, log_spatial = _stacked_log_factors(list(mappings))
             self.log_temporal.data[start] = log_temporal
             self.log_spatial.data[start] = log_spatial
             self.start_orderings[start] = [tuple(m.orderings) for m in mappings]
         self._order_perms = None
 
+    def parameters(self) -> list[Tensor]:
+        return [self.log_temporal, self.log_spatial]
+
     # ------------------------------------------------------------------ #
     # Structure compilation
     # ------------------------------------------------------------------ #
     def order_perm(self, level: int) -> np.ndarray:
-        """``(S, L, dims)`` dimension indices in loop order (innermost first)."""
+        """``(S, L, dims)`` dimension indices in loop order (innermost first).
+
+        The batched counterpart of ``Mapping.loop_order``: entry ``[s, l]``
+        permutes the dimension axis of start ``s``, layer ``l``'s temporal
+        factors at ``level`` into that layer's walk order.  Compiled lazily
+        from the current orderings and cached until
+        :meth:`load_mapping_sets` changes them.
+        """
         if self._order_perms is None:
             self._order_perms = np.array(
                 [[[[DIM_INDEX[d] for d in ordering_for_tensor(ordering)]
@@ -650,10 +256,11 @@ class MultiStartFactors(NetworkFactors):
     # Differentiable factor access
     # ------------------------------------------------------------------ #
     def factor_grid(self) -> MultiStartGrid:
-        """All factors as ``(S, L)`` tensor matrices, keyed like the scalar grid.
+        """All factors as ``(S, L)`` tensor matrices, keyed by ``(kind, level, dim)``.
 
-        Entry ``grid[(kind, level, dim)][s, l]`` equals (bitwise) the scalar
-        ``LayerFactors.factor_grid()`` entry of start ``s``, layer ``l``.
+        DRAM temporal factors are derived so that every dimension's product
+        equals the problem size, keeping gradients flowing into the inner
+        factors.
         """
         grid = MultiStartGrid()
         temporal = ops.exp(self.log_temporal)
@@ -687,42 +294,15 @@ class MultiStartFactors(NetworkFactors):
     # ------------------------------------------------------------------ #
     # Numeric snapshots
     # ------------------------------------------------------------------ #
-    def snapshot_mappings_of(self, start: int) -> list[Mapping]:
-        """One start point's current (possibly fractional) factors as mappings."""
-        temporal = np.exp(np.clip(self.log_temporal.data[start],
-                                  _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        spatial = np.exp(np.clip(self.log_spatial.data[start],
-                                 _MIN_LOG_FACTOR, _MAX_LOG_FACTOR))
-        mappings = []
-        for index, layer in enumerate(self.layers):
-            mapping = Mapping(layer=layer, orderings=self.start_orderings[start][index])
-            for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-                mapping.temporal[level, :] = temporal[index, level_pos, :]
-            for position, (level, dim) in enumerate(SPATIAL_DIMS):
-                mapping.spatial[level, DIM_INDEX[dim]] = spatial[index, position]
-            mappings.append(mapping.with_dram_inferred())
-        return mappings
-
-    def rounded_mappings_of(self, start: int,
-                            max_spatial: float | None = None) -> list[Mapping]:
-        """Nearest valid mapping per layer for one start point (Section 5.3.2)."""
-        return [round_mapping(mapping, max_spatial=max_spatial)
-                for mapping in self.snapshot_mappings_of(start)]
-
-    def snapshot_mapping_sets(self) -> list[list[Mapping]]:
-        """Every start point's snapshot mappings, start-major."""
-        return [self.snapshot_mappings_of(start) for start in range(self.num_starts)]
-
     def rounded_mapping_sets(
         self,
         starts: Sequence[int] | None = None,
         max_spatial: float | None = None,
     ) -> list[list[Mapping]]:
-        """Selected starts' nearest valid mappings in one vectorized walk.
+        """Selected starts' nearest valid mappings (Section 5.3.2) in one walk.
 
-        The cross-start counterpart of per-start :meth:`rounded_mappings_of`:
-        all selected starts' fractional factors go through a single
-        ``(S, L)`` pass of the integer-rounding kernel
+        All selected starts' fractional factors go through a single ``(S, L)``
+        pass of the integer-rounding kernel
         (:mod:`repro.mapping.rounding_walk`), producing mappings bit-identical
         to rounding each start alone.  ``starts`` defaults to every start
         point; the result is ordered like ``starts``.
@@ -747,34 +327,17 @@ class MultiStartFactors(NetworkFactors):
             for i, start in enumerate(starts)
         ]
 
-    # The single-start accessors of NetworkFactors are shape-ambiguous here.
-    def snapshot_mappings(self):  # pragma: no cover - guard rail
-        raise TypeError("use snapshot_mappings_of(start) / snapshot_mapping_sets() "
-                        "on MultiStartFactors")
-
-    def rounded_mappings(self, max_spatial=None, batched=True):  # pragma: no cover - guard rail
-        raise TypeError("use rounded_mappings_of(start) / rounded_mapping_sets() "
-                        "on MultiStartFactors")
-
-    def load_mappings(self, mappings):  # pragma: no cover - guard rail
-        raise TypeError("use load_mapping_sets({start: mappings}) on MultiStartFactors")
-
     def with_uniform_orderings(self, ordering: LoopOrdering) -> "MultiStartFactors":
         """Shallow view sharing parameters, with ``ordering`` at every level.
 
-        Used by the softmax loop-ordering loss to evaluate the WS/IS/OS
-        candidates of every start point and layer without duplicating state.
+        Used by the softmax loop-ordering loss and the iterative re-selection
+        to evaluate the WS/IS/OS candidates of every start point and layer
+        without duplicating parameter state.
         """
         view = MultiStartFactors.__new__(MultiStartFactors)
-        view.layers = self.layers
-        view.num_starts = self.num_starts
-        view.log_temporal = self.log_temporal
-        view.log_spatial = self.log_spatial
+        view.__dict__.update(self.__dict__)
         view.start_orderings = [
             [(ordering,) * NUM_LEVELS] * len(self.layers)] * self.num_starts
-        view.dim_sizes = self.dim_sizes
-        view.dim_mask = self.dim_mask
-        view._layer_view = self._layer_view
         view._order_perms = None
         return view
 

@@ -14,7 +14,7 @@ plain floats taken from a :class:`~repro.arch.config.HardwareConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from repro.arch.components import (
     ACCUMULATOR_EPA_BASE,
@@ -64,36 +64,27 @@ class DifferentiableHardware:
 
     @staticmethod
     def from_requirements(
-        spatial_factors: "Iterable[Value] | Tensor",
+        spatial_factors: Tensor,
         accumulator_words: Value,
         scratchpad_words: Value,
     ) -> "DifferentiableHardware":
         """Minimal hardware implied by per-layer requirements (Equation 1, Figure 3).
 
-        ``spatial_factors`` are the candidate array side lengths (the C and K
-        spatial factors of every layer) — an iterable of scalars, a 1-D tensor
-        from the layer-batched model, or an ``(S, 2L)`` tensor from the
-        multi-start model (each reduced with the equivalent fused left-fold
-        maximum; the multi-start form folds each start's row independently and
-        yields ``(S, 1)`` hardware fields, with ``accumulator_words`` /
-        ``scratchpad_words`` expected in the same shape).  The PE count is the
-        square of their maximum.  SRAM capacities convert word requirements to
-        kilobytes.
+        ``spatial_factors`` holds the candidate array side lengths (the C and
+        K spatial factors of every layer) along its last axis — ``(n,)`` for
+        one configuration, or ``(S, n)`` for one per start point, each row
+        reduced with the fused left-fold :func:`~repro.autodiff.ops.fold_max`
+        into ``(S, 1)`` fields (``accumulator_words`` / ``scratchpad_words``
+        are expected in the same shape).  The PE count is the square of the
+        maximum side.  SRAM capacities convert word requirements to kilobytes.
         """
-        if isinstance(spatial_factors, Tensor):
-            if spatial_factors.size == 0:
-                raise ValueError("from_requirements needs at least one spatial factor")
-            side = ops.fold_max(spatial_factors, axis=-1)
-            if side.ndim:
-                # Keep the reduced axis so per-start hardware broadcasts
-                # against that start's (S, L) factor columns.
-                side = side.reshape(side.shape + (1,))
-        else:
-            side = None
-            for factor in spatial_factors:
-                side = factor if side is None else ops.maximum(side, factor)
-            if side is None:
-                raise ValueError("from_requirements needs at least one spatial factor")
+        if spatial_factors.size == 0:
+            raise ValueError("from_requirements needs at least one spatial factor")
+        side = ops.fold_max(spatial_factors, axis=-1)
+        if side.ndim:
+            # Keep the reduced axis so per-start hardware broadcasts
+            # against that start's (S, L) factor columns.
+            side = side.reshape(side.shape + (1,))
         num_pes = side * side
         accumulator_kb = accumulator_words * (BYTES_PER_WORD[LEVEL_ACCUMULATOR] / 1024.0)
         scratchpad_kb = scratchpad_words * (BYTES_PER_WORD[LEVEL_SCRATCHPAD] / 1024.0)
@@ -135,15 +126,20 @@ class DifferentiableHardware:
 
     # ------------------------------------------------------------------ #
     def to_config(self, bounds=None) -> HardwareConfig:
-        """Snap the (possibly fractional) parameters to a concrete config."""
+        """Snap the (possibly fractional) parameters to a concrete config.
+
+        Needs one configuration: scalar fields, or the ``(1, 1)`` fields of a
+        single-start derivation.
+        """
         from repro.arch.config import DEFAULT_BOUNDS, minimal_hardware_for_requirements
 
+        def scalar(value: Value) -> float:
+            return float(value.data.item() if isinstance(value, Tensor) else value)
+
         bounds = bounds or DEFAULT_BOUNDS
-        num_pes = float(self.num_pes.data) if isinstance(self.num_pes, Tensor) else float(self.num_pes)
-        accumulator_kb = (float(self.accumulator_kb.data)
-                          if isinstance(self.accumulator_kb, Tensor) else float(self.accumulator_kb))
-        scratchpad_kb = (float(self.scratchpad_kb.data)
-                         if isinstance(self.scratchpad_kb, Tensor) else float(self.scratchpad_kb))
+        num_pes = scalar(self.num_pes)
+        accumulator_kb = scalar(self.accumulator_kb)
+        scratchpad_kb = scalar(self.scratchpad_kb)
         return minimal_hardware_for_requirements(
             spatial_requirement=num_pes**0.5,
             accumulator_word_requirement=accumulator_kb * 1024.0 / BYTES_PER_WORD[LEVEL_ACCUMULATOR],

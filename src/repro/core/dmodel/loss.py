@@ -7,19 +7,15 @@
 * :func:`softmax_ordering_loss` — Equations 15-17: the gradient-based loop
   ordering strategy, weighting each candidate ordering's energy and latency by
   the softmax of its inverse EDP.
+* :func:`best_ordering_per_layer` — the iterative loop-ordering selection of
+  Section 5.2.1.
 
-Every loss accepts the per-layer parameterization (a list of
-:class:`LayerFactors` / :class:`LayerPerformance`), the layer-batched one
-(a :class:`NetworkFactors` / a vector-valued :class:`LayerPerformance` from
-the batched ``evaluate_network``), or the start-batched one (a
-:class:`MultiStartFactors` / an ``(S, L)``-valued performance).  The batched
-branches reduce over the layer axis with the left-fold sums of
-:func:`repro.autodiff.ops.fold_sum`, in the same element order as the
-per-layer Python folds, so batched loss values are bit-identical to the
-per-layer ones.  The multi-start branches reduce over the layer axis *only*
-and return one value per start point (shape ``(S,)``) — start points are
-independent descents, so nothing may mix their losses before the caller's
-final fold.
+Every loss takes a start-batched :class:`MultiStartFactors` (or the
+``(S, L)``-valued :class:`LayerPerformance` evaluated from one) and returns
+one value per start point, shape ``(S,)``.  The layer axis is reduced with
+the left-fold sums of :func:`repro.autodiff.ops.fold_sum`, in the same element
+order as a per-layer Python fold; start points are independent descents, so
+nothing mixes their losses before the caller's final fold.
 """
 
 from __future__ import annotations
@@ -28,13 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.autodiff import Tensor, ops
-from repro.core.dmodel.factors import (
-    LayerFactors,
-    MultiStartFactors,
-    NetworkFactors,
-    NetworkGrid,
-)
+from repro.autodiff import Tensor, no_grad, ops
+from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
 from repro.core.dmodel.hardware import DifferentiableHardware
 from repro.core.dmodel.model import DifferentiableModel, LayerPerformance
 from repro.mapping.mapping import LoopOrdering
@@ -46,68 +37,34 @@ def _repeat_vector(repeats: Sequence[int], count: int) -> Tensor:
     return Tensor(np.array([float(rep) for rep in repeats]))
 
 
-def network_edp_loss(
-    performances: "Sequence[LayerPerformance] | LayerPerformance",
-    repeats: Sequence[int],
-) -> Tensor:
+def network_edp_loss(performance: LayerPerformance,
+                     repeats: Sequence[int]) -> Tensor:
     """Whole-model EDP (Equation 14): sum energies x sum latencies.
 
-    ``performances`` is one :class:`LayerPerformance` per layer, a single
-    batched performance whose ``energy``/``latency`` are ``(L,)`` tensors
-    (returning the scalar network EDP), or a multi-start performance with
-    ``(S, L)`` tensors — in which case the result is the ``(S,)`` vector of
-    per-start network EDPs, each bit-identical to the single-start loss.
+    ``performance`` holds ``(S, L)`` energy/latency tensors; the result is the
+    ``(S,)`` vector of per-start network EDPs.
     """
-    if isinstance(performances, LayerPerformance):
-        reps = _repeat_vector(repeats, performances.energy.shape[-1])
-        total_energy = ops.fold_sum(performances.energy * reps, axis=-1)
-        total_latency = ops.fold_sum(performances.latency * reps, axis=-1)
-        return total_energy * total_latency
-    if len(performances) != len(repeats):
-        raise ValueError("one repetition count is required per layer performance")
-    total_energy = ops.total_sum(
-        [perf.energy * float(rep) for perf, rep in zip(performances, repeats)]
-    )
-    total_latency = ops.total_sum(
-        [perf.latency * float(rep) for perf, rep in zip(performances, repeats)]
-    )
+    reps = _repeat_vector(repeats, performance.energy.shape[-1])
+    total_energy = ops.fold_sum(performance.energy * reps, axis=-1)
+    total_latency = ops.fold_sum(performance.latency * reps, axis=-1)
     return total_energy * total_latency
 
 
-def validity_penalty(
-    all_factors: "Sequence[LayerFactors] | NetworkFactors",
-    grid: NetworkGrid | None = None,
-) -> Tensor:
+def validity_penalty(factors: MultiStartFactors,
+                     grid: MultiStartGrid | None = None) -> Tensor:
     """Equation 18: sum of ``max(1 - f, 0)`` over every tiling factor.
 
-    The batched branch flattens the per-entry ``(L,)`` hinge columns
-    layer-major before the fold, reproducing the per-layer summation order
-    exactly.  ``grid`` lets the batched caller reuse one factor grid across
-    the whole loss graph.  With a :class:`MultiStartFactors` the result is
-    the ``(S,)`` vector of per-start penalties, each folded in the same
-    layer-major entry order as the single-start batched branch.
+    Returns the ``(S,)`` vector of per-start penalties, each folded over its
+    hinges layer-major (all of layer 0's factors, then layer 1's, ...).
+    ``grid`` lets the caller reuse one factor grid across the loss graph.
     """
-    if isinstance(all_factors, MultiStartFactors):
-        grid = grid if grid is not None else all_factors.factor_grid()
-        hinges = [ops.relu(1.0 - value) for value in grid.values()
-                  if isinstance(value, Tensor)]
-        # (entries, S, L) -> (S, L, entries) -> per-start layer-major fold.
-        flat = ops.transpose(ops.stack(hinges), (1, 2, 0)).reshape(
-            all_factors.num_starts, len(all_factors.layers) * len(hinges))
-        return ops.fold_sum(flat, axis=-1)
-    if isinstance(all_factors, NetworkFactors):
-        grid = grid if grid is not None else all_factors.factor_grid()
-        hinges = [ops.relu(1.0 - value) for value in grid.values()
-                  if isinstance(value, Tensor)]
-        flat = ops.stack(hinges).T.reshape(len(all_factors) * len(hinges))
-        return ops.fold_sum(flat)
-    terms = []
-    for factors in all_factors:
-        grid = factors.factor_grid()
-        for value in grid.values():
-            if isinstance(value, Tensor):
-                terms.append(ops.relu(1.0 - value))
-    return ops.total_sum(terms)
+    grid = grid if grid is not None else factors.factor_grid()
+    hinges = [ops.relu(1.0 - value) for value in grid.values()
+              if isinstance(value, Tensor)]
+    # (entries, S, L) -> (S, L, entries) -> per-start layer-major fold.
+    flat = ops.transpose(ops.stack(hinges), (1, 2, 0)).reshape(
+        factors.num_starts, len(factors.layers) * len(hinges))
+    return ops.fold_sum(flat, axis=-1)
 
 
 _CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
@@ -117,130 +74,66 @@ _CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
 )
 
 
-def ordering_candidates(factors: LayerFactors) -> list[LayerFactors]:
-    """Views of ``factors`` under the WS / IS / OS loop orderings (all levels)."""
-    return [
-        factors.with_orderings([ordering] * 4) for ordering in _CANDIDATE_ORDERINGS
-    ]
-
-
 def softmax_ordering_loss(
-    all_factors: "Sequence[LayerFactors] | NetworkFactors",
+    factors: MultiStartFactors,
     repeats: Sequence[int],
     hardware: DifferentiableHardware | None = None,
-    grid: NetworkGrid | None = None,
+    grid: MultiStartGrid | None = None,
 ) -> Tensor:
     """Equations 15-17: loss with softmax-weighted loop-ordering mixtures.
 
     For every layer, the energies and latencies of the WS/IS/OS orderings are
     combined with weights ``softmax(1 / (E ⊙ L))``; the weighted per-layer
-    energies and latencies are then composed into the whole-model EDP.  The
-    batched branch evaluates each candidate ordering once over all layers
-    (``(3, L)`` energy/latency matrices) instead of per layer; a
-    :class:`MultiStartFactors` flows through the same expressions with
-    ``(3, S, L)`` matrices and yields the ``(S,)`` vector of per-start losses
-    (the softmax and the layer folds never cross the start axis).
+    energies and latencies are then composed into the whole-model EDP.  Each
+    candidate ordering is evaluated once over all starts and layers
+    (``(3, S, L)`` energy/latency tensors); the result is the ``(S,)`` vector
+    of per-start losses (the softmax and the layer folds never cross the
+    start axis).
     """
-    if isinstance(all_factors, NetworkFactors):
-        # The factor grid is ordering-independent, so one grid serves the
-        # hardware derivation and all three candidate orderings (only the
-        # walk-order gathers inside the reload factors differ per candidate).
-        grid = grid if grid is not None else all_factors.factor_grid()
-        if hardware is None:
-            hardware = DifferentiableModel.derive_hardware(all_factors, grid=grid)
-        energies = []
-        latencies = []
-        for ordering in _CANDIDATE_ORDERINGS:
-            candidate = all_factors.with_uniform_orderings(ordering)
-            perf = DifferentiableModel.evaluate_layer(candidate, hardware, grid)
-            energies.append(perf.energy)
-            latencies.append(perf.latency)
-        energy_matrix = ops.stack(energies)      # (3, L)
-        latency_matrix = ops.stack(latencies)    # (3, L)
-        weights = ops.softmax(1.0 / (energy_matrix * latency_matrix), axis=0)
-        reps = _repeat_vector(repeats, len(all_factors))
-        weighted_energy = (weights * energy_matrix).sum(axis=0) * reps
-        weighted_latency = (weights * latency_matrix).sum(axis=0) * reps
-        return ops.fold_sum(weighted_energy) * ops.fold_sum(weighted_latency)
+    # The factor grid is ordering-independent, so one grid serves the
+    # hardware derivation and all three candidate orderings (only the
+    # walk-order gathers inside the reload factors differ per candidate).
+    grid = grid if grid is not None else factors.factor_grid()
     if hardware is None:
-        hardware = DifferentiableModel.derive_hardware(list(all_factors))
-    weighted_energies = []
-    weighted_latencies = []
-    for factors, rep in zip(all_factors, repeats):
-        energies = []
-        latencies = []
-        for candidate in ordering_candidates(factors):
-            perf = DifferentiableModel.evaluate_layer(candidate, hardware)
-            energies.append(perf.energy)
-            latencies.append(perf.latency)
-        energy_vector = ops.stack(energies)
-        latency_vector = ops.stack(latencies)
-        weights = ops.softmax(1.0 / (energy_vector * latency_vector))
-        weighted_energies.append((weights * energy_vector).sum() * float(rep))
-        weighted_latencies.append((weights * latency_vector).sum() * float(rep))
-    return ops.total_sum(weighted_energies) * ops.total_sum(weighted_latencies)
+        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+    energies = []
+    latencies = []
+    for ordering in _CANDIDATE_ORDERINGS:
+        candidate = factors.with_uniform_orderings(ordering)
+        perf = DifferentiableModel.evaluate_layer(candidate, hardware, grid)
+        energies.append(perf.energy)
+        latencies.append(perf.latency)
+    energy_matrix = ops.stack(energies)      # (3, S, L)
+    latency_matrix = ops.stack(latencies)    # (3, S, L)
+    weights = ops.softmax(1.0 / (energy_matrix * latency_matrix), axis=0)
+    reps = _repeat_vector(repeats, len(factors.layers))
+    weighted_energy = (weights * energy_matrix).sum(axis=0) * reps
+    weighted_latency = (weights * latency_matrix).sum(axis=0) * reps
+    return ops.fold_sum(weighted_energy) * ops.fold_sum(weighted_latency)
 
 
 def best_ordering_per_layer(
-    all_factors: "Sequence[LayerFactors] | NetworkFactors",
+    factors: MultiStartFactors,
     hardware: DifferentiableHardware | None = None,
-) -> "list[LoopOrdering] | list[list[LoopOrdering]]":
+) -> list[list[LoopOrdering]]:
     """Iterative loop-ordering selection (Section 5.2.1).
 
-    For each layer, evaluate the WS/IS/OS orderings under the differentiable
-    model and return the ordering with the lowest layer EDP.  Given a
-    :class:`NetworkFactors`, each candidate ordering is evaluated once over
-    all layers (a ``(3, L)`` EDP matrix, no graph recorded) instead of layer
-    by layer; the batched EDPs are bit-identical to the per-layer model and
-    ``argmin`` keeps the first minimum, so selections match the per-layer
-    strict-``<`` scan decision-for-decision.
-
-    Given a :class:`MultiStartFactors` (all starts' rounded mappings
-    restacked, as at a batched rounding point), the same three evaluations
-    produce a ``(3, S, L)`` EDP tensor whose per-start rows are bit-identical
-    to the single-start matrices — start points share no graph entries — and
-    the result is one list of per-layer selections per start.
+    For each start point and layer, evaluate the WS/IS/OS orderings under the
+    differentiable model and pick the ordering with the lowest layer EDP.
+    Each candidate ordering is evaluated once over all starts and layers (a
+    ``(3, S, L)`` EDP tensor, no graph recorded); ``argmin`` keeps the first
+    minimum, matching a per-layer strict-``<`` scan decision for decision.
+    Returns one list of per-layer selections per start point.
     """
-    if isinstance(all_factors, MultiStartFactors):
-        from repro.autodiff import no_grad
-
-        with no_grad():
-            grid = all_factors.factor_grid()
-            if hardware is None:
-                hardware = DifferentiableModel.derive_hardware(all_factors, grid=grid)
-            edps = np.stack([
-                DifferentiableModel.evaluate_layer(
-                    all_factors.with_uniform_orderings(ordering), hardware, grid
-                ).edp.data
-                for ordering in _CANDIDATE_ORDERINGS
-            ])
-        return [[_CANDIDATE_ORDERINGS[index] for index in row]
-                for row in np.argmin(edps, axis=0)]
-    if isinstance(all_factors, NetworkFactors):
-        from repro.autodiff import no_grad
-
-        with no_grad():
-            grid = all_factors.factor_grid()
-            if hardware is None:
-                hardware = DifferentiableModel.derive_hardware(all_factors, grid=grid)
-            edps = np.stack([
-                DifferentiableModel.evaluate_layer(
-                    all_factors.with_uniform_orderings(ordering), hardware, grid
-                ).edp.data
-                for ordering in _CANDIDATE_ORDERINGS
-            ])
-        return [_CANDIDATE_ORDERINGS[index] for index in np.argmin(edps, axis=0)]
-    if hardware is None:
-        hardware = DifferentiableModel.derive_hardware(list(all_factors))
-    selections: list[LoopOrdering] = []
-    for factors in all_factors:
-        best = None
-        best_edp = float("inf")
-        for ordering, candidate in zip(_CANDIDATE_ORDERINGS, ordering_candidates(factors)):
-            perf = DifferentiableModel.evaluate_layer(candidate, hardware)
-            edp = float(perf.edp.data)
-            if edp < best_edp:
-                best_edp = edp
-                best = ordering
-        selections.append(best)
-    return selections
+    with no_grad():
+        grid = factors.factor_grid()
+        if hardware is None:
+            hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+        edps = np.stack([
+            DifferentiableModel.evaluate_layer(
+                factors.with_uniform_orderings(ordering), hardware, grid
+            ).edp.data
+            for ordering in _CANDIDATE_ORDERINGS
+        ])
+    return [[_CANDIDATE_ORDERINGS[index] for index in row]
+            for row in np.argmin(edps, axis=0)]

@@ -5,33 +5,26 @@ autodiff tensors and with smooth semantics: tile extents are real-valued
 products (no ceiling), DRAM energy is charged per element (no block rounding),
 and maxima use the exact-max subgradient of :func:`repro.autodiff.ops.maximum`.
 The structural decisions — which loops provide temporal reuse given the loop
-ordering — are made from the current numeric factor values and treated as
-locally constant, so each forward pass is differentiable on its active piece.
+ordering — are made from the current numeric factor values inside the fused
+:func:`~repro.autodiff.ops.reload_product`, so each forward pass is
+differentiable on its active piece.
 
-Every formula operates on factor-grid entries and runs in two modes:
-
-* scalar, over one :class:`~repro.core.dmodel.factors.LayerFactors` grid —
-  each entry is a 0-d tensor and the graph has hundreds of nodes per layer;
-* layer-batched, over a :class:`~repro.core.dmodel.factors.NetworkFactors`
-  grid — each entry is an ``(L,)`` column and the *same* expression chains
-  build one graph whose node count is independent of the layer count.  Only
-  the loop-order-aware reload factor and the cross-layer hardware derivation
-  dispatch to dedicated batched implementations (walk-order gathers plus the
-  fused :func:`~repro.autodiff.ops.reload_product` /
-  :func:`~repro.autodiff.ops.fold_max` reductions).  Batched forward values
-  are bit-identical to the scalar path; gradients agree up to floating-point
-  accumulation order.
+Every formula operates on the ``(S, L)`` entries of a
+:class:`~repro.core.dmodel.factors.MultiStartFactors` grid: one graph of
+array ops for all start points and layers, whose node count is independent
+of both.  The loop-order-aware reload factor gathers the stacked temporal
+factors in walk order through static permutation arrays, and the hardware
+derivation folds the per-layer requirements with
+:func:`~repro.autodiff.ops.fold_max`, one row per start point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.arch.components import (
-    BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
     LEVEL_DRAM,
     LEVEL_REGISTERS,
@@ -39,15 +32,8 @@ from repro.arch.components import (
     MEMORY_LEVEL_INDICES,
 )
 from repro.autodiff import Tensor, ops
-from repro.core.dmodel.factors import (
-    LayerFactors,
-    MultiStartFactors,
-    MultiStartGrid,
-    NetworkFactors,
-    NetworkGrid,
-)
+from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
 from repro.core.dmodel.hardware import DifferentiableHardware
-from repro.mapping.mapping import LoopOrdering, ordering_for_tensor
 from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS
 
 Value = "Tensor | float"
@@ -58,7 +44,7 @@ FactorGrid = dict
 
 @dataclass
 class LayerPerformance:
-    """Differentiable latency/energy of one layer's mapping."""
+    """Differentiable per-layer latency/energy: ``(S, L)`` tensors (start x layer)."""
 
     latency: Tensor
     energy: Tensor
@@ -72,22 +58,21 @@ class LayerPerformance:
 
 
 class DifferentiableModel:
-    """Evaluates :class:`LayerFactors` into differentiable performance."""
+    """Evaluates :class:`MultiStartFactors` into differentiable performance."""
 
     # ------------------------------------------------------------------ #
     # Tile sizes (Equations 2-5)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def inner_extent(factors: LayerFactors, grid: FactorGrid, level: int, dim: str):
+    def inner_extent(factors: MultiStartFactors, grid: FactorGrid, level: int, dim: str):
         """Extent of ``dim`` inside the level-``level`` tile (all spatial, inner temporal)."""
         terms = [grid[("S", lvl, dim)] for lvl in MEMORY_LEVEL_INDICES]
         terms += [grid[("T", lvl, dim)] for lvl in range(level)]
         return ops.total_prod(terms)
 
     @classmethod
-    def tile_words(cls, factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
+    def tile_words(cls, factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
         """Words of ``tensor`` resident at ``level`` (Equations 2-4)."""
-        layer = factors.layer
         if tensor == "W":
             return ops.total_prod(
                 [cls.inner_extent(factors, grid, level, d) for d in ("R", "S", "C", "K")]
@@ -99,9 +84,9 @@ class DifferentiableModel:
         if tensor == "I":
             base = (cls.inner_extent(factors, grid, level, "C")
                     * cls.inner_extent(factors, grid, level, "N"))
-            height = (layer.stride_p * (cls.inner_extent(factors, grid, level, "P") - 1.0)
+            height = (factors.stride_p * (cls.inner_extent(factors, grid, level, "P") - 1.0)
                       + cls.inner_extent(factors, grid, level, "R"))
-            width = (layer.stride_q * (cls.inner_extent(factors, grid, level, "Q") - 1.0)
+            width = (factors.stride_q * (cls.inner_extent(factors, grid, level, "Q") - 1.0)
                      + cls.inner_extent(factors, grid, level, "S"))
             return base * height * width
         raise KeyError(f"unknown tensor {tensor!r}")
@@ -110,71 +95,40 @@ class DifferentiableModel:
     # Traffic (Equations 6-11)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def reload_factor(factors, grid: FactorGrid, level: int, tensor: str):
-        """Times the level tile of ``tensor`` is refetched (loop-order aware, Eq. 6)."""
-        if isinstance(factors, NetworkFactors):
-            return DifferentiableModel._batched_reload_factor(factors, grid, level, tensor)
-        relevant = TENSOR_DIMS[tensor]
-        terms = []
-        seen_relevant = False
-        for walk_level in range(level, LEVEL_DRAM + 1):
-            ordering = ordering_for_tensor(factors.orderings[walk_level])
-            for dim in ordering:
-                value = grid[("T", walk_level, dim)]
-                numeric = float(value.data) if isinstance(value, Tensor) else float(value)
-                if numeric <= 1.0 + _FACTOR_EPS:
-                    continue
-                if not seen_relevant and dim not in relevant:
-                    continue
-                terms.append(value)
-                if dim in relevant:
-                    seen_relevant = True
-        return ops.total_prod(terms)
-
-    @staticmethod
-    def _batched_reload_factor(factors: NetworkFactors, grid: NetworkGrid,
-                               level: int, tensor: str):
-        """Batched reload factors: walk-order gathers + one fused product node.
+    def reload_factor(factors: MultiStartFactors, grid: MultiStartGrid,
+                      level: int, tensor: str):
+        """Times the level tile of ``tensor`` is refetched (loop-order aware, Eq. 6).
 
         The walk sequence (levels outward, innermost loop first within each
-        level, per-layer orderings) is materialized as an ``(L, positions)``
-        matrix — ``(S, L, positions)`` for the multi-start model — by
-        gathering the stacked temporal factors through static permutation
-        index arrays; the value-dependent skip rules live inside
-        :func:`~repro.autodiff.ops.reload_product`, which re-derives them from
-        current values on every forward/backward pass.
+        level, per-start per-layer orderings) is materialized as an
+        ``(S, L, positions)`` matrix by gathering the stacked temporal factors
+        through static permutation index arrays; the value-dependent skip
+        rules (near-1 factors, irrelevant loops inside the first relevant
+        one) live inside :func:`~repro.autodiff.ops.reload_product`, which
+        re-derives them from current values on every forward/backward pass.
         """
         relevant_by_dim = np.array([d in TENSOR_DIMS[tensor] for d in DIMENSIONS])
-        multistart = isinstance(factors, MultiStartFactors)
-        if multistart:
-            # Broadcast (S, 1, 1) x (1, L, 1) row indices against the
-            # (S, L, dims) permutations.
-            start_rows = np.arange(factors.num_starts)[:, None, None]
-            layer_rows = np.arange(len(factors.layers))[None, :, None]
-        else:
-            rows = np.arange(len(factors))[:, None]
+        # Broadcast (S, 1, 1) x (1, L, 1) row indices against the
+        # (S, L, dims) permutations.
+        start_rows = np.arange(factors.num_starts)[:, None, None]
+        layer_rows = np.arange(len(factors.layers))[None, :, None]
         segments = []
         relevant_segments = []
         for walk_level in range(level, LEVEL_DRAM + 1):
             perm = factors.order_perm(walk_level)
             if walk_level == LEVEL_DRAM:
                 matrix = grid.dram_matrix
-            elif multistart:
-                matrix = grid.temporal_matrix[:, :, walk_level, :]
             else:
                 # Optimized levels coincide with their positions in the stack.
-                matrix = grid.temporal_matrix[:, walk_level, :]
-            if multistart:
-                segments.append(matrix[start_rows, layer_rows, perm])
-            else:
-                segments.append(matrix[rows, perm])
+                matrix = grid.temporal_matrix[:, :, walk_level, :]
+            segments.append(matrix[start_rows, layer_rows, perm])
             relevant_segments.append(relevant_by_dim[perm])
         walk = ops.concat(segments, axis=-1) if len(segments) > 1 else segments[0]
         relevant = np.concatenate(relevant_segments, axis=-1)
         return ops.reload_product(walk, relevant, eps=_FACTOR_EPS)
 
     @staticmethod
-    def distinct_tiles(factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
+    def distinct_tiles(factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
         """Number of distinct tiles of ``tensor`` above ``level``."""
         relevant = TENSOR_DIMS[tensor]
         terms = []
@@ -185,14 +139,14 @@ class DifferentiableModel:
         return ops.total_prod(terms)
 
     @staticmethod
-    def spatial_irrelevant_product(factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
+    def spatial_irrelevant_product(factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
         """Equations 8/10: spatial broadcast / reduction factor at ``level``."""
         relevant = TENSOR_DIMS[tensor]
         terms = [grid[("S", level, dim)] for dim in DIMENSIONS if dim not in relevant]
         return ops.total_prod(terms)
 
     @staticmethod
-    def total_macs(factors: LayerFactors, grid: FactorGrid):
+    def total_macs(factors: MultiStartFactors, grid: FactorGrid):
         """Equation 7: the product of every tiling factor."""
         terms = []
         for dim in DIMENSIONS:
@@ -202,7 +156,7 @@ class DifferentiableModel:
         return ops.total_prod(terms)
 
     @classmethod
-    def traffic(cls, factors: LayerFactors, grid: FactorGrid) -> dict[int, Tensor]:
+    def traffic(cls, factors: MultiStartFactors, grid: FactorGrid) -> dict[int, Tensor]:
         """Total accesses per memory level (reads + writes + updates)."""
         macs = cls.total_macs(factors, grid)
         spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
@@ -241,11 +195,11 @@ class DifferentiableModel:
     @classmethod
     def evaluate_layer(
         cls,
-        factors: LayerFactors,
+        factors: MultiStartFactors,
         hardware: DifferentiableHardware,
         grid: FactorGrid | None = None,
     ) -> LayerPerformance:
-        """Differentiable latency and energy of one layer on ``hardware``."""
+        """Differentiable latency and energy of every start's layers on ``hardware``."""
         grid = grid if grid is not None else factors.factor_grid()
         macs = cls.total_macs(factors, grid)
         accesses = cls.traffic(factors, grid)
@@ -274,82 +228,18 @@ class DifferentiableModel:
     # Hardware derivation (Equation 1, Figure 3) over a set of layers
     # ------------------------------------------------------------------ #
     @classmethod
-    def derive_hardware(cls, all_factors, grid: NetworkGrid | None = None,
-                        ) -> DifferentiableHardware:
+    def derive_hardware(cls, factors: MultiStartFactors,
+                        grid: MultiStartGrid | None = None) -> DifferentiableHardware:
         """Minimal hardware supporting every layer's current factors (differentiably).
 
-        Accepts a list of :class:`LayerFactors`, a batched
-        :class:`NetworkFactors`, or a start-batched :class:`MultiStartFactors`
-        (optionally with a pre-built ``grid`` so one grid serves hardware
-        derivation, evaluation and the validity penalty within a single loss
-        graph).  The multi-start form returns hardware whose fields are
-        ``(S, 1)`` tensors — one independently-derived configuration per start
-        point, broadcasting over that start's layers.
-        """
-        if isinstance(all_factors, MultiStartFactors):
-            return cls._derive_hardware_multistart(all_factors, grid)
-        if isinstance(all_factors, NetworkFactors):
-            return cls._derive_hardware_batched(all_factors, grid)
-        if not all_factors:
-            raise ValueError("derive_hardware requires at least one layer")
-        spatial_candidates = []
-        accumulator_words = None
-        scratchpad_words = None
-        for factors in all_factors:
-            grid = factors.factor_grid()
-            spatial_candidates.append(grid[("S", LEVEL_ACCUMULATOR, "C")])
-            spatial_candidates.append(grid[("S", LEVEL_SCRATCHPAD, "K")])
-            layer_accumulator = cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O")
-            layer_scratchpad = (cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
-                                + cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I"))
-            accumulator_words = (layer_accumulator if accumulator_words is None
-                                 else ops.maximum(accumulator_words, layer_accumulator))
-            scratchpad_words = (layer_scratchpad if scratchpad_words is None
-                                else ops.maximum(scratchpad_words, layer_scratchpad))
-        return DifferentiableHardware.from_requirements(
-            spatial_factors=spatial_candidates,
-            accumulator_words=accumulator_words,
-            scratchpad_words=scratchpad_words,
-        )
-
-    @classmethod
-    def _derive_hardware_batched(
-        cls, factors: NetworkFactors, grid: NetworkGrid | None = None,
-    ) -> DifferentiableHardware:
-        """Batched Equation-1 derivation: fused left-fold maxima over layers.
-
-        Candidate order matches the per-layer loop (each layer's accumulator-C
-        then scratchpad-K spatial factor), so values — and the cascade tie
-        subgradients of :func:`~repro.autodiff.ops.fold_max` — coincide with
-        the chained per-layer maxima.
-        """
-        grid = grid if grid is not None else factors.factor_grid()
-        spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
-        spatial_k = grid[("S", LEVEL_SCRATCHPAD, "K")]
-        interleaved = ops.stack([spatial_c, spatial_k]).T.reshape(2 * len(factors))
-        accumulator_words = ops.fold_max(
-            cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O"))
-        scratchpad_words = ops.fold_max(
-            cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
-            + cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I"))
-        return DifferentiableHardware.from_requirements(
-            spatial_factors=interleaved,
-            accumulator_words=accumulator_words,
-            scratchpad_words=scratchpad_words,
-        )
-
-    @classmethod
-    def _derive_hardware_multistart(
-        cls, factors: MultiStartFactors, grid: MultiStartGrid | None = None,
-    ) -> DifferentiableHardware:
-        """Per-start Equation-1 derivation: independent left-folds per row.
-
-        Each start's candidates fold in the same order as its own
-        :meth:`_derive_hardware_batched` pass (layer-interleaved accumulator-C
-        / scratchpad-K spatial factors, then the capacity maxima), so per-row
-        values and tie subgradients are bit-identical to S single-start
-        derivations.  Fields come back as ``(S, 1)`` tensors that broadcast
-        over the ``(S, L)`` factor grid.
+        One independently-derived configuration per start point: each start's
+        candidates fold left to right over its layers (each layer's
+        accumulator-C then scratchpad-K spatial factor, then the capacity
+        maxima) with :func:`~repro.autodiff.ops.fold_max`, whose values and
+        tie subgradients equal the chained per-layer maxima.  Fields come back
+        as ``(S, 1)`` tensors that broadcast over the ``(S, L)`` factor grid.
+        ``grid`` lets one factor grid serve hardware derivation, evaluation
+        and the validity penalty within a single loss graph.
         """
         grid = grid if grid is not None else factors.factor_grid()
         spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
@@ -372,24 +262,16 @@ class DifferentiableModel:
     @classmethod
     def evaluate_network(
         cls,
-        all_factors,
+        factors: MultiStartFactors,
         hardware: DifferentiableHardware | None = None,
-        grid: NetworkGrid | None = None,
-    ):
+        grid: MultiStartGrid | None = None,
+    ) -> LayerPerformance:
         """Evaluate every layer, deriving minimal hardware if none is given.
 
-        With a list of :class:`LayerFactors` this returns one
-        :class:`LayerPerformance` per layer.  With a batched
-        :class:`NetworkFactors` it returns a single :class:`LayerPerformance`
-        whose fields are ``(L,)`` tensors — one graph for the whole network.
-        With a :class:`MultiStartFactors` the fields are ``(S, L)`` tensors —
-        one graph for all start points of a search.
+        Returns one :class:`LayerPerformance` whose fields are ``(S, L)``
+        tensors — one graph for all start points of a search.
         """
-        if isinstance(all_factors, NetworkFactors):
-            if hardware is None:
-                hardware = cls.derive_hardware(all_factors, grid=grid)
-            grid = grid if grid is not None else all_factors.factor_grid()
-            return cls.evaluate_layer(all_factors, hardware, grid)
+        grid = grid if grid is not None else factors.factor_grid()
         if hardware is None:
-            hardware = cls.derive_hardware(all_factors)
-        return [cls.evaluate_layer(factors, hardware) for factors in all_factors]
+            hardware = cls.derive_hardware(factors, grid=grid)
+        return cls.evaluate_layer(factors, hardware, grid)

@@ -8,19 +8,17 @@ the minimal hardware configuration is derived, and the candidate design is
 scored with the reference (Timeloop-style) model.  The best reference-scored
 design across all start points is the search result.
 
-By default the descent runs start-batched *and* layer-batched
-(:class:`~repro.core.dmodel.factors.MultiStartFactors`: all S start points x
-L layers in one ``(S, L, ...)`` array-op graph, so a single gradient step
-advances every start point) with a compiled
-:class:`~repro.autodiff.tape.Tape` replayed between rounding points and a
-fused in-place Adam.  Start points share no graph nodes, so each start's
-descent trajectory — losses, gradients, Adam updates, rounded designs — is
-bit-identical to descending it alone, and seeded outcomes match the
-sequential schedule (``DosaSettings(batched_starts=False)``) and the
-per-layer model (``DosaSettings(batched_model=False)``) design-for-design.
-What changes under start batching is only *interleaving*: candidates arrive
-grouped by rounding point rather than by start point, so ``candidates`` /
-``trace`` ordering (not membership) and callback order differ.
+The descent runs start-batched: all S start points x L layers live in one
+:class:`~repro.core.dmodel.factors.MultiStartFactors` (an ``(S, L, ...)``
+array-op graph, so a single gradient step advances every start point),
+replayed between rounding points by a compiled
+:class:`~repro.autodiff.tape.Tape` and updated by a fused in-place Adam.
+Start points share no graph nodes, so each start's descent trajectory —
+losses, gradients, Adam updates, rounded designs — is bit-identical to
+descending it alone as an S=1 stack; only the *interleaving* differs from
+such a one-start-at-a-time schedule (candidates arrive grouped by rounding
+point rather than by start point, so ``candidates`` / ``trace`` ordering and
+callback order differ, not membership).
 
 Sample accounting follows the paper: every gradient step counts as one model
 evaluation per start point ("evaluations done using Timeloop are considered
@@ -29,8 +27,8 @@ reference evaluation at a rounding point also counts one sample per layer
 mapping.  Under a binding ``max_samples`` budget the batched descent narrows
 via a per-start *active mask*: when the remaining allowance cannot fund one
 sample for every active start, trailing starts are frozen (masked out of the
-loss and no longer rounded) so the leading starts — the ones the sequential
-schedule would have funded — keep descending.
+loss and no longer rounded) so the leading starts — the ones a
+one-start-at-a-time schedule would have funded — keep descending.
 
 The searcher implements the unified :mod:`repro.search.api` protocol: it is
 registered as strategy ``"dosa"`` and returns a :class:`SearchOutcome` whose
@@ -52,11 +50,7 @@ from repro.arch.config import HardwareBounds, HardwareConfig
 from repro.autodiff import Adam, Tape, Tensor, ops
 from repro.eval.cache import EvaluationCache
 from repro.eval.engine import EvaluationEngine
-from repro.core.dmodel.factors import (
-    LayerFactors,
-    MultiStartFactors,
-    NetworkFactors,
-)
+from repro.core.dmodel.factors import MultiStartFactors
 from repro.core.dmodel.loss import (
     best_ordering_per_layer,
     network_edp_loss,
@@ -95,37 +89,13 @@ class LoopOrderingStrategy(str, Enum):
 class DosaSettings:
     """Hyperparameters of the DOSA search (paper Section 6.1).
 
-    ``batched_model`` selects the layer-batched differentiable model
-    (:class:`~repro.core.dmodel.factors.NetworkFactors`): one array-op graph
-    per gradient step instead of one scalar graph per layer.  Loss values
-    are bit-identical to the per-layer model and gradients agree to
-    floating-point accumulation order, so seeded outcomes match; the batched
-    path is simply faster.  ``use_tape`` additionally replays a compiled
-    :class:`~repro.autodiff.tape.Tape` between rounding points instead of
-    re-tracing the graph every step (replay is bit-identical to re-tracing).
-
-    ``batched_starts`` extends the batching one axis further
-    (:class:`~repro.core.dmodel.factors.MultiStartFactors`): all
-    ``num_start_points`` descents advance together in one ``(S, L, ...)``
-    graph instead of running one after another.  Per-start trajectories are
-    bit-identical to the sequential schedule, so seeded best designs and
-    total sample counts match; only the order in which candidates are
-    discovered (grouped by rounding point instead of by start point) and the
-    budget-exhaustion behaviour (trailing starts are frozen via a mask when
-    the sample allowance runs short, and every still-active start receives a
-    final rounding evaluation) differ.  It requires — and is only consulted
-    with — ``batched_model=True``.
-
-    ``batched_rounding`` vectorizes the rounding points themselves: the
-    nearest-divisor walk runs as one ``(S, L)`` integer-rounding kernel
-    (:mod:`repro.mapping.rounding_walk`) over every active start at once, and
-    ITERATE ordering re-selection restacks all starts' rounded mappings into
-    a single :class:`~repro.core.dmodel.factors.MultiStartFactors` pass — two
-    kernel calls per rounding point instead of S x L Python walks.  Rounded
-    mappings are bit-identical to the scalar
-    :func:`~repro.mapping.rounding.round_mapping` oracle (property-fuzzed in
-    ``tests/test_rounding_parity.py``) and re-selections match decision for
-    decision, so seeded outcomes are design-identical with the flag off.
+    ``num_start_points`` GD start points descend together for ``gd_steps``
+    Adam steps (``learning_rate``), rounding to valid mappings every
+    ``rounding_period`` steps and at the end.  ``penalty_weight`` scales the
+    Equation-18 validity penalty, ``ordering_strategy`` picks the Figure-6
+    loop-ordering strategy, ``rejection_threshold`` drives start-point
+    rejection (Section 5.3.1), ``fixed_pe_dim`` pins the PE array (the
+    Gemmini-RTL experiments), and ``bounds`` caps the derived hardware.
     """
 
     num_start_points: int = 7
@@ -135,10 +105,6 @@ class DosaSettings:
     penalty_weight: float = 1e9
     ordering_strategy: LoopOrderingStrategy = LoopOrderingStrategy.ITERATE
     rejection_threshold: float = 10.0
-    batched_model: bool = True
-    use_tape: bool = True
-    batched_starts: bool = True
-    batched_rounding: bool = True
     fixed_pe_dim: int | None = None
     # A fresh HardwareBounds per settings object (never the shared module-level
     # DEFAULT_BOUNDS instance) so one searcher's bounds can't leak into another.
@@ -206,14 +172,8 @@ class DosaSearcher:
         # persists those hits across runs.
         with EvaluationEngine(cache=self.cache, n_workers=self.n_workers) as engine, \
                 session.absorb_interrupt():
-            if settings.batched_starts and settings.batched_model:
-                if not session.exhausted():
-                    self._descend_all(start_points, session, engine)
-            else:
-                for start_point in start_points:
-                    if session.exhausted():
-                        break
-                    self._descend_from(start_point, session, engine)
+            if not session.exhausted():
+                self._descend_all(start_points, session, engine)
         return session.finish(extras={"start_points": start_points})
 
     # ------------------------------------------------------------------ #
@@ -226,9 +186,12 @@ class DosaSearcher:
         budget (the scalar training loss folds only active per-start losses,
         so frozen rows receive exactly-zero gradients).  Rounding points round,
         re-order and reference-evaluate each active start independently, in
-        start order, preserving the sequential path's per-start sample
-        accounting (one GD sample per start per step, one reference sample
-        per layer per rounding evaluation).
+        start order, with per-start sample accounting (one GD sample per
+        start per step, one reference sample per layer per rounding
+        evaluation).  The compiled tape replays one traced graph between
+        rounding points; a rounding point may re-select loop orderings
+        (changing the graph structure), so the tape is invalidated there and
+        re-traced.
         """
         settings = self.settings
         factors = stack_start_points(start_points)
@@ -237,8 +200,7 @@ class DosaSearcher:
         active = np.ones(factors.num_starts, dtype=bool)
         # The mask is read at trace time; every mask change below invalidates
         # the tape, so replays never see a stale mask.
-        tape = (Tape(lambda: self._loss(factors, active=active))
-                if settings.use_tape else None)
+        tape = Tape(lambda: self._loss(factors, active=active))
         evaluated_once = False
 
         for step in range(settings.gd_steps):
@@ -249,17 +211,13 @@ class DosaSearcher:
                 # returns), but guards direct callers with a spent budget.
                 return
             if allowance < count:
-                # Freeze trailing starts: the sequential schedule funds
-                # earlier start points first, so they keep descending.
+                # Freeze trailing starts: earlier start points are funded
+                # first, so they keep descending.
                 active[np.flatnonzero(active)[allowance:]] = False
-                if tape is not None:
-                    tape.invalidate()
+                tape.invalidate()
             optimizer.zero_grad()
-            if tape is not None:
-                tape.forward()
-                tape.backward()
-            else:
-                self._loss(factors, active=active).backward()
+            tape.forward()
+            tape.backward()
             optimizer.step()
             session.spend(int(active.sum()))
 
@@ -272,8 +230,9 @@ class DosaSearcher:
 
             self._round_and_evaluate_all(factors, active, session, engine)
             evaluated_once = True
-            if tape is not None:
-                tape.invalidate()
+            tape.invalidate()
+            # Re-check after the rounding evaluation: the reference samples it
+            # spent may themselves have crossed the budget.
             if out_of_budget or session.exhausted():
                 return
         if not evaluated_once:  # pragma: no cover - defensive; loop always rounds
@@ -285,32 +244,23 @@ class DosaSearcher:
                                 engine: EvaluationEngine) -> None:
         """Round + reference-evaluate every active start, then re-snap them.
 
-        Under ``batched_rounding`` (the default) the walk itself is batched
-        too: one ``(S, L)`` pass of the integer-rounding kernel rounds every
-        active start, and one restacked :class:`MultiStartFactors` pass
-        re-selects all starts' orderings, so a rounding point costs two
-        kernel calls plus the evaluation batch.  All active starts' reference
+        One ``(S, L)`` pass of the integer-rounding kernel rounds every active
+        start, and one restacked :class:`MultiStartFactors` pass re-selects
+        all starts' orderings, so a rounding point costs two kernel calls
+        plus the evaluation batch.  All active starts' reference
         evaluations then go through one
         :meth:`~repro.eval.engine.EvaluationEngine.evaluate_network_sets`
         call: the traffic analysis is hardware-independent, so S starts' L
         mappings share a single vectorized pass even when each start derived
         different hardware, and starts that snapped onto identical rounded
-        designs are evaluated once.  Sample accounting, candidate order and
-        every result stay identical to scoring the starts one at a time.
+        designs are evaluated once.  Sample accounting and every result stay
+        identical to scoring the starts one at a time.
         """
         max_spatial = (self.settings.fixed_pe_dim
                        or self.settings.bounds.max_pe_dim)
         starts = [int(start) for start in np.flatnonzero(active)]
-        if self.settings.batched_rounding:
-            prepared = self._prepare_rounded_sets(
-                factors.rounded_mapping_sets(starts, max_spatial=max_spatial))
-        else:
-            prepared = [
-                self._prepare_rounded(
-                    factors.rounded_mappings_of(start, max_spatial=max_spatial),
-                    batched_ordering=True)
-                for start in starts
-            ]
+        prepared = self._prepare_rounded_sets(
+            factors.rounded_mapping_sets(starts, max_spatial=max_spatial))
         performances = engine.evaluate_network_sets(prepared)
         snapped: dict[int, list[Mapping]] = {}
         for start, (rounded, hardware), performance in zip(starts, prepared,
@@ -323,63 +273,19 @@ class DosaSearcher:
         factors.load_mapping_sets(snapped)
 
     # ------------------------------------------------------------------ #
-    def _descend_from(self, start_point: StartPoint, session: SearchSession,
-                      engine: EvaluationEngine) -> None:
+    def _loss(self, factors: MultiStartFactors,
+              active: np.ndarray | None = None) -> Tensor:
+        """The scalar training loss: the fold of the ``(S,)`` per-start losses.
+
+        One factor grid serves hardware derivation, evaluation and the
+        validity penalty — the whole loss is a single array-op graph.  Each
+        start receives gradient 1.0 from the fold, exactly as if its own loss
+        had been backpropagated.  Budget-frozen starts (``active`` False) are
+        multiplied out (mask changes re-trace the tape); while every start is
+        active no mask node is recorded.
+        """
         settings = self.settings
-        if settings.batched_model:
-            factors = NetworkFactors.from_mappings(start_point.mappings)
-            parameters = factors.parameters()
-        else:
-            factors = [LayerFactors.from_mapping(m) for m in start_point.mappings]
-            parameters = [p for f in factors for p in f.parameters()]
-        optimizer = Adam(parameters, lr=settings.learning_rate,
-                         fused=settings.batched_model)
-        # The compiled tape replays one traced graph between rounding points;
-        # a rounding point may re-select loop orderings (changing the graph
-        # structure), so the tape is invalidated there and re-traced.
-        tape = (Tape(lambda: self._loss(factors))
-                if settings.batched_model and settings.use_tape else None)
-        evaluated_once = False
-
-        for step in range(settings.gd_steps):
-            optimizer.zero_grad()
-            if tape is not None:
-                tape.forward()
-                tape.backward()
-            else:
-                loss = self._loss(factors)
-                loss.backward()
-            optimizer.step()
-            session.spend(1)
-
-            out_of_budget = session.exhausted()
-            at_rounding_point = ((step + 1) % settings.rounding_period == 0
-                                 or step == settings.gd_steps - 1
-                                 or out_of_budget)
-            if not at_rounding_point:
-                continue
-
-            session.offer(self._round_and_evaluate(factors, session, engine))
-            evaluated_once = True
-            if tape is not None:
-                tape.invalidate()
-            # Re-check after the rounding evaluation: the reference samples it
-            # spent may themselves have crossed the budget.
-            if out_of_budget or session.exhausted():
-                return
-        if not evaluated_once:  # pragma: no cover - defensive; loop always rounds
-            session.offer(self._round_and_evaluate(factors, session, engine))
-
-    # ------------------------------------------------------------------ #
-    def _loss(self, factors: "list[LayerFactors] | NetworkFactors",
-              active: np.ndarray | None = None):
-        settings = self.settings
-        if isinstance(factors, NetworkFactors):
-            # One factor grid serves hardware derivation, evaluation and the
-            # validity penalty — the whole loss is a single array-op graph.
-            grid = factors.factor_grid()
-        else:
-            grid = None
+        grid = factors.factor_grid()
         hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
         if settings.ordering_strategy is LoopOrderingStrategy.SOFTMAX:
             objective = softmax_ordering_loss(factors, self._repeats, hardware,
@@ -390,80 +296,21 @@ class DosaSearcher:
             objective = network_edp_loss(performances, self._repeats)
         objective = objective + settings.penalty_weight * validity_penalty(
             factors, grid=grid)
-        if not isinstance(factors, MultiStartFactors):
-            return objective
-        # Multi-start: ``objective`` is the (S,) vector of per-start losses.
-        # Fold it to the scalar the tape/backward need — each start receives
-        # gradient 1.0, exactly as if its own loss had been backpropagated.
-        # Budget-frozen starts are multiplied out (mask changes re-trace the
-        # tape); while every start is active no mask node is recorded, so the
-        # default graph is untouched.
         if active is not None and not active.all():
             objective = objective * Tensor(active.astype(np.float64))
         return ops.fold_sum(objective)
 
     # ------------------------------------------------------------------ #
-    def _round_and_evaluate(
-        self, factors: "list[LayerFactors] | NetworkFactors",
-        session: SearchSession, engine: EvaluationEngine,
-    ) -> CandidateDesign:
-        max_spatial = (self.settings.fixed_pe_dim
-                       or self.settings.bounds.max_pe_dim)
-        if isinstance(factors, NetworkFactors):
-            rounded = factors.rounded_mappings(
-                max_spatial=max_spatial,
-                batched=self.settings.batched_rounding)
-        else:
-            rounded = [f.rounded_mapping(max_spatial=max_spatial) for f in factors]
-
-        candidate = self._score_rounded(
-            rounded, session, engine,
-            batched_ordering=isinstance(factors, NetworkFactors))
-
-        # Continue the descent from the snapped point.
-        if isinstance(factors, NetworkFactors):
-            factors.load_mappings(candidate.mappings)
-        else:
-            for layer_factors, mapping in zip(factors, candidate.mappings):
-                layer_factors.load_mapping(mapping)
-
-        return candidate
-
-    # ------------------------------------------------------------------ #
-    def _prepare_rounded(
-        self, rounded: list[Mapping], *, batched_ordering: bool,
-    ) -> tuple[list[Mapping], HardwareConfig]:
-        """Ordering re-selection + hardware derivation for one rounded start.
-
-        ``batched_ordering`` selects ITERATE orderings over a stacked
-        :class:`NetworkFactors` in one pass (same decisions); the per-layer
-        scan is kept as the parity oracle for the per-layer model path.
-        """
-        settings = self.settings
-        if settings.ordering_strategy is LoopOrderingStrategy.ITERATE:
-            if batched_ordering:
-                selections = best_ordering_per_layer(
-                    NetworkFactors.from_mappings(rounded))
-            else:
-                selections = best_ordering_per_layer(
-                    [LayerFactors.from_mapping(m) for m in rounded]
-                )
-            rounded = [m.with_orderings([ordering] * NUM_LEVELS)
-                       for m, ordering in zip(rounded, selections)]
-        return self._derive_hardware_for(rounded)
-
     def _prepare_rounded_sets(
         self, rounded_sets: list[list[Mapping]],
     ) -> list[tuple[list[Mapping], HardwareConfig]]:
         """Ordering re-selection + hardware derivation for all rounded starts.
 
-        The cross-start counterpart of per-start :meth:`_prepare_rounded`:
         ITERATE re-selection restacks every start's rounded mappings into one
         :class:`MultiStartFactors` and selects all starts' orderings in a
         single ``(3, S, L)`` EDP pass — per-start rows are bit-identical to
-        the per-start ``(3, L)`` matrices, so decisions match.  Hardware
-        derivation stays per start (each start's mappings imply their own
-        minimal configuration).
+        S=1 passes, so decisions match.  Hardware derivation stays per start
+        (each start's mappings imply their own minimal configuration).
         """
         settings = self.settings
         if settings.ordering_strategy is LoopOrderingStrategy.ITERATE and rounded_sets:
@@ -499,25 +346,6 @@ class DosaSearcher:
         session.spend(len(rounded))
         return CandidateDesign(hardware=hardware, mappings=rounded,
                                performance=performance)
-
-    def _score_rounded(self, rounded: list[Mapping], session: SearchSession,
-                       engine: EvaluationEngine, *,
-                       batched_ordering: bool) -> CandidateDesign:
-        """Turn one start's rounded mappings into a reference-scored candidate.
-
-        The shared tail of every rounding point — ITERATE ordering
-        re-selection, minimal-hardware derivation (with the ``fixed_pe_dim``
-        override), reference evaluation, latency adjustment and sample
-        accounting — so the sequential and start-batched schedules construct
-        candidates through literally the same code (the start-batched
-        schedule only swaps the single-set evaluation for the cross-start
-        :meth:`~repro.eval.engine.EvaluationEngine.evaluate_network_sets`
-        batch, which is bit-identical per set).
-        """
-        rounded, hardware = self._prepare_rounded(
-            rounded, batched_ordering=batched_ordering)
-        performance = engine.evaluate_network(rounded, hardware)
-        return self._candidate_from(rounded, hardware, performance, session)
 
     # ------------------------------------------------------------------ #
     def _adjust_performance(

@@ -44,8 +44,9 @@ def predicted_edp_of_mapping_sets(
     :class:`~repro.core.dmodel.factors.MultiStartFactors` and runs the
     start-batched model with gradients disabled: one ``(S, L)`` array-op
     forward pass for all candidates, no graph construction.  Per-start values
-    are bit-identical to the per-layer (and single-start batched) model, so
-    rejection decisions are unchanged.  Returns the ``(S,)`` EDP array.
+    are bit-identical to scoring each start alone, so rejection decisions do
+    not depend on how many candidates are scored together.  Returns the
+    ``(S,)`` EDP array.
     """
     with no_grad():
         factors = MultiStartFactors.from_mapping_sets(mapping_sets)

@@ -173,10 +173,9 @@ class EvaluationEngine:
         evaluation, and duplicates *across* sets on the same hardware are
         served once.  The DOSA searcher scores every active start point's
         rounding evaluation through this path — with the walk itself batched
-        too (``DosaSettings.batched_rounding`` routes rounding through the
-        ``(S, L)`` kernel in :mod:`repro.mapping.rounding_walk`), a rounding
-        point is array-at-a-time end to end: round, re-select orderings,
-        reference-evaluate, all without a per-start Python loop.
+        too (the ``(S, L)`` kernel in :mod:`repro.mapping.rounding_walk`), a
+        rounding point is array-at-a-time end to end: round, re-select
+        orderings, reference-evaluate, all without a per-start Python loop.
         """
         pairs = [(mapping, spec) for mappings, spec in sets for mapping in mappings]
         flat = self.evaluate_pairs(pairs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.arch.config import random_hardware_config
 from repro.arch.gemmini import GemminiSpec
-from repro.core.dmodel import DifferentiableHardware, DifferentiableModel, LayerFactors
+from repro.core.dmodel import DifferentiableHardware, DifferentiableModel, MultiStartFactors
 from repro.experiments.common import ExperimentOutput
 from repro.mapping.random_mapper import random_mapping
 from repro.timeloop.model import evaluate_mapping
@@ -54,10 +54,11 @@ def run(
             layer = pool[int(rng.integers(len(pool)))]
             mapping = random_mapping(layer, seed=rng, max_spatial=config.pe_dim)
             reference = evaluate_mapping(mapping, spec)
+            # A 1x1 stack: one start point, one layer.
             predicted = DifferentiableModel.evaluate_layer(
-                LayerFactors.from_mapping(mapping), hardware)
-            predicted_latency = float(predicted.latency.data)
-            predicted_energy = float(predicted.energy.data)
+                MultiStartFactors.from_mapping_sets([[mapping]]), hardware)
+            predicted_latency = predicted.latency.data.item()
+            predicted_energy = predicted.energy.data.item()
             errors["latency"].append(
                 100.0 * (predicted_latency - reference.latency_cycles) / reference.latency_cycles)
             errors["energy"].append(

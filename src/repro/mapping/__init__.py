@@ -6,10 +6,9 @@ This package provides:
 
 * :class:`~repro.mapping.mapping.Mapping` — the factor/ordering container used
   by both the differentiable model and the iterative reference model,
-* rounding of fractional factors to the nearest valid divisors (Section 5.3.2),
-  both as a per-mapping scalar walk (the parity oracle) and as a vectorized
-  ``(S, L)`` integer-rounding kernel over stacked factor tensors
-  (:mod:`~repro.mapping.rounding_walk`),
+* rounding of fractional factors to the nearest valid divisors (Section 5.3.2)
+  as a vectorized ``(S, L)`` integer-rounding kernel over stacked factor
+  tensors (:mod:`~repro.mapping.rounding_walk`),
 * a random valid mapper (used by the search baselines and the correlation and
   surrogate-training datasets),
 * a CoSA-style heuristic mapper used to seed gradient-descent start points and
@@ -23,7 +22,6 @@ from repro.mapping.mapping import (
     ordering_for_tensor,
     DEFAULT_ORDERINGS,
 )
-from repro.mapping.rounding import round_mapping, round_factors_for_dimension
 from repro.mapping.rounding_walk import (
     RoundingTables,
     round_factor_tensors,
@@ -46,8 +44,6 @@ __all__ = [
     "SPATIAL_DIMS",
     "ordering_for_tensor",
     "DEFAULT_ORDERINGS",
-    "round_mapping",
-    "round_factors_for_dimension",
     "RoundingTables",
     "round_factor_tensors",
     "round_mapping_batch",

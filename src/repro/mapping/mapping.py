@@ -13,7 +13,7 @@ A mapping for one layer on the four-level Gemmini hierarchy consists of
   level's temporal loops and therefore which tensors enjoy temporal reuse.
 
 For every dimension the product of all spatial and temporal factors must equal
-the layer's problem size; :mod:`repro.mapping.rounding` restores this
+the layer's problem size; :mod:`repro.mapping.rounding_walk` restores this
 invariant after gradient-descent updates.
 """
 

@@ -1,11 +1,18 @@
-"""Vectorized integer-rounding walk over stacked ``(S, L)`` factor tensors.
+"""Rounding of fractional tiling factors to the nearest valid mapping.
 
-The batched counterpart of :func:`repro.mapping.rounding.round_mapping`: the
-Section-5.3.2 nearest-divisor walk (innermost to outermost, DRAM absorbs the
-remainder) expressed as NumPy array ops over all S mapping sets x L layers at
-once, instead of one Python walk per mapping.  The scalar walk stays untouched
-as the parity oracle — :mod:`tests.test_rounding_parity` fuzzes this kernel
-against it and asserts bit-identity per mapping.
+Gradient descent produces real-valued tiling factors; before a mapping can be
+evaluated (or hardware derived from it), every factor must be an integer
+divisor of its problem dimension and the per-dimension product must equal the
+problem size exactly.  The procedure follows Section 5.3.2 of the paper:
+factors are rounded to the nearest divisor, iterating from the innermost to
+the outermost memory level, never letting the running product exceed the
+problem size; the outermost (DRAM) temporal factor absorbs the remainder.
+
+The walk runs as NumPy array ops over stacked ``(S, L)`` factor tensors — all
+S mapping sets x L layers at once — instead of one Python walk per mapping.
+A per-mapping scalar walk is kept in ``tests/oracles/rounding.py`` as the
+parity oracle: ``tests/test_rounding_parity.py`` fuzzes this kernel against it
+and asserts bit-identity per mapping.
 
 The trick is that every quantity the walk touches lives on a *finite lattice*:
 each dimension's running ``remaining`` value is always a divisor of the layer's
@@ -15,14 +22,14 @@ the problem size plus a divisibility mask and a quotient-index table over it.
 The walk then never manipulates integers directly — it carries ``remaining``
 as an ``(S, L)`` array of *indices* into the divisor rows, selects each
 position's factor with a masked ``argmin`` over the gap to the raw fractional
-value (first minimum = smallest divisor, matching the scalar strict-``<``
+value (first minimum = smallest divisor, matching a scalar strict-``<``
 tie-break), and advances the remainder through the quotient table.  The
 ``max_spatial`` cap and the WS reset of unsupported spatial positions are
 masks; the DRAM factor is written last from the final remainder.
 
-Walk order is imported from the scalar module
-(:func:`repro.mapping.rounding._positions_for_dim`), so the two
-implementations cannot drift apart on which position is "innermost".
+Walk order comes from :func:`_positions_for_dim`, which the scalar oracle
+imports too, so the two implementations cannot drift apart on which position
+is "innermost".
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.components import LEVEL_DRAM
-from repro.mapping.mapping import DIM_INDEX, Mapping, NUM_DIMS, NUM_LEVELS
-from repro.mapping.rounding import _positions_for_dim
+from repro.arch.components import LEVEL_DRAM, MEMORY_LEVEL_INDICES
+from repro.mapping.mapping import DIM_INDEX, Mapping, NUM_DIMS, NUM_LEVELS, SPATIAL_DIMS
 from repro.utils.math_utils import divisors
 from repro.workloads.layer import DIMENSIONS, LayerDims
 
@@ -43,6 +49,22 @@ __all__ = [
     "round_factor_tensors",
     "round_mapping_batch",
 ]
+
+
+def _positions_for_dim(dim: str) -> list[tuple[str, int]]:
+    """Factor positions for ``dim`` ordered innermost to outermost.
+
+    Spatial positions are interleaved at the level the WS dataflow assigns
+    them; the DRAM temporal factor is excluded (it is inferred last).
+    """
+    positions: list[tuple[str, int]] = []
+    spatial_levels = {d: level for level, d in SPATIAL_DIMS}
+    for level in MEMORY_LEVEL_INDICES:
+        if level != LEVEL_DRAM:
+            positions.append(("T", level))
+        if spatial_levels.get(dim) == level:
+            positions.append(("S", level))
+    return positions
 
 
 class _DimTable:
@@ -145,11 +167,12 @@ def round_factor_tensors(
     shape ``(S, L, NUM_LEVELS, NUM_DIMS)``; set ``s``, row ``l`` is the
     (possibly fractional) mapping of layer ``l`` of ``tables``.  Returns the
     rounded ``(temporal, spatial)`` pair of the same shape, entry-for-entry
-    equal to running :func:`~repro.mapping.rounding.round_mapping` on each
-    mapping: spatial factors outside the WS positions reset to 1, the DRAM
-    temporal row inferred from the remainder (its input values are ignored,
-    exactly as the scalar walk overwrites them), and fractional ``max_spatial``
-    caps rounded to the nearest integer.  Caps below 1 raise ``ValueError``.
+    equal to walking each mapping alone: spatial factors outside the WS
+    positions reset to 1, the DRAM temporal row inferred from the remainder
+    (its input values are ignored), and fractional ``max_spatial`` caps (e.g.
+    a mesh bound computed as ``15.999999...``) rounded to the nearest integer
+    rather than truncated, so float noise cannot silently shrink the spatial
+    tile.  Caps below 1 raise ``ValueError``.
     """
     if max_spatial is not None and max_spatial < 1:
         raise ValueError(f"max_spatial must be >= 1, got {max_spatial}")
@@ -208,9 +231,8 @@ def round_mapping_batch(
 
     ``mapping_sets`` holds S sequences of L mappings; position ``l`` must map
     the same problem dimensions in every set (the divisor tables are per
-    layer).  Returns the same S x L structure with every mapping rounded
-    exactly like :func:`~repro.mapping.rounding.round_mapping` (layers and
-    orderings preserved).
+    layer).  Returns the same S x L structure with every mapping rounded to
+    a valid, integral copy (layers and orderings preserved).
     """
     sets = [list(mappings) for mappings in mapping_sets]
     if not sets or not sets[0]:

@@ -37,7 +37,6 @@ from repro.search.api import (
     optimize,
     register_searcher,
 )
-from repro.search.results import BestSoFarTrace
 from repro.search.random_search import RandomSearcher, RandomSearchSettings
 from repro.search.random_mapper_search import (
     FixedHardwareMapperSearcher,
@@ -48,7 +47,6 @@ from repro.search.gp import GaussianProcessRegressor, expected_improvement
 from repro.search.bayesian import BayesianSearcher, BayesianSettings
 
 __all__ = [
-    "BestSoFarTrace",
     "CandidateDesign",
     "ProgressCallback",
     "SearchBudget",

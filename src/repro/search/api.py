@@ -132,9 +132,6 @@ class SearchTrace:
                 best = min(best, point.best_edp)
         return best
 
-    # Name used by the pre-unification BestSoFarTrace container.
-    best_after = best_edp_after
-
     @property
     def final_best(self) -> float:
         return self.points[-1].best_edp if self.points else float("inf")
@@ -530,6 +527,23 @@ def get_searcher(name: str) -> type:
         raise KeyError(f"unknown search strategy {name!r}; "
                        f"options: {sorted(_SEARCHERS)}")
     return _SEARCHERS[name]
+
+
+def check_settings_overrides(strategy: str, overrides: dict[str, Any]) -> None:
+    """Refuse settings overrides that ``strategy``'s settings type lacks.
+
+    Campaign jobs build ``settings_type(seed=seed, **overrides)``; checking
+    the keys up front turns a misspelt or removed setting into an error
+    before any job runs.  ``seed`` is not an override (every job supplies its
+    own).  Raises ``ValueError`` naming the first unknown key.
+    """
+    settings_type = getattr(get_searcher(strategy), "settings_type", None)
+    allowed = ({item.name for item in fields(settings_type)} - {"seed"}
+               if settings_type is not None else set())
+    unknown = sorted(set(overrides) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {strategy} setting {unknown[0]!r}; "
+                         f"options: {sorted(allowed)}")
 
 
 def available_strategies() -> tuple[str, ...]:

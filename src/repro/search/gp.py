@@ -1,23 +1,25 @@
 """Gaussian-process regression and the expected-improvement acquisition.
 
 A small exact GP (RBF kernel with automatic-relevance-style shared length
-scale, Cholesky solve via SciPy) used as the surrogate of the Bayesian
+scale, linear solves via NumPy) used as the surrogate of the Bayesian
 optimization baseline.  Targets are modelled in log space since layer EDPs
 span many orders of magnitude.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 # Floor for the posterior variance before the sqrt.  Near-duplicate training
-# points make the Cholesky-solved variance numerically negative (the exact
-# value is ~0, the round-off error is ~ -1e-9); without the clamp the sqrt
-# returns NaN and a single poisoned std silently zeroes expected improvement
-# for every candidate scored in the same batch.
+# points make the solved variance numerically negative (the exact value is
+# ~0, the round-off error is ~ -1e-9); without the clamp the sqrt returns NaN
+# and a single poisoned std silently zeroes expected improvement for every
+# candidate scored in the same batch.
 _MIN_POSTERIOR_VARIANCE = 1e-12
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class GaussianProcessRegressor:
@@ -32,7 +34,7 @@ class GaussianProcessRegressor:
         self.noise = noise
         self._train_x: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._cho = None
+        self._gram: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
         self._x_mean: np.ndarray | None = None
@@ -55,9 +57,8 @@ class GaussianProcessRegressor:
         self._y_mean = float(targets.mean())
         self._y_std = float(targets.std()) or 1.0
         y = (targets - self._y_mean) / self._y_std
-        gram = self._kernel(x, x) + self.noise * np.eye(len(x))
-        self._cho = cho_factor(gram, lower=True)
-        self._alpha = cho_solve(self._cho, y)
+        self._gram = self._kernel(x, x) + self.noise * np.eye(len(x))
+        self._alpha = np.linalg.solve(self._gram, y)
         self._train_x = x
         return self
 
@@ -71,7 +72,7 @@ class GaussianProcessRegressor:
         mean = cross @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = cho_solve(self._cho, cross.T)
+        v = np.linalg.solve(self._gram, cross.T)
         variance = self.signal_variance - np.einsum("ij,ji->i", cross, v)
         variance = np.maximum(variance, _MIN_POSTERIOR_VARIANCE)
         return mean, np.sqrt(variance) * self._y_std
@@ -84,4 +85,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     improvement = (best - mean - xi) if minimize else (mean - best - xi)
     z = improvement / std
-    return improvement * norm.cdf(z) + std * norm.pdf(z)
+    # Standard normal CDF and PDF at z (erfc keeps the lower tail accurate).
+    cdf = 0.5 * _erfc(-z / math.sqrt(2.0))
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return improvement * cdf + std * pdf

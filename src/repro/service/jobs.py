@@ -168,10 +168,16 @@ def normalize_search_request(payload: Mapping[str, Any]) -> dict[str, Any]:
                      if isinstance(hardware, Mapping)
                      else _raise_hardware(hardware)),
     }
-    # Building the spec runs the full campaign-grade validation (settings
-    # keys are checked when the job is constructed by the scheduler).
-    build_campaign_spec("validate", "search", request)
+    # Building the spec runs the full campaign-grade validation.
+    _check_settings(build_campaign_spec("validate", "search", request))
     return request
+
+
+def _check_settings(spec: CampaignSpec) -> None:
+    try:
+        spec.check_settings()
+    except ValueError as error:
+        raise RequestError(str(error)) from None
 
 
 def _raise_hardware(value: Any) -> None:
@@ -192,6 +198,7 @@ def normalize_campaign_request(payload: Mapping[str, Any]) -> dict[str, Any]:
         spec = CampaignSpec.from_dict(spec_payload)
     except (KeyError, TypeError, ValueError) as error:
         raise RequestError(f"invalid campaign spec: {error}") from None
+    _check_settings(spec)
     return {"spec": spec.to_dict()}
 
 

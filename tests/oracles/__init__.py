@@ -1,0 +1,19 @@
+"""Slow reference implementations that the parity tests compare against.
+
+Nothing under ``src/`` imports these; they exist only so that the one
+production path of each job can be checked against an independent, simpler
+formulation of the same behaviour:
+
+* :mod:`oracles.layer_model` — the per-layer differentiable model: one
+  :class:`~oracles.layer_model.LayerFactors` per layer, scalar graphs, the
+  reload factor walked loop by loop in Python, hardware derived by chained
+  per-layer maxima, per-layer losses and the per-layer ordering scan.
+* :mod:`oracles.rounding` — the scalar Section-5.3.2 rounding walk, one
+  mapping at a time.
+* :mod:`oracles.schedule` — the DOSA search with one start point descended
+  at a time (a loop of S=1 stacks).
+
+The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
+import them as ``oracles.<module>``; the benchmark scripts add the same
+directory themselves.
+"""

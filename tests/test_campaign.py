@@ -475,6 +475,20 @@ class TestCampaignCli:
         assert main(["campaign", "status", "--dir", str(tmp_path / "nope")]) == 2
         capsys.readouterr()
 
+    def test_run_refuses_unknown_setting_before_any_job(self, tmp_path, capsys):
+        """A spec naming a setting its strategy lacks still loads, but
+        ``campaign run`` exits 2 naming the key and runs no job."""
+        from repro.cli import main
+        spec = tiny_spec(seeds=(0,), name="stale")
+        payload = spec.to_dict()
+        payload["strategies"][0]["settings"]["batched_starts"] = False
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(spec_path), "--dir", str(store)]) == 2
+        assert "batched_starts" in capsys.readouterr().err
+        assert ResultStore(store, writer=False, create=False).latest_outcomes() == {}
+
 
 # --------------------------------------------------------------------------- #
 # Cross-start batched rounding evaluation (satellite: engine batch path)

@@ -1,4 +1,8 @@
-"""Tests for the DOSA differentiable model (Equations 1-18)."""
+"""Tests for the DOSA differentiable model (Equations 1-18).
+
+The production model runs on :class:`MultiStartFactors`; one layer of one
+start point is a 1x1 stack (:func:`_stack`).
+"""
 
 import numpy as np
 import pytest
@@ -9,20 +13,31 @@ from repro.autodiff import Adam, Tensor
 from repro.core.dmodel import (
     DifferentiableHardware,
     DifferentiableModel,
-    LayerFactors,
+    MultiStartFactors,
+    best_ordering_per_layer,
     network_edp_loss,
     softmax_ordering_loss,
     validity_penalty,
 )
-from repro.core.dmodel.loss import best_ordering_per_layer, ordering_candidates
 from repro.mapping import LoopOrdering, cosa_mapping, random_mapping
 from repro.timeloop import analyze_traffic, evaluate_mapping
 from repro.workloads import LayerDims, conv2d_layer, matmul_layer
 from repro.workloads.registry import correlation_layer_pool
 
+from oracles.layer_model import LayerFactors, ordering_candidates
+from oracles.rounding import snapshot_mappings
+
+ORDERINGS = (LoopOrdering.WEIGHT_STATIONARY, LoopOrdering.INPUT_STATIONARY,
+             LoopOrdering.OUTPUT_STATIONARY)
+
 
 def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-12)
+
+
+def _stack(*mappings) -> MultiStartFactors:
+    """One start point over ``mappings`` (one per layer)."""
+    return MultiStartFactors.from_mapping_sets([list(mappings)])
 
 
 class TestDifferentiableHardware:
@@ -37,7 +52,7 @@ class TestDifferentiableHardware:
 
     def test_from_requirements_takes_max_side(self):
         hardware = DifferentiableHardware.from_requirements(
-            spatial_factors=[Tensor(8.0), Tensor(32.0), Tensor(16.0)],
+            spatial_factors=Tensor(np.array([8.0, 32.0, 16.0])),
             accumulator_words=Tensor(1024.0),
             scratchpad_words=Tensor(2048.0),
         )
@@ -61,11 +76,12 @@ class TestDifferentiableHardware:
 
 
 class TestLayerFactors:
+    """One layer's factors, as a 1x1 stack."""
+
     def test_roundtrip_through_mapping(self):
         config = HardwareConfig(16, 32, 128)
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), config)
-        factors = LayerFactors.from_mapping(mapping)
-        snapshot = factors.snapshot_mapping()
+        [snapshot] = snapshot_mappings(_stack(mapping), 0)
         assert np.allclose(snapshot.temporal, mapping.temporal, rtol=1e-9)
         assert np.allclose(snapshot.spatial, mapping.spatial, rtol=1e-9)
 
@@ -73,35 +89,35 @@ class TestLayerFactors:
         from repro.mapping import mapping_is_valid
 
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
+        factors = _stack(mapping)
         factors.log_temporal.data += 0.3  # perturb off the divisor lattice
-        assert mapping_is_valid(factors.rounded_mapping(max_spatial=128))
+        [[rounded]] = factors.rounded_mapping_sets(max_spatial=128)
+        assert mapping_is_valid(rounded)
 
     def test_factor_grid_infers_dram(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
-        grid = factors.factor_grid()
+        grid = _stack(mapping).factor_grid()
         for dim in ("R", "S", "P", "Q", "C", "K", "N"):
             product = 1.0
             for level in range(4):
                 for kind in ("T", "S"):
                     value = grid[(kind, level, dim)]
-                    product *= float(value.data) if isinstance(value, Tensor) else value
+                    product *= value.data.item() if isinstance(value, Tensor) else value
             assert product == pytest.approx(mapping.layer.dim(dim), rel=1e-9)
 
     def test_load_mapping_keeps_tensor_identity(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
+        factors = _stack(mapping)
         original_parameter = factors.log_temporal
-        factors.load_mapping(mapping)
+        factors.load_mapping_sets({0: [mapping]})
         assert factors.log_temporal is original_parameter
 
     def test_with_orderings_shares_parameters(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
-        view = factors.with_orderings([LoopOrdering.OUTPUT_STATIONARY] * 4)
+        factors = _stack(mapping)
+        view = factors.with_uniform_orderings(LoopOrdering.OUTPUT_STATIONARY)
         assert view.log_temporal is factors.log_temporal
-        assert view.orderings[0] is LoopOrdering.OUTPUT_STATIONARY
+        assert view.start_orderings[0][0][0] is LoopOrdering.OUTPUT_STATIONARY
 
 
 class TestCorrelationWithReference:
@@ -112,9 +128,9 @@ class TestCorrelationWithReference:
         mapping = cosa_mapping(conv2d_layer(64, 64, 56), config)
         reference = evaluate_mapping(mapping, GemminiSpec(config))
         performance = DifferentiableModel.evaluate_layer(
-            LayerFactors.from_mapping(mapping), DifferentiableHardware.from_config(config))
-        assert _relative_error(float(performance.latency.data), reference.latency_cycles) < 1e-6
-        assert _relative_error(float(performance.energy.data), reference.energy) < 0.01
+            _stack(mapping), DifferentiableHardware.from_config(config))
+        assert _relative_error(performance.latency.data.item(), reference.latency_cycles) < 1e-6
+        assert _relative_error(performance.energy.data.item(), reference.energy) < 0.01
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -126,17 +142,17 @@ class TestCorrelationWithReference:
         mapping = random_mapping(layer, seed=rng, max_spatial=config.pe_dim)
         reference = evaluate_mapping(mapping, GemminiSpec(config))
         performance = DifferentiableModel.evaluate_layer(
-            LayerFactors.from_mapping(mapping), DifferentiableHardware.from_config(config))
-        assert _relative_error(float(performance.latency.data), reference.latency_cycles) < 0.02
+            _stack(mapping), DifferentiableHardware.from_config(config))
+        assert _relative_error(performance.latency.data.item(), reference.latency_cycles) < 0.02
         # Energy differs only through DRAM block rounding, small for real layers.
-        assert _relative_error(float(performance.energy.data), reference.energy) < 0.15
+        assert _relative_error(performance.energy.data.item(), reference.energy) < 0.15
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_traffic_parity_with_reference_walk(self, seed):
         """Per-level traffic parity on integral mappings (ceiling slack only).
 
-        Property test for the ``seen_relevant`` / near-1-factor skip in
+        Property test for the first-relevant-loop / near-1-factor skip in
         ``DifferentiableModel.reload_factor``: on integral mappings with
         randomized loop orderings, every level's access count must agree with
         the reference walk in :func:`analyze_traffic` up to the reference
@@ -150,11 +166,11 @@ class TestCorrelationWithReference:
         assert mapping.is_integral()
 
         reference = analyze_traffic(mapping)
-        factors = LayerFactors.from_mapping(mapping)
+        factors = _stack(mapping)
         accesses = DifferentiableModel.traffic(factors, factors.factor_grid())
 
         for level, reference_accesses in reference.per_level_accesses().items():
-            model_accesses = float(accesses[level].data)
+            model_accesses = accesses[level].data.item()
             # Ceiling slack: the reference rounds tile extents up, so it may
             # exceed the smooth model, never meaningfully the other way.
             assert model_accesses <= reference_accesses * (1 + 1e-6), level
@@ -165,28 +181,27 @@ class TestGradients:
     def test_edp_gradient_nonzero_for_all_layers(self):
         config = HardwareConfig(16, 32, 128)
         layers = [conv2d_layer(64, 64, 28), matmul_layer(196, 256, 512)]
-        factors = [LayerFactors.from_mapping(cosa_mapping(l, config)) for l in layers]
+        factors = _stack(*(cosa_mapping(l, config) for l in layers))
         hardware = DifferentiableModel.derive_hardware(factors)
         performances = DifferentiableModel.evaluate_network(factors, hardware)
-        loss = network_edp_loss(performances, [1, 1])
+        loss = network_edp_loss(performances, [1, 1]).sum()
         loss.backward()
-        for layer_factors in factors:
-            assert layer_factors.log_temporal.grad is not None
-            assert np.any(layer_factors.log_temporal.grad != 0.0)
-            assert layer_factors.log_spatial.grad is not None
+        assert factors.log_spatial.grad is not None
+        for index in range(len(layers)):
+            assert np.any(factors.log_temporal.grad[0, index] != 0.0)
 
     def test_descent_reduces_model_loss(self):
         config = HardwareConfig(8, 16, 64)
         layers = [conv2d_layer(64, 64, 28), matmul_layer(196, 256, 512)]
-        factors = [LayerFactors.from_mapping(cosa_mapping(l, config)) for l in layers]
-        parameters = [p for f in factors for p in f.parameters()]
-        optimizer = Adam(parameters, lr=0.05)
+        factors = _stack(*(cosa_mapping(l, config) for l in layers))
+        optimizer = Adam(factors.parameters(), lr=0.05)
         losses = []
         for _ in range(60):
             optimizer.zero_grad()
             hardware = DifferentiableModel.derive_hardware(factors)
             performances = DifferentiableModel.evaluate_network(factors, hardware)
-            loss = network_edp_loss(performances, [1, 1]) + 1e9 * validity_penalty(factors)
+            loss = (network_edp_loss(performances, [1, 1])
+                    + 1e9 * validity_penalty(factors)).sum()
             loss.backward()
             optimizer.step()
             losses.append(float(loss.data))
@@ -196,27 +211,26 @@ class TestGradients:
         # For a compute-bound layer, increasing the spatial factors lowers
         # latency, so the gradient of EDP w.r.t. log-spatial must be negative.
         config = HardwareConfig(4, 64, 256)
-        mapping = cosa_mapping(conv2d_layer(256, 256, 28), config)
-        factors = LayerFactors.from_mapping(mapping)
-        hardware = DifferentiableModel.derive_hardware([factors])
+        factors = _stack(cosa_mapping(conv2d_layer(256, 256, 28), config))
+        hardware = DifferentiableModel.derive_hardware(factors)
         performance = DifferentiableModel.evaluate_layer(factors, hardware)
-        performance.edp.backward()
+        performance.edp.sum().backward()
         assert np.all(factors.log_spatial.grad < 0)
 
 
 class TestPenaltyAndOrderings:
     def test_validity_penalty_zero_for_valid(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
-        assert float(validity_penalty([factors]).data) == pytest.approx(0.0, abs=1e-9)
+        penalty = validity_penalty(_stack(mapping))
+        assert penalty.data.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_validity_penalty_positive_when_overshooting(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
+        factors = _stack(mapping)
         # Inflate an inner factor beyond the problem size: the inferred DRAM
         # factor drops below 1 and the Eq. 18 penalty must fire.
-        factors.log_temporal.data[0, :] += 3.0
-        assert float(validity_penalty([factors]).data) > 0.0
+        factors.log_temporal.data[0, 0, 0, :] += 3.0
+        assert validity_penalty(factors).data.item() > 0.0
 
     def test_ordering_candidates_cover_ws_is_os(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
@@ -225,26 +239,27 @@ class TestPenaltyAndOrderings:
 
     def test_best_ordering_returns_one_per_layer(self):
         config = HardwareConfig(16, 32, 128)
-        factors = [LayerFactors.from_mapping(cosa_mapping(l, config))
-                   for l in (conv2d_layer(64, 64, 28), matmul_layer(64, 128, 256))]
-        selections = best_ordering_per_layer(factors)
+        factors = _stack(*(cosa_mapping(l, config)
+                           for l in (conv2d_layer(64, 64, 28), matmul_layer(64, 128, 256))))
+        [selections] = best_ordering_per_layer(factors)
         assert len(selections) == 2
         assert all(isinstance(s, LoopOrdering) for s in selections)
 
     def test_softmax_loss_close_to_best_ordering_loss(self):
         config = HardwareConfig(16, 32, 128)
-        factors = [LayerFactors.from_mapping(cosa_mapping(conv2d_layer(64, 64, 28), config))]
+        factors = _stack(cosa_mapping(conv2d_layer(64, 64, 28), config))
         hardware = DifferentiableModel.derive_hardware(factors)
-        soft = float(softmax_ordering_loss(factors, [1], hardware).data)
+        soft = softmax_ordering_loss(factors, [1], hardware).data.item()
         per_ordering = []
-        for candidate in ordering_candidates(factors[0]):
-            perf = DifferentiableModel.evaluate_layer(candidate, hardware)
-            per_ordering.append(float(perf.edp.data))
+        for ordering in ORDERINGS:
+            perf = DifferentiableModel.evaluate_layer(
+                factors.with_uniform_orderings(ordering), hardware)
+            per_ordering.append(perf.edp.data.item())
         assert min(per_ordering) <= soft <= max(per_ordering) * 1.01
 
     def test_network_loss_requires_matching_repeats(self):
         config = HardwareConfig(16, 32, 128)
-        factors = [LayerFactors.from_mapping(cosa_mapping(conv2d_layer(64, 64, 28), config))]
+        factors = _stack(cosa_mapping(conv2d_layer(64, 64, 28), config))
         performances = DifferentiableModel.evaluate_network(factors)
         with pytest.raises(ValueError):
             network_edp_loss(performances, [1, 2])
@@ -254,14 +269,13 @@ class TestHardwareDerivation:
     def test_derived_hardware_supports_all_layers(self):
         config = HardwareConfig(16, 32, 128)
         layers = [conv2d_layer(64, 64, 56), matmul_layer(512, 768, 768)]
-        factors = [LayerFactors.from_mapping(cosa_mapping(l, config)) for l in layers]
-        hardware = DifferentiableModel.derive_hardware(factors)
-        derived = hardware.to_config()
+        factors = _stack(*(cosa_mapping(l, config) for l in layers))
+        derived = DifferentiableModel.derive_hardware(factors).to_config()
         from repro.mapping import mapping_fits_hardware
 
-        for layer_factors in factors:
-            assert mapping_fits_hardware(layer_factors.rounded_mapping(), derived)
+        for mapping in factors.rounded_mapping_sets()[0]:
+            assert mapping_fits_hardware(mapping, derived)
 
     def test_derive_hardware_rejects_empty(self):
         with pytest.raises(ValueError):
-            DifferentiableModel.derive_hardware([])
+            DifferentiableModel.derive_hardware(MultiStartFactors.from_mapping_sets([[]]))

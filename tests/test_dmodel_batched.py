@@ -1,10 +1,10 @@
-"""Parity of the layer-batched differentiable model with the per-layer model.
+"""Parity of one network's stacked factors with the per-layer oracle model.
 
-The batched :class:`NetworkFactors` path is a pure performance refactor: loss
-values must be *bit-identical* to the per-layer model, per-parameter
-gradients must agree to tight tolerance (they differ only in floating-point
-accumulation order), and seeded end-to-end DOSA outcomes must match the
-per-layer path design-for-design.
+An S=1 :class:`MultiStartFactors` evaluates every layer of one start point in
+one array-op graph.  Its loss values must be *bit-identical* to the per-layer
+oracle (``tests/oracles/layer_model.py``), and per-parameter gradients must
+agree to tight tolerance (they differ only in floating-point accumulation
+order).
 """
 
 import numpy as np
@@ -13,10 +13,10 @@ import pytest
 import repro
 from repro.arch import HardwareConfig
 from repro.autodiff import Tape
+from repro.autodiff import ops
 from repro.core.dmodel import (
     DifferentiableModel,
-    LayerFactors,
-    NetworkFactors,
+    MultiStartFactors,
     network_edp_loss,
     softmax_ordering_loss,
     validity_penalty,
@@ -28,11 +28,15 @@ from repro.mapping import cosa_mapping
 from repro.mapping.mapping import LoopOrdering
 from repro.workloads import conv2d_layer, get_network, matmul_layer
 
+from oracles import layer_model as oracle
+from oracles.layer_model import LayerFactors, LayerModel, stack_of
+from oracles.rounding import snapshot_mappings
+
 CONFIG = HardwareConfig(8, 16, 64)
 
 
 def _random_start(seed: int):
-    """Per-layer factors + the equivalent batched factors on random offsets."""
+    """Per-layer oracle factors + the equivalent S=1 stack on random offsets."""
     layers = [
         conv2d_layer(16, 32, 14, name="conv"),
         matmul_layer(28, 64, 32, name="matmul"),
@@ -45,7 +49,7 @@ def _random_start(seed: int):
             0.05, 0.3, factors.log_temporal.data.shape)
         factors.log_spatial.data = factors.log_spatial.data + rng.uniform(
             0.05, 0.3, factors.log_spatial.data.shape)
-    return per_layer, NetworkFactors.from_layer_factors(per_layer), [1, 2, 3]
+    return per_layer, stack_of(per_layer), [1, 2, 3]
 
 
 def _grad_stacks(per_layer):
@@ -75,81 +79,83 @@ class TestLossParity:
             settings=DosaSettings(ordering_strategy=strategy, seed=0))
         searcher._repeats = repeats
 
-        loss_per_layer = searcher._loss(per_layer)
+        loss_per_layer = oracle.search_loss(searcher.settings, per_layer, repeats)
         loss_per_layer.backward()
         loss_batched = searcher._loss(batched)
         loss_batched.backward()
 
         assert float(loss_batched.data) == float(loss_per_layer.data)
         temporal, spatial = _grad_stacks(per_layer)
-        _assert_grads_close(batched.log_temporal.grad, temporal,
+        _assert_grads_close(batched.log_temporal.grad[0], temporal,
                             f"temporal grads ({strategy.value}, seed {seed})")
-        _assert_grads_close(batched.log_spatial.grad, spatial,
+        _assert_grads_close(batched.log_spatial.grad[0], spatial,
                             f"spatial grads ({strategy.value}, seed {seed})")
 
     def test_component_losses_bitwise_equal(self):
         per_layer, batched, repeats = _random_start(5)
-        hardware = DifferentiableModel.derive_hardware(per_layer)
-        performances = DifferentiableModel.evaluate_network(per_layer, hardware)
+        hardware = LayerModel.derive_hardware(per_layer)
+        performances = LayerModel.evaluate_network(per_layer, hardware)
 
         hardware_batched = DifferentiableModel.derive_hardware(batched)
         batched_perf = DifferentiableModel.evaluate_network(batched, hardware_batched)
 
-        assert float(hardware_batched.num_pes.data) == float(hardware.num_pes.data)
-        assert float(hardware_batched.accumulator_kb.data) == float(hardware.accumulator_kb.data)
-        assert float(hardware_batched.scratchpad_kb.data) == float(hardware.scratchpad_kb.data)
+        for field in ("num_pes", "accumulator_kb", "scratchpad_kb"):
+            assert (getattr(hardware_batched, field).data.item()
+                    == float(getattr(hardware, field).data)), field
         for index, perf in enumerate(performances):
-            assert float(batched_perf.latency.data[index]) == float(perf.latency.data)
-            assert float(batched_perf.energy.data[index]) == float(perf.energy.data)
-        assert (float(network_edp_loss(batched_perf, repeats).data)
-                == float(network_edp_loss(performances, repeats).data))
-        assert (float(validity_penalty(batched).data)
-                == float(validity_penalty(per_layer).data))
-        assert (float(softmax_ordering_loss(batched, repeats).data)
-                == float(softmax_ordering_loss(per_layer, repeats).data))
+            assert float(batched_perf.latency.data[0, index]) == float(perf.latency.data)
+            assert float(batched_perf.energy.data[0, index]) == float(perf.energy.data)
+        assert (network_edp_loss(batched_perf, repeats).data.item()
+                == float(oracle.network_edp_loss(performances, repeats).data))
+        assert (validity_penalty(batched).data.item()
+                == float(oracle.validity_penalty(per_layer).data))
+        assert (softmax_ordering_loss(batched, repeats).data.item()
+                == float(oracle.softmax_ordering_loss(per_layer, repeats).data))
 
 
 class TestNetworkFactors:
+    """One network's factors as an S=1 stack, against the per-layer oracle."""
+
     def test_round_trip_through_mappings(self):
         per_layer, batched, _ = _random_start(11)
-        snapshots = batched.snapshot_mappings()
+        snapshots = snapshot_mappings(batched, 0)
         for factors, mapping in zip(per_layer, snapshots):
             reference = factors.snapshot_mapping()
             np.testing.assert_array_equal(mapping.temporal, reference.temporal)
             np.testing.assert_array_equal(mapping.spatial, reference.spatial)
             assert mapping.orderings == reference.orderings
 
-        rounded = batched.rounded_mappings(max_spatial=16)
+        [rounded] = batched.rounded_mapping_sets(max_spatial=16)
         reference_rounded = [f.rounded_mapping(max_spatial=16) for f in per_layer]
         for mapping, reference in zip(rounded, reference_rounded):
             np.testing.assert_array_equal(mapping.temporal, reference.temporal)
             np.testing.assert_array_equal(mapping.spatial, reference.spatial)
 
-        batched.load_mappings(rounded)
+        batched.load_mapping_sets({0: rounded})
         for index, factors in enumerate(per_layer):
             factors.load_mapping(reference_rounded[index])
-            np.testing.assert_array_equal(batched.log_temporal.data[index],
+            np.testing.assert_array_equal(batched.log_temporal.data[0, index],
                                           factors.log_temporal.data)
-            np.testing.assert_array_equal(batched.log_spatial.data[index],
+            np.testing.assert_array_equal(batched.log_spatial.data[0, index],
                                           factors.log_spatial.data)
 
     def test_dim_mask_marks_padding_dims(self):
         _, batched, _ = _random_start(0)
         # Layer 1 is the matmul: R = S = Q = 1 are padding columns.
         from repro.workloads.layer import DIMENSIONS
-        matmul_mask = dict(zip(DIMENSIONS, batched.dim_mask[1]))
+        matmul_mask = dict(zip(DIMENSIONS, batched.dim_mask[0, 1]))
         assert not matmul_mask["R"] and not matmul_mask["S"] and not matmul_mask["Q"]
         assert matmul_mask["P"] and matmul_mask["C"] and matmul_mask["K"]
         # The convolution rows keep their spatial dims active.
-        conv_mask = dict(zip(DIMENSIONS, batched.dim_mask[0]))
+        conv_mask = dict(zip(DIMENSIONS, batched.dim_mask[0, 0]))
         assert conv_mask["R"] and conv_mask["P"]
 
     def test_mismatched_shapes_rejected(self):
         layers = [conv2d_layer(4, 4, 4)]
         with pytest.raises(ValueError):
-            NetworkFactors(layers, log_temporal=np.zeros((2, 3, 7)))
+            MultiStartFactors(layers, num_starts=1, log_temporal=np.zeros((1, 2, 3, 7)))
         with pytest.raises(ValueError):
-            NetworkFactors([])
+            MultiStartFactors([], num_starts=1)
 
 
 class TestTapeResnapRegression:
@@ -162,8 +168,8 @@ class TestTapeResnapRegression:
             hardware = DifferentiableModel.derive_hardware(batched, grid=grid)
             performances = DifferentiableModel.evaluate_network(
                 batched, hardware, grid=grid)
-            return (network_edp_loss(performances, repeats)
-                    + 1e9 * validity_penalty(batched, grid=grid))
+            return ops.fold_sum(network_edp_loss(performances, repeats)
+                                + 1e9 * validity_penalty(batched, grid=grid))
 
         tape = Tape(build)
         for phase in range(2):
@@ -191,36 +197,12 @@ class TestTapeResnapRegression:
                 # Rounding point: snap to valid mappings with *changed*
                 # orderings, which invalidates the compiled walk order.
                 rounded = [m.with_orderings([LoopOrdering.OUTPUT_STATIONARY] * 4)
-                           for m in batched.rounded_mappings(max_spatial=16)]
-                batched.load_mappings(rounded)
+                           for m in batched.rounded_mapping_sets(max_spatial=16)[0]]
+                batched.load_mapping_sets({0: rounded})
                 tape.invalidate()
 
 
 class TestEndToEndOutcome:
-    def test_seeded_outcomes_match_per_layer_path(self):
-        """Same seed => same best design for per-layer, batched, batched+tape."""
-        outcomes = {}
-        for name, batched_model, use_tape in (("per-layer", False, False),
-                                              ("batched", True, False),
-                                              ("tape", True, True)):
-            settings = DosaSettings(num_start_points=2, gd_steps=36,
-                                    rounding_period=12, seed=0,
-                                    batched_model=batched_model,
-                                    use_tape=use_tape)
-            outcomes[name] = repro.optimize("bert", strategy="dosa",
-                                            settings=settings)
-
-        reference = outcomes["per-layer"]
-        for name in ("batched", "tape"):
-            outcome = outcomes[name]
-            assert outcome.best_hardware == reference.best_hardware, name
-            for ours, theirs in zip(outcome.best_mappings, reference.best_mappings):
-                np.testing.assert_array_equal(ours.temporal, theirs.temporal)
-                np.testing.assert_array_equal(ours.spatial, theirs.spatial)
-                assert ours.orderings == theirs.orderings
-            assert outcome.best_edp == pytest.approx(reference.best_edp, rel=1e-9)
-            assert outcome.total_samples == reference.total_samples
-
     def test_shared_cache_across_searches(self):
         """A shared EvaluationCache changes nothing but the hit rate."""
         settings = DosaSettings(num_start_points=1, gd_steps=24,

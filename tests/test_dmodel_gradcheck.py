@@ -3,7 +3,9 @@
 The DOSA search rests entirely on the gradients of the EDP objective with
 respect to the log tiling factors; these tests verify them end to end (through
 capacities, traffic, roofline latency, capacity-dependent energy, the hardware
-derivation and the Eq. 18 penalty) against central finite differences.
+derivation and the Eq. 18 penalty) against central finite differences —
+on the production model (S=1 :class:`MultiStartFactors` stacks) and on the
+per-layer oracle that the parity tests trust (``tests/oracles``).
 """
 
 import numpy as np
@@ -13,8 +15,7 @@ from repro.arch import HardwareConfig
 from repro.core.dmodel import (
     DifferentiableHardware,
     DifferentiableModel,
-    LayerFactors,
-    NetworkFactors,
+    MultiStartFactors,
     network_edp_loss,
     softmax_ordering_loss,
     validity_penalty,
@@ -22,10 +23,13 @@ from repro.core.dmodel import (
 from repro.mapping import cosa_mapping
 from repro.workloads import conv2d_layer, matmul_layer
 
+from oracles import layer_model as oracle
+from oracles.layer_model import LayerFactors, LayerModel, stack_of
+
 CONFIG = HardwareConfig(8, 16, 64)
 
 
-def _perturb_off_kinks(factors: LayerFactors, seed: int = 0) -> LayerFactors:
+def _perturb_off_kinks(factors, seed: int = 0):
     """Nudge log-factors away from the model's non-smooth points.
 
     The model is piecewise smooth: factors exactly equal to 1 sit on the
@@ -77,12 +81,12 @@ def _check_model_gradients(factors_list, loss_fn, rtol=2e-3, atol=1e-2):
 
 class TestFullModelGradients:
     def test_fixed_hardware_layer_edp(self):
-        factors = _perturb_off_kinks(LayerFactors.from_mapping(
-            cosa_mapping(conv2d_layer(16, 32, 14), CONFIG)), seed=1)
+        factors = _perturb_off_kinks(MultiStartFactors.from_mapping_sets(
+            [[cosa_mapping(conv2d_layer(16, 32, 14), CONFIG)]]), seed=1)
         hardware = DifferentiableHardware.from_config(CONFIG)
 
         def loss_fn():
-            return DifferentiableModel.evaluate_layer(factors, hardware).edp
+            return DifferentiableModel.evaluate_layer(factors, hardware).edp.sum()
 
         _check_model_gradients([factors], loss_fn)
 
@@ -92,9 +96,10 @@ class TestFullModelGradients:
                    for i, l in enumerate(layers)]
 
         def loss_fn():
-            hardware = DifferentiableModel.derive_hardware(factors)
-            performances = DifferentiableModel.evaluate_network(factors, hardware)
-            return network_edp_loss(performances, [1, 2]) + 1e6 * validity_penalty(factors)
+            hardware = LayerModel.derive_hardware(factors)
+            performances = LayerModel.evaluate_network(factors, hardware)
+            return (oracle.network_edp_loss(performances, [1, 2])
+                    + 1e6 * oracle.validity_penalty(factors))
 
         _check_model_gradients(factors, loss_fn)
 
@@ -103,16 +108,16 @@ class TestFullModelGradients:
             cosa_mapping(conv2d_layer(16, 32, 14), CONFIG)), seed=5)]
 
         def loss_fn():
-            return softmax_ordering_loss(factors, [1])
+            return oracle.softmax_ordering_loss(factors, [1])
 
         _check_model_gradients(factors, loss_fn)
 
     def test_batched_derived_hardware_network_edp_with_penalty(self):
-        """Gradcheck the layer-batched model directly (NetworkFactors leaves)."""
+        """Gradcheck the stacked model directly (S=1 stack leaves)."""
         layers = [conv2d_layer(16, 32, 14), matmul_layer(28, 64, 32)]
         per_layer = [_perturb_off_kinks(LayerFactors.from_mapping(cosa_mapping(l, CONFIG)),
                                         seed=i) for i, l in enumerate(layers)]
-        factors = NetworkFactors.from_layer_factors(per_layer)
+        factors = stack_of(per_layer)
 
         def loss_fn():
             grid = factors.factor_grid()
@@ -120,27 +125,27 @@ class TestFullModelGradients:
             performances = DifferentiableModel.evaluate_network(factors, hardware,
                                                                 grid=grid)
             return (network_edp_loss(performances, [1, 2])
-                    + 1e6 * validity_penalty(factors, grid=grid))
+                    + 1e6 * validity_penalty(factors, grid=grid)).sum()
 
         _check_model_gradients([factors], loss_fn)
 
     def test_batched_softmax_ordering_loss_gradients(self):
         per_layer = [_perturb_off_kinks(LayerFactors.from_mapping(
             cosa_mapping(conv2d_layer(16, 32, 14), CONFIG)), seed=5)]
-        factors = NetworkFactors.from_layer_factors(per_layer)
+        factors = stack_of(per_layer)
 
         def loss_fn():
-            return softmax_ordering_loss(factors, [1])
+            return softmax_ordering_loss(factors, [1]).sum()
 
         _check_model_gradients([factors], loss_fn)
 
     def test_penalty_gradient_pushes_factors_up(self):
-        factors = LayerFactors.from_mapping(
-            cosa_mapping(conv2d_layer(16, 32, 14), CONFIG))
+        factors = MultiStartFactors.from_mapping_sets(
+            [[cosa_mapping(conv2d_layer(16, 32, 14), CONFIG)]])
         # Push an inner factor so far up that the inferred DRAM factor drops
         # below one; the penalty gradient must then *reduce* that factor.
-        factors.log_temporal.data[0, 3] += 4.0  # Q at the register level
-        penalty = validity_penalty([factors])
+        factors.log_temporal.data[0, 0, 0, 3] += 4.0  # Q at the register level
+        penalty = validity_penalty(factors).sum()
         assert float(penalty.data) > 0
         penalty.backward()
-        assert factors.log_temporal.grad[0, 3] > 0  # descent will decrease it
+        assert factors.log_temporal.grad[0, 0, 0, 3] > 0  # descent will decrease it

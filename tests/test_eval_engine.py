@@ -12,7 +12,7 @@ from repro.eval import (
     evaluate_mappings_batched,
     mapping_fingerprint,
 )
-from repro.mapping import cosa_mapping, round_mapping
+from repro.mapping import cosa_mapping, round_mapping_batch
 from repro.mapping.mapping import identity_mapping
 from repro.mapping.random_mapper import random_mapping
 from repro.search.api import optimize
@@ -252,6 +252,11 @@ class TestZeroBandwidthValidation:
             evaluate_mapping(mapping, BrokenSpec(HARDWARE))
 
 
+def round_mapping(mapping, max_spatial=None):
+    """One mapping through the production rounding kernel."""
+    return round_mapping_batch([[mapping]], max_spatial=max_spatial)[0][0]
+
+
 class TestRoundingMaxSpatial:
     def test_fractional_cap_rounds_to_nearest(self):
         layer = conv2d_layer(64, 64, 14, name="conv")
@@ -279,7 +284,7 @@ class TestRoundingMaxSpatial:
 
 class TestGpVarianceClamp:
     def test_near_duplicate_training_points_keep_std_finite(self):
-        # Near-duplicate rows drive the Cholesky-solved posterior variance
+        # Near-duplicate rows drive the solved posterior variance
         # slightly negative at the training points; the clamp must keep the
         # std (and expected improvement) finite instead of NaN.
         rng = np.random.default_rng(0)

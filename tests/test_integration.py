@@ -6,9 +6,15 @@ derivation used end to end, the CLI, and a miniature end-to-end search whose
 output is re-validated with the reference model.
 """
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     DosaSearcher,
     DosaSettings,
@@ -20,7 +26,7 @@ from repro import (
     get_network,
 )
 from repro.cli import main as cli_main
-from repro.core.dmodel import DifferentiableHardware, DifferentiableModel, LayerFactors
+from repro.core.dmodel import DifferentiableModel, MultiStartFactors
 from repro.mapping import (
     minimal_hardware_for_mapping,
     minimal_hardware_for_mappings,
@@ -40,19 +46,19 @@ class TestModelAgreement:
         layer = conv2d_layer(64, 128, 28)
         mapping = random_mapping(layer, seed=seed, max_spatial=16)
         reference = analyze_traffic(mapping)
-        factors = LayerFactors.from_mapping(mapping)
+        factors = MultiStartFactors.from_mapping_sets([[mapping]])
         grid = factors.factor_grid()
         accesses = DifferentiableModel.traffic(factors, grid)
         for level in range(4):
-            assert float(accesses[level].data) == pytest.approx(
+            assert accesses[level].data.item() == pytest.approx(
                 reference.accesses(level), rel=1e-6)
 
     def test_macs_match_layer_definition(self):
         layer = matmul_layer(512, 768, 768)
         mapping = cosa_mapping(layer, HardwareConfig(16, 32, 128))
-        factors = LayerFactors.from_mapping(mapping)
+        factors = MultiStartFactors.from_mapping_sets([[mapping]])
         macs = DifferentiableModel.total_macs(factors, factors.factor_grid())
-        assert float(macs.data) == pytest.approx(layer.macs)
+        assert macs.data.item() == pytest.approx(layer.macs)
 
     def test_derived_hardware_matches_constraint_path(self):
         config = HardwareConfig(16, 32, 128)
@@ -60,7 +66,7 @@ class TestModelAgreement:
         mappings = [cosa_mapping(layer, config) for layer in layers]
         via_constraints = minimal_hardware_for_mappings(mappings)
         via_dmodel = DifferentiableModel.derive_hardware(
-            [LayerFactors.from_mapping(m) for m in mappings]).to_config()
+            MultiStartFactors.from_mapping_sets([mappings])).to_config()
         assert via_dmodel == via_constraints
 
 
@@ -116,3 +122,24 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
+
+
+class TestPackaging:
+    def test_import_loads_no_scipy(self):
+        """``import repro`` needs NumPy only: no SciPy module gets loaded."""
+        src = Path(repro.__file__).resolve().parents[1]
+        code = ("import sys; import repro; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, text=True, timeout=120,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_setup_version_matches_package(self):
+        setup_py = Path(repro.__file__).resolve().parents[2] / "setup.py"
+        call = next(node for node in ast.walk(ast.parse(setup_py.read_text()))
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "setup")
+        version = next(keyword.value.value for keyword in call.keywords
+                       if keyword.arg == "version")
+        assert version == repro.__version__

@@ -16,13 +16,19 @@ from repro.mapping import (
     minimal_hardware_for_mappings,
     random_mapping,
     random_mapping_for_hardware,
-    round_factors_for_dimension,
-    round_mapping,
+    round_mapping_batch,
     validate_mapping,
 )
 from repro.mapping.mapping import identity_mapping, ordering_for_tensor
 from repro.workloads import LayerDims, conv2d_layer, matmul_layer
 from repro.workloads.registry import correlation_layer_pool
+
+from oracles.rounding import round_factors_for_dimension
+
+
+def round_mapping(mapping: Mapping, max_spatial: float | None = None) -> Mapping:
+    """One mapping through the production rounding kernel."""
+    return round_mapping_batch([[mapping]], max_spatial=max_spatial)[0][0]
 
 
 def fig3_layer() -> LayerDims:

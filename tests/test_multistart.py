@@ -1,13 +1,13 @@
-"""Parity of the start-batched (multi-start) model with the sequential path.
+"""Parity of the start-batched (multi-start) model with one start at a time.
 
-The ``(S, L, ...)`` :class:`MultiStartFactors` path is a pure performance
-refactor of the DOSA search schedule: start points share no graph nodes, so
-per-start losses must be *bit-identical* to single-start batched losses,
-per-start gradients must be bitwise equal rows of the stacked gradient, and
-seeded end-to-end outcomes with ``batched_starts=True`` must match the
-sequential schedule design-for-design across every loop-ordering strategy.
-The mask regression covers starts that freeze (stop descending) at different
-steps under a binding sample budget.
+The ``(S, L, ...)`` :class:`MultiStartFactors` schedule advances every start
+point in one graph, and start points share no graph nodes, so per-start
+losses must be *bit-identical* to S=1 losses, per-start gradients must be
+bitwise equal rows of the stacked gradient, and seeded end-to-end outcomes
+must match the one-start-at-a-time oracle schedule (``tests/oracles``)
+design-for-design across every loop-ordering strategy.  The mask regression
+covers starts that freeze (stop descending) at different steps under a
+binding sample budget.
 """
 
 import numpy as np
@@ -17,9 +17,7 @@ import repro
 from repro.arch import HardwareConfig
 from repro.core.dmodel import (
     DifferentiableModel,
-    LayerFactors,
     MultiStartFactors,
-    NetworkFactors,
     best_ordering_per_layer,
     network_edp_loss,
     softmax_ordering_loss,
@@ -37,6 +35,14 @@ from repro.mapping import cosa_mapping
 from repro.search.api import SearchBudget
 from repro.workloads import conv2d_layer, get_network, matmul_layer
 
+from oracles import layer_model as oracle
+from oracles.rounding import (
+    rounded_mappings_of,
+    scalar_rounded_mapping_sets,
+    snapshot_mappings,
+)
+from oracles.schedule import sequential_search
+
 CONFIG = HardwareConfig(8, 16, 64)
 NUM_STARTS = 3
 
@@ -49,7 +55,7 @@ def _layers():
 
 
 def _random_starts(seed: int, num_starts: int = NUM_STARTS):
-    """A multi-start stack plus equivalent per-start NetworkFactors clones."""
+    """A multi-start stack plus equivalent per-start S=1 clones."""
     layers = _layers()
     rng = np.random.default_rng(seed)
     mappings = [cosa_mapping(layer, CONFIG) for layer in layers]
@@ -60,9 +66,9 @@ def _random_starts(seed: int, num_starts: int = NUM_STARTS):
         0.05, 0.3, multi.log_spatial.data.shape)
     singles = []
     for start in range(num_starts):
-        factors = NetworkFactors.from_mappings(mappings)
-        factors.log_temporal.data = multi.log_temporal.data[start].copy()
-        factors.log_spatial.data = multi.log_spatial.data[start].copy()
+        factors = MultiStartFactors.from_mapping_sets([mappings])
+        factors.log_temporal.data = multi.log_temporal.data[start:start + 1].copy()
+        factors.log_spatial.data = multi.log_spatial.data[start:start + 1].copy()
         singles.append(factors)
     return multi, singles, [1, 2]
 
@@ -83,12 +89,12 @@ class TestLossParity:
             single_hw = DifferentiableModel.derive_hardware(factors, grid=single_grid)
             perf = DifferentiableModel.evaluate_network(factors, single_hw,
                                                         grid=single_grid)
-            assert float(edps.data[start]) == float(
-                network_edp_loss(perf, repeats).data)
-            assert float(penalties.data[start]) == float(
-                validity_penalty(factors, grid=single_grid).data)
-            assert float(softmaxes.data[start]) == float(
-                softmax_ordering_loss(factors, repeats).data)
+            assert float(edps.data[start]) == (
+                network_edp_loss(perf, repeats).data.item())
+            assert float(penalties.data[start]) == (
+                validity_penalty(factors, grid=single_grid).data.item())
+            assert float(softmaxes.data[start]) == (
+                softmax_ordering_loss(factors, repeats).data.item())
 
     @pytest.mark.parametrize("strategy", list(LoopOrderingStrategy))
     def test_searcher_loss_gradients_match_per_start(self, strategy):
@@ -103,9 +109,9 @@ class TestLossParity:
         for start, factors in enumerate(singles):
             searcher._loss(factors).backward()
             np.testing.assert_array_equal(multi.log_temporal.grad[start],
-                                          factors.log_temporal.grad)
+                                          factors.log_temporal.grad[0])
             np.testing.assert_array_equal(multi.log_spatial.grad[start],
-                                          factors.log_spatial.grad)
+                                          factors.log_spatial.grad[0])
 
 
 class TestActiveMask:
@@ -167,16 +173,17 @@ class TestActiveMask:
 
 class TestMultiStartFactors:
     def test_snapshots_match_per_start_network_factors(self):
+        """Start ``s`` of a stack snapshots and rounds like its S=1 clone."""
         multi, singles, _ = _random_starts(11)
         for start, factors in enumerate(singles):
-            reference = factors.snapshot_mappings()
-            snapshot = multi.snapshot_mappings_of(start)
+            reference = snapshot_mappings(factors, 0)
+            snapshot = snapshot_mappings(multi, start)
             for ours, theirs in zip(snapshot, reference):
                 np.testing.assert_array_equal(ours.temporal, theirs.temporal)
                 np.testing.assert_array_equal(ours.spatial, theirs.spatial)
                 assert ours.orderings == theirs.orderings
-            rounded = multi.rounded_mappings_of(start, max_spatial=16)
-            reference_rounded = factors.rounded_mappings(max_spatial=16)
+            [rounded] = multi.rounded_mapping_sets([start], max_spatial=16)
+            [reference_rounded] = factors.rounded_mapping_sets(max_spatial=16)
             for ours, theirs in zip(rounded, reference_rounded):
                 np.testing.assert_array_equal(ours.temporal, theirs.temporal)
                 np.testing.assert_array_equal(ours.spatial, theirs.spatial)
@@ -185,12 +192,12 @@ class TestMultiStartFactors:
         multi, _, _ = _random_starts(2)
         before_t = multi.log_temporal.data.copy()
         before_s = multi.log_spatial.data.copy()
-        rounded = multi.rounded_mappings_of(1, max_spatial=16)
+        [rounded] = multi.rounded_mapping_sets([1], max_spatial=16)
         multi.load_mapping_sets({1: rounded})
         # Start 1 snapped onto the rounded mapping, starts 0/2 untouched.
-        reference = NetworkFactors.from_mappings(rounded)
+        reference = MultiStartFactors.from_mapping_sets([rounded])
         np.testing.assert_array_equal(multi.log_temporal.data[1],
-                                      reference.log_temporal.data)
+                                      reference.log_temporal.data[0])
         for start in (0, 2):
             np.testing.assert_array_equal(multi.log_temporal.data[start],
                                           before_t[start])
@@ -203,15 +210,6 @@ class TestMultiStartFactors:
         for start in range(NUM_STARTS):
             np.testing.assert_array_equal(multi.dim_mask[start],
                                           multi.dim_sizes > 1.0)
-
-    def test_single_start_accessors_are_guarded(self):
-        multi, _, _ = _random_starts(0)
-        with pytest.raises(TypeError):
-            multi.snapshot_mappings()
-        with pytest.raises(TypeError):
-            multi.rounded_mappings()
-        with pytest.raises(TypeError):
-            multi.load_mappings([])
 
     def test_shape_validation(self):
         layers = _layers()
@@ -235,11 +233,11 @@ class TestStartPointBatching:
             [point.mappings for point in points], repeats)
         assert batched.shape == (3,)
         for start, point in enumerate(points):
-            per_layer = [LayerFactors.from_mapping(m) for m in point.mappings]
-            hardware = DifferentiableModel.derive_hardware(per_layer)
-            performances = DifferentiableModel.evaluate_network(per_layer, hardware)
+            per_layer = [oracle.LayerFactors.from_mapping(m) for m in point.mappings]
+            hardware = oracle.LayerModel.derive_hardware(per_layer)
+            performances = oracle.LayerModel.evaluate_network(per_layer, hardware)
             assert float(batched[start]) == float(
-                network_edp_loss(performances, repeats).data)
+                oracle.network_edp_loss(performances, repeats).data)
             assert float(batched[start]) == point.predicted_edp
 
     def test_stack_start_points(self):
@@ -249,9 +247,9 @@ class TestStartPointBatching:
         assert stacked.num_starts == 2
         assert stacked.layers == [m.layer for m in points[0].mappings]
         for start, point in enumerate(points):
-            reference = NetworkFactors.from_mappings(point.mappings)
+            reference = MultiStartFactors.from_mapping_sets([point.mappings])
             np.testing.assert_array_equal(stacked.log_temporal.data[start],
-                                          reference.log_temporal.data)
+                                          reference.log_temporal.data[0])
 
 
 class TestMultiStartGradcheck:
@@ -315,16 +313,12 @@ class TestMultiStartGradcheck:
 class TestEndToEndOutcome:
     @pytest.mark.parametrize("strategy", list(LoopOrderingStrategy))
     def test_seeded_outcomes_match_sequential_path(self, strategy):
-        """Same seed => same best design, batched starts vs sequential."""
-        outcomes = {}
-        for batched_starts in (False, True):
-            settings = DosaSettings(num_start_points=2, gd_steps=24,
-                                    rounding_period=8, seed=0,
-                                    batched_starts=batched_starts,
-                                    ordering_strategy=strategy)
-            outcomes[batched_starts] = repro.optimize("bert", strategy="dosa",
-                                                      settings=settings)
-        sequential, batched = outcomes[False], outcomes[True]
+        """Same seed => same best design, batched starts vs one at a time."""
+        settings = DosaSettings(num_start_points=2, gd_steps=24,
+                                rounding_period=8, seed=0,
+                                ordering_strategy=strategy)
+        batched = repro.optimize("bert", strategy="dosa", settings=settings)
+        sequential = sequential_search("bert", settings)
         assert batched.best_hardware == sequential.best_hardware
         for ours, theirs in zip(batched.best_mappings, sequential.best_mappings):
             np.testing.assert_array_equal(ours.temporal, theirs.temporal)
@@ -346,7 +340,7 @@ class TestBatchedRoundingWalk:
         multi, _, _ = _random_starts(5)
         batched_sets = multi.rounded_mapping_sets(max_spatial=16)
         for start, rounded_set in enumerate(batched_sets):
-            reference = multi.rounded_mappings_of(start, max_spatial=16)
+            reference = rounded_mappings_of(multi, start, max_spatial=16)
             for ours, theirs in zip(rounded_set, reference):
                 np.testing.assert_array_equal(ours.temporal, theirs.temporal)
                 np.testing.assert_array_equal(ours.spatial, theirs.spatial)
@@ -357,38 +351,52 @@ class TestBatchedRoundingWalk:
         subset = multi.rounded_mapping_sets(starts=[2, 0], max_spatial=16)
         assert len(subset) == 2
         for rounded_set, start in zip(subset, (2, 0)):
-            reference = multi.rounded_mappings_of(start, max_spatial=16)
+            reference = rounded_mappings_of(multi, start, max_spatial=16)
             for ours, theirs in zip(rounded_set, reference):
                 np.testing.assert_array_equal(ours.temporal, theirs.temporal)
         with pytest.raises(ValueError):
             multi.rounded_mapping_sets(starts=[NUM_STARTS])
 
     def test_batched_reselection_matches_per_start(self):
-        """One (3, S, L) ordering pass decides exactly like S (3, L) passes."""
+        """One (3, S, L) ordering pass decides exactly like S per-layer scans."""
         multi, _, _ = _random_starts(9)
         rounded_sets = multi.rounded_mapping_sets(max_spatial=16)
         batched = best_ordering_per_layer(
             MultiStartFactors.from_mapping_sets(rounded_sets))
         per_start = [
-            best_ordering_per_layer(NetworkFactors.from_mappings(rounded))
+            best_ordering_per_layer(MultiStartFactors.from_mapping_sets([rounded]))[0]
             for rounded in rounded_sets
         ]
         assert batched == per_start
+        per_layer_scans = [
+            oracle.best_ordering_per_layer(
+                [oracle.LayerFactors.from_mapping(m) for m in rounded])
+            for rounded in rounded_sets
+        ]
+        assert batched == per_layer_scans
 
     @pytest.mark.parametrize("strategy", list(LoopOrderingStrategy))
     @pytest.mark.parametrize("batched_starts", [False, True])
-    def test_seeded_outcomes_match_scalar_walk(self, strategy, batched_starts):
-        """Same seed => design-identical outcome, kernel walk vs scalar walk."""
-        outcomes = {}
-        for batched_rounding in (False, True):
-            settings = DosaSettings(num_start_points=2, gd_steps=24,
-                                    rounding_period=8, seed=0,
-                                    batched_starts=batched_starts,
-                                    batched_rounding=batched_rounding,
-                                    ordering_strategy=strategy)
-            outcomes[batched_rounding] = repro.optimize(
-                "bert", strategy="dosa", settings=settings)
-        scalar, batched = outcomes[False], outcomes[True]
+    def test_seeded_outcomes_match_scalar_walk(self, strategy, batched_starts,
+                                               monkeypatch):
+        """Same seed => design-identical outcome, kernel walk vs scalar walk.
+
+        ``batched_starts`` picks the schedule: all starts in one stack, or
+        one S=1 stack per start (the oracle schedule).
+        """
+        settings = DosaSettings(num_start_points=2, gd_steps=24,
+                                rounding_period=8, seed=0,
+                                ordering_strategy=strategy)
+
+        def search():
+            if batched_starts:
+                return repro.optimize("bert", strategy="dosa", settings=settings)
+            return sequential_search("bert", settings)
+
+        batched = search()
+        monkeypatch.setattr(MultiStartFactors, "rounded_mapping_sets",
+                            scalar_rounded_mapping_sets)
+        scalar = search()
         assert batched.best_hardware == scalar.best_hardware
         for ours, theirs in zip(batched.best_mappings, scalar.best_mappings):
             np.testing.assert_array_equal(ours.temporal, theirs.temporal)
@@ -396,7 +404,7 @@ class TestBatchedRoundingWalk:
             assert ours.orderings == theirs.orderings
         assert batched.best_edp == scalar.best_edp
         assert batched.total_samples == scalar.total_samples
-        # The walk changes no scheduling, only its implementation: with the
-        # same batched_starts setting the candidate *order* is identical too.
+        # The walk changes no scheduling, only its implementation: under the
+        # same schedule the candidate *order* is identical too.
         assert ([candidate.edp for candidate in batched.candidates]
                 == [candidate.edp for candidate in scalar.candidates])

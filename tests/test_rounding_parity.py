@@ -1,7 +1,8 @@
 """Property fuzz: the vectorized rounding walk is bit-identical to the oracle.
 
 The batched ``(S, L)`` integer-rounding kernel (`repro.mapping.rounding_walk`)
-must reproduce the scalar Section-5.3.2 walk (`round_mapping`) *bit for bit* —
+must reproduce the scalar Section-5.3.2 walk (`round_mapping`, kept as the
+oracle in ``tests/oracles/rounding.py``) *bit for bit* —
 divisor products, spatial caps, DRAM remainders and the EDPs of the resulting
 designs.  The corpus is seeded random fractional factor tensors over random
 layer shapes (primes, powers of two, composites), random ``max_spatial`` caps
@@ -16,11 +17,10 @@ up.  A parity suite that cannot catch a broken kernel is worse than none.
 import numpy as np
 import pytest
 
-from repro.core.dmodel.factors import MultiStartFactors, NetworkFactors
+from repro.core.dmodel.factors import MultiStartFactors
 from repro.mapping import (
     Mapping,
     minimal_hardware_for_mapping,
-    round_mapping,
     round_mapping_batch,
 )
 from repro.mapping import rounding_walk
@@ -29,6 +29,8 @@ from repro.timeloop.model import evaluate_mapping
 from repro.utils.math_utils import divisors
 from repro.workloads import LayerDims
 from repro.workloads.layer import DIMENSIONS
+
+from oracles.rounding import round_mapping, rounded_mappings_of
 
 # Primes, powers of two, and awkward composites; sizes stay small enough that
 # the scalar oracle side of the fuzz run finishes in seconds.
@@ -159,23 +161,19 @@ class TestRoundingWalkParity:
                                  max_spatial=0.5)
 
     def test_factors_routes_match_oracle(self):
-        """NetworkFactors / MultiStartFactors wiring reaches the same bits."""
+        """MultiStartFactors wiring (S=3 and S=1) reaches the same bits."""
         rng = np.random.default_rng(11)
         layers = [_random_layer(rng, index) for index in range(3)]
         sets = [[_random_fractional_mapping(rng, layer) for layer in layers]
                 for _ in range(3)]
-        multi = MultiStartFactors.from_mapping_sets(sets)
-        for start, rounded_set in enumerate(
-                multi.rounded_mapping_sets(max_spatial=16)):
-            for reference, rounded in zip(
-                    multi.rounded_mappings_of(start, max_spatial=16),
-                    rounded_set):
-                _assert_mapping_bits_equal(reference, rounded)
-        single = NetworkFactors.from_mappings(sets[0])
-        for reference, rounded in zip(
-                single.rounded_mappings(max_spatial=16, batched=False),
-                single.rounded_mappings(max_spatial=16, batched=True)):
-            _assert_mapping_bits_equal(reference, rounded)
+        for factors in (MultiStartFactors.from_mapping_sets(sets),
+                        MultiStartFactors.from_mapping_sets(sets[:1])):
+            for start, rounded_set in enumerate(
+                    factors.rounded_mapping_sets(max_spatial=16)):
+                for reference, rounded in zip(
+                        rounded_mappings_of(factors, start, max_spatial=16),
+                        rounded_set):
+                    _assert_mapping_bits_equal(reference, rounded)
 
 
 class TestMutationRegression:

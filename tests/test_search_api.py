@@ -202,7 +202,6 @@ class TestSearchTrace:
         trace.record(3, 5.0)
         assert [p.best_edp for p in trace.points] == [10.0, 10.0, 5.0]
         assert trace.best_edp_after(2) == 10.0
-        assert trace.best_after(2) == 10.0
         assert trace.final_best == 5.0
         assert trace.total_samples == 3
         assert trace.as_pairs() == [(1, 10.0), (2, 10.0), (3, 5.0)]

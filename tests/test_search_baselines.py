@@ -7,7 +7,6 @@ from repro.arch import HardwareConfig
 from repro.search import (
     BayesianSearcher,
     BayesianSettings,
-    BestSoFarTrace,
     GaussianProcessRegressor,
     RandomSearcher,
     RandomSearchSettings,
@@ -24,24 +23,6 @@ def tiny_network() -> Network:
         conv2d_layer(32, 64, 14, name="conv"),
         matmul_layer(64, 128, 256, name="fc"),
     ])
-
-
-class TestBestSoFarTrace:
-    def test_is_the_unified_trace(self):
-        # BestSoFarTrace is now an alias of the single unified SearchTrace.
-        from repro.search.api import SearchTrace
-
-        assert BestSoFarTrace is SearchTrace
-
-    def test_monotone(self):
-        trace = BestSoFarTrace()
-        trace.record(1, 10.0)
-        trace.record(2, 20.0)
-        trace.record(3, 5.0)
-        assert [p.best_edp for p in trace.points] == [10.0, 10.0, 5.0]
-        assert trace.best_after(2) == 10.0
-        assert trace.final_best == 5.0
-        assert trace.total_samples == 3
 
 
 class TestGaussianProcess:

@@ -1,5 +1,8 @@
 """Tests for design-point serialization (save/load of hardware + mappings)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,14 @@ from repro.arch import GemminiSpec, HardwareConfig
 from repro.mapping import cosa_mapping
 from repro.timeloop import evaluate_network_mappings
 from repro.utils.serialization import (
+    canonical_outcome_json,
     design_from_dict,
     design_to_dict,
     hardware_from_dict,
     hardware_to_dict,
     load_design,
+    load_outcome,
+    outcome_to_dict,
     save_design,
 )
 from repro.workloads import conv2d_layer, matmul_layer
@@ -56,3 +62,17 @@ class TestDesignSerialization:
             assert np.allclose(original.temporal, restored.temporal)
             assert np.allclose(original.spatial, restored.spatial)
             assert original.orderings == restored.orderings
+
+
+class TestOutcomesFromEarlierVersions:
+    def test_dosa_outcome_with_removed_settings_loads(self):
+        """A repro 2.5.0 DOSA outcome, whose settings carry four since-removed
+        flags, loads and re-serializes unchanged."""
+        path = Path(__file__).parent / "data" / "dosa_outcome_2.5.0.json"
+        payload = json.loads(path.read_text())
+        assert {"batched_model", "use_tape", "batched_starts",
+                "batched_rounding"} <= set(payload["settings"])
+        outcome = load_outcome(path)
+        assert outcome.settings == payload["settings"]
+        assert outcome_to_dict(outcome) == payload
+        assert canonical_outcome_json(outcome) == canonical_outcome_json(payload)

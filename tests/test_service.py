@@ -97,6 +97,19 @@ class TestJobModel:
             with pytest.raises(RequestError):
                 normalize_request(bad)
 
+    def test_rejects_unknown_settings_keys(self):
+        """A setting the strategy lacks is refused at submit, by name."""
+        stale = {"batched_starts": False}
+        for bad in (
+            {"network": "bert", "settings": stale},
+            {"network": "bert", "strategy": "random", "settings": {"seed": 1}},
+            {"kind": "campaign", "spec": {
+                "name": "stale", "workloads": ["bert"],
+                "strategies": [{"name": "dosa", "settings": stale}]}},
+        ):
+            with pytest.raises(RequestError, match="batched_starts|seed"):
+                normalize_request(bad)
+
 
 # --------------------------------------------------------------------------- #
 # End-to-end over HTTP
@@ -166,6 +179,11 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as error:
                 client.submit_search("no-such-network")
             assert error.value.status == 400
+
+            with pytest.raises(ServiceError) as error:
+                client.submit_search("bert", settings={"batched_starts": False})
+            assert error.value.status == 400
+            assert "batched_starts" in str(error.value)
 
             with pytest.raises(ServiceError) as error:
                 client.job("j-missing")
