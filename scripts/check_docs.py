@@ -10,6 +10,10 @@ exit conventions of ``repro.cli lint`` — see docs/lint.md):
   — CI must not depend on the network.
 * ``docs-anchor`` — any ``#anchor`` fragment on a markdown target matches
   one of that file's heading slugs (GitHub slug rules).
+* ``docs-symbol`` — every backticked dotted ``repro.…`` name (optionally
+  followed by ``()``) resolves: its longest importable prefix imports and
+  the rest of the name is an attribute chain off it.  Backticked command
+  lines such as ``repro.cli lint`` are not names and are skipped.
 * ``docs-quickstart`` — the code block between the
   ``--- README quickstart ---`` markers in ``examples/quickstart.py``
   appears *verbatim* inside ``README.md``, so the README example is,
@@ -24,6 +28,7 @@ Run with:  python scripts/check_docs.py [--json]
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -47,6 +52,8 @@ QUICKSTART_END = "# --- end README quickstart ---"
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+# `repro.a.b` or `repro.a.b()` as a whole code span.
+_SYMBOL_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
 
 def github_slug(heading: str) -> str:
@@ -94,6 +101,37 @@ def check_links(doc_path: str, findings: list[Finding]) -> int:
     return checked
 
 
+def resolve_symbol(name: str) -> bool:
+    """True when the longest importable prefix of ``name`` imports and the
+    rest of ``name`` is an attribute chain off it."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[split:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_symbols(doc_path: str, findings: list[Finding],
+                  root: Path = REPO_ROOT) -> int:
+    checked = 0
+    for lineno, line in enumerate((root / doc_path).read_text().splitlines(), 1):
+        for name in _SYMBOL_RE.findall(line):
+            checked += 1
+            if not resolve_symbol(name):
+                findings.append(Finding(
+                    path=doc_path, line=lineno, rule="docs-symbol",
+                    message=f"`{name}` does not resolve to a module or attribute"))
+    return checked
+
+
 def check_quickstart_snippet(findings: list[Finding]) -> None:
     example = (REPO_ROOT / QUICKSTART).read_text()
     try:
@@ -120,13 +158,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     findings: list[Finding] = []
-    links = 0
+    links = symbols = 0
     for doc_path in DOC_FILES:
         links += check_links(doc_path, findings)
+        symbols += check_symbols(doc_path, findings)
     check_quickstart_snippet(findings)
     findings.sort()
 
-    counts = {"checked_files": len(DOC_FILES), "checked_links": links}
+    counts = {"checked_files": len(DOC_FILES), "checked_links": links,
+              "checked_symbols": symbols}
     if args.json:
         sys.stdout.write(render_json(findings, **counts))
     else:

@@ -9,8 +9,9 @@ This package provides:
 * rounding of fractional factors to the nearest valid divisors (Section 5.3.2)
   as a vectorized ``(S, L)`` integer-rounding kernel over stacked factor
   tensors (:mod:`~repro.mapping.rounding_walk`),
-* a random valid mapper (used by the search baselines and the correlation and
-  surrogate-training datasets),
+* a random valid mapper that draws, builds and fit-checks a block of
+  candidate mappings at once (used by the search baselines and the
+  correlation and surrogate-training datasets),
 * a CoSA-style heuristic mapper used to seed gradient-descent start points and
   as the "constant mapper" of the Figure 9 study.
 """
@@ -35,7 +36,11 @@ from repro.mapping.constraints import (
     minimal_hardware_for_mapping,
     minimal_hardware_for_mappings,
 )
-from repro.mapping.random_mapper import random_mapping, random_mapping_for_hardware
+from repro.mapping.random_mapper import (
+    random_mapping,
+    random_mapping_for_hardware,
+    random_mappings_for_hardware,
+)
 from repro.mapping.cosa import cosa_mapping
 
 __all__ = [
@@ -55,5 +60,6 @@ __all__ = [
     "minimal_hardware_for_mappings",
     "random_mapping",
     "random_mapping_for_hardware",
+    "random_mappings_for_hardware",
     "cosa_mapping",
 ]

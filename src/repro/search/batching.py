@@ -5,13 +5,16 @@ same inner loop: sample up to N random mappings for one layer, evaluate each
 on the reference model, keep the best.  :func:`best_of_random_mappings` is
 that loop restructured around the :class:`~repro.eval.engine.EvaluationEngine`
 batch API: candidates are generated in chunks sized by the session's
-remaining sample allowance, evaluated in one engine call (cache + vectorized
-batch + optional process pool), and accounted sample-by-sample.
+remaining sample allowance, one ``generate(count)`` call per chunk (the
+block sampler :func:`~repro.mapping.random_mapper.random_mappings_for_hardware`
+draws a whole chunk at once), evaluated in one engine call (cache +
+vectorized batch + optional process pool), and accounted sample-by-sample.
 
 Semantics are preserved exactly relative to the per-sample loop:
 
-* the RNG consumption order is unchanged (one ``generate()`` call per
-  attempt), so seeded runs pick the same candidates,
+* the RNG consumption order is unchanged (a ``generate(count)`` call draws
+  what ``count`` one-candidate calls would), so seeded runs pick the same
+  candidates,
 * every requested evaluation spends one sample, cache hit or not,
 * a chunk never overshoots ``max_samples`` (the chunk size is clamped to the
   session's :meth:`~repro.search.api.SearchSession.sample_allowance`), and
@@ -40,17 +43,17 @@ def best_of_random_mappings(
     engine: EvaluationEngine,
     spec: GemminiSpec,
     attempts: int,
-    generate: Callable[[], Mapping | None],
+    generate: Callable[[int], list[Mapping | None]],
     on_evaluated: Callable[[Mapping, PerformanceResult], None] | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[Mapping | None, PerformanceResult | None]:
     """Best-of-``attempts`` random mappings for one layer, batched.
 
-    ``generate`` produces one candidate per call (or ``None`` when rejection
-    sampling fails); ``on_evaluated`` observes every evaluated pair in order
-    (the Bayesian searcher collects GP training features with it).  Returns
-    the best ``(mapping, result)`` by EDP, or ``(None, None)`` when nothing
-    was evaluated.
+    ``generate(count)`` produces ``count`` candidates, each ``None`` when
+    rejection sampling failed for it; ``on_evaluated`` observes every
+    evaluated pair in order (the Bayesian searcher collects GP training
+    features with it).  Returns the best ``(mapping, result)`` by EDP, or
+    ``(None, None)`` when nothing was evaluated.
     """
     best_mapping: Mapping | None = None
     best_result: PerformanceResult | None = None
@@ -68,11 +71,7 @@ def best_of_random_mappings(
             # Not exhausted implies samples < max_samples, so the allowance
             # is at least 1 here.
             allowance = session.sample_allowance(min(remaining, chunk_size))
-        batch: list[Mapping] = []
-        for _ in range(allowance):
-            candidate = generate()
-            if candidate is not None:
-                batch.append(candidate)
+        batch = [candidate for candidate in generate(allowance) if candidate is not None]
         remaining -= allowance
         if not batch:
             continue

@@ -31,7 +31,7 @@ from repro.eval.cache import EvaluationCache
 from repro.eval.engine import EvaluationEngine
 from repro.mapping.constraints import tensor_tile_words
 from repro.mapping.mapping import Mapping
-from repro.mapping.random_mapper import random_mapping_for_hardware
+from repro.mapping.random_mapper import random_mappings_for_hardware
 from repro.search.api import (
     CandidateDesign,
     SearchBudget,
@@ -140,8 +140,8 @@ class BayesianSearcher:
                 best_layer, best_layer_result = best_of_random_mappings(
                     session, engine, spec,
                     attempts=settings.mappings_per_layer,
-                    generate=lambda layer=layer: random_mapping_for_hardware(
-                        layer, hardware, seed=rng, max_attempts=10),
+                    generate=lambda count, layer=layer: random_mappings_for_hardware(
+                        layer, hardware, count, seed=rng, max_attempts=10),
                     on_evaluated=record_training_point,
                 )
                 if best_layer is None:
@@ -187,18 +187,14 @@ class BayesianSearcher:
             predicted_total = 0.0
             feasible = True
             for layer in self.network.layers:
-                options = []
-                option_features = []
-                for _ in range(settings.candidate_mappings_per_layer):
-                    mapping = random_mapping_for_hardware(layer, hardware, seed=rng,
-                                                          max_attempts=5)
-                    if mapping is not None:
-                        options.append(mapping)
-                        option_features.append(mapping_features(hardware, layer, mapping))
+                options = [mapping for mapping in random_mappings_for_hardware(
+                    layer, hardware, settings.candidate_mappings_per_layer,
+                    seed=rng, max_attempts=5) if mapping is not None]
                 if not options:
                     feasible = False
                     break
-                predictions = gp.predict(np.asarray(option_features))
+                predictions = gp.predict(np.asarray(
+                    [mapping_features(hardware, layer, mapping) for mapping in options]))
                 best_index = int(np.argmin(predictions))
                 candidate_mappings.append(options[best_index])
                 predicted_total += float(predictions[best_index])

@@ -84,15 +84,20 @@ class FixedHardwareMapperSearcher:
                 session.absorb_interrupt():
             for layer in self.network.layers:
 
-                def generate(layer=layer):
-                    mapping = random_mapping_for_hardware(
-                        layer, self.hardware, seed=rng, max_attempts=10)
-                    if mapping is None:
-                        # Fall back to the best mapping regardless of fit
-                        # (pessimistic but keeps the comparison defined).
-                        mapping = random_mapping(layer, seed=rng,
-                                                 max_spatial=self.hardware.pe_dim)
-                    return mapping
+                def generate(count, layer=layer):
+                    # One candidate at a time: a candidate that finds no fit
+                    # draws its fallback before the next candidate draws.
+                    mappings = []
+                    for _ in range(count):
+                        mapping = random_mapping_for_hardware(
+                            layer, self.hardware, seed=rng, max_attempts=10)
+                        if mapping is None:
+                            # Fall back to the best mapping regardless of fit
+                            # (pessimistic but keeps the comparison defined).
+                            mapping = random_mapping(layer, seed=rng,
+                                                     max_spatial=self.hardware.pe_dim)
+                        mappings.append(mapping)
+                    return mappings
 
                 best_mapping, best_result = best_of_random_mappings(
                     session, engine, spec,

@@ -21,7 +21,7 @@ from repro.arch.config import random_hardware_config
 from repro.eval.cache import EvaluationCache
 from repro.eval.engine import EvaluationEngine
 from repro.mapping.mapping import Mapping
-from repro.mapping.random_mapper import random_mapping_for_hardware
+from repro.mapping.random_mapper import random_mappings_for_hardware
 from repro.search.api import (
     CandidateDesign,
     SearchBudget,
@@ -85,8 +85,8 @@ class RandomSearcher:
                     best_layer, best_layer_result = best_of_random_mappings(
                         session, engine, spec,
                         attempts=settings.mappings_per_layer,
-                        generate=lambda layer=layer: random_mapping_for_hardware(
-                            layer, hardware, seed=rng, max_attempts=20),
+                        generate=lambda count, layer=layer: random_mappings_for_hardware(
+                            layer, hardware, count, seed=rng, max_attempts=20),
                     )
                     if best_layer is None:
                         feasible = False

@@ -12,6 +12,9 @@ formulation of the same behaviour:
   mapping at a time.
 * :mod:`oracles.schedule` — the DOSA search with one start point descended
   at a time (a loop of S=1 stacks).
+* :mod:`oracles.random_mapper` — the random mapper one candidate at a time:
+  scalar draws per prime factor and loop ordering, and a
+  ``mapping_fits_hardware`` check per attempt.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

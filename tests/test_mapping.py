@@ -1,10 +1,13 @@
 """Tests for the mapping package: representation, rounding, mappers, constraints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import HardwareConfig
+from repro.arch.config import random_hardware_config
 from repro.mapping import (
     LoopOrdering,
     Mapping,
@@ -16,13 +19,16 @@ from repro.mapping import (
     minimal_hardware_for_mappings,
     random_mapping,
     random_mapping_for_hardware,
+    random_mappings_for_hardware,
     round_mapping_batch,
     validate_mapping,
 )
 from repro.mapping.mapping import identity_mapping, ordering_for_tensor
 from repro.workloads import LayerDims, conv2d_layer, matmul_layer
+from repro.workloads.networks import NETWORK_BUILDERS, get_network
 from repro.workloads.registry import correlation_layer_pool
 
+from oracles import random_mapper as oracle_mapper
 from oracles.rounding import round_factors_for_dimension
 
 
@@ -255,6 +261,87 @@ class TestRandomMapper:
         config = HardwareConfig(1, 1, 1)
         result = random_mapping_for_hardware(layer, config, seed=1, max_attempts=1)
         assert result is None or mapping_fits_hardware(result, config)
+
+
+#: Every layer of every registry network.
+REGISTRY_LAYERS = [layer for name in NETWORK_BUILDERS for layer in get_network(name).layers]
+#: Strided layers: the stride sets the input tile the fit check sizes.
+strided_layer_strategy = st.builds(
+    dataclasses.replace, layer_strategy,
+    stride_p=st.sampled_from([1, 2, 4]), stride_q=st.sampled_from([1, 2, 4]))
+any_layer = st.one_of(st.sampled_from(REGISTRY_LAYERS), layer_strategy,
+                      strided_layer_strategy, st.just(LayerDims(name="no primes")))
+
+
+def assert_same_mapping(got: Mapping, want: Mapping) -> None:
+    assert np.array_equal(got.temporal, want.temporal)
+    assert np.array_equal(got.spatial, want.spatial)
+    assert got.orderings == want.orderings
+
+
+class TestRandomMapperParity:
+    """The block sampler against the one-candidate-at-a-time oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layer=any_layer, hardware_seed=st.integers(0, 2**32 - 1),
+           count=st.integers(0, 40), max_attempts=st.sampled_from([0, 1, 5, 10, 20, 200]),
+           randomize_orderings=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_count_oracle_calls(self, layer, hardware_seed, count, max_attempts,
+                                        randomize_orderings, seed):
+        config = random_hardware_config(seed=hardware_seed)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_mappings_for_hardware(layer, config, count, seed=rng,
+                                           max_attempts=max_attempts,
+                                           randomize_orderings=randomize_orderings)
+        want = [oracle_mapper.random_mapping_for_hardware(
+                    layer, config, seed=oracle_rng, max_attempts=max_attempts,
+                    randomize_orderings=randomize_orderings)
+                for _ in range(count)]
+        assert [m is None for m in got] == [m is None for m in want]
+        for mapping, expected in zip(got, want):
+            if mapping is not None:
+                assert_same_mapping(mapping, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer=any_layer, max_spatial=st.sampled_from([1, 2, 3, 16, 128, 15.999]),
+           randomize_orderings=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_mapping_matches_one_oracle_attempt(self, layer, max_spatial,
+                                                       randomize_orderings, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mapping = random_mapping(layer, seed=rng, max_spatial=max_spatial,
+                                 randomize_orderings=randomize_orderings)
+        assert_same_mapping(mapping, oracle_mapper.random_mapping(
+            layer, seed=oracle_rng, max_spatial=max_spatial,
+            randomize_orderings=randomize_orderings))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_returned_mappings_own_their_arrays(self):
+        mappings = random_mappings_for_hardware(conv2d_layer(64, 64, 28),
+                                                HardwareConfig(16, 32, 128), 8, seed=0)
+        for mapping in mappings:
+            assert mapping.temporal.base is None and mapping.spatial.base is None
+
+
+class TestRandomMapperArguments:
+    def test_spatial_cap_below_one_is_refused(self):
+        # No cap below 1 can be met: a spatial factor of 1 has no prime to demote.
+        with pytest.raises(ValueError, match="max_spatial"):
+            random_mapping(LayerDims(C=64, K=64), seed=0, max_spatial=0)
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="count"):
+            random_mappings_for_hardware(fig3_layer(), HardwareConfig(16, 32, 128), -1)
+
+    def test_negative_max_attempts_is_refused(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            random_mappings_for_hardware(fig3_layer(), HardwareConfig(16, 32, 128), 1,
+                                         max_attempts=-1)
+
+    def test_wrapper_refuses_negative_max_attempts(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            random_mapping_for_hardware(fig3_layer(), HardwareConfig(16, 32, 128),
+                                        max_attempts=-1)
 
 
 class TestCosaMapper:
