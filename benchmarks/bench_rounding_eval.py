@@ -6,7 +6,8 @@ measures exactly the change that addressed it: at every rounding point the
 start-batched searcher now scores **all** active starts through one
 ``EvaluationEngine.evaluate_network_sets`` call — a single stacked traffic
 analysis across S starts x L layers, even though each start derived its own
-hardware — instead of one per-start ``evaluate_network`` batch.
+hardware — instead of one per-start ``evaluate_many`` batch composed with
+``NetworkPerformance.from_layers``.
 
 Standalone CI smoke::
 
@@ -30,6 +31,7 @@ from repro.core.optimizer.dosa import DosaSearcher
 from repro.core.optimizer.startpoints import generate_start_points
 from repro.eval import EvaluationEngine
 from repro.mapping.constraints import minimal_hardware_for_mappings
+from repro.timeloop.model import NetworkPerformance
 from repro.workloads import get_network
 
 WORKLOAD = "resnet50"
@@ -58,15 +60,15 @@ def build_rounding_sets(seed: int = 0) -> list:
 
 def score_per_start(sets) -> list:
     """The pre-change shape: one engine batch per start (shared cold cache)."""
-    with EvaluationEngine() as engine:
-        return [engine.evaluate_network(mappings, hardware)
-                for mappings, hardware in sets]
+    engine = EvaluationEngine()
+    return [NetworkPerformance.from_layers(
+                engine.evaluate_many(mappings, hardware), mappings)
+            for mappings, hardware in sets]
 
 
 def score_cross_start(sets) -> list:
     """The current shape: every start in one cross-start batch (cold cache)."""
-    with EvaluationEngine() as engine:
-        return engine.evaluate_network_sets(sets)
+    return EvaluationEngine().evaluate_network_sets(sets)
 
 
 def assert_bit_identical(sets) -> None:

@@ -9,8 +9,8 @@ The package is organized bottom-up:
 * :mod:`repro.mapping` — mappings, rounding, random and CoSA-style mappers,
 * :mod:`repro.timeloop` — the iterative reference analytical model (Timeloop stand-in),
 * :mod:`repro.eval` — the fast evaluation engine over the reference model
-  (exact-result caching, vectorized batching, optional ``n_workers`` process
-  pool), used by every search strategy,
+  (exact-result caching and vectorized batching, in-process), used by every
+  search strategy,
 * :mod:`repro.core` — the differentiable model (Eq. 1-18) and the DOSA searcher,
 * :mod:`repro.search` — the unified search API (protocol, registry, budget,
   callbacks) plus the random-search and Bayesian-optimization baselines,

@@ -13,7 +13,7 @@ rounded up to 1 KB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.arch.components import (
     BYTES_PER_WORD,

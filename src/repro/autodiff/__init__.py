@@ -33,9 +33,7 @@ from repro.autodiff.ops import (
     clamp_min,
     clamp_max,
     where,
-    total_sum,
     total_prod,
-    mean,
 )
 from repro.autodiff.optim import SGD, Adam, Optimizer
 from repro.autodiff.tape import Tape, TapeError
@@ -61,9 +59,7 @@ __all__ = [
     "clamp_min",
     "clamp_max",
     "where",
-    "total_sum",
     "total_prod",
-    "mean",
     "SGD",
     "Adam",
     "Optimizer",

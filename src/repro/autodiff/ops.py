@@ -153,17 +153,6 @@ def hinge_below(x: TensorLike, threshold: float = 1.0) -> Tensor:
 # --------------------------------------------------------------------------- #
 # Reductions and combinations
 # --------------------------------------------------------------------------- #
-def total_sum(values: Iterable[TensorLike]) -> Tensor:
-    """Sum of an iterable of tensors/scalars (at least one element required)."""
-    values = [_as_tensor(v) for v in values]
-    if not values:
-        raise ValueError("total_sum of an empty sequence")
-    out = values[0]
-    for value in values[1:]:
-        out = out + value
-    return out
-
-
 def total_prod(values: Iterable[TensorLike]) -> Tensor:
     """Product of an iterable of tensors/scalars (empty product is 1.0)."""
     values = [_as_tensor(v) for v in values]
@@ -171,11 +160,6 @@ def total_prod(values: Iterable[TensorLike]) -> Tensor:
     for value in values:
         out = out * value
     return out
-
-
-def mean(values: Iterable[TensorLike]) -> Tensor:
-    values = list(values)
-    return total_sum(values) / float(len(values))
 
 
 def stack(values: Sequence[TensorLike]) -> Tensor:
@@ -296,9 +280,9 @@ def dot(a: Sequence[TensorLike] | Tensor, b: Sequence[TensorLike] | Tensor) -> T
 def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
     """Left-fold sum along ``axis``, as a single node.
 
-    Value-identical to chaining ``x[0] + x[1] + ...`` the way
-    :func:`total_sum` folds a Python list (NumPy's ``sum`` uses pairwise
-    summation, which rounds differently).  On a 1-D tensor this reduces to a
+    Value-identical to chaining ``x[0] + x[1] + ...`` as one node per
+    addition, left to right (NumPy's ``sum`` uses pairwise summation, which
+    rounds differently).  On a 1-D tensor this reduces to a
     scalar; on an ``(S, L)`` stack it reduces every row independently (the
     multi-start model folds each start's layers exactly as the per-start fold
     would).  The backward pass broadcasts the incoming gradient along the

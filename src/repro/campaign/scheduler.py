@@ -19,9 +19,9 @@ scheduler:
   outcomes (flagged, so resume re-runs them), and spills each job's new
   reference-model cache entries back to the store.
 
-Searchers inside campaign jobs always run with ``n_workers=None`` — the
-campaign shards at job granularity, so nesting another evaluation pool in
-each job would only oversubscribe the machine.
+The campaign parallelizes at job granularity only: each job's searcher
+evaluates the reference model in-process, through one vectorized
+:class:`~repro.eval.engine.EvaluationEngine` batch per query.
 """
 
 from __future__ import annotations

@@ -151,17 +151,13 @@ def _run_search(args: argparse.Namespace) -> int:
             print(f"repro.cli search: error: --fixed-hardware: {error}", file=sys.stderr)
             return 2
 
-    if args.n_workers is not None and args.n_workers < 1:
-        print("repro.cli search: error: --n-workers must be >= 1", file=sys.stderr)
-        return 2
-
     print(f"[repro] searching {args.network} with strategy {args.strategy!r} "
           f"(max_samples={args.max_samples}, max_seconds={args.max_seconds}, "
-          f"seed={args.seed}, n_workers={args.n_workers})")
+          f"seed={args.seed})")
     try:
         outcome = optimize(args.network, strategy=args.strategy, budget=budget,
                            seed=args.seed, callbacks=ProgressCallback(prefix="[repro]"),
-                           n_workers=args.n_workers, **searcher_kwargs)
+                           **searcher_kwargs)
     except KeyboardInterrupt:
         # The searchers absorb Ctrl-C and return their best-so-far outcome;
         # reaching this handler means the interrupt landed before any
@@ -437,9 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--max-seconds", type=float, default=None,
                         help="budget: max wall-clock seconds")
     search.add_argument("--seed", type=int, default=0, help="search seed")
-    search.add_argument("--n-workers", type=int, default=None,
-                        help="process-pool size for reference-model evaluation "
-                             "(default: in-process; results are identical)")
     search.add_argument("--json", metavar="PATH", default=None,
                         help="write the full SearchOutcome to PATH as JSON")
     search.add_argument("--fixed-hardware", nargs=3, type=int, default=None,

@@ -33,9 +33,9 @@ one-start-at-a-time schedule would have funded — keep descending.
 The searcher implements the unified :mod:`repro.search.api` protocol: it is
 registered as strategy ``"dosa"`` and returns a :class:`SearchOutcome` whose
 ``extras["start_points"]`` holds the generated GD start points.  Reference
-evaluations at rounding points go through one per-run
-:class:`~repro.eval.engine.EvaluationEngine` (``n_workers`` selects its
-process pool), so re-visited rounded designs are served from cache.
+evaluations at rounding points go through one per-run, in-process
+:class:`~repro.eval.engine.EvaluationEngine`, so re-visited rounded designs
+are served from cache.
 """
 
 from __future__ import annotations
@@ -139,13 +139,11 @@ class DosaSearcher:
         network: Network,
         settings: DosaSettings | None = None,
         latency_adjuster: LatencyAdjuster | None = None,
-        n_workers: int | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
         self.network = network
         self.settings = settings or DosaSettings()
         self.latency_adjuster = latency_adjuster
-        self.n_workers = n_workers
         self.cache = cache
         self._repeats = [layer.repeats for layer in network.layers]
 
@@ -170,8 +168,8 @@ class DosaSearcher:
         # across steps and start points, so repeats are common.  A shared
         # cache (e.g. from an experiment harness running several strategies)
         # persists those hits across runs.
-        with EvaluationEngine(cache=self.cache, n_workers=self.n_workers) as engine, \
-                session.absorb_interrupt():
+        engine = EvaluationEngine(cache=self.cache)
+        with session.absorb_interrupt():
             if not session.exhausted():
                 self._descend_all(start_points, session, engine)
         return session.finish(extras={"start_points": start_points})

@@ -22,7 +22,6 @@ from repro.core.dmodel.model import DifferentiableModel
 from repro.mapping.cosa import cosa_mapping
 from repro.mapping.mapping import Mapping
 from repro.utils.rng import SeedLike, make_rng
-from repro.workloads.layer import LayerDims
 from repro.workloads.networks import Network
 
 

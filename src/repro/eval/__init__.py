@@ -1,4 +1,4 @@
-"""Fast reference-model evaluation: caching, batching and parallelism.
+"""Fast reference-model evaluation: caching and batching, in-process.
 
 The reference (Timeloop-style) model in :mod:`repro.timeloop` is the
 evaluation oracle of every search strategy; this package makes querying it
@@ -8,10 +8,9 @@ cheap without changing a single result:
   ``(mapping, hardware)`` evaluations with hit/miss statistics,
 * :mod:`repro.eval.batch` — NumPy-vectorized traffic analysis for whole
   candidate batches, verified bit-identical to the scalar walk,
-* :mod:`repro.eval.parallel` — :class:`ParallelEvaluator` spreads big batches
-  over a process pool (``n_workers``),
 * :mod:`repro.eval.engine` — :class:`EvaluationEngine`, the facade the search
-  strategies use, composing all three.
+  strategies use: a cache lookup plus one vectorized batch call for the
+  misses.
 
 See ``benchmarks/bench_model_throughput.py`` for the measured speedups.
 """
@@ -23,7 +22,6 @@ from repro.eval.batch import (
 )
 from repro.eval.cache import CacheStats, EvaluationCache, mapping_fingerprint
 from repro.eval.engine import EvaluationEngine
-from repro.eval.parallel import ParallelEvaluator
 
 __all__ = [
     "BatchTraffic",
@@ -33,5 +31,4 @@ __all__ = [
     "EvaluationCache",
     "mapping_fingerprint",
     "EvaluationEngine",
-    "ParallelEvaluator",
 ]

@@ -410,10 +410,20 @@ def _results_from_traffic_batch(
     ]
 
 
+def _evaluate_batch(
+    mappings: list[Mapping], spec: "GemminiSpec | list[GemminiSpec]",
+) -> list[PerformanceResult]:
+    """Validate, analyse and score ``mappings`` on one spec or one per mapping."""
+    if not mappings:
+        return []
+    arrays = _MappingArrays.from_mappings(mappings)
+    _batch_validate(mappings, arrays)
+    traffic = batch_analyze_traffic(mappings, arrays)
+    return _results_from_traffic_batch(traffic, arrays, spec)
+
+
 def evaluate_mappings_batched(
-    mappings: list[Mapping],
-    spec: GemminiSpec | HardwareConfig,
-    check_validity: bool = True,
+    mappings: list[Mapping], spec: GemminiSpec | HardwareConfig,
 ) -> list[PerformanceResult]:
     """Batch counterpart of :func:`repro.timeloop.model.evaluate_mapping`.
 
@@ -421,19 +431,11 @@ def evaluate_mappings_batched(
     every field bit-identical to the scalar path.  All mappings are evaluated
     on the same hardware ``spec``; layers may differ between mappings.
     """
-    if not mappings:
-        return []
-    spec = as_spec(spec)
-    arrays = _MappingArrays.from_mappings(mappings)
-    if check_validity:
-        _batch_validate(mappings, arrays)
-    traffic = batch_analyze_traffic(mappings, arrays)
-    return _results_from_traffic_batch(traffic, arrays, spec)
+    return _evaluate_batch(mappings, as_spec(spec))
 
 
 def evaluate_mapping_spec_pairs(
     pairs: "list[tuple[Mapping, GemminiSpec | HardwareConfig]]",
-    check_validity: bool = True,
 ) -> list[PerformanceResult]:
     """One vectorized pass over ``(mapping, spec)`` pairs with *mixed* specs.
 
@@ -444,12 +446,5 @@ def evaluate_mapping_spec_pairs(
     bandwidth/energy rates.  Each pair's result is bit-identical to
     ``evaluate_mapping(mapping, spec)``.
     """
-    if not pairs:
-        return []
-    mappings = [mapping for mapping, _ in pairs]
-    specs = [as_spec(spec) for _, spec in pairs]
-    arrays = _MappingArrays.from_mappings(mappings)
-    if check_validity:
-        _batch_validate(mappings, arrays)
-    traffic = batch_analyze_traffic(mappings, arrays)
-    return _results_from_traffic_batch(traffic, arrays, specs)
+    return _evaluate_batch([mapping for mapping, _ in pairs],
+                           [as_spec(spec) for _, spec in pairs])

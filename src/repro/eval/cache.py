@@ -40,7 +40,7 @@ from itertools import islice
 from repro.arch.config import HardwareConfig
 from repro.arch.gemmini import GemminiSpec
 from repro.mapping.mapping import Mapping
-from repro.timeloop.model import PerformanceResult, as_spec, evaluate_mapping
+from repro.timeloop.model import PerformanceResult
 
 #: A fully-resolved cache key: (mapping fingerprint, hardware config).
 CacheKey = tuple
@@ -86,11 +86,11 @@ def mapping_fingerprint(mapping: Mapping) -> tuple:
 class EvaluationCache:
     """Memo table of reference-model results keyed on ``(mapping, hardware)``.
 
-    Wraps :func:`repro.timeloop.model.evaluate_mapping`: :meth:`evaluate` is a
-    drop-in replacement that consults the table first.  The lower-level
-    :meth:`key_for` / :meth:`get` / :meth:`store` / :meth:`record` methods let
-    the batch engine manage lookups and statistics itself (e.g. counting an
-    in-batch duplicate as a hit even though the entry is stored later).
+    The table evaluates nothing itself: :class:`~repro.eval.engine
+    .EvaluationEngine` looks entries up with :meth:`key_for` / :meth:`get`,
+    evaluates the misses in one batch, stores them with :meth:`store`, and
+    accounts each lookup with :meth:`record` (e.g. counting an in-batch
+    duplicate as a hit even though the entry is stored later).
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
@@ -128,26 +128,6 @@ class EvaluationCache:
             self.stats.hits += 1
         else:
             self.stats.misses += 1
-
-    # ------------------------------------------------------------------ #
-    # The evaluate_mapping wrapper
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self,
-        mapping: Mapping,
-        spec: GemminiSpec | HardwareConfig,
-        check_validity: bool = True,
-    ) -> PerformanceResult:
-        """:func:`evaluate_mapping` with memoization (bit-identical results)."""
-        spec = as_spec(spec)
-        key = self.key_for(mapping, spec)
-        cached = self.get(key)
-        self.record(hit=cached is not None)
-        if cached is not None:
-            return cached
-        result = evaluate_mapping(mapping, spec, check_validity=check_validity)
-        self.store(key, result)
-        return result
 
     # ------------------------------------------------------------------ #
     def items(self, start: int = 0) -> list[tuple[CacheKey, PerformanceResult]]:

@@ -35,21 +35,16 @@ def run_search(
     strategy: str,
     settings: Any = None,
     budget: SearchBudget | int | None = None,
-    n_workers: int | None = None,
     cache: EvaluationCache | None = None,
     **searcher_kwargs,
 ) -> SearchOutcome:
     """Run one registered strategy on a named workload (unified outcome).
 
-    ``n_workers`` sizes the evaluation engine's process pool for the
-    reference model (``None`` keeps evaluation in-process; results are
-    identical either way, so harness outputs do not depend on it).  ``cache``
-    lets several searches share one reference-model memo table — results are
-    bit-identical with or without it, only faster.
+    ``cache`` lets several searches share one reference-model memo table —
+    results are bit-identical with or without it, only faster.
     """
     return optimize(workload, strategy=strategy, settings=settings,
-                    budget=budget, n_workers=n_workers, cache=cache,
-                    **searcher_kwargs)
+                    budget=budget, cache=cache, **searcher_kwargs)
 
 
 def cosearch_campaign_spec(

@@ -23,7 +23,6 @@ import numpy as np
 from repro.arch.components import (
     BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
-    LEVEL_DRAM,
     LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
     MEMORY_LEVEL_INDICES,
@@ -36,7 +35,7 @@ from repro.arch.config import (
     minimal_hardware_for_requirements,
 )
 from repro.mapping.mapping import DIM_INDEX, Mapping, SPATIAL_DIMS
-from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS
+from repro.workloads.layer import DIMENSIONS
 
 
 def inner_extent(mapping: Mapping, level: int, dim: str) -> float:

@@ -19,9 +19,9 @@ invariant after gradient-descent updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping as MappingType, Sequence
+from typing import Mapping as MappingType, Sequence
 
 import numpy as np
 

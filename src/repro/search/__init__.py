@@ -16,9 +16,8 @@ strategy registry:
 
 Use :func:`repro.optimize` (or :func:`repro.search.api.optimize`) as the
 single entry point.  Every strategy queries the reference model through the
-:class:`repro.eval.EvaluationEngine` (cached + batched, optionally parallel
-via the ``n_workers`` keyword of ``optimize``/the searcher constructors);
-results are bit-identical to direct evaluation, only faster.
+:class:`repro.eval.EvaluationEngine` (cached + batched, in-process); results
+are bit-identical to direct evaluation, only faster.
 """
 
 from repro.search.api import (

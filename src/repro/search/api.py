@@ -569,7 +569,6 @@ def optimize(
     settings: Any = None,
     callbacks=None,
     seed: SeedLike | None = None,
-    n_workers: int | None = None,
     **searcher_kwargs,
 ) -> SearchOutcome:
     """Run one co-search strategy on a network and return its outcome.
@@ -578,8 +577,6 @@ def optimize(
     ``"resnet50"``, ...).  ``budget`` may be a :class:`SearchBudget` or an
     int (max samples).  ``settings`` overrides the strategy's default
     hyperparameters; when omitted, ``seed`` seeds the defaults.
-    ``n_workers`` sizes the evaluation engine's process pool (``None`` keeps
-    reference evaluation in-process; results are identical either way).
     Extra keyword arguments go to the searcher constructor (e.g.
     ``hardware=`` for the ``fixed_hw_random`` strategy, or ``cache=`` to
     share one :class:`~repro.eval.cache.EvaluationCache` across searches).
@@ -587,8 +584,6 @@ def optimize(
     if isinstance(network, str):
         network = get_network(network)
     cls = get_searcher(strategy)
-    if n_workers is not None:
-        searcher_kwargs["n_workers"] = n_workers
     if seed is not None:
         if settings is not None:
             raise TypeError("pass either settings= or seed=, not both: the seed "

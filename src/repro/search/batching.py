@@ -8,7 +8,7 @@ batch API: candidates are generated in chunks sized by the session's
 remaining sample allowance, one ``generate(count)`` call per chunk (the
 block sampler :func:`~repro.mapping.random_mapper.random_mappings_for_hardware`
 draws a whole chunk at once), evaluated in one engine call (cache +
-vectorized batch + optional process pool), and accounted sample-by-sample.
+vectorized batch, in-process), and accounted sample-by-sample.
 
 Semantics are preserved exactly relative to the per-sample loop:
 

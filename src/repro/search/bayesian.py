@@ -12,9 +12,9 @@ and mapping summary statistics (spatial parallelism, per-level tile sizes),
 which is the same information a black-box optimizer would observe.
 
 Reference evaluations (training-data collection and the final candidate
-scoring) run through the :class:`~repro.eval.engine.EvaluationEngine`, so
-repeated candidates hit the cache and batches are vectorized / optionally
-spread over ``n_workers`` processes; sample accounting is unchanged.
+scoring) run through the :class:`~repro.eval.engine.EvaluationEngine`
+in-process, so repeated candidates hit the cache and batches are vectorized;
+sample accounting is unchanged.
 
 Registered as strategy ``"bayesian"`` in the unified search API.
 """
@@ -89,28 +89,20 @@ class BayesianSearcher:
     settings_type = BayesianSettings
 
     def __init__(self, network: Network, settings: BayesianSettings | None = None,
-                 n_workers: int | None = None,
                  cache: EvaluationCache | None = None) -> None:
         self.network = network
         self.settings = settings or BayesianSettings()
-        self.n_workers = n_workers
         self.cache = cache
 
     # ------------------------------------------------------------------ #
     def search(self, budget: SearchBudget | int | None = None,
                callbacks=None) -> SearchOutcome:
-        with EvaluationEngine(cache=self.cache, n_workers=self.n_workers) as engine:
-            return self._search(engine, budget=budget, callbacks=callbacks)
-
-    def _search(self, engine: EvaluationEngine,
-                budget: SearchBudget | int | None = None,
-                callbacks=None) -> SearchOutcome:
         settings = self.settings
         rng = make_rng(settings.seed)
         session = SearchSession("bayesian", budget=budget, callbacks=callbacks,
                                 settings=settings, network=self.network)
         with session.absorb_interrupt():
-            self._run_phases(session, engine, rng)
+            self._run_phases(session, EvaluationEngine(cache=self.cache), rng)
         return session.finish()
 
     def _run_phases(self, session: SearchSession, engine: EvaluationEngine,
@@ -128,8 +120,6 @@ class BayesianSearcher:
             spec = as_spec(hardware)
             chosen: list[Mapping] = []
             per_layer: list[PerformanceResult] = []
-            total_latency = 0.0
-            total_energy = 0.0
             feasible = True
             for layer in self.network.layers:
 
@@ -149,15 +139,11 @@ class BayesianSearcher:
                     break
                 chosen.append(best_layer)
                 per_layer.append(best_layer_result)
-                total_latency += best_layer_result.latency_cycles * layer.repeats
-                total_energy += best_layer_result.energy * layer.repeats
             if feasible:
                 session.offer(CandidateDesign(
                     hardware=hardware,
                     mappings=chosen,
-                    performance=NetworkPerformance(total_latency=total_latency,
-                                                   total_energy=total_energy,
-                                                   per_layer=tuple(per_layer)),
+                    performance=NetworkPerformance.from_layers(per_layer, chosen),
                 ))
             else:
                 session.checkpoint()
@@ -208,17 +194,8 @@ class BayesianSearcher:
             spec = as_spec(hardware)
             results = engine.evaluate_many(mappings, spec)
             session.spend(len(results))
-            per_layer = []
-            total_latency = 0.0
-            total_energy = 0.0
-            for layer, result in zip(self.network.layers, results):
-                per_layer.append(result)
-                total_latency += result.latency_cycles * layer.repeats
-                total_energy += result.energy * layer.repeats
             session.offer(CandidateDesign(
                 hardware=hardware,
                 mappings=mappings,
-                performance=NetworkPerformance(total_latency=total_latency,
-                                               total_energy=total_energy,
-                                               per_layer=tuple(per_layer)),
+                performance=NetworkPerformance.from_layers(results, mappings),
             ))

@@ -59,14 +59,12 @@ class FixedHardwareMapperSearcher:
     def __init__(self, network: Network,
                  settings: FixedHardwareSettings | None = None,
                  hardware: HardwareConfig | None = None,
-                 n_workers: int | None = None,
                  cache: EvaluationCache | None = None) -> None:
         if hardware is None:
             raise TypeError("FixedHardwareMapperSearcher requires hardware=...")
         self.network = network
         self.settings = settings or FixedHardwareSettings()
         self.hardware = hardware
-        self.n_workers = n_workers
         self.cache = cache
 
     def search(self, budget: SearchBudget | int | None = None,
@@ -78,10 +76,8 @@ class FixedHardwareMapperSearcher:
         spec = as_spec(self.hardware)
         chosen: list[Mapping] = []
         per_layer = []
-        total_latency = 0.0
-        total_energy = 0.0
-        with EvaluationEngine(cache=self.cache, n_workers=self.n_workers) as engine, \
-                session.absorb_interrupt():
+        engine = EvaluationEngine(cache=self.cache)
+        with session.absorb_interrupt():
             for layer in self.network.layers:
 
                 def generate(count, layer=layer):
@@ -106,17 +102,13 @@ class FixedHardwareMapperSearcher:
                 )
                 chosen.append(best_mapping)
                 per_layer.append(best_result)
-                total_latency += best_result.latency_cycles * layer.repeats
-                total_energy += best_result.energy * layer.repeats
             # Inside the interrupt guard: a Ctrl-C mid-run leaves `chosen`
             # partial, in which case no (complete) design is ever offered and
             # finish() re-raises the KeyboardInterrupt.
             session.offer(CandidateDesign(
                 hardware=self.hardware,
                 mappings=chosen,
-                performance=NetworkPerformance(total_latency=total_latency,
-                                               total_energy=total_energy,
-                                               per_layer=tuple(per_layer)),
+                performance=NetworkPerformance.from_layers(per_layer, chosen),
             ))
         return session.finish()
 

@@ -6,9 +6,9 @@ layer, keeping the best mapping per layer.  Every reference-model evaluation
 counts as one sample, making the traces directly comparable to DOSA's.
 
 Reference evaluations run through the :class:`~repro.eval.engine
-.EvaluationEngine` (per-design candidate batches are vectorized, exact
-repeats are served from cache, and ``n_workers`` enables a process pool);
-sample accounting and seeded candidate selection are unchanged.
+.EvaluationEngine` in-process (per-design candidate batches are vectorized
+and exact repeats are served from cache); sample accounting and seeded
+candidate selection are unchanged.
 
 Registered as strategy ``"random"`` in the unified search API.
 """
@@ -55,11 +55,9 @@ class RandomSearcher:
     settings_type = RandomSearchSettings
 
     def __init__(self, network: Network, settings: RandomSearchSettings | None = None,
-                 n_workers: int | None = None,
                  cache: EvaluationCache | None = None) -> None:
         self.network = network
         self.settings = settings or RandomSearchSettings()
-        self.n_workers = n_workers
         self.cache = cache
 
     def search(self, budget: SearchBudget | int | None = None,
@@ -69,8 +67,8 @@ class RandomSearcher:
         session = SearchSession("random", budget=budget, callbacks=callbacks,
                                 settings=settings, network=self.network)
 
-        with EvaluationEngine(cache=self.cache, n_workers=self.n_workers) as engine, \
-                session.absorb_interrupt():
+        engine = EvaluationEngine(cache=self.cache)
+        with session.absorb_interrupt():
             for _ in range(settings.num_hardware_designs):
                 if session.exhausted():
                     break
@@ -78,8 +76,6 @@ class RandomSearcher:
                 spec = as_spec(hardware)
                 chosen: list[Mapping] = []
                 per_layer: list[PerformanceResult] = []
-                total_latency = 0.0
-                total_energy = 0.0
                 feasible = True
                 for layer in self.network.layers:
                     best_layer, best_layer_result = best_of_random_mappings(
@@ -93,17 +89,13 @@ class RandomSearcher:
                         break
                     chosen.append(best_layer)
                     per_layer.append(best_layer_result)
-                    total_latency += best_layer_result.latency_cycles * layer.repeats
-                    total_energy += best_layer_result.energy * layer.repeats
                 if not feasible:
                     session.checkpoint()
                     continue
                 session.offer(CandidateDesign(
                     hardware=hardware,
                     mappings=chosen,
-                    performance=NetworkPerformance(total_latency=total_latency,
-                                                   total_energy=total_energy,
-                                                   per_layer=tuple(per_layer)),
+                    performance=NetworkPerformance.from_layers(per_layer, chosen),
                 ))
 
         return session.finish()

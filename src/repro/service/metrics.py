@@ -27,7 +27,12 @@ def percentile(values: Sequence[float], q: float) -> float | None:
 
 
 class ServiceMetrics:
-    """Thread-safe counters + completed-job latency percentiles."""
+    """Thread-safe counters + completed-job latency percentiles.
+
+    A job's latency runs dispatch→done (queue wait excluded): the clock
+    starts when a dispatcher thread begins executing the job, after it has
+    left the queue.
+    """
 
     #: Completed-job latencies kept for percentile estimates; older samples
     #: age out so a long-lived daemon reports recent behaviour.

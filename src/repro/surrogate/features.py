@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.config import HardwareConfig
-from repro.mapping.mapping import DIM_INDEX, Mapping, NUM_DIMS, NUM_LEVELS, SPATIAL_DIMS
+from repro.mapping.mapping import Mapping, NUM_DIMS, NUM_LEVELS, SPATIAL_DIMS
 from repro.workloads.layer import DIMENSIONS
 
 # Layer dims (7) + strides (2) + hardware (3) + temporal factors (4x7) + spatial (2).

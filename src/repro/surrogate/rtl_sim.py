@@ -33,7 +33,7 @@ from repro.arch.components import LEVEL_DRAM, LEVEL_REGISTERS, LEVEL_SCRATCHPAD
 from repro.arch.config import HardwareConfig
 from repro.arch.gemmini import GemminiSpec
 from repro.mapping.mapping import Mapping
-from repro.timeloop.loopnest import analyze_traffic, reload_factor, tile_words
+from repro.timeloop.loopnest import analyze_traffic, tile_words
 from repro.timeloop.model import PerformanceResult, evaluate_mapping
 
 

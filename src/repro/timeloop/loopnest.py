@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.arch.components import (
-    BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
     LEVEL_DRAM,
     LEVEL_REGISTERS,
@@ -35,7 +34,7 @@ from repro.arch.components import (
     MEMORY_LEVEL_INDICES,
 )
 from repro.mapping.mapping import DIM_INDEX, Mapping
-from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS, TENSORS
+from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS
 
 _FACTOR_EPS = 1e-9
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from repro.arch.components import MEMORY_LEVELS, MEMORY_LEVEL_INDICES
 from repro.arch.config import HardwareConfig
@@ -131,6 +132,24 @@ class NetworkPerformance:
     def edp(self) -> float:
         return self.total_latency * self.total_energy
 
+    @classmethod
+    def from_layers(
+        cls, results: Sequence[PerformanceResult], mappings: Sequence[Mapping]
+    ) -> "NetworkPerformance":
+        """Compose per-layer results, one per mapping, into network totals.
+
+        Each layer's latency and energy are multiplied by its repetition
+        count and summed left to right, in layer order, so every caller that
+        composes the same layers gets bit-identical totals.
+        """
+        return cls(
+            total_latency=sum(r.latency_cycles * m.layer.repeats
+                              for r, m in zip(results, mappings)),
+            total_energy=sum(r.energy * m.layer.repeats
+                             for r, m in zip(results, mappings)),
+            per_layer=tuple(results),
+        )
+
 
 def evaluate_network_mappings(
     mappings: list[Mapping],
@@ -146,10 +165,4 @@ def evaluate_network_mappings(
     if not mappings:
         raise ValueError("evaluate_network_mappings requires at least one mapping")
     results = [evaluate_mapping(m, spec, check_validity=check_validity) for m in mappings]
-    total_latency = sum(r.latency_cycles * m.layer.repeats for r, m in zip(results, mappings))
-    total_energy = sum(r.energy * m.layer.repeats for r, m in zip(results, mappings))
-    return NetworkPerformance(
-        total_latency=total_latency,
-        total_energy=total_energy,
-        per_layer=tuple(results),
-    )
+    return NetworkPerformance.from_layers(results, mappings)

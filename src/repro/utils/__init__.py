@@ -3,7 +3,6 @@
 from repro.utils.math_utils import (
     divisors,
     prime_factorization,
-    round_to_nearest_divisor,
     geometric_mean,
     spearman_rank_correlation,
     next_power_of_two,
@@ -16,7 +15,6 @@ from repro.utils.rng import make_rng
 __all__ = [
     "divisors",
     "prime_factorization",
-    "round_to_nearest_divisor",
     "geometric_mean",
     "spearman_rank_correlation",
     "next_power_of_two",

@@ -75,26 +75,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def round_to_nearest_divisor(value: float, n: int, max_value: int | None = None) -> int:
-    """Round ``value`` to the divisor of ``n`` closest to it.
-
-    If ``max_value`` is given, only divisors <= ``max_value`` are considered
-    (there is always at least the divisor 1).  Ties round down, matching the
-    conservative rounding used when snapping tiling factors.
-    """
-    candidates = [d for d in divisors(n) if max_value is None or d <= max_value]
-    if not candidates:
-        candidates = [1]
-    best = candidates[0]
-    best_gap = abs(value - best)
-    for candidate in candidates[1:]:
-        gap = abs(value - candidate)
-        if gap < best_gap:
-            best = candidate
-            best_gap = gap
-    return best
-
-
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean of positive values; raises on empty or non-positive input."""
     values = list(values)

@@ -9,7 +9,7 @@ R = S = 1, P = 1 (or Q = 1).  Strides enter the input-size calculation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.utils.math_utils import divisors

@@ -218,14 +218,30 @@ class LayerModel(DifferentiableModel):
 # --------------------------------------------------------------------------- #
 # Per-layer losses
 # --------------------------------------------------------------------------- #
+def total_sum(values: Sequence[Tensor | float]) -> Tensor:
+    """Left fold of a Python list into a chain of one addition node each.
+
+    The production model folds the same terms with the single-node
+    :func:`repro.autodiff.ops.fold_sum`, which must match this chain value
+    for value.  At least one element is required.
+    """
+    values = [v if isinstance(v, Tensor) else Tensor(v) for v in values]
+    if not values:
+        raise ValueError("total_sum of an empty sequence")
+    out = values[0]
+    for value in values[1:]:
+        out = out + value
+    return out
+
+
 def network_edp_loss(performances: Sequence[LayerPerformance],
                      repeats: Sequence[int]) -> Tensor:
     """Equation 14: sum of layer energies x sum of layer latencies."""
     if len(performances) != len(repeats):
         raise ValueError("one repetition count is required per layer performance")
-    total_energy = ops.total_sum(
+    total_energy = total_sum(
         [perf.energy * float(rep) for perf, rep in zip(performances, repeats)])
-    total_latency = ops.total_sum(
+    total_latency = total_sum(
         [perf.latency * float(rep) for perf, rep in zip(performances, repeats)])
     return total_energy * total_latency
 
@@ -237,7 +253,7 @@ def validity_penalty(all_factors: Sequence[LayerFactors]) -> Tensor:
         for value in factors.factor_grid().values():
             if isinstance(value, Tensor):
                 terms.append(ops.relu(1.0 - value))
-    return ops.total_sum(terms)
+    return total_sum(terms)
 
 
 def ordering_candidates(factors: LayerFactors) -> list[LayerFactors]:
@@ -260,7 +276,7 @@ def softmax_ordering_loss(all_factors: Sequence[LayerFactors], repeats: Sequence
         weights = ops.softmax(1.0 / (energy_vector * latency_vector))
         weighted_energies.append((weights * energy_vector).sum() * float(rep))
         weighted_latencies.append((weights * latency_vector).sum() * float(rep))
-    return ops.total_sum(weighted_energies) * ops.total_sum(weighted_latencies)
+    return total_sum(weighted_energies) * total_sum(weighted_latencies)
 
 
 def best_ordering_per_layer(all_factors: Sequence[LayerFactors],

@@ -20,8 +20,28 @@ from repro.core.dmodel.factors import (
 )
 from repro.mapping.mapping import DIM_INDEX, Mapping, SPATIAL_DIMS
 from repro.mapping.rounding_walk import _positions_for_dim
-from repro.utils.math_utils import round_to_nearest_divisor
+from repro.utils.math_utils import divisors
 from repro.workloads.layer import DIMENSIONS
+
+
+def round_to_nearest_divisor(value: float, n: int, max_value: int | None = None) -> int:
+    """Round ``value`` to the divisor of ``n`` closest to it.
+
+    If ``max_value`` is given, only divisors <= ``max_value`` are considered
+    (there is always at least the divisor 1).  Ties round down, matching the
+    conservative rounding used when snapping tiling factors.
+    """
+    candidates = [d for d in divisors(n) if max_value is None or d <= max_value]
+    if not candidates:
+        candidates = [1]
+    best = candidates[0]
+    best_gap = abs(value - best)
+    for candidate in candidates[1:]:
+        gap = abs(value - candidate)
+        if gap < best_gap:
+            best = candidate
+            best_gap = gap
+    return best
 
 
 def round_factors_for_dimension(mapping: Mapping, dim: str, max_spatial: float | None = None) -> None:

@@ -1,10 +1,12 @@
-"""Seeded baseline searches reproduce their recorded outcomes byte for byte.
+"""Seeded searches reproduce their recorded outcomes byte for byte.
 
 ``tests/data/baseline_outcomes_3.0.0.json`` records, for each case below, the
 sha256 of the outcome's ``canonical_outcome_json`` and its best EDP, as
-repro 3.0.0 computed them.  The random mapper feeds every two-loop baseline,
-so a change to how it draws would move these outcomes; the test makes such a
-change visible.  Rewrite the fixture only for a deliberate, documented
+repro 3.0.0 computed them.  The cases pin DOSA and all three two-loop
+baselines: the random mapper feeds every baseline, and the reference model
+and its whole-network sum score every strategy, so a change to how either
+draws, evaluates or composes would move these outcomes; the test makes such
+a change visible.  Rewrite the fixture only for a deliberate, documented
 outcome change:
 
     PYTHONPATH=src python tests/test_baseline_outcomes.py --write
@@ -25,6 +27,7 @@ FIXTURE = Path(__file__).parent / "data" / "baseline_outcomes_3.0.0.json"
 def _cases() -> dict[str, dict]:
     """Case id -> keyword arguments of one ``repro.optimize`` call."""
     from repro.arch.config import HardwareConfig
+    from repro.core.optimizer.dosa import DosaSettings
     from repro.search.bayesian import BayesianSettings
     from repro.search.random_mapper_search import FixedHardwareSettings
 
@@ -44,6 +47,12 @@ def _cases() -> dict[str, dict]:
         network="bert", strategy="fixed_hw_random",
         settings=FixedHardwareSettings(mappings_per_layer=50, seed=0),
         hardware=HardwareConfig(16, 32, 128))
+    for network in ("resnet50", "bert", "gpt2_decoder"):
+        for seed in range(2):
+            cases[f"dosa/{network}/seed{seed}"] = dict(
+                network=network, strategy="dosa",
+                settings=DosaSettings(seed=seed, num_start_points=3, gd_steps=60,
+                                      rounding_period=20))
     return cases
 
 

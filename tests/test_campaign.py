@@ -161,9 +161,9 @@ class TestResultStore:
         network = get_network("bert")
         hardware = random_hardware_config(seed=0)
         mappings = [cosa_mapping(layer, hardware) for layer in network.layers]
-        with EvaluationEngine() as engine:
-            expected = engine.evaluate_many(mappings, hardware)
-            entries = engine.cache.items()
+        engine = EvaluationEngine()
+        expected = engine.evaluate_many(mappings, hardware)
+        entries = engine.cache.items()
         for entry, payload in zip(entries,
                                   (cache_entry_to_dict(*e) for e in entries)):
             key, result = cache_entry_from_dict(
@@ -176,8 +176,7 @@ class TestResultStore:
         loaded = store.load_cache()
         assert len(loaded) == len(entries)
         # A preloaded cache serves the evaluations as pure hits.
-        with EvaluationEngine(cache=loaded) as engine:
-            again = engine.evaluate_many(mappings, hardware)
+        again = EvaluationEngine(cache=loaded).evaluate_many(mappings, hardware)
         assert again == expected
         assert loaded.stats.misses == 0 and loaded.stats.hits == len(mappings)
 
@@ -495,7 +494,10 @@ class TestCampaignCli:
 # --------------------------------------------------------------------------- #
 class TestEvaluateNetworkSets:
     def test_pairs_and_sets_bit_identical_to_scalar_paths(self):
-        from repro.timeloop.model import evaluate_mapping
+        from repro.timeloop.model import (
+            evaluate_mapping,
+            evaluate_network_mappings,
+        )
         network = get_network("bert")
         sets = []
         for seed in (0, 1, 2):
@@ -503,11 +505,9 @@ class TestEvaluateNetworkSets:
             sets.append(([cosa_mapping(layer, hardware)
                           for layer in network.layers], hardware))
 
-        with EvaluationEngine() as engine:
-            batched = engine.evaluate_network_sets(sets)
+        batched = EvaluationEngine().evaluate_network_sets(sets)
         for (mappings, hardware), performance in zip(sets, batched):
-            with EvaluationEngine() as engine:
-                expected = engine.evaluate_network(mappings, hardware)
+            expected = evaluate_network_mappings(mappings, hardware)
             assert performance.total_latency == expected.total_latency
             assert performance.total_energy == expected.total_energy
             assert performance.per_layer == expected.per_layer
@@ -518,8 +518,8 @@ class TestEvaluateNetworkSets:
         network = get_network("bert")
         hardware = random_hardware_config(seed=0)
         mappings = [cosa_mapping(layer, hardware) for layer in network.layers]
-        with EvaluationEngine() as engine:
-            engine.evaluate_network_sets([(mappings, hardware),
-                                          (mappings, hardware)])
-            assert engine.stats.misses == len(mappings)
-            assert engine.stats.hits == len(mappings)
+        engine = EvaluationEngine()
+        engine.evaluate_network_sets([(mappings, hardware),
+                                      (mappings, hardware)])
+        assert engine.stats.misses == len(mappings)
+        assert engine.stats.hits == len(mappings)

@@ -1,4 +1,4 @@
-"""Tests for the evaluation engine: cache, batch parity, parallelism, fixes."""
+"""Tests for the evaluation engine: cache, batch parity, network sums, fixes."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.arch import GemminiSpec, HardwareConfig
 from repro.eval import (
     EvaluationCache,
     EvaluationEngine,
-    ParallelEvaluator,
     batch_analyze_traffic,
     evaluate_mappings_batched,
     mapping_fingerprint,
@@ -15,11 +14,9 @@ from repro.eval import (
 from repro.mapping import cosa_mapping, round_mapping_batch
 from repro.mapping.mapping import identity_mapping
 from repro.mapping.random_mapper import random_mapping
-from repro.search.api import optimize
 from repro.search.gp import GaussianProcessRegressor, expected_improvement
 from repro.timeloop import analyze_traffic, evaluate_mapping, evaluate_network_mappings
 from repro.workloads import conv2d_layer, get_network, matmul_layer
-from repro.workloads.networks import Network
 
 HARDWARE = HardwareConfig(16, 32, 128)
 SPEC = GemminiSpec(HARDWARE)
@@ -46,9 +43,11 @@ def random_corpus(count: int, seed: int = 0, max_spatial: int = 32):
 class TestEvaluationCache:
     def test_hit_returns_identical_result_and_counts(self):
         cache = EvaluationCache()
+        engine = EvaluationEngine(cache=cache)
         mapping = cosa_mapping(CORPUS_LAYERS[0], HARDWARE)
-        first = cache.evaluate(mapping, SPEC)
-        second = cache.evaluate(mapping.copy(), SPEC)  # equal but distinct object
+        [first] = engine.evaluate_many([mapping], SPEC)
+        # An equal but distinct object is served from the cache.
+        [second] = engine.evaluate_many([mapping.copy()], SPEC)
         assert second is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -56,9 +55,10 @@ class TestEvaluationCache:
 
     def test_key_distinguishes_hardware_and_factors(self):
         cache = EvaluationCache()
+        engine = EvaluationEngine(cache=cache)
         mapping = cosa_mapping(CORPUS_LAYERS[0], HARDWARE)
-        cache.evaluate(mapping, SPEC)
-        cache.evaluate(mapping, GemminiSpec(HardwareConfig(32, 64, 256)))
+        engine.evaluate_many([mapping], SPEC)
+        engine.evaluate_many([mapping], GemminiSpec(HardwareConfig(32, 64, 256)))
         other = mapping.copy()
         other.temporal[3, 0] *= 1.0  # unchanged -> same fingerprint
         assert mapping_fingerprint(other) == mapping_fingerprint(mapping)
@@ -73,13 +73,14 @@ class TestEvaluationCache:
 
     def test_lru_eviction(self):
         cache = EvaluationCache(max_entries=2)
+        engine = EvaluationEngine(cache=cache)
         mappings = [cosa_mapping(layer, HARDWARE) for layer in CORPUS_LAYERS[:3]]
         for mapping in mappings:
-            cache.evaluate(mapping, SPEC)
+            engine.evaluate_many([mapping], SPEC)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The oldest entry was evicted; re-evaluating it is a miss.
-        cache.evaluate(mappings[0], SPEC)
+        engine.evaluate_many([mappings[0]], SPEC)
         assert cache.stats.misses == 4
 
     def test_rejects_bad_max_entries(self):
@@ -140,33 +141,6 @@ class TestBatchParityWithReference:
                 == evaluate_mapping(corpus[0], SPEC).edp)
 
 
-class TestParallelEvaluator:
-    def test_results_match_serial(self):
-        corpus = random_corpus(40, seed=5)
-        serial = evaluate_mappings_batched(corpus, SPEC)
-        with ParallelEvaluator(n_workers=2, min_chunk_size=8) as pool:
-            parallel = pool.evaluate_many(corpus, SPEC)
-        assert len(parallel) == len(serial)
-        for a, b in zip(serial, parallel):
-            assert a.latency_cycles == b.latency_cycles
-            assert a.energy == b.energy
-            assert a.accesses == b.accesses
-
-    def test_small_batches_stay_in_process(self):
-        corpus = random_corpus(4, seed=6)
-        pool = ParallelEvaluator(n_workers=2, min_chunk_size=16)
-        try:
-            results = pool.evaluate_many(corpus, SPEC)
-            assert pool._executor is None  # never spawned
-            assert results[0].edp == evaluate_mapping(corpus[0], SPEC).edp
-        finally:
-            pool.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelEvaluator(n_workers=0)
-
-
 class TestEvaluationEngine:
     def test_in_batch_duplicates_are_hits(self):
         corpus = random_corpus(10, seed=7)
@@ -185,60 +159,27 @@ class TestEvaluationEngine:
         assert engine.stats.hits == 6
         assert all(a is b for a, b in zip(first, second))
 
-    def test_single_evaluate_shares_cache_with_batches(self):
-        corpus = random_corpus(3, seed=9)
-        engine = EvaluationEngine()
-        engine.evaluate_many(corpus, SPEC)
-        assert engine.evaluate(corpus[1], SPEC) is not None
-        assert engine.stats.hits == 1
-
     def test_evaluate_network_matches_scalar_helper(self):
         network = get_network("bert")
         mappings = [cosa_mapping(layer, HARDWARE) for layer in network.layers]
+        other = HardwareConfig(32, 64, 256)
         engine = EvaluationEngine()
-        composed = engine.evaluate_network(mappings, SPEC)
-        reference = evaluate_network_mappings(mappings, SPEC)
-        assert composed.total_latency == reference.total_latency
-        assert composed.total_energy == reference.total_energy
-        assert composed.edp == reference.edp
+        composed = engine.evaluate_network_sets([(mappings, SPEC),
+                                                 (mappings, other)])
+        for performance, spec in zip(composed, (SPEC, other)):
+            reference = evaluate_network_mappings(mappings, spec)
+            assert performance.total_latency == reference.total_latency
+            assert performance.total_energy == reference.total_energy
+            assert performance.edp == reference.edp
+            assert performance.per_layer == reference.per_layer
 
     def test_evaluate_network_requires_mappings(self):
+        mappings = [cosa_mapping(CORPUS_LAYERS[0], HARDWARE)]
+        engine = EvaluationEngine()
         with pytest.raises(ValueError):
-            EvaluationEngine().evaluate_network([], SPEC)
-
-    def test_parallel_engine_results_identical(self):
-        corpus = random_corpus(80, seed=10)
-        serial = EvaluationEngine().evaluate_many(corpus, SPEC)
-        with EvaluationEngine(n_workers=2) as engine:
-            parallel = engine.evaluate_many(corpus, SPEC)
-        for a, b in zip(serial, parallel):
-            assert a.latency_cycles == b.latency_cycles
-            assert a.energy == b.energy
-
-
-class TestSearchersThroughEngine:
-    def tiny_network(self):
-        return Network(name="tiny", layers=[
-            conv2d_layer(16, 32, 7, name="conv"),
-            matmul_layer(32, 64, 64, name="fc"),
-        ])
-
-    def test_optimize_accepts_n_workers(self):
-        outcome = optimize(self.tiny_network(), "random", budget=40, seed=0,
-                           n_workers=2)
-        assert outcome.best_edp > 0
-        assert outcome.total_samples <= 40 + 2
-
-    def test_n_workers_does_not_change_the_outcome(self):
-        from repro.search import RandomSearchSettings
-
-        settings = lambda: RandomSearchSettings(num_hardware_designs=2,
-                                                mappings_per_layer=30, seed=3)
-        serial = optimize(self.tiny_network(), "random", settings=settings())
-        pooled = optimize(self.tiny_network(), "random", settings=settings(),
-                          n_workers=2)
-        assert pooled.best_edp == serial.best_edp
-        assert pooled.trace.as_pairs() == serial.trace.as_pairs()
+            engine.evaluate_network_sets([(mappings, SPEC), ([], SPEC)])
+        # Refused before any lookup: the cache and its stats are untouched.
+        assert len(engine.cache) == 0 and engine.stats.requests == 0
 
 
 class TestZeroBandwidthValidation:

@@ -15,10 +15,11 @@ from repro.utils import (
     make_rng,
     next_power_of_two,
     prime_factorization,
-    round_to_nearest_divisor,
     round_up_to_multiple,
     spearman_rank_correlation,
 )
+
+from oracles.rounding import round_to_nearest_divisor
 
 
 class TestCeilDiv:
