@@ -1,8 +1,9 @@
 """Fast reference-model evaluation: caching and batching, in-process.
 
-The reference (Timeloop-style) model in :mod:`repro.timeloop` is the
-evaluation oracle of every search strategy; this package makes querying it
-cheap without changing a single result:
+Every search strategy, experiment and surrogate model scores mappings here,
+with results bit-identical to the scalar reference (Timeloop-style) model in
+:mod:`repro.timeloop`, which the tests and the benchmark re-score against;
+this package makes that scoring cheap without changing a single result:
 
 * :mod:`repro.eval.cache` — :class:`EvaluationCache` memoizes
   ``(mapping, hardware)`` evaluations with hit/miss statistics,

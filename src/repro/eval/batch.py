@@ -1,12 +1,13 @@
 """Vectorized (NumPy) batch traffic analysis, bit-identical to the scalar walk.
 
-:mod:`repro.timeloop.loopnest` analyses one mapping at a time with Python
-loops over levels, dimensions and tensors; at a few dozen microseconds per
-mapping that is the throughput ceiling of every search strategy.  This module
-computes the identical quantities — integer tile sizes, loop-order-aware
-reload factors, distinct-tile counts, spatial broadcast/reduction products and
-the per-level read/write/update tables — for a whole *batch* of mappings with
+The reference model, :mod:`repro.timeloop`, analyses one mapping at a time
+with Python loops over levels, dimensions and tensors.  This module computes
+the identical quantities — integer tile sizes (from the tile-word kernel
+:func:`repro.mapping.constraints.tile_word_arrays`), loop-order-aware reload
+factors, distinct-tile counts, spatial broadcast/reduction products and the
+per-level read/write/update tables — for a whole *batch* of mappings with
 array operations, so the per-mapping Python overhead is paid once per batch.
+It is how every caller outside :mod:`repro.timeloop` scores mappings.
 
 Bit-identity with the scalar path is a hard guarantee, not an approximation:
 every factor is an integer represented exactly in float64 and every
@@ -37,7 +38,13 @@ from repro.arch.components import (
 )
 from repro.arch.config import HardwareConfig
 from repro.arch.gemmini import GemminiSpec
-from repro.mapping.constraints import validate_mapping
+from repro.mapping.constraints import (
+    FACTOR_EPS,
+    TOLERANCE,
+    factor_stacks,
+    tile_word_arrays,
+    validate_mapping,
+)
 from repro.mapping.mapping import (
     DIM_INDEX,
     LoopOrdering,
@@ -46,7 +53,6 @@ from repro.mapping.mapping import (
     ordering_for_tensor,
 )
 from repro.timeloop.accelergy import DRAM_BLOCK_WORDS
-from repro.timeloop.loopnest import TrafficBreakdown, _FACTOR_EPS
 from repro.timeloop.model import PerformanceResult, as_spec
 from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS, TENSORS
 
@@ -83,41 +89,17 @@ class _MappingArrays:
 
     @staticmethod
     def from_mappings(mappings: list[Mapping]) -> "_MappingArrays":
+        temporal, spatial, stride_p, stride_q = factor_stacks(mappings)
         return _MappingArrays(
-            temporal=np.stack([m.temporal for m in mappings]),
-            spatial=np.stack([m.spatial for m in mappings]),
+            temporal=temporal,
+            spatial=spatial,
             ordering_idx=np.array(
                 [[_ORDERING_INDEX[o] for o in m.orderings] for m in mappings],
                 dtype=np.intp,
             ),
-            stride_p=np.array([m.layer.stride_p for m in mappings], dtype=np.float64),
-            stride_q=np.array([m.layer.stride_q for m in mappings], dtype=np.float64),
+            stride_p=stride_p,
+            stride_q=stride_q,
         )
-
-
-def _inner_extents(arrays: _MappingArrays, level: int) -> np.ndarray:
-    """(B, dims) integer extents inside the level tile (ceiling semantics)."""
-    extent = arrays.spatial.prod(axis=1)
-    if level > 0:
-        extent = extent * arrays.temporal[:, :level, :].prod(axis=1)
-    return np.maximum(1.0, np.ceil(extent - _FACTOR_EPS))
-
-
-def _tile_words(arrays: _MappingArrays, inner: np.ndarray, tensor: str) -> np.ndarray:
-    """(B,) words of ``tensor`` resident at the level ``inner`` was built for."""
-    col = _DIM_COLS
-    if tensor == "W":
-        return (inner[:, col["R"]] * inner[:, col["S"]]
-                * inner[:, col["C"]] * inner[:, col["K"]])
-    if tensor == "O":
-        return (inner[:, col["P"]] * inner[:, col["Q"]]
-                * inner[:, col["K"]] * inner[:, col["N"]])
-    if tensor == "I":
-        words = inner[:, col["C"]] * inner[:, col["N"]]
-        height = arrays.stride_p * (inner[:, col["P"]] - 1.0) + inner[:, col["R"]]
-        width = arrays.stride_q * (inner[:, col["Q"]] - 1.0) + inner[:, col["S"]]
-        return words * height * width
-    raise KeyError(f"unknown tensor {tensor!r}")
 
 
 def _reload_factors(arrays: _MappingArrays, level: int, tensor: str) -> np.ndarray:
@@ -139,7 +121,7 @@ def _reload_factors(arrays: _MappingArrays, level: int, tensor: str) -> np.ndarr
     factors = np.concatenate(factor_segments, axis=1)
     relevant = np.concatenate(relevant_segments, axis=1)
 
-    active = factors > 1.0 + _FACTOR_EPS
+    active = factors > 1.0 + FACTOR_EPS
     relevant_active = active & relevant
     # seen_relevant *before* each position: a relevant active factor occurred
     # strictly earlier in the walk.
@@ -170,8 +152,8 @@ class BatchTraffic:
     """Per-level/per-tensor traffic of a batch, as (B,)-shaped arrays.
 
     ``reads``/``writes``/``updates`` mirror the dict layout (and insertion
-    order) of the scalar :class:`TrafficBreakdown`, with arrays in place of
-    scalars; :meth:`breakdown` extracts one mapping's scalar view.
+    order) of the reference model's ``TrafficBreakdown``, with arrays in
+    place of scalars.
     """
 
     macs: np.ndarray
@@ -181,22 +163,6 @@ class BatchTraffic:
 
     def __len__(self) -> int:
         return len(self.macs)
-
-    def breakdown(self, index: int) -> TrafficBreakdown:
-        """Scalar :class:`TrafficBreakdown` of mapping ``index``.
-
-        Tables are populated in the exact insertion order of
-        :func:`analyze_traffic` so downstream dict-value sums are performed in
-        the same sequence and stay bit-identical.
-        """
-        breakdown = TrafficBreakdown(macs=float(self.macs[index]))
-        for source, target in ((self.reads, breakdown.reads),
-                               (self.writes, breakdown.writes),
-                               (self.updates, breakdown.updates)):
-            for level in MEMORY_LEVEL_INDICES:
-                target[level] = {tensor: float(values[index])
-                                 for tensor, values in source.get(level, {}).items()}
-        return breakdown
 
     def per_level_accesses(self) -> np.ndarray:
         """(B, levels) access totals, summed in the scalar path's order."""
@@ -227,29 +193,28 @@ def batch_analyze_traffic(
         arrays = _MappingArrays.from_mappings(mappings)
     macs = _total_macs(arrays)
 
-    inner_registers = _inner_extents(arrays, LEVEL_REGISTERS)
-    inner_accumulator = _inner_extents(arrays, LEVEL_ACCUMULATOR)
-    inner_scratchpad = _inner_extents(arrays, LEVEL_SCRATCHPAD)
+    tiles = tile_word_arrays(arrays.temporal, arrays.spatial,
+                             arrays.stride_p, arrays.stride_q)
 
     spatial_c = arrays.spatial[:, LEVEL_ACCUMULATOR, _DIM_COLS["C"]]
     spatial_k = arrays.spatial[:, LEVEL_SCRATCHPAD, _DIM_COLS["K"]]
 
     # ---- Weights: registers <- scratchpad <- DRAM ---------------------- #
-    writes_w_registers = (_tile_words(arrays, inner_registers, "W")
+    writes_w_registers = (tiles["W"][:, LEVEL_REGISTERS]
                           * _reload_factors(arrays, LEVEL_REGISTERS, "W"))
-    writes_w_scratchpad = (_tile_words(arrays, inner_scratchpad, "W")
+    writes_w_scratchpad = (tiles["W"][:, LEVEL_SCRATCHPAD]
                            * _reload_factors(arrays, LEVEL_SCRATCHPAD, "W"))
     reads_w_registers = macs / _spatial_irrelevant(arrays, LEVEL_REGISTERS, "W")
     reads_w_scratchpad = (writes_w_registers
                           / _spatial_irrelevant(arrays, LEVEL_SCRATCHPAD, "W"))
 
     # ---- Inputs: scratchpad <- DRAM ------------------------------------ #
-    writes_i_scratchpad = (_tile_words(arrays, inner_scratchpad, "I")
+    writes_i_scratchpad = (tiles["I"][:, LEVEL_SCRATCHPAD]
                            * _reload_factors(arrays, LEVEL_SCRATCHPAD, "I"))
     reads_i_scratchpad = macs / np.maximum(spatial_k, 1.0)
 
     # ---- Outputs: accumulator <-> DRAM --------------------------------- #
-    output_tile = _tile_words(arrays, inner_accumulator, "O")
+    output_tile = tiles["O"][:, LEVEL_ACCUMULATOR]
     reloads_o = _reload_factors(arrays, LEVEL_ACCUMULATOR, "O")
     distinct_o = _distinct_tiles(arrays, LEVEL_ACCUMULATOR, "O")
     drains = output_tile * reloads_o
@@ -287,7 +252,6 @@ def _batch_validate(mappings: list[Mapping], arrays: _MappingArrays) -> None:
     violating mapping the scalar validator produces the canonical error text,
     so batch and scalar paths raise identical exceptions.
     """
-    tolerance = 1e-6
     expected = np.array([[m.layer.dim(d) for d in DIMENSIONS] for m in mappings],
                         dtype=np.float64)
     products = arrays.temporal.prod(axis=1) * arrays.spatial.prod(axis=1)
@@ -296,12 +260,12 @@ def _batch_validate(mappings: list[Mapping], arrays: _MappingArrays) -> None:
         ws_forbidden[level, DIM_INDEX[dim]] = False
 
     suspect = (
-        (arrays.temporal < 1.0 - tolerance).any(axis=(1, 2))
-        | (arrays.spatial < 1.0 - tolerance).any(axis=(1, 2))
+        (arrays.temporal < 1.0 - TOLERANCE).any(axis=(1, 2))
+        | (arrays.spatial < 1.0 - TOLERANCE).any(axis=(1, 2))
         | (np.abs(arrays.temporal - np.round(arrays.temporal)) > 1e-9).any(axis=(1, 2))
         | (np.abs(arrays.spatial - np.round(arrays.spatial)) > 1e-9).any(axis=(1, 2))
-        | (arrays.spatial[:, ws_forbidden] > 1.0 + tolerance).any(axis=1)
-        | (np.abs(products - expected) > tolerance * np.maximum(expected, 1.0)).any(axis=1)
+        | (arrays.spatial[:, ws_forbidden] > 1.0 + TOLERANCE).any(axis=1)
+        | (np.abs(products - expected) > TOLERANCE * np.maximum(expected, 1.0)).any(axis=1)
     )
     # Only suspect rows pay for the scalar validator, which produces the
     # canonical error message (identical to the evaluate_mapping path).

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.arch.config import HardwareConfig
 from repro.core.optimizer import DosaSearcher, DosaSettings
+from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
 from repro.surrogate.combined import (
     AnalyticalLatencyModel,
@@ -58,20 +59,19 @@ def build_dosa_samples(
         settings = DosaSettings(num_start_points=1, gd_steps=gd_steps,
                                 rounding_period=rounding_period,
                                 fixed_pe_dim=GEMMINI_RTL_HARDWARE.pe_dim, seed=seed)
-        result = DosaSearcher(network, settings).search()
-        for mapping in result.best.mappings:
-            from repro.arch.gemmini import GemminiSpec
-            from repro.timeloop.model import evaluate_mapping
-
-            analytical = evaluate_mapping(mapping, GemminiSpec(GEMMINI_RTL_HARDWARE),
-                                          check_validity=False).latency_cycles
-            samples.append(LatencySample(
+        mappings = DosaSearcher(network, settings).search().best.mappings
+        analytical = evaluate_mappings_batched(mappings, GEMMINI_RTL_HARDWARE)
+        rtl = simulator.latencies(mappings, GEMMINI_RTL_HARDWARE)
+        samples += [
+            LatencySample(
                 mapping=mapping,
                 hardware=GEMMINI_RTL_HARDWARE,
                 features=encode_features(mapping, GEMMINI_RTL_HARDWARE),
-                analytical_latency=analytical,
-                rtl_latency=simulator.latency(mapping, GEMMINI_RTL_HARDWARE),
-            ))
+                analytical_latency=result.latency_cycles,
+                rtl_latency=rtl_latency,
+            )
+            for mapping, result, rtl_latency in zip(mappings, analytical, rtl)
+        ]
     return samples
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.core.optimizer import DosaSearcher, DosaSettings
+from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.fig10_11_surrogate import GEMMINI_RTL_HARDWARE
 from repro.mapping.cosa import cosa_mapping
@@ -30,7 +30,7 @@ from repro.surrogate.combined import (
 from repro.surrogate.dataset import generate_dataset
 from repro.surrogate.dnn_model import TrainingSettings
 from repro.surrogate.rtl_sim import RtlSimulator
-from repro.timeloop.model import evaluate_network_mappings
+from repro.timeloop.model import NetworkPerformance
 from repro.utils.math_utils import geometric_mean
 from repro.utils.rng import SeedLike
 from repro.workloads.networks import TARGET_WORKLOAD_NAMES, get_network
@@ -50,10 +50,11 @@ class RtlDesignPoint:
 def rtl_edp(mappings: list[Mapping], hardware: HardwareConfig,
             simulator: RtlSimulator) -> float:
     """EDP with RTL-simulated latency and analytical (Accelergy-style) energy."""
-    spec = GemminiSpec(hardware)
-    analytical = evaluate_network_mappings(mappings, spec, check_validity=False)
+    analytical = NetworkPerformance.from_layers(
+        evaluate_mappings_batched(mappings, hardware), mappings)
     total_latency = sum(
-        simulator.latency(mapping, hardware) * mapping.layer.repeats for mapping in mappings
+        latency * mapping.layer.repeats
+        for latency, mapping in zip(simulator.latencies(mappings, hardware), mappings)
     )
     return total_latency * analytical.total_energy
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import random_hardware_config
-from repro.arch.gemmini import GemminiSpec
 from repro.core.dmodel import DifferentiableHardware, DifferentiableModel, MultiStartFactors
+from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
 from repro.mapping.random_mapper import random_mapping
-from repro.timeloop.model import evaluate_mapping
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.registry import correlation_layer_pool
 
@@ -48,12 +47,16 @@ def run(
 
     for _ in range(num_configs):
         config = random_hardware_config(seed=rng)
-        spec = GemminiSpec(config)
         hardware = DifferentiableHardware.from_config(config)
-        for _ in range(mappings_per_config):
-            layer = pool[int(rng.integers(len(pool)))]
-            mapping = random_mapping(layer, seed=rng, max_spatial=config.pe_dim)
-            reference = evaluate_mapping(mapping, spec)
+        mappings = [
+            random_mapping(pool[int(rng.integers(len(pool)))], seed=rng,
+                           max_spatial=config.pe_dim)
+            for _ in range(mappings_per_config)
+        ]
+        # The reference scores draw nothing, so one batch after the draws
+        # leaves the random stream as it was.
+        references = evaluate_mappings_batched(mappings, config)
+        for mapping, reference in zip(mappings, references):
             # A 1x1 stack: one start point, one layer.
             predicted = DifferentiableModel.evaluate_layer(
                 MultiStartFactors.from_mapping_sets([[mapping]]), hardware)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.gemmini import GemminiSpec
 from repro.campaign import CampaignSpec, StrategyVariant, run_campaign
 from repro.core.optimizer import DosaSettings
+from repro.eval.batch import evaluate_mappings_batched
 from repro.eval.cache import EvaluationCache
 from repro.experiments.common import ExperimentOutput, run_search
 from repro.mapping.cosa import cosa_mapping
 from repro.search.random_mapper_search import FixedHardwareSettings
-from repro.timeloop.model import evaluate_network_mappings
+from repro.timeloop.model import NetworkPerformance
 from repro.utils.math_utils import geometric_mean
 from repro.utils.rng import SeedLike
 from repro.workloads.networks import TARGET_WORKLOAD_NAMES, get_network
@@ -64,11 +64,13 @@ def _separation_columns(
     """
     network = get_network(workload)
     start = outcome.extras["start_points"][0]
-    start_performance = evaluate_network_mappings(start.mappings, GemminiSpec(start.hardware))
+    start_performance = NetworkPerformance.from_layers(
+        evaluate_mappings_batched(start.mappings, start.hardware), start.mappings)
 
     dosa_hardware = outcome.best_hardware
     cosa_on_dosa_hw = [cosa_mapping(layer, dosa_hardware) for layer in network.layers]
-    cosa_performance = evaluate_network_mappings(cosa_on_dosa_hw, GemminiSpec(dosa_hardware))
+    cosa_performance = NetworkPerformance.from_layers(
+        evaluate_mappings_batched(cosa_on_dosa_hw, dosa_hardware), cosa_on_dosa_hw)
 
     random_outcome = run_search(
         workload, "fixed_hw_random",

@@ -33,7 +33,6 @@ from repro.mapping.constraints import (
     validate_mapping,
     mapping_fits_hardware,
     capacity_requirements,
-    minimal_hardware_for_mapping,
     minimal_hardware_for_mappings,
 )
 from repro.mapping.random_mapper import (
@@ -56,7 +55,6 @@ __all__ = [
     "validate_mapping",
     "mapping_fits_hardware",
     "capacity_requirements",
-    "minimal_hardware_for_mapping",
     "minimal_hardware_for_mappings",
     "random_mapping",
     "random_mapping_for_hardware",

@@ -20,16 +20,22 @@ baseline in the Figure 9 study.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arch.components import (
     LEVEL_ACCUMULATOR,
     LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
 )
 from repro.arch.config import HardwareConfig
-from repro.mapping.constraints import tensor_tile_words
+from repro.mapping.constraints import tile_word_arrays
 from repro.mapping.mapping import DIM_INDEX, LoopOrdering, Mapping
 from repro.utils.math_utils import divisors
 from repro.workloads.layer import LayerDims
+
+#: Fraction of the scratchpad reserved for weights: the paper's CoSA setup
+#: partitions the scratchpad equally between inputs and weights.
+_WEIGHT_SHARE = 0.5
 
 
 def _largest_divisor_at_most(value: int, limit: float) -> int:
@@ -52,44 +58,33 @@ def _grow_factor(
 ) -> None:
     """Grow ``mapping.temporal[level, dim]`` as far as the capacity budgets allow.
 
-    The factor is increased through successive divisors of the remaining
-    iteration count while, for every ``(budget_level, budget_words, tensors)``
-    constraint, the combined tile of ``tensors`` at ``budget_level`` stays
-    within ``budget_words``.
+    The candidates are the divisors of the remaining iteration count from
+    the current factor up, in ascending order.  One kernel call scores them
+    all; the factor becomes the last candidate of the longest prefix for
+    which, under every ``(budget_level, budget_words, tensors)`` constraint,
+    the combined tile of ``tensors`` at ``budget_level`` stays within
+    ``budget_words`` (the first candidate that does not fit ends the growth).
     """
     j = DIM_INDEX[dim]
     remaining = int(round(mapping.layer.dim(dim) / mapping.factor_product(dim)
                           * mapping.temporal[level, j]))
-    best = int(mapping.temporal[level, j])
-    for candidate in divisors(remaining):
-        if candidate < best:
-            continue
-        mapping.temporal[level, j] = float(candidate)
-        fits = all(
-            sum(tensor_tile_words(mapping, budget_level, t) for t in tensors) <= budget_words
-            for budget_level, budget_words, tensors in constraints
-        )
-        if fits:
-            best = candidate
-        else:
-            break
-    mapping.temporal[level, j] = float(best)
+    current = int(mapping.temporal[level, j])
+    candidates = np.array([d for d in divisors(remaining) if d >= current],
+                          dtype=np.float64)
+    temporal = np.repeat(mapping.temporal[None], len(candidates), axis=0)
+    temporal[:, level, j] = candidates
+    tiles = tile_word_arrays(temporal, mapping.spatial[None],
+                             mapping.layer.stride_p, mapping.layer.stride_q)
+    fits = np.ones(len(candidates), dtype=bool)
+    for budget_level, budget_words, tensors in constraints:
+        fits &= sum(tiles[t][:, budget_level] for t in tensors) <= budget_words
+    grown = int(np.logical_and.accumulate(fits).sum())
+    if grown:
+        mapping.temporal[level, j] = candidates[grown - 1]
 
 
-def cosa_mapping(
-    layer: LayerDims,
-    config: HardwareConfig,
-    scratchpad_partition: float = 0.5,
-) -> Mapping:
-    """Produce a performant valid mapping of ``layer`` onto ``config``.
-
-    ``scratchpad_partition`` is the fraction of the scratchpad reserved for
-    weights (the paper's CoSA setup partitions the scratchpad equally between
-    inputs and weights).
-    """
-    if not (0.0 < scratchpad_partition < 1.0):
-        raise ValueError("scratchpad_partition must lie strictly between 0 and 1")
-
+def cosa_mapping(layer: LayerDims, config: HardwareConfig) -> Mapping:
+    """Produce a performant valid mapping of ``layer`` onto ``config``."""
     mapping = Mapping(layer=layer, orderings=(
         LoopOrdering.WEIGHT_STATIONARY,
         LoopOrdering.OUTPUT_STATIONARY,
@@ -118,7 +113,7 @@ def cosa_mapping(
     # 3. Fill the scratchpad: weights first (R, S and the C remainder at the
     #    accumulator's temporal level), then inputs (more P/Q reuse).  Every
     #    step keeps the combined weight + input tile within the scratchpad.
-    weight_budget = scratchpad_budget * scratchpad_partition
+    weight_budget = scratchpad_budget * _WEIGHT_SHARE
     for dim in ("R", "S", "C"):
         _grow_factor(mapping, LEVEL_ACCUMULATOR, dim, [
             (LEVEL_SCRATCHPAD, weight_budget, ("W",)),

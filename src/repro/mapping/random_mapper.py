@@ -31,13 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.arch.components import (
-    BYPASS_MATRIX,
-    LEVEL_ACCUMULATOR,
-    LEVEL_REGISTERS,
-    LEVEL_SCRATCHPAD,
-)
 from repro.arch.config import HardwareConfig
+from repro.mapping.constraints import fits_hardware_arrays
 from repro.mapping.mapping import (
     DEFAULT_ORDERINGS,
     DIM_INDEX,
@@ -58,8 +53,6 @@ _POSITIONS = np.arange(NUM_LEVELS + 1)
 _SPATIAL_POSITION = NUM_LEVELS
 #: Dimension index -> level of its spatial slot (C and K only).
 _SPATIAL_LEVEL = {DIM_INDEX[dim]: level for level, dim in SPATIAL_DIMS}
-#: The slack :func:`~repro.mapping.constraints.mapping_fits_hardware` allows.
-_FIT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,38 +124,6 @@ def _draw_attempts(
     for j, level in _SPATIAL_LEVEL.items():
         spatial[:, level, j] = factors[:, _SPATIAL_POSITION, j]
     return temporal, spatial, draws[:, plan.num_prime_draws:]
-
-
-def _fits_hardware(
-    layer: LayerDims, temporal: np.ndarray, spatial: np.ndarray,
-    config: HardwareConfig,
-) -> np.ndarray:
-    """:func:`~repro.mapping.constraints.mapping_fits_hardware` of every
-    attempt in a block.
-
-    Every factor is an integer-valued float and every tile size an integer
-    far below 2**53, so the products are exact in any order and each
-    decision is the scalar check's.
-    """
-    # inner[a, i, d]: Inner(i, d), the extent of dimension d inside the
-    # level-i tile, for the three on-chip levels.
-    inner = np.ones((len(temporal), LEVEL_SCRATCHPAD + 1, NUM_DIMS))
-    inner[:, 1:] = np.cumprod(temporal[:, :LEVEL_SCRATCHPAD], axis=1)
-    inner *= spatial.prod(axis=1)[:, None, :]
-    R, S, P, Q, C, K, N = (inner[:, :, DIM_INDEX[dim]] for dim in DIMENSIONS)
-    tiles = {
-        "W": R * S * C * K,
-        "O": P * Q * K * N,
-        "I": C * N * (layer.stride_p * (P - 1.0) + R) * (layer.stride_q * (Q - 1.0) + S),
-    }
-    fits = np.max([spatial[:, level, DIM_INDEX[dim]] for level, dim in SPATIAL_DIMS],
-                  axis=0) <= config.pe_dim + _FIT_TOLERANCE
-    for level, capacity in ((LEVEL_REGISTERS, config.register_words),
-                            (LEVEL_ACCUMULATOR, config.accumulator_words),
-                            (LEVEL_SCRATCHPAD, config.scratchpad_words)):
-        words = sum(tiles[tensor][:, level] for tensor in BYPASS_MATRIX[level])
-        fits &= words <= capacity + _FIT_TOLERANCE
-    return fits
 
 
 def _partition(
@@ -244,7 +205,8 @@ def random_mappings_for_hardware(
         temporal, spatial, orderings = _draw_attempts(
             plan, rng, len(fits) or count + count // 4 + 1, config.pe_dim)
         blocks.append((temporal, spatial, orderings))
-        fits = np.concatenate([fits, _fits_hardware(layer, temporal, spatial, config)])
+        fits = np.concatenate([fits, fits_hardware_arrays(
+            temporal, spatial, layer.stride_p, layer.stride_q, config)])
         split = _partition(fits, count, max_attempts)
     picks, used = split
     if used < len(fits):

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.components import LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD
+from repro.arch.components import LEVEL_ACCUMULATOR, LEVEL_DRAM, LEVEL_SCRATCHPAD
 from repro.arch.config import HardwareConfig, random_hardware_config
 from repro.eval.cache import EvaluationCache
 from repro.eval.engine import EvaluationEngine
-from repro.mapping.constraints import tensor_tile_words
+from repro.mapping.constraints import factor_stacks, tile_word_arrays
 from repro.mapping.mapping import Mapping
 from repro.mapping.random_mapper import random_mappings_for_hardware
 from repro.search.api import (
@@ -43,7 +43,7 @@ from repro.search.batching import best_of_random_mappings
 from repro.search.gp import GaussianProcessRegressor
 from repro.timeloop.model import NetworkPerformance, PerformanceResult, as_spec
 from repro.utils.rng import SeedLike, make_rng
-from repro.workloads.layer import DIMENSIONS, LayerDims
+from repro.workloads.layer import DIMENSIONS
 from repro.workloads.networks import Network
 
 
@@ -64,22 +64,31 @@ class BayesianSettings:
             raise ValueError("search settings must be positive")
 
 
-def mapping_features(hardware: HardwareConfig, layer: LayerDims, mapping: Mapping) -> np.ndarray:
-    """Feature vector describing a (hardware, layer, mapping) triple."""
-    hardware_features = [
-        np.log2(hardware.pe_dim),
-        np.log2(hardware.accumulator_kb),
-        np.log2(hardware.scratchpad_kb),
-    ]
-    layer_features = [np.log2(layer.dim(d)) for d in DIMENSIONS]
-    mapping_features_ = [
-        np.log2(max(mapping.spatial_product(), 1.0)),
-        np.log2(max(tensor_tile_words(mapping, LEVEL_ACCUMULATOR, "O"), 1.0)),
-        np.log2(max(tensor_tile_words(mapping, LEVEL_SCRATCHPAD, "W"), 1.0)),
-        np.log2(max(tensor_tile_words(mapping, LEVEL_SCRATCHPAD, "I"), 1.0)),
-        np.log2(max(mapping.temporal[3, :].prod(), 1.0)),
-    ]
-    return np.array(hardware_features + layer_features + mapping_features_, dtype=float)
+def mapping_features(hardware: HardwareConfig, mappings: list[Mapping]) -> np.ndarray:
+    """``(len(mappings), 15)`` features of each (hardware, layer, mapping) triple.
+
+    Log-scaled hardware parameters, then the mapping's layer dimensions, then
+    its spatial parallelism, accumulator output tile, scratchpad weight and
+    input tiles and DRAM iteration count; the tiles come from one kernel pass
+    over all ``mappings``.
+    """
+    temporal, spatial, stride_p, stride_q = factor_stacks(mappings)
+    tiles = tile_word_arrays(temporal, spatial, stride_p, stride_q)
+    hardware_features = np.log2([hardware.pe_dim, hardware.accumulator_kb,
+                                 hardware.scratchpad_kb])
+    layer_features = np.log2([[m.layer.dim(d) for d in DIMENSIONS] for m in mappings])
+    mapping_features_ = np.log2(np.maximum(np.column_stack([
+        spatial.reshape(len(mappings), -1).prod(axis=1),
+        tiles["O"][:, LEVEL_ACCUMULATOR],
+        tiles["W"][:, LEVEL_SCRATCHPAD],
+        tiles["I"][:, LEVEL_SCRATCHPAD],
+        temporal[:, LEVEL_DRAM].prod(axis=1),
+    ]), 1.0))
+    return np.column_stack([
+        np.broadcast_to(hardware_features, (len(mappings), 3)),
+        layer_features,
+        mapping_features_,
+    ])
 
 
 @register_searcher("bayesian")
@@ -120,11 +129,12 @@ class BayesianSearcher:
             spec = as_spec(hardware)
             chosen: list[Mapping] = []
             per_layer: list[PerformanceResult] = []
+            evaluated: list[Mapping] = []
             feasible = True
             for layer in self.network.layers:
 
                 def record_training_point(mapping, result, layer=layer):
-                    features.append(mapping_features(hardware, layer, mapping))
+                    evaluated.append(mapping)
                     targets.append(np.log10(result.edp * max(layer.repeats, 1)))
 
                 best_layer, best_layer_result = best_of_random_mappings(
@@ -139,6 +149,8 @@ class BayesianSearcher:
                     break
                 chosen.append(best_layer)
                 per_layer.append(best_layer_result)
+            if evaluated:
+                features.append(mapping_features(hardware, evaluated))
             if feasible:
                 session.offer(CandidateDesign(
                     hardware=hardware,
@@ -152,7 +164,7 @@ class BayesianSearcher:
             return
 
         # ---- Phase 2: fit the GP surrogate. ------------------------------ #
-        feature_matrix = np.asarray(features)
+        feature_matrix = np.concatenate(features)
         target_vector = np.asarray(targets)
         if len(feature_matrix) > settings.max_gp_points:
             keep = rng.choice(len(feature_matrix), size=settings.max_gp_points, replace=False)
@@ -179,8 +191,7 @@ class BayesianSearcher:
                 if not options:
                     feasible = False
                     break
-                predictions = gp.predict(np.asarray(
-                    [mapping_features(hardware, layer, mapping) for mapping in options]))
+                predictions = gp.predict(mapping_features(hardware, options))
                 best_index = int(np.argmin(predictions))
                 candidate_mappings.append(options[best_index])
                 predicted_total += float(predictions[best_index])

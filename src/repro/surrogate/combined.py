@@ -16,12 +16,11 @@ from typing import Protocol
 import numpy as np
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
+from repro.eval.batch import evaluate_mappings_batched
 from repro.mapping.mapping import Mapping
 from repro.surrogate.dataset import LatencySample
 from repro.surrogate.dnn_model import LatencyPredictorDNN, TrainingSettings
 from repro.surrogate.features import encode_features
-from repro.timeloop.model import evaluate_mapping
 from repro.utils.math_utils import spearman_rank_correlation
 
 
@@ -41,8 +40,8 @@ class AnalyticalLatencyModel:
     name = "analytical"
 
     def latency(self, mapping: Mapping, hardware: HardwareConfig) -> float:
-        return evaluate_mapping(mapping, GemminiSpec(hardware),
-                                check_validity=False).latency_cycles
+        [result] = evaluate_mappings_batched([mapping], hardware)
+        return result.latency_cycles
 
 
 class DnnOnlyLatencyModel:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
+from repro.eval.batch import evaluate_mappings_batched
 from repro.mapping.mapping import Mapping
 from repro.mapping.random_mapper import random_mapping
 from repro.surrogate.features import encode_features
 from repro.surrogate.rtl_sim import RtlSimulator
-from repro.timeloop.model import evaluate_mapping
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.networks import Network
 
@@ -48,27 +47,31 @@ def generate_dataset(
     simulator: RtlSimulator | None = None,
     seed: SeedLike = None,
 ) -> list[LatencySample]:
-    """Random-mapping latency dataset over the unique layers of ``networks``."""
+    """Random-mapping latency dataset over the unique layers of ``networks``.
+
+    Every mapping is drawn first; the analytical and RTL latencies are then
+    computed in one batch each.
+    """
     if samples_per_layer < 1:
         raise ValueError("samples_per_layer must be positive")
     simulator = simulator or RtlSimulator()
     rng = make_rng(seed)
-    spec = GemminiSpec(hardware)
-    samples: list[LatencySample] = []
-    for network in networks:
-        for layer in network.layers:
-            for _ in range(samples_per_layer):
-                mapping = random_mapping(layer, seed=rng, max_spatial=hardware.pe_dim)
-                analytical = evaluate_mapping(mapping, spec).latency_cycles
-                rtl = simulator.latency(mapping, hardware)
-                samples.append(LatencySample(
-                    mapping=mapping,
-                    hardware=hardware,
-                    features=encode_features(mapping, hardware),
-                    analytical_latency=analytical,
-                    rtl_latency=rtl,
-                ))
-    return samples
+    mappings = [random_mapping(layer, seed=rng, max_spatial=hardware.pe_dim)
+                for network in networks
+                for layer in network.layers
+                for _ in range(samples_per_layer)]
+    analytical = evaluate_mappings_batched(mappings, hardware)
+    rtl = simulator.latencies(mappings, hardware)
+    return [
+        LatencySample(
+            mapping=mapping,
+            hardware=hardware,
+            features=encode_features(mapping, hardware),
+            analytical_latency=result.latency_cycles,
+            rtl_latency=rtl_latency,
+        )
+        for mapping, result, rtl_latency in zip(mappings, analytical, rtl)
+    ]
 
 
 def train_test_split(

@@ -19,7 +19,9 @@ reference analytical latency:
 
 All effects are deterministic functions of the mapping and hardware so that a
 DNN trained on (features -> RTL/analytical gap) can genuinely learn them,
-which is what the paper's Sections 4.7 and 6.5 rely on.
+which is what the paper's Sections 4.7 and 6.5 rely on.  A batch of mappings
+is simulated in one pass: the analytical latency and the traffic come from
+the batch evaluator, the tile sizes from the tile-word kernel.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import numpy as np
 
 from repro.arch.components import LEVEL_DRAM, LEVEL_REGISTERS, LEVEL_SCRATCHPAD
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
+from repro.eval.batch import batch_analyze_traffic, evaluate_mappings_batched
+from repro.mapping.constraints import factor_stacks, tile_word_arrays
 from repro.mapping.mapping import Mapping
-from repro.timeloop.loopnest import analyze_traffic, tile_words
-from repro.timeloop.model import PerformanceResult, evaluate_mapping
+from repro.timeloop.model import PerformanceResult
 
 
 @dataclass(frozen=True)
@@ -62,46 +64,57 @@ class RtlSimulator:
         self.settings = settings or RtlSimSettings()
 
     # ------------------------------------------------------------------ #
+    def latencies(self, mappings: list[Mapping], hardware: HardwareConfig) -> list[float]:
+        """Simulated RTL latency in cycles of each of ``mappings`` on ``hardware``."""
+        if not mappings:
+            return []
+        analytical = evaluate_mappings_batched(mappings, hardware)
+        return self._distort(mappings, hardware, analytical).tolist()
+
     def latency(self, mapping: Mapping, hardware: HardwareConfig) -> float:
         """Simulated RTL latency in cycles for ``mapping`` on ``hardware``."""
-        spec = GemminiSpec(hardware)
-        analytical = evaluate_mapping(mapping, spec, check_validity=False)
-        return self._distort(mapping, hardware, analytical)
+        return self.latencies([mapping], hardware)[0]
 
     def latency_ratio(self, mapping: Mapping, hardware: HardwareConfig) -> float:
         """RTL latency divided by analytical latency (the quantity the DNN learns)."""
-        spec = GemminiSpec(hardware)
-        analytical = evaluate_mapping(mapping, spec, check_validity=False)
-        return self._distort(mapping, hardware, analytical) / analytical.latency_cycles
+        [analytical] = evaluate_mappings_batched([mapping], hardware)
+        [latency] = self._distort([mapping], hardware, [analytical])
+        return float(latency) / analytical.latency_cycles
 
     # ------------------------------------------------------------------ #
-    def _distort(self, mapping: Mapping, hardware: HardwareConfig,
-                 analytical: PerformanceResult) -> float:
+    def _distort(self, mappings: list[Mapping], hardware: HardwareConfig,
+                 analytical: list[PerformanceResult]) -> np.ndarray:
         settings = self.settings
-        traffic = analyze_traffic(mapping)
+        traffic = batch_analyze_traffic(mappings)
+        temporal, spatial, stride_p, stride_q = factor_stacks(mappings)
+        tiles = tile_word_arrays(temporal, spatial, stride_p, stride_q)
 
         # Systolic-array fill/drain: every reload of the stationary weights
         # into the array pays a pipeline fill proportional to the array side.
         weight_tile_loads = (traffic.writes[LEVEL_REGISTERS]["W"]
-                             / max(tile_words(mapping, LEVEL_REGISTERS, "W"), 1))
+                             / np.maximum(tiles["W"][:, LEVEL_REGISTERS], 1.0))
         fill_drain = (settings.fill_drain_cycles_per_tile * hardware.pe_dim
                       * weight_tile_loads)
 
         # DRAM burst inefficiency: short per-tensor transfers waste bursts.
-        dram_words = traffic.accesses(LEVEL_DRAM)
-        scratchpad_tile = max(tile_words(mapping, LEVEL_SCRATCHPAD, "I"), 1.0)
-        burst_utilization = min(1.0, scratchpad_tile / settings.dram_burst_words)
+        dram_words = traffic.per_level_accesses()[:, LEVEL_DRAM]
+        scratchpad_tile = np.maximum(tiles["I"][:, LEVEL_SCRATCHPAD], 1.0)
+        burst_utilization = np.minimum(1.0, scratchpad_tile / settings.dram_burst_words)
         dram_penalty = (settings.dram_inefficiency_weight
                         * (1.0 - burst_utilization)
                         * dram_words / 8.0)
 
         # Utilization-dependent stalls: poorly utilized arrays stall more.
-        utilization = min(1.0, mapping.spatial_product() / hardware.num_pes)
-        stall_penalty = settings.stall_weight * (1.0 - utilization) * analytical.compute_latency
+        utilization = np.minimum(
+            1.0, spatial.reshape(len(mappings), -1).prod(axis=1) / hardware.num_pes)
+        compute_latency = np.array([result.compute_latency for result in analytical])
+        stall_penalty = settings.stall_weight * (1.0 - utilization) * compute_latency
 
-        jitter = 1.0 + settings.jitter_amplitude * self._jitter(mapping, hardware)
-        latency = (analytical.latency_cycles + fill_drain + dram_penalty
-                   + stall_penalty + settings.fixed_overhead_cycles)
+        jitter = 1.0 + settings.jitter_amplitude * np.array(
+            [self._jitter(mapping, hardware) for mapping in mappings])
+        latency = (np.array([result.latency_cycles for result in analytical])
+                   + fill_drain + dram_penalty + stall_penalty
+                   + settings.fixed_overhead_cycles)
         return latency * jitter
 
     @staticmethod

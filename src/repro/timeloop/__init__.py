@@ -2,9 +2,9 @@
 
 The paper validates its differentiable model against Timeloop, an iterative
 program-based analytical model, and uses Timeloop/Accelergy as the evaluation
-oracle for the search baselines.  This package plays that role in the
-reproduction: an independent implementation of the per-level traffic, roofline
-latency and event-based energy analysis that
+oracle for the search baselines.  This package is the scalar statement of that
+model: an independent, one-mapping-at-a-time implementation of the per-level
+traffic, roofline latency and event-based energy analysis that
 
 * works on integral (rounded) mappings only,
 * uses integer/ceiling semantics for tile sizes, and
@@ -12,6 +12,12 @@ latency and event-based energy analysis that
 
 which is exactly the behaviour the paper cites as the source of the small
 disagreement with the differentiable model on tiny layers (Section 4.6).
+
+It is the reference that the tests and the benchmark re-score against.  The
+searches, the experiments and the surrogate models score mappings through
+the bit-identical batch evaluator, :mod:`repro.eval.batch`; the shared result
+types (:class:`PerformanceResult`, :class:`NetworkPerformance`,
+:func:`as_spec`) live here.
 """
 
 from repro.timeloop.loopnest import (

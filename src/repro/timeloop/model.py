@@ -73,22 +73,20 @@ class PerformanceResult:
 def evaluate_mapping(
     mapping: Mapping,
     spec: GemminiSpec | HardwareConfig,
-    check_validity: bool = True,
 ) -> PerformanceResult:
     """Evaluate one integral mapping on a hardware configuration.
 
     ``spec`` may be a :class:`GemminiSpec` or a bare :class:`HardwareConfig`.
-    ``check_validity`` raises if the mapping violates structural constraints
-    (it does *not* check that the mapping fits the hardware — the mapping-first
-    flow derives hardware from mappings, so capacity is a derived quantity).
+    Raises if the mapping violates structural constraints (it does *not*
+    check that the mapping fits the hardware — the mapping-first flow derives
+    hardware from mappings, so capacity is a derived quantity).
     """
     spec = as_spec(spec)
-    if check_validity:
-        problems = validate_mapping(mapping)
-        if problems:
-            raise ValueError(
-                "cannot evaluate an invalid mapping: " + "; ".join(problems)
-            )
+    problems = validate_mapping(mapping)
+    if problems:
+        raise ValueError(
+            "cannot evaluate an invalid mapping: " + "; ".join(problems)
+        )
     traffic = analyze_traffic(mapping)
     return _result_from_traffic(traffic, mapping, spec)
 
@@ -154,7 +152,6 @@ class NetworkPerformance:
 def evaluate_network_mappings(
     mappings: list[Mapping],
     spec: GemminiSpec | HardwareConfig,
-    check_validity: bool = True,
 ) -> NetworkPerformance:
     """Evaluate one mapping per unique layer and compose whole-network EDP.
 
@@ -164,5 +161,5 @@ def evaluate_network_mappings(
     spec = as_spec(spec)
     if not mappings:
         raise ValueError("evaluate_network_mappings requires at least one mapping")
-    results = [evaluate_mapping(m, spec, check_validity=check_validity) for m in mappings]
+    results = [evaluate_mapping(m, spec) for m in mappings]
     return NetworkPerformance.from_layers(results, mappings)

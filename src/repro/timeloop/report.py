@@ -109,7 +109,7 @@ class MappingReport:
 def mapping_report(mapping: Mapping, hardware: HardwareConfig) -> MappingReport:
     """Evaluate ``mapping`` on ``hardware`` and collect the per-level statistics."""
     spec = GemminiSpec(hardware)
-    result = evaluate_mapping(mapping, spec, check_validity=False)
+    result = evaluate_mapping(mapping, spec)
     traffic = analyze_traffic(mapping)
     energy = energy_breakdown(traffic, spec)
     requirements = capacity_requirements(mapping)

@@ -15,6 +15,12 @@ formulation of the same behaviour:
 * :mod:`oracles.random_mapper` — the random mapper one candidate at a time:
   scalar draws per prime factor and loop ordering, and a
   ``mapping_fits_hardware`` check per attempt.
+* :mod:`oracles.cosa` — the CoSA-style mapper growing one divisor candidate
+  at a time, with tile words from the reference model's
+  ``loopnest.tile_words``.
+* :mod:`oracles.exhaustive` — exhaustive enumeration of a small layer's
+  mapspace, scored on the reference model: the true EDP optimum the
+  heuristic mappers are measured against.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

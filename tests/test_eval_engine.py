@@ -15,7 +15,13 @@ from repro.mapping import cosa_mapping, round_mapping_batch
 from repro.mapping.mapping import identity_mapping
 from repro.mapping.random_mapper import random_mapping
 from repro.search.gp import GaussianProcessRegressor, expected_improvement
-from repro.timeloop import analyze_traffic, evaluate_mapping, evaluate_network_mappings
+from repro.arch.components import MEMORY_LEVEL_INDICES
+from repro.timeloop import (
+    TrafficBreakdown,
+    analyze_traffic,
+    evaluate_mapping,
+    evaluate_network_mappings,
+)
 from repro.workloads import conv2d_layer, get_network, matmul_layer
 
 HARDWARE = HardwareConfig(16, 32, 128)
@@ -31,6 +37,22 @@ CORPUS_LAYERS = [
     matmul_layer(128, 128, 128, batch=4, name="batched_fc"),
     conv2d_layer(3, 64, 112, kernel_size=7, stride=2, name="stem"),
 ]
+
+
+def breakdown(batch, index: int) -> TrafficBreakdown:
+    """The scalar :class:`TrafficBreakdown` of mapping ``index`` of ``batch``.
+
+    Tables are filled in the insertion order of ``analyze_traffic``, so the
+    dicts compare equal entry for entry.
+    """
+    extracted = TrafficBreakdown(macs=float(batch.macs[index]))
+    for source, target in ((batch.reads, extracted.reads),
+                           (batch.writes, extracted.writes),
+                           (batch.updates, extracted.updates)):
+        for level in MEMORY_LEVEL_INDICES:
+            target[level] = {tensor: float(values[index])
+                             for tensor, values in source.get(level, {}).items()}
+    return extracted
 
 
 def random_corpus(count: int, seed: int = 0, max_spatial: int = 32):
@@ -105,7 +127,7 @@ class TestBatchParityWithReference:
         batch = batch_analyze_traffic(corpus)
         for index, mapping in enumerate(corpus):
             reference = analyze_traffic(mapping)
-            extracted = batch.breakdown(index)
+            extracted = breakdown(batch, index)
             assert extracted.macs == reference.macs
             assert extracted.reads == reference.reads
             assert extracted.writes == reference.writes

@@ -1,8 +1,9 @@
 """Tests for the extension modules beyond the paper's core scope.
 
-Covers the Timeloop-style mapping report, the first-order area model, the
-exhaustive small-layer mapping oracle (and how close the heuristic /
-gradient-based mappers get to it), and the additional workloads.
+Covers the Timeloop-style mapping report, the first-order area model, how
+close the heuristic and random mappers get to the exhaustive small-layer
+optimum (the enumeration oracle in ``tests/oracles/exhaustive.py``), and the
+additional workloads.
 """
 
 import pytest
@@ -15,14 +16,15 @@ from repro.arch.area import (
     fits_area_budget,
 )
 from repro.mapping import cosa_mapping, mapping_is_valid, random_mapping
-from repro.mapping.exhaustive import (
+from repro.timeloop import evaluate_mapping
+from repro.timeloop.report import mapping_report
+from repro.workloads import LayerDims, conv2d_layer, get_network
+
+from oracles.exhaustive import (
     enumerate_mappings,
     exhaustive_best_mapping,
     mapspace_size,
 )
-from repro.timeloop import evaluate_mapping
-from repro.timeloop.report import mapping_report
-from repro.workloads import LayerDims, conv2d_layer, get_network
 
 
 class TestMappingReport:
@@ -65,6 +67,14 @@ class TestMappingReport:
         hardware = HardwareConfig(16, 32, 128)
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
         assert 0.0 < mapping_report(mapping, hardware).pe_utilization <= 1.0
+
+    def test_invalid_mapping_is_refused(self):
+        hardware = HardwareConfig(16, 32, 128)
+        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
+        mapping.set_temporal(3, "P", 55)
+        with pytest.raises(ValueError, match="cannot evaluate an invalid mapping: "
+                                             "factors of dimension P multiply to"):
+            mapping_report(mapping, hardware)
 
 
 class TestAreaModel:

@@ -28,7 +28,6 @@ from repro import (
 from repro.cli import main as cli_main
 from repro.core.dmodel import DifferentiableModel, MultiStartFactors
 from repro.mapping import (
-    minimal_hardware_for_mapping,
     minimal_hardware_for_mappings,
     random_mapping,
 )
@@ -74,7 +73,7 @@ class TestMappingFirstFlow:
     def test_minimal_hardware_runs_cheaper_than_oversized(self):
         layer = conv2d_layer(64, 64, 28)
         mapping = cosa_mapping(layer, HardwareConfig(16, 32, 128))
-        minimal = minimal_hardware_for_mapping(mapping)
+        minimal = minimal_hardware_for_mappings([mapping])
         oversized = HardwareConfig(minimal.pe_dim,
                                    minimal.accumulator_kb * 4,
                                    minimal.scratchpad_kb * 4)

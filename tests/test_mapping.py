@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import HardwareConfig
-from repro.arch.config import random_hardware_config
+from repro.arch.components import (
+    BYPASS_MATRIX,
+    LEVEL_ACCUMULATOR,
+    LEVEL_REGISTERS,
+    LEVEL_SCRATCHPAD,
+    MEMORY_LEVEL_INDICES,
+)
+from repro.arch.config import (
+    DEFAULT_BOUNDS,
+    HardwareBounds,
+    merge_hardware_configs,
+    minimal_hardware_for_requirements,
+    random_hardware_config,
+)
 from repro.mapping import (
     LoopOrdering,
     Mapping,
@@ -15,7 +28,6 @@ from repro.mapping import (
     cosa_mapping,
     mapping_fits_hardware,
     mapping_is_valid,
-    minimal_hardware_for_mapping,
     minimal_hardware_for_mappings,
     random_mapping,
     random_mapping_for_hardware,
@@ -23,11 +35,15 @@ from repro.mapping import (
     round_mapping_batch,
     validate_mapping,
 )
+from repro.mapping import constraints
+from repro.mapping.constraints import TOLERANCE
 from repro.mapping.mapping import identity_mapping, ordering_for_tensor
+from repro.timeloop.loopnest import tile_words
 from repro.workloads import LayerDims, conv2d_layer, matmul_layer
 from repro.workloads.networks import NETWORK_BUILDERS, get_network
 from repro.workloads.registry import correlation_layer_pool
 
+from oracles import cosa as oracle_cosa
 from oracles import random_mapper as oracle_mapper
 from oracles.rounding import round_factors_for_dimension
 
@@ -118,7 +134,7 @@ class TestConstraints:
         assert caps[2] == pytest.approx(4096 + 896)  # scratchpad weights + inputs
 
     def test_fig3_minimal_hardware_matches_figure(self):
-        config = minimal_hardware_for_mapping(fig3_mapping())
+        config = minimal_hardware_for_mappings([fig3_mapping()])
         assert config.pe_dim == 64
         assert config.accumulator_kb == 4      # 896 words x 4 B -> 3.5 KB -> 4 KB
         assert config.scratchpad_kb == 5       # 4992 words x 1 B -> 4.875 KB -> 5 KB
@@ -375,6 +391,148 @@ class TestCosaMapper:
                               for l in layers])
         assert cosa_edp < random_edp
 
-    def test_cosa_rejects_bad_partition(self):
-        with pytest.raises(ValueError):
-            cosa_mapping(conv2d_layer(3, 8, 8), HardwareConfig(4, 8, 8), scratchpad_partition=1.5)
+
+# --------------------------------------------------------------------------- #
+# The tile-word kernel and the CoSA growth against the reference model
+# --------------------------------------------------------------------------- #
+#: Registry layers with their strides replaced: the stride sizes the input tile.
+strided_registry_layer = st.builds(
+    dataclasses.replace, st.sampled_from(REGISTRY_LAYERS),
+    stride_p=st.sampled_from([1, 2, 4]), stride_q=st.sampled_from([1, 2, 4]))
+kernel_layer = st.one_of(st.sampled_from(REGISTRY_LAYERS), strided_registry_layer,
+                         strided_layer_strategy)
+#: ``random_hardware_config`` draws, plus arbitrary configs down to 1x1 / 1 KB.
+any_config = st.one_of(
+    st.builds(random_hardware_config, st.integers(0, 2**32 - 1)),
+    st.builds(HardwareConfig, pe_dim=st.integers(1, 128),
+              accumulator_kb=st.integers(1, 1024), scratchpad_kb=st.integers(1, 4096)))
+
+
+def reference_requirements(mapping: Mapping) -> dict[int, float]:
+    """Eq. 5 from the reference model's per-mapping tile words."""
+    return {level: sum(tile_words(mapping, level, tensor)
+                       for tensor in BYPASS_MATRIX[level])
+            for level in MEMORY_LEVEL_INDICES}
+
+
+def reference_spatial(mapping: Mapping) -> float:
+    return max(mapping.spatial_factor(LEVEL_ACCUMULATOR, "C"),
+               mapping.spatial_factor(LEVEL_SCRATCHPAD, "K"))
+
+
+def reference_fits(mapping: Mapping, config: HardwareConfig) -> bool:
+    required = reference_requirements(mapping)
+    return (reference_spatial(mapping) <= config.pe_dim + TOLERANCE
+            and required[LEVEL_REGISTERS] <= config.register_words + TOLERANCE
+            and required[LEVEL_ACCUMULATOR] <= config.accumulator_words + TOLERANCE
+            and required[LEVEL_SCRATCHPAD] <= config.scratchpad_words + TOLERANCE)
+
+
+def reference_minimal_hardware(mappings: list[Mapping],
+                               bounds: HardwareBounds = DEFAULT_BOUNDS) -> HardwareConfig:
+    """Per-mapping minimal configurations, merged parameter-wise (Fig. 3)."""
+    return merge_hardware_configs([
+        minimal_hardware_for_requirements(
+            spatial_requirement=reference_spatial(mapping),
+            accumulator_word_requirement=tile_words(mapping, LEVEL_ACCUMULATOR, "O"),
+            scratchpad_word_requirement=(tile_words(mapping, LEVEL_SCRATCHPAD, "W")
+                                         + tile_words(mapping, LEVEL_SCRATCHPAD, "I")),
+            bounds=bounds)
+        for mapping in mappings], bounds)
+
+
+def granule_below(config: HardwareConfig) -> list[HardwareConfig]:
+    """``config`` with one parameter one step smaller, for each parameter."""
+    smaller = []
+    if config.pe_dim > 1:
+        smaller.append(dataclasses.replace(config, pe_dim=config.pe_dim - 1))
+    if config.accumulator_kb > 1:
+        smaller.append(dataclasses.replace(config, accumulator_kb=config.accumulator_kb - 1))
+    if config.scratchpad_kb > 1:
+        smaller.append(dataclasses.replace(config, scratchpad_kb=config.scratchpad_kb - 1))
+    return smaller
+
+
+def exactly_sized(mapping: Mapping, config: HardwareConfig) -> bool:
+    """The mapping's tiles fill the accumulator or the scratchpad exactly."""
+    required = reference_requirements(mapping)
+    return (required[LEVEL_ACCUMULATOR] == config.accumulator_words
+            or required[LEVEL_SCRATCHPAD] == config.scratchpad_words)
+
+
+class TestTileKernelParity:
+    """Capacity, fit and hardware derivation against ``loopnest.tile_words``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer=kernel_layer, config=any_config, seed=st.integers(0, 2**32 - 1),
+           max_spatial=st.sampled_from([1, 4, 16, 128]))
+    def test_random_mappings_match_reference(self, layer, config, seed, max_spatial):
+        mapping = random_mapping(layer, seed=seed, max_spatial=max_spatial)
+        assert capacity_requirements(mapping) == reference_requirements(mapping)
+        minimal = reference_minimal_hardware([mapping])
+        assert minimal_hardware_for_mappings([mapping]) == minimal
+        for candidate in [config, minimal, *granule_below(minimal)]:
+            assert mapping_fits_hardware(mapping, candidate) == reference_fits(mapping, candidate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.lists(kernel_layer, min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), max_spatial=st.sampled_from([4, 16, 128]),
+           bounds=st.sampled_from([DEFAULT_BOUNDS, HardwareBounds(
+               max_pe_dim=16, max_accumulator_kb=64, max_scratchpad_kb=256,
+               sram_granularity_kb=4)]))
+    def test_mapping_sets_derive_the_merged_reference(self, layers, seed, max_spatial,
+                                                      bounds):
+        rng = np.random.default_rng(seed)
+        mappings = [random_mapping(layer, seed=rng, max_spatial=max_spatial)
+                    for layer in layers]
+        assert (minimal_hardware_for_mappings(mappings, bounds=bounds)
+                == reference_minimal_hardware(mappings, bounds))
+
+    def test_exactly_sized_and_one_granule_below(self):
+        # CoSA fills power-of-two budgets with power-of-two tiles, so many
+        # minimal configurations are filled exactly by some level.
+        exact = 0
+        for layer in REGISTRY_LAYERS:
+            mapping = cosa_mapping(layer, HardwareConfig(16, 32, 128))
+            minimal = minimal_hardware_for_mappings([mapping])
+            assert minimal == reference_minimal_hardware([mapping])
+            exact += exactly_sized(mapping, minimal)
+            assert mapping_fits_hardware(mapping, minimal)
+            for smaller in granule_below(minimal):
+                assert mapping_fits_hardware(mapping, smaller) == reference_fits(mapping, smaller)
+        assert exact > 0
+
+    def test_fit_slack_is_inclusive(self):
+        # Only the PE array binds: the SRAMs hold the one-channel tiles.
+        config = HardwareConfig(16, 32, 128)
+        mapping = Mapping(layer=LayerDims(K=16, name="k16"))
+        mapping.set_spatial(LEVEL_SCRATCHPAD, "K", config.pe_dim + TOLERANCE)
+        assert mapping_fits_hardware(mapping, config)
+        mapping.set_spatial(LEVEL_SCRATCHPAD, "K", config.pe_dim + 2 * TOLERANCE)
+        assert not mapping_fits_hardware(mapping, config)
+
+    def test_empty_set_is_refused_before_stacking(self, monkeypatch):
+        def unreachable(mappings):
+            raise AssertionError("stacked an empty set")
+
+        monkeypatch.setattr(constraints, "factor_stacks", unreachable)
+        with pytest.raises(ValueError, match="at least one mapping"):
+            minimal_hardware_for_mappings([])
+        with pytest.raises(ValueError, match="at least one mapping"):
+            minimal_hardware_for_mappings(iter(()))
+
+
+class TestCosaParity:
+    """The one-call-per-growth-step mapper against the per-candidate oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer=kernel_layer, config=any_config)
+    def test_matches_per_candidate_oracle(self, layer, config):
+        assert_same_mapping(cosa_mapping(layer, config),
+                            oracle_cosa.cosa_mapping(layer, config))
+
+    @pytest.mark.parametrize("config", [HardwareConfig(4, 8, 32), HardwareConfig(128, 1024, 4096)])
+    def test_every_registry_layer_matches_oracle(self, config):
+        for layer in REGISTRY_LAYERS:
+            assert_same_mapping(cosa_mapping(layer, config),
+                                oracle_cosa.cosa_mapping(layer, config))

@@ -147,7 +147,7 @@ class TestDosaSearcher:
             from repro.arch import GemminiSpec
             from repro.timeloop import evaluate_mapping
 
-            return [2.0 * evaluate_mapping(m, GemminiSpec(hardware), check_validity=False).latency_cycles
+            return [2.0 * evaluate_mapping(m, GemminiSpec(hardware)).latency_cycles
                     for m in mappings]
 
         settings2 = DosaSettings(num_start_points=1, gd_steps=20, rounding_period=10, seed=0)

@@ -20,7 +20,7 @@ import pytest
 from repro.core.dmodel.factors import MultiStartFactors
 from repro.mapping import (
     Mapping,
-    minimal_hardware_for_mapping,
+    minimal_hardware_for_mappings,
     round_mapping_batch,
 )
 from repro.mapping import rounding_walk
@@ -117,7 +117,7 @@ class TestRoundingWalkParity:
             for raw_set, rounded_set in zip(sets, batched):
                 for raw, rounded in zip(raw_set, rounded_set):
                     reference = round_mapping(raw, max_spatial=cap)
-                    hardware = minimal_hardware_for_mapping(reference)
+                    hardware = minimal_hardware_for_mappings([reference])
                     reference_edp = evaluate_mapping(reference, hardware).edp
                     batched_edp = evaluate_mapping(rounded, hardware).edp
                     assert reference_edp == batched_edp

@@ -121,12 +121,6 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate_mapping(mapping, GemminiSpec(HardwareConfig(64, 4, 5)))
 
-    def test_check_validity_can_be_disabled(self):
-        mapping = fig3_mapping()
-        mapping.set_temporal(3, "P", 55)
-        result = evaluate_mapping(mapping, HardwareConfig(64, 4, 5), check_validity=False)
-        assert result.latency_cycles > 0
-
     def test_energy_increases_with_dram_epa_dominance(self):
         mapping = fig3_mapping()
         result = evaluate_mapping(mapping, GemminiSpec(HardwareConfig(64, 4, 5)))
