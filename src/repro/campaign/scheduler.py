@@ -16,8 +16,8 @@ scheduler:
   (``n_workers``), in which case each worker preloads the store's cache
   spill and the parent remains the store's single writer,
 * persists each finished job atomically, including interrupted best-so-far
-  outcomes (flagged, so resume re-runs them), and spills each job's new
-  reference-model cache entries back to the store.
+  outcomes (flagged, so resume re-runs them), and spills the
+  reference-model cache entries each job stored back to the store.
 
 The campaign parallelizes at job granularity only: each job's searcher
 evaluates the reference model in-process, through one vectorized
@@ -79,8 +79,16 @@ def execute_job(job: JobSpec, cache: EvaluationCache | None = None,
 #: workers are long-lived (one process runs many jobs), so each segment is
 #: parsed once per worker instead of once per job — and stores pointed at one
 #: shared ``cache_dir`` (the search service's tenants) share one in-worker
-#: cache.
+#: cache.  That cache is an LRU of :data:`_WORKER_CACHE_ENTRIES` entries, so a
+#: worker serving jobs for days stops growing once it is full.
 _WORKER_SPILL: dict[str, tuple[EvaluationCache, set[str]]] = {}
+
+#: Entry cap of a pool worker's shared cache.  An entry holds ~1.8 KB
+#: (tracemalloc: 1,782 B per entry over 40 60-sample bert random jobs, which
+#: store 64 entries each), and the largest default job stores 5,000 entries
+#: (a 5,000-sample random search; default DOSA on resnet50 stores 421), so
+#: the cap keeps four such working sets in ~36 MB per worker.
+_WORKER_CACHE_ENTRIES = 20_000
 
 #: ``(progress_queue, stop_event)`` installed into pool workers by
 #: :func:`install_worker_channel` (via the executor's ``initializer``).
@@ -191,7 +199,7 @@ class _ChannelProgressCallback(SearchCallback):
 def _worker_spill_state(store: ResultStore) -> tuple[EvaluationCache, set[str]]:
     state = _WORKER_SPILL.get(str(store.cache_dir))
     if state is None:
-        state = (EvaluationCache(), set())
+        state = (EvaluationCache(max_entries=_WORKER_CACHE_ENTRIES), set())
         _WORKER_SPILL[str(store.cache_dir)] = state
     cache, seen = state
     seen.update(store.load_cache_segments(cache, skip=seen))
@@ -227,20 +235,22 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
                                              cell=job_id)
     if _WORKER_FAULT is not None:
         _WORKER_FAULT("worker.cell", job_id)
-    preloaded = len(cache)
-    hits, misses = cache.stats.hits, cache.stats.misses
-    try:
-        outcome = execute_job(job, cache=cache, callbacks=callbacks)
-    finally:
-        if persist_cache:
-            segment = segment_name_for(job_id)
-            store.append_cache_segment(segment, cache.items(start=preloaded))
-            seen.add(segment)  # our own entries are already in memory
-        if channel is not None:
-            queue.put(("stats", progress.tag,
-                       {"campaign_job": job_id, "pid": os.getpid(),
-                        "hits": cache.stats.hits - hits,
-                        "misses": cache.stats.misses - misses}))
+    stats = cache.stats
+    hits, misses, evictions = stats.hits, stats.misses, stats.evictions
+    with cache.recording() as stored:
+        try:
+            outcome = execute_job(job, cache=cache, callbacks=callbacks)
+        finally:
+            if persist_cache:
+                segment = segment_name_for(job_id)
+                store.append_cache_segment(segment, stored)
+                seen.add(segment)  # our own entries went through this cache
+            if channel is not None:
+                queue.put(("stats", progress.tag,
+                           {"campaign_job": job_id, "pid": os.getpid(),
+                            "hits": stats.hits - hits,
+                            "misses": stats.misses - misses,
+                            "evictions": stats.evictions - evictions}))
     return {"job_id": job_id, "outcome": outcome_to_dict(outcome)}
 
 
@@ -457,19 +467,19 @@ class CampaignScheduler:
         if self.persist_cache:
             self.store.load_cache(cache)
         for job in jobs:
-            preloaded = len(cache)
-            try:
-                outcome = execute_job(job, cache=cache)
-            except KeyboardInterrupt:
-                # Interrupted before the job had any feasible design: there
-                # is nothing worth persisting, the job simply re-runs later.
-                run.stopped = True
-                return
-            finally:
-                if self.persist_cache:
-                    self.store.append_cache_segment(
-                        segment_name_for(job.job_id),
-                        cache.items(start=preloaded))
+            with cache.recording() as stored:
+                try:
+                    outcome = execute_job(job, cache=cache)
+                except KeyboardInterrupt:
+                    # Interrupted before the job had any feasible design:
+                    # there is nothing worth persisting, the job simply
+                    # re-runs later.
+                    run.stopped = True
+                    return
+                finally:
+                    if self.persist_cache:
+                        self.store.append_cache_segment(
+                            segment_name_for(job.job_id), stored)
             self._persist(run, job, outcome)
             if on_job_done is not None:
                 try:

@@ -24,10 +24,11 @@ Write semantics are chosen for crash safety without locks:
   completed, deterministic results.
 
 The cache spill is what makes the store double as a persistent cross-process
-:class:`~repro.eval.cache.EvaluationCache`: each job appends the exact-
-fingerprint entries it added, and later jobs — in this process or any other —
-preload them.  Entries are bit-identical reference-model results, so spilling
-never changes outcomes, only wall-clock time.
+:class:`~repro.eval.cache.EvaluationCache`: each job writes the exact-
+fingerprint entries it stored as one segment, and later jobs — in this
+process or any other — preload them.  Entries are bit-identical
+reference-model results, so spilling never changes outcomes, only
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class ResultStore:
         self, segment: str,
         entries: Iterable[tuple[CacheKey, PerformanceResult]],
     ) -> int:
-        """Persist one job's new cache entries as an atomic segment file.
+        """Persist the cache entries one job stored as an atomic segment file.
 
         Returns the number of entries written; an empty iterable writes
         nothing.  Segments are complete-or-absent (temp file + rename), so a
@@ -342,17 +343,21 @@ class ResultStore:
 
         Returns the names actually loaded, so long-lived processes (pool
         workers running many jobs) can load each segment once and only pick
-        up segments other jobs added since.  Entries are append-only and
-        bit-identical, so incremental loading can never go stale.
+        up segments other jobs added since: one directory listing minus
+        ``skip`` names the new segments, and only those are read, in sorted
+        name order.  Entries are bit-identical reference-model results, so
+        incremental loading can never go stale.  A listed segment that is
+        gone by the time it is read — a concurrent compaction folded it into
+        :data:`COMPACTED_SEGMENT` and unlinked it — is skipped and not
+        reported as loaded; its entries live on in the compacted segment.
         """
-        if not self.cache_dir.is_dir():
-            return set()
         loaded: set[str] = set()
-        for segment in sorted(self.cache_dir.glob("*.jsonl")):
-            if segment.name in skip:
+        for name in self._segment_names(skip):
+            text = self._read_segment(name)
+            if text is None:
                 continue
-            loaded.add(segment.name)
-            for line in segment.read_text().splitlines():
+            loaded.add(name)
+            for line in text.splitlines():
                 if not line.strip():
                     continue
                 try:
@@ -364,10 +369,24 @@ class ResultStore:
 
     def spilled_entry_count(self) -> int:
         """Total entries across all spill segments (for status displays)."""
-        if not self.cache_dir.is_dir():
-            return 0
-        return sum(len(segment.read_text().splitlines())
-                   for segment in sorted(self.cache_dir.glob("*.jsonl")))
+        texts = (self._read_segment(name) for name in self._segment_names())
+        return sum(len(text.splitlines()) for text in texts if text is not None)
+
+    def _segment_names(self, skip: Iterable[str] = ()) -> list[str]:
+        """Sorted names of the spill's segment files, minus ``skip``."""
+        try:
+            # repro-lint: allow[determinism-listdir] only the names left after skip get sorted, below
+            names = set(os.listdir(self.cache_dir)).difference(skip)
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        return sorted(name for name in names if name.endswith(".jsonl"))
+
+    def _read_segment(self, name: str) -> str | None:
+        """One segment's text, or ``None`` once it was unlinked after listing."""
+        try:
+            return (self.cache_dir / name).read_text()
+        except FileNotFoundError:
+            return None
 
     def compact_spill(self) -> "CompactionStats":
         """Fold this store's spill segments into one (see :func:`compact_cache_dir`)."""

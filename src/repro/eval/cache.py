@@ -22,8 +22,12 @@ Cache semantics:
 * **Statistics** — :class:`CacheStats` counts hits/misses/evictions so search
   harnesses and benchmarks can report the achieved hit rate.
 * **Bounding** — ``max_entries`` turns the cache into an LRU; ``None``
-  (default) keeps every entry, which is appropriate for search runs whose
-  sample budgets are far below memory limits.
+  (default) keeps every entry.  The owner decides: one search's sample
+  budget already bounds its entries, while a campaign pool worker shares
+  one cache across every job it runs (the search service's workers live
+  for days), so it caps that cache (``_WORKER_CACHE_ENTRIES`` in
+  :mod:`repro.campaign.scheduler`).  Entries are exact, so an eviction
+  costs a re-evaluation, never a different result.
 
 Cache hits deliberately still count as search *samples*: the paper's sample
 accounting charges one evaluation per reference-model query, and serving a
@@ -34,8 +38,9 @@ best-so-far traces comparable across cached and uncached runs.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from typing import Iterator
 
 from repro.arch.config import HardwareConfig
 from repro.arch.gemmini import GemminiSpec
@@ -99,6 +104,8 @@ class EvaluationCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: OrderedDict[CacheKey, PerformanceResult] = OrderedDict()
+        #: The open :meth:`recording`'s entry list, if any.
+        self._recorded: list[tuple[CacheKey, PerformanceResult]] | None = None
 
     # ------------------------------------------------------------------ #
     # Raw key/value access (no statistics)
@@ -117,6 +124,8 @@ class EvaluationCache:
 
     def store(self, key: CacheKey, result: PerformanceResult) -> None:
         self._entries[key] = result
+        if self._recorded is not None:
+            self._recorded.append((key, result))
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -130,17 +139,35 @@ class EvaluationCache:
             self.stats.misses += 1
 
     # ------------------------------------------------------------------ #
-    def items(self, start: int = 0) -> list[tuple[CacheKey, PerformanceResult]]:
-        """Snapshot of entries in insertion order, from ``start`` on (no LRU
-        refresh).
+    @contextmanager
+    def recording(self) -> Iterator[list[tuple[CacheKey, PerformanceResult]]]:
+        """Collect every entry :meth:`store` receives inside the block.
 
-        With the default unbounded cache the order is stable append-only,
-        which lets the campaign store spill exactly the entries one job
-        added: ``cache.items(start=count_before)``.
+        Yields a list that grows, in store order, with each ``(key, result)``
+        stored until the block exits — entries a bounded cache evicts
+        meanwhile included.  The campaign scheduler wraps each job in one,
+        so a job spills exactly the entries it stored, at a cost per job
+        independent of how many entries the cache already holds.
+        Recordings do not nest.
         """
-        items = islice(self._entries.items(), start, None) if start else \
-            self._entries.items()
-        return list(items)
+        if self._recorded is not None:
+            raise RuntimeError("this cache is already recording")
+        recorded: list[tuple[CacheKey, PerformanceResult]] = []
+        self._recorded = recorded
+        try:
+            yield recorded
+        finally:
+            self._recorded = None
+
+    def items(self) -> list[tuple[CacheKey, PerformanceResult]]:
+        """Snapshot of the held entries (no LRU refresh).
+
+        The order is the table's internal order — insertion order, or
+        least recently used first for a bounded cache — and carries no
+        contract; use :meth:`recording` to know which entries a piece of
+        work stored.
+        """
+        return list(self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)

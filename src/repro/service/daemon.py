@@ -975,7 +975,8 @@ class SearchService:
             pid = payload.get("pid") if isinstance(payload, dict) else None
             if event == "stats":
                 self.metrics.add_cache(int(payload.get("hits", 0)),
-                                       int(payload.get("misses", 0)))
+                                       int(payload.get("misses", 0)),
+                                       int(payload.get("evictions", 0)))
                 if pid is not None:
                     # Cell finished: the worker is idle again, stop
                     # watching it (idle workers legitimately go silent).

@@ -58,6 +58,7 @@ class ServiceMetrics:
         self.spill_compactions = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        self.cache_evictions = 0
         self._latencies: deque[float] = deque(maxlen=self.LATENCY_WINDOW)
 
     # ------------------------------------------------------------------ #
@@ -65,10 +66,11 @@ class ServiceMetrics:
         with self._lock:
             setattr(self, name, getattr(self, name) + delta)
 
-    def add_cache(self, hits: int, misses: int) -> None:
+    def add_cache(self, hits: int, misses: int, evictions: int) -> None:
         with self._lock:
             self.cache_hits += hits
             self.cache_misses += misses
+            self.cache_evictions += evictions
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
@@ -106,6 +108,7 @@ class ServiceMetrics:
                 "cache": {
                     "hits": self.cache_hits,
                     "misses": self.cache_misses,
+                    "evictions": self.cache_evictions,
                     "hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
                 },
                 "latency_seconds": {

@@ -14,12 +14,21 @@ from repro.campaign import (
     StrategyVariant,
     run_campaign,
 )
-from repro.campaign.store import cache_entry_from_dict, cache_entry_to_dict
+import repro.campaign.scheduler as scheduler_module
+from repro.campaign.store import (
+    cache_entry_from_dict,
+    cache_entry_to_dict,
+    segment_name_for,
+)
 from repro.eval.cache import EvaluationCache
 from repro.eval.engine import EvaluationEngine
 from repro.mapping.cosa import cosa_mapping
 from repro.search.api import SearchCallback, SearchSession
-from repro.utils.serialization import outcome_from_dict, outcome_to_dict
+from repro.utils.serialization import (
+    canonical_outcome_json,
+    outcome_from_dict,
+    outcome_to_dict,
+)
 from repro.workloads.networks import get_network
 
 import repro
@@ -355,6 +364,156 @@ class TestSchedulerResume:
         report = CampaignReport.from_store(without)
         capped = [r for r in report.results if r.budget == "samples<=40"]
         assert capped and all(r.samples <= 40 + 10 for r in capped)
+
+
+# --------------------------------------------------------------------------- #
+# The spill: what each job stored; the bounded pool-worker cache
+# --------------------------------------------------------------------------- #
+def random_spec(seeds=(0,)):
+    """Seconds-scale random-search jobs on bert (~60 stored entries each)."""
+    return CampaignSpec(
+        name="spill",
+        workloads=("bert",),
+        strategies=(StrategyVariant("random",
+                                    settings={"num_hardware_designs": 2,
+                                              "mappings_per_layer": 5}),),
+        seeds=seeds,
+    )
+
+
+def segment_keys(store, job_id):
+    """Cache keys of one job's spill segment, in file order."""
+    path = store.cache_dir / segment_name_for(job_id)
+    return [cache_entry_from_dict(json.loads(line))[0]
+            for line in path.read_text().splitlines()]
+
+
+def run_pool_job(store, job_id):
+    """One job through the pool worker's entry point, in this process."""
+    return scheduler_module._pool_run_job(
+        store.spec.to_dict(), job_id, str(store.directory), True,
+        str(store.cache_dir))
+
+
+@pytest.fixture
+def fresh_worker(monkeypatch):
+    """A fresh pool-worker spill state: in-process worker calls neither see
+    nor leave cache state across tests."""
+    monkeypatch.setattr(scheduler_module, "_WORKER_SPILL", {})
+
+
+@pytest.fixture
+def stored_per_job(monkeypatch, fresh_worker):
+    """Keys ``EvaluationCache.store`` receives inside each ``execute_job``."""
+    per_job: list[list] = []
+    running: list[bool] = []
+    execute_job = scheduler_module.execute_job
+    store = EvaluationCache.store
+
+    def recording_execute_job(job, cache=None, callbacks=None):
+        per_job.append([])
+        running.append(True)
+        try:
+            return execute_job(job, cache=cache, callbacks=callbacks)
+        finally:
+            running.pop()
+
+    def recording_store(self, key, result):
+        if running:
+            per_job[-1].append(key)
+        store(self, key, result)
+
+    monkeypatch.setattr(scheduler_module, "execute_job", recording_execute_job)
+    monkeypatch.setattr(EvaluationCache, "store", recording_store)
+    return per_job
+
+
+class TestSpill:
+    def test_inline_job_on_full_bounded_cache_spills_what_it_stored(
+            self, tmp_path, stored_per_job):
+        hardware = random_hardware_config(seed=0)
+        cache = EvaluationCache(max_entries=4)
+        EvaluationEngine(cache=cache).evaluate_many(
+            [cosa_mapping(layer, hardware)
+             for layer in get_network("resnet50").layers[:8]], hardware)
+        assert len(cache) == 4  # full before the job starts
+        spec = random_spec()
+        store = ResultStore(tmp_path / "s", spec=spec)
+        run = CampaignScheduler(spec, store, cache=cache).run()
+        assert run.complete
+        [stored] = stored_per_job
+        assert len(stored) > cache.max_entries and cache.stats.evictions
+        assert segment_keys(store, spec.jobs()[0].job_id) == stored
+
+    def test_pool_jobs_spill_what_they_stored_not_what_they_preloaded(
+            self, tmp_path, stored_per_job):
+        spec = random_spec(seeds=(0, 1, 2))
+        store = ResultStore(tmp_path / "s", spec=spec)
+        first = spec.jobs()[0]
+        standalone = EvaluationCache()
+        with standalone.recording() as entries:
+            scheduler_module.execute_job(first, cache=standalone)
+        half = len(entries) // 2
+        # Another process spilled half of the first job's entries.
+        store.append_cache_segment("another-process.jsonl", entries[:half])
+        stored_per_job.clear()
+
+        for job in spec.jobs():
+            run_pool_job(store, job.job_id)
+        assert len(stored_per_job) == 3
+        preloaded = {key for key, _ in entries[:half]}
+        for job, stored in zip(spec.jobs(), stored_per_job):
+            spilled = segment_keys(store, job.job_id)
+            assert spilled and spilled == stored
+            assert not preloaded & set(spilled)
+        assert stored_per_job[0] == [key for key, _ in entries[half:]]
+
+    def test_capped_worker_cache_keeps_outcomes_and_complete_segments(
+            self, tmp_path, monkeypatch, stored_per_job):
+        spec = random_spec(seeds=(0, 1, 2))
+        uncapped = ResultStore(tmp_path / "uncapped", spec=spec)
+        expected = [canonical_outcome_json(
+            run_pool_job(uncapped, job.job_id)["outcome"])
+            for job in spec.jobs()]
+        stored_per_job.clear()
+
+        cap = 24
+        monkeypatch.setattr(scheduler_module, "_WORKER_CACHE_ENTRIES", cap)
+        store = ResultStore(tmp_path / "capped", spec=spec)
+        for job, outcome in zip(spec.jobs(), expected):
+            payload = run_pool_job(store, job.job_id)["outcome"]
+            assert canonical_outcome_json(payload) == outcome
+            cache, _ = scheduler_module._WORKER_SPILL[str(store.cache_dir)]
+            assert cache.max_entries == cap and len(cache) <= cap
+            assert segment_keys(store, job.job_id) == stored_per_job[-1]
+            assert len(stored_per_job[-1]) > cap
+        assert cache.stats.evictions > 0
+
+    def test_segment_gone_after_listing_is_skipped(self, tmp_path,
+                                                   fresh_worker):
+        # A compaction may unlink a segment between a worker's listing and
+        # its read; a dangling symlink is such a listed-but-missing segment.
+        spec = random_spec()
+        store = ResultStore(tmp_path / "s", spec=spec)
+        hardware = random_hardware_config(seed=0)
+        engine = EvaluationEngine()
+        engine.evaluate_many([cosa_mapping(layer, hardware)
+                              for layer in get_network("bert").layers],
+                             hardware)
+        written = store.append_cache_segment("job-0001.jsonl",
+                                             engine.cache.items())
+        (store.cache_dir / "job-0000.jsonl").symlink_to(
+            store.cache_dir / "unlinked")
+        cache = EvaluationCache()
+        assert store.load_cache_segments(cache, skip=set()) \
+            == {"job-0001.jsonl"}
+        assert len(cache) == written
+        assert store.spilled_entry_count() == written
+
+        payload = run_pool_job(store, spec.jobs()[0].job_id)
+        assert payload["outcome"]["best"]["edp"] > 0
+        _, seen = scheduler_module._WORKER_SPILL[str(store.cache_dir)]
+        assert "job-0001.jsonl" in seen and "job-0000.jsonl" not in seen
 
 
 # --------------------------------------------------------------------------- #

@@ -109,6 +109,22 @@ class TestEvaluationCache:
         with pytest.raises(ValueError):
             EvaluationCache(max_entries=0)
 
+    def test_recording_keeps_evicted_entries_in_store_order(self):
+        cache = EvaluationCache(max_entries=2)
+        engine = EvaluationEngine(cache=cache)
+        mappings = [cosa_mapping(layer, HARDWARE) for layer in CORPUS_LAYERS[:4]]
+        engine.evaluate_many([mappings[0]], SPEC)  # before the recording
+        with cache.recording() as stored:
+            for mapping in mappings[1:]:
+                engine.evaluate_many([mapping], SPEC)
+            with pytest.raises(RuntimeError, match="already recording"):
+                with cache.recording():
+                    pass
+        engine.evaluate_many([mappings[0]], SPEC)  # after: re-stored, unrecorded
+        assert [key for key, _ in stored] == [
+            EvaluationCache.key_for(mapping, SPEC) for mapping in mappings[1:]]
+        assert len(cache) == 2 and cache.stats.evictions == 3
+
 
 class TestBatchParityWithReference:
     """The acceptance bar: bit-identical per-level counts on a random corpus."""

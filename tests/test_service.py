@@ -3,10 +3,12 @@
 import contextlib
 import json
 import threading
+import time
 
 import pytest
 
 import repro
+import repro.campaign.scheduler as scheduler_module
 from repro.campaign import CampaignReport, CampaignSpec, StrategyVariant, run_campaign
 from repro.service import (
     Client,
@@ -170,6 +172,29 @@ class TestServiceEndToEnd:
             # ends with a terminal frame.
             replay = [name for name, _ in client.events(job["job_id"])]
             assert replay[-1] == "done"
+
+    @pytest.mark.parametrize("cap", [None, 16], ids=["default", "capped"])
+    def test_metrics_count_worker_cache_evictions(self, tmp_path, monkeypatch,
+                                                  cap):
+        if cap is not None:
+            # Patched before the daemon forks its pool: workers inherit it.
+            monkeypatch.setattr(scheduler_module, "_WORKER_CACHE_ENTRIES", cap)
+        with running_service(tmp_path / "svc", n_workers=1) as (service,
+                                                                client):
+            for seed in (0, 1):
+                job = client.submit_search("bert", strategy="random",
+                                           seed=seed, budget=40)
+                assert client.wait(job["job_id"], timeout=120)["state"] \
+                    == "done"
+            # A job's stats frame crosses the progress channel
+            # asynchronously, after its result.
+            deadline = time.monotonic() + 10
+            cache = client.metrics()["cache"]
+            while not cache["misses"] or (cap and not cache["evictions"]):
+                assert time.monotonic() < deadline, cache
+                time.sleep(0.05)
+                cache = client.metrics()["cache"]
+        assert (cache["evictions"] > 0) == (cap is not None)
 
     def test_http_error_paths(self, tmp_path):
         # No dispatchers (start=False): jobs stay queued, which exposes the
