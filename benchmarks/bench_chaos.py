@@ -20,7 +20,10 @@ then asserts the service's recovery invariants:
   starves behind another's backlog even while the daemon is being killed),
 * **byte-identity** — every served result equals the canonical outcome
   JSON of the same seeded search run offline through :func:`repro.optimize`:
-  crashes, kills and retries must never perturb a result, only delay it.
+  crashes, kills and retries must never perturb a result, only delay it,
+* **no orphans** — within 5 s of the last daemon's shutdown no process
+  whose command line names the run's root is alive: the pool workers of a
+  daemon that crashed must exit on their own (checked through ``/proc``).
 
 CI smoke::
 
@@ -30,6 +33,7 @@ A longer soak: ``--jobs-per-tenant 5 --budget 120``.
 """
 
 import argparse
+import os
 import signal
 import socket
 import subprocess
@@ -162,6 +166,45 @@ class DaemonSupervisor:
         self._log.close()
 
 
+def processes_naming(root: Path) -> list[int]:
+    """Live processes whose command line names ``root`` (zombies have none)."""
+    needle = str(root).encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            cmdline = Path(f"/proc/{entry}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if any(needle in arg for arg in cmdline.split(b"\0")):
+            pids.append(int(entry))
+    return sorted(pids)
+
+
+def orphan_problems(root: Path, timeout: float = 5.0) -> list[str]:
+    """Processes of this run still alive ``timeout`` s after shutdown.
+
+    Every daemon and every pool worker (a fork of a daemon) carries ``root``
+    on its command line.  Once the supervisor has stopped the last daemon,
+    none may remain; leftovers are reported, then killed so the harness
+    leaks nothing.
+    """
+    if not Path("/proc/self/cmdline").exists():
+        print("orphan check skipped: no /proc")
+        return []
+    deadline = time.monotonic() + timeout
+    while (pids := processes_naming(root)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return [f"process {pid} naming {root} outlived the daemon by "
+            f"{timeout:.0f}s" for pid in pids]
+
+
 def wait_healthy(client: Client, timeout: float = 60.0) -> None:
     deadline = time.monotonic() + timeout
     while True:
@@ -273,6 +316,7 @@ def run_chaos(jobs_per_tenant: int, budget: int, n_workers: int,
     problems = list(supervisor.failures)
     problems.extend(failures)
     problems.extend(census_problems)
+    problems.extend(orphan_problems(root))
     if len(results) != total_jobs:
         problems.append(f"only {len(results)}/{total_jobs} jobs completed")
 

@@ -7,11 +7,12 @@ to keep tiling factors valid (Equation 18).
 
 Every op records a forward-recompute closure (see
 :mod:`repro.autodiff.tensor`), so graphs built from these functions can be
-replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The two
-fused reductions at the bottom — :func:`fold_max` and :func:`reload_product` —
-replace long chains of scalar nodes in the stacked DOSA model with a
-single array node each, while reproducing the chained ops' values and
-(sub)gradients exactly.
+replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The
+fused ops — :func:`hinge_below` and the reductions at the bottom,
+:func:`fold_max` and :func:`reload_product` — replace long chains of nodes
+in the stacked DOSA model with a single array node each, while reproducing
+the chained ops' values and (sub)gradients exactly; :func:`total_prod`
+records no node for a literal ``1.0`` factor.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def relu(x: TensorLike) -> Tensor:
         return np.maximum(x.data, 0.0)
 
     def backward(grad: np.ndarray):
-        return ((x, grad * (x.data > 0)),)
+        return (grad * (x.data > 0),)
 
     return x._make_child(forward(), (x,), backward, forward)
 
@@ -65,7 +66,7 @@ def sigmoid(x: TensorLike) -> Tensor:
     out = x._make_child(forward(), (x,), None, forward)
 
     def backward(grad: np.ndarray):
-        return ((x, grad * out.data * (1.0 - out.data)),)
+        return (grad * out.data * (1.0 - out.data),)
 
     return out._set_backward(backward)
 
@@ -79,7 +80,7 @@ def tanh(x: TensorLike) -> Tensor:
     out = x._make_child(forward(), (x,), None, forward)
 
     def backward(grad: np.ndarray):
-        return ((x, grad * (1.0 - out.data**2)),)
+        return (grad * (1.0 - out.data**2),)
 
     return out._set_backward(backward)
 
@@ -94,9 +95,8 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
 
     def backward(grad: np.ndarray):
         tie = (a.data == b.data) * 0.5
-        a_mask = (a.data > b.data) + tie
-        b_mask = (b.data > a.data) + tie
-        return ((a, grad * a_mask), (b, grad * b_mask))
+        return (grad * ((a.data > b.data) + tie) if a.requires_grad else None,
+                grad * ((b.data > a.data) + tie) if b.requires_grad else None)
 
     return a._make_child(forward(), (a, b), backward, forward)
 
@@ -135,31 +135,55 @@ def where(condition: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
         return np.where(cond, a.data, b.data)
 
     def backward(grad: np.ndarray):
-        return ((a, grad * a_mask), (b, grad * b_mask))
+        return (grad * a_mask if a.requires_grad else None,
+                grad * b_mask if b.requires_grad else None)
 
     return a._make_child(forward(), (a, b), backward, forward)
 
 
-def hinge_below(x: TensorLike, threshold: float = 1.0) -> Tensor:
-    """``max(threshold - x, 0)`` summed over all elements.
+def hinge_below(values: Sequence[TensorLike], threshold: float = 1.0) -> Tensor:
+    """The hinges ``max(threshold - v, 0)`` of same-shape tensors, as one node.
 
     This is the validity penalty of Equation 18, which discourages the
-    optimizer from pushing tiling factors below 1.
+    optimizer from pushing tiling factors below 1.  The result stacks one
+    hinge per value along a new *last* axis (shape ``(*shape, len(values))``).
+    It is value- and gradient-identical to stacking ``relu(threshold - v)``
+    per value: the forward computes the same two IEEE operations, and the
+    backward hands each value ``-g * [threshold - v > 0]``, exactly what a
+    subtraction node and a relu node emit between them.
     """
-    x = _as_tensor(x)
-    return relu(Tensor(threshold) - x).sum()
+    tensors = [_as_tensor(v) for v in values]
+    if not tensors:
+        raise ValueError("hinge_below of an empty sequence")
+
+    def forward():
+        return np.stack([np.maximum(threshold - t.data, 0.0) for t in tensors],
+                        axis=-1)
+
+    def backward(grad: np.ndarray):
+        return tuple(-(grad[..., i] * (threshold - t.data > 0))
+                     if t.requires_grad else None
+                     for i, t in enumerate(tensors))
+
+    return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
 
 # --------------------------------------------------------------------------- #
 # Reductions and combinations
 # --------------------------------------------------------------------------- #
 def total_prod(values: Iterable[TensorLike]) -> Tensor:
-    """Product of an iterable of tensors/scalars (empty product is 1.0)."""
-    values = [_as_tensor(v) for v in values]
-    out = Tensor(1.0)
+    """Product of an iterable of tensors/scalars (empty product is 1.0).
+
+    The chain starts at the first term and skips literal ``1.0`` terms:
+    ``x * 1.0`` is ``x`` and ``g * 1.0`` is ``g`` bit for bit in IEEE
+    arithmetic, so dropping those nodes changes no value and no gradient.
+    """
+    out = None
     for value in values:
-        out = out * value
-    return out
+        if isinstance(value, (int, float)) and value == 1.0:
+            continue
+        out = _as_tensor(value) if out is None else out * value
+    return Tensor(1.0) if out is None else out
 
 
 def stack(values: Sequence[TensorLike]) -> Tensor:
@@ -173,7 +197,7 @@ def stack(values: Sequence[TensorLike]) -> Tensor:
         return np.stack([t.data for t in tensors])
 
     def backward(grad: np.ndarray):
-        return tuple((t, grad[i].reshape(shapes[i])) for i, t in enumerate(tensors))
+        return tuple(grad[i].reshape(shape) for i, shape in enumerate(shapes))
 
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
@@ -191,10 +215,10 @@ def concat(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
 
     def backward(grad: np.ndarray):
         pieces = []
-        for i, t in enumerate(tensors):
+        for i in range(len(tensors)):
             index = [slice(None)] * grad.ndim
             index[axis] = slice(int(boundaries[i]), int(boundaries[i + 1]))
-            pieces.append((t, grad[tuple(index)]))
+            pieces.append(grad[tuple(index)])
         return tuple(pieces)
 
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
@@ -215,7 +239,7 @@ def transpose(x: TensorLike, axes: Sequence[int]) -> Tensor:
         return np.transpose(x.data, axes)
 
     def backward(grad: np.ndarray):
-        return ((x, np.transpose(grad, inverse)),)
+        return (np.transpose(grad, inverse),)
 
     return x._make_child(forward(), (x,), backward, forward)
 
@@ -237,7 +261,7 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
 
     def backward(grad: np.ndarray):
         dot = (grad * out.data).sum(axis=axis, keepdims=True)
-        return ((x, out.data * (grad - dot)),)
+        return (out.data * (grad - dot),)
 
     return out._set_backward(backward)
 
@@ -299,7 +323,7 @@ def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
 
     def backward(grad: np.ndarray):
         grad = np.expand_dims(np.asarray(grad, dtype=np.float64), axis_n)
-        return ((x, np.broadcast_to(grad, x.data.shape)),)
+        return (np.broadcast_to(grad, x.data.shape),)
 
     return x._make_child(forward(), (x,), backward, forward)
 
@@ -329,7 +353,7 @@ def fold_max(x: TensorLike, axis: int = -1) -> Tensor:
         n = data.shape[-1]
         if n == 1:
             contribution = np.broadcast_to(grad, data.shape)
-            return ((x, np.moveaxis(contribution, -1, axis_n)),)
+            return (np.moveaxis(contribution, -1, axis_n),)
         running = np.maximum.accumulate(data, axis=-1)
         prev, new = running[..., :-1], data[..., 1:]
         # Share of the gradient taken by each newcomer / kept by the running
@@ -341,7 +365,7 @@ def fold_max(x: TensorLike, axis: int = -1) -> Tensor:
         shares = np.empty_like(data)
         shares[..., 0] = suffix[..., 0]
         shares[..., 1:] = take * suffix[..., 1:]
-        return ((x, np.moveaxis(grad * shares, -1, axis_n)),)
+        return (np.moveaxis(grad * shares, -1, axis_n),)
 
     return x._make_child(forward(), (x,), backward, forward)
 
@@ -389,6 +413,6 @@ def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9) -> Ten
             np.multiply.accumulate(gated[..., :-1], axis=-1, out=prefix[..., 1:])
             np.multiply.accumulate(gated[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
         partials = grad[..., None] * prefix * suffix
-        return ((walk, np.where(include, partials, 0.0)),)
+        return (np.where(include, partials, 0.0),)
 
     return walk._make_child(forward(), (walk,), backward, forward)

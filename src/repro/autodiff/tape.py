@@ -5,11 +5,22 @@ the same ops, the same wiring — hundreds of times with fresh ``Tensor``
 allocations, closure objects and a fresh topological sort.  Between rounding
 points the graph *structure* is static (loop orderings only change when a
 mapping is re-snapped), so all of that work can be paid once: :class:`Tape`
-traces the loss closure a single time, caches the topological order and the
-per-node forward/backward closures, and thereafter **replays** the graph —
-forward by re-executing each node's recompute closure against the parents'
-current ``.data``, backward by running the standard reverse accumulation over
-the cached order.
+traces the loss closure a single time and compiles it into two flat
+programs, then **replays** the graph — forward by re-executing each node's
+recompute closure against the parents' current ``.data``, backward by running
+the compiled :class:`~repro.autodiff.tensor.BackwardProgram`: per node its
+slot, its backward closure, and per parent that parent's slot (``None`` when
+it needs no gradient) and shape, executed over a plain list of per-slot
+gradients.  :meth:`Tensor.backward` runs the same program class, so there is
+one reverse-accumulation implementation.
+
+The graph itself is kept small by exact folding only: an op is dropped or
+fused when IEEE arithmetic makes the result bit-identical — ``x * 1.0`` is
+``x`` (so :func:`~repro.autodiff.ops.total_prod` skips literal ``1.0``
+terms), and a fused node whose forward and backward compute the same IEEE
+operations as the chain it replaces
+(:func:`~repro.autodiff.ops.hinge_below`) — so a smaller graph replays the
+same losses, gradients and updates, bit for bit.
 
 Replay is exact, not approximate: recompute closures read parent data at call
 time and value-dependent masks (``ops.relu``, ``ops.maximum`` subgradients,
@@ -29,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, backpropagate, topological_order
+from repro.autodiff.tensor import BackwardProgram, Tensor, topological_order
 
 
 class TapeError(RuntimeError):
@@ -59,7 +70,8 @@ class Tape:
         self._build = build
         self._output: Tensor | None = None
         self._order: list[Tensor] = []
-        self._replay_nodes: list[Tensor] = []
+        self._replay: list[tuple[Tensor, Callable[[], np.ndarray]]] = []
+        self._program: BackwardProgram | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -81,22 +93,23 @@ class Tape:
         """
         self._output = None
         self._order = []
-        self._replay_nodes = []
+        self._replay = []
+        self._program = None
 
     # ------------------------------------------------------------------ #
     def forward(self) -> Tensor:
         """Return the loss tensor: trace on first use, replay afterwards."""
         if self._output is None:
             return self._trace()
-        for node in self._replay_nodes:
-            node.data = node._recompute()
+        for node, recompute in self._replay:
+            node.data = recompute()
         return self._output
 
     def backward(self) -> None:
-        """Reverse accumulation over the cached order (grads into leaves)."""
+        """Run the compiled backward program (grads into leaves)."""
         if self._output is None:
             raise TapeError("backward() before forward(): nothing is recorded")
-        backpropagate(self._output, self._order, np.ones_like(self._output.data))
+        self._program.run(np.ones_like(self._output.data))
 
     # ------------------------------------------------------------------ #
     def _trace(self) -> Tensor:
@@ -109,7 +122,7 @@ class Tape:
         if output.data.size != 1:
             raise TapeError(f"traced loss must be a scalar, got shape {output.shape}")
         order = topological_order(output)
-        replay_nodes = []
+        replay = []
         for node in order:
             if node._parents and node._recompute is None:
                 raise TapeError(
@@ -117,8 +130,9 @@ class Tape:
                     "closure and cannot be replayed"
                     + (f" (node {node.name!r})" if node.name else ""))
             if node._recompute is not None:
-                replay_nodes.append(node)
+                replay.append((node, node._recompute))
         self._output = output
         self._order = order
-        self._replay_nodes = replay_nodes
+        self._replay = replay
+        self._program = BackwardProgram(order)
         return output

@@ -16,6 +16,18 @@ re-traced from Python every optimizer step.  To keep replay faithful, backward
 closures read ``.data`` at call time rather than capturing arrays at trace
 time.  Broadcasting is supported; gradients are summed back to the parent's
 shape before accumulation.
+
+Backward closures follow a positional contract: ``backward(grad)`` returns one
+contribution per entry of ``_parents``, in the same order, and ``None`` for a
+parent that needs no gradient (a constant's side of ``x * c`` is never
+computed).  Reverse accumulation has one implementation,
+:class:`BackwardProgram`: it compiles a topological order once into a flat
+list of steps — per node its slot, its backward closure, and per parent that
+parent's slot (``None`` when it needs no gradient) and shape — and runs over
+a plain list of per-slot gradients.  :meth:`Tensor.backward` compiles and
+runs a program once; the tape compiles one per trace and reruns it every
+step.  Contributions to a node are summed in the order they arrive, so a
+replayed backward is bit-identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -61,11 +73,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is basic indexing (ints, slices, ``None``, ``...``).
+
+    A basic index is a view that selects each element at most once; anything
+    else (integer arrays, masks, bools) is advanced indexing.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis or isinstance(item, slice)
+               or (isinstance(item, (int, np.integer))
+                   and not isinstance(item, (bool, np.bool_)))
+               for item in items)
+
+
 def topological_order(root: "Tensor") -> list["Tensor"]:
     """Ancestors of ``root`` that require grad, parents before children.
 
-    This is the traversal order used by :meth:`Tensor.backward`; it is exposed
-    so :class:`repro.autodiff.tape.Tape` can cache it once and replay the same
+    This is the order :class:`BackwardProgram` compiles; it is exposed so
+    :class:`repro.autodiff.tape.Tape` can cache it once and replay the same
     schedule every step.
     """
     order: list[Tensor] = []
@@ -86,33 +111,54 @@ def topological_order(root: "Tensor") -> list["Tensor"]:
     return order
 
 
-def backpropagate(root: "Tensor", topo_order: list["Tensor"], grad: np.ndarray) -> None:
-    """Run reverse-mode accumulation along a precomputed topological order.
+class BackwardProgram:
+    """Reverse accumulation compiled from a topological order.
 
-    Shared by :meth:`Tensor.backward` (which computes the order on the fly)
-    and :class:`repro.autodiff.tape.Tape` (which caches it), so a tape replay
-    performs bit-for-bit the same accumulation as a fresh re-trace.
+    Slot ``i`` is the ``i``-th node in reverse topological order, so the root
+    is slot 0 and every parent's slot is larger than its child's.  Each step
+    holds a node, its backward closure and, per parent, the parent's slot
+    (``None`` when it needs no gradient) and shape; :meth:`run` walks the
+    steps over a plain list of per-slot gradients, summing contributions in
+    arrival order and handing each leaf its total through
+    :meth:`Tensor._accumulate`.
     """
-    grads: dict[int, np.ndarray] = {id(root): grad}
-    for node in reversed(topo_order):
-        node_grad = grads.pop(id(node), None)
-        if node_grad is None:
-            continue
-        if node._backward is not None:
-            for parent, contribution in node._backward(node_grad):
-                if not parent.requires_grad or contribution is None:
+
+    __slots__ = ("_steps",)
+
+    def __init__(self, order: list["Tensor"]) -> None:
+        nodes = order[::-1]
+        slot_of = {id(node): slot for slot, node in enumerate(nodes)}
+        self._steps = [
+            (node, node._backward,
+             tuple((slot_of[id(parent)] if parent.requires_grad else None,
+                    parent.data.shape)
+                   for parent in node._parents))
+            for node in nodes
+        ]
+
+    def run(self, grad: np.ndarray) -> None:
+        """Backpropagate ``grad`` from the root (slot 0) into every leaf."""
+        grads: list = [None] * len(self._steps)
+        grads[0] = grad
+        for slot, (node, backward, parents) in enumerate(self._steps):
+            node_grad = grads[slot]
+            if node_grad is None:
+                continue
+            grads[slot] = None
+            if not parents:
+                # Leaf tensor: expose the accumulated gradient via ``.grad``.
+                node._accumulate(node_grad)
+                continue
+            if backward is None:
+                continue
+            for (target, shape), contribution in zip(parents, backward(node_grad)):
+                if target is None or contribution is None:
                     continue
-                contribution = _unbroadcast(
-                    np.asarray(contribution, dtype=np.float64), parent.data.shape
-                )
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
-                else:
-                    grads[key] = contribution
-        if not node._parents:
-            # Leaf tensor: expose the accumulated gradient via ``.grad``.
-            node._accumulate(node_grad)
+                if contribution.shape != shape:
+                    contribution = _unbroadcast(contribution, shape)
+                existing = grads[target]
+                grads[target] = (contribution if existing is None
+                                 else existing + contribution)
 
 
 class Tensor:
@@ -136,7 +182,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple] | None = None
         self._recompute: Callable[[], np.ndarray] | None = None
         self.name = name
 
@@ -204,15 +250,16 @@ class Tensor:
         self,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None] | None,
+        backward: Callable[[np.ndarray], tuple] | None,
         forward: Callable[[], np.ndarray] | None = None,
     ) -> "Tensor":
         """Create an op result wired into the graph when grad is enabled.
 
-        ``backward`` propagates an incoming gradient to the parents;
-        ``forward`` recomputes this node's value from the parents' current
-        ``.data`` (used by tape replay).  Ops whose backward needs the output
-        value pass ``backward=None`` here and attach it with
+        ``backward`` maps an incoming gradient to one contribution per
+        parent, positionally, with ``None`` for a parent that needs no
+        gradient; ``forward`` recomputes this node's value from the parents'
+        current ``.data`` (used by tape replay).  Ops whose backward needs the
+        output value pass ``backward=None`` here and attach it with
         :meth:`_set_backward` once the child exists.
         """
         child = Tensor(data)
@@ -223,7 +270,7 @@ class Tensor:
             child._recompute = forward
         return child
 
-    def _set_backward(self, backward: Callable[[np.ndarray], None]) -> "Tensor":
+    def _set_backward(self, backward: Callable[[np.ndarray], tuple]) -> "Tensor":
         """Attach a late-bound backward closure (only if this node is wired)."""
         if self._parents:
             self._backward = backward
@@ -259,7 +306,7 @@ class Tensor:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar")
             grad = np.ones_like(self.data)
         grad = np.broadcast_to(np.asarray(grad, dtype=np.float64), self.data.shape).copy()
-        backpropagate(self, topological_order(self), grad)
+        BackwardProgram(topological_order(self)).run(grad)
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
@@ -271,7 +318,7 @@ class Tensor:
             return self.data + other.data
 
         def backward(grad: np.ndarray):
-            return ((self, grad), (other, grad))
+            return (grad, grad)
 
         return self._make_child(forward(), (self, other), backward, forward)
 
@@ -285,7 +332,7 @@ class Tensor:
             return self.data - other.data
 
         def backward(grad: np.ndarray):
-            return ((self, grad), (other, -grad))
+            return (grad, -grad if other.requires_grad else None)
 
         return self._make_child(forward(), (self, other), backward, forward)
 
@@ -297,7 +344,7 @@ class Tensor:
             return -self.data
 
         def backward(grad: np.ndarray):
-            return ((self, -grad),)
+            return (-grad,)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -308,7 +355,8 @@ class Tensor:
             return self.data * other.data
 
         def backward(grad: np.ndarray):
-            return ((self, grad * other.data), (other, grad * self.data))
+            return (grad * other.data if self.requires_grad else None,
+                    grad * self.data if other.requires_grad else None)
 
         return self._make_child(forward(), (self, other), backward, forward)
 
@@ -322,10 +370,9 @@ class Tensor:
             return self.data / other.data
 
         def backward(grad: np.ndarray):
-            return (
-                (self, grad / other.data),
-                (other, -grad * self.data / (other.data**2)),
-            )
+            return (grad / other.data if self.requires_grad else None,
+                    -grad * self.data / (other.data**2)
+                    if other.requires_grad else None)
 
         return self._make_child(forward(), (self, other), backward, forward)
 
@@ -340,7 +387,7 @@ class Tensor:
             return self.data**exponent
 
         def backward(grad: np.ndarray):
-            return ((self, grad * exponent * self.data ** (exponent - 1)),)
+            return (grad * exponent * self.data ** (exponent - 1),)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -352,11 +399,13 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             base_data, exp_data = self.data, exponent.data
-            grad_base = grad * exp_data * base_data ** (exp_data - 1)
+            grad_base = (grad * exp_data * base_data ** (exp_data - 1)
+                         if self.requires_grad else None)
+            if not exponent.requires_grad:
+                return (grad_base, None)
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_base = np.where(base_data > 0, np.log(np.maximum(base_data, 1e-300)), 0.0)
-            grad_exp = grad * out.data * log_base
-            return ((self, grad_base), (exponent, grad_exp))
+            return (grad_base, grad * out.data * log_base)
 
         return out._set_backward(backward)
 
@@ -371,20 +420,19 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             self_data, other_data = self.data, other.data
+            want_self, want_other = self.requires_grad, other.requires_grad
             if self_data.ndim == 1 and other_data.ndim == 1:
                 # inner product: grad is scalar
-                return ((self, grad * other_data), (other, grad * self_data))
+                return (grad * other_data if want_self else None,
+                        grad * self_data if want_other else None)
             if self_data.ndim == 1:
-                grad_self = grad @ other_data.T
-                grad_other = np.outer(self_data, grad)
-                return ((self, grad_self), (other, grad_other))
+                return (grad @ other_data.T if want_self else None,
+                        np.outer(self_data, grad) if want_other else None)
             if other_data.ndim == 1:
-                grad_self = np.outer(grad, other_data)
-                grad_other = self_data.T @ grad
-                return ((self, grad_self), (other, grad_other))
-            grad_self = grad @ np.swapaxes(other_data, -1, -2)
-            grad_other = np.swapaxes(self_data, -1, -2) @ grad
-            return ((self, grad_self), (other, grad_other))
+                return (np.outer(grad, other_data) if want_self else None,
+                        self_data.T @ grad if want_other else None)
+            return (grad @ np.swapaxes(other_data, -1, -2) if want_self else None,
+                    np.swapaxes(self_data, -1, -2) @ grad if want_other else None)
 
         return self._make_child(forward(), (self, other), backward, forward)
 
@@ -400,7 +448,7 @@ class Tensor:
             return self.data.reshape(shape)
 
         def backward(grad: np.ndarray):
-            return ((self, grad.reshape(original_shape)),)
+            return (grad.reshape(original_shape),)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -409,7 +457,7 @@ class Tensor:
             return self.data.T
 
         def backward(grad: np.ndarray):
-            return ((self, grad.T),)
+            return (grad.T,)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -419,14 +467,20 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         shape = self.data.shape
+        # A basic (slice/int) index selects each element at most once, so a
+        # plain in-place add scatters exactly what ``np.add.at`` would.
+        basic = _is_basic_index(index)
 
         def forward():
             return self.data[index]
 
         def backward(grad: np.ndarray):
             full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, index, grad)
-            return ((self, full),)
+            if basic:
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
+            return (full,)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -449,7 +503,7 @@ class Tensor:
                     for ax in sorted(a % len(shape) for a in axes):
                         grad = np.expand_dims(grad, ax)
                 expanded = np.broadcast_to(grad, shape)
-            return ((self, expanded),)
+            return (expanded,)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -480,7 +534,7 @@ class Tensor:
                 np.multiply.accumulate(flat[:-1], out=prefix[1:])
                 np.multiply.accumulate(flat[:0:-1], out=suffix[-2::-1])
             partials = prefix * suffix
-            return ((self, (grad_value * partials).reshape(self.data.shape)),)
+            return ((grad_value * partials).reshape(self.data.shape),)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -494,7 +548,7 @@ class Tensor:
             grad_value = float(np.asarray(grad).reshape(-1)[0])
             mask = (self.data == out.data).astype(np.float64)
             mask /= mask.sum()
-            return ((self, grad_value * mask),)
+            return (grad_value * mask,)
 
         return out._set_backward(backward)
 
@@ -508,7 +562,7 @@ class Tensor:
         out = self._make_child(forward(), (self,), None, forward)
 
         def backward(grad: np.ndarray):
-            return ((self, grad * out.data),)
+            return (grad * out.data,)
 
         return out._set_backward(backward)
 
@@ -517,7 +571,7 @@ class Tensor:
             return np.log(self.data)
 
         def backward(grad: np.ndarray):
-            return ((self, grad / self.data),)
+            return (grad / self.data,)
 
         return self._make_child(forward(), (self,), backward, forward)
 
@@ -529,7 +583,7 @@ class Tensor:
             return np.abs(self.data)
 
         def backward(grad: np.ndarray):
-            return ((self, grad * np.sign(self.data)),)
+            return (grad * np.sign(self.data),)
 
         return self._make_child(forward(), (self,), backward, forward)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.campaign.store import ResultStore, segment_name_for
+from repro.campaign.store import ResultStore
 from repro.eval.cache import EvaluationCache
 from repro.search.api import SearchCallback, SearchOutcome, get_searcher
 from repro.utils.log import get_logger
@@ -103,6 +104,25 @@ _WORKER_CHANNEL: tuple | None = None
 _WORKER_FAULT: Callable[[str, str], None] | None = None
 
 
+#: How often (seconds) a pool worker checks that the process that forked it
+#: is still alive (see :func:`install_worker_channel`).
+_PARENT_POLL_SECONDS = 1.0
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this worker once its parent, pid ``parent``, is gone.
+
+    An idle ``ProcessPoolExecutor`` worker blocks reading its call queue,
+    whose write end it holds itself, so the death of the process that forked
+    it never wakes it: a daemon killed hard would leave its workers asleep,
+    reparented, for good.  A reparented worker has a different parent pid.
+    """
+    while True:
+        time.sleep(_PARENT_POLL_SECONDS)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
 def install_worker_channel(queue, stop_event, fault_plan=None,
                            fault_ledger=None) -> None:
     """Executor initializer: give this worker a progress/stop channel.
@@ -118,9 +138,16 @@ def install_worker_channel(queue, stop_event, fault_plan=None,
     ``fault_ledger`` (its shared on-disk fire ledger) arm deterministic fault
     injection inside this worker — the import happens here, post-fork, so the
     campaign layer has no module-level dependency on the service package.
+
+    The worker also starts a daemon thread that exits it (``os._exit``)
+    within about :data:`_PARENT_POLL_SECONDS` of its parent's death.  The
+    thread starts here, in the worker after the fork, so the daemon's
+    fork-before-threads ordering is untouched.
     """
     global _WORKER_CHANNEL, _WORKER_FAULT
     _WORKER_CHANNEL = (queue, stop_event)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="repro-orphan-watch", daemon=True).start()
     if fault_plan is not None and fault_ledger is not None:
         from repro.service import faults
 
@@ -242,9 +269,9 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
             outcome = execute_job(job, cache=cache, callbacks=callbacks)
         finally:
             if persist_cache:
-                segment = segment_name_for(job_id)
-                store.append_cache_segment(segment, stored)
-                seen.add(segment)  # our own entries went through this cache
+                segment = store.append_cache_segment(job_id, stored)
+                if segment is not None:
+                    seen.add(segment)  # our own entries went through this cache
             if channel is not None:
                 queue.put(("stats", progress.tag,
                            {"campaign_job": job_id, "pid": os.getpid(),
@@ -478,8 +505,7 @@ class CampaignScheduler:
                     return
                 finally:
                     if self.persist_cache:
-                        self.store.append_cache_segment(
-                            segment_name_for(job.job_id), stored)
+                        self.store.append_cache_segment(job.job_id, stored)
             self._persist(run, job, outcome)
             if on_job_done is not None:
                 try:

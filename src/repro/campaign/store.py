@@ -6,7 +6,7 @@ Layout of a campaign directory::
       manifest.json    # {"version": 1, "spec": CampaignSpec.to_dict()}
       results.jsonl    # one record per finished job: {"job_id", "outcome"}
       cache/           # reference-model cache spill, one segment per job
-        <segment>.jsonl
+        job-<cell>-<content>.jsonl
 
 Write semantics are chosen for crash safety without locks:
 
@@ -28,7 +28,12 @@ The cache spill is what makes the store double as a persistent cross-process
 fingerprint entries it stored as one segment, and later jobs — in this
 process or any other — preload them.  Entries are bit-identical
 reference-model results, so spilling never changes outcomes, only
-wall-clock time.
+wall-clock time.  A segment is named by its job's cell id *and* a digest
+of its bytes (:func:`segment_name_for`), compacted segments by their bytes
+alone, so equal content shares a name and different content never
+overwrites: two service jobs of one cell with different budgets, or a
+resumed cell and its interrupted attempt, each keep their segment, and a
+worker that loaded one compaction sees the next under a new name.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
 CACHE_DIR_NAME = "cache"
 
-#: The single segment a spill compaction folds every other segment into.
-COMPACTED_SEGMENT = "segment-compacted.jsonl"
+#: Name prefix of the segment a spill compaction folds every other segment
+#: into; the rest of the name is a digest of its bytes.
+COMPACTED_PREFIX = "segment-compacted-"
 
 log = get_logger("campaign.store")
 
@@ -123,9 +129,20 @@ def cache_entry_from_dict(payload: Mapping[str, Any]) -> tuple[CacheKey, Perform
     return key, result
 
 
-def segment_name_for(job_id: str) -> str:
-    """Filesystem-safe cache segment name for one job's spill."""
-    return f"job-{hashlib.sha256(job_id.encode()).hexdigest()[:16]}.jsonl"
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def segment_name_for(job_id: str, text: str) -> str:
+    """Filesystem-safe name of one job's spill segment holding ``text``.
+
+    ``job-<cell>-<content>.jsonl``: a digest of the job's cell id, then a
+    digest of the segment's bytes.  The cell part keeps a job's segments
+    recognizable; the content part makes the name a function of the bytes,
+    so a cell that spills twice with different entries (a service cell's id
+    carries no budget; a resumed cell re-runs) writes two segments.
+    """
+    return f"job-{_digest(job_id)}-{_digest(text)}.jsonl"
 
 
 # --------------------------------------------------------------------------- #
@@ -308,24 +325,28 @@ class ResultStore:
     # Evaluation-cache spill
     # ------------------------------------------------------------------ #
     def append_cache_segment(
-        self, segment: str,
+        self, job_id: str,
         entries: Iterable[tuple[CacheKey, PerformanceResult]],
-    ) -> int:
-        """Persist the cache entries one job stored as an atomic segment file.
+    ) -> str | None:
+        """Persist the cache entries job ``job_id`` stored as a segment file.
 
-        Returns the number of entries written; an empty iterable writes
-        nothing.  Segments are complete-or-absent (temp file + rename), so a
-        crash mid-spill never leaves a partial segment behind — at worst the
-        entries are re-evaluated later, which is only a wall-clock cost.
+        Returns the segment's name (:func:`segment_name_for`, so it depends
+        on the entries as well as the job), or ``None`` when ``entries`` is
+        empty and nothing was written.  Segments are complete-or-absent
+        (temp file + rename), so a crash mid-spill never leaves a partial
+        segment behind — at worst the entries are re-evaluated later, which
+        is only a wall-clock cost.
         """
         lines = [json.dumps(cache_entry_to_dict(key, result),
                             separators=(",", ":"))
                  for key, result in entries]
         if not lines:
-            return 0
+            return None
+        text = "\n".join(lines) + "\n"
+        name = segment_name_for(job_id, text)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(self.cache_dir / segment, "\n".join(lines) + "\n")
-        return len(lines)
+        self._write_atomic(self.cache_dir / name, text)
+        return name
 
     def load_cache(self, cache: EvaluationCache | None = None) -> EvaluationCache:
         """Preload every spilled entry into ``cache`` (a new one by default).
@@ -348,8 +369,9 @@ class ResultStore:
         name order.  Entries are bit-identical reference-model results, so
         incremental loading can never go stale.  A listed segment that is
         gone by the time it is read — a concurrent compaction folded it into
-        :data:`COMPACTED_SEGMENT` and unlinked it — is skipped and not
-        reported as loaded; its entries live on in the compacted segment.
+        a compacted segment and unlinked it — is skipped and not reported as
+        loaded; its entries live on in the compacted segment, which carries
+        a name no earlier listing saw.
         """
         loaded: set[str] = set()
         for name in self._segment_names(skip):
@@ -532,10 +554,14 @@ def compact_cache_dir(cache_dir: str | Path) -> CompactionStats:
 
     Long-lived spills (multi-day servers, many-job campaigns) accumulate one
     segment per job, many holding entries later segments repeat.  Compaction
-    rewrites the union as a single :data:`COMPACTED_SEGMENT` keeping the
-    *first* line stored for each exact cache key — entry lines for the same
-    key are bit-identical by construction, so a reload of the compacted spill
-    is bit-identical to a reload of the original segments.
+    rewrites the union as a single segment keeping the *first* line stored
+    for each exact cache key — entry lines for the same key are bit-identical
+    by construction, so a reload of the compacted spill is bit-identical to a
+    reload of the original segments.  The compacted segment is named
+    :data:`COMPACTED_PREFIX` plus a digest of its bytes, and earlier
+    compacted segments fold and unlink like any other, so every compaction
+    that adds entries yields a name a long-lived reader has not loaded yet,
+    and compacting an already-compacted spill rewrites the same name.
 
     Crash-safe and concurrent-writer-safe: the compacted segment is written
     atomically *before* the snapshot of old segments is deleted (a crash in
@@ -564,11 +590,13 @@ def compact_cache_dir(cache_dir: str | Path) -> CompactionStats:
                             entries_after=len(winners))
     if not snapshot:
         return stats
+    compacted = None
     if winners:
-        write_atomic(cache_dir / COMPACTED_SEGMENT,
-                     "\n".join(winners.values()) + "\n")
+        text = "\n".join(winners.values()) + "\n"
+        compacted = f"{COMPACTED_PREFIX}{_digest(text)}.jsonl"
+        write_atomic(cache_dir / compacted, text)
     for segment in snapshot:
-        if segment.name == COMPACTED_SEGMENT and winners:
+        if segment.name == compacted:
             continue
         try:
             segment.unlink()

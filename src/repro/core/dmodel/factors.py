@@ -125,9 +125,11 @@ class MultiStartFactors:
     Layers are heterogeneous: problem sizes and strides live in per-layer
     rows of ``dim_sizes``/stride arrays, shared across starts (every start
     descends the same network).  ``dim_mask`` marks which columns are real
-    problem dimensions (size > 1), broadcast to ``(S, L, NUM_DIMS)``; padding
-    columns (e.g. R/S/Q of a matmul layer) stay pinned near 1 by the Eq.-18
-    penalty, so the mask is informational, not semantic.  Loop orderings are
+    problem dimensions (size > 1), broadcast to ``(S, L, NUM_DIMS)``.
+    Nothing reads it yet: padding columns (e.g. R/S/Q of a matmul layer) are
+    free variables of the descent like any other, and the Eq.-18 penalty
+    only pushes a factor *up* towards 1 — it does not keep one there, so
+    padding factors drift below 1 during descent.  Loop orderings are
     tracked per start *and* per layer in ``start_orderings``; the compiled
     walk-order permutations are ``(S, L, dims)`` gather arrays.
     """

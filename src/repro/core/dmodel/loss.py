@@ -57,13 +57,13 @@ def validity_penalty(factors: MultiStartFactors,
     Returns the ``(S,)`` vector of per-start penalties, each folded over its
     hinges layer-major (all of layer 0's factors, then layer 1's, ...).
     ``grid`` lets the caller reuse one factor grid across the loss graph.
+    The hinges of every grid factor are one fused node.
     """
     grid = grid if grid is not None else factors.factor_grid()
-    hinges = [ops.relu(1.0 - value) for value in grid.values()
-              if isinstance(value, Tensor)]
-    # (entries, S, L) -> (S, L, entries) -> per-start layer-major fold.
-    flat = ops.transpose(ops.stack(hinges), (1, 2, 0)).reshape(
-        factors.num_starts, len(factors.layers) * len(hinges))
+    values = [value for value in grid.values() if isinstance(value, Tensor)]
+    # (S, L, entries) -> per-start layer-major fold.
+    flat = ops.hinge_below(values, 1.0).reshape(
+        factors.num_starts, len(factors.layers) * len(values))
     return ops.fold_sum(flat, axis=-1)
 
 

@@ -42,7 +42,24 @@ class TestElementwise:
 
     def test_hinge_below(self):
         x = Tensor([0.5, 2.0, 0.9])
-        assert ops.hinge_below(x, 1.0).item() == pytest.approx(0.5 + 0.1)
+        assert ops.hinge_below([x], 1.0).sum().item() == pytest.approx(0.5 + 0.1)
+
+    def test_hinge_below_matches_stacked_relu_chain_bitwise(self):
+        rng = np.random.default_rng(5)
+        data = [rng.uniform(-1.0, 3.0, size=(2, 3)) for _ in range(4)]
+        data[0][0, 0] = 1.0  # a hinge exactly at its kink
+        seed = rng.normal(size=(2, 3, 4))
+        fused_in = [Tensor(d.copy(), requires_grad=True) for d in data]
+        chain_in = [Tensor(d.copy(), requires_grad=True) for d in data]
+        fused = ops.hinge_below(fused_in + [2.0 * np.ones((2, 3))], 1.0)[..., :4]
+        chained = ops.transpose(
+            ops.stack([ops.relu(1.0 - t) for t in chain_in]), (1, 2, 0))
+        assert fused.shape == (2, 3, 4)
+        assert np.array_equal(fused.data, chained.data)
+        fused.backward(seed)
+        chained.backward(seed)
+        for a, b in zip(fused_in, chain_in):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 class TestReductionsAndCombos:

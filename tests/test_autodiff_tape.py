@@ -88,6 +88,78 @@ class TestTapeReplay:
             Tape(lambda: (p * 2.0).sum()).backward()  # backward before forward
 
 
+class TestBackwardProgram:
+    """The compiled reverse accumulation shared by ``Tensor.backward`` and tapes."""
+
+    def test_self_product_accumulates_both_contributions(self):
+        x = Tensor(np.array([0.5, -3.0, 2.0]), requires_grad=True)
+        (x * x).backward(np.ones(3))
+        assert np.array_equal(x.grad, 2.0 * x.data)
+        tape = Tape(lambda: (x * x).sum())
+        x.zero_grad()
+        tape.forward()
+        tape.backward()
+        assert np.array_equal(x.grad, 2.0 * x.data)
+
+    def test_constants_receive_no_gradient(self):
+        x = Tensor(np.array([1.5, 4.0]), requires_grad=True)
+        constants = [Tensor(np.array([2.0, 0.5])) for _ in range(4)]
+        c_mul, c_div, c_sub, c_max = constants
+        loss = ops.maximum(x * c_mul / c_div - c_sub, c_max).sum()
+        tape = Tape(lambda: loss)
+        tape.forward()
+        tape.backward()
+        assert x.grad is not None
+        assert all(c.grad is None for c in constants)
+        loss.backward()
+        assert all(c.grad is None for c in constants)
+
+    @pytest.mark.parametrize("index", [
+        (slice(None), 1),
+        (0, slice(1, None)),
+        (Ellipsis, 2),
+        (None, 1, slice(None, None, 2)),
+        1,
+    ])
+    def test_basic_index_scatters_like_add_at(self, index):
+        data = np.arange(12.0).reshape(3, 4) - 5.5
+        x = Tensor(data, requires_grad=True)
+        out = x[index]
+        seed = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+        seed.flat[0] = -0.0
+        out.backward(seed)
+        expected = np.zeros(data.shape)
+        np.add.at(expected, index, seed)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index", [
+        (np.array([0, 2, 0]), slice(None)),
+        (np.array([[0], [2]]), np.array([1, 1, 3])),
+        np.array([True, False, True]),
+    ])
+    def test_advanced_index_scatters_like_add_at(self, index):
+        data = np.arange(12.0).reshape(3, 4) - 5.5
+        x = Tensor(data, requires_grad=True)
+        out = x[index]
+        seed = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+        out.backward(seed)
+        expected = np.zeros(data.shape)
+        np.add.at(expected, index, seed)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_tape_replay_runs_the_program_tensor_backward_runs(self):
+        p, q = _make_params()
+        tape = Tape(lambda: _loss_fn(p, q))
+        tape.forward()
+        tape.backward()
+        replayed = p.grad.copy(), q.grad.copy()
+        p.zero_grad()
+        q.zero_grad()
+        _loss_fn(p, q).backward()
+        assert p.grad.tobytes() == replayed[0].tobytes()
+        assert q.grad.tobytes() == replayed[1].tobytes()
+
+
 class TestFoldReductions:
     def test_fold_sum_matches_total_sum_chain(self):
         values = np.array([1e16, 1.0, -1e16, 3.0, 7.5])

@@ -181,7 +181,10 @@ class TestResultStore:
             assert result == entry[1]  # dataclass equality covers every field
 
         store = ResultStore(tmp_path / "s", spec=tiny_spec())
-        assert store.append_cache_segment("seg.jsonl", entries) == len(entries)
+        segment = store.append_cache_segment("seg", entries)
+        assert segment == segment_name_for(
+            "seg", (store.cache_dir / segment).read_text())
+        assert store.spilled_entry_count() == len(entries)
         loaded = store.load_cache()
         assert len(loaded) == len(entries)
         # A preloaded cache serves the evaluations as pure hits.
@@ -369,7 +372,7 @@ class TestSchedulerResume:
 # --------------------------------------------------------------------------- #
 # The spill: what each job stored; the bounded pool-worker cache
 # --------------------------------------------------------------------------- #
-def random_spec(seeds=(0,)):
+def random_spec(seeds=(0,), budgets=(repro.SearchBudget(),)):
     """Seconds-scale random-search jobs on bert (~60 stored entries each)."""
     return CampaignSpec(
         name="spill",
@@ -378,14 +381,22 @@ def random_spec(seeds=(0,)):
                                     settings={"num_hardware_designs": 2,
                                               "mappings_per_layer": 5}),),
         seeds=seeds,
+        budgets=budgets,
     )
+
+
+def worker_misses(cache_dir) -> int:
+    """Misses so far of the in-process pool worker's cache over ``cache_dir``."""
+    state = scheduler_module._WORKER_SPILL.get(str(cache_dir))
+    return 0 if state is None else state[0].stats.misses
 
 
 def segment_keys(store, job_id):
     """Cache keys of one job's spill segment, in file order."""
-    path = store.cache_dir / segment_name_for(job_id)
+    [text] = [path.read_text() for path in store.cache_dir.iterdir()
+              if path.name == segment_name_for(job_id, path.read_text())]
     return [cache_entry_from_dict(json.loads(line))[0]
-            for line in path.read_text().splitlines()]
+            for line in text.splitlines()]
 
 
 def run_pool_job(store, job_id):
@@ -455,7 +466,7 @@ class TestSpill:
             scheduler_module.execute_job(first, cache=standalone)
         half = len(entries) // 2
         # Another process spilled half of the first job's entries.
-        store.append_cache_segment("another-process.jsonl", entries[:half])
+        store.append_cache_segment("another-process", entries[:half])
         stored_per_job.clear()
 
         for job in spec.jobs():
@@ -500,20 +511,65 @@ class TestSpill:
         engine.evaluate_many([cosa_mapping(layer, hardware)
                               for layer in get_network("bert").layers],
                              hardware)
-        written = store.append_cache_segment("job-0001.jsonl",
-                                             engine.cache.items())
+        entries = engine.cache.items()
+        segment = store.append_cache_segment("job-0001", entries)
+        written = len(entries)
         (store.cache_dir / "job-0000.jsonl").symlink_to(
             store.cache_dir / "unlinked")
         cache = EvaluationCache()
-        assert store.load_cache_segments(cache, skip=set()) \
-            == {"job-0001.jsonl"}
+        assert store.load_cache_segments(cache, skip=set()) == {segment}
         assert len(cache) == written
         assert store.spilled_entry_count() == written
 
         payload = run_pool_job(store, spec.jobs()[0].job_id)
         assert payload["outcome"]["best"]["edp"] > 0
         _, seen = scheduler_module._WORKER_SPILL[str(store.cache_dir)]
-        assert "job-0001.jsonl" in seen and "job-0000.jsonl" not in seen
+        assert segment in seen and "job-0000.jsonl" not in seen
+
+    def test_same_cell_jobs_with_different_budgets_keep_both_segments(
+            self, tmp_path, fresh_worker):
+        # A service job's cell id carries no budget value, so two jobs of one
+        # network, strategy and seed share a cell id over one shared spill.
+        cache_dir = tmp_path / "cache"
+        misses, job_ids = [], []
+        for index, budget in enumerate((repro.SearchBudget(max_samples=30),
+                                        repro.SearchBudget())):
+            spec = random_spec(budgets=(budget,))
+            store = ResultStore(tmp_path / f"job{index}", spec=spec,
+                                cache_dir=cache_dir)
+            [job] = spec.jobs()
+            before = worker_misses(cache_dir)
+            scheduler_module._pool_run_job(spec.to_dict(), job.job_id,
+                                           str(store.directory), True,
+                                           str(cache_dir))
+            misses.append(worker_misses(cache_dir) - before)
+            job_ids.append(job.job_id)
+        assert job_ids[0] == job_ids[1]
+        assert misses[0] > 0 and misses[1] > 0
+        assert store.spilled_entry_count() == sum(misses)
+
+    def test_worker_loads_entries_a_later_compaction_folded_in(
+            self, tmp_path, fresh_worker):
+        spec = random_spec(seeds=(0, 1, 2))
+        store = ResultStore(tmp_path / "s", spec=spec)
+        first, second, third = spec.jobs()
+        run_pool_job(store, first.job_id)
+        store.compact_spill()
+        run_pool_job(store, second.job_id)  # preloads compaction 1
+        # Another worker spills the third job's entries; compaction 2 folds
+        # them, compaction 1 and the second job's segment into one segment.
+        standalone = EvaluationCache()
+        with standalone.recording() as entries:
+            scheduler_module.execute_job(third, cache=standalone)
+        store.append_cache_segment("other-worker", entries)
+        store.compact_spill()
+        assert len(list(store.cache_dir.iterdir())) == 1
+
+        cache, _ = scheduler_module._WORKER_SPILL[str(store.cache_dir)]
+        hits, misses = cache.stats.hits, cache.stats.misses
+        run_pool_job(store, third.job_id)
+        assert cache.stats.misses == misses
+        assert cache.stats.hits - hits == len(entries)
 
 
 # --------------------------------------------------------------------------- #

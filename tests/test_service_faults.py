@@ -10,8 +10,13 @@ resilient client (backoff, ``Retry-After`` parsing, SSE reconnect with
 """
 
 import contextlib
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +235,50 @@ class TestWorkerRecovery:
             with pytest.raises(ServiceError, match="giving up after 2"):
                 client.wait(job["job_id"], timeout=120)
             assert client.job(job["job_id"])["state"] == "failed"
+
+
+#: A process that forks a one-worker pool the way the daemon does, prints
+#: the worker's pid, and dies without shutting the pool down.
+_DYING_DAEMON = """
+import multiprocessing, os
+from concurrent.futures import ProcessPoolExecutor
+from repro.campaign.scheduler import install_worker_channel
+context = multiprocessing.get_context("fork")
+pool = ProcessPoolExecutor(max_workers=1, mp_context=context,
+                           initializer=install_worker_channel,
+                           initargs=(context.Queue(), context.Event()))
+print(pool.submit(os.getpid).result(), flush=True)
+os._exit(70)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to see the orphaned worker")
+class TestOrphanedWorkers:
+    def test_pool_worker_exits_when_its_daemon_dies_hard(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        daemon = subprocess.Popen([sys.executable, "-c", _DYING_DAEMON],
+                                  cwd=src, stdout=subprocess.PIPE, text=True)
+        with daemon.stdout:
+            worker = int(daemon.stdout.readline())
+        assert daemon.wait(timeout=60) == 70
+        try:
+            deadline = time.monotonic() + 5.0
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:
+            if _running(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 class TestCancellation:

@@ -11,7 +11,7 @@ from repro.campaign import (
     StrategyVariant,
     run_campaign,
 )
-from repro.campaign.store import COMPACTED_SEGMENT
+from repro.campaign.store import COMPACTED_PREFIX
 from repro.cli import main as cli_main
 from repro.eval.cache import EvaluationCache
 from repro.campaign.store import cache_entry_to_dict
@@ -138,7 +138,8 @@ class TestCompactSpill:
         stats = store.compact_spill()
         assert stats.segments_before == segments_before
         remaining = list(store.cache_dir.glob("*.jsonl"))
-        assert [p.name for p in remaining] == [COMPACTED_SEGMENT]
+        assert len(remaining) == 1
+        assert remaining[0].name.startswith(COMPACTED_PREFIX)
         assert spill_entries(tmp_path / "c") == before
 
     def test_compaction_is_idempotent(self, tmp_path):
@@ -146,9 +147,11 @@ class TestCompactSpill:
         run_campaign(spec, directory=tmp_path / "c")
         store = ResultStore(tmp_path / "c")
         store.compact_spill()
-        first = (store.cache_dir / COMPACTED_SEGMENT).read_bytes()
+        [compacted] = store.cache_dir.glob(f"{COMPACTED_PREFIX}*")
+        first = compacted.read_bytes()
         again = store.compact_spill()
-        assert (store.cache_dir / COMPACTED_SEGMENT).read_bytes() == first
+        assert list(store.cache_dir.glob("*.jsonl")) == [compacted]
+        assert compacted.read_bytes() == first
         assert again.segments_before == 1
 
 
