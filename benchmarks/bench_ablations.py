@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for three design choices of the DOSA search.
 
 These are not paper figures; they quantify the knobs of the DOSA search on a
 small workload so that a downstream user can see what each one buys:

@@ -34,6 +34,7 @@ A longer soak: ``--jobs-per-tenant 5 --budget 120``.
 
 import argparse
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -226,6 +227,23 @@ def run_chaos(jobs_per_tenant: int, budget: int, n_workers: int,
               "least one fault-free job for the fairness bound")
         return 1
     root = Path(tempfile.mkdtemp(prefix="bench-chaos-"))
+    status = 1
+    try:
+        status = chaos_under(root, jobs_per_tenant, budget, n_workers,
+                             watchdog_seconds)
+    finally:
+        # A passing run has stopped its daemon and found no orphan by now.
+        # A failing one keeps its daemon log, stores and fault ledger.
+        if status == 0:
+            shutil.rmtree(root)
+        else:
+            print(f"run root kept for inspection: {root}")
+    return status
+
+
+def chaos_under(root: Path, jobs_per_tenant: int, budget: int,
+                n_workers: int, watchdog_seconds: float) -> int:
+    """One chaos run with ``root`` as the daemon's service root."""
     plan_path = root / "fault_plan.json"
     build_plan(watchdog_seconds).save(plan_path)
     port = free_port()

@@ -1,8 +1,8 @@
 """Shared pytest-benchmark configuration for the experiment benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures at a reduced
-but shape-preserving scale (full paper-scale runs take hours; see
-EXPERIMENTS.md for the paper-scale entry points).  The benchmark value is the
+but shape-preserving scale (full paper-scale runs take hours:
+``python -m repro.cli <figure> --scale paper``).  The benchmark value is the
 wall-clock time of the harness; the scientific outputs are attached to
 ``benchmark.extra_info`` so they appear in the saved benchmark JSON.
 """

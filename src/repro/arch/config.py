@@ -83,10 +83,6 @@ class HardwareConfig:
         """Per-array register capacity in words (one stationary weight per PE)."""
         return self.num_pes
 
-    def area_proxy(self) -> float:
-        """A crude area indicator: PEs plus SRAM kilobytes (for reporting only)."""
-        return float(self.num_pes) + 2.0 * (self.accumulator_kb + self.scratchpad_kb)
-
     def describe(self) -> str:
         return (
             f"pe_array={self.pe_dim}x{self.pe_dim} "

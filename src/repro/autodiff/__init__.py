@@ -9,7 +9,7 @@ type defined here.  It provides:
   supporting broadcasting-aware reverse-mode backpropagation,
 * ``ops`` — a functional library (exp, log, power, maximum, softmax,
   reductions, matmul, stacking, clamping, fused fold/reload reductions ...),
-* ``optim`` — SGD and Adam optimizers (Adam with a fused in-place path),
+* ``optim`` — SGD and Adam optimizers (Adam updates in place),
 * ``tape`` — compiled-tape replay of a traced graph (re-trace once per
   structural change instead of once per step),
 * ``nn`` — a minimal neural-network layer library (Linear, MLP, losses),

@@ -66,14 +66,11 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015) — the descent algorithm used by DOSA.
 
-    ``fused=True`` selects an allocation-free update path: moments and the
-    parameter arrays are updated in place through two preallocated scratch
-    buffers per parameter.  The fused update computes bit-identical values to
-    the default path (same operations in the same order); the only observable
-    difference is that ``parameter.data`` is mutated rather than replaced, so
-    callers holding references to the old array will see it change.  The
-    DOSA inner loop runs fused; the default stays allocation-per-step for
-    code that snapshots ``.data`` between steps.
+    The update is allocation-free: moments and the parameter arrays are
+    updated in place through two preallocated scratch buffers per
+    parameter, so ``parameter.data`` is mutated rather than replaced (a
+    caller holding a reference to the array sees it change).  The values
+    are those of the textbook formula, operation for operation.
     """
 
     def __init__(
@@ -83,7 +80,6 @@ class Adam(Optimizer):
         betas: Sequence[float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        fused: bool = False,
     ) -> None:
         super().__init__(parameters)
         if lr <= 0:
@@ -94,37 +90,16 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.fused = fused
         self._step_count = 0
         self._m: list[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
         self._v: list[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch: list[tuple[np.ndarray, np.ndarray]] = (
-            [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.parameters]
-            if fused else [])
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] = [
+            (np.empty_like(p.data), np.empty_like(p.data)) for p in self.parameters]
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        if self.fused:
-            self._fused_step(bias1, bias2)
-            return
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _fused_step(self, bias1: float, bias2: float) -> None:
-        """In-place Adam update through scratch buffers (no allocations)."""
         for parameter, m, v, (s1, s2) in zip(self.parameters, self._m, self._v,
                                              self._scratch):
             if parameter.grad is None:

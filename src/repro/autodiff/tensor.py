@@ -33,7 +33,7 @@ replayed backward is bit-identical to a fresh one.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,11 +52,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def grad_enabled() -> bool:
-    """Return whether operations currently record the computation graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -601,8 +596,3 @@ class Tensor:
 
     def __ge__(self, other: ArrayLike):
         return self.data >= Tensor.as_tensor(other).data
-
-
-def parameters_size(tensors: Iterable[Tensor]) -> int:
-    """Total number of scalar parameters across ``tensors``."""
-    return sum(t.size for t in tensors)

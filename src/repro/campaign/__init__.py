@@ -29,7 +29,7 @@ or from the shell: ``python -m repro.cli campaign run spec.json --dir DIR``.
 The Figure 7/8/9 harnesses drive their grids through this layer.
 """
 
-from repro.campaign.report import CampaignReport, report_from_directory
+from repro.campaign.report import CampaignReport
 from repro.campaign.scheduler import (
     CampaignRun,
     CampaignScheduler,
@@ -51,6 +51,5 @@ __all__ = [
     "StoreCorruptionError",
     "StrategyVariant",
     "execute_job",
-    "report_from_directory",
     "run_campaign",
 ]

@@ -159,8 +159,3 @@ class CampaignReport:
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, self.to_text())
         return path
-
-
-def report_from_directory(directory: str | Path) -> CampaignReport:
-    """Load a campaign directory's store and build its report."""
-    return CampaignReport.from_store(ResultStore(directory))

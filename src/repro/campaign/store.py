@@ -540,10 +540,6 @@ class CompactionStats:
     lines_before: int
     entries_after: int
 
-    @property
-    def removed_lines(self) -> int:
-        return self.lines_before - self.entries_after
-
     def __str__(self) -> str:
         return (f"{self.segments_before} segments / {self.lines_before} lines "
                 f"-> 1 segment / {self.entries_after} entries")

@@ -12,7 +12,7 @@ The descent runs start-batched: all S start points x L layers live in one
 :class:`~repro.core.dmodel.factors.MultiStartFactors` (an ``(S, L, ...)``
 array-op graph, so a single gradient step advances every start point),
 replayed between rounding points by a compiled
-:class:`~repro.autodiff.tape.Tape` and updated by a fused in-place Adam.
+:class:`~repro.autodiff.tape.Tape` and updated by Adam in place.
 Start points share no graph nodes, so each start's descent trajectory —
 losses, gradients, Adam updates, rounded designs — is bit-identical to
 descending it alone as an S=1 stack; only the *interleaving* differs from
@@ -193,8 +193,7 @@ class DosaSearcher:
         """
         settings = self.settings
         factors = stack_start_points(start_points)
-        optimizer = Adam(factors.parameters(), lr=settings.learning_rate,
-                         fused=True)
+        optimizer = Adam(factors.parameters(), lr=settings.learning_rate)
         active = np.ones(factors.num_starts, dtype=bool)
         # The mask is read at trace time; every mask change below invalidates
         # the tape, so replays never see a stale mask.

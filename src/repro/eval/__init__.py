@@ -13,7 +13,8 @@ this package makes that scoring cheap without changing a single result:
   strategies use: a cache lookup plus one vectorized batch call for the
   misses.
 
-See ``benchmarks/bench_model_throughput.py`` for the measured speedups.
+The benchmark (``perfbench/``) times both inside whole searches
+(``eval.engine_s``, ``eval.batch_s``).
 """
 
 from repro.eval.batch import (

@@ -14,8 +14,8 @@ every factor is an integer represented exactly in float64 and every
 intermediate product stays far below 2**53, so products are exact regardless
 of association order, and the remaining floating-point operations (divisions,
 sums) are issued in the same order as the scalar implementation.  The test
-suite and ``benchmarks/bench_model_throughput.py`` assert equality with
-``==``, not with a tolerance.
+suite (``tests/test_eval_engine.py``) asserts equality with ``==``, not with
+a tolerance.
 
 Mappings in one batch may target different layers (different dimensions,
 strides, loop orderings); only the hardware specification is shared per call,

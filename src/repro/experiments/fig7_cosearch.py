@@ -61,10 +61,6 @@ class CoSearchResult:
         return self.trace("random")
 
     @property
-    def bayesian_trace(self) -> list[tuple[int, float]]:
-        return self.trace("bayesian")
-
-    @property
     def dosa_vs_random(self) -> float:
         return self.random_edp / self.dosa_edp
 

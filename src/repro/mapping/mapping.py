@@ -249,21 +249,3 @@ def identity_mapping(layer: LayerDims) -> Mapping:
     for dim in DIMENSIONS:
         mapping.set_temporal(LEVEL_DRAM, dim, float(layer.dim(dim)))
     return mapping
-
-
-def factors_from_per_level_dict(
-    layer: LayerDims,
-    temporal: MappingType[int, MappingType[str, float]],
-    spatial: MappingType[int, MappingType[str, float]] | None = None,
-    orderings: Sequence[LoopOrdering] = DEFAULT_ORDERINGS,
-) -> Mapping:
-    """Build a mapping from nested ``{level: {dim: factor}}`` dictionaries."""
-    mapping = Mapping(layer=layer, orderings=tuple(orderings))
-    for level, dims in temporal.items():
-        for dim, value in dims.items():
-            mapping.set_temporal(level, dim, float(value))
-    if spatial:
-        for level, dims in spatial.items():
-            for dim, value in dims.items():
-                mapping.set_spatial(level, dim, float(value))
-    return mapping

@@ -948,14 +948,16 @@ class SearchService:
                 if record.idempotency_key:
                     self._idempotency.pop(
                         (record.tenant, record.idempotency_key), None)
+                # Counted and deleted before the lock is released: a client
+                # that sees the job's 404 also sees both.
+                self.metrics.count("jobs_expired")
+                shutil.rmtree(self.layout.job_dir(record.tenant, record.job_id),
+                              ignore_errors=True)
                 expired.append((record,
                                 self._events.pop(record.job_id, None)))
         for record, events in expired:
             if events is not None:
                 events.close()
-            shutil.rmtree(self.layout.job_dir(record.tenant, record.job_id),
-                          ignore_errors=True)
-            self.metrics.count("jobs_expired")
             log.info("service: expired %s job %s (%s, ttl %.0fs)",
                      record.state, record.job_id, record.tenant, ttl)
 

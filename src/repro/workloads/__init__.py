@@ -16,7 +16,6 @@ from repro.workloads.layer import (
     LayerDims,
     conv2d_layer,
     matmul_layer,
-    depthwise_as_grouped_convs,
 )
 from repro.workloads.networks import (
     Network,
@@ -42,7 +41,6 @@ __all__ = [
     "LayerDims",
     "conv2d_layer",
     "matmul_layer",
-    "depthwise_as_grouped_convs",
     "Network",
     "alexnet",
     "vgg16",

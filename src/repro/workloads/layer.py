@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.utils.math_utils import divisors
-
 # Canonical dimension order used everywhere in the reproduction.
 DIMENSIONS: tuple[str, ...] = ("R", "S", "P", "Q", "C", "K", "N")
 
@@ -78,10 +76,6 @@ class LayerDims:
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(self.dims().items())
-
-    def divisors_of(self, name: str) -> tuple[int, ...]:
-        """All valid (divisor) tiling factors of dimension ``name``."""
-        return divisors(self.dim(name))
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -184,34 +178,4 @@ def matmul_layer(
     """
     return LayerDims(
         R=1, S=1, P=m, Q=1, C=k, K=n, N=batch, name=name, repeats=repeats,
-    )
-
-
-def depthwise_as_grouped_convs(
-    channels: int,
-    output_size: int,
-    kernel_size: int = 3,
-    stride: int = 1,
-    batch: int = 1,
-    name: str = "",
-    repeats: int = 1,
-) -> LayerDims:
-    """Approximate a depthwise convolution as a single-input-channel conv.
-
-    Gemmini's weight-stationary dataflow has no native depthwise support; the
-    standard lowering treats each channel as an independent C=1 convolution,
-    which we fold into one layer with the channel count on K and the
-    repetition count absorbing the group dimension is *not* done here —
-    instead the layer keeps C=1, K=channels, which matches how Timeloop
-    workloads describe depthwise layers.
-    """
-    return conv2d_layer(
-        in_channels=1,
-        out_channels=channels,
-        output_size=output_size,
-        kernel_size=kernel_size,
-        stride=stride,
-        batch=batch,
-        name=name,
-        repeats=repeats,
     )

@@ -1,4 +1,4 @@
-"""Tape replay, fused reductions, and the fused Adam update path.
+"""Tape replay, fused reductions, and the in-place Adam update.
 
 The compiled tape must be *exactly* re-tracing: every assertion here is
 bitwise (``==`` / ``array_equal``), not tolerance-based, because the DOSA
@@ -31,7 +31,7 @@ class TestTapeReplay:
     def test_replay_matches_retrace_bitwise_across_steps(self):
         p, q = _make_params()
         tape = Tape(lambda: _loss_fn(p, q))
-        optimizer = Adam([p, q], lr=0.1, fused=True)
+        optimizer = Adam([p, q], lr=0.1)
 
         p2 = Tensor(p.data.copy(), requires_grad=True)
         q2 = Tensor(q.data.copy(), requires_grad=True)
@@ -213,27 +213,47 @@ class TestFoldReductions:
             assert np.allclose(x.grad[row], y.grad, rtol=1e-12, atol=0.0)
 
 
+def _allocating_adam_steps(data, grads, lr, weight_decay, betas=(0.9, 0.999),
+                           eps=1e-8):
+    """The textbook Adam formula, allocating a new array per operation."""
+    beta1, beta2 = betas
+    m = np.zeros_like(data)
+    v = np.zeros_like(data)
+    for step, grad in enumerate(grads, start=1):
+        if weight_decay:
+            grad = grad + weight_decay * data
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        yield data
+
+
 class TestFusedAdam:
-    def test_fused_matches_default_bitwise(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=(5, 3))
-        a = Tensor(data.copy(), requires_grad=True)
-        b = Tensor(data.copy(), requires_grad=True)
-        fused = Adam([a], lr=0.07, fused=True)
-        default = Adam([b], lr=0.07, fused=False)
-        for step in range(5):
-            grad = rng.normal(size=data.shape)
-            a.grad = grad.copy()
-            b.grad = grad.copy()
-            fused.step()
-            default.step()
-            assert np.array_equal(a.data, b.data), step
+    """Adam's fused update: in place, through scratch buffers."""
+
+    def test_fused_matches_allocating_formula_bitwise(self):
+        for weight_decay in (0.0, 0.01):
+            rng = np.random.default_rng(3)
+            data = rng.normal(size=(5, 3))
+            grads = [rng.normal(size=data.shape) for _ in range(5)]
+            a = Tensor(data.copy(), requires_grad=True)
+            optimizer = Adam([a], lr=0.07, weight_decay=weight_decay)
+            expected = _allocating_adam_steps(data, grads, lr=0.07,
+                                              weight_decay=weight_decay)
+            for step, (grad, reference) in enumerate(zip(grads, expected)):
+                a.grad = grad.copy()
+                optimizer.step()
+                assert np.array_equal(a.data, reference), (weight_decay, step)
 
     def test_fused_updates_in_place(self):
         a = Tensor(np.ones(3), requires_grad=True)
         buffer = a.data
         a.grad = np.ones(3)
-        Adam([a], lr=0.1, fused=True).step()
+        Adam([a], lr=0.1).step()
         assert a.data is buffer  # mutated, not replaced
 
     def test_zero_grad_drops_to_none_and_backward_initializes(self):

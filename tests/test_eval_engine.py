@@ -161,6 +161,26 @@ class TestBatchParityWithReference:
             assert result.accesses == scalar.accesses
             assert result.macs == scalar.macs
 
+    def test_engine_bit_identical_on_registry_layers(self):
+        """The engine with repeated candidates, on real network layers."""
+        rng = np.random.default_rng(0)
+        layers = get_network("resnet50").layers[:8] + get_network("bert").layers[:2]
+        unique = [random_mapping(layers[i % len(layers)], seed=rng,
+                                 max_spatial=32)
+                  for i in range(40)]
+        corpus = unique + unique[::-1]
+        per_level = batch_analyze_traffic(unique).per_level_accesses()
+        for index, mapping in enumerate(unique):
+            reference = analyze_traffic(mapping)
+            for position, level in enumerate(sorted(reference.per_level_accesses())):
+                assert per_level[index, position] == reference.accesses(level)
+        engine = EvaluationEngine()
+        for mapping, result in zip(corpus, engine.evaluate_many(corpus, SPEC)):
+            scalar = evaluate_mapping(mapping, SPEC)
+            assert result.edp == scalar.edp
+            assert result.accesses == scalar.accesses
+        assert engine.stats.hits >= len(unique)
+
     def test_empty_batch(self):
         assert evaluate_mappings_batched([], SPEC) == []
 

@@ -432,6 +432,55 @@ class TestJobGC:
             assert client.metrics()["jobs"]["expired"] == 1
             assert not service.layout.job_dir("default", job_id).exists()
 
+    def test_expired_job_is_counted_and_deleted_before_its_404(
+            self, tmp_path, monkeypatch):
+        """No request can run between the job's removal and its cleanup.
+
+        Every request takes the daemon lock, so while the job's directory is
+        deleted the lock must be held and the job already counted; a client
+        that sees the 404 then also sees ``expired == 1`` and no directory.
+        """
+        from repro.service import daemon
+
+        # The sweeper never fires on its own; the test runs one sweep.
+        with running_service(tmp_path / "svc", n_workers=1,
+                             job_ttl_seconds=0.0,
+                             gc_interval_seconds=3600.0) as (service, client):
+            job_id = client.submit_search("bert", strategy="random",
+                                          budget=10)["job_id"]
+            client.wait(job_id, timeout=120)
+            job_dir = service.layout.job_dir("default", job_id)
+            observed = []
+            rmtree = daemon.shutil.rmtree
+
+            def observing_rmtree(path, *args, **kwargs):
+                if Path(path) == job_dir:
+                    probe = []
+
+                    def try_lock():
+                        probe.append(service._lock.acquire(blocking=False))
+                        if probe[0]:
+                            service._lock.release()
+
+                    thread = threading.Thread(target=try_lock)
+                    thread.start()
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                    observed.append(
+                        {"lock_free": probe[0],
+                         "registered": job_id in service._registry,
+                         "expired": service.metrics.jobs_expired})
+                return rmtree(path, *args, **kwargs)
+
+            monkeypatch.setattr(daemon.shutil, "rmtree", observing_rmtree)
+            service._collect_expired()
+            assert observed == [{"lock_free": False, "registered": False,
+                                 "expired": 1}]
+            assert not job_dir.exists()
+            with pytest.raises(ServiceError) as error:
+                client.job(job_id)
+            assert error.value.status == 404
+
 
 # --------------------------------------------------------------------------- #
 # Resilient client
