@@ -21,6 +21,8 @@ formulation of the same behaviour:
 * :mod:`oracles.exhaustive` — exhaustive enumeration of a small layer's
   mapspace, scored on the reference model: the true EDP optimum the
   heuristic mappers are measured against.
+* :mod:`oracles.gp` — the Bayesian baseline's GP with its RBF kernel built
+  in one broadcast over every pairwise feature difference.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

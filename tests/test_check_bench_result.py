@@ -20,13 +20,14 @@ def _load_checker():
 
 
 checker = _load_checker()
-NAMES = checker.per_layer_names()
+NAMES = checker.metric_names()
+END_TO_END = checker.metric_names("end_to_end")
 
 
-def _line(**changes) -> str:
-    """A passing traced result line, with ``changes`` applied."""
+def _line(names=NAMES, **changes) -> str:
+    """A passing result line reporting ``names``, with ``changes`` applied."""
     result = {"correct": True, "attempted": 14, "failed": 0,
-              "metrics": {name: {"value": 1.0, "unit": "s"} for name in NAMES}}
+              "metrics": {name: {"value": 1.0, "unit": "s"} for name in names}}
     result.update(changes)
     return json.dumps(result)
 
@@ -72,3 +73,34 @@ class TestResultProblems:
         assert checker.main([str(good)]) == 0
         assert checker.main([str(bad)]) == 1
         assert "correct is False" in capsys.readouterr().out
+
+
+class TestEndToEndSet:
+    def test_declares_the_end_to_end_metrics(self):
+        assert len(END_TO_END) == len(set(END_TO_END)) > 0
+        assert "peak_rss_mb" in END_TO_END
+        assert not set(END_TO_END) & set(NAMES)
+
+    def test_missing_end_to_end_metric_fails(self):
+        result = json.loads(_line(END_TO_END))
+        del result["metrics"]["peak_rss_mb"]
+        result["metrics"]["search_s"]["value"] = None
+        problems = checker.result_problems(
+            json.dumps(result), END_TO_END, "end_to_end")
+        assert problems == ["no value for end-to-end metric search_s",
+                            "no value for end-to-end metric peak_rss_mb"]
+
+    def test_main_selects_the_set(self, tmp_path, capsys):
+        untraced = tmp_path / "untraced.out"
+        untraced.write_text(_line(END_TO_END) + "\n")
+        assert checker.main(["--set", "end_to_end", str(untraced)]) == 0
+        assert f"{len(END_TO_END)}/{len(END_TO_END)} end-to-end metrics" \
+            in capsys.readouterr().out
+        # The default set stays per_layer, which an untraced run lacks, and
+        # a traced run lacks the end-to-end set.
+        assert checker.main([str(untraced)]) == 1
+        assert "no value for per-layer metric" in capsys.readouterr().out
+        traced = tmp_path / "traced.out"
+        traced.write_text(_line() + "\n")
+        assert checker.main(["--set", "end_to_end", str(traced)]) == 1
+        assert "no value for end-to-end metric" in capsys.readouterr().out

@@ -54,6 +54,21 @@ class TestGaussianProcess:
         with pytest.raises(ValueError):
             GaussianProcessRegressor().fit(np.zeros((3, 2)), np.zeros(4))
 
+    @staticmethod
+    def _fitted_on_15_features() -> GaussianProcessRegressor:
+        rng = np.random.default_rng(0)
+        return GaussianProcessRegressor().fit(rng.normal(size=(20, 15)),
+                                              rng.normal(size=20))
+
+    def test_predict_rejects_one_dimensional_features(self):
+        with pytest.raises(ValueError, match="2-D with 15 columns"):
+            self._fitted_on_15_features().predict(np.zeros(15))
+
+    def test_predict_rejects_a_width_other_than_the_training_width(self):
+        # A single column would otherwise broadcast across all 15 features.
+        with pytest.raises(ValueError, match=r"got shape \(4, 1\)"):
+            self._fitted_on_15_features().predict(np.zeros((4, 1)))
+
     def test_expected_improvement_prefers_low_mean_for_minimization(self):
         ei = expected_improvement(np.array([1.0, 5.0]), np.array([1.0, 1.0]), best=3.0)
         assert ei[0] > ei[1]

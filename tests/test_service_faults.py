@@ -298,14 +298,23 @@ class TestCancellation:
             assert names[-1] == "cancelled"
 
     def test_cancel_running_job_persists_best_so_far(self, tmp_path):
-        with running_service(tmp_path / "svc", n_workers=1,
-                             step_period=1) as (service, client):
+        # The job's first best design comes at sample 5,000 of 6,000, and
+        # the rest of the job can finish before the worker next polls for
+        # the cancellation.  Stalling the step after it holds the job
+        # running until the cancel has landed.
+        plan = FaultPlan(rules=(
+            FaultRule(site="worker.step", action="stall", match="@5001",
+                      seconds=5.0),
+        ))
+        with running_service(tmp_path / "svc", n_workers=1, step_period=1,
+                             fault_plan=plan) as (service, client):
             job = client.submit_search("bert", strategy="random", seed=9,
                                        budget=6000)
             job_id = job["job_id"]
-            for name, _ in client.events(job_id):
+            for name, payload in client.events(job_id):
                 if name == "best":
                     break
+            assert payload["samples"] <= 5000, payload
             client.cancel(job_id)
             record = client.wait(job_id, timeout=60)
             assert record["state"] == "cancelled"
