@@ -22,8 +22,14 @@ then asserts the service's recovery invariants:
   JSON of the same seeded search run offline through :func:`repro.optimize`:
   crashes, kills and retries must never perturb a result, only delay it,
 * **no orphans** — within 5 s of the last daemon's shutdown no process
-  whose command line names the run's root is alive: the pool workers of a
+  whose command line names the run's root is alive: the workers of a
   daemon that crashed must exit on their own (checked through ``/proc``).
+
+A run never hangs silently: past its wall deadline (120 s with ``--quick``)
+the harness stops restarting the daemon, sends it SIGABRT (the daemon runs
+with ``PYTHONFAULTHANDLER=1``, so every thread's stack lands in
+``daemon.log``), prints each unfinished job's state and attempts and the
+log's tail, and fails with the run root kept.
 
 CI smoke::
 
@@ -33,6 +39,7 @@ A longer soak: ``--jobs-per-tenant 5 --budget 120``.
 """
 
 import argparse
+import json
 import os
 import shutil
 import signal
@@ -55,6 +62,10 @@ TENANTS = ("acme", "zeno")
 #: daemon.dispatch at hits {2, 4, 8, 12}, sse.frame at hits {1, 11, 15, ...}.
 PLAN_SEED = 10
 MAX_RESTARTS = 5
+#: Wall deadline of a run: a fixed allowance plus this much per job (120 s
+#: for ``--quick``'s six jobs; a passing quick run takes 4-6 s).
+DEADLINE_BASE_SECONDS = 30.0
+DEADLINE_PER_JOB_SECONDS = 15.0
 
 #: What each plan rule proves, by rule index (= ledger marker prefix).
 RULE_LABELS = (
@@ -78,10 +89,10 @@ def build_plan(watchdog_seconds: float) -> FaultPlan:
     return FaultPlan(seed=PLAN_SEED, rules=(
         FaultRule(site="worker.step", action="kill",
                   match="/seed=0/", at=10),
-        # The stall outlives the watchdog; whichever fires first — the
-        # watchdog's SIGKILL or the pool breaking under the kill rule —
-        # recovery is the same respawn + requeue path.  (The watchdog alone
-        # is pinned deterministically in tests/test_service_faults.py.)
+        # The stall outlives the watchdog, whose SIGKILL sends the stalled
+        # worker's job down the kill rule's respawn + requeue path.  (The
+        # watchdog alone is pinned deterministically in
+        # tests/test_service_faults.py.)
         FaultRule(site="worker.step", action="stall",
                   match="/seed=1/", at=5,
                   seconds=watchdog_seconds * 4),
@@ -121,9 +132,10 @@ class DaemonSupervisor:
             "--max-attempts", "5",
             "--tenant-quota", str(tenant_quota),
             "--watchdog-seconds", str(watchdog_seconds),
-            "--worker-heartbeat-seconds", "0.5",
             "--fault-plan", str(plan_path),
         ]
+        #: ``faulthandler`` dumps every thread's stack on SIGABRT.
+        self._env = dict(os.environ, PYTHONFAULTHANDLER="1")
         self._log = open(root / "daemon.log", "ab")
         self._stop = threading.Event()
         self._proc: subprocess.Popen | None = None
@@ -131,7 +143,7 @@ class DaemonSupervisor:
 
     def _spawn(self) -> None:
         self._proc = subprocess.Popen(self._argv, stdout=self._log,
-                                      stderr=subprocess.STDOUT)
+                                      stderr=subprocess.STDOUT, env=self._env)
 
     def start(self) -> None:
         self._spawn()
@@ -161,10 +173,24 @@ class DaemonSupervisor:
             try:
                 proc.wait(timeout=60)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                self.failures.append("daemon did not drain within 60s")
+                self.abort()
+                self.failures.append("daemon did not drain within 60s "
+                                     "(thread stacks in daemon.log)")
         self._thread.join(timeout=5)
         self._log.close()
+
+    def abort(self) -> None:
+        """No more restarts; SIGABRT the live daemon so that it dumps its
+        thread stacks into ``daemon.log``, then make sure it is gone."""
+        self._stop.set()
+        proc = self._proc
+        if proc is not None and proc.poll() is None:
+            proc.send_signal(signal.SIGABRT)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
 
 def processes_naming(root: Path) -> list[int]:
@@ -204,6 +230,27 @@ def orphan_problems(root: Path, timeout: float = 5.0) -> list[str]:
             pass
     return [f"process {pid} naming {root} outlived the daemon by "
             f"{timeout:.0f}s" for pid in pids]
+
+
+def report_hang(root: Path, supervisor: DaemonSupervisor,
+                deadline: float) -> int:
+    """The run missed its wall deadline: show where it stands, then fail."""
+    print(f"FAIL: clients still waiting after the {deadline:.0f}s deadline; "
+          "SIGABRT to the daemon (thread stacks in daemon.log)")
+    supervisor.abort()
+    supervisor.stop()
+    for path in sorted(root.glob("tenants/*/jobs/*/job.json")):
+        record = json.loads(path.read_text())
+        if record["state"] not in ("done", "failed", "cancelled"):
+            print(f"  job {record['job_id']} ({record['tenant']}): "
+                  f"{record['state']}, attempts {record['attempts']}")
+    print("daemon.log tail:")
+    tail = (root / "daemon.log").read_text(errors="replace").splitlines()
+    for line in tail[-60:]:
+        print(f"  {line}")
+    for problem in orphan_problems(root):
+        print(f"  {problem}")
+    return 1
 
 
 def wait_healthy(client: Client, timeout: float = 60.0) -> None:
@@ -248,12 +295,15 @@ def chaos_under(root: Path, jobs_per_tenant: int, budget: int,
     build_plan(watchdog_seconds).save(plan_path)
     port = free_port()
     total_jobs = len(TENANTS) * jobs_per_tenant
+    deadline = DEADLINE_BASE_SECONDS + DEADLINE_PER_JOB_SECONDS * total_jobs
+    give_up = time.monotonic() + deadline
     supervisor = DaemonSupervisor(
         root, port, n_workers=n_workers, watchdog_seconds=watchdog_seconds,
         tenant_quota=jobs_per_tenant + 1, plan_path=plan_path)
     print(f"chaos: {len(TENANTS)} tenants x {jobs_per_tenant} jobs "
           f"({STRATEGY}@{NETWORK}, budget={budget}), {n_workers} workers, "
-          f"watchdog {watchdog_seconds:.0f}s, plan seed {PLAN_SEED}")
+          f"watchdog {watchdog_seconds:.0f}s, plan seed {PLAN_SEED}, "
+          f"deadline {deadline:.0f}s")
     supervisor.start()
 
     def make_client() -> Client:
@@ -303,12 +353,17 @@ def chaos_under(root: Path, jobs_per_tenant: int, budget: int,
     for index in range(jobs_per_tenant):
         for tenant_index, tenant in enumerate(TENANTS):
             seed = index * len(TENANTS) + tenant_index
+            # Daemon threads: a client stuck past the deadline must not
+            # keep the harness alive.
             threads.append(threading.Thread(
-                target=one_job, args=(tenant, seed, seed % 2 == 0)))
+                target=one_job, args=(tenant, seed, seed % 2 == 0),
+                daemon=True))
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(max(0.0, give_up - time.monotonic()))
+    if any(thread.is_alive() for thread in threads):
+        return report_hang(root, supervisor, deadline)
     wall_seconds = time.perf_counter() - wall_start
 
     # Registry census before shutdown: exactly the submitted jobs, no
@@ -400,7 +455,7 @@ def main(argv=None) -> int:
                         help="max_samples per job (default: 120, or 60 "
                              "with --quick)")
     parser.add_argument("--n-workers", type=int, default=2,
-                        help="daemon fork-pool size (default: 2)")
+                        help="daemon worker processes (default: 2)")
     parser.add_argument("--watchdog-seconds", type=float, default=None,
                         help="daemon watchdog timeout (default: 6, or 4 "
                              "with --quick)")

@@ -1,13 +1,13 @@
 """Fork-safety rules for the service daemon.
 
-The daemon's ordering contract (see ``service/daemon.py``): build
-multiprocessing primitives first, fork the worker pool, and only then start
+The daemon's ordering contract (see ``service/daemon.py``): build each
+worker's multiprocessing pipe first, fork the worker, and only then start
 any thread.  A thread alive at fork time is duplicated into every child as
 a corpse — its locks may be held forever and its target never runs — and an
-mp queue or event created *after* the fork never reaches the children at
-all, because fork-inherited objects are copies frozen at fork time.  Both
+mp pipe or queue created *after* the fork never reaches the child at all,
+because fork-inherited objects are copies frozen at fork time.  Both
 mistakes pass every single-process test and only deadlock or drop results
-under the real pool, so they are checked statically here.
+under real workers, so they are checked statically here.
 """
 
 from __future__ import annotations
@@ -64,21 +64,21 @@ def _is_mp_primitive(source, node: ast.Call) -> bool:
 
 @register_checker
 class ThreadBeforeFork(Checker):
-    """Thread constructed at import time or in __init__, before the pool forks.
+    """Thread constructed at import time or in __init__, before workers fork.
 
-    The service constructs its objects, forks the worker pool inside
-    ``start()``, and starts its dispatcher/collector threads afterwards.  A
+    The service constructs its objects, forks its workers inside
+    ``start()``, and starts its dispatcher threads afterwards.  A
     ``threading.Thread`` (or ``Timer``) built at module scope or inside an
     ``__init__`` therefore exists *before* the fork, and every forked
     worker inherits a dead copy of it — holding whatever locks it held at
     fork time, never running its target.  That manifests as a worker that
-    hangs on its first queue operation, only under the real fork pool.
+    hangs on its first pipe or lock operation, only under real workers.
     Plain ``threading.Lock``/``Event`` objects are fine in ``__init__``
     (an unheld lock copies harmlessly); it is live *threads* that must not
     predate the fork.
 
-    Fix by deferring thread construction to ``start()`` (after the pool is
-    warmed up), the pattern ``service/daemon.py`` follows.
+    Fix by deferring thread construction to ``start()`` (after the workers
+    are forked), the pattern ``service/daemon.py`` follows.
     """
 
     rule_id = "fork-thread-early"
@@ -109,17 +109,16 @@ class ThreadBeforeFork(Checker):
 class MpAfterFork(Checker):
     """Multiprocessing primitive created after construction; workers never see it.
 
-    Forked workers inherit the queues, events and locks that existed when
-    the pool forked — anything created later lives only in the parent, so
-    a job put on a post-fork queue is silently never consumed.  Mp
-    primitives (``Queue``, ``Event``, ``Lock``, ... from the
-    ``multiprocessing`` module or a ``get_context(...)`` context object)
-    must be created at module scope or in ``__init__``, before ``start()``
-    can possibly fork the pool.
+    A forked worker inherits the pipes, queues and locks that existed when
+    it forked — anything created later lives only in the parent, so a job
+    sent on a post-fork channel is silently never consumed.  Mp primitives
+    (``Pipe``, ``Queue``, ``Event``, ... from the ``multiprocessing`` module
+    or a ``get_context(...)`` context object) must be created at module
+    scope or in ``__init__``, before the fork.
 
-    Fix by moving the primitive's construction into ``__init__`` and
-    passing it to the workers through the pool initializer, as
-    ``service/daemon.py`` does with its job and result queues.
+    Fix by moving the primitive's construction into the ``__init__`` that
+    forks, as ``service/daemon.py``'s ``_Worker`` does: its ``__init__``
+    creates the worker's pipe, then forks the worker that reads it.
     """
 
     rule_id = "fork-mp-late"

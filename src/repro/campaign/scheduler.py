@@ -12,9 +12,10 @@ scheduler:
   the grid (for spreading one campaign over several machines or CI jobs) and
   an at-most-``max_jobs`` cap per invocation,
 * runs jobs inline (default — live :class:`SearchOutcome` objects, shared
-  in-memory evaluation cache) or fans them out over a ``fork`` process pool
-  (``n_workers``), in which case each worker preloads the store's cache
-  spill and the parent remains the store's single writer,
+  in-memory evaluation cache), fans them out over a ``fork`` process pool
+  (``n_workers``), or hands them in order to one worker process of the
+  search service (``run_job``); a worker preloads the store's cache spill
+  and the parent remains the store's single writer,
 * persists each finished job atomically, including interrupted best-so-far
   outcomes (flagged, so resume re-runs them), and spills the
   reference-model cache entries each job stored back to the store.
@@ -26,8 +27,10 @@ evaluates the reference model in-process, through one vectorized
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -91,31 +94,29 @@ _WORKER_SPILL: dict[str, tuple[EvaluationCache, set[str]]] = {}
 #: the cap keeps four such working sets in ~36 MB per worker.
 _WORKER_CACHE_ENTRIES = 20_000
 
-#: ``(progress_queue, stop_event)`` installed into pool workers by
-#: :func:`install_worker_channel` (via the executor's ``initializer``).
-#: ``None`` in plain campaign runs: progress streaming and cooperative stops
-#: are service features, workers without a channel behave exactly as before.
-_WORKER_CHANNEL: tuple | None = None
+#: The service worker's end of its pipe to the daemon, installed by
+#: :func:`worker_main`.  ``None`` in plain campaign runs and their pool
+#: workers, which stream no progress and take no ``stop``.
+_WORKER_CHANNEL: _WorkerChannel | None = None
 
-#: Fault-injection hook armed in pool workers by :func:`install_worker_channel`
-#: when the service passes a fault plan.  ``None`` (the default) keeps the
-#: worker fault sites zero-cost; the campaign layer never imports the service
+#: Fault-injection hook armed in service workers by :func:`worker_main` when
+#: the service passes a fault plan.  ``None`` (the default) keeps the worker
+#: fault sites zero-cost; the campaign layer never imports the service
 #: package at module scope, so plain campaign runs stay service-free.
 _WORKER_FAULT: Callable[[str, str], None] | None = None
 
 
-#: How often (seconds) a pool worker checks that the process that forked it
-#: is still alive (see :func:`install_worker_channel`).
+#: How often (seconds) a service worker checks that the process that forked
+#: it is still alive (see :func:`worker_main`).
 _PARENT_POLL_SECONDS = 1.0
 
 
 def _exit_when_orphaned(parent: int) -> None:
     """Exit this worker once its parent, pid ``parent``, is gone.
 
-    An idle ``ProcessPoolExecutor`` worker blocks reading its call queue,
-    whose write end it holds itself, so the death of the process that forked
-    it never wakes it: a daemon killed hard would leave its workers asleep,
-    reparented, for good.  A reparented worker has a different parent pid.
+    An idle worker blocks reading its pipe, whose daemon end fork copied into
+    the worker itself, so a daemon killed hard would leave its workers
+    asleep, reparented, for good.  A reparented worker has a new parent pid.
     """
     while True:
         time.sleep(_PARENT_POLL_SECONDS)
@@ -123,29 +124,50 @@ def _exit_when_orphaned(parent: int) -> None:
             os._exit(1)
 
 
-def install_worker_channel(queue, stop_event, fault_plan=None,
-                           fault_ledger=None) -> None:
-    """Executor initializer: give this worker a progress/stop channel.
+class WorkerLost(RuntimeError):
+    """The worker process running a job died before returning it (an
+    infrastructure failure: the daemon respawns the worker and retries)."""
 
-    ``queue`` is a ``multiprocessing`` queue the worker pushes
-    ``(event, tag, payload)`` tuples into; ``stop_event`` is a shared event
-    that, once set, makes every in-flight search raise ``KeyboardInterrupt``
-    at its next step — which the searchers' ``absorb_interrupt`` turns into a
-    graceful best-so-far outcome (the SIGTERM drain path of the service
-    daemon, without ever signalling worker processes).
 
-    ``fault_plan`` (a serialized ``repro.service.faults.FaultPlan`` dict) plus
-    ``fault_ledger`` (its shared on-disk fire ledger) arm deterministic fault
-    injection inside this worker — the import happens here, post-fork, so the
-    campaign layer has no module-level dependency on the service package.
+class _WorkerChannel:
+    """A service worker's end of its pipe: ``(event, payload)`` frames out;
+    ``run``, ``stop`` and ``exit`` messages in (only ``stop`` mid-job)."""
 
-    The worker also starts a daemon thread that exits it (``os._exit``)
-    within about :data:`_PARENT_POLL_SECONDS` of its parent's death.  The
-    thread starts here, in the worker after the fork, so the daemon's
-    fork-before-threads ordering is untouched.
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        #: The last job the daemon asked to stop: a ``stop`` read between
+        #: cells still stops that job's next cell, never another job.
+        self.stopped: str | None = None
+
+    def send(self, event: str, payload: Any) -> None:
+        self.conn.send((event, payload))
+
+    def stop_requested(self, tag: str) -> bool:
+        """Whether the daemon asked to stop job ``tag`` (non-blocking)."""
+        while self.stopped != tag and self.conn.poll():
+            kind, body = self.conn.recv()
+            if kind == "stop":
+                self.stopped = body
+        return self.stopped == tag
+
+
+def worker_main(conn, fault_plan=None, fault_ledger=None) -> None:
+    """A service worker process: run the jobs its daemon sends, one at a time.
+
+    Each ``("run", args)`` message runs :func:`_pool_run_job` (looked up at
+    call time, so wrappers installed on the module reach the worker) and
+    ends with a ``result`` or ``error`` frame.  A ``("stop", tag)`` message
+    makes job ``tag`` raise ``KeyboardInterrupt`` at its next step, which
+    the searchers' ``absorb_interrupt`` turns into a flagged best-so-far
+    outcome.  Fault injection arms here, post-fork, with fresh hit counters.
+    SIGINT is ignored and SIGTERM reset (the daemon drains its workers; a
+    respawned worker would inherit its handlers), and a thread started here,
+    after the fork, exits the worker soon after its daemon dies.
     """
     global _WORKER_CHANNEL, _WORKER_FAULT
-    _WORKER_CHANNEL = (queue, stop_event)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    channel = _WORKER_CHANNEL = _WorkerChannel(conn)
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="repro-orphan-watch", daemon=True).start()
     if fault_plan is not None and fault_ledger is not None:
@@ -153,74 +175,69 @@ def install_worker_channel(queue, stop_event, fault_plan=None,
 
         faults.arm(faults.FaultPlan.from_dict(fault_plan), fault_ledger)
         _WORKER_FAULT = faults.fire
+    while True:
+        kind, body = conn.recv()
+        if kind == "exit":
+            return
+        if kind == "stop":
+            channel.stopped = body
+            continue
+        try:
+            frame = ("result", _pool_run_job(*body))
+        except KeyboardInterrupt as error:  # stopped before any best design
+            frame = ("error", error)
+        except Exception as error:  # noqa: BLE001 - the daemon records it
+            log.exception("campaign job %s failed in its worker", body[1])
+            frame = ("error", error)
+        try:
+            conn.send(frame)
+        except Exception:  # noqa: BLE001 - an exception that cannot pickle
+            conn.send(("error", RuntimeError(repr(frame[1]))))
 
 
 @dataclass(frozen=True)
 class PoolProgress:
-    """How a pool job should stream progress (picklable, service-provided).
+    """How a service job should stream progress (picklable).
 
-    ``tag`` identifies the submitting service job in the event stream;
-    ``step_period`` rate-limits ``on_step`` events (every N samples; the
-    first sample and every ``on_best`` always stream).  ``heartbeat_seconds``
-    paces liveness heartbeats for the daemon's hung-worker watchdog, and
-    ``cancel_path`` names a sentinel file whose appearance makes the search
-    raise ``KeyboardInterrupt`` at its next step — per-job cooperative
-    cancellation through the same best-so-far drain path the stop event uses
-    (a file, not a new multiprocessing primitive, so it can be created long
-    after the pool forked).
+    ``tag`` identifies the submitting service job; ``step_period``
+    rate-limits ``on_step`` events (every N samples; the first sample and
+    every ``on_best`` always stream).  ``heartbeat_seconds`` paces ``hb``
+    frames for the daemon's hung-worker watchdog (``None``: none).
     """
 
     tag: str
     step_period: int = 25
-    heartbeat_seconds: float = 2.0
-    cancel_path: str | None = None
-
-
-#: How often (seconds) a worker re-checks the cancellation sentinel file.
-_CANCEL_POLL_SECONDS = 0.1
+    heartbeat_seconds: float | None = None
 
 
 class _ChannelProgressCallback(SearchCallback):
-    """Streams search progress over the worker channel; honors the stop event."""
+    """Streams search progress over the worker channel; honors ``stop``."""
 
-    def __init__(self, progress: PoolProgress, queue, stop_event,
+    def __init__(self, progress: PoolProgress, channel: _WorkerChannel,
                  cell: str = "") -> None:
         self.progress = progress
-        self.queue = queue
-        self.stop_event = stop_event
+        self.channel = channel
         #: Campaign cell id — the deterministic key for worker fault sites.
         self.cell = cell
-        self._cancel_path = (Path(progress.cancel_path)
-                             if progress.cancel_path else None)
-        now = time.monotonic()
-        self._next_beat = now + progress.heartbeat_seconds
-        self._next_cancel_check = now
-
-    def _put(self, event: str, payload: dict) -> None:
-        try:
-            self.queue.put((event, self.progress.tag, payload))
-        except (OSError, ValueError):  # pragma: no cover - parent went away
-            pass
+        self._next_beat = (None if progress.heartbeat_seconds is None
+                           else time.monotonic() + progress.heartbeat_seconds)
 
     def on_step(self, samples: int) -> None:
-        if self.stop_event is not None and self.stop_event.is_set():
-            raise KeyboardInterrupt("service drain requested")
-        now = time.monotonic()
-        if self._cancel_path is not None and now >= self._next_cancel_check:
-            self._next_cancel_check = now + _CANCEL_POLL_SECONDS
-            if self._cancel_path.exists():
-                raise KeyboardInterrupt("job cancellation requested")
+        if self.channel.stop_requested(self.progress.tag):
+            raise KeyboardInterrupt("service stop requested")
         if _WORKER_FAULT is not None:
             _WORKER_FAULT("worker.step", f"{self.cell}@{samples}")
-        if now >= self._next_beat:
-            self._next_beat = now + max(0.1, self.progress.heartbeat_seconds)
-            self._put("hb", {"pid": os.getpid(), "samples": samples})
+        if self._next_beat is not None:
+            now = time.monotonic()
+            if now >= self._next_beat:
+                self._next_beat = now + self.progress.heartbeat_seconds
+                self.channel.send("hb", {"samples": samples})
         if samples == 1 or samples % max(1, self.progress.step_period) == 0:
-            self._put("step", {"samples": samples})
+            self.channel.send("step", {"samples": samples})
 
     def on_best(self, candidate, samples: int) -> None:
-        self._put("best", {"samples": samples, "edp": candidate.edp,
-                           "hardware": candidate.hardware.describe()})
+        self.channel.send("best", {"samples": samples, "edp": candidate.edp,
+                                   "hardware": candidate.hardware.describe()})
 
 
 def _worker_spill_state(store: ResultStore) -> tuple[EvaluationCache, set[str]]:
@@ -241,9 +258,9 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
     Workers never touch ``results.jsonl`` (the parent is the single writer —
     ``writer=False`` also skips the crash-tail repair, which would race the
     parent's appends); they only read the spill and write their own atomic
-    cache segment.  With a worker channel installed and a ``progress`` spec,
-    the search additionally streams step/best events and obeys the
-    cooperative stop event (see :func:`install_worker_channel`).
+    cache segment.  In a service worker (see :func:`worker_main`) with a
+    ``progress`` spec, the search additionally streams ``job``, step, best
+    and ``stats`` frames and obeys the daemon's ``stop`` messages.
     """
     spec = CampaignSpec.from_dict(spec_payload)
     job = spec.job_named(job_id)
@@ -255,11 +272,8 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
     callbacks = None
     channel = _WORKER_CHANNEL if progress is not None else None
     if channel is not None:
-        queue, stop_event = channel
-        queue.put(("job", progress.tag,
-                   {"campaign_job": job_id, "pid": os.getpid()}))
-        callbacks = _ChannelProgressCallback(progress, queue, stop_event,
-                                             cell=job_id)
+        channel.send("job", {"campaign_job": job_id, "pid": os.getpid()})
+        callbacks = _ChannelProgressCallback(progress, channel, cell=job_id)
     if _WORKER_FAULT is not None:
         _WORKER_FAULT("worker.cell", job_id)
     stats = cache.stats
@@ -273,11 +287,12 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
                 if segment is not None:
                     seen.add(segment)  # our own entries went through this cache
             if channel is not None:
-                queue.put(("stats", progress.tag,
-                           {"campaign_job": job_id, "pid": os.getpid(),
-                            "hits": stats.hits - hits,
-                            "misses": stats.misses - misses,
-                            "evictions": stats.evictions - evictions}))
+                # Sent before the result frame on the same pipe, so the
+                # daemon counts it before the job can finish.
+                channel.send("stats", {"campaign_job": job_id,
+                                       "hits": stats.hits - hits,
+                                       "misses": stats.misses - misses,
+                                       "evictions": stats.evictions - evictions})
     return {"job_id": job_id, "outcome": outcome_to_dict(outcome)}
 
 
@@ -360,7 +375,7 @@ class CampaignScheduler:
         n_workers: int | None = None,
         persist_cache: bool = True,
         cache: EvaluationCache | None = None,
-        executor: ProcessPoolExecutor | None = None,
+        run_job: Callable[..., dict[str, Any]] | None = None,
         progress: PoolProgress | None = None,
         fault_hook: Callable[[str, str], None] | None = None,
     ) -> None:
@@ -374,19 +389,17 @@ class CampaignScheduler:
         #: fig9 harness shares it with its dependent post-campaign searches).
         #: Worker-pool jobs keep their own per-process caches instead.
         self.cache = cache
-        #: Optional externally-owned fork pool.  The search service shares
-        #: one pool across many concurrent schedulers (one per service job);
-        #: when set, jobs always run through it — even a single-job grid —
-        #: and the scheduler never shuts it down.
-        self.executor = executor
-        #: Optional progress-streaming spec forwarded to pool workers (only
-        #: effective when the pool was created with ``install_worker_channel``
-        #: as its initializer).
+        #: Optional runner of one job elsewhere (the service passes its
+        #: dispatcher's worker): called in grid order with
+        #: :func:`_pool_run_job`'s arguments, it returns that payload, raises
+        #: a failed job's error, or :class:`WorkerLost`.
+        self.run_job = run_job
+        #: Optional progress-streaming spec forwarded to ``run_job``.
         self.progress = progress
         #: Optional parent-side fault-injection hook, ``(site, key) -> None``
         #: (the service passes ``repro.service.faults.fire``).  Covers the
-        #: ``store.append`` site; worker-side sites arm through the executor
-        #: initializer instead.
+        #: ``store.append`` site; worker-side sites arm in the worker
+        #: (:func:`worker_main`) instead.
         self.fault_hook = fault_hook
 
     # ------------------------------------------------------------------ #
@@ -442,8 +455,9 @@ class CampaignScheduler:
         log.debug("campaign %s: running %d jobs (%d already complete)",
                   self.spec.name, len(selected), len(skipped))
         if selected:
-            if self.executor is not None or (
-                    self.n_workers is not None and self.n_workers > 1):
+            if self.run_job is not None:
+                self._run_through(selected, run, on_job_done)
+            elif self.n_workers is not None and self.n_workers > 1:
                 self._run_pool(selected, run, on_job_done)
             else:
                 self._run_inline(selected, run, on_job_done)
@@ -516,25 +530,63 @@ class CampaignScheduler:
             if outcome.interrupted:
                 return
 
+    def _collect(self, run: CampaignRun, job: JobSpec,
+                 result: Callable[[], dict[str, Any]],
+                 on_job_done: JobCallback | None) -> bool:
+        """Persist one worker job's payload, ``result()``; False: stop here."""
+        try:
+            payload = result()
+        except KeyboardInterrupt:
+            # The worker was interrupted before its job had any feasible
+            # design; nothing to persist, stop cleanly.
+            run.stopped = True
+            return False
+        except (BrokenProcessPool, WorkerLost):
+            # A worker died hard (SIGKILL, OOM): infrastructure, not a job
+            # failure.  Propagate; results persisted before the crash stay
+            # persisted, so a rerun resumes bit-identically.
+            raise
+        except Exception as error:  # noqa: BLE001 - job failure
+            # A deterministic job failure must not discard the other jobs'
+            # results: record it and go on.
+            run.failed.append((job.job_id, repr(error)))
+            log.warning("campaign %s: %s failed: %r",
+                        self.spec.name, job.job_id, error)
+            return True
+        outcome = outcome_from_dict(payload["outcome"])
+        self._persist(run, job, outcome, payload["outcome"])
+        if on_job_done is not None:
+            on_job_done(job, outcome)
+        return not outcome.interrupted
+
+    def _run_through(self, jobs: list[JobSpec], run: CampaignRun,
+                     on_job_done: JobCallback | None) -> None:
+        spec_payload = self.spec.to_dict()
+        store_dir = str(self.store.directory)
+        cache_dir = str(self.store.cache_dir)
+        for job in jobs:
+            result = functools.partial(self.run_job, spec_payload, job.job_id,
+                                       store_dir, self.persist_cache,
+                                       cache_dir, self.progress)
+            if not self._collect(run, job, result, on_job_done):
+                return
+
     def _run_pool(self, jobs: list[JobSpec], run: CampaignRun,
                   on_job_done: JobCallback | None) -> None:
         spec_payload = self.spec.to_dict()
         store_dir = str(self.store.directory)
         cache_dir = str(self.store.cache_dir)
-        executor = self.executor
-        owns_executor = executor is None
-        if owns_executor:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            executor = ProcessPoolExecutor(max_workers=self.n_workers,
-                                           mp_context=context)
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context()
+        executor = ProcessPoolExecutor(max_workers=self.n_workers,
+                                       mp_context=context)
         try:
             futures = {
                 executor.submit(_pool_run_job, spec_payload, job.job_id,
-                                store_dir, self.persist_cache, cache_dir,
-                                self.progress): job
+                                store_dir, self.persist_cache,
+                                cache_dir): job
                 for job in jobs
             }
             outstanding = set(futures)
@@ -546,34 +598,8 @@ class CampaignScheduler:
                                                  return_when=FIRST_COMPLETED)
                         unprocessed |= done
                     future = unprocessed.pop()
-                    job = futures[future]
-                    try:
-                        payload = future.result()
-                    except KeyboardInterrupt:
-                        # The worker was interrupted before its job had any
-                        # feasible design; nothing to persist, stop cleanly.
-                        run.stopped = True
-                        continue
-                    except BrokenProcessPool:
-                        # A worker died hard (SIGKILL, OOM) — this is
-                        # executor-level infrastructure failure, not a job
-                        # failure: the pool is permanently broken and every
-                        # outstanding future is lost.  Propagate so the owner
-                        # (the service daemon) can respawn the pool and retry;
-                        # results persisted before the crash stay persisted,
-                        # so the retry resumes bit-identically.
-                        raise
-                    except Exception as error:  # noqa: BLE001 - job failure
-                        # A deterministic job failure must not discard the
-                        # other workers' results: record it, keep draining.
-                        run.failed.append((job.job_id, repr(error)))
-                        log.warning("campaign %s: %s failed: %r",
-                                    self.spec.name, job.job_id, error)
-                        continue
-                    outcome = outcome_from_dict(payload["outcome"])
-                    self._persist(run, job, outcome, payload["outcome"])
-                    if on_job_done is not None:
-                        on_job_done(job, outcome)
+                    self._collect(run, futures[future], future.result,
+                                  on_job_done)
             except KeyboardInterrupt:
                 # A terminal Ctrl-C delivers SIGINT to the whole process
                 # group, so workers absorb it and return interrupted
@@ -604,8 +630,7 @@ class CampaignScheduler:
                 except KeyboardInterrupt:
                     pass
         finally:
-            if owns_executor:
-                executor.shutdown(wait=True)
+            executor.shutdown(wait=True)
 
 
 def run_campaign(

@@ -309,7 +309,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             tenant_quota=args.tenant_quota,
             max_attempts=args.max_attempts,
             watchdog_seconds=args.watchdog_seconds or None,
-            worker_heartbeat_seconds=args.worker_heartbeat_seconds,
             job_ttl_seconds=args.job_ttl_seconds,
             gc_interval_seconds=args.gc_interval_seconds,
             compact_interval_seconds=args.compact_interval_seconds,
@@ -502,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bind port (default: 0 = ephemeral; see "
                             "<root>/service.json for the chosen port)")
     serve.add_argument("--n-workers", type=int, default=2,
-                       help="fork-pool size: max concurrent evaluations "
+                       help="worker processes: max concurrent cells "
                             "across all clients (default: 2)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="bounded queue depth; submits beyond it get "
@@ -521,9 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(worker crashes requeue; default: 3)")
     serve.add_argument("--watchdog-seconds", type=float, default=60.0,
                        help="kill a worker whose running cell goes silent "
-                            "this long; 0 disables (default: 60)")
-    serve.add_argument("--worker-heartbeat-seconds", type=float, default=2.0,
-                       help="worker liveness heartbeat period (default: 2)")
+                            "this long (workers heartbeat every quarter of "
+                            "it); 0 disables (default: 60)")
     serve.add_argument("--job-ttl-seconds", type=float, default=None,
                        help="expire terminal jobs (record + result store) "
                             "after this long (default: keep forever)")

@@ -5,22 +5,22 @@ One daemon process serves many concurrent clients over HTTP/JSON (stdlib
 
 * ``POST /v1/jobs`` submits a search or campaign job into a **bounded**
   queue (429 + ``Retry-After`` when full — backpressure, not buffering),
-* ``n_workers`` dispatcher threads drive each job through a
-  :class:`~repro.campaign.scheduler.CampaignScheduler` pointed at **one
-  shared fork worker pool**, so total evaluation parallelism is capped at
-  the pool size no matter how many clients are connected,
+* ``n_workers`` dispatcher threads each own **one forked worker and one
+  duplex pipe**: a :class:`~repro.campaign.scheduler.CampaignScheduler`
+  sends the job's pending cells down the pipe in order, so at most
+  ``n_workers`` cells run at once however many clients are connected,
 * every job persists into its own per-tenant
   :class:`~repro.campaign.store.ResultStore`, all sharing a single
   cross-process evaluation-cache spill (``<root>/cache``) — tenants benefit
   from each other's reference-model evaluations, and because cache entries
   are bit-identical to fresh evaluations, sharing never changes results,
 * ``GET /v1/jobs/<id>/events`` streams per-job progress as server-sent
-  events fed by the search callbacks running inside the pool workers,
-* SIGTERM/SIGINT drains gracefully: the queue closes (503), a shared stop
-  event makes every in-flight search raise at its next step, the searchers'
-  ``absorb_interrupt`` path persists flagged best-so-far outcomes, and a
-  restarted daemon resumes exactly those jobs (seeded determinism makes the
-  resumed results identical to an uninterrupted run).
+  events, relayed from the frames a worker's search callbacks write,
+* SIGTERM/SIGINT drains gracefully: the queue closes (503), a job-tagged
+  ``stop`` message makes every in-flight search raise at its next step, the
+  searchers' ``absorb_interrupt`` path persists flagged best-so-far
+  outcomes, and a restarted daemon resumes exactly those jobs (seeded
+  determinism makes the resumed results identical to an uninterrupted run).
 
 Results are **byte-identical** to offline :func:`repro.optimize` runs with
 the same seed: ``GET /v1/jobs/<id>/result`` serves the canonical outcome
@@ -31,14 +31,13 @@ The daemon is additionally hardened for hostile conditions (all of it
 exercised deterministically by ``repro.service.faults`` plans and
 ``benchmarks/bench_chaos.py``):
 
-* worker **heartbeats + a watchdog**: a pool worker that goes silent
-  mid-cell is SIGKILLed, the broken pool is respawned, and the job requeues
-  (its store already holds every completed cell, so the retry resumes
-  bit-identically),
+* a **watchdog**: a worker silent mid-cell is SIGKILLed; a dead worker is
+  respawned alone and only its job requeues (its store already holds every
+  completed cell, so the retry resumes bit-identically),
 * **per-tenant admission quotas and round-robin dispatch**, so one tenant's
   campaign cannot starve other tenants' jobs,
-* ``DELETE /v1/jobs/<id>`` **cancellation** through a per-job sentinel file
-  driving the same cooperative best-so-far stop path the SIGTERM drain uses
+* ``DELETE /v1/jobs/<id>`` **cancellation** through the same ``stop``
+  message, plus a per-job sentinel file a restarted daemon honours
   (terminal state ``cancelled``),
 * submit **idempotency keys**, so a client retrying an ambiguous submit
   never double-runs a job,
@@ -48,30 +47,28 @@ exercised deterministically by ``repro.service.faults`` plans and
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
 import shutil
-import signal
 import socket
 import threading
 import time
 from collections import deque
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing.connection import wait as wait_ready
 from pathlib import Path
-from queue import Empty
 from typing import Any, Callable
 
 from repro.campaign.report import CampaignReport
 from repro.campaign.scheduler import (
     CampaignScheduler,
     PoolProgress,
-    install_worker_channel,
+    WorkerLost,
+    worker_main,
 )
 from repro.campaign.store import ResultStore, compact_cache_dir
 from repro.service import faults
@@ -102,6 +99,15 @@ log = get_logger("service.daemon")
 #: Submit bodies larger than this are rejected outright (413).
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
+#: How long :meth:`SearchService.drain` waits for in-flight jobs to stop
+#: before it SIGKILLs their workers: well under the 60 s that process
+#: managers (the chaos supervisor, the served benchmark) give SIGTERM.
+DRAIN_SECONDS = 20.0
+
+#: Held while a worker forks, so no sibling inherits the child end of its
+#: pipe: a worker that dies mid-frame must leave its dispatcher an end of file.
+_FORK_LOCK = threading.Lock()
+
 
 @dataclass
 class ServiceConfig:
@@ -112,8 +118,8 @@ class ServiceConfig:
     #: 0 binds an ephemeral port; the actual endpoint is discoverable via
     #: ``<root>/service.json``.
     port: int = 0
-    #: Fork-pool size *and* dispatcher-thread count: at most this many
-    #: evaluations run concurrently across all clients and tenants.
+    #: Dispatcher threads, each with its own forked worker process: at most
+    #: this many cells run concurrently across all clients and tenants.
     n_workers: int = 2
     #: Bounded submit queue: beyond this many queued (not yet running) jobs,
     #: submits get 429 + Retry-After instead of unbounded buffering.
@@ -127,14 +133,13 @@ class ServiceConfig:
     #: Per-tenant cap on active (queued + running) jobs; beyond it submits
     #: get 429 + Retry-After.  ``None`` disables quotas.
     tenant_quota: int | None = None
-    #: Dispatch attempts per job before it is failed for good — worker-pool
+    #: Dispatch attempts per job before it is failed for good — worker
     #: crashes and transient store I/O errors requeue up to this many tries.
     max_attempts: int = 3
-    #: SIGKILL a pool worker that sends no heartbeat for this long while
-    #: inside a cell (hung/stalled worker detection).  ``None`` disables.
+    #: SIGKILL a worker that sends no frame for this long while inside a
+    #: cell (hung/stalled worker detection); workers heartbeat every quarter
+    #: of it.  ``None`` disables both.
     watchdog_seconds: float | None = 60.0
-    #: How often workers heartbeat while searching (drives the watchdog).
-    worker_heartbeat_seconds: float = 2.0
     #: Delete terminal jobs (record + store) this long after they finished;
     #: ``None`` keeps them forever.
     job_ttl_seconds: float | None = None
@@ -162,9 +167,6 @@ class ServiceConfig:
         if self.watchdog_seconds is not None and self.watchdog_seconds <= 0:
             raise ValueError(f"watchdog_seconds must be > 0 or None, "
                              f"got {self.watchdog_seconds}")
-        if self.worker_heartbeat_seconds <= 0:
-            raise ValueError(f"worker_heartbeat_seconds must be > 0, "
-                             f"got {self.worker_heartbeat_seconds}")
         if self.job_ttl_seconds is not None and self.job_ttl_seconds < 0:
             raise ValueError(f"job_ttl_seconds must be >= 0 or None, "
                              f"got {self.job_ttl_seconds}")
@@ -231,8 +233,45 @@ class _JobEvents:
             return list(self._events[start:]), self.closed
 
 
+class _Worker:
+    """One forked worker (running :func:`~repro.campaign.scheduler.worker_main`)
+    and its duplex pipe, created before the fork.  Only the owning dispatcher
+    reads the pipe; :meth:`send` may be called from any thread."""
+
+    def __init__(self, context, fault_plan: dict | None,
+                 fault_ledger: str | None) -> None:
+        with _FORK_LOCK:
+            self.conn, child = context.Pipe()
+            self.process = context.Process(
+                target=worker_main, args=(child, fault_plan, fault_ledger),
+                name="repro-worker", daemon=True)
+            self.process.start()
+            child.close()
+        self._send_lock = threading.Lock()
+        #: The service job this worker runs, if any (set under the
+        #: service lock), so cancel and drain know where to send ``stop``.
+        self.job: str | None = None
+
+    def send(self, kind: str, body: Any = None) -> None:
+        """Send one message; a dead worker's dispatcher sees its sentinel."""
+        with self._send_lock:
+            try:
+                self.conn.send((kind, body))
+            except OSError:
+                pass
+
+    def close(self, timeout: float) -> None:
+        """Tell the worker to exit; SIGKILL it if it has not within ``timeout``."""
+        self.send("exit")
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
+
+
 class SearchService:
-    """The daemon's engine: queue, dispatchers, shared pool, persistence.
+    """The daemon's engine: queue, dispatchers, workers, persistence.
 
     Separate from the HTTP layer so tests (and embedders) can drive it
     directly; :func:`create_server` wraps it in a ``ThreadingHTTPServer``.
@@ -269,56 +308,43 @@ class SearchService:
         #: ``(tenant, idempotency_key) -> job_id`` submit dedupe map,
         #: rebuilt from the persisted records on recovery.
         self._idempotency: dict[tuple[str, str], str] = {}
-        #: ``(job_tag, worker_pid) -> last monotonic heartbeat`` for workers
-        #: currently inside a cell; the watchdog kills stale entries.
-        self._liveness: dict[tuple[str, int], float] = {}
         self._draining = threading.Event()
         self._drained = threading.Event()
+        #: One worker per dispatcher thread, by dispatcher index.
+        self._workers: list[_Worker] = []
         self._dispatchers: list[threading.Thread] = []
-        self._progress_stop = threading.Event()
-        self._progress_thread: threading.Thread | None = None
-        self._watchdog_thread: threading.Thread | None = None
+        self._gc_stop = threading.Event()
         self._gc_thread: threading.Thread | None = None
         try:
-            context = multiprocessing.get_context("fork")
+            self._mp_context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        self._mp_context = context
-        self._progress_queue = context.Queue()
-        self._stop_event = context.Event()
-        self._executor: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._pool_generation = 0
+            self._mp_context = multiprocessing.get_context()
         self._fault_hook: Callable[[str, str], None] | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Fork the worker pool, recover persisted jobs, start the threads.
+        """Fork the workers, recover persisted jobs, start the threads.
 
-        The pool is forked (and warmed up) *before* any service thread
-        exists: forking a process that already runs threads risks inheriting
-        locks mid-acquire, so all forks happen while this is still a
-        single-threaded process.
+        The workers are forked *before* any service thread exists: forking a
+        process that already runs threads risks inheriting locks
+        mid-acquire.  A respawn forks from a dispatcher thread; that child
+        runs only :func:`~repro.campaign.scheduler.worker_main` over its own
+        new pipe.
         """
         if self.config.fault_plan is not None:
             faults.arm(self.config.fault_plan, self.layout.fault_ledger_dir)
             self._fault_hook = faults.fire
-        self._executor = self._make_executor()
+        self._workers = [self._spawn_worker()
+                         for _ in range(self.config.n_workers)]
         self.recover()
-        self._progress_thread = threading.Thread(
-            target=self._progress_loop, name="svc-progress", daemon=True)
-        self._progress_thread.start()
         for index in range(self.config.n_workers):
             thread = threading.Thread(target=self._dispatch_loop,
+                                      args=(index,),
                                       name=f"svc-dispatch-{index}", daemon=True)
             thread.start()
             self._dispatchers.append(thread)
-        if self.config.watchdog_seconds is not None:
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog_loop, name="svc-watchdog", daemon=True)
-            self._watchdog_thread.start()
         if self.config.job_ttl_seconds is not None \
                 or self.config.compact_interval_seconds is not None:
             self._gc_thread = threading.Thread(
@@ -328,33 +354,22 @@ class SearchService:
                  self.layout.root, self.config.n_workers,
                  self.config.queue_limit)
 
-    def _make_executor(self) -> ProcessPoolExecutor:
-        """Fork (and warm) a full worker pool wired to the shared channel.
-
-        Called at startup (pre-threads: the safe fork) and again on respawn
-        after a worker died hard.  A respawn forks a process that already
-        runs service threads — the classic fork-after-threads hazard — but
-        the children only re-exec the initializer and the worker loop over
-        multiprocessing primitives created back in ``__init__``, which is
-        the standard, practically-safe recovery for a broken
-        ``ProcessPoolExecutor`` (the alternative is failing every queued
-        job).
-        """
+    def _spawn_worker(self) -> _Worker:
         plan = self.config.fault_plan
-        executor = ProcessPoolExecutor(
-            max_workers=self.config.n_workers,
-            mp_context=self._mp_context,
-            initializer=install_worker_channel,
-            initargs=(self._progress_queue, self._stop_event,
-                      None if plan is None else plan.to_dict(),
-                      None if plan is None
-                      else str(self.layout.fault_ledger_dir)),
-        )
-        # Occupy every slot with a short sleep so the executor forks its full
-        # complement of workers now instead of lazily from a dispatcher.
-        futures_wait([executor.submit(time.sleep, 0.2)
-                      for _ in range(self.config.n_workers)])
-        return executor
+        return _Worker(self._mp_context,
+                       None if plan is None else plan.to_dict(),
+                       None if plan is None
+                       else str(self.layout.fault_ledger_dir))
+
+    def _respawn(self, index: int) -> None:
+        """Reap dispatcher ``index``'s dead worker and fork its replacement."""
+        self._workers[index].close(timeout=0.0)
+        if self._draining.is_set():
+            return
+        self._workers[index] = self._spawn_worker()
+        self.metrics.count("pool_respawns")
+        log.warning("service: worker %d respawned (pid %d)", index,
+                    self._workers[index].process.pid)
 
     # ------------------------------------------------------------------ #
     def fault_fire(self, site: str, key: str = "") -> None:
@@ -362,25 +377,14 @@ class SearchService:
         if self._fault_hook is not None:
             self._fault_hook(site, key)
 
-    def _pool_state(self) -> tuple[ProcessPoolExecutor | None, int]:
-        with self._pool_lock:
-            return self._executor, self._pool_generation
-
-    def _ensure_pool(self, generation: int) -> None:
-        """Respawn the shared pool unless someone already did (or draining)."""
-        with self._pool_lock:
-            if self._pool_generation != generation \
-                    or self._draining.is_set():
-                return
-            broken = self._executor
-            self._executor = self._make_executor()
-            self._pool_generation += 1
-            respawned = self._pool_generation
-        if broken is not None:
-            broken.shutdown(wait=False)
-        self.metrics.count("pool_respawns")
-        log.warning("service: worker pool respawned (generation %d)",
-                    respawned)
+    def _stop_running(self, job_id: str | None = None) -> None:
+        """Send ``stop`` for ``job_id`` (every running job if ``None``)."""
+        with self._lock:
+            running = [(worker, worker.job) for worker in self._workers
+                       if worker.job is not None
+                       and job_id in (None, worker.job)]
+        for worker, tag in running:
+            worker.send("stop", tag)
 
     def recover(self) -> None:
         """Re-register persisted jobs; re-enqueue the incomplete ones.
@@ -420,10 +424,11 @@ class SearchService:
     def drain(self) -> None:
         """Graceful shutdown: stop accepting, interrupt, persist, wind down.
 
-        In-flight searches raise at their next step (via the shared stop
-        event), the schedulers persist their flagged best-so-far outcomes,
-        and the affected jobs return to ``queued`` on disk so the next daemon
-        resumes them.  Idempotent; blocks until fully drained.
+        In-flight searches raise at their next step (a ``stop`` message),
+        the schedulers persist their flagged best-so-far outcomes, and the
+        affected jobs return to ``queued`` on disk so the next daemon resumes
+        them; a worker still busy after :data:`DRAIN_SECONDS` is SIGKILLed.
+        Idempotent; blocks until fully drained.
         """
         with self._cond:
             first = not self._draining.is_set()
@@ -433,18 +438,24 @@ class SearchService:
             self._drained.wait()
             return
         log.info("service draining: interrupting in-flight jobs")
-        self._stop_event.set()
+        self._stop_running()
+        deadline = time.monotonic() + DRAIN_SECONDS
+        for thread in self._dispatchers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for worker, thread in zip(self._workers, self._dispatchers):
+            if thread.is_alive():
+                log.warning("service: worker %d still busy at the %.0fs "
+                            "drain deadline; killing it", worker.process.pid,
+                            DRAIN_SECONDS)
+                self.metrics.count("workers_killed")
+                worker.process.kill()
         for thread in self._dispatchers:
             thread.join()
-        with self._pool_lock:
-            executor = self._executor
-        if executor is not None:
-            executor.shutdown(wait=True)
-        self._progress_stop.set()
-        for thread in (self._progress_thread, self._watchdog_thread,
-                       self._gc_thread):
-            if thread is not None:
-                thread.join()
+        for worker in self._workers:
+            worker.close(timeout=5.0)
+        self._gc_stop.set()
+        if self._gc_thread is not None:
+            self._gc_thread.join()
         with self._lock:
             events = list(self._events.values())
         for log_ in events:
@@ -521,12 +532,12 @@ class SearchService:
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a job (``DELETE /v1/jobs/<id>``), cooperatively.
 
-        A queued job is cancelled immediately.  A running job gets the
-        on-disk sentinel its workers poll: at their next step they raise,
-        the scheduler persists flagged best-so-far outcomes through the
-        same path the drain uses, and the job finishes as ``cancelled``.
+        A queued job is cancelled immediately.  A running job's worker gets
+        the drain's ``stop`` message: the scheduler persists flagged
+        best-so-far outcomes and the job finishes as ``cancelled``.  An
+        on-disk sentinel records the request for a restarted daemon.
         Terminal jobs are a 409 (cancellation is cooperative — a job that
-        completes before its workers notice the sentinel stays ``done``).
+        completes before its worker reads the ``stop`` stays ``done``).
         """
         with self._cond:
             record = self._registry.get(job_id)
@@ -551,6 +562,7 @@ class SearchService:
             self._finish(record, STATE_CANCELLED)
             log.info("service: cancelled queued job %s", job_id)
         else:
+            self._stop_running(job_id)
             self._events_for(job_id).emit("cancelling", {"job_id": job_id})
             log.info("service: cancellation requested for running job %s",
                      job_id)
@@ -676,7 +688,7 @@ class SearchService:
     def _queue_depth_locked(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self, index: int) -> None:
         while True:
             with self._cond:
                 record = None
@@ -693,6 +705,7 @@ class SearchService:
                 # repro-lint: allow[determinism-clock] job lifecycle timestamp; excluded from served result payloads
                 record.started_at = time.time()
                 record.attempts += 1
+                self._workers[index].job = record.job_id
             # Everything per-job stays inside the try: a dispatcher thread
             # that dies takes its share of the throughput (and any job it
             # would ever have run) with it, so no per-job error may escape.
@@ -703,7 +716,7 @@ class SearchService:
                 self._events_for(record.job_id).emit(
                     "running",
                     {"job_id": record.job_id, "attempt": record.attempts})
-                self._execute(record)
+                self._execute(record, index)
             except Exception as error:  # noqa: BLE001 - keep dispatching
                 log.error("service: job %s crashed the dispatcher: %r",
                           record.job_id, error)
@@ -712,24 +725,63 @@ class SearchService:
                 except Exception:  # noqa: BLE001 - job dir may be gone
                     log.exception("service: could not record job %s as "
                                   "failed", record.job_id)
+            finally:
+                with self._lock:
+                    self._workers[index].job = None
 
-    def _execute(self, record: JobRecord) -> None:
+    def _run_on_worker(self, index: int, events: _JobEvents,
+                       *args) -> dict[str, Any]:
+        """Run one cell (``_pool_run_job``'s arguments) on worker ``index``,
+        relaying its frames until the result.  A worker silent for
+        ``watchdog_seconds`` is SIGKILLed; a dead one raises ``WorkerLost``.
+        """
+        worker = self._workers[index]
+        pid = worker.process.pid
+        worker.send("run", args)
+        timeout = self.config.watchdog_seconds
+        while True:
+            ready = wait_ready([worker.conn, worker.process.sentinel], timeout)
+            if not ready:
+                log.warning("service: worker %d silent for over %.1fs; "
+                            "killing it", pid, timeout)
+                self.metrics.count("workers_killed")
+                worker.process.kill()
+                continue
+            try:
+                if worker.process.sentinel in ready:
+                    worker.process.join()  # exiting: reap it for its status
+                    raise EOFError(f"exit status {worker.process.exitcode}")
+                event, payload = worker.conn.recv()
+            except (EOFError, OSError) as error:
+                raise WorkerLost(f"worker {pid} died ({error})") from None
+            if event == "result":
+                return payload
+            if event == "error":
+                raise payload
+            if event == "stats":
+                self.metrics.add_cache(payload["hits"], payload["misses"],
+                                       payload["evictions"])
+            elif event != "hb":  # a heartbeat only resets the watchdog
+                events.emit("cell_started" if event == "job" else event,
+                            payload)
+
+    def _execute(self, record: JobRecord, index: int) -> None:
         events = self._events_for(record.job_id)
         started = time.monotonic()
-        executor, generation = self._pool_state()
+        watchdog = self.config.watchdog_seconds
         try:
             spec = record.spec()
             store = ResultStore(
                 self.layout.store_dir(record.tenant, record.job_id),
                 spec=spec, cache_dir=self.layout.cache_dir)
             scheduler = CampaignScheduler(
-                spec, store, executor=executor,
+                spec, store,
+                run_job=functools.partial(self._run_on_worker, index, events),
                 progress=PoolProgress(
                     tag=record.job_id,
                     step_period=self.config.step_period,
-                    heartbeat_seconds=self.config.worker_heartbeat_seconds,
-                    cancel_path=str(self.layout.cancel_path(
-                        record.tenant, record.job_id))),
+                    heartbeat_seconds=(None if watchdog is None
+                                       else watchdog / 4.0)),
                 fault_hook=self._fault_hook)
 
             def on_cell(job, outcome) -> None:
@@ -741,16 +793,14 @@ class SearchService:
                 })
 
             run = scheduler.run(on_job_done=on_cell)
-        except BrokenProcessPool as error:
-            # A worker died hard (SIGKILL by the watchdog, OOM, a crash):
-            # the pool is permanently broken.  Respawn it and requeue the
-            # job — completed cells are already persisted, so the retry
-            # resumes from the store and stays bit-identical.
-            log.warning("service: job %s lost its worker pool (%r)",
+        except WorkerLost as error:
+            # The worker died hard (watchdog SIGKILL, OOM, a crash): respawn
+            # it alone and requeue only this job — completed cells are
+            # persisted, so the retry resumes bit-identically.
+            log.warning("service: job %s lost its worker (%s)",
                         record.job_id, error)
-            self._forget_liveness(record.job_id)
-            self._ensure_pool(generation)
-            self._requeue_or_fail(record, f"worker pool broke: {error!r}")
+            self._respawn(index)
+            self._requeue_or_fail(record, f"worker died: {error}")
             return
         except OSError as error:
             # Transient store I/O (disk full, partial write): the append
@@ -758,20 +808,17 @@ class SearchService:
             # only the unpersisted cells.
             log.warning("service: job %s hit an I/O error (%r)",
                         record.job_id, error)
-            self._forget_liveness(record.job_id)
             self._requeue_or_fail(record, f"store I/O error: {error!r}")
             return
         except Exception as error:  # noqa: BLE001 - job-level failure
             log.warning("service: job %s failed: %r", record.job_id, error)
-            self._forget_liveness(record.job_id)
             self._finish(record, STATE_FAILED, error=repr(error))
             return
-        self._forget_liveness(record.job_id)
         if run.was_interrupted:
             if self._cancel_pending(record):
-                # The interrupt came from the cancellation sentinel, not the
-                # drain: flagged best-so-far cells are persisted, the job
-                # ends as cancelled.
+                # The interrupt came from a cancellation, not the drain:
+                # flagged best-so-far cells are persisted, the job ends as
+                # cancelled.
                 self._finish(record, STATE_CANCELLED)
                 log.info("service: job %s cancelled "
                          "(%d best-so-far cells persisted)",
@@ -880,42 +927,12 @@ class SearchService:
         log.info("service: job %s requeued after attempt %d (%s)",
                  record.job_id, record.attempts, reason)
 
-    def _forget_liveness(self, tag: str) -> None:
-        with self._lock:
-            for key in [k for k in self._liveness if k[0] == tag]:
-                self._liveness.pop(key, None)
-
-    def _watchdog_loop(self) -> None:
-        """SIGKILL workers that stopped heartbeating mid-cell.
-
-        The kill surfaces as ``BrokenProcessPool`` in the dispatcher driving
-        that job, which respawns the pool and requeues — turning a silent
-        hang into the same recovery path as a worker crash.
-        """
-        timeout = self.config.watchdog_seconds
-        interval = max(0.2, min(1.0, timeout / 4.0))
-        while not self._progress_stop.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                stale = [key for key, beat in self._liveness.items()
-                         if now - beat > timeout]
-                for key in stale:
-                    self._liveness.pop(key, None)
-            for tag, pid in stale:
-                log.warning("service: worker %d on job %s silent for over "
-                            "%.1fs; killing it", pid, tag, timeout)
-                self.metrics.count("workers_killed")
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass  # already gone
-
     def _gc_loop(self) -> None:
         """Expire terminal jobs past their TTL; compact the spill on a timer."""
         compact_every = self.config.compact_interval_seconds
         next_compact = (time.monotonic() + compact_every
                         if compact_every is not None else None)
-        while not self._progress_stop.wait(self.config.gc_interval_seconds):
+        while not self._gc_stop.wait(self.config.gc_interval_seconds):
             try:
                 self._collect_expired()
             except Exception as error:  # noqa: BLE001 - keep sweeping
@@ -960,41 +977,6 @@ class SearchService:
                 events.close()
             log.info("service: expired %s job %s (%s, ttl %.0fs)",
                      record.state, record.job_id, record.tenant, ttl)
-
-    def _progress_loop(self) -> None:
-        """Translate worker-channel tuples into SSE events and metrics."""
-        while not self._progress_stop.is_set():
-            try:
-                item = self._progress_queue.get(timeout=0.25)
-            except Empty:
-                continue
-            except (OSError, EOFError, ValueError):  # pragma: no cover
-                return
-            try:
-                event, tag, payload = item
-            except (TypeError, ValueError):  # pragma: no cover - bad frame
-                continue
-            pid = payload.get("pid") if isinstance(payload, dict) else None
-            if event == "stats":
-                self.metrics.add_cache(int(payload.get("hits", 0)),
-                                       int(payload.get("misses", 0)),
-                                       int(payload.get("evictions", 0)))
-                if pid is not None:
-                    # Cell finished: the worker is idle again, stop
-                    # watching it (idle workers legitimately go silent).
-                    with self._lock:
-                        self._liveness.pop((tag, int(pid)), None)
-                continue
-            if event in ("job", "hb") and pid is not None:
-                with self._lock:
-                    self._liveness[(tag, int(pid))] = time.monotonic()
-            if event == "hb":
-                continue  # liveness bookkeeping only, not a client event
-            name = "cell_started" if event == "job" else event
-            with self._lock:
-                events = self._events.get(tag)
-            if events is not None:
-                events.emit(name, payload)
 
 
 # --------------------------------------------------------------------------- #

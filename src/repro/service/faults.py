@@ -10,7 +10,7 @@ sites** threaded through the daemon and the campaign scheduler:
 =================  ============================================  ==============
 site               where the hook fires                          actions
 =================  ============================================  ==============
-``worker.step``    each search step inside a pool worker         kill, stall
+``worker.step``    each search step inside a worker              kill, stall
 ``worker.cell``    a campaign cell starting inside a worker      kill, stall
 ``store.append``   the parent persisting one cell outcome        error
 ``daemon.dispatch``a dispatcher thread picking up a job          exit, stall
@@ -27,9 +27,9 @@ deterministic across processes and replays without any RNG state.
 Fires are **globally capped** through a filesystem ledger: before acting,
 the injector claims one of the rule's ``max_fires`` slots by exclusively
 creating a marker file under the ledger directory.  Worker processes,
-respawned pools and restarted daemons all share the ledger (it lives under
-the service root), so a rule that SIGKILLs a worker at step 10 does it
-``max_fires`` times total — not once per respawned worker, which would
+respawned workers and restarted daemons all share the ledger (it lives
+under the service root), so a rule that SIGKILLs a worker at step 10 does
+it ``max_fires`` times total — not once per respawned worker, which would
 starve the job forever.
 
 When no plan is armed, every hook is a no-op behind a single ``None``
@@ -45,7 +45,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.utils.log import get_logger
 
@@ -228,7 +228,7 @@ class FaultInjector:
 
         ``os.open(..., O_CREAT | O_EXCL)`` either creates the (empty) marker
         atomically or fails with ``FileExistsError`` — exactly one process
-        wins each slot, across workers, respawned pools and daemon restarts.
+        wins each slot, across workers, respawned workers and daemon restarts.
         """
         for slot in range(max_fires):
             marker = self.ledger_dir / f"rule{rule_index}.fire{slot}"
@@ -310,10 +310,6 @@ def fire(site: str, key: str = "") -> None:
         _INJECTOR.fire(site, key)
 
 
-def iter_sites() -> Iterable[str]:
-    return SITE_ACTIONS.keys()
-
-
 __all__ = [
     "ACTIONS",
     "CRASH_EXIT_STATUS",
@@ -327,5 +323,4 @@ __all__ = [
     "armed",
     "disarm",
     "fire",
-    "iter_sites",
 ]

@@ -64,9 +64,9 @@ DEFAULT_TENANT = "default"
 
 RECORD_NAME = "job.json"
 STORE_DIR_NAME = "store"
-#: Cancellation sentinel inside a job dir: its appearance makes pool workers
-#: raise ``KeyboardInterrupt`` at their next step (see
-#: ``campaign.scheduler.PoolProgress.cancel_path``).
+#: Cancellation sentinel inside a job dir: the durable record of a cancel
+#: request, which a restarted daemon's ``recover()`` honours (a running job
+#: stops through a ``stop`` message; see ``campaign.scheduler.worker_main``).
 CANCEL_NAME = "cancel"
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")

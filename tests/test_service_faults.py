@@ -2,14 +2,16 @@
 
 Covers the :mod:`repro.service.faults` model and injector, then each
 recovery path of the hardened daemon end-to-end over HTTP: worker
-SIGKILL -> pool respawn -> bit-identical retry, watchdog kills of hung
-workers, store I/O retry, cooperative cancellation, tenant quotas +
-round-robin fairness, idempotent submits, TTL garbage collection, the
-resilient client (backoff, ``Retry-After`` parsing, SSE reconnect with
-``Last-Event-ID``), and a focused repro-lint pass over the new code.
+SIGKILL -> respawn of that worker alone -> bit-identical retry of its job
+only, watchdog kills of hung workers, the drain deadline, store I/O retry,
+cooperative cancellation, tenant quotas + round-robin fairness across the
+workers, idempotent submits, TTL garbage collection, the resilient client
+(backoff, ``Retry-After`` parsing, SSE reconnect with ``Last-Event-ID``),
+and a focused repro-lint pass over the new code.
 """
 
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -21,6 +23,13 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.campaign import (
+    CampaignReport,
+    CampaignSpec,
+    StrategyVariant,
+    run_campaign,
+)
+from repro.search import SearchBudget
 from repro.service import (
     Client,
     FaultDrop,
@@ -33,8 +42,11 @@ from repro.service import (
     create_server,
     write_endpoint_file,
 )
-from repro.service import faults
-from repro.utils.serialization import canonical_outcome_json
+from repro.service import daemon, faults
+from repro.utils.serialization import (
+    canonical_outcome_json,
+    deterministic_outcome_payload,
+)
 
 
 @contextlib.contextmanager
@@ -189,8 +201,7 @@ class TestWorkerRecovery:
                       seconds=30.0),
         ))
         with running_service(tmp_path / "svc", n_workers=1,
-                             fault_plan=plan, watchdog_seconds=1.0,
-                             worker_heartbeat_seconds=0.2) \
+                             fault_plan=plan, watchdog_seconds=1.0) \
                 as (service, client):
             job = client.submit_search("bert", strategy="random", seed=3,
                                        budget=40)
@@ -200,6 +211,71 @@ class TestWorkerRecovery:
             assert metrics["recovery"]["workers_killed"] >= 1
             assert metrics["recovery"]["pool_respawns"] >= 1
             served = client.result_bytes(job["job_id"])
+        offline = repro.optimize("bert", strategy="random", seed=3,
+                                 budget=40)
+        assert served == canonical_outcome_json(offline).encode()
+
+    def test_worker_kill_costs_only_its_own_job(self, tmp_path):
+        # The bystander runs on one worker while the victim's worker is
+        # SIGKILLed mid-search: only the victim's worker respawns, only the
+        # victim retries.
+        plan = FaultPlan(rules=(
+            FaultRule(site="worker.step", action="kill", match="seed=6/",
+                      at=10),
+        ))
+        with running_service(tmp_path / "svc", n_workers=2,
+                             fault_plan=plan) as (service, client):
+            bystander = client.submit_search("bert", strategy="random",
+                                             seed=5, budget=3000)
+            for name, _ in client.events(bystander["job_id"]):
+                if name == "cell_started":
+                    break
+            victim = client.submit_search("bert", strategy="random", seed=6,
+                                          budget=40)
+            victim_record = client.wait(victim["job_id"], timeout=120)
+            bystander_record = client.wait(bystander["job_id"], timeout=120)
+            assert victim_record["state"] == "done"
+            assert victim_record["attempts"] == 2
+            assert bystander_record["state"] == "done"
+            assert bystander_record["attempts"] == 1
+            metrics = client.metrics()
+            assert metrics["jobs"]["retried"] == 1
+            assert metrics["recovery"]["pool_respawns"] == 1
+            served = {5: client.result_bytes(bystander["job_id"]),
+                      6: client.result_bytes(victim["job_id"])}
+        for seed, budget in ((5, 3000), (6, 40)):
+            offline = repro.optimize("bert", strategy="random", seed=seed,
+                                     budget=budget)
+            assert served[seed] == canonical_outcome_json(offline).encode()
+
+    def test_drain_kills_a_hung_worker_at_its_deadline(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(daemon, "DRAIN_SECONDS", 1.0)
+        plan = FaultPlan(rules=(
+            FaultRule(site="worker.step", action="stall", at=5,
+                      seconds=30.0),
+        ))
+        root = tmp_path / "svc"
+        with running_service(root, n_workers=2, fault_plan=plan,
+                             watchdog_seconds=None) as (service, client):
+            job_id = client.submit_search("bert", strategy="random", seed=3,
+                                          budget=40)["job_id"]
+            stalled = service.layout.fault_ledger_dir / "rule0.fire0"
+            deadline = time.monotonic() + 60.0
+            while not stalled.exists():
+                assert time.monotonic() < deadline, "the stall never fired"
+                time.sleep(0.02)
+            workers = [worker.process.pid for worker in service._workers]
+            start = time.monotonic()
+            service.drain()
+            assert time.monotonic() - start < 1.0 + 5.0
+            assert not [pid for pid in workers if _running(pid)]
+            assert client.job(job_id)["state"] == "queued"
+        # The stall's one fire is spent: a second daemon finishes the job.
+        with running_service(root, n_workers=1, fault_plan=plan) \
+                as (service, client):
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            served = client.result_bytes(job_id)
         offline = repro.optimize("bert", strategy="random", seed=3,
                                  budget=40)
         assert served == canonical_outcome_json(offline).encode()
@@ -237,17 +313,23 @@ class TestWorkerRecovery:
             assert client.job(job["job_id"])["state"] == "failed"
 
 
-#: A process that forks a one-worker pool the way the daemon does, prints
-#: the worker's pid, and dies without shutting the pool down.
+#: A daemon with two workers, one of them respawned after a fault-plan
+#: kill (so it was forked from a dispatcher thread), that prints both
+#: workers' pids and dies without draining.
 _DYING_DAEMON = """
-import multiprocessing, os
-from concurrent.futures import ProcessPoolExecutor
-from repro.campaign.scheduler import install_worker_channel
-context = multiprocessing.get_context("fork")
-pool = ProcessPoolExecutor(max_workers=1, mp_context=context,
-                           initializer=install_worker_channel,
-                           initargs=(context.Queue(), context.Event()))
-print(pool.submit(os.getpid).result(), flush=True)
+import os, sys, time
+from repro.service import FaultPlan, FaultRule, SearchService, ServiceConfig
+plan = FaultPlan(rules=(FaultRule(site="worker.step", action="kill", at=1),))
+service = SearchService(ServiceConfig(root=sys.argv[1], n_workers=2,
+                                      fault_plan=plan))
+service.start()
+job = service.submit({"network": "bert", "strategy": "random", "budget": 10})
+deadline = time.monotonic() + 60
+while service.job(job.job_id).state != "done":
+    assert time.monotonic() < deadline, service.job(job.job_id).state
+    time.sleep(0.05)
+assert service.metrics.pool_respawns == 1
+print(*[worker.process.pid for worker in service._workers], flush=True)
 os._exit(70)
 """
 
@@ -264,21 +346,25 @@ def _running(pid: int) -> bool:
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="needs /proc to see the orphaned worker")
 class TestOrphanedWorkers:
-    def test_pool_worker_exits_when_its_daemon_dies_hard(self):
+    def test_pool_worker_exits_when_its_daemon_dies_hard(self, tmp_path):
         src = Path(repro.__file__).resolve().parents[1]
-        daemon = subprocess.Popen([sys.executable, "-c", _DYING_DAEMON],
-                                  cwd=src, stdout=subprocess.PIPE, text=True)
-        with daemon.stdout:
-            worker = int(daemon.stdout.readline())
-        assert daemon.wait(timeout=60) == 70
+        dying = subprocess.Popen(
+            [sys.executable, "-c", _DYING_DAEMON, str(tmp_path / "svc")],
+            cwd=src, stdout=subprocess.PIPE, text=True)
+        with dying.stdout:
+            workers = [int(pid) for pid in dying.stdout.readline().split()]
+        assert dying.wait(timeout=60) == 70
+        assert len(workers) == 2
         try:
             deadline = time.monotonic() + 5.0
-            while _running(worker) and time.monotonic() < deadline:
+            while any(map(_running, workers)) \
+                    and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not _running(worker)
+            assert not [pid for pid in workers if _running(pid)]
         finally:
-            if _running(worker):
-                os.kill(worker, signal.SIGKILL)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestCancellation:
@@ -356,6 +442,43 @@ class TestTenantFairness:
             client.cancel(client.jobs(tenant="acme")[0]["job_id"])
             client.submit_search("bert", strategy="random", budget=10,
                                  tenant="acme", seed=1)
+
+    def test_one_tenants_campaign_cannot_starve_anothers_search(
+            self, tmp_path):
+        # Tenant A's 8-cell campaign runs its cells in order on one worker,
+        # so tenant B's search, submitted once A's first cell started, gets
+        # the other worker and finishes first.
+        two_thousand = SearchBudget(max_samples=2000)
+        spec = CampaignSpec(name="hog", workloads=("bert",),
+                            strategies=(StrategyVariant("random"),),
+                            seeds=tuple(range(8)), budgets=(two_thousand,))
+        with running_service(tmp_path / "svc", n_workers=2) \
+                as (service, client):
+            hog = client.submit_campaign(spec, tenant="hog")["job_id"]
+            for name, _ in client.events(hog):
+                if name == "cell_started":
+                    break
+            single = client.submit_search("bert", strategy="random", seed=8,
+                                          budget=2000, tenant="single")
+            single_record = client.wait(single["job_id"], timeout=120)
+            hog_record = client.wait(hog, timeout=300)
+            assert single_record["finished_at"] < hog_record["finished_at"]
+            served = client.result_bytes(single["job_id"])
+            document = client.result_bytes(hog)
+        offline = repro.optimize("bert", strategy="random", seed=8,
+                                 budget=2000)
+        assert served == canonical_outcome_json(offline).encode()
+        run_campaign(spec, directory=tmp_path / "offline")
+        store = repro.ResultStore(tmp_path / "offline")
+        expected = {
+            "kind": "campaign",
+            "campaign": spec.name,
+            "jobs": {cell: deterministic_outcome_payload(payload)
+                     for cell, payload in store.latest_outcomes().items()},
+            "report": CampaignReport.from_store(store).to_text(),
+        }
+        assert document == (json.dumps(expected, indent=2, sort_keys=True)
+                            + "\n").encode()
 
     def test_round_robin_interleaves_tenants(self, tmp_path):
         # Submit 2 jobs for a backlogged tenant, then 1 for a newcomer,
