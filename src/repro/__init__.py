@@ -63,12 +63,10 @@ from repro.search.api import (
     SearchOutcome,
     SearchTrace,
     available_strategies,
-    create_searcher,
     get_searcher,
     optimize,
     register_searcher,
 )
-from repro.service import Client as ServiceClient
 from repro.service import SearchService, ServiceConfig
 from repro.timeloop import evaluate_mapping, evaluate_network_mappings
 from repro.workloads import LayerDims, conv2d_layer, get_network, matmul_layer
@@ -100,12 +98,10 @@ __all__ = [
     "SearchOutcome",
     "SearchTrace",
     "available_strategies",
-    "create_searcher",
     "get_searcher",
     "optimize",
     "register_searcher",
     "SearchService",
-    "ServiceClient",
     "ServiceConfig",
     "evaluate_mapping",
     "evaluate_network_mappings",

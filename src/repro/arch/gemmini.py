@@ -46,20 +46,6 @@ class GemminiSpec:
     def holds(self, level: int, tensor: str) -> bool:
         return tensor in BYPASS_MATRIX[level]
 
-    def innermost_level_for(self, tensor: str) -> int:
-        """The innermost memory level storing ``tensor`` (W -> registers, ...)."""
-        for level in self.levels:
-            if self.holds(level, tensor):
-                return level
-        raise KeyError(f"no level stores tensor {tensor!r}")
-
-    def next_inner_level_for(self, tensor: str, level: int) -> int | None:
-        """The closest level below ``level`` that also stores ``tensor``."""
-        for candidate in range(level - 1, -1, -1):
-            if self.holds(candidate, tensor):
-                return candidate
-        return None
-
     # ------------------------------------------------------------------ #
     # Capacities
     # ------------------------------------------------------------------ #

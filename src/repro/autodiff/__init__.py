@@ -8,11 +8,11 @@ type defined here.  It provides:
 * ``Tensor`` — an array wrapper recording a dynamic computation graph and
   supporting broadcasting-aware reverse-mode backpropagation,
 * ``ops`` — a functional library (exp, log, power, maximum, softmax,
-  reductions, matmul, stacking, clamping, fused fold/reload reductions ...),
-* ``optim`` — SGD and Adam optimizers (Adam updates in place),
+  reductions, matmul, stacking, fused fold/reload reductions ...),
+* ``optim`` — the Adam optimizer (updates in place),
 * ``tape`` — compiled-tape replay of a traced graph (re-trace once per
   structural change instead of once per step),
-* ``nn`` — a minimal neural-network layer library (Linear, MLP, losses),
+* ``nn`` — a minimal neural-network layer library (Linear, MLP, MSE loss, feature scaler),
 * ``gradcheck`` — finite-difference gradient verification used by the tests.
 """
 
@@ -30,12 +30,10 @@ from repro.autodiff.ops import (
     sigmoid,
     tanh,
     softmax,
-    clamp_min,
-    clamp_max,
     where,
     total_prod,
 )
-from repro.autodiff.optim import SGD, Adam, Optimizer
+from repro.autodiff.optim import Adam
 from repro.autodiff.tape import Tape, TapeError
 from repro.autodiff import nn
 from repro.autodiff.gradcheck import numeric_gradient, check_gradients
@@ -56,13 +54,9 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
-    "clamp_min",
-    "clamp_max",
     "where",
     "total_prod",
-    "SGD",
     "Adam",
-    "Optimizer",
     "Tape",
     "TapeError",
     "numeric_gradient",

@@ -3,8 +3,8 @@
 The paper's learned latency-difference predictor (Section 4.7) is a small
 fully-connected network "similar to that of the model used in Mind Mappings...
 7 hidden fully-connected layers and a total of 5737 parameters".  This module
-provides the :class:`Linear`, :class:`MLP` and loss functions needed to train
-such a model from scratch, plus simple feature normalization utilities.
+provides the :class:`Linear`, :class:`MLP` and the mean-squared-error loss
+needed to train such a model from scratch, plus feature standardization.
 """
 
 from __future__ import annotations
@@ -45,25 +45,6 @@ class Module:
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat mapping of parameter index to a copy of its data."""
-        return {f"param_{i}": p.data.copy() for i, p in enumerate(self.parameters())}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values saved by :meth:`state_dict`."""
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError(
-                f"state dict has {len(state)} entries but module has {len(params)} parameters"
-            )
-        for i, parameter in enumerate(params):
-            data = np.asarray(state[f"param_{i}"], dtype=np.float64)
-            if data.shape != parameter.data.shape:
-                raise ValueError(
-                    f"shape mismatch for parameter {i}: {data.shape} vs {parameter.data.shape}"
-                )
-            parameter.data = data.copy()
 
 
 class Linear(Module):
@@ -129,19 +110,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error between ``prediction`` and ``target``."""
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return (prediction - target).abs().mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber (smooth-L1) loss; robust to outlier latencies in RTL data."""
-    diff = (prediction - target).abs()
-    quadratic = ops.minimum(diff, Tensor(delta))
-    linear = diff - quadratic
-    return (0.5 * quadratic * quadratic + delta * linear).mean()
 
 
 class StandardScaler:

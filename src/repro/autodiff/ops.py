@@ -1,7 +1,7 @@
 """Functional operations on :class:`~repro.autodiff.tensor.Tensor` values.
 
 These are the building blocks of the DOSA differentiable model: products of
-tiling factors, smooth maxima for the roofline latency, the softmax used for
+tiling factors, maxima for the roofline latency, the softmax used for
 gradient-based loop-ordering (paper Section 5.2.2), and the hinge penalty used
 to keep tiling factors valid (Equation 18).
 
@@ -104,16 +104,6 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
 def minimum(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise minimum (dual of :func:`maximum`)."""
     return -maximum(-_as_tensor(a), -_as_tensor(b))
-
-
-def clamp_min(x: TensorLike, lower: float) -> Tensor:
-    """Clamp ``x`` from below at ``lower`` (gradient passes where x > lower)."""
-    return maximum(_as_tensor(x), Tensor(lower))
-
-
-def clamp_max(x: TensorLike, upper: float) -> Tensor:
-    """Clamp ``x`` from above at ``upper``."""
-    return minimum(_as_tensor(x), Tensor(upper))
 
 
 def where(condition: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
@@ -264,38 +254,6 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
         return (out.data * (grad - dot),)
 
     return out._set_backward(backward)
-
-
-def log_sum_exp(x: TensorLike, axis: int = -1) -> Tensor:
-    """Numerically stable log-sum-exp reduction along ``axis``.
-
-    Not tape-replayable: the stabilizing shift is captured as a constant at
-    trace time (the default DOSA model uses the exact max instead).
-    """
-    x = _as_tensor(x)
-    max_data = x.data.max(axis=axis, keepdims=True)
-    shifted = x - Tensor(max_data)
-    summed = shifted.exp().sum(axis=axis, keepdims=True)
-    return summed.log() + Tensor(max_data.reshape(summed.data.shape))
-
-
-def smooth_max(values: Sequence[TensorLike], sharpness: float = 32.0) -> Tensor:
-    """Differentiable approximation of max via log-sum-exp.
-
-    As ``sharpness`` grows this approaches the exact maximum; it is offered as
-    an alternative to the piecewise-linear :func:`maximum` for experiments on
-    gradient smoothness, though the paper (and our default model) uses the
-    exact max with subgradients.
-    """
-    stacked = stack(values) * sharpness
-    return log_sum_exp(stacked, axis=0).reshape(()) / sharpness
-
-
-def dot(a: Sequence[TensorLike] | Tensor, b: Sequence[TensorLike] | Tensor) -> Tensor:
-    """Inner product of two vectors (lists of scalars or 1-D tensors)."""
-    a_tensor = a if isinstance(a, Tensor) else stack(list(a))
-    b_tensor = b if isinstance(b, Tensor) else stack(list(b))
-    return (a_tensor * b_tensor).sum()
 
 
 # --------------------------------------------------------------------------- #

@@ -28,8 +28,8 @@ time and value-dependent masks (``ops.relu``, ``ops.maximum`` subgradients,
 replayed forward/backward is bit-identical to re-tracing the same closure —
 the regression tests assert ``==``, not a tolerance.  What must stay fixed is
 the *wiring*: the traced closure may not branch on parameter values or bake
-them into constants (e.g. :func:`repro.autodiff.ops.log_sum_exp` captures its
-stabilizing shift and is not replayable).  When the structure does change —
+them into constants (e.g. a :func:`repro.autodiff.ops.where` condition computed
+from parameter values is captured at trace time and not replayable).  When the structure does change —
 DOSA re-selects loop orderings at a rounding point — call :meth:`invalidate`
 and the next :meth:`forward` re-traces.
 """

@@ -226,10 +226,6 @@ class Tensor:
         """Return a copy of the underlying data as a NumPy array."""
         return self.data.copy()
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""

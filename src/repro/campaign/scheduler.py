@@ -151,7 +151,7 @@ class _WorkerChannel:
         return self.stopped == tag
 
 
-def worker_main(conn, fault_plan=None, fault_ledger=None) -> None:
+def worker_main(conn, fault_plan=None, fault_ledger=None, listener=None) -> None:
     """A service worker process: run the jobs its daemon sends, one at a time.
 
     Each ``("run", args)`` message runs :func:`_pool_run_job` (looked up at
@@ -162,9 +162,13 @@ def worker_main(conn, fault_plan=None, fault_ledger=None) -> None:
     outcome.  Fault injection arms here, post-fork, with fresh hit counters.
     SIGINT is ignored and SIGTERM reset (the daemon drains its workers; a
     respawned worker would inherit its handlers), and a thread started here,
-    after the fork, exits the worker soon after its daemon dies.
+    after the fork, exits the worker soon after its daemon dies.  A worker
+    forked after its daemon bound its HTTP port gets that ``listener`` and
+    closes it, so an orphaned worker never keeps the port.
     """
     global _WORKER_CHANNEL, _WORKER_FAULT
+    if listener is not None:
+        listener.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     channel = _WORKER_CHANNEL = _WorkerChannel(conn)
@@ -636,7 +640,6 @@ class CampaignScheduler:
 def run_campaign(
     spec: CampaignSpec,
     directory: str | Path | None = None,
-    n_workers: int | None = None,
     persist_cache: bool = True,
     max_jobs: int | None = None,
     shard_index: int | None = None,
@@ -656,12 +659,12 @@ def run_campaign(
     """
     if directory is None:
         with tempfile.TemporaryDirectory(prefix="repro-campaign-") as temp:
-            return run_campaign(spec, directory=temp, n_workers=n_workers,
+            return run_campaign(spec, directory=temp,
                                 persist_cache=persist_cache, max_jobs=max_jobs,
                                 shard_index=shard_index, shard_count=shard_count,
                                 on_job_done=on_job_done, cache=cache)
     store = ResultStore(directory, spec=spec)
-    scheduler = CampaignScheduler(spec, store, n_workers=n_workers,
-                                  persist_cache=persist_cache, cache=cache)
+    scheduler = CampaignScheduler(spec, store, persist_cache=persist_cache,
+                                  cache=cache)
     return scheduler.run(max_jobs=max_jobs, shard_index=shard_index,
                          shard_count=shard_count, on_job_done=on_job_done)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.campaign import CampaignSpec, StrategyVariant, run_campaign
+from repro.campaign import CampaignSpec, StrategyVariant
 from repro.eval.cache import EvaluationCache
 from repro.search.api import SearchBudget, SearchOutcome, optimize
 from repro.utils.atomic import write_atomic
@@ -69,26 +69,6 @@ def cosearch_campaign_spec(
         seeds=(seed,),
         budgets=(SearchBudget.coerce(budget),),
     )
-
-
-def run_strategies(
-    workload: str,
-    strategy_overrides: Mapping[str, Mapping[str, Any]],
-    seed: SeedLike = 0,
-    budget: SearchBudget | int | None = None,
-    n_workers: int | None = None,
-) -> dict[str, SearchOutcome]:
-    """Run several strategies on one workload through the campaign layer.
-
-    The grid runs through :func:`~repro.campaign.scheduler.run_campaign` with
-    an ephemeral store: jobs share one reference-model cache (in memory when
-    run inline, via the store's spill when ``n_workers`` shards them across
-    processes), and results are bit-identical either way.
-    """
-    spec = cosearch_campaign_spec(f"{workload}-strategies", (workload,),
-                                  strategy_overrides, seed=seed, budget=budget)
-    outcomes = run_campaign(spec, n_workers=n_workers).complete_outcomes()
-    return {job.variant.name: outcomes[job.job_id] for job in spec.jobs()}
 
 
 def default_output_dir() -> Path:

@@ -53,14 +53,6 @@ class CoSearchResult:
         return self.edp("bayesian")
 
     @property
-    def dosa_trace(self) -> list[tuple[int, float]]:
-        return self.trace("dosa")
-
-    @property
-    def random_trace(self) -> list[tuple[int, float]]:
-        return self.trace("random")
-
-    @property
     def dosa_vs_random(self) -> float:
         return self.random_edp / self.dosa_edp
 
@@ -109,13 +101,8 @@ def run(
     bo_candidates: int = 1000,
     budget: SearchBudget | int | None = None,
     seed: SeedLike = 0,
-    n_workers: int | None = None,
 ) -> list[CoSearchResult]:
-    """Paper-scale defaults; pass smaller values (or a budget) for quick runs.
-
-    ``n_workers`` shards the campaign's independent jobs across processes
-    (results are identical; only wall-clock time changes).
-    """
+    """Paper-scale defaults; pass smaller values (or a budget) for quick runs."""
     spec = campaign_spec(
         workloads=workloads, num_start_points=num_start_points,
         gd_steps=gd_steps, rounding_period=rounding_period,
@@ -124,7 +111,7 @@ def run(
         bo_training_hardware=bo_training_hardware,
         bo_mappings_per_layer=bo_mappings_per_layer,
         bo_candidates=bo_candidates, budget=budget, seed=seed)
-    result = run_campaign(spec, n_workers=n_workers)
+    result = run_campaign(spec)
     job_outcomes = result.complete_outcomes()  # propagates interrupts cleanly
     outcomes = {(job.workload, job.variant.name): job_outcomes[job.job_id]
                 for job in spec.jobs()}

@@ -59,14 +59,13 @@ def run(
     gd_steps: int = 1490,
     rounding_period: int = 500,
     seed: SeedLike = 0,
-    n_workers: int | None = None,
 ) -> dict[str, dict[str, float]]:
     """EDP per workload per accelerator, with DOSA-optimized Gemmini last."""
     spec = campaign_spec(workloads=workloads,
                          mappings_per_layer=mappings_per_layer,
                          num_start_points=num_start_points, gd_steps=gd_steps,
                          rounding_period=rounding_period, seed=seed)
-    campaign = run_campaign(spec, n_workers=n_workers)
+    campaign = run_campaign(spec)
     outcomes = campaign.complete_outcomes()  # propagates interrupts cleanly
     results: dict[str, dict[str, float]] = {w: {} for w in workloads}
     for job in spec.jobs():

@@ -29,7 +29,6 @@ from repro.mapping.rounding_walk import (
     round_mapping_batch,
 )
 from repro.mapping.constraints import (
-    mapping_is_valid,
     validate_mapping,
     mapping_fits_hardware,
     capacity_requirements,
@@ -51,7 +50,6 @@ __all__ = [
     "RoundingTables",
     "round_factor_tensors",
     "round_mapping_batch",
-    "mapping_is_valid",
     "validate_mapping",
     "mapping_fits_hardware",
     "capacity_requirements",

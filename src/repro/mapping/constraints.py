@@ -195,11 +195,6 @@ def validate_mapping(mapping: Mapping) -> list[str]:
     return problems
 
 
-def mapping_is_valid(mapping: Mapping) -> bool:
-    """True when the mapping satisfies every structural constraint."""
-    return not validate_mapping(mapping)
-
-
 def mapping_fits_hardware(mapping: Mapping, config: HardwareConfig) -> bool:
     """True when ``mapping`` fits within ``config``'s PE array and SRAMs."""
     return bool(fits_hardware_arrays(*factor_stacks([mapping]), config)[0])

@@ -31,7 +31,6 @@ from repro.search.api import (
     SearchTrace,
     TracePoint,
     available_strategies,
-    create_searcher,
     get_searcher,
     optimize,
     register_searcher,
@@ -40,9 +39,8 @@ from repro.search.random_search import RandomSearcher, RandomSearchSettings
 from repro.search.random_mapper_search import (
     FixedHardwareMapperSearcher,
     FixedHardwareSettings,
-    best_random_mappings_for_hardware,
 )
-from repro.search.gp import GaussianProcessRegressor, expected_improvement
+from repro.search.gp import GaussianProcessRegressor
 from repro.search.bayesian import BayesianSearcher, BayesianSettings
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "SearchTrace",
     "TracePoint",
     "available_strategies",
-    "create_searcher",
     "get_searcher",
     "optimize",
     "register_searcher",
@@ -64,9 +61,7 @@ __all__ = [
     "RandomSearchSettings",
     "FixedHardwareMapperSearcher",
     "FixedHardwareSettings",
-    "best_random_mappings_for_hardware",
     "GaussianProcessRegressor",
-    "expected_improvement",
     "BayesianSearcher",
     "BayesianSettings",
 ]

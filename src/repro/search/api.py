@@ -124,18 +124,6 @@ class SearchTrace:
         best = min(edp, self.points[-1].best_edp) if self.points else edp
         self.points.append(TracePoint(samples=samples, best_edp=best))
 
-    def best_edp_after(self, samples: int) -> float:
-        """Best EDP achieved using at most ``samples`` evaluations."""
-        best = float("inf")
-        for point in self.points:
-            if point.samples <= samples:
-                best = min(best, point.best_edp)
-        return best
-
-    @property
-    def final_best(self) -> float:
-        return self.points[-1].best_edp if self.points else float("inf")
-
     @property
     def total_samples(self) -> int:
         return max((p.samples for p in self.points), default=0)
@@ -550,13 +538,6 @@ def available_strategies() -> tuple[str, ...]:
     """Names of all registered search strategies, sorted."""
     _ensure_builtin_strategies()
     return tuple(sorted(_SEARCHERS))
-
-
-def create_searcher(strategy: str, network: Network, settings: Any = None,
-                    **kwargs) -> Searcher:
-    """Instantiate a registered searcher for ``network``."""
-    cls = get_searcher(strategy)
-    return cls(network, settings=settings, **kwargs)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
-"""Gaussian-process regression and the expected-improvement acquisition.
+"""Gaussian-process regression: the Bayesian baseline's surrogate.
 
 A small exact GP (RBF kernel with automatic-relevance-style shared length
 scale, linear solves via NumPy) used as the surrogate of the Bayesian
-optimization baseline.  Targets are modelled in log space since layer EDPs
-span many orders of magnitude.
+optimization baseline, which picks the candidate with the lowest posterior
+mean.  Targets are modelled in log space since layer EDPs span many orders
+of magnitude.
 
 The kernel is built in row blocks: each block's pairwise-difference
 temporary holds at most :data:`_KERNEL_BLOCK_ELEMENTS` elements, so a fit's
@@ -16,23 +17,12 @@ its solve and every prediction are bit-identical to it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# Floor for the posterior variance before the sqrt.  Near-duplicate training
-# points make the solved variance numerically negative (the exact value is
-# ~0, the round-off error is ~ -1e-9); without the clamp the sqrt returns NaN
-# and a single poisoned std silently zeroes expected improvement for every
-# candidate scored in the same batch.
-_MIN_POSTERIOR_VARIANCE = 1e-12
 
 # Elements of one kernel block's ``(rows, m, d)`` difference temporary (8 MiB
 # of float64): a fit of 2,000 x 15 points takes 59 blocks, and a predict of
 # up to 34 candidates against it takes one.
 _KERNEL_BLOCK_ELEMENTS = 2**20
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class GaussianProcessRegressor:
@@ -47,7 +37,6 @@ class GaussianProcessRegressor:
         self.noise = noise
         self._train_x: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
         self._x_mean: np.ndarray | None = None
@@ -75,14 +64,14 @@ class GaussianProcessRegressor:
         self._y_mean = float(targets.mean())
         self._y_std = float(targets.std()) or 1.0
         y = (targets - self._y_mean) / self._y_std
-        self._gram = self._kernel(x, x)
-        self._gram.flat[::len(x) + 1] += self.noise
-        self._alpha = np.linalg.solve(self._gram, y)
+        gram = self._kernel(x, x)
+        gram.flat[::len(x) + 1] += self.noise
+        self._alpha = np.linalg.solve(gram, y)
         self._train_x = x
         return self
 
-    def predict(self, features: np.ndarray, return_std: bool = False):
-        """Posterior mean (and optionally standard deviation) at ``features``."""
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Posterior mean at ``features``."""
         if self._train_x is None:
             raise RuntimeError("predict called before fit")
         features = np.asarray(features, dtype=float)
@@ -91,23 +80,4 @@ class GaussianProcessRegressor:
                              f"columns, got shape {features.shape}")
         x = (features - self._x_mean) / self._x_std
         cross = self._kernel(x, self._train_x)
-        mean = cross @ self._alpha * self._y_std + self._y_mean
-        if not return_std:
-            return mean
-        v = np.linalg.solve(self._gram, cross.T)
-        variance = self.signal_variance - np.einsum("ij,ji->i", cross, v)
-        variance = np.maximum(variance, _MIN_POSTERIOR_VARIANCE)
-        return mean, np.sqrt(variance) * self._y_std
-
-
-def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
-                         minimize: bool = True, xi: float = 0.0) -> np.ndarray:
-    """Expected improvement of candidates over the incumbent ``best``."""
-    mean = np.asarray(mean, dtype=float)
-    std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    improvement = (best - mean - xi) if minimize else (mean - best - xi)
-    z = improvement / std
-    # Standard normal CDF and PDF at z (erfc keeps the lower tail accurate).
-    cdf = 0.5 * _erfc(-z / math.sqrt(2.0))
-    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return improvement * cdf + std * pdf
+        return cross @ self._alpha * self._y_std + self._y_mean

@@ -112,18 +112,3 @@ class FixedHardwareMapperSearcher:
             ))
         return session.finish()
 
-
-def best_random_mappings_for_hardware(
-    network: Network,
-    hardware: HardwareConfig,
-    mappings_per_layer: int = 1000,
-    seed: SeedLike = None,
-) -> tuple[list[Mapping], NetworkPerformance]:
-    """Best-of-N random mappings per layer on a fixed hardware design.
-
-    Convenience wrapper around the ``"fixed_hw_random"`` strategy; returns the
-    chosen mappings and the whole-network performance.
-    """
-    settings = FixedHardwareSettings(mappings_per_layer=mappings_per_layer, seed=seed)
-    outcome = FixedHardwareMapperSearcher(network, settings, hardware=hardware).search()
-    return outcome.best_mappings, outcome.best.performance

@@ -239,11 +239,13 @@ class _Worker:
     reads the pipe; :meth:`send` may be called from any thread."""
 
     def __init__(self, context, fault_plan: dict | None,
-                 fault_ledger: str | None) -> None:
+                 fault_ledger: str | None,
+                 listener: socket.socket | None) -> None:
         with _FORK_LOCK:
             self.conn, child = context.Pipe()
             self.process = context.Process(
-                target=worker_main, args=(child, fault_plan, fault_ledger),
+                target=worker_main,
+                args=(child, fault_plan, fault_ledger, listener),
                 name="repro-worker", daemon=True)
             self.process.start()
             child.close()
@@ -320,6 +322,9 @@ class SearchService:
         except ValueError:  # pragma: no cover - non-POSIX platforms
             self._mp_context = multiprocessing.get_context()
         self._fault_hook: Callable[[str, str], None] | None = None
+        #: The HTTP listening socket once :func:`create_server` has bound
+        #: it; a worker forked after the bind closes its inherited copy.
+        self._listener: socket.socket | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -359,7 +364,8 @@ class SearchService:
         return _Worker(self._mp_context,
                        None if plan is None else plan.to_dict(),
                        None if plan is None
-                       else str(self.layout.fault_ledger_dir))
+                       else str(self.layout.fault_ledger_dir),
+                       self._listener)
 
     def _respawn(self, index: int) -> None:
         """Reap dispatcher ``index``'s dead worker and fork its replacement."""
@@ -1171,6 +1177,7 @@ def create_server(service: SearchService,
          service.config.port if port is None else port),
         _build_handler(service))
     server.daemon_threads = True
+    service._listener = server.socket
     return server
 
 

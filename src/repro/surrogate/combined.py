@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.arch.config import HardwareConfig
 from repro.eval.batch import evaluate_mappings_batched
 from repro.mapping.mapping import Mapping
@@ -89,11 +87,3 @@ def evaluate_model_accuracy(model: LatencyModel, samples: list[LatencySample]) -
     measurements = [s.rtl_latency for s in samples]
     return spearman_rank_correlation(predictions, measurements)
 
-
-def mean_absolute_percentage_error(model: LatencyModel, samples: list[LatencySample]) -> float:
-    """Secondary accuracy metric: MAPE of predicted vs RTL latency."""
-    errors = []
-    for sample in samples:
-        predicted = model.latency(sample.mapping, sample.hardware)
-        errors.append(abs(predicted - sample.rtl_latency) / sample.rtl_latency)
-    return float(np.mean(errors))

@@ -75,12 +75,6 @@ class RtlSimulator:
         """Simulated RTL latency in cycles for ``mapping`` on ``hardware``."""
         return self.latencies([mapping], hardware)[0]
 
-    def latency_ratio(self, mapping: Mapping, hardware: HardwareConfig) -> float:
-        """RTL latency divided by analytical latency (the quantity the DNN learns)."""
-        [analytical] = evaluate_mappings_batched([mapping], hardware)
-        [latency] = self._distort([mapping], hardware, [analytical])
-        return float(latency) / analytical.latency_cycles
-
     # ------------------------------------------------------------------ #
     def _distort(self, mappings: list[Mapping], hardware: HardwareConfig,
                  analytical: list[PerformanceResult]) -> np.ndarray:

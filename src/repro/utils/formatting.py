@@ -9,17 +9,6 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def format_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format ``value`` with an SI magnitude suffix (k, M, G, T, P, E)."""
-    suffixes = ["", "k", "M", "G", "T", "P", "E"]
-    magnitude = 0
-    scaled = float(value)
-    while abs(scaled) >= 1000.0 and magnitude < len(suffixes) - 1:
-        scaled /= 1000.0
-        magnitude += 1
-    return f"{scaled:.{digits}g}{suffixes[magnitude]}{unit}"
-
-
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render a list of rows as an aligned, pipe-separated text table."""
     str_rows = [[_cell(c) for c in row] for row in rows]

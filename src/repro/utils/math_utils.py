@@ -15,25 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def ceil_div(numerator: int, denominator: int) -> int:
-    """Integer ceiling division."""
-    if denominator <= 0:
-        raise ValueError(f"denominator must be positive, got {denominator}")
-    return -(-numerator // denominator)
-
-
 def round_up_to_multiple(value: float, multiple: int) -> int:
     """Round ``value`` up to the nearest positive multiple of ``multiple``."""
     if multiple <= 0:
         raise ValueError(f"multiple must be positive, got {multiple}")
     return int(math.ceil(value / multiple)) * multiple
-
-
-def next_power_of_two(value: int) -> int:
-    """Smallest power of two that is >= ``value`` (minimum 1)."""
-    if value <= 1:
-        return 1
-    return 1 << (value - 1).bit_length()
 
 
 @lru_cache(maxsize=65536)

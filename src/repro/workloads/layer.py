@@ -108,17 +108,6 @@ class LayerDims:
             return self.N * self.K * self.P * self.Q
         raise KeyError(f"unknown tensor {tensor!r}")
 
-    @property
-    def is_matmul(self) -> bool:
-        """True when the layer degenerates to a matrix multiplication."""
-        return self.R == 1 and self.S == 1 and self.stride_p == 1 and self.stride_q == 1
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """MACs per word of unique tensor data (a roofline-style indicator)."""
-        total_words = sum(self.tensor_size(t) for t in TENSORS)
-        return self.macs / total_words
-
     def dims_key(self) -> tuple[int, ...]:
         """Hashable key of the problem dimensions and strides (ignores name)."""
         return (

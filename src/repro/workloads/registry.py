@@ -2,14 +2,13 @@
 
 The model-correlation study (Figure 4) draws random mappings for a pool of
 unique layers collected across several networks; this module provides that
-pooling plus small helpers for sampling layer subsets.
+pooling.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.layer import LayerDims
 from repro.workloads.networks import Network, target_networks, training_networks
 
@@ -33,16 +32,3 @@ def correlation_layer_pool() -> list[LayerDims]:
     """
     return unique_layers_across(target_networks() + training_networks())
 
-
-def sample_layers(
-    layers: Sequence[LayerDims],
-    count: int,
-    seed: SeedLike = None,
-) -> list[LayerDims]:
-    """Sample ``count`` layers (with replacement if count exceeds the pool)."""
-    if not layers:
-        raise ValueError("cannot sample from an empty layer pool")
-    rng = make_rng(seed)
-    replace = count > len(layers)
-    indices = rng.choice(len(layers), size=count, replace=replace)
-    return [layers[int(i)] for i in indices]

@@ -4,15 +4,13 @@ This is :class:`repro.search.gp.GaussianProcessRegressor` before its kernel
 was built in row blocks: one broadcast materialises the whole ``(n, m, d)``
 pairwise-difference tensor (480 MB for the Bayesian baseline's 2,000 x 15
 fit), and the observation noise is added as ``noise * np.eye(n)``.  The
-production GP must reproduce its gram, ``alpha``, posterior mean and
-posterior standard deviation bit for bit.
+production GP must reproduce its kernel, ``alpha`` and posterior mean bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.search.gp import _MIN_POSTERIOR_VARIANCE
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, signal_variance: float,
@@ -49,12 +47,7 @@ class BroadcastGP:
         self.train_x = x
         return self
 
-    def predict(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at ``features``."""
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Posterior mean at ``features``."""
         x = (np.asarray(features, dtype=float) - self.x_mean) / self.x_std
-        cross = self._kernel(x, self.train_x)
-        mean = cross @ self.alpha * self.y_std + self.y_mean
-        v = np.linalg.solve(self.gram, cross.T)
-        variance = self.signal_variance - np.einsum("ij,ji->i", cross, v)
-        variance = np.maximum(variance, _MIN_POSTERIOR_VARIANCE)
-        return mean, np.sqrt(variance) * self.y_std
+        return self._kernel(x, self.train_x) @ self.alpha * self.y_std + self.y_mean

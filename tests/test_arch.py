@@ -131,18 +131,6 @@ class TestGemminiSpec:
         assert spec.capacity_words(LEVEL_SCRATCHPAD) == 131072
         assert math.isinf(spec.capacity_words(LEVEL_DRAM))
 
-    def test_innermost_levels(self):
-        spec = GEMMINI_DEFAULT
-        assert spec.innermost_level_for("W") == LEVEL_REGISTERS
-        assert spec.innermost_level_for("O") == LEVEL_ACCUMULATOR
-        assert spec.innermost_level_for("I") == LEVEL_SCRATCHPAD
-
-    def test_next_inner_level(self):
-        spec = GEMMINI_DEFAULT
-        assert spec.next_inner_level_for("W", LEVEL_DRAM) == LEVEL_SCRATCHPAD
-        assert spec.next_inner_level_for("O", LEVEL_DRAM) == LEVEL_ACCUMULATOR
-        assert spec.next_inner_level_for("I", LEVEL_SCRATCHPAD) is None
-
     def test_describe(self):
         assert "scratchpad" in GEMMINI_DEFAULT.describe()
 

@@ -1,46 +1,9 @@
-"""Tests for the optimizers and the neural-network layer library."""
+"""Tests for the Adam optimizer and the neural-network layer library."""
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, SGD, Tensor, nn
-from repro.autodiff.optim import LearningRateSchedule
-
-
-class TestSGD:
-    def test_minimizes_quadratic(self):
-        x = Tensor(np.array([5.0]), requires_grad=True)
-        optimizer = SGD([x], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss = ((x - 2.0) ** 2).sum()
-            loss.backward()
-            optimizer.step()
-        assert x.data[0] == pytest.approx(2.0, abs=1e-3)
-
-    def test_momentum_changes_trajectory(self):
-        def run(momentum):
-            x = Tensor(np.array([5.0]), requires_grad=True)
-            optimizer = SGD([x], lr=0.01, momentum=momentum)
-            for _ in range(10):
-                optimizer.zero_grad()
-                ((x - 2.0) ** 2).sum().backward()
-                optimizer.step()
-            return float(x.data[0])
-
-        assert run(0.9) != pytest.approx(run(0.0))
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor([1.0], requires_grad=True)], lr=0.0)
-
-    def test_rejects_non_grad_parameters(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor([1.0])], lr=0.1)
-
-    def test_rejects_empty_parameters(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+from repro.autodiff import Adam, Tensor, nn
 
 
 class TestAdam:
@@ -69,13 +32,17 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], betas=(1.0, 0.9))
 
-    def test_lr_schedule_decays(self):
-        optimizer = Adam([Tensor([1.0], requires_grad=True)], lr=1.0)
-        schedule = LearningRateSchedule(optimizer, decay=0.5, every=2)
-        schedule.step()
-        assert optimizer.lr == 1.0
-        schedule.step()
-        assert optimizer.lr == 0.5
+    def test_rejects_bad_lr(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([Tensor([1.0], requires_grad=True)], lr=0.0)
+
+    def test_rejects_non_grad_parameters(self):
+        with pytest.raises(ValueError, match="require grad"):
+            Adam([Tensor([1.0])], lr=0.1)
+
+    def test_rejects_empty_parameters(self):
+        with pytest.raises(ValueError, match="no parameters"):
+            Adam([], lr=0.1)
 
 
 class TestLinearMLP:
@@ -111,35 +78,11 @@ class TestLinearMLP:
             optimizer.step()
         assert float(loss.data) < 0.05
 
-    def test_state_dict_roundtrip(self):
-        model = nn.MLP(3, [4], 1, seed=0)
-        clone = nn.MLP(3, [4], 1, seed=99)
-        clone.load_state_dict(model.state_dict())
-        x = Tensor(np.random.default_rng(2).normal(size=(5, 3)))
-        assert np.allclose(model(x).data, clone(x).data)
-
-    def test_load_state_dict_shape_mismatch(self):
-        model = nn.MLP(3, [4], 1, seed=0)
-        other = nn.MLP(3, [5], 1, seed=0)
-        with pytest.raises(ValueError):
-            other.load_state_dict(model.state_dict())
-
 
 class TestLossesAndScaler:
     def test_mse_loss_zero_for_equal(self):
         x = Tensor(np.array([1.0, 2.0]))
         assert nn.mse_loss(x, Tensor(np.array([1.0, 2.0]))).item() == 0.0
-
-    def test_l1_loss(self):
-        pred = Tensor(np.array([1.0, 3.0]))
-        target = Tensor(np.array([2.0, 1.0]))
-        assert nn.l1_loss(pred, target).item() == pytest.approx(1.5)
-
-    def test_huber_matches_mse_for_small_errors(self):
-        pred = Tensor(np.array([0.1, -0.1]))
-        target = Tensor(np.array([0.0, 0.0]))
-        huber = nn.huber_loss(pred, target, delta=1.0).item()
-        assert huber == pytest.approx(0.5 * 0.01, abs=1e-9)
 
     def test_standard_scaler(self):
         rng = np.random.default_rng(0)

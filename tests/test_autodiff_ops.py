@@ -29,11 +29,6 @@ class TestElementwise:
         assert np.allclose(ops.maximum(a, b).data, [3.0, 5.0])
         assert np.allclose(ops.minimum(a, b).data, [1.0, 2.0])
 
-    def test_clamp(self):
-        x = Tensor([0.5, 3.0])
-        assert np.allclose(ops.clamp_min(x, 1.0).data, [1.0, 3.0])
-        assert np.allclose(ops.clamp_max(x, 1.0).data, [0.5, 1.0])
-
     def test_where(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([10.0, 20.0])
@@ -93,13 +88,6 @@ class TestReductionsAndCombos:
         x = Tensor([1.0, 2.0, 3.0])
         y = Tensor([1001.0, 1002.0, 1003.0])
         assert np.allclose(ops.softmax(x).data, ops.softmax(y).data)
-
-    def test_smooth_max_approaches_max(self):
-        values = [Tensor(1.0), Tensor(5.0), Tensor(2.0)]
-        assert ops.smooth_max(values, sharpness=200.0).item() == pytest.approx(5.0, abs=1e-2)
-
-    def test_dot(self):
-        assert ops.dot([Tensor(1.0), Tensor(2.0)], [Tensor(3.0), Tensor(4.0)]).item() == pytest.approx(11.0)
 
 
 class TestGradients:

@@ -92,11 +92,6 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
-    def test_detach_breaks_graph(self):
-        x = scalar(2.0)
-        y = (x * 3).detach()
-        assert not y.requires_grad
-
     def test_gradcheck_polynomial(self):
         x = Tensor(np.array([1.5, -0.5, 2.0]), requires_grad=True)
 

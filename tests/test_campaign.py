@@ -279,17 +279,6 @@ class TestSchedulerResume:
         with pytest.raises(RuntimeError, match="worker"):
             reader.append("job", {"interrupted": False})
 
-    def test_run_strategies_helper(self):
-        from repro.experiments.common import run_strategies
-        outcomes = run_strategies(
-            "bert",
-            {"dosa": {"num_start_points": 1, "gd_steps": 20,
-                      "rounding_period": 10},
-             "random": {"num_hardware_designs": 2, "mappings_per_layer": 5}},
-            seed=0)
-        assert set(outcomes) == {"dosa", "random"}
-        assert all(outcome.best_edp > 0 for outcome in outcomes.values())
-
     def test_max_jobs_and_shards_partition_the_grid(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path / "s", spec=spec)

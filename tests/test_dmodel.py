@@ -86,13 +86,13 @@ class TestLayerFactors:
         assert np.allclose(snapshot.spatial, mapping.spatial, rtol=1e-9)
 
     def test_rounded_mapping_is_valid(self):
-        from repro.mapping import mapping_is_valid
+        from repro.mapping import validate_mapping
 
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
         factors = _stack(mapping)
         factors.log_temporal.data += 0.3  # perturb off the divisor lattice
         [[rounded]] = factors.rounded_mapping_sets(max_spatial=128)
-        assert mapping_is_valid(rounded)
+        assert validate_mapping(rounded) == []
 
     def test_factor_grid_infers_dram(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))

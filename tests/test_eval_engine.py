@@ -14,7 +14,6 @@ from repro.eval import (
 from repro.mapping import cosa_mapping, round_mapping_batch
 from repro.mapping.mapping import identity_mapping
 from repro.mapping.random_mapper import random_mapping
-from repro.search.gp import GaussianProcessRegressor, expected_improvement
 from repro.arch.components import MEMORY_LEVEL_INDICES
 from repro.timeloop import (
     TrafficBreakdown,
@@ -279,21 +278,3 @@ class TestRoundingMaxSpatial:
         layer = conv2d_layer(8, 8, 4, name="conv")
         with pytest.raises(ValueError, match="max_spatial"):
             round_mapping(identity_mapping(layer), max_spatial=0.5)
-
-
-class TestGpVarianceClamp:
-    def test_near_duplicate_training_points_keep_std_finite(self):
-        # Near-duplicate rows drive the solved posterior variance
-        # slightly negative at the training points; the clamp must keep the
-        # std (and expected improvement) finite instead of NaN.
-        rng = np.random.default_rng(0)
-        base = rng.normal(size=(12, 3))
-        features = np.vstack([base, base + 1e-12])
-        targets = np.concatenate([base.sum(axis=1), base.sum(axis=1)])
-        gp = GaussianProcessRegressor(noise=1e-6).fit(features, targets)
-        mean, std = gp.predict(features, return_std=True)
-        assert np.all(np.isfinite(std))
-        assert np.all(std >= 0.0)
-        ei = expected_improvement(mean, std, best=float(targets.min()))
-        assert np.all(np.isfinite(ei))
-        assert np.all(ei >= 0.0)

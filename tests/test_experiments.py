@@ -56,7 +56,7 @@ class TestFig7:
         assert len(results) == 1
         result = results[0]
         assert result.dosa_edp > 0 and result.random_edp > 0 and result.bayesian_edp > 0
-        assert result.dosa_trace and result.random_trace
+        assert result.trace("dosa") and result.trace("random")
         summary = fig7_cosearch.summarize(results)
         assert summary["geomean_vs_random"] > 0
 

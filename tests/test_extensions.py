@@ -1,23 +1,23 @@
-"""Tests for the extension modules beyond the paper's core scope.
+"""Tests for the extensions beyond the paper's core scope.
 
-Covers the Timeloop-style mapping report, the first-order area model, how
-close the heuristic and random mappers get to the exhaustive small-layer
-optimum (the enumeration oracle in ``tests/oracles/exhaustive.py``), and the
-additional workloads.
+Covers a per-level view of one fitting CoSA mapping (its on-chip occupancy
+and the refusal of an invalid mapping), how close the heuristic and random
+mappers get to the exhaustive small-layer optimum (the enumeration oracle in
+``tests/oracles/exhaustive.py``) and the additional workloads.
 """
 
 import pytest
 
 from repro.arch import GemminiSpec, HardwareConfig
-from repro.arch.area import (
-    AreaBreakdown,
-    area_delay_product,
-    estimate_area,
-    fits_area_budget,
+from repro.arch.components import LEVEL_ACCUMULATOR, LEVEL_REGISTERS, LEVEL_SCRATCHPAD
+from repro.mapping import (
+    capacity_requirements,
+    cosa_mapping,
+    random_mapping,
+    validate_mapping,
 )
-from repro.mapping import cosa_mapping, mapping_is_valid, random_mapping
+from repro.mapping.constraints import factor_stacks, fits_hardware_arrays
 from repro.timeloop import evaluate_mapping
-from repro.timeloop.report import mapping_report
 from repro.workloads import LayerDims, conv2d_layer, get_network
 
 from oracles.exhaustive import (
@@ -28,93 +28,28 @@ from oracles.exhaustive import (
 
 
 class TestMappingReport:
-    def test_report_matches_evaluation(self):
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
-        report = mapping_report(mapping, hardware)
-        reference = evaluate_mapping(mapping, GemminiSpec(hardware))
-        assert report.latency_cycles == pytest.approx(reference.latency_cycles)
-        assert report.energy == pytest.approx(reference.energy)
-        assert report.edp == pytest.approx(reference.edp)
-        assert report.bound in ("compute", "memory")
+    """Per-level facts about one fitting CoSA mapping, read from the tile-word
+    kernel and ``evaluate_mapping``."""
+
+    HARDWARE = HardwareConfig(16, 32, 128)
+
+    def _mapping(self):
+        return cosa_mapping(conv2d_layer(64, 64, 28), self.HARDWARE)
 
     def test_occupancy_within_capacity_for_fitting_mapping(self):
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
-        report = mapping_report(mapping, hardware)
-        for level in report.levels[:3]:  # on-chip levels
-            assert 0.0 <= level.occupancy <= 1.0 + 1e-9
-
-    def test_bandwidth_demand_bounded_by_availability(self):
-        # The roofline latency is set by the most bandwidth-constrained level,
-        # so no level's average demand can exceed its available bandwidth.
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
-        report = mapping_report(mapping, hardware)
-        for level in report.levels:
-            assert level.bandwidth_demand_words_per_cycle <= \
-                level.bandwidth_available_words_per_cycle * (1 + 1e-9)
-
-    def test_text_rendering_contains_all_levels(self):
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
-        text = mapping_report(mapping, hardware).to_text()
-        for name in ("registers", "accumulator", "scratchpad", "dram"):
-            assert name in text
-        assert "EDP" in text
-
-    def test_pe_utilization_range(self):
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
-        assert 0.0 < mapping_report(mapping, hardware).pe_utilization <= 1.0
+        mapping = self._mapping()
+        assert fits_hardware_arrays(*factor_stacks([mapping]), self.HARDWARE).all()
+        spec = GemminiSpec(self.HARDWARE)
+        required = capacity_requirements(mapping)
+        for level in (LEVEL_REGISTERS, LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD):
+            assert 0.0 <= required[level] / spec.capacity_words(level) <= 1.0 + 1e-9
 
     def test_invalid_mapping_is_refused(self):
-        hardware = HardwareConfig(16, 32, 128)
-        mapping = cosa_mapping(conv2d_layer(64, 64, 28), hardware)
+        mapping = self._mapping()
         mapping.set_temporal(3, "P", 55)
         with pytest.raises(ValueError, match="cannot evaluate an invalid mapping: "
                                              "factors of dimension P multiply to"):
-            mapping_report(mapping, hardware)
-
-
-class TestAreaModel:
-    def test_breakdown_sums_to_total(self):
-        breakdown = estimate_area(HardwareConfig(16, 32, 128))
-        manual = (breakdown.pe_array_mm2 + breakdown.accumulator_mm2
-                  + breakdown.scratchpad_mm2 + breakdown.interconnect_mm2
-                  + breakdown.dram_interface_mm2)
-        assert breakdown.total_mm2 == pytest.approx(manual)
-
-    def test_area_monotone_in_every_parameter(self):
-        base = estimate_area(HardwareConfig(16, 32, 128)).total_mm2
-        assert estimate_area(HardwareConfig(32, 32, 128)).total_mm2 > base
-        assert estimate_area(HardwareConfig(16, 64, 128)).total_mm2 > base
-        assert estimate_area(HardwareConfig(16, 32, 256)).total_mm2 > base
-
-    def test_large_array_is_pe_dominated(self):
-        assert estimate_area(HardwareConfig(128, 32, 128)).dominant_component() == "pe_array"
-
-    def test_area_delay_product(self):
-        config = HardwareConfig(16, 32, 128)
-        assert area_delay_product(config, 1000.0) == pytest.approx(
-            estimate_area(config).total_mm2 * 1000.0)
-        with pytest.raises(ValueError):
-            area_delay_product(config, 0.0)
-
-    def test_fits_area_budget(self):
-        config = HardwareConfig(16, 32, 128)
-        total = estimate_area(config).total_mm2
-        assert fits_area_budget(config, total * 1.01)
-        assert not fits_area_budget(config, total * 0.99)
-        with pytest.raises(ValueError):
-            fits_area_budget(config, 0.0)
-
-    def test_breakdown_is_dataclass_with_positive_entries(self):
-        breakdown = estimate_area(HardwareConfig(4, 8, 16))
-        assert isinstance(breakdown, AreaBreakdown)
-        assert all(value > 0 for value in (
-            breakdown.pe_array_mm2, breakdown.accumulator_mm2, breakdown.scratchpad_mm2,
-            breakdown.interconnect_mm2, breakdown.dram_interface_mm2))
+            evaluate_mapping(mapping, GemminiSpec(self.HARDWARE))
 
 
 class TestExhaustiveOracle:
@@ -134,7 +69,7 @@ class TestExhaustiveOracle:
         sampled = 0
         for index, mapping in enumerate(enumerate_mappings(self.TINY, max_spatial=4)):
             if index % 97 == 0:  # spot-check a spread of the enumeration
-                assert mapping_is_valid(mapping)
+                assert validate_mapping(mapping) == []
                 sampled += 1
         assert sampled > 10
 
@@ -169,7 +104,8 @@ class TestAdditionalWorkloads:
 
     def test_gpt2_decoder_builds(self):
         network = get_network("gpt2_decoder")
-        assert all(layer.is_matmul for layer in network.layers)
+        assert all(layer.R == layer.S == layer.stride_p == layer.stride_q == 1
+                   for layer in network.layers)
         assert network.total_macs > 1e10
 
     def test_extra_networks_not_in_paper_workload_sets(self):
@@ -182,4 +118,4 @@ class TestAdditionalWorkloads:
         hardware = HardwareConfig(16, 32, 128)
         for name in ("mobilenet_v2", "gpt2_decoder"):
             for layer in get_network(name).layers[:5]:
-                assert mapping_is_valid(cosa_mapping(layer, hardware))
+                assert validate_mapping(cosa_mapping(layer, hardware)) == []

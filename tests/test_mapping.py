@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import HardwareConfig
+from repro.arch import GemminiSpec, HardwareConfig
 from repro.arch.components import (
     BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
@@ -27,7 +27,6 @@ from repro.mapping import (
     capacity_requirements,
     cosa_mapping,
     mapping_fits_hardware,
-    mapping_is_valid,
     minimal_hardware_for_mappings,
     random_mapping,
     random_mapping_for_hardware,
@@ -123,7 +122,7 @@ class TestMappingContainer:
         assert "spatial_for" in fig3_mapping().describe()
 
     def test_identity_mapping_is_valid(self):
-        assert mapping_is_valid(identity_mapping(fig3_layer()))
+        assert validate_mapping(identity_mapping(fig3_layer())) == []
 
 
 class TestConstraints:
@@ -147,12 +146,13 @@ class TestConstraints:
     def test_validate_detects_small_factor(self):
         mapping = fig3_mapping()
         mapping.set_temporal(0, "Q", 0.5)
-        assert not mapping_is_valid(mapping)
+        assert "temporal tiling factor smaller than 1" in validate_mapping(mapping)
 
     def test_validate_detects_illegal_spatial_position(self):
         mapping = fig3_mapping()
         mapping.spatial[0, 2] = 2.0  # spatial P at the register level: unsupported
-        assert not mapping_is_valid(mapping)
+        assert ("spatial factor at a position unsupported by the WS dataflow"
+                in validate_mapping(mapping))
 
     def test_fits_hardware(self):
         mapping = fig3_mapping()
@@ -179,13 +179,13 @@ class TestRounding:
         mapping = fig3_mapping()
         mapping.set_temporal(0, "Q", 13.7)
         rounded = round_mapping(mapping)
-        assert mapping_is_valid(rounded)
+        assert validate_mapping(rounded) == []
         assert rounded.temporal_factor(0, "Q") == 14
 
     def test_max_spatial_cap(self):
         mapping = fig3_mapping()
         rounded = round_mapping(mapping, max_spatial=16)
-        assert mapping_is_valid(rounded)
+        assert validate_mapping(rounded) == []
         assert rounded.spatial_factor(1, "C") <= 16
         assert rounded.spatial_factor(2, "K") <= 16
 
@@ -198,7 +198,7 @@ class TestRounding:
         noisy.temporal *= rng.uniform(0.4, 2.5, size=noisy.temporal.shape)
         noisy.spatial *= rng.uniform(0.4, 2.5, size=noisy.spatial.shape)
         rounded = round_mapping(noisy, max_spatial=128)
-        assert mapping_is_valid(rounded)
+        assert validate_mapping(rounded) == []
 
 
 class TestRoundingEdgeCases:
@@ -246,7 +246,7 @@ class TestRandomMapper:
     @given(layer_strategy, st.integers(0, 10_000))
     def test_random_mappings_are_valid(self, layer, seed):
         mapping = random_mapping(layer, seed=seed)
-        assert mapping_is_valid(mapping)
+        assert validate_mapping(mapping) == []
 
     def test_spatial_cap_respected(self):
         layer = LayerDims(C=1024, K=1024, P=8, Q=8)
@@ -367,10 +367,15 @@ class TestCosaMapper:
         HardwareConfig(64, 256, 512),
     ])
     def test_cosa_mappings_valid_and_fit(self, config):
+        spec = GemminiSpec(config)
         for layer in correlation_layer_pool()[:20]:
             mapping = cosa_mapping(layer, config)
-            assert mapping_is_valid(mapping)
+            assert validate_mapping(mapping) == []
             assert mapping_fits_hardware(mapping, config)
+            # Fitting means every on-chip level holds the mapping's tiles.
+            required = capacity_requirements(mapping)
+            for level in (LEVEL_REGISTERS, LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD):
+                assert required[level] <= spec.capacity_words(level) * (1 + 1e-9)
 
     def test_cosa_uses_spatial_parallelism(self):
         config = HardwareConfig(16, 32, 128)

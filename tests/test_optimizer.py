@@ -9,7 +9,7 @@ from repro.core.optimizer import (
     SearchTrace,
     generate_start_points,
 )
-from repro.mapping import mapping_fits_hardware, mapping_is_valid
+from repro.mapping import mapping_fits_hardware, validate_mapping
 from repro.workloads import get_network
 from repro.workloads.networks import Network
 from repro.workloads.layer import conv2d_layer, matmul_layer
@@ -49,7 +49,7 @@ class TestStartPoints:
             assert len(point.mappings) == 2
             assert point.predicted_edp > 0
             for mapping in point.mappings:
-                assert mapping_is_valid(mapping)
+                assert validate_mapping(mapping) == []
                 assert mapping_fits_hardware(mapping, point.hardware)
 
     def test_fixed_pe_dim(self):
@@ -76,10 +76,7 @@ class TestSearchTrace:
         trace.record(10, 100.0)
         trace.record(20, 50.0)
         trace.record(30, 80.0)  # clamped to the running best (50.0)
-        assert trace.best_edp_after(10) == 100.0
-        assert trace.best_edp_after(25) == 50.0
-        assert trace.best_edp_after(30) == 50.0
-        assert trace.final_best == 50.0
+        assert trace.as_pairs() == [(10, 100.0), (20, 50.0), (30, 50.0)]
         assert trace.total_samples == 30
 
 
@@ -101,7 +98,7 @@ class TestDosaSearcher:
 
     def test_best_mappings_are_valid_and_fit_best_hardware(self, search_result):
         for mapping in search_result.best.mappings:
-            assert mapping_is_valid(mapping)
+            assert validate_mapping(mapping) == []
             assert mapping_fits_hardware(mapping, search_result.best.hardware)
 
     def test_best_is_minimum_of_candidates(self, search_result):

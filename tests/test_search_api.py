@@ -18,7 +18,6 @@ from repro.search.api import (
     SearchOutcome,
     SearchTrace,
     available_strategies,
-    create_searcher,
     get_searcher,
     optimize,
     register_searcher,
@@ -70,7 +69,7 @@ class TestRegistry:
         try:
             assert get_searcher("_test_stub") is StubSearcher
             assert "_test_stub" in available_strategies()
-            assert isinstance(create_searcher("_test_stub", tiny_network()), Searcher)
+            assert isinstance(get_searcher("_test_stub")(tiny_network()), Searcher)
         finally:
             from repro.search import api
             del api._SEARCHERS["_test_stub"]
@@ -201,16 +200,13 @@ class TestSearchTrace:
         trace.record(2, 20.0)   # regression is clamped to the running best
         trace.record(3, 5.0)
         assert [p.best_edp for p in trace.points] == [10.0, 10.0, 5.0]
-        assert trace.best_edp_after(2) == 10.0
-        assert trace.final_best == 5.0
         assert trace.total_samples == 3
         assert trace.as_pairs() == [(1, 10.0), (2, 10.0), (3, 5.0)]
 
     def test_empty_trace(self):
         trace = SearchTrace()
-        assert trace.final_best == float("inf")
+        assert trace.points == [] and trace.as_pairs() == []
         assert trace.total_samples == 0
-        assert trace.best_edp_after(100) == float("inf")
 
     def test_every_strategy_trace_is_monotone(self):
         tolerance = 1 + 1e-12
@@ -226,7 +222,7 @@ class TestSearchTrace:
             assert values, outcome.method
             assert all(later <= earlier * tolerance
                        for earlier, later in zip(values, values[1:])), outcome.method
-            assert outcome.trace.final_best == pytest.approx(outcome.best_edp)
+            assert values[-1] == pytest.approx(outcome.best_edp)
 
     def test_dict_roundtrip(self):
         trace = SearchTrace()

@@ -7,13 +7,13 @@ from repro.arch import HardwareConfig
 from repro.search import (
     BayesianSearcher,
     BayesianSettings,
+    FixedHardwareMapperSearcher,
+    FixedHardwareSettings,
     GaussianProcessRegressor,
     RandomSearcher,
     RandomSearchSettings,
-    best_random_mappings_for_hardware,
-    expected_improvement,
 )
-from repro.mapping import mapping_fits_hardware, mapping_is_valid
+from repro.mapping import mapping_fits_hardware, validate_mapping
 from repro.workloads.layer import conv2d_layer, matmul_layer
 from repro.workloads.networks import Network
 
@@ -33,14 +33,6 @@ class TestGaussianProcess:
         gp = GaussianProcessRegressor(length_scale=1.0, noise=1e-6).fit(x, y)
         predictions = gp.predict(x)
         assert np.max(np.abs(predictions - y)) < 0.05
-
-    def test_uncertainty_grows_away_from_data(self):
-        x = np.linspace(0, 1, 10).reshape(-1, 1)
-        y = np.sin(3 * x).ravel()
-        gp = GaussianProcessRegressor(length_scale=0.2).fit(x, y)
-        _, std_near = gp.predict(np.array([[0.5]]), return_std=True)
-        _, std_far = gp.predict(np.array([[5.0]]), return_std=True)
-        assert std_far[0] > std_near[0]
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
@@ -69,15 +61,6 @@ class TestGaussianProcess:
         with pytest.raises(ValueError, match=r"got shape \(4, 1\)"):
             self._fitted_on_15_features().predict(np.zeros((4, 1)))
 
-    def test_expected_improvement_prefers_low_mean_for_minimization(self):
-        ei = expected_improvement(np.array([1.0, 5.0]), np.array([1.0, 1.0]), best=3.0)
-        assert ei[0] > ei[1]
-
-    def test_expected_improvement_zero_std_safe(self):
-        ei = expected_improvement(np.array([10.0]), np.array([0.0]), best=1.0)
-        assert np.isfinite(ei).all()
-
-
 class TestRandomSearcher:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -90,9 +73,9 @@ class TestRandomSearcher:
         assert outcome.best_edp > 0
         assert len(outcome.best_mappings) == 2
         for mapping in outcome.best_mappings:
-            assert mapping_is_valid(mapping)
+            assert validate_mapping(mapping) == []
         assert outcome.trace.total_samples > 0
-        assert outcome.trace.final_best == pytest.approx(outcome.best_edp)
+        assert outcome.trace.points[-1].best_edp == pytest.approx(outcome.best_edp)
 
     def test_more_samples_never_hurts(self):
         small = RandomSearcher(tiny_network(),
@@ -117,24 +100,27 @@ class TestBayesianSearcher:
         assert outcome.trace.total_samples > 0
 
 
+def fixed_hardware_search(hardware: HardwareConfig, mappings_per_layer: int, seed: int):
+    settings = FixedHardwareSettings(mappings_per_layer=mappings_per_layer, seed=seed)
+    return FixedHardwareMapperSearcher(tiny_network(), settings, hardware=hardware).search()
+
+
 class TestRandomMapperSearch:
     def test_mappings_fit_fixed_hardware(self):
         hardware = HardwareConfig(16, 32, 128)
-        mappings, performance = best_random_mappings_for_hardware(
-            tiny_network(), hardware, mappings_per_layer=20, seed=0)
-        assert len(mappings) == 2
-        assert performance.edp > 0
-        for mapping in mappings:
-            assert mapping_is_valid(mapping)
+        outcome = fixed_hardware_search(hardware, mappings_per_layer=20, seed=0)
+        assert len(outcome.best_mappings) == 2
+        assert outcome.best.performance.edp > 0
+        for mapping in outcome.best_mappings:
+            assert validate_mapping(mapping) == []
             assert mapping_fits_hardware(mapping, hardware)
 
     def test_rejects_zero_mappings(self):
         with pytest.raises(ValueError):
-            best_random_mappings_for_hardware(tiny_network(), HardwareConfig(16, 32, 128),
-                                              mappings_per_layer=0)
+            FixedHardwareSettings(mappings_per_layer=0)
 
     def test_more_mappings_never_hurts(self):
         hardware = HardwareConfig(16, 32, 128)
-        _, small = best_random_mappings_for_hardware(tiny_network(), hardware, 5, seed=2)
-        _, large = best_random_mappings_for_hardware(tiny_network(), hardware, 40, seed=2)
-        assert large.edp <= small.edp * (1 + 1e-9)
+        small = fixed_hardware_search(hardware, mappings_per_layer=5, seed=2)
+        large = fixed_hardware_search(hardware, mappings_per_layer=40, seed=2)
+        assert large.best_edp <= small.best_edp * (1 + 1e-9)

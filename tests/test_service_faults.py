@@ -312,6 +312,41 @@ class TestWorkerRecovery:
                 client.wait(job["job_id"], timeout=120)
             assert client.job(job["job_id"])["state"] == "failed"
 
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                        reason="needs /proc to list the worker's descriptors")
+    def test_respawned_worker_does_not_hold_the_listening_socket(
+            self, tmp_path):
+        # The respawn forks from a dispatcher thread after the HTTP server
+        # has bound its port; an orphaned worker holding that socket would
+        # keep the port from a restarted daemon.
+        plan = FaultPlan(rules=(
+            FaultRule(site="worker.step", action="kill", at=1),
+        ))
+        service = SearchService(ServiceConfig(
+            root=tmp_path / "svc", n_workers=1, fault_plan=plan))
+        service.start()
+        server = create_server(service)
+        try:
+            job = service.submit({"network": "bert", "strategy": "random",
+                                  "budget": 10})
+            deadline = time.monotonic() + 60.0
+            while service.job(job.job_id).state != "done":
+                assert time.monotonic() < deadline, \
+                    service.job(job.job_id).state
+                time.sleep(0.05)
+            assert service.metrics.pool_respawns == 1
+            listening = os.readlink(f"/proc/self/fd/{server.socket.fileno()}")
+            held = set()
+            pid = service._workers[0].process.pid
+            for fd in Path(f"/proc/{pid}/fd").iterdir():
+                with contextlib.suppress(FileNotFoundError):
+                    held.add(os.readlink(fd))
+            assert listening not in held
+        finally:
+            faults.disarm()  # the daemon armed the plan in this process
+            service.drain()
+            server.server_close()
+
 
 #: A daemon with two workers, one of them respawned after a fault-plan
 #: kill (so it was forked from a dispatcher thread), that prints both

@@ -118,7 +118,8 @@ class TestEvaluation:
     def test_invalid_mapping_rejected(self):
         mapping = fig3_mapping()
         mapping.set_temporal(3, "P", 55)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot evaluate an invalid mapping: "
+                                             "factors of dimension P multiply to"):
             evaluate_mapping(mapping, GemminiSpec(HardwareConfig(64, 4, 5)))
 
     def test_energy_increases_with_dram_epa_dominance(self):
@@ -142,6 +143,17 @@ class TestEvaluation:
         )
         assert breakdown.level_energy[3] >= raw_dram_words * 100.0
         assert breakdown.level_energy[3] >= DRAM_BLOCK_WORDS * 100.0
+
+    def test_no_level_demands_more_than_its_bandwidth(self):
+        # The roofline latency is set by the most bandwidth-constrained level,
+        # so no level's average demand can exceed its available bandwidth.
+        config = HardwareConfig(16, 32, 128)
+        spec = GemminiSpec(config)
+        mapping = cosa_mapping(conv2d_layer(64, 64, 28), config)
+        latency = evaluate_mapping(mapping, spec).latency_cycles
+        traffic = analyze_traffic(mapping)
+        for level in spec.levels:
+            assert traffic.accesses(level) / latency <= spec.bandwidth(level) * (1 + 1e-9)
 
     def test_utilization_between_zero_and_one(self):
         result = evaluate_mapping(fig3_mapping(), GemminiSpec(HardwareConfig(64, 4, 5)))

@@ -7,37 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils import (
-    ceil_div,
     divisors,
-    format_si,
     format_table,
     geometric_mean,
     make_rng,
-    next_power_of_two,
     prime_factorization,
     round_up_to_multiple,
     spearman_rank_correlation,
 )
 
 from oracles.rounding import round_to_nearest_divisor
-
-
-class TestCeilDiv:
-    def test_exact_division(self):
-        assert ceil_div(12, 4) == 3
-
-    def test_rounds_up(self):
-        assert ceil_div(13, 4) == 4
-
-    def test_one(self):
-        assert ceil_div(1, 100) == 1
-
-    def test_zero_numerator(self):
-        assert ceil_div(0, 5) == 0
-
-    def test_rejects_nonpositive_denominator(self):
-        with pytest.raises(ValueError):
-            ceil_div(5, 0)
 
 
 class TestRoundUpToMultiple:
@@ -50,12 +29,6 @@ class TestRoundUpToMultiple:
     def test_rejects_bad_multiple(self):
         with pytest.raises(ValueError):
             round_up_to_multiple(5, 0)
-
-
-class TestNextPowerOfTwo:
-    @pytest.mark.parametrize("value,expected", [(1, 1), (2, 2), (3, 4), (17, 32), (0, 1)])
-    def test_values(self, value, expected):
-        assert next_power_of_two(value) == expected
 
 
 class TestPrimeFactorization:
@@ -178,10 +151,6 @@ class TestSpearman:
 
 
 class TestFormatting:
-    def test_format_si(self):
-        assert format_si(1500) == "1.5k"
-        assert format_si(2_000_000, unit="B") == "2MB"
-
     def test_format_table_alignment(self):
         table = format_table(["a", "bbbb"], [[1, 2.5], ["xx", 3]])
         lines = table.splitlines()

@@ -14,7 +14,7 @@ from repro.workloads import (
     NETWORK_BUILDERS,
 )
 from repro.workloads.layer import TENSOR_DIMS
-from repro.workloads.registry import correlation_layer_pool, sample_layers, unique_layers_across
+from repro.workloads.registry import correlation_layer_pool, unique_layers_across
 
 
 class TestLayerDims:
@@ -45,10 +45,6 @@ class TestLayerDims:
         with pytest.raises(KeyError):
             LayerDims().tensor_size("X")
 
-    def test_is_matmul(self):
-        assert matmul_layer(8, 16, 32).is_matmul
-        assert not conv2d_layer(3, 8, 10, kernel_size=3).is_matmul
-
     def test_dims_key_ignores_name(self):
         a = conv2d_layer(3, 8, 10, name="a")
         b = conv2d_layer(3, 8, 10, name="b")
@@ -62,9 +58,6 @@ class TestLayerDims:
     def test_matmul_macs_match_gemm(self, m, k, n):
         layer = matmul_layer(m, k, n)
         assert layer.macs == m * k * n
-
-    def test_arithmetic_intensity_positive(self):
-        assert conv2d_layer(64, 64, 56).arithmetic_intensity > 0
 
     def test_tensor_dims_cover_all(self):
         union = set().union(*TENSOR_DIMS.values())
@@ -94,7 +87,8 @@ class TestNetworks:
         assert 1.4e10 < macs < 1.7e10
 
     def test_bert_layers_are_matmuls(self):
-        assert all(layer.is_matmul for layer in get_network("bert").layers)
+        assert all(layer.R == layer.S == layer.stride_p == layer.stride_q == 1
+                   for layer in get_network("bert").layers)
 
     def test_deduplication_keeps_instance_count(self):
         network = get_network("bert")
@@ -127,17 +121,3 @@ class TestRegistry:
         assert len(pool) >= 50
         keys = {layer.dims_key() for layer in pool}
         assert len(keys) == len(pool)
-
-    def test_sample_layers(self):
-        pool = correlation_layer_pool()
-        sampled = sample_layers(pool, 10, seed=0)
-        assert len(sampled) == 10
-
-    def test_sample_layers_with_replacement(self):
-        pool = correlation_layer_pool()[:3]
-        sampled = sample_layers(pool, 10, seed=0)
-        assert len(sampled) == 10
-
-    def test_sample_layers_empty_pool(self):
-        with pytest.raises(ValueError):
-            sample_layers([], 1)
