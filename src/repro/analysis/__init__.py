@@ -7,7 +7,7 @@ complete-or-absent file writes, and the service daemon's fork-before-threads
 ordering.  This package checks them statically over the whole package —
 stdlib only (``ast`` + ``tokenize``) — and is wired up as
 ``repro.cli lint``.  See ``docs/lint.md`` for the rule catalog and the
-suppression/baseline workflow.
+suppression workflow.
 """
 
 from repro.analysis.findings import Finding

@@ -1,8 +1,9 @@
-"""Fork-safety rules for the service daemon.
+"""Fork-safety rules for the forked workers of the campaign and the service.
 
-The daemon's ordering contract (see ``service/daemon.py``): build each
-worker's multiprocessing pipe first, fork the worker, and only then start
-any thread.  A thread alive at fork time is duplicated into every child as
+The ordering contract of ``campaign/scheduler.py``'s ``Worker``, which the
+campaign pool and the service daemon both fork: build each worker's
+multiprocessing pipe first, fork the worker, and only then start any
+thread.  A thread alive at fork time is duplicated into every child as
 a corpse — its locks may be held forever and its target never runs — and an
 mp pipe or queue created *after* the fork never reaches the child at all,
 because fork-inherited objects are copies frozen at fork time.  Both
@@ -67,9 +68,10 @@ class ThreadBeforeFork(Checker):
     """Thread constructed at import time or in __init__, before workers fork.
 
     The service constructs its objects, forks its workers inside
-    ``start()``, and starts its dispatcher threads afterwards.  A
-    ``threading.Thread`` (or ``Timer``) built at module scope or inside an
-    ``__init__`` therefore exists *before* the fork, and every forked
+    ``start()``, and starts its dispatcher threads afterwards; a campaign
+    pool forks its workers inside ``run()``.  A ``threading.Thread`` (or
+    ``Timer``) built at module scope or inside an ``__init__`` therefore
+    exists *before* the fork, and every forked
     worker inherits a dead copy of it — holding whatever locks it held at
     fork time, never running its target.  That manifests as a worker that
     hangs on its first pipe or lock operation, only under real workers.
@@ -82,7 +84,7 @@ class ThreadBeforeFork(Checker):
     """
 
     rule_id = "fork-thread-early"
-    zones = ("service",)
+    zones = ("campaign", "service")
 
     def check(self, source) -> Iterator[Finding]:
         for node in ast.walk(source.tree):
@@ -117,12 +119,12 @@ class MpAfterFork(Checker):
     scope or in ``__init__``, before the fork.
 
     Fix by moving the primitive's construction into the ``__init__`` that
-    forks, as ``service/daemon.py``'s ``_Worker`` does: its ``__init__``
+    forks, as ``campaign/scheduler.py``'s ``Worker`` does: its ``__init__``
     creates the worker's pipe, then forks the worker that reads it.
     """
 
     rule_id = "fork-mp-late"
-    zones = ("service",)
+    zones = ("campaign", "service")
 
     def check(self, source) -> Iterator[Finding]:
         for node in ast.walk(source.tree):

@@ -1,17 +1,14 @@
 """The lint vocabulary: rules and findings.
 
 A :class:`Finding` is one rule violation at one source location; every
-checker, the suppression machinery, the baseline file and both reporters
-speak this type.  Findings are JSON round-trippable (the baseline file and
-``repro.cli lint --json`` both persist them), and their *baseline identity*
-deliberately excludes the line number so grandfathered findings survive
-unrelated edits that shift code up or down a file.
+checker, the suppression machinery and both reporters speak this type
+(``repro.cli lint --json`` writes :meth:`Finding.to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 
 @dataclass(frozen=True, order=True)
@@ -28,11 +25,6 @@ class Finding:
     rule: str
     message: str
 
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used by the baseline file: line numbers excluded."""
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "path": self.path,
@@ -40,15 +32,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "Finding":
-        return Finding(
-            path=str(payload["path"]),
-            line=int(payload.get("line", 0)),
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-        )
 
     def render(self) -> str:
         """The one-line text form: ``path:line: rule-id message``."""

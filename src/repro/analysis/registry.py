@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: Package zones whose results are covered by a byte-identity guarantee
 #: (seeded searches, campaign reports, served results).  Nondeterminism
 #: inside them breaks reproducibility silently, so the determinism rules
-#: apply here.  ``analysis`` itself is included: lint output is diffed and
-#: baselined, so it must be deterministic too.
+#: apply here.  ``analysis`` itself is included: lint output is diffed, so
+#: it must be deterministic too.
 DETERMINISTIC_ZONES: tuple[str, ...] = (
     "core", "autodiff", "mapping", "search", "eval", "campaign", "analysis",
 )
@@ -36,11 +36,11 @@ DETERMINISTIC_ZONES: tuple[str, ...] = (
 class Checker:
     """Base class for one lint rule.
 
-    Subclasses set ``rule_id`` (the stable identifier used by ``--rules``,
-    suppressions and the baseline), optionally ``zones`` (first-level
-    package directories the rule applies to; ``None`` = everywhere), and
-    implement :meth:`check`.  The subclass docstring is the rule's
-    user-facing documentation.
+    Subclasses set ``rule_id`` (the stable identifier used by ``--rules``
+    and suppressions), optionally ``zones`` (first-level package
+    directories the rule applies to; ``None`` = everywhere), and implement
+    :meth:`check`.  The subclass docstring is the rule's user-facing
+    documentation.
     """
 
     rule_id: str = ""

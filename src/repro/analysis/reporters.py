@@ -1,7 +1,7 @@
 """Finding reporters: the human text form and the machine JSON form.
 
 Both render the same :class:`~repro.analysis.findings.Finding` list in the
-same order, so the text output, ``--json`` output, the baseline file and
+same order, so the text output, ``--json`` output and
 ``scripts/check_docs.py`` (which borrows these reporters) all agree on what
 a finding looks like.
 """

@@ -3,10 +3,9 @@
 :func:`run_lint` is the one entry point used by ``repro.cli lint``, the
 tests, and CI.  It walks every ``*.py`` file under the package directory in
 sorted order (lint output is deterministic and diffable), parses each file
-once, runs the selected checkers, subtracts inline suppressions, audits the
-suppressions themselves (rule ``lint-suppression``: unknown rule ids,
-missing reasons, and suppressions that shielded nothing are all findings),
-and finally subtracts the baseline.
+once, runs the selected checkers, subtracts inline suppressions, and audits
+the suppressions themselves (rule ``lint-suppression``: unknown rule ids,
+missing reasons, and suppressions that shielded nothing are all findings).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import BASELINE_NAME, apply_baseline, load_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     Checker,
@@ -69,11 +67,10 @@ _META_RULES = ("lint-suppression", "lint-parse")
 
 @dataclass
 class LintResult:
-    """What one lint run produced (post-suppression, post-baseline)."""
+    """What one lint run produced (post-suppression)."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     checked_files: int = 0
     rules: tuple[str, ...] = ()
 
@@ -93,10 +90,6 @@ def repo_root_for(package_dir: Path) -> Path:
     if package_dir.parent.name == "src":
         return package_dir.parent.parent
     return package_dir.parent
-
-
-def default_baseline_path(package_dir: Path) -> Path:
-    return repo_root_for(package_dir) / BASELINE_NAME
 
 
 def iter_source_files(package_dir: Path) -> list[Path]:
@@ -143,16 +136,10 @@ def _audit_suppressions(source: SourceFile, full_run: bool,
 def run_lint(
     package_dir: str | Path | None = None,
     rules: list[str] | None = None,
-    baseline_path: str | Path | None = None,
-    use_baseline: bool = True,
 ) -> LintResult:
     """Lint ``package_dir`` (default: the installed ``repro`` package).
 
-    ``rules`` selects a subset of rule ids (default: all).  The baseline at
-    ``baseline_path`` (default: ``lint-baseline.json`` at the repo root; a
-    missing file is an empty baseline) is subtracted unless
-    ``use_baseline=False`` — which is what ``--update-baseline`` uses to
-    capture the full finding set.
+    ``rules`` selects a subset of rule ids (default: all).
     """
     package_dir = Path(package_dir) if package_dir else default_package_dir()
     package_dir = package_dir.resolve()
@@ -190,11 +177,5 @@ def run_lint(
         result.findings.extend(
             _audit_suppressions(source, full_run, known_rules))
 
-    if use_baseline:
-        baseline_path = (Path(baseline_path) if baseline_path
-                         else default_baseline_path(package_dir))
-        baseline = load_baseline(baseline_path)
-        result.findings, result.baselined = apply_baseline(
-            result.findings, baseline)
     result.findings.sort()
     return result

@@ -6,8 +6,9 @@ seeds x budgets — into data instead of per-harness glue:
 * :class:`~repro.campaign.spec.CampaignSpec` declares the grid (JSON in/out),
 * :class:`~repro.campaign.store.ResultStore` persists per-job outcomes
   append-only and doubles as a cross-process evaluation-cache spill,
-* :class:`~repro.campaign.scheduler.CampaignScheduler` fans independent jobs
-  out across worker processes and resumes crash-safely,
+* :class:`~repro.campaign.scheduler.CampaignScheduler` runs independent jobs
+  inline or on forked pipe workers (the search service's) and resumes
+  crash-safely,
 * :class:`~repro.campaign.report.CampaignReport` aggregates completed jobs
   into deterministic tables (byte-identical across interrupt + resume).
 

@@ -12,10 +12,11 @@ scheduler:
   the grid (for spreading one campaign over several machines or CI jobs) and
   an at-most-``max_jobs`` cap per invocation,
 * runs jobs inline (default — live :class:`SearchOutcome` objects, shared
-  in-memory evaluation cache), fans them out over a ``fork`` process pool
-  (``n_workers``), or hands them in order to one worker process of the
-  search service (``run_job``); a worker preloads the store's cache spill
-  and the parent remains the store's single writer,
+  in-memory evaluation cache), hands them out over ``n_workers`` forked
+  :class:`Worker` processes (one pipe each, the worker the search service
+  runs too), or hands them in order to one worker of the search service
+  (``run_job``); a worker preloads the store's cache spill and the parent
+  remains the store's single writer,
 * persists each finished job atomically, including interrupted best-so-far
   outcomes (flagged, so resume re-runs them), and spills the
   reference-model cache entries each job stored back to the store.
@@ -27,16 +28,14 @@ evaluates the reference model in-process, through one vectorized
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable
 
@@ -94,9 +93,8 @@ _WORKER_SPILL: dict[str, tuple[EvaluationCache, set[str]]] = {}
 #: the cap keeps four such working sets in ~36 MB per worker.
 _WORKER_CACHE_ENTRIES = 20_000
 
-#: The service worker's end of its pipe to the daemon, installed by
-#: :func:`worker_main`.  ``None`` in plain campaign runs and their pool
-#: workers, which stream no progress and take no ``stop``.
+#: A worker's end of its pipe to its owner, installed by :func:`worker_main`.
+#: ``None`` in the process that runs a campaign inline.
 _WORKER_CHANNEL: _WorkerChannel | None = None
 
 #: Fault-injection hook armed in service workers by :func:`worker_main` when
@@ -106,16 +104,16 @@ _WORKER_CHANNEL: _WorkerChannel | None = None
 _WORKER_FAULT: Callable[[str, str], None] | None = None
 
 
-#: How often (seconds) a service worker checks that the process that forked
-#: it is still alive (see :func:`worker_main`).
+#: How often (seconds) a worker checks that the process that forked it is
+#: still alive (see :func:`worker_main`).
 _PARENT_POLL_SECONDS = 1.0
 
 
 def _exit_when_orphaned(parent: int) -> None:
     """Exit this worker once its parent, pid ``parent``, is gone.
 
-    An idle worker blocks reading its pipe, whose daemon end fork copied into
-    the worker itself, so a daemon killed hard would leave its workers
+    An idle worker blocks reading its pipe, whose owner's end fork copied
+    into the worker itself, so an owner killed hard would leave its workers
     asleep, reparented, for good.  A reparented worker has a new parent pid.
     """
     while True:
@@ -126,16 +124,17 @@ def _exit_when_orphaned(parent: int) -> None:
 
 class WorkerLost(RuntimeError):
     """The worker process running a job died before returning it (an
-    infrastructure failure: the daemon respawns the worker and retries)."""
+    infrastructure failure: the daemon respawns the worker and retries; a
+    pool run propagates it)."""
 
 
 class _WorkerChannel:
-    """A service worker's end of its pipe: ``(event, payload)`` frames out;
-    ``run``, ``stop`` and ``exit`` messages in (only ``stop`` mid-job)."""
+    """A worker's end of its pipe: ``(event, payload)`` frames out; ``run``,
+    ``stop`` and ``exit`` messages in (only ``stop`` mid-job)."""
 
     def __init__(self, conn) -> None:
         self.conn = conn
-        #: The last job the daemon asked to stop: a ``stop`` read between
+        #: The last job the owner asked to stop: a ``stop`` read between
         #: cells still stops that job's next cell, never another job.
         self.stopped: str | None = None
 
@@ -143,7 +142,7 @@ class _WorkerChannel:
         self.conn.send((event, payload))
 
     def stop_requested(self, tag: str) -> bool:
-        """Whether the daemon asked to stop job ``tag`` (non-blocking)."""
+        """Whether the owner asked to stop job ``tag`` (non-blocking)."""
         while self.stopped != tag and self.conn.poll():
             kind, body = self.conn.recv()
             if kind == "stop":
@@ -152,7 +151,7 @@ class _WorkerChannel:
 
 
 def worker_main(conn, fault_plan=None, fault_ledger=None, listener=None) -> None:
-    """A service worker process: run the jobs its daemon sends, one at a time.
+    """A :class:`Worker` process: run the jobs its owner sends, one at a time.
 
     Each ``("run", args)`` message runs :func:`_pool_run_job` (looked up at
     call time, so wrappers installed on the module reach the worker) and
@@ -160,11 +159,12 @@ def worker_main(conn, fault_plan=None, fault_ledger=None, listener=None) -> None
     makes job ``tag`` raise ``KeyboardInterrupt`` at its next step, which
     the searchers' ``absorb_interrupt`` turns into a flagged best-so-far
     outcome.  Fault injection arms here, post-fork, with fresh hit counters.
-    SIGINT is ignored and SIGTERM reset (the daemon drains its workers; a
-    respawned worker would inherit its handlers), and a thread started here,
-    after the fork, exits the worker soon after its daemon dies.  A worker
-    forked after its daemon bound its HTTP port gets that ``listener`` and
-    closes it, so an orphaned worker never keeps the port.
+    SIGINT is ignored and SIGTERM reset (a terminal Ctrl-C reaches the owner
+    only, which stops its cells; a respawned worker would inherit a daemon's
+    handlers), and a thread started here, after the fork, exits the worker
+    soon after its owner dies.  A worker forked after its daemon bound its
+    HTTP port gets that ``listener`` and closes it, so an orphaned worker
+    never keeps the port.
     """
     global _WORKER_CHANNEL, _WORKER_FAULT
     if listener is not None:
@@ -199,14 +199,82 @@ def worker_main(conn, fault_plan=None, fault_ledger=None, listener=None) -> None
             conn.send(("error", RuntimeError(repr(frame[1]))))
 
 
+#: Held while a worker forks, so no sibling inherits the child end of its
+#: pipe: a worker that dies mid-frame must leave its owner an end of file.
+_FORK_LOCK = threading.Lock()
+
+
+class Worker:
+    """One forked worker running :func:`worker_main`, and its duplex pipe.
+
+    The pipe is created before the fork.  Only the owner calls
+    :meth:`receive`; :meth:`send` may be called from any thread.  A pool run
+    of :class:`CampaignScheduler` owns up to ``n_workers`` of them, the
+    search service one per dispatcher.
+    """
+
+    def __init__(self, fault_plan: dict | None = None,
+                 fault_ledger: str | None = None, listener=None) -> None:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context()
+        with _FORK_LOCK:
+            self.conn, child = context.Pipe()
+            self.process = context.Process(
+                target=worker_main,
+                args=(child, fault_plan, fault_ledger, listener),
+                name="repro-worker", daemon=True)
+            self.process.start()
+            child.close()
+        self._send_lock = threading.Lock()
+        #: The service job this worker runs, if any (set under the
+        #: service lock), so cancel and drain know where to send ``stop``.
+        self.job: str | None = None
+
+    def send(self, kind: str, body: Any = None) -> None:
+        """Send one message; a dead worker shows in :meth:`receive`."""
+        with self._send_lock:
+            try:
+                self.conn.send((kind, body))
+            except OSError:
+                pass
+
+    def receive(self, timeout: float | None) -> tuple[str, Any] | None:
+        """The next ``(event, payload)`` frame, or ``None`` after ``timeout``
+        seconds of silence; raises :class:`WorkerLost` once the process is
+        gone."""
+        ready = wait([self.conn, self.process.sentinel], timeout)
+        if not ready:
+            return None
+        try:
+            if self.process.sentinel in ready:
+                self.process.join()  # exiting: reap it for its status
+                raise EOFError(f"exit status {self.process.exitcode}")
+            return self.conn.recv()
+        except (EOFError, OSError) as error:
+            raise WorkerLost(f"worker {self.process.pid} died "
+                             f"({error})") from None
+
+    def close(self, timeout: float) -> None:
+        """Tell the worker to exit; SIGKILL it if it has not within ``timeout``."""
+        self.send("exit")
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
+
+
 @dataclass(frozen=True)
 class PoolProgress:
-    """How a service job should stream progress (picklable).
+    """How a worker job should stream progress (picklable).
 
-    ``tag`` identifies the submitting service job; ``step_period``
-    rate-limits ``on_step`` events (every N samples; the first sample and
-    every ``on_best`` always stream).  ``heartbeat_seconds`` paces ``hb``
-    frames for the daemon's hung-worker watchdog (``None``: none).
+    ``tag`` names the job a ``stop`` addresses (the service job, or a pool
+    run's cell); ``step_period`` rate-limits ``on_step`` events (every N
+    samples; the first sample and every ``on_best`` always stream).
+    ``heartbeat_seconds`` paces ``hb`` frames for the daemon's hung-worker
+    watchdog (``None``: none).
     """
 
     tag: str
@@ -262,9 +330,9 @@ def _pool_run_job(spec_payload: dict, job_id: str, store_dir: str,
     Workers never touch ``results.jsonl`` (the parent is the single writer —
     ``writer=False`` also skips the crash-tail repair, which would race the
     parent's appends); they only read the spill and write their own atomic
-    cache segment.  In a service worker (see :func:`worker_main`) with a
+    cache segment.  In a :class:`Worker` (see :func:`worker_main`) with a
     ``progress`` spec, the search additionally streams ``job``, step, best
-    and ``stats`` frames and obeys the daemon's ``stop`` messages.
+    and ``stats`` frames and obeys its owner's ``stop`` messages.
     """
     spec = CampaignSpec.from_dict(spec_payload)
     job = spec.job_named(job_id)
@@ -379,7 +447,7 @@ class CampaignScheduler:
         n_workers: int | None = None,
         persist_cache: bool = True,
         cache: EvaluationCache | None = None,
-        run_job: Callable[..., dict[str, Any]] | None = None,
+        run_job: Callable[..., tuple[str, Any]] | None = None,
         progress: PoolProgress | None = None,
         fault_hook: Callable[[str, str], None] | None = None,
     ) -> None:
@@ -395,8 +463,9 @@ class CampaignScheduler:
         self.cache = cache
         #: Optional runner of one job elsewhere (the service passes its
         #: dispatcher's worker): called in grid order with
-        #: :func:`_pool_run_job`'s arguments, it returns that payload, raises
-        #: a failed job's error, or :class:`WorkerLost`.
+        #: :func:`_pool_run_job`'s arguments, it returns the worker's final
+        #: ``("result", payload)`` or ``("error", exception)`` frame, or
+        #: raises :class:`WorkerLost`.
         self.run_job = run_job
         #: Optional progress-streaming spec forwarded to ``run_job``.
         self.progress = progress
@@ -534,28 +603,21 @@ class CampaignScheduler:
             if outcome.interrupted:
                 return
 
-    def _collect(self, run: CampaignRun, job: JobSpec,
-                 result: Callable[[], dict[str, Any]],
-                 on_job_done: JobCallback | None) -> bool:
-        """Persist one worker job's payload, ``result()``; False: stop here."""
-        try:
-            payload = result()
-        except KeyboardInterrupt:
-            # The worker was interrupted before its job had any feasible
+    def _collect(self, run: CampaignRun, job: JobSpec, event: str,
+                 payload: Any, on_job_done: JobCallback | None) -> bool:
+        """Persist a worker's ``result`` frame or record its ``error``;
+        False: stop here."""
+        if isinstance(payload, KeyboardInterrupt):
+            # The worker was stopped before its job had any feasible
             # design; nothing to persist, stop cleanly.
             run.stopped = True
             return False
-        except (BrokenProcessPool, WorkerLost):
-            # A worker died hard (SIGKILL, OOM): infrastructure, not a job
-            # failure.  Propagate; results persisted before the crash stay
-            # persisted, so a rerun resumes bit-identically.
-            raise
-        except Exception as error:  # noqa: BLE001 - job failure
+        if event == "error":
             # A deterministic job failure must not discard the other jobs'
             # results: record it and go on.
-            run.failed.append((job.job_id, repr(error)))
+            run.failed.append((job.job_id, repr(payload)))
             log.warning("campaign %s: %s failed: %r",
-                        self.spec.name, job.job_id, error)
+                        self.spec.name, job.job_id, payload)
             return True
         outcome = outcome_from_dict(payload["outcome"])
         self._persist(run, job, outcome, payload["outcome"])
@@ -563,78 +625,66 @@ class CampaignScheduler:
             on_job_done(job, outcome)
         return not outcome.interrupted
 
+    def _worker_args(self, job: JobSpec,
+                     progress: PoolProgress | None) -> tuple:
+        """:func:`_pool_run_job`'s arguments for ``job``."""
+        return (self.spec.to_dict(), job.job_id, str(self.store.directory),
+                self.persist_cache, str(self.store.cache_dir), progress)
+
     def _run_through(self, jobs: list[JobSpec], run: CampaignRun,
                      on_job_done: JobCallback | None) -> None:
-        spec_payload = self.spec.to_dict()
-        store_dir = str(self.store.directory)
-        cache_dir = str(self.store.cache_dir)
         for job in jobs:
-            result = functools.partial(self.run_job, spec_payload, job.job_id,
-                                       store_dir, self.persist_cache,
-                                       cache_dir, self.progress)
-            if not self._collect(run, job, result, on_job_done):
+            frame = self.run_job(*self._worker_args(job, self.progress))
+            if not self._collect(run, job, *frame, on_job_done):
                 return
 
     def _run_pool(self, jobs: list[JobSpec], run: CampaignRun,
                   on_job_done: JobCallback | None) -> None:
-        spec_payload = self.spec.to_dict()
-        store_dir = str(self.store.directory)
-        cache_dir = str(self.store.cache_dir)
+        """Run ``jobs`` on ``min(n_workers, len(jobs))`` forked workers.
+
+        One loop in this thread hands each idle worker the next cell and
+        persists results in completion order.  A ``KeyboardInterrupt`` — a
+        terminal Ctrl-C, which reaches only this process because workers
+        ignore SIGINT, or one raised by ``on_job_done`` — sends each running
+        cell a ``stop``, persists what comes back and starts nothing else; a
+        second one SIGKILLs the busy workers.  A worker that dies hard
+        raises :class:`WorkerLost` (results persisted before it stay
+        persisted, so a rerun resumes bit-identically).
+        """
+        pending = jobs[::-1]
+        workers: list[Worker] = []
+        running: dict[Worker, JobSpec] = {}
         try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        executor = ProcessPoolExecutor(max_workers=self.n_workers,
-                                       mp_context=context)
-        try:
-            futures = {
-                executor.submit(_pool_run_job, spec_payload, job.job_id,
-                                store_dir, self.persist_cache,
-                                cache_dir): job
-                for job in jobs
-            }
-            outstanding = set(futures)
-            unprocessed: set = set()  # done futures not yet persisted
-            try:
-                while outstanding or unprocessed:
-                    if not unprocessed:
-                        done, outstanding = wait(outstanding,
-                                                 return_when=FIRST_COMPLETED)
-                        unprocessed |= done
-                    future = unprocessed.pop()
-                    self._collect(run, futures[future], future.result,
-                                  on_job_done)
-            except KeyboardInterrupt:
-                # A terminal Ctrl-C delivers SIGINT to the whole process
-                # group, so workers absorb it and return interrupted
-                # best-so-far outcomes; if only the parent was signalled,
-                # running workers finish their jobs normally.  Either way the
-                # executor shutdown waits for the running futures — persist
-                # everything they hand back (including futures that finished
-                # but were not yet processed) instead of discarding it.  A
-                # second interrupt abandons the drain.
-                run.stopped = True
-                remaining = unprocessed | {future for future in outstanding
-                                           if not future.cancel()}
+            for _ in range(min(self.n_workers, len(jobs))):
+                workers.append(Worker())
+            idle = list(workers)
+            while True:
                 try:
-                    while remaining:
-                        done, remaining = wait(remaining,
-                                               return_when=FIRST_COMPLETED)
-                        for future in done:
-                            job = futures[future]
-                            if job.job_id in run.outcomes:
-                                continue  # persisted before the interrupt
-                            try:
-                                payload = future.result()
-                            except BaseException:  # noqa: BLE001 - drain
-                                continue
-                            self._persist(run, job,
-                                          outcome_from_dict(payload["outcome"]),
-                                          payload["outcome"])
+                    while idle and pending and not run.stopped:
+                        worker, job = idle.pop(), pending.pop()
+                        worker.send("run", self._worker_args(
+                            job, PoolProgress(tag=job.job_id)))
+                        running[worker] = job
+                    if not running:  # wait() on no connection never returns
+                        return
+                    ready = wait([worker.conn for worker in running])
+                    for worker in [w for w in running if w.conn in ready]:
+                        event, payload = worker.receive(0)
+                        if event in ("result", "error"):
+                            idle.append(worker)
+                            self._collect(run, running.pop(worker), event,
+                                          payload, on_job_done)
                 except KeyboardInterrupt:
-                    pass
+                    if run.stopped:  # the second interrupt
+                        return
+                    run.stopped = True
+                    for worker, job in running.items():
+                        worker.send("stop", job.job_id)
         finally:
-            executor.shutdown(wait=True)
+            for worker in running:  # abandoned mid-cell
+                worker.process.kill()
+            for worker in workers:
+                worker.close(timeout=5.0)
 
 
 def run_campaign(

@@ -37,11 +37,13 @@ Experiment campaigns (grids of searches with a persistent store)::
 ``campaign run`` executes the grid declared in the spec JSON (see
 ``docs/campaign.md``), skipping jobs already completed in ``--dir`` —
 interrupt it at any point and re-run the same command to resume.
-``--n-workers`` shards jobs across processes; ``--shard I/N`` runs a
-deterministic 1/N slice of the grid (for splitting one campaign across
-machines); ``--max-jobs K`` stops after K jobs.  ``campaign merge`` folds
-several shard stores of the same spec into one; ``campaign compact``
-rewrites a store's cache spill as a single deduplicated segment.
+``--n-workers N`` runs jobs on N of the search daemon's forked pipe workers
+(Ctrl-C stops the running cells and persists their best-so-far; workers exit
+when the parent dies); ``--shard I/N`` runs a deterministic 1/N slice of the
+grid (for splitting one campaign across machines); ``--max-jobs K`` stops
+after K jobs.  ``campaign merge`` folds several shard stores of the same
+spec into one; ``campaign compact`` rewrites a store's cache spill as a
+single deduplicated segment.
 
 Search-as-a-service (see ``docs/service.md``)::
 
@@ -321,10 +323,9 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import save_baseline
     from repro.analysis.registry import get_checker, rule_catalog
     from repro.analysis.reporters import render_json, render_text
-    from repro.analysis.runner import default_baseline_path, run_lint
+    from repro.analysis.runner import run_lint
 
     if args.explain is not None:
         try:
@@ -346,41 +347,15 @@ def _run_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id:<22} {summary}")
         return 0
 
-    rules = list(args.rules) if args.rules else None
-    if args.update_baseline and rules is not None:
-        print("repro.cli lint: error: --update-baseline captures a full "
-              "run; it cannot be combined with a --rules subset",
-              file=sys.stderr)
-        return 2
-
     try:
-        result = run_lint(
-            package_dir=args.package_dir,
-            rules=rules,
-            baseline_path=args.baseline,
-            use_baseline=not args.update_baseline,
-        )
+        result = run_lint(package_dir=args.package_dir,
+                          rules=list(args.rules) if args.rules else None)
     except KeyError as error:
         print(f"repro.cli lint: error: {error.args[0]}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        from pathlib import Path
-
-        from repro.analysis.runner import default_package_dir
-
-        package_dir = (Path(args.package_dir) if args.package_dir
-                       else default_package_dir())
-        baseline_path = (Path(args.baseline) if args.baseline
-                         else default_baseline_path(package_dir.resolve()))
-        save_baseline(baseline_path, result.findings)
-        print(f"baseline updated: {len(result.findings)} finding(s) "
-              f"recorded in {baseline_path}")
-        return 0
-
     counts = {"checked_files": result.checked_files,
-              "suppressed": result.suppressed,
-              "baselined": result.baselined}
+              "suppressed": result.suppressed}
     if args.json:
         sys.stdout.write(render_json(result.findings, **counts))
     else:
@@ -449,8 +424,11 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--dir", required=True,
                               help="campaign store directory (created if missing)")
     campaign_run.add_argument("--n-workers", type=int, default=None,
-                              help="process-shard jobs across N workers "
-                                   "(default: run jobs inline, in order)")
+                              help="run jobs on this many forked pipe "
+                                   "workers, the search daemon's; Ctrl-C "
+                                   "stops the running cells and persists "
+                                   "their best-so-far (default or 1: run "
+                                   "jobs inline, in order)")
     campaign_run.add_argument("--max-jobs", type=int, default=None,
                               help="stop after running K jobs this invocation")
     campaign_run.add_argument("--shard", metavar="I/N", default=None,
@@ -545,15 +523,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="print one rule's full documentation and exit")
     lint.add_argument("--json", action="store_true",
                       help="emit the machine-readable findings report")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="record the current full-run findings as the "
-                           "grandfathered baseline and exit 0")
     lint.add_argument("--package-dir", metavar="DIR", default=None,
                       help="package directory to lint (default: the "
                            "installed repro package)")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="baseline file (default: lint-baseline.json at "
-                           "the repo root)")
     _add_log_level(lint)
     return parser
 

@@ -171,7 +171,3 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()

@@ -5,9 +5,10 @@ layer: each harness declares its workload x strategy (x seed) grid as a
 :class:`~repro.campaign.spec.CampaignSpec` and runs it with
 :func:`~repro.campaign.scheduler.run_campaign` (an ephemeral store by
 default), so the figure pipeline, ``repro.cli campaign`` and ad-hoc sweeps
-all share one orchestration path.  One-off searches still go through
-:func:`run_search`, which resolves strategies via the unified registry so
-harness code never touches strategy-specific searcher or result classes.
+all share one orchestration path.  One-off searches go through
+:func:`~repro.search.api.optimize`, which resolves strategies via the
+unified registry so harness code never touches strategy-specific searcher
+or result classes.
 """
 
 from __future__ import annotations
@@ -20,31 +21,13 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.campaign import CampaignSpec, StrategyVariant
-from repro.eval.cache import EvaluationCache
-from repro.search.api import SearchBudget, SearchOutcome, optimize
+from repro.search.api import SearchBudget
 from repro.utils.atomic import write_atomic
 from repro.utils.formatting import format_table
 from repro.utils.rng import SeedLike
 
 #: The three co-search strategies compared in Figures 7-9.
 COSEARCH_STRATEGIES: tuple[str, ...] = ("dosa", "random", "bayesian")
-
-
-def run_search(
-    workload: str,
-    strategy: str,
-    settings: Any = None,
-    budget: SearchBudget | int | None = None,
-    cache: EvaluationCache | None = None,
-    **searcher_kwargs,
-) -> SearchOutcome:
-    """Run one registered strategy on a named workload (unified outcome).
-
-    ``cache`` lets several searches share one reference-model memo table —
-    results are bit-identical with or without it, only faster.
-    """
-    return optimize(workload, strategy=strategy, settings=settings,
-                    budget=budget, cache=cache, **searcher_kwargs)
 
 
 def cosearch_campaign_spec(

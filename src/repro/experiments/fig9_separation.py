@@ -30,8 +30,9 @@ from repro.campaign import CampaignSpec, StrategyVariant, run_campaign
 from repro.core.optimizer import DosaSettings
 from repro.eval.batch import evaluate_mappings_batched
 from repro.eval.cache import EvaluationCache
-from repro.experiments.common import ExperimentOutput, run_search
+from repro.experiments.common import ExperimentOutput
 from repro.mapping.cosa import cosa_mapping
+from repro.search.api import optimize
 from repro.search.random_mapper_search import FixedHardwareSettings
 from repro.timeloop.model import NetworkPerformance
 from repro.utils.math_utils import geometric_mean
@@ -72,7 +73,7 @@ def _separation_columns(
     cosa_performance = NetworkPerformance.from_layers(
         evaluate_mappings_batched(cosa_on_dosa_hw, dosa_hardware), cosa_on_dosa_hw)
 
-    random_outcome = run_search(
+    random_outcome = optimize(
         workload, "fixed_hw_random",
         settings=FixedHardwareSettings(mappings_per_layer=random_mappings_per_layer,
                                        seed=seed),
@@ -96,7 +97,7 @@ def run_single(workload: str, settings: DosaSettings,
     already scored on the same derived hardware).
     """
     cache = EvaluationCache()
-    outcome = run_search(workload, "dosa", settings=settings, cache=cache)
+    outcome = optimize(workload, "dosa", settings=settings, cache=cache)
     return _separation_columns(workload, outcome, random_mappings_per_layer,
                                seed=settings.seed, cache=cache)
 

@@ -35,8 +35,7 @@ from urllib.parse import quote, urlsplit
 from repro.search.api import SearchBudget
 from repro.utils.serialization import budget_to_dict, hardware_to_dict
 
-#: Job states / SSE events after which nothing more will happen.
-TERMINAL_STATES = ("done", "failed", "cancelled")
+#: SSE events after which nothing more will happen.
 TERMINAL_EVENTS = ("done", "failed", "cancelled")
 
 #: Cap on how long a server-sent ``Retry-After`` can make us sleep.

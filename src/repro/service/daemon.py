@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import os
 import shutil
 import socket
@@ -59,7 +58,6 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from multiprocessing.connection import wait as wait_ready
 from pathlib import Path
 from typing import Any, Callable
 
@@ -67,8 +65,8 @@ from repro.campaign.report import CampaignReport
 from repro.campaign.scheduler import (
     CampaignScheduler,
     PoolProgress,
+    Worker,
     WorkerLost,
-    worker_main,
 )
 from repro.campaign.store import ResultStore, compact_cache_dir
 from repro.service import faults
@@ -103,10 +101,6 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 #: before it SIGKILLs their workers: well under the 60 s that process
 #: managers (the chaos supervisor, the served benchmark) give SIGTERM.
 DRAIN_SECONDS = 20.0
-
-#: Held while a worker forks, so no sibling inherits the child end of its
-#: pipe: a worker that dies mid-frame must leave its dispatcher an end of file.
-_FORK_LOCK = threading.Lock()
 
 
 @dataclass
@@ -233,45 +227,6 @@ class _JobEvents:
             return list(self._events[start:]), self.closed
 
 
-class _Worker:
-    """One forked worker (running :func:`~repro.campaign.scheduler.worker_main`)
-    and its duplex pipe, created before the fork.  Only the owning dispatcher
-    reads the pipe; :meth:`send` may be called from any thread."""
-
-    def __init__(self, context, fault_plan: dict | None,
-                 fault_ledger: str | None,
-                 listener: socket.socket | None) -> None:
-        with _FORK_LOCK:
-            self.conn, child = context.Pipe()
-            self.process = context.Process(
-                target=worker_main,
-                args=(child, fault_plan, fault_ledger, listener),
-                name="repro-worker", daemon=True)
-            self.process.start()
-            child.close()
-        self._send_lock = threading.Lock()
-        #: The service job this worker runs, if any (set under the
-        #: service lock), so cancel and drain know where to send ``stop``.
-        self.job: str | None = None
-
-    def send(self, kind: str, body: Any = None) -> None:
-        """Send one message; a dead worker's dispatcher sees its sentinel."""
-        with self._send_lock:
-            try:
-                self.conn.send((kind, body))
-            except OSError:
-                pass
-
-    def close(self, timeout: float) -> None:
-        """Tell the worker to exit; SIGKILL it if it has not within ``timeout``."""
-        self.send("exit")
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        self.conn.close()
-
-
 class SearchService:
     """The daemon's engine: queue, dispatchers, workers, persistence.
 
@@ -313,14 +268,10 @@ class SearchService:
         self._draining = threading.Event()
         self._drained = threading.Event()
         #: One worker per dispatcher thread, by dispatcher index.
-        self._workers: list[_Worker] = []
+        self._workers: list[Worker] = []
         self._dispatchers: list[threading.Thread] = []
         self._gc_stop = threading.Event()
         self._gc_thread: threading.Thread | None = None
-        try:
-            self._mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._mp_context = multiprocessing.get_context()
         self._fault_hook: Callable[[str, str], None] | None = None
         #: The HTTP listening socket once :func:`create_server` has bound
         #: it; a worker forked after the bind closes its inherited copy.
@@ -359,13 +310,12 @@ class SearchService:
                  self.layout.root, self.config.n_workers,
                  self.config.queue_limit)
 
-    def _spawn_worker(self) -> _Worker:
+    def _spawn_worker(self) -> Worker:
         plan = self.config.fault_plan
-        return _Worker(self._mp_context,
-                       None if plan is None else plan.to_dict(),
-                       None if plan is None
-                       else str(self.layout.fault_ledger_dir),
-                       self._listener)
+        return Worker(None if plan is None else plan.to_dict(),
+                      None if plan is None
+                      else str(self.layout.fault_ledger_dir),
+                      self._listener)
 
     def _respawn(self, index: int) -> None:
         """Reap dispatcher ``index``'s dead worker and fork its replacement."""
@@ -736,34 +686,26 @@ class SearchService:
                     self._workers[index].job = None
 
     def _run_on_worker(self, index: int, events: _JobEvents,
-                       *args) -> dict[str, Any]:
+                       *args) -> tuple[str, Any]:
         """Run one cell (``_pool_run_job``'s arguments) on worker ``index``,
-        relaying its frames until the result.  A worker silent for
-        ``watchdog_seconds`` is SIGKILLed; a dead one raises ``WorkerLost``.
+        relaying its frames until its ``result`` or ``error`` frame, which it
+        returns.  A worker silent for ``watchdog_seconds`` is SIGKILLed; a
+        dead one raises ``WorkerLost``.
         """
         worker = self._workers[index]
-        pid = worker.process.pid
         worker.send("run", args)
         timeout = self.config.watchdog_seconds
         while True:
-            ready = wait_ready([worker.conn, worker.process.sentinel], timeout)
-            if not ready:
+            frame = worker.receive(timeout)
+            if frame is None:
                 log.warning("service: worker %d silent for over %.1fs; "
-                            "killing it", pid, timeout)
+                            "killing it", worker.process.pid, timeout)
                 self.metrics.count("workers_killed")
                 worker.process.kill()
                 continue
-            try:
-                if worker.process.sentinel in ready:
-                    worker.process.join()  # exiting: reap it for its status
-                    raise EOFError(f"exit status {worker.process.exitcode}")
-                event, payload = worker.conn.recv()
-            except (EOFError, OSError) as error:
-                raise WorkerLost(f"worker {pid} died ({error})") from None
-            if event == "result":
-                return payload
-            if event == "error":
-                raise payload
+            event, payload = frame
+            if event in ("result", "error"):
+                return frame
             if event == "stats":
                 self.metrics.add_cache(payload["hits"], payload["misses"],
                                        payload["evictions"])

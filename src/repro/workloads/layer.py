@@ -88,26 +88,6 @@ class LayerDims:
             total *= self.dim(dim)
         return total
 
-    @property
-    def input_height(self) -> int:
-        """Input activation height implied by P, R and the stride."""
-        return self.stride_p * (self.P - 1) + self.R
-
-    @property
-    def input_width(self) -> int:
-        """Input activation width implied by Q, S and the stride."""
-        return self.stride_q * (self.Q - 1) + self.S
-
-    def tensor_size(self, tensor: str) -> int:
-        """Number of words in tensor ``tensor`` ('W', 'I', or 'O')."""
-        if tensor == "W":
-            return self.R * self.S * self.C * self.K
-        if tensor == "I":
-            return self.N * self.C * self.input_height * self.input_width
-        if tensor == "O":
-            return self.N * self.K * self.P * self.Q
-        raise KeyError(f"unknown tensor {tensor!r}")
-
     def dims_key(self) -> tuple[int, ...]:
         """Hashable key of the problem dimensions and strides (ignores name)."""
         return (

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import Tensor, check_gradients, no_grad
-from repro.autodiff import ops
 
 
 def scalar(value, requires_grad=True):

@@ -1,6 +1,13 @@
 """Campaign subsystem: spec grids, store atomicity, crash-safe resume, CLI."""
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -635,6 +642,183 @@ class TestGracefulInterrupt:
     def test_completed_outcome_not_flagged(self):
         outcome = repro.optimize("bert", strategy="random", seed=0, budget=60)
         assert not outcome.interrupted
+
+
+# --------------------------------------------------------------------------- #
+# The worker pool under interrupts and a dying parent
+# --------------------------------------------------------------------------- #
+def dosa_settings(gd_steps):
+    """DOSA on bert with a best design after its first ten steps."""
+    return {"num_start_points": 1, "gd_steps": gd_steps,
+            "rounding_period": 10}
+
+
+def long_dosa_spec(name, seeds=(0,)):
+    """DOSA cells on bert that run for minutes unless stopped."""
+    return CampaignSpec(
+        name=name, workloads=("bert",), seeds=seeds,
+        strategies=(StrategyVariant("dosa", settings=dosa_settings(20000)),))
+
+
+#: ``repro.cli.main`` with ``execute_job`` patched to touch ``<marks>/<pid>``
+#: at each new best design (forked workers inherit the patch), so a test
+#: knows when a cell runs and has a best-so-far outcome to persist.
+MARKING_CLI = """
+import os, sys
+from pathlib import Path
+import repro.campaign.scheduler as scheduler
+from repro.cli import main
+from repro.search.api import SearchCallback
+
+class Mark(SearchCallback):
+    def on_best(self, candidate, samples):
+        Path(sys.argv[1], str(os.getpid())).touch()
+
+execute_job = scheduler.execute_job
+scheduler.execute_job = lambda job, cache=None, callbacks=None: execute_job(
+    job, cache=cache,
+    callbacks=[c for c in (callbacks, Mark()) if c is not None])
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def children(pid: int) -> list[int]:
+    """Child processes of the single-threaded process ``pid``."""
+    return [int(child) for child in
+            Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def wait_until(condition, seconds: float, what: str) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, f"{what} within {seconds} s"
+        time.sleep(0.02)
+
+
+@contextlib.contextmanager
+def marking_campaign(tmp_path, spec):
+    """``campaign run --n-workers 2`` of ``spec`` under :data:`MARKING_CLI`,
+    in its own session.  Yields ``(process, marks dir, store dir, pids)``;
+    at the end, SIGKILLs the session and every pid the test added."""
+    spec_path, marks, store = (tmp_path / "spec.json", tmp_path / "marks",
+                               tmp_path / "store")
+    spec.save(spec_path)
+    marks.mkdir()
+    src = Path(repro.__file__).resolve().parents[1]
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-c", MARKING_CLI, str(marks), "campaign", "run",
+             str(spec_path), "--dir", str(store), "--n-workers", "2"],
+            cwd=src, stdout=subprocess.DEVNULL, stderr=stderr,
+            start_new_session=True)
+    pids: list[int] = []
+    try:
+        yield process, marks, store, pids
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait()
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@contextlib.contextmanager
+def hard_timeout(seconds: float):
+    """Fail a test still running after ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                    reason="needs /proc to see the worker processes")
+class TestPoolInterrupts:
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        spec = long_dosa_spec("orphans", seeds=(0, 1, 2))
+        with marking_campaign(tmp_path, spec) as (process, marks, _, pids):
+            wait_until(lambda: len(list(marks.iterdir())) == 2, 60,
+                       "both workers reached a best design")
+            pids += children(process.pid)
+            assert len(pids) == 2
+            process.kill()
+            process.wait(timeout=10)
+            wait_until(lambda: not any(map(running, pids)), 5,
+                       "the orphaned workers exited")
+
+    def test_ctrl_c_persists_the_running_cell_and_exits_130(self, tmp_path):
+        with marking_campaign(tmp_path, long_dosa_spec("ctrl-c")) \
+                as (process, marks, store, pids):
+            wait_until(lambda: any(marks.iterdir()), 60,
+                       "the cell reached a best design")
+            pids += children(process.pid)
+            os.killpg(process.pid, signal.SIGINT)  # a terminal's Ctrl-C
+            assert process.wait(timeout=60) == 130
+            wait_until(lambda: not any(map(running, pids)), 5,
+                       "the workers exited")
+        assert "Traceback" not in (tmp_path / "stderr.txt").read_text()
+        [outcome] = ResultStore(store, writer=False,
+                                create=False).latest_outcomes().values()
+        assert outcome["interrupted"]
+
+    def test_interrupt_from_on_job_done_starts_no_further_cell(
+            self, tmp_path, monkeypatch):
+        spec = CampaignSpec(
+            name="stop", workloads=("bert",), seeds=(0,),
+            strategies=(StrategyVariant("quick", strategy="dosa",
+                                        settings=dosa_settings(100)),
+                        *(StrategyVariant(f"slow{i}", strategy="dosa",
+                                          settings=dosa_settings(2000))
+                          for i in range(4))))
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        execute_job = scheduler_module.execute_job
+
+        def marked_execute_job(job, cache=None, callbacks=None):
+            (marks / job.variant.name).write_text(str(os.getpid()))
+            return execute_job(job, cache=cache, callbacks=callbacks)
+
+        done: list[str] = []
+
+        def interrupt_first(job, outcome):
+            done.append(job.job_id)
+            if len(done) == 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(scheduler_module, "execute_job",
+                            marked_execute_job)
+        store = ResultStore(tmp_path / "s", spec=spec)
+        with hard_timeout(60):
+            run = CampaignScheduler(spec, store, n_workers=2).run(
+                on_job_done=interrupt_first)
+        assert run.stopped
+        # The quick cell finished first; the other running cell was
+        # stopped with its best-so-far; three cells never started.
+        assert sorted(path.name for path in marks.iterdir()) \
+            == ["quick", "slow0"]
+        persisted = store.latest_outcomes()
+        assert sorted(persisted) == ["bert/quick/seed=0/budget=0",
+                                     "bert/slow0/seed=0/budget=0"]
+        assert not persisted["bert/quick/seed=0/budget=0"]["interrupted"]
+        assert persisted["bert/slow0/seed=0/budget=0"]["interrupted"]
+        workers = [int(path.read_text()) for path in marks.iterdir()]
+        assert not [pid for pid in workers if running(pid)]
 
 
 # --------------------------------------------------------------------------- #

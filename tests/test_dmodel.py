@@ -21,7 +21,7 @@ from repro.core.dmodel import (
 )
 from repro.mapping import LoopOrdering, cosa_mapping, random_mapping
 from repro.timeloop import analyze_traffic, evaluate_mapping
-from repro.workloads import LayerDims, conv2d_layer, matmul_layer
+from repro.workloads import conv2d_layer, matmul_layer
 from repro.workloads.registry import correlation_layer_pool
 
 from oracles.layer_model import LayerFactors, ordering_candidates

@@ -9,7 +9,6 @@ per-layer oracle that the parity tests trust (``tests/oracles``).
 """
 
 import numpy as np
-import pytest
 
 from repro.arch import HardwareConfig
 from repro.core.dmodel import (

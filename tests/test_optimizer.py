@@ -10,7 +10,6 @@ from repro.core.optimizer import (
     generate_start_points,
 )
 from repro.mapping import mapping_fits_hardware, validate_mapping
-from repro.workloads import get_network
 from repro.workloads.networks import Network
 from repro.workloads.layer import conv2d_layer, matmul_layer
 

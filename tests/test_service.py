@@ -1,7 +1,6 @@
 """Search-as-a-service: daemon, HTTP API, SSE streams, drain and resume."""
 
 import contextlib
-import json
 import threading
 
 import pytest

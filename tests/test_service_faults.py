@@ -771,8 +771,7 @@ class TestReproLintClean:
     def test_fault_and_recovery_code_is_lint_clean(self):
         from repro.analysis.runner import default_package_dir, run_lint
 
-        result = run_lint(package_dir=default_package_dir(),
-                          use_baseline=False)
+        result = run_lint(package_dir=default_package_dir())
         watched = ("service/faults.py", "service/daemon.py",
                    "service/client.py", "campaign/scheduler.py",
                    "utils/atomic.py")

@@ -30,21 +30,6 @@ class TestLayerDims:
         with pytest.raises(ValueError):
             LayerDims(stride_p=0)
 
-    def test_input_window(self):
-        layer = LayerDims(R=3, S=3, P=10, Q=10, stride_p=2, stride_q=2)
-        assert layer.input_height == 2 * 9 + 3
-        assert layer.input_width == 2 * 9 + 3
-
-    def test_tensor_sizes(self):
-        layer = LayerDims(R=1, S=1, P=4, Q=4, C=3, K=5, N=2)
-        assert layer.tensor_size("W") == 15
-        assert layer.tensor_size("O") == 4 * 4 * 5 * 2
-        assert layer.tensor_size("I") == 2 * 3 * 4 * 4
-
-    def test_unknown_tensor(self):
-        with pytest.raises(KeyError):
-            LayerDims().tensor_size("X")
-
     def test_dims_key_ignores_name(self):
         a = conv2d_layer(3, 8, 10, name="a")
         b = conv2d_layer(3, 8, 10, name="b")
