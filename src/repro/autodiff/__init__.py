@@ -8,7 +8,8 @@ type defined here.  It provides:
 * ``Tensor`` — an array wrapper recording a dynamic computation graph and
   supporting broadcasting-aware reverse-mode backpropagation,
 * ``ops`` — a functional library (exp, log, power, maximum, softmax,
-  reductions, matmul, stacking, fused fold/reload reductions ...),
+  reductions, matmul, stacking, and the fused kernels of the DOSA model:
+  products, walk gathers, hinges and fold/reload reductions ...),
 * ``optim`` — the Adam optimizer (updates in place),
 * ``tape`` — compiled-tape replay of a traced graph (re-trace once per
   structural change instead of once per step),

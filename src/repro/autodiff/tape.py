@@ -9,27 +9,35 @@ traces the loss closure a single time and compiles it into two flat
 programs, then **replays** the graph — forward by re-executing each node's
 recompute closure against the parents' current ``.data``, backward by running
 the compiled :class:`~repro.autodiff.tensor.BackwardProgram`: per node its
-slot, its backward closure, and per parent that parent's slot (``None`` when
-it needs no gradient) and shape, executed over a plain list of per-slot
-gradients.  :meth:`Tensor.backward` runs the same program class, so there is
-one reverse-accumulation implementation.
+slot, its backward closure, and its live edges (per parent that needs a
+gradient, its position, slot and shape), executed over a plain list of
+per-slot gradients.  :meth:`Tensor.backward` runs the same program class,
+so there is one reverse-accumulation implementation.
 
 The graph itself is kept small by exact folding only: an op is dropped or
-fused when IEEE arithmetic makes the result bit-identical — ``x * 1.0`` is
-``x`` (so :func:`~repro.autodiff.ops.total_prod` skips literal ``1.0``
-terms), and a fused node whose forward and backward compute the same IEEE
-operations as the chain it replaces
-(:func:`~repro.autodiff.ops.hinge_below`) — so a smaller graph replays the
-same losses, gradients and updates, bit for bit.
+fused when IEEE arithmetic makes the result bit-identical.  ``x * 1.0`` is
+``x``, so :func:`~repro.autodiff.ops.total_prod` skips literal ``1.0``
+terms; and a fused node runs the same IEEE operations, in the same order,
+as the chain it replaces (:func:`~repro.autodiff.ops.total_prod`,
+:func:`~repro.autodiff.ops.gather`, :func:`~repro.autodiff.ops.hinge_below`,
+:func:`~repro.autodiff.ops.reload_product`).  The rule that keeps the rest
+of the graph exact (see :mod:`repro.autodiff.tensor`): fuse only chains of
+single-consumer nodes, and give the fused node its parents in the chain's
+order, so every other node is visited, and every shared node receives its
+gradient contributions, in the same order.  A smaller graph then replays
+the same losses, gradients and updates, bit for bit.
 
 Replay is exact, not approximate: recompute closures read parent data at call
 time and value-dependent masks (``ops.relu``, ``ops.maximum`` subgradients,
-``ops.reload_product`` inclusion masks) are re-derived on every pass, so a
-replayed forward/backward is bit-identical to re-tracing the same closure —
-the regression tests assert ``==``, not a tolerance.  What must stay fixed is
-the *wiring*: the traced closure may not branch on parameter values or bake
-them into constants (e.g. a :func:`repro.autodiff.ops.where` condition computed
-from parameter values is captured at trace time and not replayable).  When the structure does change —
+``ops.reload_product`` inclusion masks) are re-derived on every forward.  A
+backward may reuse what its own forward kept (masks, prefix products,
+running maxima), because :meth:`Tape.forward` replays every node before
+:meth:`Tape.backward` runs; so a replayed forward/backward is bit-identical
+to re-tracing the same closure — the regression tests assert ``==``, not a
+tolerance.  What must stay fixed is the *wiring*: the traced closure may
+not branch on parameter values or bake them into constants (e.g. a
+:func:`repro.autodiff.ops.where` condition computed from parameter values is
+captured at trace time and not replayable).  When the structure does change —
 DOSA re-selects loop orderings at a rounding point — call :meth:`invalidate`
 and the next :meth:`forward` re-traces.
 """

@@ -18,16 +18,31 @@ time.  Broadcasting is supported; gradients are summed back to the parent's
 shape before accumulation.
 
 Backward closures follow a positional contract: ``backward(grad)`` returns one
-contribution per entry of ``_parents``, in the same order, and ``None`` for a
-parent that needs no gradient (a constant's side of ``x * c`` is never
-computed).  Reverse accumulation has one implementation,
-:class:`BackwardProgram`: it compiles a topological order once into a flat
-list of steps — per node its slot, its backward closure, and per parent that
-parent's slot (``None`` when it needs no gradient) and shape — and runs over
-a plain list of per-slot gradients.  :meth:`Tensor.backward` compiles and
-runs a program once; the tape compiles one per trace and reruns it every
-step.  Contributions to a node are summed in the order they arrive, so a
-replayed backward is bit-identical to a fresh one.
+contribution per entry of ``_parents``, in the same order: an array for every
+parent that requires grad, and ``None`` (never read) for a constant one, so
+the constant side of ``x * c`` is never computed.  A backward may reuse what
+its own forward computed last (masks, gated values, prefix products, running
+maxima) instead of re-deriving it from the parents, because a backward always
+follows the forward it belongs to: :meth:`Tensor.backward` runs on a graph
+whose forwards ran when it was built, and the tape replays every forward
+before its backward.
+
+Reverse accumulation has one implementation, :class:`BackwardProgram`: it
+compiles a topological order once into a flat list of steps — per node its
+slot, its backward closure, and its live edges (per parent that requires
+grad, its position, slot and shape) — and runs over a plain list of per-slot
+gradients.  :meth:`Tensor.backward` compiles and runs a program once; the
+tape compiles one per trace and reruns it every step.  Contributions to a
+node are summed in the order they arrive, so a replayed backward is
+bit-identical to a fresh one.
+
+That order is also what lets a fused node (one node doing the work of a
+chain of ops, e.g. :func:`repro.autodiff.ops.total_prod`) reproduce its chain
+bit for bit.  Fuse only chains whose inner nodes have a single consumer, and
+give the fused node its parents in the chain's order: :func:`topological_order`
+then visits every other node in the same order, so every shared node
+receives its gradient contributions in the same sequence, and the fused
+backward runs the chain's IEEE operations in the chain's order.
 """
 
 from __future__ import annotations
@@ -55,17 +70,27 @@ def no_grad() -> Iterator[None]:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over broadcast dimensions so it matches ``shape``."""
+    """Sum ``grad`` over broadcast dimensions so it matches ``shape``.
+
+    Raises ``ValueError`` when the summed gradient still differs from
+    ``shape``: a backward that hands a parent a gradient of the wrong shape
+    is a bug, and reshaping it would silently scramble the values.
+    """
     if grad.shape == shape:
         return grad
+    reduced = grad
     # Remove leading broadcast axes.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    while reduced.ndim > len(shape):
+        reduced = reduced.sum(axis=0)
     # Sum over axes that were size 1 in the original shape.
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+    if reduced.ndim == len(shape):
+        for axis, size in enumerate(shape):
+            if size == 1 and reduced.shape[axis] != 1:
+                reduced = reduced.sum(axis=axis, keepdims=True)
+    if reduced.shape != shape:
+        raise ValueError(f"a gradient of shape {grad.shape} does not reduce "
+                         f"to its parent's shape {shape}")
+    return reduced
 
 
 def _is_basic_index(index) -> bool:
@@ -111,11 +136,12 @@ class BackwardProgram:
 
     Slot ``i`` is the ``i``-th node in reverse topological order, so the root
     is slot 0 and every parent's slot is larger than its child's.  Each step
-    holds a node, its backward closure and, per parent, the parent's slot
-    (``None`` when it needs no gradient) and shape; :meth:`run` walks the
-    steps over a plain list of per-slot gradients, summing contributions in
-    arrival order and handing each leaf its total through
-    :meth:`Tensor._accumulate`.
+    holds a node, its backward closure and its *live edges*: per parent that
+    requires grad, the parent's position in ``_parents``, its slot and its
+    shape.  They are compiled once, so :meth:`run` never visits a constant
+    parent; it walks the steps over a plain list of per-slot gradients,
+    summing contributions in arrival order and handing each leaf (a node
+    without live edges) its total through :meth:`Tensor._accumulate`.
     """
 
     __slots__ = ("_steps",)
@@ -125,9 +151,9 @@ class BackwardProgram:
         slot_of = {id(node): slot for slot, node in enumerate(nodes)}
         self._steps = [
             (node, node._backward,
-             tuple((slot_of[id(parent)] if parent.requires_grad else None,
-                    parent.data.shape)
-                   for parent in node._parents))
+             tuple((position, slot_of[id(parent)], parent.data.shape)
+                   for position, parent in enumerate(node._parents)
+                   if parent.requires_grad))
             for node in nodes
         ]
 
@@ -135,20 +161,18 @@ class BackwardProgram:
         """Backpropagate ``grad`` from the root (slot 0) into every leaf."""
         grads: list = [None] * len(self._steps)
         grads[0] = grad
-        for slot, (node, backward, parents) in enumerate(self._steps):
+        for slot, (node, backward, edges) in enumerate(self._steps):
             node_grad = grads[slot]
             if node_grad is None:
                 continue
             grads[slot] = None
-            if not parents:
+            if not edges:
                 # Leaf tensor: expose the accumulated gradient via ``.grad``.
                 node._accumulate(node_grad)
                 continue
-            if backward is None:
-                continue
-            for (target, shape), contribution in zip(parents, backward(node_grad)):
-                if target is None or contribution is None:
-                    continue
+            contributions = backward(node_grad)
+            for position, target, shape in edges:
+                contribution = contributions[position]
                 if contribution.shape != shape:
                     contribution = _unbroadcast(contribution, shape)
                 existing = grads[target]

@@ -19,7 +19,8 @@ graph of array ops that advances every start point of a DOSA search at once;
 S=1 is the single-start case.  Per-layer loop-ordering decisions become
 precomputed gather-index arrays (re-derived only when mappings are re-snapped
 at rounding points), and the per-factor structural masks are re-derived from
-current values on every pass inside :func:`repro.autodiff.ops.reload_product`.
+current values on every forward pass inside
+:func:`repro.autodiff.ops.reload_product`.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class MultiStartGrid(dict):
     the factor of start ``s``, layer ``l``.  Factors that are structurally 1
     (unsupported spatial positions) are plain floats.  The two matrix
     attributes expose the underlying stacked tensors for walk-order gathers
-    (the reload factors index them with static permutation arrays).
+    (the reload factors read them at static flat positions built from the
+    permutation arrays, through :func:`~repro.autodiff.ops.gather`).
     """
 
     temporal_matrix: "Tensor"  # (S, L, optimized levels, dims)

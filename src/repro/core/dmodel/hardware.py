@@ -80,7 +80,7 @@ class DifferentiableHardware:
         """
         if spatial_factors.size == 0:
             raise ValueError("from_requirements needs at least one spatial factor")
-        side = ops.fold_max(spatial_factors, axis=-1)
+        side = ops.fold_max(spatial_factors)
         if side.ndim:
             # Keep the reduced axis so per-start hardware broadcasts
             # against that start's (S, L) factor columns.

@@ -101,11 +101,13 @@ class DifferentiableModel:
 
         The walk sequence (levels outward, innermost loop first within each
         level, per-start per-layer orderings) is materialized as an
-        ``(S, L, positions)`` matrix by gathering the stacked temporal factors
-        through static permutation index arrays; the value-dependent skip
-        rules (near-1 factors, irrelevant loops inside the first relevant
-        one) live inside :func:`~repro.autodiff.ops.reload_product`, which
-        re-derives them from current values on every forward/backward pass.
+        ``(S, L, positions)`` matrix, one :func:`~repro.autodiff.ops.gather`
+        per walk level: static flat positions, through the permutation index
+        arrays, straight into the stacked temporal factors (level included)
+        or the DRAM factors.  The value-dependent skip rules (near-1 factors,
+        irrelevant loops inside the first relevant one) live inside
+        :func:`~repro.autodiff.ops.reload_product`, which re-derives them
+        from current values on every forward pass.
         """
         relevant_by_dim = np.array([d in TENSOR_DIMS[tensor] for d in DIMENSIONS])
         # Broadcast (S, 1, 1) x (1, L, 1) row indices against the
@@ -117,11 +119,12 @@ class DifferentiableModel:
         for walk_level in range(level, LEVEL_DRAM + 1):
             perm = factors.order_perm(walk_level)
             if walk_level == LEVEL_DRAM:
-                matrix = grid.dram_matrix
+                source, index = grid.dram_matrix, (start_rows, layer_rows, perm)
             else:
                 # Optimized levels coincide with their positions in the stack.
-                matrix = grid.temporal_matrix[:, :, walk_level, :]
-            segments.append(matrix[start_rows, layer_rows, perm])
+                source = grid.temporal_matrix
+                index = (start_rows, layer_rows, walk_level, perm)
+            segments.append(ops.gather(source, np.ravel_multi_index(index, source.shape)))
             relevant_segments.append(relevant_by_dim[perm])
         walk = ops.concat(segments, axis=-1) if len(segments) > 1 else segments[0]
         relevant = np.concatenate(relevant_segments, axis=-1)
@@ -249,10 +252,10 @@ class DifferentiableModel:
             ops.stack([spatial_c, spatial_k]), (1, 2, 0)
         ).reshape(starts, 2 * layer_count)
         accumulator_words = ops.fold_max(
-            cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O"), axis=-1)
+            cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O"))
         scratchpad_words = ops.fold_max(
             cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
-            + cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I"), axis=-1)
+            + cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I"))
         return DifferentiableHardware.from_requirements(
             spatial_factors=interleaved,
             accumulator_words=accumulator_words.reshape(starts, 1),

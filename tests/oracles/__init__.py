@@ -23,6 +23,10 @@ formulation of the same behaviour:
   heuristic mappers are measured against.
 * :mod:`oracles.gp` — the Bayesian baseline's GP with its RBF kernel built
   in one broadcast over every pairwise feature difference.
+* :mod:`oracles.chains` — the node-per-operation graphs the fused autodiff
+  kernels stand for: the multiplication chain of ``ops.total_prod``, the
+  level slice plus ``np.add.at`` gather of ``ops.gather``, and the reload
+  product that re-derives its mask in the backward.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

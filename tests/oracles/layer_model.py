@@ -45,6 +45,7 @@ from repro.mapping.mapping import (
 )
 from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS, LayerDims
 
+from oracles.chains import chain_prod
 from oracles.rounding import round_mapping
 
 CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
@@ -115,7 +116,7 @@ class LayerFactors:
             grid[("S", level, dim)] = spatial[position]
         # DRAM temporal factors absorb the remaining problem size.
         for dim in DIMENSIONS:
-            inner = ops.total_prod(
+            inner = chain_prod(
                 [grid[("T", level, dim)] for level in OPTIMIZED_LEVELS]
                 + [grid[("S", level, dim)] for level, d in SPATIAL_DIMS if d == dim]
             )
@@ -179,7 +180,7 @@ class LayerModel(DifferentiableModel):
                 terms.append(value)
                 if dim in relevant:
                     seen_relevant = True
-        return ops.total_prod(terms)
+        return chain_prod(terms)
 
     @classmethod
     def derive_hardware(cls, all_factors: Sequence[LayerFactors]) -> DifferentiableHardware:

@@ -1,0 +1,276 @@
+"""Parity of the fused autodiff kernels with the graphs they stand for.
+
+Every fused op of :mod:`repro.autodiff.ops` must reproduce, bit for bit, the
+chain of nodes it replaces (``tests/oracles/chains.py``): the loss, every
+parameter gradient and every Adam update are compared as ``tobytes()``, so a
+``-0.0`` that should be ``0.0`` fails.  Each case runs under a fresh
+:meth:`Tensor.backward` per step and under :class:`Tape` replay, across Adam
+steps that move the parameters (and so the kernels' masks).
+"""
+
+import numpy as np
+import pytest
+
+from repro.autodiff import Adam, Tape, Tensor, ops
+
+from oracles.chains import chain_prod, recomputing_reload_product, sliced_gather
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+STEPS = 4
+
+
+def _record(build, values, replay):
+    """Loss, gradient and update bytes of ``STEPS`` Adam steps on ``build``."""
+    params = [Tensor(value.copy(), requires_grad=True) for value in values]
+    optimizer = Adam(params, lr=0.2)
+    tape = Tape(lambda: build(*params)) if replay else None
+    record = []
+    for _ in range(STEPS):
+        optimizer.zero_grad()
+        if replay:
+            loss = tape.forward()
+            tape.backward()
+        else:
+            loss = build(*params)
+            loss.backward()
+        record.append(loss.data.tobytes())
+        record += [b"none" if p.grad is None else p.grad.tobytes() for p in params]
+        optimizer.step()
+        record += [p.data.tobytes() for p in params]
+    return record
+
+
+def assert_parity(fused, chained, values):
+    """Fused and chained graphs agree bitwise, re-traced and replayed."""
+    reference = _record(chained, values, replay=False)
+    assert _record(chained, values, replay=True) == reference
+    assert _record(fused, values, replay=False) == reference
+    assert _record(fused, values, replay=True) == reference
+
+
+def _weights(shape, seed=0):
+    """Loss weights with exact ``-0.0`` and ``0.0`` entries and both signs."""
+    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    weights.flat[0] = -0.0
+    weights.flat[-1] = 0.0
+    return Tensor(weights)
+
+
+RNG = np.random.default_rng(7)
+S, L = 3, 5
+GRID = [RNG.uniform(0.5, 2.0, (S, L)) for _ in range(3)]
+FIELD = RNG.uniform(0.5, 2.0, (S, 1))     # a per-start hardware field
+SIZES = Tensor(RNG.uniform(1.0, 9.0, L))  # an (L,) per-layer constant
+
+
+class TestTotalProd:
+    """``ops.total_prod``: one node for the chain of multiplications."""
+
+    @pytest.mark.parametrize("terms", [
+        lambda x, y, z: [x, y, z],
+        lambda x, y, z: [x, 1.0, y, 1.0, z],
+        lambda x, y, z: [x, -0.0 * y, z],
+    ], ids=["three", "literal-ones", "negative-zero-term"])
+    def test_grid_terms(self, terms):
+        w = _weights((S, L))
+        assert_parity(lambda *p: (ops.total_prod(terms(*p)) * w).sum(),
+                      lambda *p: (chain_prod(terms(*p)) * w).sum(), GRID)
+
+    @pytest.mark.parametrize("terms", [
+        lambda x, h: [h, SIZES, x],
+        lambda x, h: [SIZES, h, x],
+        lambda x, h: [x, SIZES, h],
+        lambda x, h: [h, 2.0, h * 3.0],
+        lambda x, h: [h, h * 3.0, x],
+    ], ids=["field-first", "constant-first", "field-last", "field-only",
+            "fields-then-grid"])
+    def test_broadcast_terms(self, terms):
+        """(L,) constants and (S, 1) fields: the chain's own unbroadcasts."""
+        w = _weights((S, L))
+        assert_parity(lambda *p: (ops.total_prod(terms(*p)) * w).sum(),
+                      lambda *p: (chain_prod(terms(*p)) * w).sum(),
+                      [GRID[0], FIELD])
+
+    def test_constant_leading_run(self):
+        """``Tensor(1.0)`` inner extents lead the model's register tiles."""
+        w = _weights((S, L))
+
+        def terms(x, y):
+            return [Tensor(1.0), Tensor(2.5), x, Tensor(1.5), y]
+
+        assert_parity(lambda x, y: (ops.total_prod(terms(x, y)) * w).sum(),
+                      lambda x, y: (chain_prod(terms(x, y)) * w).sum(), GRID[:2])
+
+    def test_single_term_and_empty_product(self):
+        x = Tensor(GRID[0], requires_grad=True)
+        assert ops.total_prod([1.0, x, 1.0]) is x
+        assert float(ops.total_prod([]).data) == 1.0
+        assert float(ops.total_prod([1.0, 1.0]).data) == 1.0
+        w = _weights((S, L))
+        assert_parity(
+            lambda x: (ops.total_prod([1.0, x]) * ops.total_prod([]) * w).sum(),
+            lambda x: (chain_prod([1.0, x]) * chain_prod([]) * w).sum(), GRID[:1])
+
+    def test_one_node_with_the_terms_as_parents(self):
+        terms = [Tensor(value, requires_grad=True) for value in GRID]
+        terms.insert(2, Tensor(2.0))
+        out = ops.total_prod(terms)
+        assert len(out._parents) == 4
+        assert all(parent is term for parent, term in zip(out._parents, terms))
+
+
+def _walk_index(level):
+    """A reload walk's index: per (start, layer) a seeded permutation of the
+    dimension axis, at one ``level`` of an ``(S, L, levels, dims)`` stack
+    (``None``: of an ``(S, L, dims)`` one)."""
+    rng = np.random.default_rng(9 if level is None else level)
+    perm = np.array([[rng.permutation(4) for _ in range(L)] for _ in range(S)])
+    rows = (np.arange(S)[:, None, None], np.arange(L)[None, :, None])
+    return rows + ((level, perm) if level is not None else (perm,))
+
+
+class TestGather:
+    """``ops.gather``: a slice plus an ``np.add.at`` scatter, as one node."""
+
+    TEMPORAL = np.random.default_rng(3).uniform(-1.0, 1.0, (S, L, 3, 4))
+    DRAM = np.random.default_rng(4).uniform(-1.0, 1.0, (S, L, 4))
+
+    def _loss(self, take, x, d):
+        # Three temporal levels and two reads of one shared DRAM node, as
+        # the reload walks take them.
+        dram = d * 2.0
+        walk = ops.concat([take(x, _walk_index(0)), take(x, _walk_index(2)),
+                           take(dram, _walk_index(None))], axis=-1)
+        other = ops.concat([take(x, _walk_index(1)), take(dram, _walk_index(None))],
+                           axis=-1)
+        return (walk * _weights(walk.shape)).sum() + (other * other).sum()
+
+    def test_matches_slice_and_scatter(self):
+        def fused(source, index):
+            return ops.gather(source, np.ravel_multi_index(index, source.shape))
+
+        assert_parity(lambda x, d: self._loss(fused, x, d),
+                      lambda x, d: self._loss(sliced_gather, x, d),
+                      [self.TEMPORAL, self.DRAM])
+
+    def test_negative_zero_gradient_becomes_positive_zero(self):
+        x = Tensor(self.TEMPORAL, requires_grad=True)
+        index = _walk_index(1)
+        out = ops.gather(x, np.ravel_multi_index(index, x.shape))
+        assert np.array_equal(out.data, self.TEMPORAL[index])
+        seed = np.full(out.shape, -0.0)
+        out.backward(seed)
+        expected = np.zeros(x.shape)
+        np.add.at(expected, index, seed)
+        assert x.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(x.grad).any()
+
+    def test_rejects_repeated_positions(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        with pytest.raises(ValueError, match="distinct"):
+            ops.gather(x, np.array([0, 2, 0]))
+
+
+class TestForwardCachedKernels:
+    """Masks and partial products kept by the forward, reused by the backward."""
+
+    def test_reload_product_matches_recomputing_form(self):
+        rng = np.random.default_rng(5)
+        relevant = rng.random((S, L, 9)) > 0.5
+        # Log factors around 0 put walk factors on both sides of the 1 + eps
+        # gate, and the Adam steps move them across it.
+        logs = rng.uniform(-0.3, 0.3, (S, L, 9))
+        w = _weights((S, L))
+
+        def loss(product):
+            return lambda x: (product(ops.exp(x), relevant) * w).sum()
+
+        assert_parity(loss(ops.reload_product), loss(recomputing_reload_product),
+                      [logs])
+
+    def test_fold_max_matches_chained_maximum(self):
+        w = _weights((S, L))
+
+        def candidates(x, y):
+            # Three equal x * 1.5 nodes keep exact ties through every step.
+            return [x * 1.5, y, x * 1.5, y * 0.5, x * 1.5]
+
+        def chained(x, y):
+            out, *rest = candidates(x, y)
+            for value in rest:
+                out = ops.maximum(out, value)
+            return (out * w).sum()
+
+        def fused(x, y):
+            stacked = ops.transpose(ops.stack(candidates(x, y)), (1, 2, 0))
+            return (ops.fold_max(stacked) * w).sum()
+
+        assert_parity(fused, chained, GRID[:2])
+
+    def test_hinge_below_matches_relu_chain(self):
+        w = _weights((S, L, 3))
+        # Entries exactly at the threshold take no gradient.
+        values = [GRID[0] - 1.0, GRID[1] * 0.5, np.where(GRID[2] > 1.2, 1.0, GRID[2])]
+
+        def chained(*xs):
+            hinges = [ops.relu(1.0 - x) for x in xs]
+            return (ops.transpose(ops.stack(hinges), (1, 2, 0)) * w).sum()
+
+        assert_parity(lambda *xs: (ops.hinge_below(xs, 1.0) * w).sum(), chained,
+                      values)
+
+
+def _first_step_trace(network):
+    """Tape nodes and ``Tensor`` indexes of a default DOSA search's first trace.
+
+    The search runs at its default settings; a budget of one gradient step
+    (7 start points x 1 sample) ends it at the first rounding point.
+    """
+    from unittest import mock
+
+    import repro
+    from repro.core.optimizer import dosa
+
+    indexes = []
+    traced = []
+    original = Tensor.__getitem__
+
+    def recording_getitem(tensor, index):
+        indexes.append(index)
+        return original(tensor, index)
+
+    class RecordingTape(dosa.Tape):
+        def forward(self):
+            if traced or self.recorded:
+                return super().forward()
+            with mock.patch.object(Tensor, "__getitem__", recording_getitem):
+                loss = super().forward()
+            traced.append(self.num_nodes)
+            return loss
+
+    with mock.patch.object(dosa, "Tape", RecordingTape):
+        repro.optimize(network, "dosa", seed=0, budget=7)
+    return traced[0], indexes
+
+
+class TestDefaultStep:
+    """The default DOSA step keeps its fused kernels."""
+
+    #: Tape nodes of one default step (281 with a node per multiplication,
+    #: level slice and walk gather).
+    MAX_NODES = 184
+
+    @pytest.mark.parametrize("network", ["resnet50", "bert", "gpt2_decoder"])
+    def test_tape_nodes_at_most_fused_count(self, network):
+        nodes, _ = _first_step_trace(network)
+        assert nodes <= self.MAX_NODES
+
+    def test_no_advanced_index_scatter(self):
+        """Every ``Tensor`` index in the step is basic: no ``np.add.at``."""
+        _, indexes = _first_step_trace("resnet50")
+        assert indexes
+        for index in indexes:
+            items = index if isinstance(index, tuple) else (index,)
+            assert all(item is None or item is Ellipsis
+                       or isinstance(item, (int, slice)) for item in items), index

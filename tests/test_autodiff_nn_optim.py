@@ -5,6 +5,8 @@ import pytest
 
 from repro.autodiff import Adam, Tensor, nn
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestAdam:
     def test_minimizes_rosenbrock_like(self):

@@ -8,6 +8,8 @@ from repro.autodiff import Tensor, check_gradients, ops
 
 from oracles.layer_model import total_sum
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestElementwise:
     def test_exp_log_roundtrip(self):
@@ -124,6 +126,16 @@ class TestGradients:
             return ops.where(cond, t[0] * 2.0, t[1] * 3.0).sum()
 
         self._check(build, (3,), (3,))
+
+    def test_transpose_negative_axes_grad(self):
+        """Negative axes are normalized before the backward inverts them."""
+        data = np.arange(24.0).reshape(2, 3, 4)
+        x = Tensor(data, requires_grad=True)
+        out = ops.transpose(x, (-1, 0, 1))
+        assert out.shape == (4, 2, 3)
+        seed = np.linspace(-1.0, 1.0, 24).reshape(4, 2, 3)
+        out.backward(seed)
+        assert np.array_equal(x.grad, np.transpose(seed, (1, 2, 0)))
 
     def test_relu_grad_away_from_kink(self):
         x = Tensor(np.array([0.7, 1.9, 3.0]), requires_grad=True)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import Tensor, check_gradients, no_grad
+from repro.autodiff.tensor import _unbroadcast
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def scalar(value, requires_grad=True):
@@ -68,6 +71,12 @@ class TestBackward:
         assert y.grad.shape == (1, 4)
         assert np.allclose(x.grad, 4.0)
         assert np.allclose(y.grad, 3.0)
+
+    def test_unbroadcast_rejects_a_gradient_of_another_shape(self):
+        """A mis-shaped gradient raises instead of being reshaped into place."""
+        with pytest.raises(ValueError, match=r"\(4, 2, 3\).*\(2, 3, 4\)"):
+            _unbroadcast(np.ones((4, 2, 3)), (2, 3, 4))
+        assert _unbroadcast(np.ones((5, 2, 3)), (1, 3)).tolist() == [[10.0] * 3]
 
     def test_backward_requires_scalar_without_grad_arg(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -29,6 +29,8 @@ from unittest import mock
 
 import pytest
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FIXTURE = Path(__file__).parent / "data" / "descent_digests_3.0.0.json"
 STRATEGIES = ("baseline", "iterate", "softmax")
 

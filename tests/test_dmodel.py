@@ -27,6 +27,8 @@ from repro.workloads.registry import correlation_layer_pool
 from oracles.layer_model import LayerFactors, ordering_candidates
 from oracles.rounding import snapshot_mappings
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ORDERINGS = (LoopOrdering.WEIGHT_STATIONARY, LoopOrdering.INPUT_STATIONARY,
              LoopOrdering.OUTPUT_STATIONARY)
 

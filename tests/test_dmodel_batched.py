@@ -32,6 +32,8 @@ from oracles import layer_model as oracle
 from oracles.layer_model import LayerFactors, LayerModel, stack_of
 from oracles.rounding import snapshot_mappings
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CONFIG = HardwareConfig(8, 16, 64)
 
 

@@ -9,6 +9,7 @@ per-layer oracle that the parity tests trust (``tests/oracles``).
 """
 
 import numpy as np
+import pytest
 
 from repro.arch import HardwareConfig
 from repro.core.dmodel import (
@@ -24,6 +25,8 @@ from repro.workloads import conv2d_layer, matmul_layer
 
 from oracles import layer_model as oracle
 from oracles.layer_model import LayerFactors, LayerModel, stack_of
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CONFIG = HardwareConfig(8, 16, 64)
 

@@ -43,6 +43,8 @@ from oracles.rounding import (
 )
 from oracles.schedule import sequential_search
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CONFIG = HardwareConfig(8, 16, 64)
 NUM_STARTS = 3
 

@@ -13,6 +13,8 @@ from repro.mapping import mapping_fits_hardware, validate_mapping
 from repro.workloads.networks import Network
 from repro.workloads.layer import conv2d_layer, matmul_layer
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_network() -> Network:
     return Network(name="tiny", layers=[

@@ -32,6 +32,8 @@ from repro.workloads.layer import DIMENSIONS
 
 from oracles.rounding import round_mapping, rounded_mappings_of
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Primes, powers of two, and awkward composites; sizes stay small enough that
 # the scalar oracle side of the fuzz run finishes in seconds.
 _DIM_POOL = (1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 17, 28, 31, 32, 49, 64, 96, 101, 128)
