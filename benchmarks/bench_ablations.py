@@ -8,7 +8,6 @@ small workload so that a downstream user can see what each one buys:
 * whole-model EDP objective (Eq. 14) vs optimizing each layer separately.
 """
 
-from repro.arch import GemminiSpec
 from repro.core.optimizer import DosaSearcher, DosaSettings
 from repro.timeloop import evaluate_network_mappings
 from repro.workloads import get_network
@@ -77,8 +76,7 @@ def test_ablation_whole_model_vs_per_layer_objective(benchmark, record_results):
         from repro.arch import merge_hardware_configs
 
         merged = merge_hardware_configs(per_layer_hardware)
-        per_layer_edp = evaluate_network_mappings(per_layer_mappings,
-                                                  GemminiSpec(merged)).edp
+        per_layer_edp = evaluate_network_mappings(per_layer_mappings, merged).edp
         return {"joint": joint.best_edp, "per_layer": per_layer_edp}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

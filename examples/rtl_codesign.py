@@ -12,11 +12,8 @@
 Run with:  python examples/rtl_codesign.py
 """
 
-from repro.experiments.fig12_rtl import (
-    GEMMINI_RTL_HARDWARE,
-    default_design_edp,
-    search_with_latency_model,
-)
+from repro.arch import GEMMINI_DEFAULT
+from repro.experiments.fig12_rtl import default_design_edp, search_with_latency_model
 from repro.core.optimizer import DosaSettings
 from repro.surrogate import CombinedLatencyModel, RtlSimulator, TrainingSettings, generate_dataset
 from repro.surrogate.combined import evaluate_model_accuracy
@@ -28,7 +25,7 @@ def main() -> None:
     simulator = RtlSimulator()
 
     print("generating RTL latency dataset from the training workloads...")
-    dataset = generate_dataset(training_networks(), GEMMINI_RTL_HARDWARE,
+    dataset = generate_dataset(training_networks(), GEMMINI_DEFAULT,
                                samples_per_layer=6, simulator=simulator, seed=0)
     train, test = train_test_split(dataset, seed=0)
     print(f"  {len(train)} training samples, {len(test)} held-out samples")
@@ -41,13 +38,13 @@ def main() -> None:
 
     print("searching buffer sizes and mappings for ResNet-50 (16x16 PEs fixed)...")
     settings = DosaSettings(num_start_points=2, gd_steps=240, rounding_period=80,
-                            fixed_pe_dim=GEMMINI_RTL_HARDWARE.pe_dim, seed=0)
+                            fixed_pe_dim=GEMMINI_DEFAULT.pe_dim, seed=0)
     design = search_with_latency_model("resnet50", combined, settings, simulator)
     default_edp = default_design_edp("resnet50", simulator)
 
     print()
-    print(f"default Gemmini  : accumulator {GEMMINI_RTL_HARDWARE.accumulator_kb} KB, "
-          f"scratchpad {GEMMINI_RTL_HARDWARE.scratchpad_kb} KB, EDP {default_edp:.4e}")
+    print(f"default Gemmini  : accumulator {GEMMINI_DEFAULT.accumulator_kb} KB, "
+          f"scratchpad {GEMMINI_DEFAULT.scratchpad_kb} KB, EDP {default_edp:.4e}")
     print(f"DOSA (analytical+DNN): accumulator {design.hardware.accumulator_kb} KB, "
           f"scratchpad {design.hardware.scratchpad_kb} KB, EDP {design.edp:.4e}")
     print(f"improvement over the hand-tuned default: {default_edp / design.edp:.2f}x")

@@ -42,7 +42,7 @@ the paper's Figures 7-9.  The same search is available from the shell::
     python -m repro.cli search resnet50 --strategy dosa --max-samples 5000 --json out.json
 """
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig
 from repro.campaign import (
     CampaignReport,
     CampaignScheduler,
@@ -74,7 +74,6 @@ from repro.workloads import LayerDims, conv2d_layer, get_network, matmul_layer
 __version__ = "3.0.0"
 
 __all__ = [
-    "GemminiSpec",
     "HardwareConfig",
     "CampaignReport",
     "CampaignScheduler",

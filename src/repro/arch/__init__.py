@@ -9,8 +9,6 @@ of Section 4.1 / Figure 3.
 """
 
 from repro.arch.components import (
-    MEMORY_LEVELS,
-    MemoryLevel,
     LEVEL_REGISTERS,
     LEVEL_ACCUMULATOR,
     LEVEL_SCRATCHPAD,
@@ -28,11 +26,11 @@ from repro.arch.config import (
     HardwareConfig,
     HardwareBounds,
     DEFAULT_BOUNDS,
+    GEMMINI_DEFAULT,
     minimal_hardware_for_requirements,
     merge_hardware_configs,
     random_hardware_config,
 )
-from repro.arch.gemmini import GemminiSpec, GEMMINI_DEFAULT
 from repro.arch.baselines import (
     BaselineAccelerator,
     EYERISS,
@@ -43,8 +41,6 @@ from repro.arch.baselines import (
 )
 
 __all__ = [
-    "MEMORY_LEVELS",
-    "MemoryLevel",
     "LEVEL_REGISTERS",
     "LEVEL_ACCUMULATOR",
     "LEVEL_SCRATCHPAD",
@@ -60,11 +56,10 @@ __all__ = [
     "HardwareConfig",
     "HardwareBounds",
     "DEFAULT_BOUNDS",
+    "GEMMINI_DEFAULT",
     "minimal_hardware_for_requirements",
     "merge_hardware_configs",
     "random_hardware_config",
-    "GemminiSpec",
-    "GEMMINI_DEFAULT",
     "BaselineAccelerator",
     "EYERISS",
     "NVDLA_SMALL",

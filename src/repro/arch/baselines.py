@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
+from repro.arch.config import GEMMINI_DEFAULT, HardwareConfig
 
 
 @dataclass(frozen=True)
@@ -23,11 +22,6 @@ class BaselineAccelerator:
 
     name: str
     config: HardwareConfig
-
-    @property
-    def spec(self) -> GemminiSpec:
-        """Cost-model view of this baseline (Table-2 model on its parameters)."""
-        return GemminiSpec(self.config)
 
 
 # Eyeriss (Chen et al.): 168 PEs (modelled as a 12x12 array under the square
@@ -49,11 +43,9 @@ NVDLA_LARGE = BaselineAccelerator(
     config=HardwareConfig(pe_dim=32, accumulator_kb=64, scratchpad_kb=512),
 )
 
-# Gemmini default (Section 6.5): 16x16 PEs, 32 KB accumulator, 128 KB scratchpad.
-GEMMINI_DEFAULT_BASELINE = BaselineAccelerator(
-    name="Gemmini Default",
-    config=HardwareConfig(pe_dim=16, accumulator_kb=32, scratchpad_kb=128),
-)
+# The hand-tuned Gemmini default (Section 6.5).
+GEMMINI_DEFAULT_BASELINE = BaselineAccelerator(name="Gemmini Default",
+                                               config=GEMMINI_DEFAULT)
 
 
 def baseline_accelerators() -> list[BaselineAccelerator]:

@@ -23,8 +23,6 @@ collected for a 40 nm process with Accelergy's Aladdin and CACTI plug-ins:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
 
 # Memory level indices (paper Section 4.1).
@@ -69,27 +67,6 @@ DRAM_ENERGY_PER_ACCESS = 100.0
 
 # Bandwidth constants from Table 2 (words per cycle).
 DRAM_BANDWIDTH_WORDS_PER_CYCLE = 8.0
-
-
-@dataclass(frozen=True)
-class MemoryLevel:
-    """Static description of one memory level of the hierarchy."""
-
-    index: int
-    name: str
-    stores: frozenset[str]
-
-    def holds(self, tensor: str) -> bool:
-        """True if this level keeps a copy of tensor ``tensor`` (W/I/O)."""
-        return tensor in self.stores
-
-
-MEMORY_LEVELS: tuple[MemoryLevel, ...] = (
-    MemoryLevel(LEVEL_REGISTERS, "registers", BYPASS_MATRIX[LEVEL_REGISTERS]),
-    MemoryLevel(LEVEL_ACCUMULATOR, "accumulator", BYPASS_MATRIX[LEVEL_ACCUMULATOR]),
-    MemoryLevel(LEVEL_SCRATCHPAD, "scratchpad", BYPASS_MATRIX[LEVEL_SCRATCHPAD]),
-    MemoryLevel(LEVEL_DRAM, "dram", BYPASS_MATRIX[LEVEL_DRAM]),
-)
 
 
 def accumulator_energy_per_access(capacity_kb: float, num_pes: float) -> float:

@@ -90,6 +90,11 @@ class HardwareConfig:
         )
 
 
+# The hand-tuned default Gemmini design (Section 6.5): 16x16 PEs, 32 KB
+# accumulator, 128 KB scratchpad.
+GEMMINI_DEFAULT = HardwareConfig(pe_dim=16, accumulator_kb=32, scratchpad_kb=128)
+
+
 def minimal_hardware_for_requirements(
     spatial_requirement: float,
     accumulator_word_requirement: float,

@@ -94,7 +94,7 @@ class JobSpec:
 
     workload: str
     variant: StrategyVariant
-    seed: Any
+    seed: int
     budget: SearchBudget
     budget_index: int
 
@@ -120,7 +120,7 @@ class CampaignSpec:
     name: str
     workloads: tuple[str, ...]
     strategies: tuple[StrategyVariant, ...]
-    seeds: tuple[Any, ...] = (0,)
+    seeds: tuple[int, ...] = (0,)
     budgets: tuple[SearchBudget, ...] = (SearchBudget(),)
 
     def __post_init__(self) -> None:
@@ -140,14 +140,13 @@ class CampaignSpec:
         names = [variant.name for variant in self.strategies]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate strategy variant names in {names}")
-        try:
-            json.dumps(self.seeds)
-        except (TypeError, ValueError):
+        if any(isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+               for seed in self.seeds):
             raise ValueError(
-                f"seeds must be JSON-safe values (ints), got {self.seeds!r}: "
-                "campaign grids are serialized and fanned out across "
-                "processes, so pass explicit integer seeds rather than RNG "
-                "objects") from None
+                f"seeds must be JSON-safe non-negative integers, got "
+                f"{self.seeds!r}: campaign grids are serialized and fanned out "
+                "across processes, so pass explicit integer seeds rather than "
+                "RNG objects")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds in {self.seeds}")
         for variant in self.strategies:

@@ -204,7 +204,7 @@ class ResultStore:
                                  "pass the CampaignSpec to create one")
             self.spec = spec
             payload = {"version": STORE_VERSION, "spec": spec.to_dict()}
-            self._write_atomic(manifest_path, json.dumps(payload, indent=2) + "\n")
+            write_atomic(manifest_path, json.dumps(payload, indent=2) + "\n")
         #: True when a truncated tail record (crash mid-append) was detected
         #: and dropped, either while opening the store or while reading.
         self.dropped_truncated_tail = False
@@ -215,10 +215,6 @@ class ResultStore:
     @property
     def results_path(self) -> Path:
         return self.directory / RESULTS_NAME
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """Complete-or-absent file write: temp + fsync + rename + dir fsync."""
-        write_atomic(path, text)
 
     # ------------------------------------------------------------------ #
     # Result records
@@ -345,7 +341,7 @@ class ResultStore:
         text = "\n".join(lines) + "\n"
         name = segment_name_for(job_id, text)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(self.cache_dir / name, text)
+        write_atomic(self.cache_dir / name, text)
         return name
 
     def load_cache(self, cache: EvaluationCache | None = None) -> EvaluationCache:

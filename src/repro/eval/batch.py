@@ -18,8 +18,10 @@ suite (``tests/test_eval_engine.py``) asserts equality with ``==``, not with
 a tolerance.
 
 Mappings in one batch may target different layers (different dimensions,
-strides, loop orderings); only the hardware specification is shared per call,
-matching how the search strategies use it (many candidates, one design).
+strides, loop orderings); :func:`evaluate_mappings_batched` shares one
+hardware design per call, matching how the search strategies use it (many
+candidates, one design), and :func:`evaluate_mapping_spec_pairs` takes one
+design per mapping.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from repro.arch.components import (
     LEVEL_DRAM,
     LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
-    MEMORY_LEVELS,
     MEMORY_LEVEL_INDICES,
+    PE_ENERGY_PER_MAC,
+    level_bandwidth,
+    level_energy_per_access,
 )
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.mapping.constraints import (
     FACTOR_EPS,
     TOLERANCE,
@@ -53,7 +56,7 @@ from repro.mapping.mapping import (
     ordering_for_tensor,
 )
 from repro.timeloop.accelergy import DRAM_BLOCK_WORDS
-from repro.timeloop.model import PerformanceResult, as_spec
+from repro.timeloop.model import PerformanceResult
 from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS, TENSORS
 
 # Loop orderings in enum declaration order; ``ordering_index`` below maps a
@@ -295,39 +298,33 @@ def _dram_accesses_block_rounded(traffic: BatchTraffic) -> np.ndarray:
     return total
 
 
-def _spec_rate_arrays(
-    spec: "GemminiSpec | list[GemminiSpec]",
+def _rate_arrays(
+    hardware: HardwareConfig | list[HardwareConfig],
 ) -> tuple[np.ndarray, np.ndarray, "float | np.ndarray"]:
-    """Bandwidth / access-energy / MAC-energy rates of one spec or one per row.
+    """Bandwidth / access-energy / MAC-energy rates of one design or one per row.
 
-    For a single spec the arrays are ``(levels,)`` shaped and broadcast over
-    the batch exactly as before; for a per-mapping spec list they are
-    ``(B, levels)`` shaped, so every downstream operation stays elementwise
-    per row — the same float operations in the same order, hence the same
-    bit-identity guarantee.
+    For a single design the arrays are ``(levels,)`` shaped and broadcast
+    over the batch; for a per-mapping design list they are ``(B, levels)``
+    shaped, so every downstream operation stays elementwise per row — the
+    same float operations in the same order, hence the same bit-identity
+    guarantee.  The rates are the Table-2 functions of
+    :mod:`repro.arch.components`, as in the scalar path.
     """
-    specs = [spec] if isinstance(spec, GemminiSpec) else spec
-    bandwidths = np.empty((len(specs), len(MEMORY_LEVEL_INDICES)))
-    access_energy = np.empty((len(specs), len(MEMORY_LEVEL_INDICES)))
-    for row, entry in enumerate(specs):
-        for position, level in enumerate(MEMORY_LEVEL_INDICES):
-            bandwidth = entry.bandwidth(level)
-            if not bandwidth > 0.0:
-                raise ValueError(
-                    f"cannot compute memory latency: level {level} "
-                    f"({MEMORY_LEVELS[level].name}) has non-positive bandwidth "
-                    f"{bandwidth!r} words/cycle"
-                )
-            bandwidths[row, position] = bandwidth
-            access_energy[row, position] = entry.energy_per_access(level)
-    if isinstance(spec, GemminiSpec):
-        return bandwidths[0], access_energy[0], spec.mac_energy
-    return bandwidths, access_energy, np.array([s.mac_energy for s in specs])
+    configs = [hardware] if isinstance(hardware, HardwareConfig) else hardware
+    bandwidths = np.array([[level_bandwidth(level, config.num_pes)
+                            for level in MEMORY_LEVEL_INDICES] for config in configs])
+    access_energy = np.array([
+        [level_energy_per_access(level, config.accumulator_kb, config.scratchpad_kb,
+                                 config.num_pes) for level in MEMORY_LEVEL_INDICES]
+        for config in configs])
+    if isinstance(hardware, HardwareConfig):
+        return bandwidths[0], access_energy[0], PE_ENERGY_PER_MAC
+    return bandwidths, access_energy, np.full(len(configs), PE_ENERGY_PER_MAC)
 
 
 def _results_from_traffic_batch(
     traffic: BatchTraffic, arrays: _MappingArrays,
-    spec: "GemminiSpec | list[GemminiSpec]",
+    hardware: HardwareConfig | list[HardwareConfig],
 ) -> list[PerformanceResult]:
     """Assemble :class:`PerformanceResult` objects for a whole batch at once.
 
@@ -336,9 +333,9 @@ def _results_from_traffic_batch(
     :func:`repro.timeloop.accelergy.energy_breakdown` walk: latencies, the
     roofline max and the energy sum are computed as ``(B,)`` arrays with the
     scalar path's operation order, so every field stays bit-identical.
-    ``spec`` may be one shared spec or a list of one spec per mapping (the
-    cross-start rounding-point batches of the DOSA searcher evaluate several
-    derived hardware configurations in one call).
+    ``hardware`` may be one shared design or a list of one design per mapping
+    (the cross-start rounding-point batches of the DOSA searcher evaluate
+    several derived hardware configurations in one call).
     """
     macs = traffic.macs
     count = len(macs)
@@ -346,7 +343,7 @@ def _results_from_traffic_batch(
     compute_latency = macs / parallelism
 
     accesses = traffic.per_level_accesses()  # (B, levels), scalar-order sums
-    bandwidths, access_energy, mac_energy = _spec_rate_arrays(spec)
+    bandwidths, access_energy, mac_energy = _rate_arrays(hardware)
     memory_latency = accesses / bandwidths
     latency = np.maximum(compute_latency, memory_latency.max(axis=1))
 
@@ -375,40 +372,40 @@ def _results_from_traffic_batch(
 
 
 def _evaluate_batch(
-    mappings: list[Mapping], spec: "GemminiSpec | list[GemminiSpec]",
+    mappings: list[Mapping], hardware: HardwareConfig | list[HardwareConfig],
 ) -> list[PerformanceResult]:
-    """Validate, analyse and score ``mappings`` on one spec or one per mapping."""
+    """Validate, analyse and score ``mappings`` on one design or one per mapping."""
     if not mappings:
         return []
     arrays = _MappingArrays.from_mappings(mappings)
     _batch_validate(mappings, arrays)
     traffic = batch_analyze_traffic(mappings, arrays)
-    return _results_from_traffic_batch(traffic, arrays, spec)
+    return _results_from_traffic_batch(traffic, arrays, hardware)
 
 
 def evaluate_mappings_batched(
-    mappings: list[Mapping], spec: GemminiSpec | HardwareConfig,
+    mappings: list[Mapping], hardware: HardwareConfig,
 ) -> list[PerformanceResult]:
     """Batch counterpart of :func:`repro.timeloop.model.evaluate_mapping`.
 
     Returns one :class:`PerformanceResult` per input mapping, in order, with
     every field bit-identical to the scalar path.  All mappings are evaluated
-    on the same hardware ``spec``; layers may differ between mappings.
+    on the same ``hardware``; layers may differ between mappings.
     """
-    return _evaluate_batch(mappings, as_spec(spec))
+    return _evaluate_batch(mappings, hardware)
 
 
 def evaluate_mapping_spec_pairs(
-    pairs: "list[tuple[Mapping, GemminiSpec | HardwareConfig]]",
+    pairs: list[tuple[Mapping, HardwareConfig]],
 ) -> list[PerformanceResult]:
-    """One vectorized pass over ``(mapping, spec)`` pairs with *mixed* specs.
+    """One vectorized pass over ``(mapping, hardware)`` pairs with *mixed* designs.
 
     The traffic walk is hardware-independent, so a batch spanning several
     hardware configurations (e.g. every start point's rounding evaluation of
     one DOSA step, each on its own derived hardware) still pays the stacked
-    array analysis only once; the spec enters only through the per-row
+    array analysis only once; the design enters only through the per-row
     bandwidth/energy rates.  Each pair's result is bit-identical to
-    ``evaluate_mapping(mapping, spec)``.
+    ``evaluate_mapping(mapping, hardware)``.
     """
     return _evaluate_batch([mapping for mapping, _ in pairs],
-                           [as_spec(spec) for _, spec in pairs])
+                           [hardware for _, hardware in pairs])

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.mapping.mapping import Mapping
 from repro.timeloop.model import PerformanceResult
 
@@ -111,9 +110,8 @@ class EvaluationCache:
     # Raw key/value access (no statistics)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def key_for(mapping: Mapping, spec: GemminiSpec | HardwareConfig) -> CacheKey:
-        config = spec.config if isinstance(spec, GemminiSpec) else spec
-        return (mapping_fingerprint(mapping), config)
+    def key_for(mapping: Mapping, hardware: HardwareConfig) -> CacheKey:
+        return (mapping_fingerprint(mapping), hardware)
 
     def get(self, key: CacheKey) -> PerformanceResult | None:
         """Entry for ``key`` (refreshing its LRU position), without statistics."""

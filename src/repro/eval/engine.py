@@ -23,15 +23,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.eval.batch import evaluate_mapping_spec_pairs, evaluate_mappings_batched
 from repro.eval.cache import CacheKey, CacheStats, EvaluationCache
 from repro.mapping.mapping import Mapping
-from repro.timeloop.model import (
-    NetworkPerformance,
-    PerformanceResult,
-    as_spec,
-)
+from repro.timeloop.model import NetworkPerformance, PerformanceResult
 
 
 class EvaluationEngine:
@@ -52,36 +47,34 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------------ #
     def evaluate_many(
-        self, mappings: list[Mapping], spec: GemminiSpec | HardwareConfig
+        self, mappings: list[Mapping], hardware: HardwareConfig
     ) -> list[PerformanceResult]:
-        """Evaluate a batch of mappings on one hardware spec, in order.
+        """Evaluate a batch of mappings on one hardware design, in order.
 
         Cache hits (including duplicates *within* the batch) are free; the
         remaining unique misses run through one vectorized batch evaluation.
         """
-        spec = as_spec(spec)
         return self._cached(
-            mappings, [self.cache.key_for(mapping, spec) for mapping in mappings],
-            lambda misses: evaluate_mappings_batched(misses, spec))
+            mappings, [self.cache.key_for(mapping, hardware) for mapping in mappings],
+            lambda misses: evaluate_mappings_batched(misses, hardware))
 
     def evaluate_pairs(
-        self, pairs: "Sequence[tuple[Mapping, GemminiSpec | HardwareConfig]]"
+        self, pairs: Sequence[tuple[Mapping, HardwareConfig]]
     ) -> list[PerformanceResult]:
-        """Evaluate ``(mapping, spec)`` pairs with *mixed* hardware, in order.
+        """Evaluate ``(mapping, hardware)`` pairs with *mixed* designs, in order.
 
-        The mixed-spec counterpart of :meth:`evaluate_many`: cache hits
+        The mixed-design counterpart of :meth:`evaluate_many`: cache hits
         (including duplicate pairs within the batch) are free, and the
         remaining unique misses run through one vectorized pass — the traffic
-        walk is hardware-independent, so mappings bound for different specs
+        walk is hardware-independent, so mappings bound for different designs
         still share a single stacked analysis.
         """
-        resolved = [(mapping, as_spec(spec)) for mapping, spec in pairs]
         return self._cached(
-            resolved, [self.cache.key_for(mapping, spec) for mapping, spec in resolved],
+            pairs, [self.cache.key_for(mapping, hardware) for mapping, hardware in pairs],
             evaluate_mapping_spec_pairs)
 
     def _cached(
-        self, items: list, keys: list[CacheKey],
+        self, items: Sequence, keys: list[CacheKey],
         evaluate: Callable[[list], list[PerformanceResult]],
     ) -> list[PerformanceResult]:
         """Serve ``items`` from the cache, evaluating each unique miss once.
@@ -115,11 +108,11 @@ class EvaluationEngine:
 
     def evaluate_network_sets(
         self,
-        sets: "Sequence[tuple[list[Mapping], GemminiSpec | HardwareConfig]]",
+        sets: Sequence[tuple[list[Mapping], HardwareConfig]],
     ) -> list[NetworkPerformance]:
         """Evaluate several whole-network mapping sets in one batched pass.
 
-        Each ``(mappings, spec)`` set composes through
+        Each ``(mappings, hardware)`` set composes through
         :meth:`~repro.timeloop.model.NetworkPerformance.from_layers`, so
         per-set results are bit-identical to
         :func:`~repro.timeloop.model.evaluate_network_mappings` — but all
@@ -132,13 +125,13 @@ class EvaluationEngine:
         point is array-at-a-time end to end: round, re-select orderings,
         reference-evaluate, all without a per-start Python loop.
         """
-        if any(not mappings for mappings, _spec in sets):
+        if any(not mappings for mappings, _hardware in sets):
             raise ValueError("evaluate_network_sets requires non-empty sets")
         flat = self.evaluate_pairs(
-            [(mapping, spec) for mappings, spec in sets for mapping in mappings])
+            [(mapping, hardware) for mappings, hardware in sets for mapping in mappings])
         performances: list[NetworkPerformance] = []
         cursor = 0
-        for mappings, _spec in sets:
+        for mappings, _hardware in sets:
             performances.append(NetworkPerformance.from_layers(
                 flat[cursor:cursor + len(mappings)], mappings))
             cursor += len(mappings)

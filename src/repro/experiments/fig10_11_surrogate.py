@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.config import HardwareConfig
+from repro.arch.config import GEMMINI_DEFAULT
 from repro.core.optimizer import DosaSearcher, DosaSettings
 from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
@@ -30,8 +30,6 @@ from repro.surrogate.features import encode_features
 from repro.surrogate.rtl_sim import RtlSimulator
 from repro.utils.rng import SeedLike
 from repro.workloads.networks import get_network, training_networks
-
-GEMMINI_RTL_HARDWARE = HardwareConfig(pe_dim=16, accumulator_kb=32, scratchpad_kb=128)
 
 
 @dataclass
@@ -58,15 +56,15 @@ def build_dosa_samples(
         network = get_network(workload)
         settings = DosaSettings(num_start_points=1, gd_steps=gd_steps,
                                 rounding_period=rounding_period,
-                                fixed_pe_dim=GEMMINI_RTL_HARDWARE.pe_dim, seed=seed)
+                                fixed_pe_dim=GEMMINI_DEFAULT.pe_dim, seed=seed)
         mappings = DosaSearcher(network, settings).search().best.mappings
-        analytical = evaluate_mappings_batched(mappings, GEMMINI_RTL_HARDWARE)
-        rtl = simulator.latencies(mappings, GEMMINI_RTL_HARDWARE)
+        analytical = evaluate_mappings_batched(mappings, GEMMINI_DEFAULT)
+        rtl = simulator.latencies(mappings, GEMMINI_DEFAULT)
         samples += [
             LatencySample(
                 mapping=mapping,
-                hardware=GEMMINI_RTL_HARDWARE,
-                features=encode_features(mapping, GEMMINI_RTL_HARDWARE),
+                hardware=GEMMINI_DEFAULT,
+                features=encode_features(mapping, GEMMINI_DEFAULT),
                 analytical_latency=result.latency_cycles,
                 rtl_latency=rtl_latency,
             )
@@ -85,7 +83,7 @@ def run(
 ) -> SurrogateStudy:
     """Train the predictors and score them on both datasets."""
     simulator = RtlSimulator()
-    dataset = generate_dataset(training_networks(), GEMMINI_RTL_HARDWARE,
+    dataset = generate_dataset(training_networks(), GEMMINI_DEFAULT,
                                samples_per_layer=samples_per_layer,
                                simulator=simulator, seed=seed)
     train, test = train_test_split(dataset, test_fraction=0.25, seed=seed)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.config import HardwareConfig
+from repro.arch.config import GEMMINI_DEFAULT, HardwareConfig
 from repro.core.optimizer import DosaSearcher, DosaSettings
 from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
-from repro.experiments.fig10_11_surrogate import GEMMINI_RTL_HARDWARE
 from repro.mapping.cosa import cosa_mapping
 from repro.mapping.mapping import Mapping
 from repro.surrogate.combined import (
@@ -62,8 +61,8 @@ def rtl_edp(mappings: list[Mapping], hardware: HardwareConfig,
 def default_design_edp(workload: str, simulator: RtlSimulator) -> float:
     """The hand-tuned Gemmini default: 16x16 PEs, 32/128 KB buffers, CoSA-style mapper."""
     network = get_network(workload)
-    mappings = [cosa_mapping(layer, GEMMINI_RTL_HARDWARE) for layer in network.layers]
-    return rtl_edp(mappings, GEMMINI_RTL_HARDWARE, simulator)
+    mappings = [cosa_mapping(layer, GEMMINI_DEFAULT) for layer in network.layers]
+    return rtl_edp(mappings, GEMMINI_DEFAULT, simulator)
 
 
 def search_with_latency_model(
@@ -103,7 +102,7 @@ def run(
     simulator = RtlSimulator()
     from repro.workloads.networks import training_networks
 
-    dataset = generate_dataset(training_networks(), GEMMINI_RTL_HARDWARE,
+    dataset = generate_dataset(training_networks(), GEMMINI_DEFAULT,
                                samples_per_layer=samples_per_layer,
                                simulator=simulator, seed=seed)
     training_settings = TrainingSettings(epochs=training_epochs, seed=0)
@@ -122,7 +121,7 @@ def run(
                 num_start_points=num_start_points,
                 gd_steps=gd_steps,
                 rounding_period=rounding_period,
-                fixed_pe_dim=GEMMINI_RTL_HARDWARE.pe_dim,
+                fixed_pe_dim=GEMMINI_DEFAULT.pe_dim,
                 seed=seed,
             )
             designs.append(search_with_latency_model(workload, model, settings, simulator))
@@ -142,8 +141,8 @@ def summarize(results: dict[str, object]) -> dict[str, float]:
 
 def table7_rows(results: dict[str, object]) -> list[list[object]]:
     """Buffer sizes selected with the combined model (Table 7)."""
-    rows: list[list[object]] = [["Gemmini Default", GEMMINI_RTL_HARDWARE.accumulator_kb,
-                                 GEMMINI_RTL_HARDWARE.scratchpad_kb]]
+    rows: list[list[object]] = [["Gemmini Default", GEMMINI_DEFAULT.accumulator_kb,
+                                 GEMMINI_DEFAULT.scratchpad_kb]]
     for design in results["designs"]:
         if design.model_name == "analytical_dnn":
             rows.append([design.workload, design.hardware.accumulator_kb,

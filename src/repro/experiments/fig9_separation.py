@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign import CampaignSpec, StrategyVariant, run_campaign
-from repro.core.optimizer import DosaSettings
 from repro.eval.batch import evaluate_mappings_batched
 from repro.eval.cache import EvaluationCache
 from repro.experiments.common import ExperimentOutput
@@ -88,20 +87,6 @@ def _separation_columns(
     )
 
 
-def run_single(workload: str, settings: DosaSettings,
-               random_mappings_per_layer: int = 1000) -> SeparationResult:
-    """One GD run on ``workload`` with all four evaluation combinations.
-
-    The DOSA run and the fixed-hardware random-mapper run share one
-    reference-model cache (the mapper re-visits rounded mappings the GD run
-    already scored on the same derived hardware).
-    """
-    cache = EvaluationCache()
-    outcome = optimize(workload, "dosa", settings=settings, cache=cache)
-    return _separation_columns(workload, outcome, random_mappings_per_layer,
-                               seed=settings.seed, cache=cache)
-
-
 def run_seeds(seed: SeedLike, runs_per_workload: int) -> tuple[int, ...]:
     """The per-run GD seeds (one independent seed per repeat of the grid)."""
     return tuple((seed, run_index).__hash__() & 0xFFFFFFFF
@@ -146,7 +131,7 @@ def run(
     # extras["start_points"], which do not survive a worker-pool round trip.
     # The shared cache carries the GD runs' reference evaluations into the
     # dependent random-mapper searches (rounded mappings recur on the same
-    # derived hardware), exactly like the per-run sharing in run_single.
+    # derived hardware).
     cache = EvaluationCache()
     outcomes = run_campaign(spec, cache=cache).complete_outcomes()
     return [

@@ -74,10 +74,6 @@ class SearchBudget:
         if self.max_seconds is not None and self.max_seconds < 0:
             raise ValueError("max_seconds must be non-negative (or None)")
 
-    @property
-    def unlimited(self) -> bool:
-        return self.max_samples is None and self.max_seconds is None
-
     def exhausted(self, samples: int, elapsed_seconds: float) -> bool:
         """Whether a run at ``samples`` evaluations / ``elapsed_seconds`` is done."""
         if self.max_samples is not None and samples >= self.max_samples:

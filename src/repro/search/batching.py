@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.arch.gemmini import GemminiSpec
+from repro.arch.config import HardwareConfig
 from repro.eval.engine import EvaluationEngine
 from repro.mapping.mapping import Mapping
 from repro.search.api import SearchSession
@@ -41,7 +41,7 @@ DEFAULT_CHUNK_SIZE = 32
 def best_of_random_mappings(
     session: SearchSession,
     engine: EvaluationEngine,
-    spec: GemminiSpec,
+    hardware: HardwareConfig,
     attempts: int,
     generate: Callable[[int], list[Mapping | None]],
     on_evaluated: Callable[[Mapping, PerformanceResult], None] | None = None,
@@ -75,7 +75,7 @@ def best_of_random_mappings(
         remaining -= allowance
         if not batch:
             continue
-        results = engine.evaluate_many(batch, spec)
+        results = engine.evaluate_many(batch, hardware)
         session.spend(len(batch))
         for mapping, result in zip(batch, results):
             if on_evaluated is not None:

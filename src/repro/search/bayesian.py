@@ -41,7 +41,7 @@ from repro.search.api import (
 )
 from repro.search.batching import best_of_random_mappings
 from repro.search.gp import GaussianProcessRegressor
-from repro.timeloop.model import NetworkPerformance, PerformanceResult, as_spec
+from repro.timeloop.model import NetworkPerformance, PerformanceResult
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.layer import DIMENSIONS
 from repro.workloads.networks import Network
@@ -126,7 +126,6 @@ class BayesianSearcher:
             if session.exhausted():
                 break
             hardware = random_hardware_config(seed=rng)
-            spec = as_spec(hardware)
             chosen: list[Mapping] = []
             per_layer: list[PerformanceResult] = []
             evaluated: list[Mapping] = []
@@ -138,7 +137,7 @@ class BayesianSearcher:
                     targets.append(np.log10(result.edp * max(layer.repeats, 1)))
 
                 best_layer, best_layer_result = best_of_random_mappings(
-                    session, engine, spec,
+                    session, engine, hardware,
                     attempts=settings.mappings_per_layer,
                     generate=lambda count, layer=layer: random_mappings_for_hardware(
                         layer, hardware, count, seed=rng, max_attempts=10),
@@ -202,8 +201,7 @@ class BayesianSearcher:
 
         if best_predicted is not None:
             _, hardware, mappings = best_predicted
-            spec = as_spec(hardware)
-            results = engine.evaluate_many(mappings, spec)
+            results = engine.evaluate_many(mappings, hardware)
             session.spend(len(results))
             session.offer(CandidateDesign(
                 hardware=hardware,

@@ -9,7 +9,7 @@ Registered as strategy ``"fixed_hw_random"`` in the unified search API; the
 target hardware is passed as a constructor keyword, e.g.::
 
     repro.optimize(network, strategy="fixed_hw_random",
-                   hardware=HardwareConfig(16, 32, 128), seed=0)
+                   hardware=repro.arch.GEMMINI_DEFAULT, seed=0)
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.search.api import (
     register_searcher,
 )
 from repro.search.batching import best_of_random_mappings
-from repro.timeloop.model import NetworkPerformance, as_spec
+from repro.timeloop.model import NetworkPerformance
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.networks import Network
 
@@ -73,7 +73,6 @@ class FixedHardwareMapperSearcher:
         rng = make_rng(settings.seed)
         session = SearchSession("fixed_hw_random", budget=budget, callbacks=callbacks,
                                 settings=settings, network=self.network)
-        spec = as_spec(self.hardware)
         chosen: list[Mapping] = []
         per_layer = []
         engine = EvaluationEngine(cache=self.cache)
@@ -96,7 +95,7 @@ class FixedHardwareMapperSearcher:
                     return mappings
 
                 best_mapping, best_result = best_of_random_mappings(
-                    session, engine, spec,
+                    session, engine, self.hardware,
                     attempts=settings.mappings_per_layer,
                     generate=generate,
                 )

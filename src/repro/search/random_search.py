@@ -30,7 +30,7 @@ from repro.search.api import (
     register_searcher,
 )
 from repro.search.batching import best_of_random_mappings
-from repro.timeloop.model import NetworkPerformance, PerformanceResult, as_spec
+from repro.timeloop.model import NetworkPerformance, PerformanceResult
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.networks import Network
 
@@ -73,13 +73,12 @@ class RandomSearcher:
                 if session.exhausted():
                     break
                 hardware = random_hardware_config(seed=rng)
-                spec = as_spec(hardware)
                 chosen: list[Mapping] = []
                 per_layer: list[PerformanceResult] = []
                 feasible = True
                 for layer in self.network.layers:
                     best_layer, best_layer_result = best_of_random_mappings(
-                        session, engine, spec,
+                        session, engine, hardware,
                         attempts=settings.mappings_per_layer,
                         generate=lambda count, layer=layer: random_mappings_for_hardware(
                             layer, hardware, count, seed=rng, max_attempts=20),

@@ -157,18 +157,24 @@ def normalize_search_request(payload: Mapping[str, Any]) -> dict[str, Any]:
     if not isinstance(settings, Mapping):
         raise RequestError(f"settings must be an object, got {settings!r}")
     hardware = payload.get("hardware")
+    if hardware is not None:
+        if not isinstance(hardware, Mapping):
+            raise RequestError(f"hardware must be an object with "
+                               f"pe_dim/accumulator_kb/scratchpad_kb, got {hardware!r}")
+        try:
+            hardware = hardware_to_dict(hardware_from_dict(hardware))
+        except (KeyError, ValueError) as error:
+            raise RequestError(f"invalid hardware: {error}") from None
     request = {
         "network": network,
         "strategy": strategy,
         "seed": seed,
         "budget": _normalize_budget(payload.get("budget")),
         "settings": dict(settings),
-        "hardware": (None if hardware is None
-                     else hardware_to_dict(hardware_from_dict(hardware))
-                     if isinstance(hardware, Mapping)
-                     else _raise_hardware(hardware)),
+        "hardware": hardware,
     }
-    # Building the spec runs the full campaign-grade validation.
+    # Building the spec runs the full campaign-grade validation (the seed
+    # included).
     _check_settings(build_campaign_spec("validate", "search", request))
     return request
 
@@ -178,11 +184,6 @@ def _check_settings(spec: CampaignSpec) -> None:
         spec.check_settings()
     except ValueError as error:
         raise RequestError(str(error)) from None
-
-
-def _raise_hardware(value: Any) -> None:
-    raise RequestError(f"hardware must be an object with "
-                       f"pe_dim/accumulator_kb/scratchpad_kb, got {value!r}")
 
 
 def normalize_campaign_request(payload: Mapping[str, Any]) -> dict[str, Any]:

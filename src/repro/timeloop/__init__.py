@@ -16,8 +16,10 @@ disagreement with the differentiable model on tiny layers (Section 4.6).
 It is the reference that the tests and the benchmark re-score against.  The
 searches, the experiments and the surrogate models score mappings through
 the bit-identical batch evaluator, :mod:`repro.eval.batch`; the shared result
-types (:class:`PerformanceResult`, :class:`NetworkPerformance`,
-:func:`as_spec`) live here.
+types (:class:`PerformanceResult`, :class:`NetworkPerformance`) live here.
+Every scorer takes the design point as a
+:class:`~repro.arch.config.HardwareConfig` and prices it with the Table-2
+functions of :mod:`repro.arch.components`.
 """
 
 from repro.timeloop.loopnest import (
@@ -28,7 +30,6 @@ from repro.timeloop.loopnest import (
 )
 from repro.timeloop.model import (
     PerformanceResult,
-    as_spec,
     evaluate_mapping,
     evaluate_network_mappings,
     NetworkPerformance,
@@ -41,7 +42,6 @@ __all__ = [
     "reload_factor",
     "tile_words",
     "PerformanceResult",
-    "as_spec",
     "evaluate_mapping",
     "evaluate_network_mappings",
     "NetworkPerformance",

@@ -13,8 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.arch.components import LEVEL_DRAM, MEMORY_LEVEL_INDICES
-from repro.arch.gemmini import GemminiSpec
+from repro.arch.components import (
+    LEVEL_DRAM,
+    MEMORY_LEVEL_INDICES,
+    PE_ENERGY_PER_MAC,
+    level_energy_per_access,
+)
+from repro.arch.config import HardwareConfig
 from repro.timeloop.loopnest import TrafficBreakdown
 from repro.workloads.layer import TENSORS
 
@@ -45,16 +50,17 @@ def _dram_accesses_block_rounded(traffic: TrafficBreakdown) -> float:
     return total
 
 
-def energy_breakdown(traffic: TrafficBreakdown, spec: GemminiSpec) -> EnergyBreakdown:
-    """Energy of a mapping's traffic on ``spec`` (Equation 13, ceil semantics)."""
+def energy_breakdown(traffic: TrafficBreakdown, hardware: HardwareConfig) -> EnergyBreakdown:
+    """Energy of a mapping's traffic on ``hardware`` (Equation 13, ceil semantics)."""
     level_energy: dict[int, float] = {}
     for level in MEMORY_LEVEL_INDICES:
         if level == LEVEL_DRAM:
             accesses = _dram_accesses_block_rounded(traffic)
         else:
             accesses = traffic.accesses(level)
-        level_energy[level] = accesses * spec.energy_per_access(level)
+        level_energy[level] = accesses * level_energy_per_access(
+            level, hardware.accumulator_kb, hardware.scratchpad_kb, hardware.num_pes)
     return EnergyBreakdown(
-        mac_energy=traffic.macs * spec.mac_energy,
+        mac_energy=traffic.macs * PE_ENERGY_PER_MAC,
         level_energy=level_energy,
     )

@@ -12,33 +12,14 @@ repetition count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from repro.arch.components import MEMORY_LEVELS, MEMORY_LEVEL_INDICES
+from repro.arch.components import MEMORY_LEVEL_INDICES, level_bandwidth
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.mapping.constraints import validate_mapping
 from repro.mapping.mapping import Mapping
 from repro.timeloop.accelergy import energy_breakdown
 from repro.timeloop.loopnest import TrafficBreakdown, analyze_traffic
-
-
-@lru_cache(maxsize=1024)
-def _spec_for_config(config: HardwareConfig) -> GemminiSpec:
-    return GemminiSpec(config)
-
-
-def as_spec(spec: GemminiSpec | HardwareConfig) -> GemminiSpec:
-    """Resolve a spec-or-config argument to a :class:`GemminiSpec` once.
-
-    Search strategies evaluate thousands of mappings per hardware design;
-    memoizing the config-to-spec wrap keeps that re-wrap out of the per-call
-    hot path (configs are frozen and hashable, so reuse is exact).
-    """
-    if isinstance(spec, HardwareConfig):
-        return _spec_for_config(spec)
-    return spec
 
 
 @dataclass(frozen=True)
@@ -56,58 +37,32 @@ class PerformanceResult:
     def edp(self) -> float:
         return self.latency_cycles * self.energy
 
-    @property
-    def bound(self) -> str:
-        """Whether the layer is compute- or memory-bound under this mapping."""
-        worst_memory = max(self.memory_latency.values())
-        return "compute" if self.compute_latency >= worst_memory else "memory"
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of cycles the PE array spends on useful compute."""
-        if self.latency_cycles <= 0:
-            return 0.0
-        return self.compute_latency / self.latency_cycles
-
-
-def evaluate_mapping(
-    mapping: Mapping,
-    spec: GemminiSpec | HardwareConfig,
-) -> PerformanceResult:
+def evaluate_mapping(mapping: Mapping, hardware: HardwareConfig) -> PerformanceResult:
     """Evaluate one integral mapping on a hardware configuration.
 
-    ``spec`` may be a :class:`GemminiSpec` or a bare :class:`HardwareConfig`.
     Raises if the mapping violates structural constraints (it does *not*
     check that the mapping fits the hardware — the mapping-first flow derives
     hardware from mappings, so capacity is a derived quantity).
     """
-    spec = as_spec(spec)
     problems = validate_mapping(mapping)
     if problems:
         raise ValueError(
             "cannot evaluate an invalid mapping: " + "; ".join(problems)
         )
     traffic = analyze_traffic(mapping)
-    return _result_from_traffic(traffic, mapping, spec)
+    return _result_from_traffic(traffic, mapping, hardware)
 
 
 def _result_from_traffic(
-    traffic: TrafficBreakdown, mapping: Mapping, spec: GemminiSpec
+    traffic: TrafficBreakdown, mapping: Mapping, hardware: HardwareConfig
 ) -> PerformanceResult:
     parallelism = max(mapping.spatial_product(), 1.0)
     compute_latency = traffic.macs / parallelism
-    memory_latency = {}
-    for level in MEMORY_LEVEL_INDICES:
-        bandwidth = spec.bandwidth(level)
-        if not bandwidth > 0.0:
-            raise ValueError(
-                f"cannot compute memory latency: level {level} "
-                f"({MEMORY_LEVELS[level].name}) has non-positive bandwidth "
-                f"{bandwidth!r} words/cycle"
-            )
-        memory_latency[level] = traffic.accesses(level) / bandwidth
+    memory_latency = {level: traffic.accesses(level) / level_bandwidth(level, hardware.num_pes)
+                      for level in MEMORY_LEVEL_INDICES}
     latency = max(compute_latency, max(memory_latency.values()))
-    energy = energy_breakdown(traffic, spec).total
+    energy = energy_breakdown(traffic, hardware).total
     return PerformanceResult(
         latency_cycles=latency,
         energy=energy,
@@ -150,16 +105,14 @@ class NetworkPerformance:
 
 
 def evaluate_network_mappings(
-    mappings: list[Mapping],
-    spec: GemminiSpec | HardwareConfig,
+    mappings: list[Mapping], hardware: HardwareConfig,
 ) -> NetworkPerformance:
     """Evaluate one mapping per unique layer and compose whole-network EDP.
 
     Each layer's energy and latency are multiplied by its repetition count
     before summation, then EDP = (sum of energies) x (sum of latencies).
     """
-    spec = as_spec(spec)
     if not mappings:
         raise ValueError("evaluate_network_mappings requires at least one mapping")
-    results = [evaluate_mapping(m, spec) for m in mappings]
+    results = [evaluate_mapping(m, hardware) for m in mappings]
     return NetworkPerformance.from_layers(results, mappings)

@@ -6,16 +6,12 @@ per-layer mappings + trace) and reload it later for re-evaluation, which is
 how the paper's artifact ships the DOSA-generated mappings to the FireSim
 evaluation step.
 
-Two granularities are supported:
-
-* :func:`save_design` / :func:`load_design` — a bare co-design point
-  (hardware + mappings + metadata),
-* :func:`save_outcome` / :func:`load_outcome` — a full unified
-  :class:`repro.search.api.SearchOutcome` (method, best design, best-so-far
-  trace, wall time, seed and settings snapshot).  Per-layer performance
-  details and non-best candidates are not serialized; the best design's
-  totals are stored so ``outcome.best_edp`` survives the round trip even for
-  adjusted-latency (RTL) searches.
+:func:`save_outcome` / :func:`load_outcome` persist a full unified
+:class:`repro.search.api.SearchOutcome` (method, best design, best-so-far
+trace, wall time, seed and settings snapshot).  Per-layer performance details
+and non-best candidates are not serialized; the best design's totals are
+stored so ``outcome.best_edp`` survives the round trip even for
+adjusted-latency (RTL) searches.
 """
 
 from __future__ import annotations
@@ -36,11 +32,19 @@ def budget_to_dict(budget: SearchBudget) -> dict[str, Any]:
     return {"max_samples": budget.max_samples, "max_seconds": budget.max_seconds}
 
 
+def _json_int(value: Any, field: str) -> int:
+    """``value`` if it is an integer; a bool, float or string is refused
+    rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def budget_from_dict(payload: dict[str, Any]) -> SearchBudget:
     max_samples = payload.get("max_samples")
     max_seconds = payload.get("max_seconds")
     return SearchBudget(
-        max_samples=None if max_samples is None else int(max_samples),
+        max_samples=None if max_samples is None else _json_int(max_samples, "max_samples"),
         max_seconds=None if max_seconds is None else float(max_seconds),
     )
 
@@ -55,41 +59,10 @@ def hardware_to_dict(config: HardwareConfig) -> dict[str, int]:
 
 def hardware_from_dict(payload: dict[str, Any]) -> HardwareConfig:
     return HardwareConfig(
-        pe_dim=int(payload["pe_dim"]),
-        accumulator_kb=int(payload["accumulator_kb"]),
-        scratchpad_kb=int(payload["scratchpad_kb"]),
+        pe_dim=_json_int(payload["pe_dim"], "pe_dim"),
+        accumulator_kb=_json_int(payload["accumulator_kb"], "accumulator_kb"),
+        scratchpad_kb=_json_int(payload["scratchpad_kb"], "scratchpad_kb"),
     )
-
-
-def design_to_dict(hardware: HardwareConfig, mappings: list[Mapping],
-                   metadata: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Serialize a co-design point (hardware + one mapping per unique layer)."""
-    return {
-        "hardware": hardware_to_dict(hardware),
-        "mappings": [m.as_dict() for m in mappings],
-        "metadata": metadata or {},
-    }
-
-
-def design_from_dict(payload: dict[str, Any]) -> tuple[HardwareConfig, list[Mapping], dict]:
-    hardware = hardware_from_dict(payload["hardware"])
-    mappings = [Mapping.from_dict(entry) for entry in payload["mappings"]]
-    return hardware, mappings, dict(payload.get("metadata", {}))
-
-
-def save_design(path: str | Path, hardware: HardwareConfig, mappings: list[Mapping],
-                metadata: dict[str, Any] | None = None) -> Path:
-    """Write a co-design point to ``path`` as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps(design_to_dict(hardware, mappings, metadata), indent=2))
-    return path
-
-
-def load_design(path: str | Path) -> tuple[HardwareConfig, list[Mapping], dict]:
-    """Load a co-design point previously written by :func:`save_design`."""
-    payload = json.loads(Path(path).read_text())
-    return design_from_dict(payload)
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,6 @@ from itertools import product
 from typing import Iterator
 
 from repro.arch.config import HardwareConfig
-from repro.arch.gemmini import GemminiSpec
 from repro.mapping.constraints import mapping_fits_hardware
 from repro.mapping.mapping import DIM_INDEX, LoopOrdering, Mapping, NUM_LEVELS, SPATIAL_DIMS
 from repro.timeloop.model import evaluate_mapping
@@ -112,14 +111,13 @@ def exhaustive_best_mapping(
         raise ValueError(
             f"mapspace of {size} candidates exceeds the limit of {max_candidates}; "
             "exhaustive search is only intended for small layers")
-    spec = GemminiSpec(hardware)
     best_mapping: Mapping | None = None
     best_edp = float("inf")
     evaluated = 0
     for mapping in enumerate_mappings(layer, max_spatial=hardware.pe_dim):
         if require_fit and not mapping_fits_hardware(mapping, hardware):
             continue
-        result = evaluate_mapping(mapping, spec)
+        result = evaluate_mapping(mapping, hardware)
         evaluated += 1
         if result.edp < best_edp:
             best_edp = result.edp

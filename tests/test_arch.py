@@ -1,7 +1,5 @@
 """Tests for the architecture package: Table-2 cost model, configs, baselines."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +13,6 @@ from repro.arch import (
     NVDLA_SMALL,
     HardwareBounds,
     HardwareConfig,
-    GemminiSpec,
     LEVEL_ACCUMULATOR,
     LEVEL_DRAM,
     LEVEL_REGISTERS,
@@ -25,6 +22,7 @@ from repro.arch import (
     accumulator_energy_per_access,
     baseline_accelerators,
     level_bandwidth,
+    level_energy_per_access,
     merge_hardware_configs,
     minimal_hardware_for_requirements,
     random_hardware_config,
@@ -68,11 +66,11 @@ class TestTable2EnergyModel:
 
 class TestHardwareConfig:
     def test_word_capacities(self):
-        config = HardwareConfig(pe_dim=16, accumulator_kb=32, scratchpad_kb=128)
-        assert config.num_pes == 256
-        assert config.accumulator_words == 32 * 1024 // 4
-        assert config.scratchpad_words == 128 * 1024
-        assert config.register_words == 256
+        config = HardwareConfig(pe_dim=8, accumulator_kb=16, scratchpad_kb=64)
+        assert config.num_pes == 64
+        assert config.accumulator_words == 16 * 1024 // 4
+        assert config.scratchpad_words == 64 * 1024
+        assert config.register_words == 64
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -119,24 +117,24 @@ class TestHardwareConfig:
 
 
 class TestGemminiSpec:
+    """The Gemmini default design point (Section 6.5) and its Table-2 costs."""
+
     def test_default_matches_paper(self):
-        assert GEMMINI_DEFAULT.config.pe_dim == 16
-        assert GEMMINI_DEFAULT.config.accumulator_kb == 32
-        assert GEMMINI_DEFAULT.config.scratchpad_kb == 128
+        assert GEMMINI_DEFAULT == HardwareConfig(pe_dim=16, accumulator_kb=32,
+                                                 scratchpad_kb=128)
 
     def test_capacities(self):
-        spec = GemminiSpec(HardwareConfig(16, 32, 128))
-        assert spec.capacity_words(LEVEL_REGISTERS) == 256
-        assert spec.capacity_words(LEVEL_ACCUMULATOR) == 8192
-        assert spec.capacity_words(LEVEL_SCRATCHPAD) == 131072
-        assert math.isinf(spec.capacity_words(LEVEL_DRAM))
+        assert GEMMINI_DEFAULT.register_words == 256
+        assert GEMMINI_DEFAULT.accumulator_words == 8192
+        assert GEMMINI_DEFAULT.scratchpad_words == 131072
 
     def test_describe(self):
         assert "scratchpad" in GEMMINI_DEFAULT.describe()
 
     def test_energy_ordering_register_cheapest_dram_most_expensive(self):
-        spec = GEMMINI_DEFAULT
-        epas = [spec.energy_per_access(level) for level in spec.levels]
+        epas = [level_energy_per_access(level, GEMMINI_DEFAULT.accumulator_kb,
+                                        GEMMINI_DEFAULT.scratchpad_kb, GEMMINI_DEFAULT.num_pes)
+                for level in (LEVEL_REGISTERS, LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD, LEVEL_DRAM)]
         assert epas[0] < epas[-1]
         assert max(epas) == epas[-1]
 
@@ -151,7 +149,4 @@ class TestBaselines:
         assert NVDLA_LARGE.config.num_pes > EYERISS.config.num_pes
 
     def test_gemmini_default_baseline_matches_spec(self):
-        assert GEMMINI_DEFAULT_BASELINE.config == GEMMINI_DEFAULT.config
-
-    def test_spec_view(self):
-        assert EYERISS.spec.config == EYERISS.config
+        assert GEMMINI_DEFAULT_BASELINE.config is GEMMINI_DEFAULT

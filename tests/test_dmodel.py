@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import GemminiSpec, HardwareConfig, random_hardware_config
+from repro.arch import (
+    HardwareConfig,
+    level_bandwidth,
+    level_energy_per_access,
+    random_hardware_config,
+)
 from repro.autodiff import Adam, Tensor
 from repro.core.dmodel import (
     DifferentiableHardware,
@@ -46,11 +51,12 @@ class TestDifferentiableHardware:
     def test_from_config_matches_table2(self):
         config = HardwareConfig(16, 32, 128)
         hardware = DifferentiableHardware.from_config(config)
-        spec = GemminiSpec(config)
         for level in range(4):
             assert float(hardware.energy_per_access(level)) == pytest.approx(
-                spec.energy_per_access(level))
-            assert float(hardware.bandwidth(level)) == pytest.approx(spec.bandwidth(level))
+                level_energy_per_access(level, config.accumulator_kb, config.scratchpad_kb,
+                                        config.num_pes))
+            assert float(hardware.bandwidth(level)) == pytest.approx(
+                level_bandwidth(level, config.num_pes))
 
     def test_from_requirements_takes_max_side(self):
         hardware = DifferentiableHardware.from_requirements(
@@ -128,7 +134,7 @@ class TestCorrelationWithReference:
     def test_exact_match_on_valid_mapping_fixed_hardware(self):
         config = HardwareConfig(16, 32, 128)
         mapping = cosa_mapping(conv2d_layer(64, 64, 56), config)
-        reference = evaluate_mapping(mapping, GemminiSpec(config))
+        reference = evaluate_mapping(mapping, config)
         performance = DifferentiableModel.evaluate_layer(
             _stack(mapping), DifferentiableHardware.from_config(config))
         assert _relative_error(performance.latency.data.item(), reference.latency_cycles) < 1e-6
@@ -142,7 +148,7 @@ class TestCorrelationWithReference:
         layer = pool[int(rng.integers(len(pool)))]
         config = random_hardware_config(seed=rng)
         mapping = random_mapping(layer, seed=rng, max_spatial=config.pe_dim)
-        reference = evaluate_mapping(mapping, GemminiSpec(config))
+        reference = evaluate_mapping(mapping, config)
         performance = DifferentiableModel.evaluate_layer(
             _stack(mapping), DifferentiableHardware.from_config(config))
         assert _relative_error(performance.latency.data.item(), reference.latency_cycles) < 0.02

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig
 from repro.eval import (
     EvaluationCache,
     EvaluationEngine,
@@ -11,6 +11,7 @@ from repro.eval import (
     evaluate_mappings_batched,
     mapping_fingerprint,
 )
+from repro.eval.batch import evaluate_mapping_spec_pairs
 from repro.mapping import cosa_mapping, round_mapping_batch
 from repro.mapping.mapping import identity_mapping
 from repro.mapping.random_mapper import random_mapping
@@ -24,7 +25,6 @@ from repro.timeloop import (
 from repro.workloads import conv2d_layer, get_network, matmul_layer
 
 HARDWARE = HardwareConfig(16, 32, 128)
-SPEC = GemminiSpec(HARDWARE)
 
 # Layers spanning the interesting shapes: strided conv, 1x1 conv, matmul,
 # single-input-channel (depthwise-style) conv, tiny and batch > 1 cases.
@@ -66,9 +66,9 @@ class TestEvaluationCache:
         cache = EvaluationCache()
         engine = EvaluationEngine(cache=cache)
         mapping = cosa_mapping(CORPUS_LAYERS[0], HARDWARE)
-        [first] = engine.evaluate_many([mapping], SPEC)
+        [first] = engine.evaluate_many([mapping], HARDWARE)
         # An equal but distinct object is served from the cache.
-        [second] = engine.evaluate_many([mapping.copy()], SPEC)
+        [second] = engine.evaluate_many([mapping.copy()], HARDWARE)
         assert second is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -78,8 +78,8 @@ class TestEvaluationCache:
         cache = EvaluationCache()
         engine = EvaluationEngine(cache=cache)
         mapping = cosa_mapping(CORPUS_LAYERS[0], HARDWARE)
-        engine.evaluate_many([mapping], SPEC)
-        engine.evaluate_many([mapping], GemminiSpec(HardwareConfig(32, 64, 256)))
+        engine.evaluate_many([mapping], HARDWARE)
+        engine.evaluate_many([mapping], HardwareConfig(32, 64, 256))
         other = mapping.copy()
         other.temporal[3, 0] *= 1.0  # unchanged -> same fingerprint
         assert mapping_fingerprint(other) == mapping_fingerprint(mapping)
@@ -97,11 +97,11 @@ class TestEvaluationCache:
         engine = EvaluationEngine(cache=cache)
         mappings = [cosa_mapping(layer, HARDWARE) for layer in CORPUS_LAYERS[:3]]
         for mapping in mappings:
-            engine.evaluate_many([mapping], SPEC)
+            engine.evaluate_many([mapping], HARDWARE)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The oldest entry was evicted; re-evaluating it is a miss.
-        engine.evaluate_many([mappings[0]], SPEC)
+        engine.evaluate_many([mappings[0]], HARDWARE)
         assert cache.stats.misses == 4
 
     def test_rejects_bad_max_entries(self):
@@ -112,16 +112,16 @@ class TestEvaluationCache:
         cache = EvaluationCache(max_entries=2)
         engine = EvaluationEngine(cache=cache)
         mappings = [cosa_mapping(layer, HARDWARE) for layer in CORPUS_LAYERS[:4]]
-        engine.evaluate_many([mappings[0]], SPEC)  # before the recording
+        engine.evaluate_many([mappings[0]], HARDWARE)  # before the recording
         with cache.recording() as stored:
             for mapping in mappings[1:]:
-                engine.evaluate_many([mapping], SPEC)
+                engine.evaluate_many([mapping], HARDWARE)
             with pytest.raises(RuntimeError, match="already recording"):
                 with cache.recording():
                     pass
-        engine.evaluate_many([mappings[0]], SPEC)  # after: re-stored, unrecorded
+        engine.evaluate_many([mappings[0]], HARDWARE)  # after: re-stored, unrecorded
         assert [key for key, _ in stored] == [
-            EvaluationCache.key_for(mapping, SPEC) for mapping in mappings[1:]]
+            EvaluationCache.key_for(mapping, HARDWARE) for mapping in mappings[1:]]
         assert len(cache) == 2 and cache.stats.evictions == 3
 
 
@@ -150,9 +150,9 @@ class TestBatchParityWithReference:
 
     def test_results_bit_identical_to_scalar_path(self):
         corpus = random_corpus(60, seed=3)
-        batched = evaluate_mappings_batched(corpus, SPEC)
+        batched = evaluate_mappings_batched(corpus, HARDWARE)
         for mapping, result in zip(corpus, batched):
-            scalar = evaluate_mapping(mapping, SPEC)
+            scalar = evaluate_mapping(mapping, HARDWARE)
             assert result.latency_cycles == scalar.latency_cycles
             assert result.energy == scalar.energy
             assert result.compute_latency == scalar.compute_latency
@@ -174,35 +174,38 @@ class TestBatchParityWithReference:
             for position, level in enumerate(sorted(reference.per_level_accesses())):
                 assert per_level[index, position] == reference.accesses(level)
         engine = EvaluationEngine()
-        for mapping, result in zip(corpus, engine.evaluate_many(corpus, SPEC)):
-            scalar = evaluate_mapping(mapping, SPEC)
+        for mapping, result in zip(corpus, engine.evaluate_many(corpus, HARDWARE)):
+            scalar = evaluate_mapping(mapping, HARDWARE)
             assert result.edp == scalar.edp
             assert result.accesses == scalar.accesses
         assert engine.stats.hits >= len(unique)
 
     def test_empty_batch(self):
-        assert evaluate_mappings_batched([], SPEC) == []
+        assert evaluate_mappings_batched([], HARDWARE) == []
 
     def test_invalid_mapping_raises_scalar_message(self):
         bad = identity_mapping(CORPUS_LAYERS[0])
         bad.temporal[0, 0] = 3.0  # factor product no longer matches the layer
         with pytest.raises(ValueError) as batch_error:
-            evaluate_mappings_batched([bad], SPEC)
+            evaluate_mappings_batched([bad], HARDWARE)
         with pytest.raises(ValueError) as scalar_error:
-            evaluate_mapping(bad, SPEC)
+            evaluate_mapping(bad, HARDWARE)
         assert str(batch_error.value) == str(scalar_error.value)
 
     def test_accepts_hardware_config_argument(self):
+        # One design per mapping: each row is priced on its own design.
         corpus = random_corpus(4, seed=4)
-        assert (evaluate_mappings_batched(corpus, HARDWARE)[0].edp
-                == evaluate_mapping(corpus[0], SPEC).edp)
+        designs = [HARDWARE, HardwareConfig(32, 64, 256), HardwareConfig(1, 1, 1), HARDWARE]
+        pairs = list(zip(corpus, designs))
+        for (mapping, hardware), result in zip(pairs, evaluate_mapping_spec_pairs(pairs)):
+            assert result == evaluate_mapping(mapping, hardware)
 
 
 class TestEvaluationEngine:
     def test_in_batch_duplicates_are_hits(self):
         corpus = random_corpus(10, seed=7)
         engine = EvaluationEngine()
-        results = engine.evaluate_many(corpus + corpus, SPEC)
+        results = engine.evaluate_many(corpus + corpus, HARDWARE)
         assert engine.stats.misses == 10
         assert engine.stats.hits == 10
         for a, b in zip(results[:10], results[10:]):
@@ -211,8 +214,8 @@ class TestEvaluationEngine:
     def test_cross_batch_cache_reuse(self):
         corpus = random_corpus(6, seed=8)
         engine = EvaluationEngine()
-        first = engine.evaluate_many(corpus, SPEC)
-        second = engine.evaluate_many(corpus, SPEC)
+        first = engine.evaluate_many(corpus, HARDWARE)
+        second = engine.evaluate_many(corpus, HARDWARE)
         assert engine.stats.hits == 6
         assert all(a is b for a, b in zip(first, second))
 
@@ -221,10 +224,10 @@ class TestEvaluationEngine:
         mappings = [cosa_mapping(layer, HARDWARE) for layer in network.layers]
         other = HardwareConfig(32, 64, 256)
         engine = EvaluationEngine()
-        composed = engine.evaluate_network_sets([(mappings, SPEC),
+        composed = engine.evaluate_network_sets([(mappings, HARDWARE),
                                                  (mappings, other)])
-        for performance, spec in zip(composed, (SPEC, other)):
-            reference = evaluate_network_mappings(mappings, spec)
+        for performance, hardware in zip(composed, (HARDWARE, other)):
+            reference = evaluate_network_mappings(mappings, hardware)
             assert performance.total_latency == reference.total_latency
             assert performance.total_energy == reference.total_energy
             assert performance.edp == reference.edp
@@ -234,20 +237,9 @@ class TestEvaluationEngine:
         mappings = [cosa_mapping(CORPUS_LAYERS[0], HARDWARE)]
         engine = EvaluationEngine()
         with pytest.raises(ValueError):
-            engine.evaluate_network_sets([(mappings, SPEC), ([], SPEC)])
+            engine.evaluate_network_sets([(mappings, HARDWARE), ([], HARDWARE)])
         # Refused before any lookup: the cache and its stats are untouched.
         assert len(engine.cache) == 0 and engine.stats.requests == 0
-
-
-class TestZeroBandwidthValidation:
-    def test_descriptive_error_names_the_level(self):
-        class BrokenSpec(GemminiSpec):
-            def bandwidth(self, level):
-                return 0.0 if level == 2 else super().bandwidth(level)
-
-        mapping = cosa_mapping(CORPUS_LAYERS[0], HARDWARE)
-        with pytest.raises(ValueError, match=r"level 2 \(scratchpad\).*bandwidth"):
-            evaluate_mapping(mapping, BrokenSpec(HARDWARE))
 
 
 def round_mapping(mapping, max_spatial=None):

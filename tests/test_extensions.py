@@ -8,7 +8,7 @@ mappers get to the exhaustive small-layer optimum (the enumeration oracle in
 
 import pytest
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig
 from repro.arch.components import LEVEL_ACCUMULATOR, LEVEL_REGISTERS, LEVEL_SCRATCHPAD
 from repro.mapping import (
     capacity_requirements,
@@ -39,17 +39,19 @@ class TestMappingReport:
     def test_occupancy_within_capacity_for_fitting_mapping(self):
         mapping = self._mapping()
         assert fits_hardware_arrays(*factor_stacks([mapping]), self.HARDWARE).all()
-        spec = GemminiSpec(self.HARDWARE)
+        capacity = {LEVEL_REGISTERS: self.HARDWARE.register_words,
+                    LEVEL_ACCUMULATOR: self.HARDWARE.accumulator_words,
+                    LEVEL_SCRATCHPAD: self.HARDWARE.scratchpad_words}
         required = capacity_requirements(mapping)
-        for level in (LEVEL_REGISTERS, LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD):
-            assert 0.0 <= required[level] / spec.capacity_words(level) <= 1.0 + 1e-9
+        for level in capacity:
+            assert 0.0 <= required[level] / capacity[level] <= 1.0 + 1e-9
 
     def test_invalid_mapping_is_refused(self):
         mapping = self._mapping()
         mapping.set_temporal(3, "P", 55)
         with pytest.raises(ValueError, match="cannot evaluate an invalid mapping: "
                                              "factors of dimension P multiply to"):
-            evaluate_mapping(mapping, GemminiSpec(self.HARDWARE))
+            evaluate_mapping(mapping, self.HARDWARE)
 
 
 class TestExhaustiveOracle:
@@ -74,10 +76,10 @@ class TestExhaustiveOracle:
         assert sampled > 10
 
     def test_oracle_beats_or_matches_heuristics(self, oracle):
-        spec = GemminiSpec(self.HARDWARE)
-        cosa_edp = evaluate_mapping(cosa_mapping(self.TINY, self.HARDWARE), spec).edp
+        cosa_edp = evaluate_mapping(cosa_mapping(self.TINY, self.HARDWARE), self.HARDWARE).edp
         random_edp = evaluate_mapping(
-            random_mapping(self.TINY, seed=0, max_spatial=self.HARDWARE.pe_dim), spec).edp
+            random_mapping(self.TINY, seed=0, max_spatial=self.HARDWARE.pe_dim),
+            self.HARDWARE).edp
         assert oracle.best_edp <= cosa_edp * (1 + 1e-9)
         assert oracle.best_edp <= random_edp * (1 + 1e-9)
         assert oracle.evaluated > 0
@@ -85,8 +87,7 @@ class TestExhaustiveOracle:
     def test_cosa_is_near_optimal_on_tiny_layer(self, oracle):
         # The heuristic mapper should land within an order of magnitude of the
         # true optimum on a problem this small.
-        spec = GemminiSpec(self.HARDWARE)
-        cosa_edp = evaluate_mapping(cosa_mapping(self.TINY, self.HARDWARE), spec).edp
+        cosa_edp = evaluate_mapping(cosa_mapping(self.TINY, self.HARDWARE), self.HARDWARE).edp
         assert cosa_edp <= 10.0 * oracle.best_edp
 
     def test_refuses_huge_mapspaces(self):

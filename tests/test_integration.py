@@ -17,7 +17,6 @@ import repro
 from repro import (
     DosaSearcher,
     DosaSettings,
-    GemminiSpec,
     HardwareConfig,
     cosa_mapping,
     evaluate_mapping,
@@ -76,8 +75,8 @@ class TestMappingFirstFlow:
         oversized = HardwareConfig(minimal.pe_dim,
                                    minimal.accumulator_kb * 4,
                                    minimal.scratchpad_kb * 4)
-        minimal_energy = evaluate_mapping(mapping, GemminiSpec(minimal)).energy
-        oversized_energy = evaluate_mapping(mapping, GemminiSpec(oversized)).energy
+        minimal_energy = evaluate_mapping(mapping, minimal).energy
+        oversized_energy = evaluate_mapping(mapping, oversized).energy
         # Larger SRAMs cost more energy per access (Table 2), so the minimal
         # configuration is never worse for the same mapping.
         assert minimal_energy <= oversized_energy
@@ -89,7 +88,7 @@ class TestMappingFirstFlow:
         result = DosaSearcher(network, settings).search()
         # Re-evaluating the winning design from scratch reproduces its EDP.
         recomputed = evaluate_network_mappings(result.best.mappings,
-                                               GemminiSpec(result.best.hardware))
+                                               result.best.hardware)
         assert recomputed.edp == pytest.approx(result.best_edp, rel=1e-9)
 
     def test_whole_network_objective_differs_from_per_layer(self):
@@ -98,7 +97,7 @@ class TestMappingFirstFlow:
         network = get_network("bert")
         config = HardwareConfig(16, 32, 128)
         mappings = [cosa_mapping(layer, config) for layer in network.layers]
-        performance = evaluate_network_mappings(mappings, GemminiSpec(config))
+        performance = evaluate_network_mappings(mappings, config)
         per_layer_edp_sum = sum(
             r.edp * m.layer.repeats for r, m in zip(performance.per_layer, mappings))
         assert performance.edp != pytest.approx(per_layer_edp_sum, rel=1e-3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig
 from repro.arch.components import (
     BYPASS_MATRIX,
     LEVEL_ACCUMULATOR,
@@ -367,15 +367,17 @@ class TestCosaMapper:
         HardwareConfig(64, 256, 512),
     ])
     def test_cosa_mappings_valid_and_fit(self, config):
-        spec = GemminiSpec(config)
+        capacity = {LEVEL_REGISTERS: config.register_words,
+                    LEVEL_ACCUMULATOR: config.accumulator_words,
+                    LEVEL_SCRATCHPAD: config.scratchpad_words}
         for layer in correlation_layer_pool()[:20]:
             mapping = cosa_mapping(layer, config)
             assert validate_mapping(mapping) == []
             assert mapping_fits_hardware(mapping, config)
             # Fitting means every on-chip level holds the mapping's tiles.
             required = capacity_requirements(mapping)
-            for level in (LEVEL_REGISTERS, LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD):
-                assert required[level] <= spec.capacity_words(level) * (1 + 1e-9)
+            for level in capacity:
+                assert required[level] <= capacity[level] * (1 + 1e-9)
 
     def test_cosa_uses_spatial_parallelism(self):
         config = HardwareConfig(16, 32, 128)
@@ -384,15 +386,13 @@ class TestCosaMapper:
         assert mapping.spatial_factor(2, "K") == 16
 
     def test_cosa_beats_random_mapping_on_average(self):
-        from repro.arch import GemminiSpec
         from repro.timeloop import evaluate_mapping
 
         config = HardwareConfig(16, 32, 128)
-        spec = GemminiSpec(config)
         layers = correlation_layer_pool()[:8]
-        cosa_edp = np.mean([np.log(evaluate_mapping(cosa_mapping(l, config), spec).edp)
+        cosa_edp = np.mean([np.log(evaluate_mapping(cosa_mapping(l, config), config).edp)
                             for l in layers])
-        random_edp = np.mean([np.log(evaluate_mapping(random_mapping(l, seed=0, max_spatial=16), spec).edp)
+        random_edp = np.mean([np.log(evaluate_mapping(random_mapping(l, seed=0, max_spatial=16), config).edp)
                               for l in layers])
         assert cosa_edp < random_edp
 

@@ -115,11 +115,10 @@ class TestDosaSearcher:
         settings = DosaSettings(num_start_points=1, gd_steps=300, rounding_period=100,
                                 learning_rate=0.05, seed=3)
         result = DosaSearcher(small_network(), settings).search()
-        from repro.arch import GemminiSpec
         from repro.timeloop import evaluate_network_mappings
 
         start = result.extras["start_points"][0]
-        start_edp = evaluate_network_mappings(start.mappings, GemminiSpec(start.hardware)).edp
+        start_edp = evaluate_network_mappings(start.mappings, start.hardware).edp
         assert result.best_edp < start_edp
 
     def test_fixed_pe_dim_respected(self):
@@ -142,10 +141,9 @@ class TestDosaSearcher:
         plain = DosaSearcher(small_network(), settings).search()
 
         def doubling_adjuster(mappings, hardware):
-            from repro.arch import GemminiSpec
             from repro.timeloop import evaluate_mapping
 
-            return [2.0 * evaluate_mapping(m, GemminiSpec(hardware)).latency_cycles
+            return [2.0 * evaluate_mapping(m, hardware).latency_cycles
                     for m in mappings]
 
         settings2 = DosaSettings(num_start_points=1, gd_steps=20, rounding_period=10, seed=0)

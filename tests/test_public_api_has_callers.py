@@ -23,8 +23,6 @@ KEEP = {
     "capacity_requirements": "Eq. 5 for one mapping, which the Figure-3 test "
                              "checks against the paper and the tile-kernel "
                              "parity test against the scalar walk",
-    "GEMMINI_DEFAULT": "the paper's default Gemmini design, the fixture of "
-                       "the Table-2 cost-model tests",
     "check_gradients": "the finite-difference check the autodiff tests run "
                        "on every differentiable op",
 }

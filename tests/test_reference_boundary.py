@@ -7,8 +7,8 @@ tiles with the tile-word kernel (``repro.mapping.constraints``).  This AST
 scan fails when a module outside ``repro/timeloop/`` imports
 ``repro.timeloop.loopnest`` or one of the scalar scorers.  The top-level
 re-export in ``repro/__init__.py`` is the public API and is exempt; the
-shared types (``PerformanceResult``, ``NetworkPerformance``, ``as_spec``)
-stay importable everywhere.
+shared result types (``PerformanceResult``, ``NetworkPerformance``) stay
+importable everywhere.
 """
 
 import ast
@@ -90,11 +90,11 @@ def test_scan_sees_every_import_form(source):
 
 
 @pytest.mark.parametrize("source", [
-    "from repro.timeloop.model import NetworkPerformance, PerformanceResult, as_spec",
+    "from repro.timeloop.model import NetworkPerformance, PerformanceResult",
     "from repro.timeloop import PerformanceResult",
     "from repro.timeloop.accelergy import DRAM_BLOCK_WORDS",
     "from repro.eval.batch import evaluate_mappings_batched",
-    "from ..timeloop.model import as_spec",
+    "from ..timeloop.model import NetworkPerformance",
     "import repro.timeloop.model",
 ])
 def test_scan_allows_the_shared_types(source):

@@ -91,11 +91,10 @@ class TestSearchBudget:
         assert not budget.exhausted(9, 0.0)
         assert budget.exhausted(10, 0.0)
         assert budget.exhausted(0, 60.0)
-        assert SearchBudget().unlimited
         assert not SearchBudget().exhausted(10**9, 10**9)
 
     def test_coerce(self):
-        assert SearchBudget.coerce(None).unlimited
+        assert SearchBudget.coerce(None) == SearchBudget()
         assert SearchBudget.coerce(25).max_samples == 25
         budget = SearchBudget(max_seconds=1.0)
         assert SearchBudget.coerce(budget) is budget
@@ -312,11 +311,10 @@ class TestOutcomeSerialization:
         assert restored.best_edp == pytest.approx(outcome.best_edp)
         assert len(restored.best_mappings) == len(outcome.best_mappings)
         # Mappings survive well enough to re-evaluate identically.
-        from repro.arch import GemminiSpec
         from repro.timeloop import evaluate_network_mappings
 
         re_evaluated = evaluate_network_mappings(restored.best_mappings,
-                                                 GemminiSpec(restored.best_hardware))
+                                                 restored.best_hardware)
         assert re_evaluated.edp == pytest.approx(outcome.best.performance.edp)
 
     def test_settings_snapshot_is_json_safe(self, outcome):

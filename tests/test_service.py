@@ -1,6 +1,7 @@
 """Search-as-a-service: daemon, HTTP API, SSE streams, drain and resume."""
 
 import contextlib
+import json
 import threading
 
 import pytest
@@ -109,6 +110,69 @@ class TestJobModel:
         ):
             with pytest.raises(RequestError, match="batched_starts|seed"):
                 normalize_request(bad)
+
+
+GOOD_HARDWARE = {"pe_dim": 16, "accumulator_kb": 32, "scratchpad_kb": 128}
+
+#: Seeds, hardware fields and budgets that JSON input must not truncate or
+#: coerce, and a hardware object ``HardwareConfig`` refuses: ``(field,
+#: value)`` of a search request.
+BAD_INPUTS = {
+    "seed-null": ("seed", None),
+    "seed-negative": ("seed", -3),
+    "seed-float": ("seed", 1.5),
+    "seed-string": ("seed", "x"),
+    "seed-bool": ("seed", True),
+    "pe_dim-float": ("hardware", {**GOOD_HARDWARE, "pe_dim": 16.9}),
+    "accumulator_kb-float": ("hardware", {**GOOD_HARDWARE, "accumulator_kb": 32.7}),
+    "scratchpad_kb-string": ("hardware", {**GOOD_HARDWARE, "scratchpad_kb": "128"}),
+    "pe_dim-bool": ("hardware", {**GOOD_HARDWARE, "pe_dim": True}),
+    "pe_dim-zero": ("hardware", {**GOOD_HARDWARE, "pe_dim": 0}),
+    "max_samples-float": ("budget", {"max_samples": 60.9}),
+    "max_samples-bool": ("budget", {"max_samples": True}),
+}
+
+
+class TestInputValidation:
+    """Where JSON comes in (a submit, a campaign spec file), seeds must be
+    non-negative ints and hardware fields and ``max_samples`` ints."""
+
+    @pytest.fixture(scope="class")
+    def client(self, tmp_path_factory):
+        with running_service(tmp_path_factory.mktemp("svc"), start=False) as (_, client):
+            yield client
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_daemon_answers_400(self, client, case):
+        field, value = BAD_INPUTS[case]
+        request = {"seed": 0, "budget": {"max_samples": 10}, "hardware": GOOD_HARDWARE,
+                   field: value}
+        with pytest.raises(ServiceError) as error:
+            client.submit_search("bert", strategy="fixed_hw_random", **request)
+        assert error.value.status == 400
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_campaign_spec_refuses_it(self, tmp_path, capsys, case):
+        from repro.cli import main
+        field, value = BAD_INPUTS[case]
+        payload = {"name": "bad", "workloads": ["bert"],
+                   "strategies": [{"name": "fixed_hw_random", "hardware": GOOD_HARDWARE}],
+                   "seeds": [0], "budgets": [{"max_samples": 10}]}
+        if field == "hardware":
+            payload["strategies"][0]["hardware"] = value
+        else:
+            payload[f"{field}s"] = [value]
+        with pytest.raises(ValueError):
+            CampaignSpec.from_dict(payload)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert main(["campaign", "run", str(path), "--dir", str(tmp_path / "s")]) == 2
+        assert "cannot load spec" in capsys.readouterr().err
+
+    def test_integer_hardware_is_accepted(self):
+        _, _, request = normalize_request({"network": "bert", "strategy": "fixed_hw_random",
+                                           "seed": 3, "hardware": GOOD_HARDWARE})
+        assert request["hardware"] == GOOD_HARDWARE and request["seed"] == 3
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig
 from repro.mapping import cosa_mapping, random_mapping
 from repro.surrogate import (
     AnalyticalLatencyModel,
@@ -40,7 +40,7 @@ class TestRtlSimulator:
     def test_rtl_latency_exceeds_analytical(self):
         simulator = RtlSimulator()
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HARDWARE)
-        analytical = evaluate_mapping(mapping, GemminiSpec(HARDWARE)).latency_cycles
+        analytical = evaluate_mapping(mapping, HARDWARE).latency_cycles
         rtl = simulator.latency(mapping, HARDWARE)
         # Overheads are additive and jitter is bounded to +/-8%, so the RTL
         # latency cannot fall far below the analytical roofline.
@@ -70,11 +70,10 @@ class TestRtlSimulator:
         simulator = RtlSimulator()
         parallel = cosa_mapping(layer, HARDWARE)
         serial = cosa_mapping(layer, HardwareConfig(1, 32, 128))
-        spec = GemminiSpec(HARDWARE)
 
         def rtl_over_analytical(mapping):
             return (simulator.latency(mapping, HARDWARE)
-                    / evaluate_mapping(mapping, spec).latency_cycles)
+                    / evaluate_mapping(mapping, HARDWARE).latency_cycles)
 
         assert rtl_over_analytical(serial) > rtl_over_analytical(parallel)
 

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import GemminiSpec, HardwareConfig
+from repro.arch import HardwareConfig, level_bandwidth
+from repro.arch.components import MEMORY_LEVEL_INDICES
 from repro.mapping import Mapping, cosa_mapping, random_mapping
 from repro.timeloop import (
     analyze_traffic,
@@ -109,8 +110,9 @@ class TestEvaluation:
     def test_fig3_latency_memory_bound(self):
         mapping = fig3_mapping()
         config = HardwareConfig(64, 4, 5)
-        result = evaluate_mapping(mapping, GemminiSpec(config))
-        assert result.bound == "memory"
+        result = evaluate_mapping(mapping, config)
+        # Memory-bound: some level's latency exceeds the compute latency.
+        assert result.compute_latency < max(result.memory_latency.values())
         assert result.latency_cycles >= result.compute_latency
         assert result.compute_latency == pytest.approx(mapping.layer.macs / 4096)
 
@@ -119,12 +121,12 @@ class TestEvaluation:
         mapping.set_temporal(3, "P", 55)
         with pytest.raises(ValueError, match="cannot evaluate an invalid mapping: "
                                              "factors of dimension P multiply to"):
-            evaluate_mapping(mapping, GemminiSpec(HardwareConfig(64, 4, 5)))
+            evaluate_mapping(mapping, HardwareConfig(64, 4, 5))
 
     def test_energy_increases_with_dram_epa_dominance(self):
         mapping = fig3_mapping()
-        result = evaluate_mapping(mapping, GemminiSpec(HardwareConfig(64, 4, 5)))
-        breakdown = energy_breakdown(analyze_traffic(mapping), GemminiSpec(HardwareConfig(64, 4, 5)))
+        result = evaluate_mapping(mapping, HardwareConfig(64, 4, 5))
+        breakdown = energy_breakdown(analyze_traffic(mapping), HardwareConfig(64, 4, 5))
         assert result.energy == pytest.approx(breakdown.total)
         # DRAM traffic dominates energy for this streaming layer.
         assert breakdown.level_energy[3] > breakdown.level_energy[2]
@@ -136,7 +138,7 @@ class TestEvaluation:
         mapping.set_temporal(3, "C", 3)
         mapping.set_temporal(3, "K", 2)
         traffic = analyze_traffic(mapping)
-        breakdown = energy_breakdown(traffic, GemminiSpec(HardwareConfig(4, 8, 8)))
+        breakdown = energy_breakdown(traffic, HardwareConfig(4, 8, 8))
         raw_dram_words = sum(
             traffic.tensor_traffic(3, t) for t in ("W", "I", "O")
         )
@@ -147,24 +149,25 @@ class TestEvaluation:
         # The roofline latency is set by the most bandwidth-constrained level,
         # so no level's average demand can exceed its available bandwidth.
         config = HardwareConfig(16, 32, 128)
-        spec = GemminiSpec(config)
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), config)
-        latency = evaluate_mapping(mapping, spec).latency_cycles
+        latency = evaluate_mapping(mapping, config).latency_cycles
         traffic = analyze_traffic(mapping)
-        for level in spec.levels:
-            assert traffic.accesses(level) / latency <= spec.bandwidth(level) * (1 + 1e-9)
+        for level in MEMORY_LEVEL_INDICES:
+            bandwidth = level_bandwidth(level, config.num_pes)
+            assert traffic.accesses(level) / latency <= bandwidth * (1 + 1e-9)
 
     def test_utilization_between_zero_and_one(self):
-        result = evaluate_mapping(fig3_mapping(), GemminiSpec(HardwareConfig(64, 4, 5)))
-        assert 0.0 < result.utilization <= 1.0
+        # Utilization: the fraction of cycles the PE array does useful work.
+        result = evaluate_mapping(fig3_mapping(), HardwareConfig(64, 4, 5))
+        assert 0.0 < result.compute_latency / result.latency_cycles <= 1.0
 
     def test_more_parallelism_lowers_compute_latency(self):
         layer = conv2d_layer(64, 64, 28)
         config = HardwareConfig(32, 64, 256)
         serial = cosa_mapping(layer, HardwareConfig(1, 64, 256))
         parallel = cosa_mapping(layer, config)
-        serial_result = evaluate_mapping(serial, GemminiSpec(config))
-        parallel_result = evaluate_mapping(parallel, GemminiSpec(config))
+        serial_result = evaluate_mapping(serial, config)
+        parallel_result = evaluate_mapping(parallel, config)
         assert parallel_result.compute_latency < serial_result.compute_latency
 
     @settings(max_examples=25, deadline=None)
@@ -172,7 +175,7 @@ class TestEvaluation:
     def test_random_mappings_produce_finite_positive_results(self, seed):
         layer = conv2d_layer(64, 128, 14)
         mapping = random_mapping(layer, seed=seed, max_spatial=32)
-        result = evaluate_mapping(mapping, GemminiSpec(HardwareConfig(32, 64, 256)))
+        result = evaluate_mapping(mapping, HardwareConfig(32, 64, 256))
         assert math.isfinite(result.latency_cycles) and result.latency_cycles > 0
         assert math.isfinite(result.energy) and result.energy > 0
         assert result.edp == pytest.approx(result.latency_cycles * result.energy)
@@ -181,7 +184,7 @@ class TestEvaluation:
         layer = conv2d_layer(32, 64, 14)
         config = HardwareConfig(16, 32, 128)
         macs = {evaluate_mapping(random_mapping(layer, seed=s, max_spatial=16),
-                                 GemminiSpec(config)).macs for s in range(5)}
+                                 config).macs for s in range(5)}
         assert all(m == pytest.approx(layer.macs) for m in macs)
 
 
@@ -190,8 +193,8 @@ class TestNetworkEvaluation:
         layer = conv2d_layer(32, 32, 14, repeats=3)
         config = HardwareConfig(16, 32, 128)
         mapping = cosa_mapping(layer, config)
-        single = evaluate_mapping(mapping, GemminiSpec(config))
-        network = evaluate_network_mappings([mapping], GemminiSpec(config))
+        single = evaluate_mapping(mapping, config)
+        network = evaluate_network_mappings([mapping], config)
         assert network.total_latency == pytest.approx(3 * single.latency_cycles)
         assert network.total_energy == pytest.approx(3 * single.energy)
 
@@ -199,9 +202,9 @@ class TestNetworkEvaluation:
         config = HardwareConfig(16, 32, 128)
         layers = [conv2d_layer(32, 32, 14), matmul_layer(64, 256, 128)]
         mappings = [cosa_mapping(l, config) for l in layers]
-        network = evaluate_network_mappings(mappings, GemminiSpec(config))
+        network = evaluate_network_mappings(mappings, config)
         assert network.edp == pytest.approx(network.total_latency * network.total_energy)
 
     def test_empty_mappings_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_network_mappings([], GemminiSpec(HardwareConfig(16, 32, 128)))
+            evaluate_network_mappings([], HardwareConfig(16, 32, 128))
