@@ -8,8 +8,9 @@ type defined here.  It provides:
 * ``Tensor`` — an array wrapper recording a dynamic computation graph and
   supporting broadcasting-aware reverse-mode backpropagation,
 * ``ops`` — a functional library (exp, log, power, maximum, softmax,
-  reductions, matmul, stacking, and the fused kernels of the DOSA model:
-  products, walk gathers, hinges and fold/reload reductions ...),
+  reductions, matmul, stacking, and the dense kernels of the DOSA model:
+  prefix products, sequence products and sums, gathers, and fold/reload
+  reductions ...),
 * ``optim`` — the Adam optimizer (updates in place),
 * ``tape`` — compiled-tape replay of a traced graph (re-trace once per
   structural change instead of once per step),
@@ -32,7 +33,6 @@ from repro.autodiff.ops import (
     tanh,
     softmax,
     where,
-    total_prod,
 )
 from repro.autodiff.optim import Adam
 from repro.autodiff.tape import Tape, TapeError
@@ -56,7 +56,6 @@ __all__ = [
     "tanh",
     "softmax",
     "where",
-    "total_prod",
     "Adam",
     "Tape",
     "TapeError",

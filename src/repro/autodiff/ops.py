@@ -2,32 +2,34 @@
 
 These are the building blocks of the DOSA differentiable model: products of
 tiling factors, maxima for the roofline latency, the softmax used for
-gradient-based loop-ordering (paper Section 5.2.2), and the hinge penalty used
-to keep tiling factors valid (Equation 18).
+gradient-based loop-ordering (paper Section 5.2.2), and the hinge used to
+keep tiling factors valid (Equation 18).
 
 Every op records a forward-recompute closure (see
 :mod:`repro.autodiff.tensor`), so graphs built from these functions can be
-replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The
-fused ops replace chains of nodes in the stacked DOSA model with a single
-array node each, while reproducing the chained ops' values and
-(sub)gradients bit for bit: :func:`total_prod` (a chain of multiplications),
-:func:`gather` (a level slice followed by an advanced-index gather and its
-``np.add.at`` scatter), :func:`hinge_below` (stacked ``relu(threshold - v)``
-nodes), and the reductions at the bottom, :func:`fold_sum`, :func:`fold_max`
-and :func:`reload_product`.  Each follows the exactness rule of
-:mod:`repro.autodiff.tensor`: it stands for a chain of single-consumer nodes,
-takes its parents in the chain's order, and runs the chain's IEEE operations
-in the chain's order.  Masks, gated values, prefix products and running
-maxima are computed once per forward, and the backward reuses them.
+replayed by :class:`repro.autodiff.tape.Tape` without re-tracing.  The dense
+DOSA model runs on a handful of array ops, each one node with a fused
+backward: :func:`cumprod` (prefix products along the leading axis),
+:func:`sequence_prod` and :func:`sequence_sum` (left-fold products and sums
+of leading-axis slots taken in listed orders), :func:`gather` (distinct flat positions),
+and the reductions :func:`fold_sum`, :func:`fold_max` and
+:func:`reload_product`.  Each runs its IEEE operations in the order of the
+chain of nodes it stands for, so its values match that chain bit for bit;
+only the order in which gradients accumulate may differ.  A product of
+positive factors hands each factor the product over that factor, one
+division, instead of a walk over prefix and suffix products.  Masks select
+(``np.where``) in every backward and never multiply, so an infinite factor
+cannot turn a masked-out gradient into ``NaN``.  Masks, prefix products and
+running maxima are computed once per forward, and the backward reuses them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, _unbroadcast
+from repro.autodiff.tensor import Tensor
 
 TensorLike = "Tensor | float | int | np.ndarray"
 
@@ -137,98 +139,9 @@ def where(condition: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
     return a._make_child(forward(), (a, b), backward, forward)
 
 
-def hinge_below(values: Sequence[TensorLike], threshold: float = 1.0) -> Tensor:
-    """The hinges ``max(threshold - v, 0)`` of same-shape tensors, as one node.
-
-    This is the validity penalty of Equation 18, which discourages the
-    optimizer from pushing tiling factors below 1.  The result stacks one
-    hinge per value along a new *last* axis (shape ``(*shape, len(values))``).
-    It is value- and gradient-identical to stacking ``relu(threshold - v)``
-    per value: the forward computes the same two IEEE operations per element
-    (and keeps the ``threshold - v > 0`` mask), and the backward hands each
-    value ``-(g * mask)``, exactly what a subtraction node and a relu node
-    emit between them.
-    """
-    tensors = [_as_tensor(v) for v in values]
-    if not tensors:
-        raise ValueError("hinge_below of an empty sequence")
-    mask: list = [None]
-
-    def forward():
-        gaps = threshold - np.stack([t.data for t in tensors], axis=-1)
-        mask[0] = gaps > 0
-        return np.maximum(gaps, 0.0)
-
-    def backward(grad: np.ndarray):
-        shares = -(grad * mask[0])
-        return tuple(shares[..., i] if t.requires_grad else None
-                     for i, t in enumerate(tensors))
-
-    return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
-
-
 # --------------------------------------------------------------------------- #
 # Reductions and combinations
 # --------------------------------------------------------------------------- #
-def total_prod(values: Iterable[TensorLike]) -> Tensor:
-    """Product of an iterable of tensors/scalars (empty product is 1.0), as one node.
-
-    Literal ``1.0`` terms are skipped: ``x * 1.0`` is ``x`` and ``g * 1.0``
-    is ``g`` bit for bit in IEEE arithmetic.  No terms give ``Tensor(1.0)``
-    and one term is returned as is.  Otherwise one node stands for the chain
-    ``((t0 * t1) * t2) * ...`` of one multiplication node per term, bit for
-    bit.  The forward runs the same left-to-right multiplies and keeps the
-    partial products.  The backward walks the chain in reverse: term ``k``
-    receives the incoming gradient times the partial product before it, and
-    the gradient passed on is the incoming one times term ``k``, summed back
-    to that partial product's shape as the chain's own ``_unbroadcast``
-    would.  The walk stops where the partial product stops needing a
-    gradient (a constant leading run of terms).  The node's parents are the
-    terms in order, so the terms receive their shares in term order where
-    the chain delivers them last term first: the same sums whenever the
-    terms are distinct tensors, as in every product of the model.  A tensor
-    repeated within one product gets its shares summed in the other order,
-    so its gradient may differ from the chain's in the last bit.
-    """
-    terms = [_as_tensor(value) for value in values
-             if not (isinstance(value, (int, float)) and value == 1.0)]
-    if not terms:
-        return Tensor(1.0)
-    if len(terms) == 1:
-        return terms[0]
-    count = len(terms)
-    prefixes: list = [None] * (count - 1)
-
-    def forward():
-        product = terms[0].data
-        for k in range(1, count):
-            prefixes[k - 1] = product
-            product = product * terms[k].data
-        return product
-
-    out = terms[0]._make_child(forward(), tuple(terms), None, forward)
-    if not out.requires_grad:
-        return out
-    first_live = next(k for k, term in enumerate(terms) if term.requires_grad)
-
-    def backward(grad: np.ndarray):
-        contributions: list = [None] * count
-        for k in range(count - 1, 0, -1):
-            prefix = prefixes[k - 1]
-            if terms[k].requires_grad:
-                contributions[k] = grad * prefix
-            if k == first_live:
-                break
-            grad = grad * terms[k].data
-            if grad.shape != prefix.shape:
-                grad = _unbroadcast(grad, prefix.shape)
-        else:
-            contributions[0] = grad
-        return contributions
-
-    return out._set_backward(backward)
-
-
 def gather(x: Tensor, positions: np.ndarray) -> Tensor:
     """The elements of ``x`` at distinct flat (C-order) ``positions``, as one node.
 
@@ -251,24 +164,35 @@ def gather(x: Tensor, positions: np.ndarray) -> Tensor:
 
     def backward(grad: np.ndarray):
         full = np.zeros(shape)
-        full.put(positions, grad + 0.0)
+        full.reshape(-1)[positions] = grad + 0.0
         return (full,)
 
     return x._make_child(forward(), (x,), backward, forward)
 
 
-def stack(values: Sequence[TensorLike]) -> Tensor:
-    """Stack same-shape tensors (scalars, vectors, matrices) into a new leading axis."""
+def stack(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
+    """Stack tensors along a new ``axis``, broadcasting them to one shape first.
+
+    Scalars and constants broadcast against the tensors (e.g. a level's
+    fixed bandwidth beside the ``(S, 1)`` derived ones); each parent's
+    gradient slice is summed back to its own shape by the backward program.
+    """
     tensors = [_as_tensor(v) for v in values]
     if not tensors:
         raise ValueError("stack of an empty sequence")
-    shapes = [t.data.shape for t in tensors]
+    shape = np.broadcast_shapes(*(t.data.shape for t in tensors))
+    axis_n = axis % (len(shape) + 1)
+    slots = [(slice(None),) * axis_n + (i,) for i in range(len(tensors))]
 
     def forward():
-        return np.stack([t.data for t in tensors])
+        out = np.empty(shape[:axis_n] + (len(tensors),) + shape[axis_n:])
+        for slot, t in zip(slots, tensors):
+            out[slot] = t.data
+        return out
 
     def backward(grad: np.ndarray):
-        return tuple(grad[i].reshape(shape) for i, shape in enumerate(shapes))
+        return tuple(grad[slot] if t.requires_grad else None
+                     for slot, t in zip(slots, tensors))
 
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
@@ -337,8 +261,126 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
     return out._set_backward(backward)
 
 
+def cumprod(x: TensorLike) -> Tensor:
+    """Prefix products along the leading axis, as one node.
+
+    Entry ``k`` is ``((x[0] * x[1]) * ...) * x[k]``, the chain of
+    multiplications, bit for bit.  The factors must be positive: the
+    backward hands ``x[j]`` the sum, over the prefixes ``k >= j``, of each
+    prefix's gradient times the prefix, divided by ``x[j]``.
+    """
+    x = _as_tensor(x)
+    prefixes: list = [None]
+
+    def forward():
+        out = np.empty_like(x.data)
+        out[0] = x.data[0]
+        for k in range(1, len(out)):
+            np.multiply(out[k - 1], x.data[k], out=out[k])
+        prefixes[0] = out
+        return out
+
+    def backward(grad: np.ndarray):
+        weighted = grad * prefixes[0]
+        for k in range(len(weighted) - 2, -1, -1):
+            weighted[k] += weighted[k + 1]
+        return (weighted / x.data,)
+
+    return x._make_child(forward(), (x,), backward, forward)
+
+
+def _sequence_table(sequences) -> tuple[bool, list[np.ndarray]]:
+    """``(single, rows)``: whether one bare sequence was given, and the rows.
+
+    Each row is an array of distinct slot numbers; one bare sequence (1-D)
+    stands for a one-row table whose result drops the row axis.
+    """
+    single = np.ndim(sequences[0]) == 0
+    rows = [np.asarray(row, dtype=np.intp) for row in ([sequences] if single else sequences)]
+    for row in rows:
+        if row.ndim != 1 or row.size == 0:
+            raise ValueError("each sequence must list at least one slot")
+        if np.unique(row).size != row.size:
+            raise ValueError("a sequence may name each slot at most once")
+    return single, rows
+
+
+def sequence_prod(x: TensorLike, sequences, slot_ndim: int = 1) -> Tensor:
+    """Left-fold products of ``x``'s slots in listed orders, as one node.
+
+    The leading ``slot_ndim`` axes of ``x`` flatten (C order) into slots,
+    each a plane over the remaining axes.  ``sequences`` lists slot numbers:
+    one sequence (1-D) gives one product plane, a list of ``k`` sequences a
+    ``(k, ...)`` stack.  Each product multiplies its slots left to right,
+    bit for bit the chain of one multiplication per slot (a slot holding
+    exactly 1.0 changes nothing).  The factors must be positive: the
+    backward hands each slot the incoming gradient times the product,
+    divided by the slot.
+    """
+    x = _as_tensor(x)
+    single, rows = _sequence_table(sequences)
+    size = int(np.prod(x.data.shape[:slot_ndim], dtype=np.intp))
+    plane = x.data.shape[slot_ndim:]
+    # The backward addresses each sequence's slots in slot order, as a slice
+    # when they are contiguous.
+    targets = [slice(row.min(), row.max() + 1) if row.max() - row.min() + 1 == row.size
+               else np.sort(row) for row in rows]
+    products: list = [None]
+
+    def forward():
+        slots = x.data.reshape((size,) + plane)
+        out = np.empty((len(rows),) + plane)
+        for i, row in enumerate(rows):
+            np.multiply.reduce(slots[row], axis=0, out=out[i])
+        products[0] = out
+        return out[0] if single else out
+
+    def backward(grad: np.ndarray):
+        slots = x.data.reshape((size,) + plane)
+        scaled = grad * products[0][0] if single else grad * products[0]
+        full = np.zeros((size,) + plane)
+        for i, target in enumerate(targets):
+            full[target] += (scaled if single else scaled[i]) / slots[target]
+        return (full.reshape(x.data.shape),)
+
+    return x._make_child(forward(), (x,), backward, forward)
+
+
+def sequence_sum(x: TensorLike, sequences) -> Tensor:
+    """Left-fold sums of ``x``'s leading-axis slices in listed orders, as one node.
+
+    The additive sibling of :func:`sequence_prod` (with one slot axis): each
+    sum adds its slices left to right, bit for bit the chain of one addition
+    per slice.  Each slice's gradient is the sum of the gradients of the
+    sequences that name it.
+    """
+    x = _as_tensor(x)
+    single, rows = _sequence_table(sequences)
+    plane = x.data.shape[1:]
+
+    def forward():
+        data = x.data
+        out = np.empty((len(rows),) + plane)
+        for i, row in enumerate(rows):
+            total = out[i]
+            np.add(data[row[0]], data[row[1]], out=total) if len(row) > 1 else \
+                np.copyto(total, data[row[0]])
+            for index in row[2:]:
+                total += data[index]
+        return out[0] if single else out
+
+    def backward(grad: np.ndarray):
+        grads = [grad] if single else grad
+        full = np.zeros(x.data.shape)
+        for row, row_grad in zip(rows, grads):
+            full[row] += row_grad
+        return (full,)
+
+    return x._make_child(forward(), (x,), backward, forward)
+
+
 # --------------------------------------------------------------------------- #
-# Fused reductions for the stacked DOSA model
+# Folds and the reload product
 # --------------------------------------------------------------------------- #
 def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
     """Left-fold sum along ``axis``, as a single node.
@@ -355,20 +397,31 @@ def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
     if x.data.ndim == 0 or x.data.size == 0:
         raise ValueError(f"fold_sum expects a non-empty tensor with ndim >= 1, "
                          f"got shape {x.shape}")
-    axis_n = axis % x.data.ndim
+    shape = x.data.shape
+    axis_n = axis % len(shape)
+    last = (slice(None),) * axis_n + (-1,)
+    kept = shape[:axis_n] + (1,) + shape[axis_n + 1:]
 
     def forward():
-        return np.asarray(np.take(np.cumsum(x.data, axis=axis_n), -1, axis=axis_n))
+        data = x.data
+        if axis_n == 0 and data.ndim > 1:
+            # Leading-axis fold: one vectorized addition per slice.
+            total = data[0] + data[1] if len(data) > 1 else data[0].copy()
+            for value in data[2:]:
+                total += value
+            return total
+        return np.asarray(np.cumsum(data, axis=axis_n)[last])
 
     def backward(grad: np.ndarray):
-        grad = np.expand_dims(np.asarray(grad, dtype=np.float64), axis_n)
-        return (np.broadcast_to(grad, x.data.shape),)
+        out = np.empty(shape)
+        out[...] = np.reshape(grad, kept)
+        return (out,)
 
     return x._make_child(forward(), (x,), backward, forward)
 
 
-def fold_max(x: TensorLike) -> Tensor:
-    """Left-fold maximum along the last axis, as a single node.
+def fold_max(x: TensorLike, axis: int = -1, keepdims: bool = False) -> Tensor:
+    """Left-fold maximum along ``axis``, as a single node.
 
     Equivalent — in value *and* subgradient — to chaining
     ``maximum(maximum(x[..., 0], x[..., 1]), x[..., 2]) ...`` the way the
@@ -379,86 +432,109 @@ def fold_max(x: TensorLike) -> Tensor:
     each start of a multi-start stack sees exactly the per-start fold
     semantics.  The forward keeps the running maxima (its value is their
     last entry), and the backward derives every fold step's tie split from
-    them.
+    them; without ties or ``NaN`` the whole gradient goes to the first
+    entry equal to the maximum.  ``keepdims`` keeps the folded axis with
+    length 1.
     """
     x = _as_tensor(x)
     if x.data.ndim == 0:
         raise ValueError(f"fold_max expects a tensor with ndim >= 1, got shape {x.shape}")
+    ndim = x.data.ndim
+    axis_n = axis % ndim
+    count = x.data.shape[axis_n]
+    last = (slice(None),) * axis_n + ((slice(-1, None),) if keepdims else (-1,))
+    # The folded axis first, and back.
+    front = (axis_n,) + tuple(a for a in range(ndim) if a != axis_n)
+    back = tuple(int(a) for a in np.argsort(front))
+    order = np.arange(count).reshape((count,) + (1,) * (ndim - 1))
     running: list = [None]
 
     def forward():
-        running[0] = np.maximum.accumulate(x.data, axis=-1)
-        return running[0][..., -1]
+        running[0] = np.maximum.accumulate(x.data, axis=axis_n)
+        return running[0][last]
 
     def backward(grad: np.ndarray):
-        data = x.data
-        grad = grad[..., None]
-        if data.shape[-1] == 1:
-            return (np.broadcast_to(grad, data.shape),)
-        prev, new = running[0][..., :-1], data[..., 1:]
+        data = x.data.transpose(front)
+        run = running[0].transpose(front)
+        grad = (grad.transpose(front) if keepdims
+                else grad.reshape((1,) + grad.shape))
+        if count == 1:
+            return ((grad + np.zeros(data.shape)).transpose(back),)
+        prev, new = run[:-1], data[1:]
+        ties = new == prev
+        if not ties.any() and not np.isnan(run[-1]).any():
+            return (np.where(order == data.argmax(axis=0), grad, 0.0).transpose(back),)
         # Share of the gradient taken by each newcomer / kept by the running
         # max at every fold step (ties split evenly, as in ops.maximum).
-        take = (new > prev) + 0.5 * (new == prev)
+        take = (new > prev) + 0.5 * ties
         keep = 1.0 - take
-        suffix = np.ones_like(data)
-        np.multiply.accumulate(keep[..., ::-1], axis=-1, out=suffix[..., -2::-1])
-        shares = np.empty_like(data)
-        shares[..., 0] = suffix[..., 0]
-        shares[..., 1:] = take * suffix[..., 1:]
-        return (grad * shares,)
+        shares = np.empty(data.shape)
+        shares[-1] = 1.0
+        for k in range(count - 2, -1, -1):
+            shares[k] = shares[k + 1] * keep[k]
+        shares[1:] *= take
+        return ((grad * shares).transpose(back),)
 
     return x._make_child(forward(), (x,), backward, forward)
 
 
-def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9) -> Tensor:
-    """Loop-order-aware reload-factor product over a ``(..., positions)`` walk.
+def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9,
+                   axis: int = -1) -> Tensor:
+    """Loop-order-aware reload-factor product over a walk along ``axis``.
 
-    ``walk`` holds, per batch row, the temporal factors in walk order (levels
-    outward, innermost loop first within each level); ``relevant`` marks the
-    positions whose dimension is relevant to the tensor being analyzed.  Any
-    number of leading batch axes is supported — ``(S, L, positions)`` in
-    the start-batched model — with each row reduced independently along the
-    last axis.  A position
-    multiplies into the product iff its factor exceeds ``1 + eps`` and it is
-    either relevant or preceded by an active relevant position — exactly the
-    ``seen_relevant`` state machine of
+    ``walk`` holds, per batch entry, the temporal factors in walk order
+    (levels outward, innermost loop first within each level) along
+    ``axis``; ``relevant`` marks the positions whose dimension is relevant
+    to the tensor being analyzed.  Every other axis is a batch axis, reduced
+    independently.  ``walk`` may also broadcast against ``relevant``: the
+    dense model reads several tensors' walks, each a suffix of one walk,
+    from a single gather, with the positions below each walk's level marked
+    irrelevant (so excluded); the backward program sums their gradients
+    back.  A position multiplies into the product iff its factor exceeds
+    ``1 + eps`` and it is either relevant or preceded by an active relevant
+    position — exactly the ``seen_relevant`` state machine of
     :func:`repro.timeloop.loopnest.reload_factor` and its differentiable
-    counterpart.  Excluded positions contribute a factor of exactly 1.0 and
-    receive zero gradient, matching the per-layer graph that simply omits
-    them.  Every forward re-derives the inclusion mask from ``walk.data``
-    and keeps it with the gated factors and their inclusive prefix products
-    (the value is the last one), which the backward reuses; so the op stays
+    counterpart; since an irrelevant position before the first active
+    relevant one is out, the included positions are the active ones from
+    that first one on.  Excluded positions contribute a factor of exactly
+    1.0 and receive zero gradient, matching the per-layer graph that simply
+    omits them.  Every forward re-derives the inclusion mask from
+    ``walk.data`` and keeps it with the gated factors and their product,
+    which the backward reuses (each included factor's gradient is the
+    incoming one times the product over the factor); so the op stays
     correct under tape replay while the graph wiring remains static.
     """
     relevant = np.asarray(relevant, dtype=bool)
-    if walk.data.shape != relevant.shape:
+    if np.broadcast_shapes(walk.data.shape, relevant.shape) != relevant.shape:
         raise ValueError(
             f"walk/relevant shape mismatch: {walk.data.shape} vs {relevant.shape}")
-    state: list = [None, None, None]  # inclusion mask, gated factors, prefix products
+    ndim = relevant.ndim
+    axis_n = axis % ndim
+    front = (axis_n,) + tuple(a for a in range(ndim) if a != axis_n)
+    back = tuple(int(a) for a in np.argsort(front))
+    relevant_first = relevant.transpose(front)
+    count = relevant_first.shape[0]
+    # Positions as small ints: comparing them with the first position is
+    # several times faster than with the platform's index type.
+    order = np.arange(count, dtype=np.int16).reshape((count,) + (1,) * (ndim - 1))
+    # The active relevant positions, plus one always-true row past the end:
+    # its first true row is the first active relevant position, or ``count``.
+    flags = np.ones((count + 1,) + relevant_first.shape[1:], dtype=bool)
+    state: list = [None, None, None]  # inclusion mask, gated factors, product
 
     def forward():
-        active = walk.data > 1.0 + eps
-        relevant_active = active & relevant
-        # "A relevant active loop comes earlier": a shifted or-accumulate,
-        # run as a maximum over the mask's 0/1 bytes (vectorized, unlike
-        # NumPy's bool accumulates).
-        seen_before = np.zeros(relevant_active.shape, dtype=np.uint8)
-        np.maximum.accumulate(relevant_active[..., :-1].view(np.uint8), axis=-1,
-                              out=seen_before[..., 1:])
-        include = active & (relevant | seen_before.view(bool))
-        gated = np.where(include, walk.data, 1.0)
-        products = np.multiply.accumulate(gated, axis=-1)
-        state[:] = include, gated, products
-        return products[..., -1]
+        data = walk.data.transpose(front)
+        active = data > 1.0 + eps
+        np.logical_and(active, relevant_first, out=flags[:-1])
+        include = active & (order >= flags.argmax(axis=0).astype(np.int16))
+        gated = np.where(include, data, 1.0)
+        product = np.multiply.reduce(gated, axis=0)
+        state[:] = include, gated, product
+        return product
 
     def backward(grad: np.ndarray):
-        include, gated, products = state
-        prefix = np.ones_like(gated)
-        prefix[..., 1:] = products[..., :-1]
-        suffix = np.ones_like(gated)
-        if gated.shape[-1] > 1:
-            np.multiply.accumulate(gated[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
-        partials = grad[..., None] * prefix * suffix
-        return (np.where(include, partials, 0.0),)
+        include, gated, product = state
+        partials = np.where(include, (grad * product) / gated, 0.0)
+        return (partials.transpose(back),)
 
     return walk._make_child(forward(), (walk,), backward, forward)

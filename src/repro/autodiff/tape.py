@@ -14,18 +14,13 @@ gradient, its position, slot and shape), executed over a plain list of
 per-slot gradients.  :meth:`Tensor.backward` runs the same program class,
 so there is one reverse-accumulation implementation.
 
-The graph itself is kept small by exact folding only: an op is dropped or
-fused when IEEE arithmetic makes the result bit-identical.  ``x * 1.0`` is
-``x``, so :func:`~repro.autodiff.ops.total_prod` skips literal ``1.0``
-terms; and a fused node runs the same IEEE operations, in the same order,
-as the chain it replaces (:func:`~repro.autodiff.ops.total_prod`,
-:func:`~repro.autodiff.ops.gather`, :func:`~repro.autodiff.ops.hinge_below`,
-:func:`~repro.autodiff.ops.reload_product`).  The rule that keeps the rest
-of the graph exact (see :mod:`repro.autodiff.tensor`): fuse only chains of
-single-consumer nodes, and give the fused node its parents in the chain's
-order, so every other node is visited, and every shared node receives its
-gradient contributions, in the same order.  A smaller graph then replays
-the same losses, gradients and updates, bit for bit.
+The graph itself is kept small by fused array ops whose forwards run the
+IEEE operations of the chains they stand for, in the chains' order
+(:func:`~repro.autodiff.ops.sequence_prod`,
+:func:`~repro.autodiff.ops.gather`,
+:func:`~repro.autodiff.ops.reload_product`, ...), so a smaller graph
+computes the same values; ``x * 1.0`` is ``x``, so products padded with
+exact 1.0 factors change nothing.
 
 Replay is exact, not approximate: recompute closures read parent data at call
 time and value-dependent masks (``ops.relu``, ``ops.maximum`` subgradients,

@@ -37,12 +37,13 @@ node are summed in the order they arrive, so a replayed backward is
 bit-identical to a fresh one.
 
 That order is also what lets a fused node (one node doing the work of a
-chain of ops, e.g. :func:`repro.autodiff.ops.total_prod`) reproduce its chain
-bit for bit.  Fuse only chains whose inner nodes have a single consumer, and
-give the fused node its parents in the chain's order: :func:`topological_order`
-then visits every other node in the same order, so every shared node
-receives its gradient contributions in the same sequence, and the fused
-backward runs the chain's IEEE operations in the chain's order.
+chain of ops, e.g. :func:`repro.autodiff.ops.sequence_prod`) reproduce its
+chain's values bit for bit: its forward runs the chain's IEEE operations in
+the chain's order.  Its gradients match the chain's bit for bit only if its
+backward also runs the chain's operations in order, it stands for a chain
+of single-consumer nodes, and it takes its parents in the chain's order, so
+:func:`topological_order` visits every other node in the same order; the
+dense DOSA kernels keep only the values exact.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ layer's spatial and temporal tiling factors — which is what enables the
 one-loop, mapping-first gradient-descent search.
 
 One parameterization serves the whole search: :class:`MultiStartFactors`
-stacks S start points x L layers into one graph of array ops (S=1 is the
-single-start case).
+stacks S start points x L layers, and the model evaluates them as one graph
+of dense array ops over their factor tensor (S=1 is the single-start case).
 """
 
 from repro.core.dmodel.hardware import DifferentiableHardware
-from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
-from repro.core.dmodel.model import DifferentiableModel, LayerPerformance
+from repro.core.dmodel.factors import MultiStartFactors
+from repro.core.dmodel.model import DenseTerms, DifferentiableModel, LayerPerformance
 from repro.core.dmodel.loss import (
     best_ordering_per_layer,
     network_edp_loss,
@@ -23,7 +23,7 @@ from repro.core.dmodel.loss import (
 __all__ = [
     "DifferentiableHardware",
     "MultiStartFactors",
-    "MultiStartGrid",
+    "DenseTerms",
     "DifferentiableModel",
     "LayerPerformance",
     "best_ordering_per_layer",

@@ -14,11 +14,16 @@ DRAM factors stay valid.
 
 :class:`MultiStartFactors` holds the factors of S independent gradient-descent
 *start points* over the same L layers, stacked into ``(S, L, levels, dims)``
-and ``(S, L, 2)`` tensors, so one forward/backward pass builds a single small
-graph of array ops that advances every start point of a DOSA search at once;
-S=1 is the single-start case.  Per-layer loop-ordering decisions become
-precomputed gather-index arrays (re-derived only when mappings are re-snapped
-at rounding points), and the per-factor structural masks are re-derived from
+and ``(S, L, 2)`` leaf tensors.  The model reads them through one dense
+``(2 * levels, dims, S, L)`` factor tensor
+(:meth:`MultiStartFactors.factor_tensor`): the spatial factors of every
+level, then the temporal ones, DRAM included, each factor slot a contiguous
+``(S, L)`` plane.
+One forward/backward pass therefore builds a single small graph of array ops
+that advances every start point of a DOSA search at once; S=1 is the
+single-start case.  Per-layer loop-ordering decisions become precomputed
+gather-index arrays (re-derived only when mappings are re-snapped at
+rounding points), and the per-factor structural masks are re-derived from
 current values on every forward pass inside
 :func:`repro.autodiff.ops.reload_product`.
 """
@@ -29,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.components import LEVEL_DRAM, MEMORY_LEVEL_INDICES
-from repro.autodiff import Tensor, ops
+from repro.arch.components import LEVEL_DRAM
+from repro.autodiff import Tensor
 from repro.mapping.mapping import (
     DEFAULT_ORDERINGS,
     DIM_INDEX,
@@ -46,6 +51,27 @@ from repro.workloads.layer import DIMENSIONS, LayerDims
 
 # Levels whose temporal factors are free optimization variables.
 OPTIMIZED_LEVELS: tuple[int, ...] = (0, 1, 2)
+
+# Rows of the dense factor tensor: level ``l``'s spatial factors sit in row
+# ``SPATIAL_ROW + l`` and its temporal factors in row ``TEMPORAL_ROW + l``.
+SPATIAL_ROW = 0
+TEMPORAL_ROW = NUM_LEVELS
+FACTOR_ROWS = 2 * NUM_LEVELS
+# Rows and columns of the free spatial factors, in ``log_spatial`` order.
+# Each sits in a different dimension, so a dimension's spatial product is
+# its one free factor.
+_SPATIAL_ROWS = np.array([SPATIAL_ROW + level for level, _ in SPATIAL_DIMS])
+_SPATIAL_COLS = np.array([DIM_INDEX[dim] for _, dim in SPATIAL_DIMS])
+
+
+def factor_slot(kind: str, level: int, dim: str) -> int:
+    """Slot of one factor in the factor tensor.
+
+    ``kind`` is ``"T"`` (temporal) or ``"S"`` (spatial); slots number the
+    ``(2 * levels, dims)`` leading axes in C order.
+    """
+    row = (TEMPORAL_ROW if kind == "T" else SPATIAL_ROW) + level
+    return row * NUM_DIMS + DIM_INDEX[dim]
 _MIN_LOG_FACTOR = np.log(1e-3)
 _MAX_LOG_FACTOR = np.log(1e9)
 
@@ -91,21 +117,6 @@ def _stacked_log_factors(mappings: Sequence[Mapping]) -> tuple[np.ndarray, np.nd
     return log_temporal, log_spatial
 
 
-class MultiStartGrid(dict):
-    """Start-batched factor grid: ``(kind, level, dim) -> (S, L) Tensor | float``.
-
-    ``kind`` is ``"T"`` (temporal) or ``"S"`` (spatial); entry ``[s, l]`` is
-    the factor of start ``s``, layer ``l``.  Factors that are structurally 1
-    (unsupported spatial positions) are plain floats.  The two matrix
-    attributes expose the underlying stacked tensors for walk-order gathers
-    (the reload factors read them at static flat positions built from the
-    permutation arrays, through :func:`~repro.autodiff.ops.gather`).
-    """
-
-    temporal_matrix: "Tensor"  # (S, L, optimized levels, dims)
-    dram_matrix: "Tensor"      # (S, L, dims) inferred DRAM temporal factors
-
-
 class MultiStartFactors:
     """Differentiable tiling factors of S start points x L layers.
 
@@ -117,7 +128,8 @@ class MultiStartFactors:
     node count is independent of S and L.
 
     Start points are independent: no graph node mixes rows, every reduction
-    (:func:`~repro.autodiff.ops.fold_sum`, :func:`~repro.autodiff.ops.fold_max`,
+    (the sequence products and sums, :func:`~repro.autodiff.ops.fold_sum`,
+    :func:`~repro.autodiff.ops.fold_max`,
     :func:`~repro.autodiff.ops.reload_product`) folds along the trailing axes
     only, and the scalar training loss is the fold of the per-start losses —
     whose gradient into each start is exactly the gradient of that start's own
@@ -133,7 +145,7 @@ class MultiStartFactors:
     only pushes a factor *up* towards 1 — it does not keep one there, so
     padding factors drift below 1 during descent.  Loop orderings are
     tracked per start *and* per layer in ``start_orderings``; the compiled
-    walk-order permutations are ``(S, L, dims)`` gather arrays.
+    walk-order permutations are an ``(S, L, levels, dims)`` gather array.
     """
 
     def __init__(
@@ -237,13 +249,13 @@ class MultiStartFactors:
     # ------------------------------------------------------------------ #
     # Structure compilation
     # ------------------------------------------------------------------ #
-    def order_perm(self, level: int) -> np.ndarray:
-        """``(S, L, dims)`` dimension indices in loop order (innermost first).
+    def order_perms(self) -> np.ndarray:
+        """``(S, L, levels, dims)`` dimension indices in loop order (innermost first).
 
-        The batched counterpart of ``Mapping.loop_order``: entry ``[s, l]``
-        permutes the dimension axis of start ``s``, layer ``l``'s temporal
-        factors at ``level`` into that layer's walk order.  Compiled lazily
-        from the current orderings and cached until
+        The batched counterpart of ``Mapping.loop_order``: entry
+        ``[s, l, level]`` permutes the dimension axis of start ``s``, layer
+        ``l``'s temporal factors at ``level`` into that layer's walk order.
+        Compiled lazily from the current orderings and cached until
         :meth:`load_mapping_sets` changes them.
         """
         if self._order_perms is None:
@@ -254,46 +266,75 @@ class MultiStartFactors:
                  for start in self.start_orderings],
                 dtype=np.intp,
             )
-        return self._order_perms[:, :, level, :]
+        return self._order_perms
+
+    def positions(self, slots: np.ndarray) -> np.ndarray:
+        """Flat positions in the factor tensor of per-entry ``slots``.
+
+        ``slots`` has shape ``(S or 1, L or 1, *rest)`` (see
+        :func:`factor_slot`); the result, ``(S, L, *rest)``, addresses each
+        start's and layer's own entry of those slots, for
+        :func:`~repro.autodiff.ops.gather`.
+        """
+        slots = np.asarray(slots, dtype=np.intp)
+        entries = (np.arange(self.num_starts)[:, None] * len(self.layers)
+                   + np.arange(len(self.layers))[None, :])
+        entries = entries.reshape(entries.shape + (1,) * (slots.ndim - 2))
+        return slots * (self.num_starts * len(self.layers)) + entries
 
     # ------------------------------------------------------------------ #
     # Differentiable factor access
     # ------------------------------------------------------------------ #
-    def factor_grid(self) -> MultiStartGrid:
-        """All factors as ``(S, L)`` tensor matrices, keyed by ``(kind, level, dim)``.
+    def factor_tensor(self) -> Tensor:
+        """Every tiling factor as one dense ``(2 * levels, dims, S, L)`` tensor.
 
-        DRAM temporal factors are derived so that every dimension's product
-        equals the problem size, keeping gradients flowing into the inner
-        factors.
+        Rows ``SPATIAL_ROW + l`` hold level ``l``'s spatial factors: the two
+        free weight-stationary factors (C at the accumulator, K at the
+        scratchpad), exactly 1.0 elsewhere.  Rows ``TEMPORAL_ROW + l`` hold
+        the temporal factors: ``exp`` of the free log factors at the
+        optimized levels and, in the DRAM row, the remaining problem size
+        ``dim_sizes / inner``, where ``inner`` is ``(T0 * T1) * T2`` times
+        the dimension's spatial factor (Section 5.3.3), so the gradient of a
+        DRAM factor flows into the inner ones.  Each factor slot is a
+        contiguous ``(S, L)`` plane, so the model's products and sums over
+        slots fold plane by plane and never across starts.  One node: its
+        backward takes the gradient of every slot, through the DRAM row, to
+        the two log-factor leaves, and drops the constant slots'.
         """
-        grid = MultiStartGrid()
-        temporal = ops.exp(self.log_temporal)
-        spatial = ops.exp(self.log_spatial)
+        log_temporal, log_spatial = self.log_temporal, self.log_spatial
+        sizes = self.dim_sizes.T[:, None, :]            # (dims, 1, L)
+        shape = (FACTOR_ROWS, NUM_DIMS, self.num_starts, len(self.layers))
+        free_rows = slice(TEMPORAL_ROW, TEMPORAL_ROW + len(OPTIMIZED_LEVELS))
+        dram_row = TEMPORAL_ROW + LEVEL_DRAM
+        saved: list = [None]
 
-        for level_pos, level in enumerate(OPTIMIZED_LEVELS):
-            for dim in DIMENSIONS:
-                grid[("T", level, dim)] = temporal[:, :, level_pos, DIM_INDEX[dim]]
-        for level in MEMORY_LEVEL_INDICES:
-            for dim in DIMENSIONS:
-                grid.setdefault(("S", level, dim), 1.0)
-        for position, (level, dim) in enumerate(SPATIAL_DIMS):
-            grid[("S", level, dim)] = spatial[:, :, position]
+        def forward():
+            temporal = np.exp(log_temporal.data).transpose(2, 3, 0, 1)
+            spatial = np.exp(log_spatial.data).transpose(2, 0, 1)
+            out = np.ones(shape)
+            out[free_rows] = temporal
+            out[_SPATIAL_ROWS, _SPATIAL_COLS] = spatial
+            inner = temporal[0] * temporal[1]
+            for level in range(2, len(temporal)):
+                inner = inner * temporal[level]
+            inner[_SPATIAL_COLS] *= spatial
+            np.divide(sizes, inner, out=out[dram_row])
+            saved[0] = temporal, spatial, inner
+            return out
 
-        # DRAM temporal factors absorb the remaining problem size.  The
-        # (L,)-shaped problem sizes broadcast across the start axis.
-        for dim in DIMENSIONS:
-            inner = ops.total_prod(
-                [grid[("T", level, dim)] for level in OPTIMIZED_LEVELS]
-                + [grid[("S", level, dim)] for level, d in SPATIAL_DIMS if d == dim]
-            )
-            grid[("T", LEVEL_DRAM, dim)] = (
-                Tensor(self.dim_sizes[:, DIM_INDEX[dim]]) / inner)
+        def backward(grad: np.ndarray):
+            temporal, spatial, inner = saved[0]
+            grad_inner = -grad[dram_row] * sizes / inner**2
+            scaled = grad_inner * inner
+            grad_temporal = grad[free_rows] + scaled / temporal
+            grad_spatial = grad[_SPATIAL_ROWS, _SPATIAL_COLS] + scaled[_SPATIAL_COLS] / spatial
+            return ((grad_temporal * temporal).transpose(2, 3, 0, 1)
+                    if log_temporal.requires_grad else None,
+                    (grad_spatial * spatial).transpose(1, 2, 0)
+                    if log_spatial.requires_grad else None)
 
-        grid.temporal_matrix = temporal
-        grid.dram_matrix = ops.transpose(
-            ops.stack([grid[("T", LEVEL_DRAM, dim)] for dim in DIMENSIONS]),
-            (1, 2, 0))
-        return grid
+        return log_temporal._make_child(forward(), (log_temporal, log_spatial),
+                                        backward, forward)
 
     # ------------------------------------------------------------------ #
     # Numeric snapshots

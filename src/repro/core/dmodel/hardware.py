@@ -14,6 +14,7 @@ plain floats taken from a :class:`~repro.arch.config.HardwareConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from repro.arch.components import (
@@ -26,6 +27,7 @@ from repro.arch.components import (
     LEVEL_DRAM,
     LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
+    MEMORY_LEVEL_INDICES,
     PE_ENERGY_PER_MAC,
     REGISTER_ENERGY_PER_ACCESS,
     SCRATCHPAD_EPA_BASE,
@@ -35,6 +37,12 @@ from repro.arch.config import HardwareConfig
 from repro.autodiff import Tensor, ops
 
 Value = Union[Tensor, float]
+
+
+def _level_stack(values: list) -> Tensor:
+    """Per-level values stacked along a new leading axis, at least 3-D."""
+    stacked = ops.stack(values)
+    return stacked if stacked.ndim == 3 else stacked.reshape(len(values), 1, 1)
 
 
 @dataclass
@@ -71,20 +79,16 @@ class DifferentiableHardware:
         """Minimal hardware implied by per-layer requirements (Equation 1, Figure 3).
 
         ``spatial_factors`` holds the candidate array side lengths (the C and
-        K spatial factors of every layer) along its last axis — ``(n,)`` for
-        one configuration, or ``(S, n)`` for one per start point, each row
-        reduced with the fused left-fold :func:`~repro.autodiff.ops.fold_max`
-        into ``(S, 1)`` fields (``accumulator_words`` / ``scratchpad_words``
-        are expected in the same shape).  The PE count is the square of the
+        K spatial factors of every layer) along its last axis, reduced with
+        the fused left-fold :func:`~repro.autodiff.ops.fold_max`: ``(n,)``
+        gives one configuration, ``(S, 1, n)`` one per start point as
+        ``(S, 1)`` fields (``accumulator_words`` / ``scratchpad_words`` are
+        expected in the same shape).  The PE count is the square of the
         maximum side.  SRAM capacities convert word requirements to kilobytes.
         """
         if spatial_factors.size == 0:
             raise ValueError("from_requirements needs at least one spatial factor")
         side = ops.fold_max(spatial_factors)
-        if side.ndim:
-            # Keep the reduced axis so per-start hardware broadcasts
-            # against that start's (S, L) factor columns.
-            side = side.reshape(side.shape + (1,))
         num_pes = side * side
         accumulator_kb = accumulator_words * (BYTES_PER_WORD[LEVEL_ACCUMULATOR] / 1024.0)
         scratchpad_kb = scratchpad_words * (BYTES_PER_WORD[LEVEL_SCRATCHPAD] / 1024.0)
@@ -101,13 +105,23 @@ class DifferentiableHardware:
     def mac_energy(self) -> float:
         return PE_ENERGY_PER_MAC
 
+    @cached_property
+    def _array_side(self) -> Value:
+        """``sqrt(num_pes)``, one node shared by the terms that need it."""
+        return self.num_pes**0.5
+
+    @cached_property
+    def _sram_bandwidth(self) -> Value:
+        """The accumulator's and the scratchpad's bandwidth, one node."""
+        return 2.0 * self._array_side
+
     def energy_per_access(self, level: int) -> Value:
         """Energy per access at ``level`` (differentiable where capacity-dependent)."""
         if level == LEVEL_REGISTERS:
             return REGISTER_ENERGY_PER_ACCESS
         if level == LEVEL_ACCUMULATOR:
             return (ACCUMULATOR_EPA_BASE
-                    + ACCUMULATOR_EPA_SLOPE * self.accumulator_kb / (self.num_pes**0.5))
+                    + ACCUMULATOR_EPA_SLOPE * self.accumulator_kb / self._array_side)
         if level == LEVEL_SCRATCHPAD:
             return SCRATCHPAD_EPA_BASE + SCRATCHPAD_EPA_SLOPE * self.scratchpad_kb
         if level == LEVEL_DRAM:
@@ -119,10 +133,26 @@ class DifferentiableHardware:
         if level == LEVEL_REGISTERS:
             return 2.0 * self.num_pes
         if level in (LEVEL_ACCUMULATOR, LEVEL_SCRATCHPAD):
-            return 2.0 * self.num_pes**0.5
+            return self._sram_bandwidth
         if level == LEVEL_DRAM:
             return DRAM_BANDWIDTH_WORDS_PER_CYCLE
         raise ValueError(f"unknown memory level {level}")
+
+    @cached_property
+    def level_bandwidths(self) -> Tensor:
+        """Every level's :meth:`bandwidth`, stacked: ``(levels, S, 1)``.
+
+        Scalar fields give ``(levels, 1, 1)``; either broadcasts against
+        the model's ``(levels, S, L)`` accesses.
+        """
+        return _level_stack([self.bandwidth(level) for level in MEMORY_LEVEL_INDICES])
+
+    @cached_property
+    def action_energies(self) -> Tensor:
+        """The MAC energy, then every level's :meth:`energy_per_access`,
+        stacked like :attr:`level_bandwidths`."""
+        return _level_stack([self.mac_energy] + [self.energy_per_access(level)
+                                                 for level in MEMORY_LEVEL_INDICES])
 
     # ------------------------------------------------------------------ #
     def to_config(self, bounds=None) -> HardwareConfig:

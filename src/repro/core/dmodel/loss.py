@@ -12,7 +12,8 @@
 
 Every loss takes a start-batched :class:`MultiStartFactors` (or the
 ``(S, L)``-valued :class:`LayerPerformance` evaluated from one) and returns
-one value per start point, shape ``(S,)``.  The layer axis is reduced with
+one value per start point, shape ``(S,)``.  A :class:`DenseTerms` passed as
+``terms`` lets the losses of one graph share the model's terms.  The layer axis is reduced with
 the left-fold sums of :func:`repro.autodiff.ops.fold_sum`, in the same element
 order as a per-layer Python fold; start points are independent descents, so
 nothing mixes their losses before the caller's final fold.
@@ -24,11 +25,20 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.arch.components import LEVEL_DRAM
 from repro.autodiff import Tensor, no_grad, ops
-from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
+from repro.core.dmodel.factors import OPTIMIZED_LEVELS, MultiStartFactors, factor_slot
 from repro.core.dmodel.hardware import DifferentiableHardware
-from repro.core.dmodel.model import DifferentiableModel, LayerPerformance
-from repro.mapping.mapping import LoopOrdering
+from repro.core.dmodel.model import DenseTerms, DifferentiableModel, LayerPerformance
+from repro.mapping.mapping import SPATIAL_DIMS, LoopOrdering
+from repro.workloads.layer import DIMENSIONS
+
+# The factors the Eq.-18 penalty hinges, per layer in this order: the free
+# temporal ones, the free spatial ones, then the inferred DRAM ones.
+_PENALTY_SLOTS = np.array(
+    [factor_slot("T", level, dim) for level in OPTIMIZED_LEVELS for dim in DIMENSIONS]
+    + [factor_slot("S", level, dim) for level, dim in SPATIAL_DIMS]
+    + [factor_slot("T", LEVEL_DRAM, dim) for dim in DIMENSIONS])
 
 
 def _repeat_vector(repeats: Sequence[int], count: int) -> Tensor:
@@ -51,20 +61,18 @@ def network_edp_loss(performance: LayerPerformance,
 
 
 def validity_penalty(factors: MultiStartFactors,
-                     grid: MultiStartGrid | None = None) -> Tensor:
+                     terms: DenseTerms | None = None) -> Tensor:
     """Equation 18: sum of ``max(1 - f, 0)`` over every tiling factor.
 
     Returns the ``(S,)`` vector of per-start penalties, each folded over its
-    hinges layer-major (all of layer 0's factors, then layer 1's, ...).
-    ``grid`` lets the caller reuse one factor grid across the loss graph.
-    The hinges of every grid factor are one fused node.
+    hinges layer-major (all of layer 0's factors, then layer 1's, ...), in
+    the order of ``_PENALTY_SLOTS``.  One gather reads the factors from the
+    factor tensor (``terms.tensor`` when given).
     """
-    grid = grid if grid is not None else factors.factor_grid()
-    values = [value for value in grid.values() if isinstance(value, Tensor)]
-    # (S, L, entries) -> per-start layer-major fold.
-    flat = ops.hinge_below(values, 1.0).reshape(
-        factors.num_starts, len(factors.layers) * len(values))
-    return ops.fold_sum(flat, axis=-1)
+    tensor = terms.tensor if terms is not None else factors.factor_tensor()
+    slots = np.broadcast_to(_PENALTY_SLOTS, (1, len(factors.layers), len(_PENALTY_SLOTS)))
+    values = ops.gather(tensor, factors.positions(slots).reshape(factors.num_starts, -1))
+    return ops.fold_sum(ops.relu(1.0 - values), axis=-1)
 
 
 _CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
@@ -78,7 +86,7 @@ def softmax_ordering_loss(
     factors: MultiStartFactors,
     repeats: Sequence[int],
     hardware: DifferentiableHardware | None = None,
-    grid: MultiStartGrid | None = None,
+    terms: DenseTerms | None = None,
 ) -> Tensor:
     """Equations 15-17: loss with softmax-weighted loop-ordering mixtures.
 
@@ -90,17 +98,17 @@ def softmax_ordering_loss(
     of per-start losses (the softmax and the layer folds never cross the
     start axis).
     """
-    # The factor grid is ordering-independent, so one grid serves the
+    # The dense terms are ordering-independent, so one set serves the
     # hardware derivation and all three candidate orderings (only the
-    # walk-order gathers inside the reload factors differ per candidate).
-    grid = grid if grid is not None else factors.factor_grid()
+    # walk-order gather of the reload factors differs per candidate).
+    terms = terms if terms is not None else DenseTerms(factors)
     if hardware is None:
-        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+        hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
     energies = []
     latencies = []
     for ordering in _CANDIDATE_ORDERINGS:
         candidate = factors.with_uniform_orderings(ordering)
-        perf = DifferentiableModel.evaluate_layer(candidate, hardware, grid)
+        perf = DifferentiableModel.evaluate_layer(candidate, hardware, terms)
         energies.append(perf.energy)
         latencies.append(perf.latency)
     energy_matrix = ops.stack(energies)      # (3, S, L)
@@ -126,12 +134,12 @@ def best_ordering_per_layer(
     Returns one list of per-layer selections per start point.
     """
     with no_grad():
-        grid = factors.factor_grid()
+        terms = DenseTerms(factors)
         if hardware is None:
-            hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+            hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
         edps = np.stack([
             DifferentiableModel.evaluate_layer(
-                factors.with_uniform_orderings(ordering), hardware, grid
+                factors.with_uniform_orderings(ordering), hardware, terms
             ).edp.data
             for ordering in _CANDIDATE_ORDERINGS
         ])

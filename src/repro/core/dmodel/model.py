@@ -3,19 +3,41 @@
 This mirrors the reference analysis of :mod:`repro.timeloop.loopnest` but over
 autodiff tensors and with smooth semantics: tile extents are real-valued
 products (no ceiling), DRAM energy is charged per element (no block rounding),
-and maxima use the exact-max subgradient of :func:`repro.autodiff.ops.maximum`.
+and maxima use the exact-max subgradient of :func:`repro.autodiff.ops.fold_max`.
 The structural decisions — which loops provide temporal reuse given the loop
 ordering — are made from the current numeric factor values inside the fused
 :func:`~repro.autodiff.ops.reload_product`, so each forward pass is
 differentiable on its active piece.
 
-Every formula operates on the ``(S, L)`` entries of a
-:class:`~repro.core.dmodel.factors.MultiStartFactors` grid: one graph of
-array ops for all start points and layers, whose node count is independent
-of both.  The loop-order-aware reload factor gathers the stacked temporal
-factors in walk order through static permutation arrays, and the hardware
-derivation folds the per-layer requirements with
-:func:`~repro.autodiff.ops.fold_max`, one row per start point.
+The model is dense.  Every quantity comes from the ``(2 * levels, dims, S,
+L)`` factor tensor of a
+:class:`~repro.core.dmodel.factors.MultiStartFactors` (S start points x L
+layers) through a few array ops, so one gradient step is a graph of a few
+dozen nodes whatever S and L are.  Per-(start, layer) quantities are
+``(S, L)`` planes and ``(k, S, L)`` stacks of them; every product and sum
+folds plane by plane along a leading axis, never across starts:
+
+* inner extents (Equations 2-5): one prefix product over the level axis;
+* the words of the four *buffered tiles* — weights at the registers and the
+  scratchpad, inputs at the scratchpad, outputs at the accumulator — as one
+  node: masked products of the extents, and the Eq.-4 input halo;
+* the MAC count (Eq. 7), the parallelism, the spatial reduction and broadcast
+  products (Eqs. 8 and 10) and the distinct output tiles: products of factor
+  slots in listed orders (:func:`~repro.autodiff.ops.sequence_prod`);
+* the reload factors (Eq. 6): one gather of the temporal rows in walk order,
+  whose suffixes are the four tiles' walks, feeds one
+  :func:`~repro.autodiff.ops.reload_product`;
+* accesses, latency and energy (Eqs. 6-14) and the hardware folds: the same
+  elementwise expressions as ever, over ``(k, S, L)`` stacks of terms.
+
+Each product and sum runs the IEEE operations of the per-column formulas it
+replaced (kept as the parity oracle in ``tests/oracles/layer_model.py``) in
+their order: a product padded with factors of exactly 1.0, or a sum padded
+with terms of 0.0, is bit-identical.  So losses equal the oracle's; only the
+order in which gradients accumulate differs.  No op reduces over the start
+axis, so each start's values equal an S=1 stack's.  The backwards of the
+products hand each factor the product over that factor; every factor is
+positive.
 """
 
 from __future__ import annotations
@@ -32,25 +54,171 @@ from repro.arch.components import (
     MEMORY_LEVEL_INDICES,
 )
 from repro.autodiff import Tensor, ops
-from repro.core.dmodel.factors import MultiStartFactors, MultiStartGrid
+from repro.core.dmodel.factors import (
+    TEMPORAL_ROW,
+    MultiStartFactors,
+    factor_slot,
+)
 from repro.core.dmodel.hardware import DifferentiableHardware
+from repro.mapping.mapping import DIM_INDEX, NUM_DIMS, SPATIAL_DIMS
 from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS
 
-Value = "Tensor | float"
 _FACTOR_EPS = 1e-9
 
-FactorGrid = dict
+#: The buffered tiles, as ``(level, tensor)``, in the order of every
+#: per-tile stack: tile words, reload factors and the fills they multiply to.
+BUFFERED_TILES: tuple[tuple[int, str], ...] = (
+    (LEVEL_REGISTERS, "W"),
+    (LEVEL_SCRATCHPAD, "W"),
+    (LEVEL_SCRATCHPAD, "I"),
+    (LEVEL_ACCUMULATOR, "O"),
+)
+_OUTPUT_TILE = BUFFERED_TILES.index((LEVEL_ACCUMULATOR, "O"))
+_SCRATCHPAD_TILES = [BUFFERED_TILES.index((LEVEL_SCRATCHPAD, tensor))
+                     for tensor in ("W", "I")]
+
+#: The traffic terms of Equations 6-11, in the order ``traffic`` stacks them
+#: (``compute``, the compute latency, rides along in the MAC-driven rows and
+#: no level reads it).
+_TERMS = ("w_register_fill", "w_scratchpad_fill", "i_scratchpad_fill",
+          "o_drain", "o_refill", "w_register_read", "compute",
+          "o_update", "i_scratchpad_read")
+#: Per level, the terms its accesses add up, in their summation order.
+#: Register reads of W are one per MAC and scratchpad reads of W one per
+#: register fill: the spatial broadcast of W (Eq. 8) is 1 at both levels,
+#: since the weight-stationary array is spatial only in C and K.
+_LEVEL_TERMS = {
+    LEVEL_REGISTERS: ("w_register_fill", "w_register_read"),
+    LEVEL_ACCUMULATOR: ("o_update", "o_drain", "o_refill"),
+    LEVEL_SCRATCHPAD: ("w_scratchpad_fill", "i_scratchpad_fill",
+                       "w_register_fill", "i_scratchpad_read"),
+    LEVEL_DRAM: ("w_scratchpad_fill", "i_scratchpad_fill", "o_drain",
+                 "o_refill"),
+}
+_LEVEL_TERM_TABLE = [[_TERMS.index(term) for term in _LEVEL_TERMS[level]]
+                     for level in MEMORY_LEVEL_INDICES]
+
+# The factor-slot sequences of the model's products, one row each of the
+# (5, S, L) ``products`` stack.  Equation 7's MAC count takes every factor,
+# dimension-major, each level's temporal factor before its spatial one; the
+# parallelism every spatial factor; Equations 8 and 10 the spatial reduction
+# of outputs at the accumulator and the spatial broadcast of inputs at the
+# scratchpad; and the distinct output tiles above the accumulator.
+_PRODUCT_SLOTS = [
+    [factor_slot(kind, level, dim) for dim in DIMENSIONS
+     for level in MEMORY_LEVEL_INDICES for kind in ("T", "S")],
+    [factor_slot("S", level, dim) for level in MEMORY_LEVEL_INDICES
+     for dim in DIMENSIONS],
+    *[[factor_slot("S", level, dim) for dim in DIMENSIONS
+       if dim not in TENSOR_DIMS[tensor]]
+      for level, tensor in ((LEVEL_ACCUMULATOR, "O"), (LEVEL_SCRATCHPAD, "I"))],
+    [factor_slot("T", level, dim) for level in range(LEVEL_ACCUMULATOR, LEVEL_DRAM + 1)
+     for dim in DIMENSIONS if dim in TENSOR_DIMS["O"]],
+]
+_RELEVANT_DIMS = {tensor: np.array([dim in dims for dim in DIMENSIONS])
+                  for tensor, dims in TENSOR_DIMS.items()}
+# The accumulator and scratchpad spatial factors, interleaved per layer:
+# the side-length candidates of the hardware derivation.
+_SIDE_SLOTS = np.array([factor_slot("S", level, dim) for level, dim in SPATIAL_DIMS])
+
+
+def _tile_words(extents: Tensor, stride_p: np.ndarray, stride_q: np.ndarray) -> Tensor:
+    """Words of the :data:`BUFFERED_TILES` (Equations 2-4), ``(4, S, L)``, one node.
+
+    ``extents`` are the prefix products of the factor tensor, whose row
+    ``TEMPORAL_ROW - 1 + level`` holds each dimension's extent inside the
+    level's tile.  Weight and output tiles multiply their tensor's extents
+    in dimension order.  The input tile is the Eq.-4 halo product
+    ``(C * N) * (stride_p * (P - 1) + R) * (stride_q * (Q - 1) + S)``.
+    """
+    c, n, p, q, r, s = (DIM_INDEX[dim] for dim in "CNPQRS")
+    product_tiles = [(k, TEMPORAL_ROW - 1 + level,
+                      np.array([dim in TENSOR_DIMS[tensor] for dim in DIMENSIONS])[:, None, None])
+                     for k, (level, tensor) in enumerate(BUFFERED_TILES) if tensor != "I"]
+    [(input_tile, input_row)] = [(k, TEMPORAL_ROW - 1 + level)
+                                 for k, (level, tensor) in enumerate(BUFFERED_TILES)
+                                 if tensor == "I"]
+    saved: list = [None]
+
+    def forward():
+        data = extents.data
+        out = np.empty((len(BUFFERED_TILES),) + data.shape[2:])
+        for k, row, mask in product_tiles:
+            np.multiply.reduce(np.where(mask, data[row], 1.0), axis=0, out=out[k])
+        row = data[input_row]
+        base = row[c] * row[n]
+        height = stride_p * (row[p] - 1.0) + row[r]
+        width = stride_q * (row[q] - 1.0) + row[s]
+        base_height = base * height
+        np.multiply(base_height, width, out=out[input_tile])
+        saved[0] = out, base, height, width, base_height
+        return out
+
+    def backward(grad: np.ndarray):
+        words, base, height, width, base_height = saved[0]
+        data = extents.data
+        out = np.zeros(data.shape)
+        for k, row, mask in product_tiles:
+            out[row] += np.where(mask, (grad[k] * words[k]) / data[row], 0.0)
+        row = data[input_row]
+        grad_words = grad[input_tile]
+        grad_base_height = grad_words * width
+        grad_base = grad_base_height * height
+        grad_height = grad_base_height * base
+        grad_width = grad_words * base_height
+        out_row = out[input_row]
+        out_row[c] += grad_base * row[n]
+        out_row[n] += grad_base * row[c]
+        out_row[p] += grad_height * stride_p
+        out_row[r] += grad_height
+        out_row[q] += grad_width * stride_q
+        out_row[s] += grad_width
+        return (out,)
+
+    return extents._make_child(forward(), (extents,), backward, forward)
+
+
+class DenseTerms:
+    """The ordering-independent terms of the model over one factor tensor.
+
+    Built once per loss graph and shared by the hardware derivation, every
+    candidate ordering's evaluation and the validity penalty.  Fields (all
+    tensors over ``(S, L)`` planes):
+
+    * ``tensor`` — the factor tensor (:meth:`MultiStartFactors.factor_tensor`);
+    * ``extents`` — its prefix products over the rows; row
+      ``TEMPORAL_ROW - 1 + level`` holds the inner extents of ``level``;
+    * ``tiles`` — the :data:`BUFFERED_TILES`' words, ``(4, S, L)``, and
+      ``output_tile``, the accumulator's, ``(S, L)``;
+    * ``macs`` and ``distinct_outputs`` — ``(1, S, L)``;
+    * ``per_mac`` — the MAC count over the parallelism (the compute latency,
+      Eq. 12), over the output reduction at the accumulator (its output
+      updates) and over the input broadcast at the scratchpad (its input
+      reads), ``(3, S, L)``, and ``compute_latency``, its first row.
+    """
+
+    def __init__(self, factors: MultiStartFactors) -> None:
+        self.tensor = factors.factor_tensor()
+        self.extents = ops.cumprod(self.tensor)
+        self.tiles = _tile_words(self.extents, factors.stride_p, factors.stride_q)
+        self.output_tile = self.tiles[_OUTPUT_TILE]
+        products = ops.sequence_prod(self.tensor, _PRODUCT_SLOTS, slot_ndim=2)
+        self.macs = products[:1]
+        self.distinct_outputs = products[4:]
+        self.per_mac = self.macs / products[1:4]
+        self.compute_latency = self.per_mac[:1]
 
 
 @dataclass
 class LayerPerformance:
-    """Differentiable per-layer latency/energy: ``(S, L)`` tensors (start x layer)."""
+    """Differentiable per-layer latency/energy: ``(S, L)`` tensors (start x layer).
+
+    ``accesses`` stacks every memory level's accesses, ``(levels, S, L)``.
+    """
 
     latency: Tensor
     energy: Tensor
-    compute_latency: Tensor
-    accesses: dict[int, Tensor]
-    macs: Tensor
+    accesses: Tensor
 
     @property
     def edp(self) -> Tensor:
@@ -61,136 +229,52 @@ class DifferentiableModel:
     """Evaluates :class:`MultiStartFactors` into differentiable performance."""
 
     # ------------------------------------------------------------------ #
-    # Tile sizes (Equations 2-5)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def inner_extent(factors: MultiStartFactors, grid: FactorGrid, level: int, dim: str):
-        """Extent of ``dim`` inside the level-``level`` tile (all spatial, inner temporal)."""
-        terms = [grid[("S", lvl, dim)] for lvl in MEMORY_LEVEL_INDICES]
-        terms += [grid[("T", lvl, dim)] for lvl in range(level)]
-        return ops.total_prod(terms)
-
-    @classmethod
-    def tile_words(cls, factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
-        """Words of ``tensor`` resident at ``level`` (Equations 2-4)."""
-        if tensor == "W":
-            return ops.total_prod(
-                [cls.inner_extent(factors, grid, level, d) for d in ("R", "S", "C", "K")]
-            )
-        if tensor == "O":
-            return ops.total_prod(
-                [cls.inner_extent(factors, grid, level, d) for d in ("P", "Q", "K", "N")]
-            )
-        if tensor == "I":
-            base = (cls.inner_extent(factors, grid, level, "C")
-                    * cls.inner_extent(factors, grid, level, "N"))
-            height = (factors.stride_p * (cls.inner_extent(factors, grid, level, "P") - 1.0)
-                      + cls.inner_extent(factors, grid, level, "R"))
-            width = (factors.stride_q * (cls.inner_extent(factors, grid, level, "Q") - 1.0)
-                     + cls.inner_extent(factors, grid, level, "S"))
-            return base * height * width
-        raise KeyError(f"unknown tensor {tensor!r}")
-
-    # ------------------------------------------------------------------ #
     # Traffic (Equations 6-11)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def reload_factor(factors: MultiStartFactors, grid: MultiStartGrid,
-                      level: int, tensor: str):
-        """Times the level tile of ``tensor`` is refetched (loop-order aware, Eq. 6).
+    def reload_factors(factors: MultiStartFactors, terms: DenseTerms) -> Tensor:
+        """Times each buffered tile is refetched (loop-order aware, Eq. 6), ``(4, S, L)``.
 
-        The walk sequence (levels outward, innermost loop first within each
-        level, per-start per-layer orderings) is materialized as an
-        ``(S, L, positions)`` matrix, one :func:`~repro.autodiff.ops.gather`
-        per walk level: static flat positions, through the permutation index
-        arrays, straight into the stacked temporal factors (level included)
-        or the DRAM factors.  The value-dependent skip rules (near-1 factors,
-        irrelevant loops inside the first relevant one) live inside
-        :func:`~repro.autodiff.ops.reload_product`, which re-derives them
-        from current values on every forward pass.
+        The walk visits the temporal factors levels outward, innermost loop
+        first within each level, in each start's and layer's orderings: one
+        :func:`~repro.autodiff.ops.gather` of static flat positions in the
+        factor tensor, positions first.  A tile's walk is the suffix from
+        its level, so the positions below that level are marked irrelevant,
+        which keeps them out of its product.  The value-dependent skip rules
+        (near-1 factors, irrelevant loops inside the first relevant one)
+        live inside :func:`~repro.autodiff.ops.reload_product`, which
+        re-derives them from current values on every forward pass.
         """
-        relevant_by_dim = np.array([d in TENSOR_DIMS[tensor] for d in DIMENSIONS])
-        # Broadcast (S, 1, 1) x (1, L, 1) row indices against the
-        # (S, L, dims) permutations.
-        start_rows = np.arange(factors.num_starts)[:, None, None]
-        layer_rows = np.arange(len(factors.layers))[None, :, None]
-        segments = []
-        relevant_segments = []
-        for walk_level in range(level, LEVEL_DRAM + 1):
-            perm = factors.order_perm(walk_level)
-            if walk_level == LEVEL_DRAM:
-                source, index = grid.dram_matrix, (start_rows, layer_rows, perm)
-            else:
-                # Optimized levels coincide with their positions in the stack.
-                source = grid.temporal_matrix
-                index = (start_rows, layer_rows, walk_level, perm)
-            segments.append(ops.gather(source, np.ravel_multi_index(index, source.shape)))
-            relevant_segments.append(relevant_by_dim[perm])
-        walk = ops.concat(segments, axis=-1) if len(segments) > 1 else segments[0]
-        relevant = np.concatenate(relevant_segments, axis=-1)
-        return ops.reload_product(walk, relevant, eps=_FACTOR_EPS)
-
-    @staticmethod
-    def distinct_tiles(factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
-        """Number of distinct tiles of ``tensor`` above ``level``."""
-        relevant = TENSOR_DIMS[tensor]
-        terms = []
-        for walk_level in range(level, LEVEL_DRAM + 1):
-            for dim in DIMENSIONS:
-                if dim in relevant:
-                    terms.append(grid[("T", walk_level, dim)])
-        return ops.total_prod(terms)
-
-    @staticmethod
-    def spatial_irrelevant_product(factors: MultiStartFactors, grid: FactorGrid, level: int, tensor: str):
-        """Equations 8/10: spatial broadcast / reduction factor at ``level``."""
-        relevant = TENSOR_DIMS[tensor]
-        terms = [grid[("S", level, dim)] for dim in DIMENSIONS if dim not in relevant]
-        return ops.total_prod(terms)
-
-    @staticmethod
-    def total_macs(factors: MultiStartFactors, grid: FactorGrid):
-        """Equation 7: the product of every tiling factor."""
-        terms = []
-        for dim in DIMENSIONS:
-            for level in MEMORY_LEVEL_INDICES:
-                terms.append(grid[("T", level, dim)])
-                terms.append(grid[("S", level, dim)])
-        return ops.total_prod(terms)
+        perms = factors.order_perms()                           # (S, L, levels, dims)
+        levels = np.arange(len(MEMORY_LEVEL_INDICES))
+        slots = (TEMPORAL_ROW + levels[:, None]) * NUM_DIMS + perms
+        positions = factors.positions(slots.reshape(perms.shape[:2] + (-1,)))
+        walk = ops.gather(terms.tensor, np.moveaxis(positions, -1, 0)[:, None])
+        walk_levels = np.repeat(levels, NUM_DIMS)[:, None, None]
+        relevant = np.stack([
+            (walk_levels >= level)
+            & np.moveaxis(_RELEVANT_DIMS[tensor][perms].reshape(perms.shape[:2] + (-1,)),
+                          -1, 0)
+            for level, tensor in BUFFERED_TILES], axis=1)       # (positions, 4, S, L)
+        return ops.reload_product(walk, relevant, eps=_FACTOR_EPS, axis=0)
 
     @classmethod
-    def traffic(cls, factors: MultiStartFactors, grid: FactorGrid) -> dict[int, Tensor]:
-        """Total accesses per memory level (reads + writes + updates)."""
-        macs = cls.total_macs(factors, grid)
-        spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
-        spatial_k = grid[("S", LEVEL_SCRATCHPAD, "K")]
+    def traffic(cls, factors: MultiStartFactors, terms: DenseTerms | None = None) -> Tensor:
+        """Accesses per memory level (reads + writes + updates), ``(levels, S, L)``.
 
-        writes_w_registers = (cls.tile_words(factors, grid, LEVEL_REGISTERS, "W")
-                              * cls.reload_factor(factors, grid, LEVEL_REGISTERS, "W"))
-        writes_w_scratchpad = (cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
-                               * cls.reload_factor(factors, grid, LEVEL_SCRATCHPAD, "W"))
-        writes_i_scratchpad = (cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I")
-                               * cls.reload_factor(factors, grid, LEVEL_SCRATCHPAD, "I"))
-
-        output_tile = cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O")
-        reloads_o = cls.reload_factor(factors, grid, LEVEL_ACCUMULATOR, "O")
-        distinct_o = cls.distinct_tiles(factors, grid, LEVEL_ACCUMULATOR, "O")
-        drains = output_tile * reloads_o
-        refills = output_tile * ops.relu(reloads_o - distinct_o)
-
-        accesses: dict[int, Tensor] = {}
-        accesses[LEVEL_REGISTERS] = (
-            writes_w_registers
-            + macs / cls.spatial_irrelevant_product(factors, grid, LEVEL_REGISTERS, "W")
-        )
-        accesses[LEVEL_ACCUMULATOR] = macs / spatial_c + drains + refills
-        accesses[LEVEL_SCRATCHPAD] = (
-            writes_w_scratchpad + writes_i_scratchpad
-            + writes_w_registers / cls.spatial_irrelevant_product(factors, grid, LEVEL_SCRATCHPAD, "W")
-            + macs / spatial_k
-        )
-        accesses[LEVEL_DRAM] = writes_w_scratchpad + writes_i_scratchpad + drains + refills
-        return accesses
+        Each buffered tile's fills are its words times its reloads (Eq. 6);
+        the accumulator refills outputs for every reload past the distinct
+        tiles (Eq. 9); MAC-driven reads and updates divide the MAC count by
+        the spatial broadcast or reduction (Eqs. 8 and 10).  Each level then
+        adds up its terms in the order of ``_LEVEL_TERMS``.
+        """
+        terms = terms if terms is not None else DenseTerms(factors)
+        reloads = cls.reload_factors(factors, terms)
+        fills = terms.tiles * reloads
+        output_reloads = reloads[_OUTPUT_TILE:_OUTPUT_TILE + 1]
+        refills = terms.output_tile * ops.relu(output_reloads - terms.distinct_outputs)
+        stacked = ops.concat([fills, refills, terms.macs, terms.per_mac])
+        return ops.sequence_sum(stacked, _LEVEL_TERM_TABLE)
 
     # ------------------------------------------------------------------ #
     # Latency / energy / EDP (Equations 12-14)
@@ -200,39 +284,30 @@ class DifferentiableModel:
         cls,
         factors: MultiStartFactors,
         hardware: DifferentiableHardware,
-        grid: FactorGrid | None = None,
+        terms: DenseTerms | None = None,
     ) -> LayerPerformance:
-        """Differentiable latency and energy of every start's layers on ``hardware``."""
-        grid = grid if grid is not None else factors.factor_grid()
-        macs = cls.total_macs(factors, grid)
-        accesses = cls.traffic(factors, grid)
+        """Differentiable latency and energy of every start's layers on ``hardware``.
 
-        parallelism = ops.total_prod(
-            [grid[("S", level, dim)] for level in MEMORY_LEVEL_INDICES for dim in DIMENSIONS]
-        )
-        compute_latency = macs / parallelism
-        latency = compute_latency
-        for level in MEMORY_LEVEL_INDICES:
-            latency = ops.maximum(latency, accesses[level] / hardware.bandwidth(level))
-
-        energy = macs * hardware.mac_energy
-        for level in MEMORY_LEVEL_INDICES:
-            energy = energy + accesses[level] * hardware.energy_per_access(level)
-
-        return LayerPerformance(
-            latency=latency,
-            energy=energy,
-            compute_latency=compute_latency,
-            accesses=accesses,
-            macs=macs,
-        )
+        The latency is the left-fold maximum of the compute latency (MACs
+        over parallelism) and each level's accesses over its bandwidth; the
+        energy is the left-fold sum of the MAC energy and each level's
+        accesses times its energy per access.  ``terms`` lets several
+        orderings of one factor tensor (``factors`` views) share its terms.
+        """
+        terms = terms if terms is not None else DenseTerms(factors)
+        accesses = cls.traffic(factors, terms)
+        latency = ops.fold_max(ops.concat(
+            [terms.compute_latency, accesses / hardware.level_bandwidths]), axis=0)
+        energy = ops.fold_sum(ops.concat([terms.macs, accesses])
+                              * hardware.action_energies, axis=0)
+        return LayerPerformance(latency=latency, energy=energy, accesses=accesses)
 
     # ------------------------------------------------------------------ #
     # Hardware derivation (Equation 1, Figure 3) over a set of layers
     # ------------------------------------------------------------------ #
     @classmethod
     def derive_hardware(cls, factors: MultiStartFactors,
-                        grid: MultiStartGrid | None = None) -> DifferentiableHardware:
+                        terms: DenseTerms | None = None) -> DifferentiableHardware:
         """Minimal hardware supporting every layer's current factors (differentiably).
 
         One independently-derived configuration per start point: each start's
@@ -241,25 +316,17 @@ class DifferentiableModel:
         maxima) with :func:`~repro.autodiff.ops.fold_max`, whose values and
         tie subgradients equal the chained per-layer maxima.  Fields come back
         as ``(S, 1)`` tensors that broadcast over the ``(S, L)`` factor grid.
-        ``grid`` lets one factor grid serve hardware derivation, evaluation
+        ``terms`` lets one set of terms serve hardware derivation, evaluation
         and the validity penalty within a single loss graph.
         """
-        grid = grid if grid is not None else factors.factor_grid()
-        spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
-        spatial_k = grid[("S", LEVEL_SCRATCHPAD, "K")]
-        starts, layer_count = spatial_c.shape
-        interleaved = ops.transpose(
-            ops.stack([spatial_c, spatial_k]), (1, 2, 0)
-        ).reshape(starts, 2 * layer_count)
-        accumulator_words = ops.fold_max(
-            cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O"))
-        scratchpad_words = ops.fold_max(
-            cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
-            + cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I"))
+        terms = terms if terms is not None else DenseTerms(factors)
+        slots = np.broadcast_to(_SIDE_SLOTS, (1, len(factors.layers), len(_SIDE_SLOTS)))
+        sides = factors.positions(slots).reshape(factors.num_starts, 1, -1)
         return DifferentiableHardware.from_requirements(
-            spatial_factors=interleaved,
-            accumulator_words=accumulator_words.reshape(starts, 1),
-            scratchpad_words=scratchpad_words.reshape(starts, 1),
+            spatial_factors=ops.gather(terms.tensor, sides),
+            accumulator_words=ops.fold_max(terms.output_tile, keepdims=True),
+            scratchpad_words=ops.fold_max(
+                ops.sequence_sum(terms.tiles, _SCRATCHPAD_TILES), keepdims=True),
         )
 
     @classmethod
@@ -267,14 +334,15 @@ class DifferentiableModel:
         cls,
         factors: MultiStartFactors,
         hardware: DifferentiableHardware | None = None,
-        grid: MultiStartGrid | None = None,
+        terms: DenseTerms | None = None,
     ) -> LayerPerformance:
         """Evaluate every layer, deriving minimal hardware if none is given.
 
         Returns one :class:`LayerPerformance` whose fields are ``(S, L)``
         tensors — one graph for all start points of a search.
         """
-        grid = grid if grid is not None else factors.factor_grid()
+        terms = terms if terms is not None else DenseTerms(factors)
         if hardware is None:
-            hardware = cls.derive_hardware(factors, grid=grid)
-        return cls.evaluate_layer(factors, hardware, grid)
+            hardware = cls.derive_hardware(factors, terms=terms)
+        return cls.evaluate_layer(factors, hardware, terms)
+

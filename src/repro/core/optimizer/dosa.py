@@ -57,7 +57,7 @@ from repro.core.dmodel.loss import (
     softmax_ordering_loss,
     validity_penalty,
 )
-from repro.core.dmodel.model import DifferentiableModel
+from repro.core.dmodel.model import DenseTerms, DifferentiableModel
 from repro.core.optimizer.startpoints import (
     StartPoint,
     generate_start_points,
@@ -274,25 +274,25 @@ class DosaSearcher:
               active: np.ndarray | None = None) -> Tensor:
         """The scalar training loss: the fold of the ``(S,)`` per-start losses.
 
-        One factor grid serves hardware derivation, evaluation and the
-        validity penalty — the whole loss is a single array-op graph.  Each
+        One set of :class:`DenseTerms` serves hardware derivation, evaluation
+        and the validity penalty — the whole loss is a single array-op graph.  Each
         start receives gradient 1.0 from the fold, exactly as if its own loss
         had been backpropagated.  Budget-frozen starts (``active`` False) are
         multiplied out (mask changes re-trace the tape); while every start is
         active no mask node is recorded.
         """
         settings = self.settings
-        grid = factors.factor_grid()
-        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+        terms = DenseTerms(factors)
+        hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
         if settings.ordering_strategy is LoopOrderingStrategy.SOFTMAX:
             objective = softmax_ordering_loss(factors, self._repeats, hardware,
-                                              grid=grid)
+                                              terms=terms)
         else:
             performances = DifferentiableModel.evaluate_network(factors, hardware,
-                                                                grid=grid)
+                                                                terms=terms)
             objective = network_edp_loss(performances, self._repeats)
         objective = objective + settings.penalty_weight * validity_penalty(
-            factors, grid=grid)
+            factors, terms=terms)
         if active is not None and not active.all():
             objective = objective * Tensor(active.astype(np.float64))
         return ops.fold_sum(objective)

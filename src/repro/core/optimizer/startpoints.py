@@ -49,10 +49,7 @@ def predicted_edp_of_mapping_sets(
     """
     with no_grad():
         factors = MultiStartFactors.from_mapping_sets(mapping_sets)
-        grid = factors.factor_grid()
-        hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
-        performances = DifferentiableModel.evaluate_network(factors, hardware,
-                                                            grid=grid)
+        performances = DifferentiableModel.evaluate_network(factors)
         return network_edp_loss(performances, repeats).data
 
 

@@ -38,7 +38,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, get_type_hints, runtime_checkable
 
 from repro.arch.config import HardwareConfig
 from repro.mapping.mapping import Mapping
@@ -513,13 +513,42 @@ def get_searcher(name: str) -> type:
     return _SEARCHERS[name]
 
 
+def _override_kind(annotation: Any) -> tuple[str, Callable[[Any], bool]] | None:
+    """What an override of a field annotated ``annotation`` may be.
+
+    Returns ``(description, test)`` for the field types JSON can carry —
+    ``int``, ``float``, ``int | None`` and string enums — and ``None`` for
+    any other field, which overrides cannot set.
+    """
+    def is_int(value: Any) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if annotation is int:
+        return "an integer", is_int
+    if annotation is float:
+        return "a number", lambda value: is_int(value) or isinstance(value, float)
+    if annotation == (int | None):
+        return "an integer or null", lambda value: value is None or is_int(value)
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        values = [member.value for member in annotation]
+        return f"one of {values}", lambda value: (
+            isinstance(value, (str, Enum)) and value in values)
+    return None
+
+
 def check_settings_overrides(strategy: str, overrides: dict[str, Any]) -> None:
-    """Refuse settings overrides that ``strategy``'s settings type lacks.
+    """Refuse settings overrides that ``strategy``'s settings type lacks or
+    that do not fit their field.
 
     Campaign jobs build ``settings_type(seed=seed, **overrides)``; checking
-    the keys up front turns a misspelt or removed setting into an error
-    before any job runs.  ``seed`` is not an override (every job supplies its
-    own).  Raises ``ValueError`` naming the first unknown key.
+    up front turns a misspelt or removed setting, or a value of the wrong
+    type, into an error before any job runs.  An ``int`` field takes a
+    non-bool integer, a ``float`` field a non-bool integer or float, an
+    ``int | None`` field also ``None``, and an enum field one of its values;
+    a field of any other type (e.g. DOSA's ``bounds``, a
+    :class:`~repro.arch.config.HardwareBounds` that JSON cannot build) is
+    refused by name.  ``seed`` is not an override (every job supplies its
+    own).  Raises ``ValueError`` naming the first offending key.
     """
     settings_type = getattr(get_searcher(strategy), "settings_type", None)
     allowed = ({item.name for item in fields(settings_type)} - {"seed"}
@@ -528,6 +557,17 @@ def check_settings_overrides(strategy: str, overrides: dict[str, Any]) -> None:
     if unknown:
         raise ValueError(f"unknown {strategy} setting {unknown[0]!r}; "
                          f"options: {sorted(allowed)}")
+    hints = get_type_hints(settings_type) if overrides else {}
+    for name in sorted(overrides):
+        kind = _override_kind(hints[name])
+        if kind is None:
+            type_name = getattr(hints[name], "__name__", hints[name])
+            raise ValueError(f"{strategy} setting {name!r} cannot be overridden: "
+                             f"JSON has no {type_name} value")
+        description, fits = kind
+        if not fits(overrides[name]):
+            raise ValueError(f"{strategy} setting {name!r} must be {description}, "
+                             f"got {overrides[name]!r}")
 
 
 def available_strategies() -> tuple[str, ...]:

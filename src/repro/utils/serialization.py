@@ -17,6 +17,7 @@ adjusted-latency (RTL) searches.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -40,12 +41,21 @@ def _json_int(value: Any, field: str) -> int:
     return value
 
 
+def _json_seconds(value: Any) -> float:
+    """``value`` as a float if it is a finite, non-bool number; a bool,
+    string, ``NaN`` or infinity is refused rather than coerced."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"max_seconds must be a finite number, got {value!r}")
+    return float(value)
+
+
 def budget_from_dict(payload: dict[str, Any]) -> SearchBudget:
     max_samples = payload.get("max_samples")
     max_seconds = payload.get("max_seconds")
     return SearchBudget(
         max_samples=None if max_samples is None else _json_int(max_samples, "max_samples"),
-        max_seconds=None if max_seconds is None else float(max_seconds),
+        max_seconds=None if max_seconds is None else _json_seconds(max_seconds),
     )
 
 

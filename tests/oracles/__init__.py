@@ -4,10 +4,12 @@ Nothing under ``src/`` imports these; they exist only so that the one
 production path of each job can be checked against an independent, simpler
 formulation of the same behaviour:
 
-* :mod:`oracles.layer_model` — the per-layer differentiable model: one
-  :class:`~oracles.layer_model.LayerFactors` per layer, scalar graphs, the
-  reload factor walked loop by loop in Python, hardware derived by chained
-  per-layer maxima, per-layer losses and the per-layer ordering scan.
+* :mod:`oracles.layer_model` — the per-column differentiable model the
+  dense one replaced: one :class:`~oracles.layer_model.LayerFactors` per
+  layer, scalar graphs over a dict of factor columns, Equations 2-14 one
+  column at a time, the reload factor walked loop by loop in Python,
+  hardware derived by chained per-layer maxima, per-layer losses and the
+  per-layer ordering scan.
 * :mod:`oracles.rounding` — the scalar Section-5.3.2 rounding walk, one
   mapping at a time.
 * :mod:`oracles.schedule` — the DOSA search with one start point descended
@@ -24,9 +26,10 @@ formulation of the same behaviour:
 * :mod:`oracles.gp` — the Bayesian baseline's GP with its RBF kernel built
   in one broadcast over every pairwise feature difference.
 * :mod:`oracles.chains` — the node-per-operation graphs the fused autodiff
-  kernels stand for: the multiplication chain of ``ops.total_prod``, the
-  level slice plus ``np.add.at`` gather of ``ops.gather``, and the reload
-  product that re-derives its mask in the backward.
+  kernels stand for: the multiplication chain (and ``total_prod``, the
+  per-column model's fused form of it), the level slice plus ``np.add.at``
+  gather of ``ops.gather``, the stacked Eq.-18 hinges ``hinge_below``, and
+  the reload product that re-derives its mask in the backward.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

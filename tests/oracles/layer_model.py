@@ -1,14 +1,16 @@
-"""The per-layer differentiable model: the oracle of the start-batched model.
+"""The per-layer differentiable model: the oracle of the dense model.
 
 One :class:`LayerFactors` per layer; every forward pass builds one small graph
-of scalar nodes per layer.  The Equation 2-14 formulas are the production
-:class:`~repro.core.dmodel.model.DifferentiableModel` ones (they are written
-against any factor grid), but the three places where the production model
-batches — the loop-order-aware reload factor, the cross-layer hardware
-derivation and the layer sums of the losses — are re-implemented here the
-literal way: a Python walk over the loop nest, chained per-layer maxima, and
-per-layer Python folds.  Loss values match an S=1 stack bit for bit;
-gradients agree up to floating-point accumulation order.
+of scalar nodes per layer, from a dict of per-factor columns keyed by
+``(kind, level, dim)``.  The Equation 2-14 formulas are written one column at
+a time, the way the production model wrote them before it went dense: a
+chain of multiplications per inner extent, tile, MAC count and distinct-tile
+count, a Python walk over the loop nest per reload factor, one elementwise
+node per traffic, latency and energy term, chained per-layer maxima for the
+hardware, and per-layer Python folds for the losses.  The dense
+:class:`~repro.core.dmodel.model.DifferentiableModel` runs the same IEEE
+operations in the same order, so loss values match an S=1 stack bit for
+bit; gradients agree up to floating-point accumulation order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from repro.arch.components import (
     BYTES_PER_WORD,
     LEVEL_ACCUMULATOR,
     LEVEL_DRAM,
+    LEVEL_REGISTERS,
     LEVEL_SCRATCHPAD,
     MEMORY_LEVEL_INDICES,
 )
@@ -32,7 +37,7 @@ from repro.core.dmodel.factors import (
     MultiStartFactors,
 )
 from repro.core.dmodel.hardware import DifferentiableHardware
-from repro.core.dmodel.model import _FACTOR_EPS, DifferentiableModel, LayerPerformance
+from repro.core.dmodel.model import _FACTOR_EPS
 from repro.core.optimizer.dosa import DosaSettings, LoopOrderingStrategy
 from repro.mapping.mapping import (
     DEFAULT_ORDERINGS,
@@ -53,6 +58,18 @@ CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
     LoopOrdering.INPUT_STATIONARY,
     LoopOrdering.OUTPUT_STATIONARY,
 )
+
+
+class FactorGrid(dict):
+    """One layer's factor columns, keyed by ``(kind, level, dim)``.
+
+    ``memo`` keeps the inner extents, tile words and MAC count built from
+    these columns, so each is one chain however many formulas read it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.memo: dict = {}
 
 
 class LayerFactors:
@@ -101,9 +118,9 @@ class LayerFactors:
     def parameters(self) -> list[Tensor]:
         return [self.log_temporal, self.log_spatial]
 
-    def factor_grid(self) -> dict:
+    def factor_grid(self) -> "FactorGrid":
         """All factors as 0-d tensors (or structural 1.0 floats), keyed by ``(kind, level, dim)``."""
-        grid: dict = {}
+        grid = FactorGrid()
         temporal = ops.exp(self.log_temporal)
         spatial = ops.exp(self.log_spatial)
         for level_pos, level in enumerate(OPTIMIZED_LEVELS):
@@ -159,12 +176,66 @@ def stack_of(all_factors: Sequence[LayerFactors]) -> MultiStartFactors:
     )
 
 
-class LayerModel(DifferentiableModel):
-    """The production formulas over :class:`LayerFactors`, with the literal
-    reload walk and chained-maximum hardware derivation."""
+@dataclass
+class LayerPerformance:
+    """One layer's differentiable latency, energy and per-level accesses (0-d)."""
 
+    latency: Tensor
+    energy: Tensor
+    accesses: dict
+
+    @property
+    def edp(self) -> Tensor:
+        return self.latency * self.energy
+
+
+class LayerModel:
+    """Equations 2-14 one factor column at a time, over :class:`LayerFactors`.
+
+    The reload factor walks the loop nest in Python, skipping near-1 factors
+    and irrelevant loops inside the first relevant one; the hardware is
+    derived by chained per-layer maxima.
+    """
+
+    # ------------------------------------------------------------------ #
+    # Tile sizes (Equations 2-5)
+    # ------------------------------------------------------------------ #
     @staticmethod
-    def reload_factor(factors: LayerFactors, grid: dict, level: int, tensor: str):
+    def inner_extent(grid: FactorGrid, level: int, dim: str):
+        """Extent of ``dim`` inside the level-``level`` tile (all spatial, inner temporal)."""
+        key = ("extent", level, dim)
+        if key not in grid.memo:
+            terms = [grid[("S", lvl, dim)] for lvl in MEMORY_LEVEL_INDICES]
+            terms += [grid[("T", lvl, dim)] for lvl in range(level)]
+            grid.memo[key] = chain_prod(terms)
+        return grid.memo[key]
+
+    @classmethod
+    def tile_words(cls, factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
+        """Words of ``tensor`` resident at ``level`` (Equations 2-4)."""
+        key = ("tile", level, tensor)
+        if key not in grid.memo:
+            grid.memo[key] = cls._tile_words(factors, grid, level, tensor)
+        return grid.memo[key]
+
+    @classmethod
+    def _tile_words(cls, factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
+        if tensor == "W":
+            return chain_prod([cls.inner_extent(grid, level, d) for d in ("R", "S", "C", "K")])
+        if tensor == "O":
+            return chain_prod([cls.inner_extent(grid, level, d) for d in ("P", "Q", "K", "N")])
+        base = cls.inner_extent(grid, level, "C") * cls.inner_extent(grid, level, "N")
+        height = (factors.stride_p * (cls.inner_extent(grid, level, "P") - 1.0)
+                  + cls.inner_extent(grid, level, "R"))
+        width = (factors.stride_q * (cls.inner_extent(grid, level, "Q") - 1.0)
+                 + cls.inner_extent(grid, level, "S"))
+        return base * height * width
+
+    # ------------------------------------------------------------------ #
+    # Traffic (Equations 6-11)
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def reload_factor(factors: LayerFactors, grid: FactorGrid, level: int, tensor: str):
         """Times the level tile of ``tensor`` is refetched (loop-order aware, Eq. 6)."""
         relevant = TENSOR_DIMS[tensor]
         terms = []
@@ -182,14 +253,97 @@ class LayerModel(DifferentiableModel):
                     seen_relevant = True
         return chain_prod(terms)
 
+    @staticmethod
+    def distinct_tiles(grid: FactorGrid, level: int, tensor: str):
+        """Number of distinct tiles of ``tensor`` above ``level``."""
+        return chain_prod([grid[("T", walk_level, dim)]
+                           for walk_level in range(level, LEVEL_DRAM + 1)
+                           for dim in DIMENSIONS if dim in TENSOR_DIMS[tensor]])
+
+    @staticmethod
+    def spatial_irrelevant_product(grid: FactorGrid, level: int, tensor: str):
+        """Equations 8/10: spatial broadcast / reduction factor at ``level``."""
+        return chain_prod([grid[("S", level, dim)] for dim in DIMENSIONS
+                           if dim not in TENSOR_DIMS[tensor]])
+
+    @staticmethod
+    def total_macs(grid: FactorGrid):
+        """Equation 7: the product of every tiling factor."""
+        if "macs" not in grid.memo:
+            grid.memo["macs"] = chain_prod([grid[(kind, level, dim)] for dim in DIMENSIONS
+                                            for level in MEMORY_LEVEL_INDICES
+                                            for kind in ("T", "S")])
+        return grid.memo["macs"]
+
     @classmethod
-    def derive_hardware(cls, all_factors: Sequence[LayerFactors]) -> DifferentiableHardware:
+    def traffic(cls, factors: LayerFactors, grid: FactorGrid) -> dict:
+        """Total accesses per memory level (reads + writes + updates)."""
+        macs = cls.total_macs(grid)
+        spatial_c = grid[("S", LEVEL_ACCUMULATOR, "C")]
+        spatial_k = grid[("S", LEVEL_SCRATCHPAD, "K")]
+
+        writes_w_registers = (cls.tile_words(factors, grid, LEVEL_REGISTERS, "W")
+                              * cls.reload_factor(factors, grid, LEVEL_REGISTERS, "W"))
+        writes_w_scratchpad = (cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "W")
+                               * cls.reload_factor(factors, grid, LEVEL_SCRATCHPAD, "W"))
+        writes_i_scratchpad = (cls.tile_words(factors, grid, LEVEL_SCRATCHPAD, "I")
+                               * cls.reload_factor(factors, grid, LEVEL_SCRATCHPAD, "I"))
+
+        output_tile = cls.tile_words(factors, grid, LEVEL_ACCUMULATOR, "O")
+        reloads_o = cls.reload_factor(factors, grid, LEVEL_ACCUMULATOR, "O")
+        distinct_o = cls.distinct_tiles(grid, LEVEL_ACCUMULATOR, "O")
+        drains = output_tile * reloads_o
+        refills = output_tile * ops.relu(reloads_o - distinct_o)
+
+        return {
+            LEVEL_REGISTERS: (
+                writes_w_registers
+                + macs / cls.spatial_irrelevant_product(grid, LEVEL_REGISTERS, "W")),
+            LEVEL_ACCUMULATOR: macs / spatial_c + drains + refills,
+            LEVEL_SCRATCHPAD: (
+                writes_w_scratchpad + writes_i_scratchpad
+                + writes_w_registers
+                / cls.spatial_irrelevant_product(grid, LEVEL_SCRATCHPAD, "W")
+                + macs / spatial_k),
+            LEVEL_DRAM: writes_w_scratchpad + writes_i_scratchpad + drains + refills,
+        }
+
+    # ------------------------------------------------------------------ #
+    # Latency / energy / EDP (Equations 12-14)
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def evaluate_layer(cls, factors: LayerFactors, hardware: DifferentiableHardware,
+                       grid: FactorGrid | None = None) -> LayerPerformance:
+        """Differentiable latency and energy of one layer on ``hardware``.
+
+        ``grid`` is the layer's factor grid when the caller already built it
+        (one grid serves every ordering of a layer).
+        """
+        grid = grid if grid is not None else factors.factor_grid()
+        macs = cls.total_macs(grid)
+        accesses = cls.traffic(factors, grid)
+        parallelism = chain_prod([grid[("S", level, dim)]
+                                  for level in MEMORY_LEVEL_INDICES for dim in DIMENSIONS])
+        latency = macs / parallelism
+        for level in MEMORY_LEVEL_INDICES:
+            latency = ops.maximum(latency, accesses[level] / hardware.bandwidth(level))
+        energy = macs * hardware.mac_energy
+        for level in MEMORY_LEVEL_INDICES:
+            energy = energy + accesses[level] * hardware.energy_per_access(level)
+        return LayerPerformance(latency=latency, energy=energy, accesses=accesses)
+
+    # ------------------------------------------------------------------ #
+    # Hardware derivation (Equation 1, Figure 3)
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def derive_hardware(cls, all_factors: Sequence[LayerFactors],
+                        grids: Sequence[FactorGrid] | None = None) -> DifferentiableHardware:
         """Minimal hardware supporting every layer, by chained per-layer maxima."""
         if not all_factors:
             raise ValueError("derive_hardware requires at least one layer")
+        grids = grids if grids is not None else [f.factor_grid() for f in all_factors]
         side = accumulator_words = scratchpad_words = None
-        for factors in all_factors:
-            grid = factors.factor_grid()
+        for factors, grid in zip(all_factors, grids):
             for candidate in (grid[("S", LEVEL_ACCUMULATOR, "C")],
                               grid[("S", LEVEL_SCRATCHPAD, "K")]):
                 side = candidate if side is None else ops.maximum(side, candidate)
@@ -209,11 +363,14 @@ class LayerModel(DifferentiableModel):
     @classmethod
     def evaluate_network(cls, all_factors: Sequence[LayerFactors],
                          hardware: DifferentiableHardware | None = None,
+                         grids: Sequence[FactorGrid] | None = None,
                          ) -> list[LayerPerformance]:
         """One :class:`LayerPerformance` of 0-d tensors per layer."""
+        grids = grids if grids is not None else [f.factor_grid() for f in all_factors]
         if hardware is None:
-            hardware = cls.derive_hardware(all_factors)
-        return [cls.evaluate_layer(factors, hardware) for factors in all_factors]
+            hardware = cls.derive_hardware(all_factors, grids)
+        return [cls.evaluate_layer(factors, hardware, grid)
+                for factors, grid in zip(all_factors, grids)]
 
 
 # --------------------------------------------------------------------------- #
@@ -247,11 +404,13 @@ def network_edp_loss(performances: Sequence[LayerPerformance],
     return total_energy * total_latency
 
 
-def validity_penalty(all_factors: Sequence[LayerFactors]) -> Tensor:
+def validity_penalty(all_factors: Sequence[LayerFactors],
+                     grids: Sequence[FactorGrid] | None = None) -> Tensor:
     """Equation 18: sum of ``max(1 - f, 0)`` over every tiling factor."""
+    grids = grids if grids is not None else [f.factor_grid() for f in all_factors]
     terms = []
-    for factors in all_factors:
-        for value in factors.factor_grid().values():
+    for grid in grids:
+        for value in grid.values():
             if isinstance(value, Tensor):
                 terms.append(ops.relu(1.0 - value))
     return total_sum(terms)
@@ -263,14 +422,16 @@ def ordering_candidates(factors: LayerFactors) -> list[LayerFactors]:
 
 
 def softmax_ordering_loss(all_factors: Sequence[LayerFactors], repeats: Sequence[int],
-                          hardware: DifferentiableHardware | None = None) -> Tensor:
+                          hardware: DifferentiableHardware | None = None,
+                          grids: Sequence[FactorGrid] | None = None) -> Tensor:
     """Equations 15-17, one layer at a time."""
+    grids = grids if grids is not None else [f.factor_grid() for f in all_factors]
     if hardware is None:
-        hardware = LayerModel.derive_hardware(all_factors)
+        hardware = LayerModel.derive_hardware(all_factors, grids)
     weighted_energies = []
     weighted_latencies = []
-    for factors, rep in zip(all_factors, repeats):
-        performances = [LayerModel.evaluate_layer(candidate, hardware)
+    for factors, grid, rep in zip(all_factors, grids, repeats):
+        performances = [LayerModel.evaluate_layer(candidate, hardware, grid)
                         for candidate in ordering_candidates(factors)]
         energy_vector = ops.stack([perf.energy for perf in performances])
         latency_vector = ops.stack([perf.latency for perf in performances])
@@ -305,12 +466,13 @@ def search_loss(settings: DosaSettings, all_factors: Sequence[LayerFactors],
 
     The per-layer counterpart of ``DosaSearcher._loss`` on an S=1 stack:
     EDP (or the softmax-ordering loss) on derived hardware plus the weighted
-    Equation-18 penalty.
+    Equation-18 penalty.  One factor grid per layer serves the whole loss.
     """
-    hardware = LayerModel.derive_hardware(all_factors)
+    grids = [f.factor_grid() for f in all_factors]
+    hardware = LayerModel.derive_hardware(all_factors, grids)
     if settings.ordering_strategy is LoopOrderingStrategy.SOFTMAX:
-        objective = softmax_ordering_loss(all_factors, repeats, hardware)
+        objective = softmax_ordering_loss(all_factors, repeats, hardware, grids)
     else:
         objective = network_edp_loss(
-            LayerModel.evaluate_network(all_factors, hardware), repeats)
-    return objective + settings.penalty_weight * validity_penalty(all_factors)
+            LayerModel.evaluate_network(all_factors, hardware, grids), repeats)
+    return objective + settings.penalty_weight * validity_penalty(all_factors, grids)

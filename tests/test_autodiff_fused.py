@@ -13,7 +13,13 @@ import pytest
 
 from repro.autodiff import Adam, Tape, Tensor, ops
 
-from oracles.chains import chain_prod, recomputing_reload_product, sliced_gather
+from oracles.chains import (
+    chain_prod,
+    hinge_below,
+    recomputing_reload_product,
+    sliced_gather,
+    total_prod,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -74,7 +80,7 @@ class TestTotalProd:
     ], ids=["three", "literal-ones", "negative-zero-term"])
     def test_grid_terms(self, terms):
         w = _weights((S, L))
-        assert_parity(lambda *p: (ops.total_prod(terms(*p)) * w).sum(),
+        assert_parity(lambda *p: (total_prod(terms(*p)) * w).sum(),
                       lambda *p: (chain_prod(terms(*p)) * w).sum(), GRID)
 
     @pytest.mark.parametrize("terms", [
@@ -88,7 +94,7 @@ class TestTotalProd:
     def test_broadcast_terms(self, terms):
         """(L,) constants and (S, 1) fields: the chain's own unbroadcasts."""
         w = _weights((S, L))
-        assert_parity(lambda *p: (ops.total_prod(terms(*p)) * w).sum(),
+        assert_parity(lambda *p: (total_prod(terms(*p)) * w).sum(),
                       lambda *p: (chain_prod(terms(*p)) * w).sum(),
                       [GRID[0], FIELD])
 
@@ -99,23 +105,23 @@ class TestTotalProd:
         def terms(x, y):
             return [Tensor(1.0), Tensor(2.5), x, Tensor(1.5), y]
 
-        assert_parity(lambda x, y: (ops.total_prod(terms(x, y)) * w).sum(),
+        assert_parity(lambda x, y: (total_prod(terms(x, y)) * w).sum(),
                       lambda x, y: (chain_prod(terms(x, y)) * w).sum(), GRID[:2])
 
     def test_single_term_and_empty_product(self):
         x = Tensor(GRID[0], requires_grad=True)
-        assert ops.total_prod([1.0, x, 1.0]) is x
-        assert float(ops.total_prod([]).data) == 1.0
-        assert float(ops.total_prod([1.0, 1.0]).data) == 1.0
+        assert total_prod([1.0, x, 1.0]) is x
+        assert float(total_prod([]).data) == 1.0
+        assert float(total_prod([1.0, 1.0]).data) == 1.0
         w = _weights((S, L))
         assert_parity(
-            lambda x: (ops.total_prod([1.0, x]) * ops.total_prod([]) * w).sum(),
+            lambda x: (total_prod([1.0, x]) * total_prod([]) * w).sum(),
             lambda x: (chain_prod([1.0, x]) * chain_prod([]) * w).sum(), GRID[:1])
 
     def test_one_node_with_the_terms_as_parents(self):
         terms = [Tensor(value, requires_grad=True) for value in GRID]
         terms.insert(2, Tensor(2.0))
-        out = ops.total_prod(terms)
+        out = total_prod(terms)
         assert len(out._parents) == 4
         assert all(parent is term for parent, term in zip(out._parents, terms))
 
@@ -217,15 +223,18 @@ class TestForwardCachedKernels:
             hinges = [ops.relu(1.0 - x) for x in xs]
             return (ops.transpose(ops.stack(hinges), (1, 2, 0)) * w).sum()
 
-        assert_parity(lambda *xs: (ops.hinge_below(xs, 1.0) * w).sum(), chained,
+        assert_parity(lambda *xs: (hinge_below(xs, 1.0) * w).sum(), chained,
                       values)
 
 
 def _first_step_trace(network):
-    """Tape nodes and ``Tensor`` indexes of a default DOSA search's first trace.
+    """Tape nodes, ``Tensor`` indexes and ``np.add.at`` calls of a default
+    DOSA search's first step.
 
     The search runs at its default settings; a budget of one gradient step
-    (7 start points x 1 sample) ends it at the first rounding point.
+    (7 start points x 1 sample) ends it at the first rounding point.  The
+    indexes are those recorded while the step's graph is traced; the
+    ``np.add.at`` calls are counted over the step's forward and backward.
     """
     from unittest import mock
 
@@ -234,11 +243,17 @@ def _first_step_trace(network):
 
     indexes = []
     traced = []
+    scatters = []
     original = Tensor.__getitem__
+    add_at = np.add.at
 
     def recording_getitem(tensor, index):
         indexes.append(index)
         return original(tensor, index)
+
+    def counting_add_at(*args, **kwargs):
+        scatters.append(args[1] if len(args) > 1 else None)
+        return add_at(*args, **kwargs)
 
     class RecordingTape(dosa.Tape):
         def forward(self):
@@ -249,28 +264,157 @@ def _first_step_trace(network):
             traced.append(self.num_nodes)
             return loss
 
-    with mock.patch.object(dosa, "Tape", RecordingTape):
+    class CountingAdd:
+        """``np.add`` with its ``at`` method counted (ufuncs are immutable)."""
+
+        def __getattr__(self, name):
+            return counting_add_at if name == "at" else getattr(add_at.__self__, name)
+
+        def __call__(self, *args, **kwargs):
+            return add_at.__self__(*args, **kwargs)
+
+    with mock.patch.object(dosa, "Tape", RecordingTape), \
+            mock.patch.object(np, "add", CountingAdd()):
         repro.optimize(network, "dosa", seed=0, budget=7)
-    return traced[0], indexes
+    return traced[0], indexes, scatters
 
 
 class TestDefaultStep:
-    """The default DOSA step keeps its fused kernels."""
+    """The default DOSA step keeps its dense kernels."""
 
-    #: Tape nodes of one default step (281 with a node per multiplication,
-    #: level slice and walk gather).
-    MAX_NODES = 184
+    #: Tape nodes of one default step (184 with the per-column factor grid,
+    #: 281 with a node per multiplication, level slice and walk gather).
+    MAX_NODES = 57
 
     @pytest.mark.parametrize("network", ["resnet50", "bert", "gpt2_decoder"])
     def test_tape_nodes_at_most_fused_count(self, network):
-        nodes, _ = _first_step_trace(network)
+        nodes, _, _ = _first_step_trace(network)
         assert nodes <= self.MAX_NODES
 
     def test_no_advanced_index_scatter(self):
-        """Every ``Tensor`` index in the step is basic: no ``np.add.at``."""
-        _, indexes = _first_step_trace("resnet50")
-        assert indexes
+        """No ``np.add.at`` scatter runs in a step, and every ``Tensor`` index
+        the step records is basic."""
+        _, indexes, scatters = _first_step_trace("resnet50")
+        assert scatters == []
         for index in indexes:
             items = index if isinstance(index, tuple) else (index,)
             assert all(item is None or item is Ellipsis
                        or isinstance(item, (int, slice)) for item in items), index
+
+
+def _grads(build, values):
+    """Loss value and parameter gradients of one ``build`` over fresh leaves."""
+    params = [Tensor(value.copy(), requires_grad=True) for value in values]
+    loss = build(*params)
+    loss.backward()
+    return loss.data.tobytes(), [p.grad for p in params]
+
+
+def assert_value_parity(fused, chained, values):
+    """Equal loss bytes; gradients equal up to accumulation order."""
+    fused_loss, fused_grads = _grads(fused, values)
+    chained_loss, chained_grads = _grads(chained, values)
+    assert fused_loss == chained_loss
+    for fused_grad, chained_grad in zip(fused_grads, chained_grads):
+        np.testing.assert_allclose(fused_grad, chained_grad, rtol=1e-12, atol=0.0)
+
+
+class TestDenseKernels:
+    """The dense model's kernels: chain values bit for bit, chain gradients
+    up to the order in which they accumulate."""
+
+    FACTORS = np.random.default_rng(11).uniform(0.3, 3.0, (4, 3, S, L))
+
+    def test_cumprod_matches_prefix_chains(self):
+        w = _weights((4, 3, S, L))
+
+        def chained(x):
+            prefixes = [chain_prod([x[i] for i in range(k + 1)]) for k in range(4)]
+            return (ops.stack(prefixes) * w).sum()
+
+        assert_value_parity(lambda x: (ops.cumprod(x) * w).sum(), chained,
+                            [self.FACTORS])
+
+    @pytest.mark.parametrize("sequences", [
+        [[5, 0, 11, 7]],
+        [list(range(12)), [3, 2, 1], [9]],
+        [4, 8, 1],
+    ], ids=["one-row", "rows", "bare-sequence"])
+    def test_sequence_prod_matches_chain(self, sequences):
+        rows = [sequences] if np.ndim(sequences[0]) == 0 else sequences
+        shape = (S, L) if np.ndim(sequences[0]) == 0 else (len(rows), S, L)
+        w = _weights(shape)
+
+        def chained(x):
+            flat = x.reshape(12, S, L)
+            products = [chain_prod([flat[i] for i in row]) for row in rows]
+            out = products[0] if np.ndim(sequences[0]) == 0 else ops.stack(products)
+            return (out * w).sum()
+
+        assert_value_parity(
+            lambda x: (ops.sequence_prod(x, sequences, slot_ndim=2) * w).sum(),
+            chained, [self.FACTORS])
+
+    def test_sequence_sum_matches_chain(self):
+        sequences = [[0, 3], [2, 1, 3], [3]]
+        w = _weights((3, S, L))
+        values = [RNG.uniform(-2.0, 2.0, (4, S, L))]
+
+        def chained(x):
+            sums = []
+            for row in sequences:
+                total = x[row[0]]
+                for index in row[1:]:
+                    total = total + x[index]
+                sums.append(total)
+            return (ops.stack(sums) * w).sum()
+
+        assert_value_parity(lambda x: (ops.sequence_sum(x, sequences) * w).sum(),
+                            chained, values)
+
+    def test_sequences_reject_repeated_slots(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="at most once"):
+            ops.sequence_prod(x, [[0, 1, 0]])
+        with pytest.raises(ValueError, match="at most once"):
+            ops.sequence_sum(x, [0, 0])
+
+    def test_reload_product_walk_suffixes_broadcast(self):
+        """One walk against several relevance masks, positions first, equals
+        each mask's own walk (the suffix from its first relevant position)."""
+        rng = np.random.default_rng(13)
+        logs = rng.uniform(-0.4, 0.4, (9, 1, S, L))
+        relevant = rng.random((9, 3, S, L)) > 0.5
+        relevant[:3, 1] = False   # a walk starting at position 3
+        relevant[:6, 2] = False   # one starting at position 6
+        w = _weights((3, S, L))
+
+        def separate(x):
+            walk = ops.exp(x)
+            parts = [ops.reload_product(
+                ops.transpose(walk.reshape(9, S, L), (1, 2, 0)),
+                np.moveaxis(relevant[:, k], 0, -1)) for k in range(3)]
+            return (ops.stack(parts) * w).sum()
+
+        assert_value_parity(
+            lambda x: (ops.reload_product(ops.exp(x), relevant, axis=0) * w).sum(),
+            separate, [logs])
+
+    @pytest.mark.parametrize("axis, keepdims", [(0, False), (1, True), (-1, True)])
+    def test_fold_max_axis_matches_chained_maximum(self, axis, keepdims):
+        # Exact ties (repeated rows) through the fold.
+        data = np.concatenate([GRID[0][None], GRID[1][None], GRID[0][None]])
+        w = _weights(np.max(data, axis=axis, keepdims=keepdims).shape)
+
+        def chained(x):
+            moved = ops.transpose(x, [axis % 3] + [a for a in range(3) if a != axis % 3])
+            out = moved[0]
+            for k in range(1, moved.shape[0]):
+                out = ops.maximum(out, moved[k])
+            if keepdims:
+                out = out.reshape(w.shape)
+            return (out * w).sum()
+
+        assert_value_parity(
+            lambda x: (ops.fold_max(x, axis=axis, keepdims=keepdims) * w).sum(),
+            chained, [data])

@@ -15,6 +15,7 @@ from repro.arch import (
     random_hardware_config,
 )
 from repro.autodiff import Adam, Tensor
+from repro.core.dmodel.factors import TEMPORAL_ROW
 from repro.core.dmodel import (
     DifferentiableHardware,
     DifferentiableModel,
@@ -102,16 +103,15 @@ class TestLayerFactors:
         [[rounded]] = factors.rounded_mapping_sets(max_spatial=128)
         assert validate_mapping(rounded) == []
 
-    def test_factor_grid_infers_dram(self):
+    def test_factor_tensor_infers_dram(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
-        grid = _stack(mapping).factor_grid()
-        for dim in ("R", "S", "P", "Q", "C", "K", "N"):
-            product = 1.0
-            for level in range(4):
-                for kind in ("T", "S"):
-                    value = grid[(kind, level, dim)]
-                    product *= value.data.item() if isinstance(value, Tensor) else value
-            assert product == pytest.approx(mapping.layer.dim(dim), rel=1e-9)
+        factors = _stack(mapping)
+        tensor = factors.factor_tensor().data[:, :, 0, 0]   # (2 * levels, dims)
+        for index, dim in enumerate(("R", "S", "P", "Q", "C", "K", "N")):
+            assert np.prod(tensor[:, index]) == pytest.approx(mapping.layer.dim(dim), rel=1e-9)
+            for level in range(3):
+                assert tensor[TEMPORAL_ROW + level, index] == pytest.approx(
+                    mapping.temporal[level, index], rel=1e-9)
 
     def test_load_mapping_keeps_tensor_identity(self):
         mapping = cosa_mapping(conv2d_layer(64, 64, 28), HardwareConfig(16, 32, 128))
@@ -175,10 +175,10 @@ class TestCorrelationWithReference:
 
         reference = analyze_traffic(mapping)
         factors = _stack(mapping)
-        accesses = DifferentiableModel.traffic(factors, factors.factor_grid())
+        accesses = DifferentiableModel.traffic(factors)
 
         for level, reference_accesses in reference.per_level_accesses().items():
-            model_accesses = accesses[level].data.item()
+            model_accesses = accesses.data[level].item()
             # Ceiling slack: the reference rounds tile extents up, so it may
             # exceed the smooth model, never meaningfully the other way.
             assert model_accesses <= reference_accesses * (1 + 1e-6), level

@@ -15,6 +15,7 @@ from repro.arch import HardwareConfig
 from repro.autodiff import Tape
 from repro.autodiff import ops
 from repro.core.dmodel import (
+    DenseTerms,
     DifferentiableModel,
     MultiStartFactors,
     network_edp_loss,
@@ -166,12 +167,12 @@ class TestTapeResnapRegression:
         _, batched, repeats = _random_start(3)
 
         def build():
-            grid = batched.factor_grid()
-            hardware = DifferentiableModel.derive_hardware(batched, grid=grid)
+            terms = DenseTerms(batched)
+            hardware = DifferentiableModel.derive_hardware(batched, terms=terms)
             performances = DifferentiableModel.evaluate_network(
-                batched, hardware, grid=grid)
+                batched, hardware, terms=terms)
             return ops.fold_sum(network_edp_loss(performances, repeats)
-                                + 1e9 * validity_penalty(batched, grid=grid))
+                                + 1e9 * validity_penalty(batched, terms=terms))
 
         tape = Tape(build)
         for phase in range(2):

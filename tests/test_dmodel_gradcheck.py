@@ -13,6 +13,7 @@ import pytest
 
 from repro.arch import HardwareConfig
 from repro.core.dmodel import (
+    DenseTerms,
     DifferentiableHardware,
     DifferentiableModel,
     MultiStartFactors,
@@ -122,12 +123,12 @@ class TestFullModelGradients:
         factors = stack_of(per_layer)
 
         def loss_fn():
-            grid = factors.factor_grid()
-            hardware = DifferentiableModel.derive_hardware(factors, grid=grid)
+            terms = DenseTerms(factors)
+            hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
             performances = DifferentiableModel.evaluate_network(factors, hardware,
-                                                                grid=grid)
+                                                                terms=terms)
             return (network_edp_loss(performances, [1, 2])
-                    + 1e6 * validity_penalty(factors, grid=grid)).sum()
+                    + 1e6 * validity_penalty(factors, terms=terms)).sum()
 
         _check_model_gradients([factors], loss_fn)
 

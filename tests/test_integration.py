@@ -24,7 +24,7 @@ from repro import (
     get_network,
 )
 from repro.cli import main as cli_main
-from repro.core.dmodel import DifferentiableModel, MultiStartFactors
+from repro.core.dmodel import DenseTerms, DifferentiableModel, MultiStartFactors
 from repro.mapping import (
     minimal_hardware_for_mappings,
     random_mapping,
@@ -44,17 +44,16 @@ class TestModelAgreement:
         mapping = random_mapping(layer, seed=seed, max_spatial=16)
         reference = analyze_traffic(mapping)
         factors = MultiStartFactors.from_mapping_sets([[mapping]])
-        grid = factors.factor_grid()
-        accesses = DifferentiableModel.traffic(factors, grid)
+        accesses = DifferentiableModel.traffic(factors)
         for level in range(4):
-            assert accesses[level].data.item() == pytest.approx(
+            assert accesses.data[level].item() == pytest.approx(
                 reference.accesses(level), rel=1e-6)
 
     def test_macs_match_layer_definition(self):
         layer = matmul_layer(512, 768, 768)
         mapping = cosa_mapping(layer, HardwareConfig(16, 32, 128))
         factors = MultiStartFactors.from_mapping_sets([[mapping]])
-        macs = DifferentiableModel.total_macs(factors, factors.factor_grid())
+        macs = DenseTerms(factors).macs
         assert macs.data.item() == pytest.approx(layer.macs)
 
     def test_derived_hardware_matches_constraint_path(self):

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.arch import HardwareConfig
 from repro.core.dmodel import (
+    DenseTerms,
     DifferentiableModel,
     MultiStartFactors,
     best_ordering_per_layer,
@@ -78,23 +79,23 @@ def _random_starts(seed: int, num_starts: int = NUM_STARTS):
 class TestLossParity:
     def test_per_start_losses_bitwise_equal(self):
         multi, singles, repeats = _random_starts(0)
-        grid = multi.factor_grid()
-        hardware = DifferentiableModel.derive_hardware(multi, grid=grid)
+        terms = DenseTerms(multi)
+        hardware = DifferentiableModel.derive_hardware(multi, terms=terms)
         performances = DifferentiableModel.evaluate_network(multi, hardware,
-                                                            grid=grid)
+                                                            terms=terms)
         edps = network_edp_loss(performances, repeats)
-        penalties = validity_penalty(multi, grid=grid)
+        penalties = validity_penalty(multi, terms=terms)
         softmaxes = softmax_ordering_loss(multi, repeats)
         assert edps.shape == (NUM_STARTS,)
         for start, factors in enumerate(singles):
-            single_grid = factors.factor_grid()
-            single_hw = DifferentiableModel.derive_hardware(factors, grid=single_grid)
+            single_terms = DenseTerms(factors)
+            single_hw = DifferentiableModel.derive_hardware(factors, terms=single_terms)
             perf = DifferentiableModel.evaluate_network(factors, single_hw,
-                                                        grid=single_grid)
+                                                        terms=single_terms)
             assert float(edps.data[start]) == (
                 network_edp_loss(perf, repeats).data.item())
             assert float(penalties.data[start]) == (
-                validity_penalty(factors, grid=single_grid).data.item())
+                validity_penalty(factors, terms=single_terms).data.item())
             assert float(softmaxes.data[start]) == (
                 softmax_ordering_loss(factors, repeats).data.item())
 
@@ -291,12 +292,12 @@ class TestMultiStartGradcheck:
         multi, _, repeats = _random_starts(5, num_starts=2)
 
         def loss_fn():
-            grid = multi.factor_grid()
-            hardware = DifferentiableModel.derive_hardware(multi, grid=grid)
+            terms = DenseTerms(multi)
+            hardware = DifferentiableModel.derive_hardware(multi, terms=terms)
             performances = DifferentiableModel.evaluate_network(multi, hardware,
-                                                                grid=grid)
+                                                                terms=terms)
             per_start = (network_edp_loss(performances, repeats)
-                         + 1e6 * validity_penalty(multi, grid=grid))
+                         + 1e6 * validity_penalty(multi, terms=terms))
             return ops.fold_sum(per_start)
 
         self._check(multi, loss_fn)

@@ -130,12 +130,31 @@ BAD_INPUTS = {
     "pe_dim-zero": ("hardware", {**GOOD_HARDWARE, "pe_dim": 0}),
     "max_samples-float": ("budget", {"max_samples": 60.9}),
     "max_samples-bool": ("budget", {"max_samples": True}),
+    "max_seconds-bool": ("budget", {"max_seconds": True}),
+    "max_seconds-string": ("budget", {"max_seconds": "5"}),
+    "max_seconds-nan": ("budget", {"max_seconds": float("nan")}),
+    "max_seconds-infinity": ("budget", {"max_seconds": float("inf")}),
+}
+
+#: Settings overrides whose value does not fit the field: ``(strategy,
+#: settings)`` of a search request.
+BAD_SETTINGS = {
+    "int-float": ("random", {"num_hardware_designs": 1.5}),
+    "int-string": ("random", {"mappings_per_layer": "3"}),
+    "int-bool": ("random", {"num_hardware_designs": True}),
+    "float-bool": ("dosa", {"learning_rate": True}),
+    "float-string": ("dosa", {"penalty_weight": "1e9"}),
+    "optional-int-float": ("dosa", {"fixed_pe_dim": 16.0}),
+    "enum-unknown": ("dosa", {"ordering_strategy": "greedy"}),
+    "bounds": ("dosa", {"bounds": {"max_pe_dim": 64}}),
 }
 
 
 class TestInputValidation:
     """Where JSON comes in (a submit, a campaign spec file), seeds must be
-    non-negative ints and hardware fields and ``max_samples`` ints."""
+    non-negative ints, hardware fields and ``max_samples`` ints,
+    ``max_seconds`` a finite number, and every settings override a value of
+    its field's type."""
 
     @pytest.fixture(scope="class")
     def client(self, tmp_path_factory):
@@ -168,6 +187,37 @@ class TestInputValidation:
         path.write_text(json.dumps(payload))
         assert main(["campaign", "run", str(path), "--dir", str(tmp_path / "s")]) == 2
         assert "cannot load spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_daemon_answers_400_to_bad_setting(self, client, case):
+        strategy, settings = BAD_SETTINGS[case]
+        with pytest.raises(ServiceError) as error:
+            client.submit_search("bert", strategy=strategy, seed=0, budget=10,
+                                 settings=settings)
+        assert error.value.status == 400
+        assert next(iter(settings)) in str(error.value)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_campaign_run_refuses_bad_setting(self, tmp_path, capsys, case):
+        from repro.cli import main
+        strategy, settings = BAD_SETTINGS[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "bad", "workloads": ["bert"],
+            "strategies": [{"name": strategy, "settings": settings}],
+            "seeds": [0], "budgets": [{"max_samples": 10}]}))
+        assert main(["campaign", "run", str(path), "--dir", str(tmp_path / "s")]) == 2
+        assert next(iter(settings)) in capsys.readouterr().err
+
+    def test_fitting_settings_are_accepted(self):
+        settings = {"learning_rate": 1, "penalty_weight": 1e6, "fixed_pe_dim": None,
+                    "ordering_strategy": "softmax", "gd_steps": 3}
+        _, _, request = normalize_request({"network": "bert", "seed": 0,
+                                           "settings": settings})
+        assert request["settings"] == settings
+        _, _, request = normalize_request({"network": "bert", "seed": 0,
+                                           "budget": {"max_seconds": 2}})
+        assert request["budget"]["max_seconds"] == 2
 
     def test_integer_hardware_is_accepted(self):
         _, _, request = normalize_request({"network": "bert", "strategy": "fixed_hw_random",
