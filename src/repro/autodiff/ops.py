@@ -170,8 +170,8 @@ def gather(x: Tensor, positions: np.ndarray) -> Tensor:
     return x._make_child(forward(), (x,), backward, forward)
 
 
-def stack(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``, broadcasting them to one shape first.
+def stack(values: Sequence[TensorLike]) -> Tensor:
+    """Stack tensors along a new leading axis, broadcasting them to one shape first.
 
     Scalars and constants broadcast against the tensors (e.g. a level's
     fixed bandwidth beside the ``(S, 1)`` derived ones); each parent's
@@ -180,19 +180,17 @@ def stack(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(v) for v in values]
     if not tensors:
         raise ValueError("stack of an empty sequence")
-    shape = np.broadcast_shapes(*(t.data.shape for t in tensors))
-    axis_n = axis % (len(shape) + 1)
-    slots = [(slice(None),) * axis_n + (i,) for i in range(len(tensors))]
+    shape = (len(tensors),) + np.broadcast_shapes(*(t.data.shape for t in tensors))
 
     def forward():
-        out = np.empty(shape[:axis_n] + (len(tensors),) + shape[axis_n:])
-        for slot, t in zip(slots, tensors):
-            out[slot] = t.data
+        out = np.empty(shape)
+        for i, t in enumerate(tensors):
+            out[i] = t.data
         return out
 
     def backward(grad: np.ndarray):
-        return tuple(grad[slot] if t.requires_grad else None
-                     for slot, t in zip(slots, tensors))
+        return tuple(grad[i] if t.requires_grad else None
+                     for i, t in enumerate(tensors))
 
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
