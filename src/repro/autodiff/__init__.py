@@ -6,34 +6,23 @@ surrogate model are both built on the :class:`~repro.autodiff.tensor.Tensor`
 type defined here.  It provides:
 
 * ``Tensor`` — an array wrapper recording a dynamic computation graph and
-  supporting broadcasting-aware reverse-mode backpropagation,
-* ``ops`` — a functional library (exp, log, power, maximum, softmax,
-  reductions, matmul, stacking, and the dense kernels of the DOSA model:
-  prefix products, sequence products and sums, gathers, and fold/reload
-  reductions ...),
+  supporting broadcasting-aware reverse-mode backpropagation (arithmetic,
+  ``**`` with a float exponent, ``matmul``, ``reshape``, indexing, ``sum``,
+  ``mean`` and ``exp``),
+* ``ops`` — the functional library, reached as ``ops.<name>``: ``exp``,
+  ``relu``, ``maximum``, ``softmax``, ``stack``, ``concat``, ``transpose``,
+  and the dense kernels of the DOSA model: prefix products, sequence
+  products and sums, gathers, and fold/reload reductions,
 * ``optim`` — the Adam optimizer (updates in place),
 * ``tape`` — compiled-tape replay of a traced graph (re-trace once per
   structural change instead of once per step),
-* ``nn`` — a minimal neural-network layer library (Linear, MLP, MSE loss, feature scaler),
+* ``nn`` — a minimal neural-network layer library (Linear, ReLU MLP, MSE loss,
+  feature scaler),
 * ``gradcheck`` — finite-difference gradient verification used by the tests.
 """
 
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.autodiff import ops
-from repro.autodiff.ops import (
-    concat,
-    stack,
-    exp,
-    log,
-    sqrt,
-    maximum,
-    minimum,
-    relu,
-    sigmoid,
-    tanh,
-    softmax,
-    where,
-)
 from repro.autodiff.optim import Adam
 from repro.autodiff.tape import Tape, TapeError
 from repro.autodiff import nn
@@ -44,18 +33,6 @@ __all__ = [
     "no_grad",
     "ops",
     "nn",
-    "concat",
-    "stack",
-    "exp",
-    "log",
-    "sqrt",
-    "maximum",
-    "minimum",
-    "relu",
-    "sigmoid",
-    "tanh",
-    "softmax",
-    "where",
     "Adam",
     "Tape",
     "TapeError",

@@ -9,7 +9,7 @@ needed to train such a model from scratch, plus feature standardization.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,16 +65,8 @@ class Linear(Module):
         return x.matmul(self.weight) + self.bias
 
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": ops.relu,
-    "tanh": ops.tanh,
-    "sigmoid": ops.sigmoid,
-    "identity": lambda x: x,
-}
-
-
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
+    """Multi-layer perceptron with a ReLU after every hidden layer.
 
     ``hidden_sizes`` lists the width of each hidden layer; the Mind-Mappings
     style predictor used for the Gemmini-RTL experiments uses seven hidden
@@ -86,23 +78,18 @@ class MLP(Module):
         in_features: int,
         hidden_sizes: Sequence[int],
         out_features: int = 1,
-        activation: str = "relu",
         seed: SeedLike = None,
     ) -> None:
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; options: {sorted(_ACTIVATIONS)}")
         rng = make_rng(seed)
         sizes = [in_features, *hidden_sizes, out_features]
         self.layers = [
             Linear(sizes[i], sizes[i + 1], seed=rng) for i in range(len(sizes) - 1)
         ]
-        self.activation_name = activation
-        self._activation = _ACTIVATIONS[activation]
 
     def forward(self, x: Tensor) -> Tensor:
         out = x
         for layer in self.layers[:-1]:
-            out = self._activation(layer(out))
+            out = ops.relu(layer(out))
         return self.layers[-1](out)
 
 

@@ -1,9 +1,14 @@
 """Functional operations on :class:`~repro.autodiff.tensor.Tensor` values.
 
-These are the building blocks of the DOSA differentiable model: products of
-tiling factors, maxima for the roofline latency, the softmax used for
-gradient-based loop-ordering (paper Section 5.2.2), and the hinge used to
-keep tiling factors valid (Equation 18).
+These are the building blocks of the DOSA differentiable model and the
+surrogate's MLP: :func:`relu` (the MLP's activation, and with
+:func:`fold_sum` the Equation-18 validity penalty ``relu(1 - f)`` that keeps
+tiling factors at or above 1), the softmax used for gradient-based
+loop-ordering (paper Section 5.2.2), :func:`stack` and :func:`concat`, and
+the dense kernels below (the roofline latency is a :func:`fold_max`).
+:func:`exp`, :func:`maximum` and :func:`transpose` serve the per-column
+model that the parity tests compare the dense one against, and the chains
+the kernels stand for.
 
 Every op records a forward-recompute closure (see
 :mod:`repro.autodiff.tensor`), so graphs built from these functions can be
@@ -45,14 +50,6 @@ def exp(x: TensorLike) -> Tensor:
     return _as_tensor(x).exp()
 
 
-def log(x: TensorLike) -> Tensor:
-    return _as_tensor(x).log()
-
-
-def sqrt(x: TensorLike) -> Tensor:
-    return _as_tensor(x).sqrt()
-
-
 def relu(x: TensorLike) -> Tensor:
     x = _as_tensor(x)
 
@@ -63,34 +60,6 @@ def relu(x: TensorLike) -> Tensor:
         return (grad * (x.data > 0),)
 
     return x._make_child(forward(), (x,), backward, forward)
-
-
-def sigmoid(x: TensorLike) -> Tensor:
-    x = _as_tensor(x)
-
-    def forward():
-        return 1.0 / (1.0 + np.exp(-x.data))
-
-    out = x._make_child(forward(), (x,), None, forward)
-
-    def backward(grad: np.ndarray):
-        return (grad * out.data * (1.0 - out.data),)
-
-    return out._set_backward(backward)
-
-
-def tanh(x: TensorLike) -> Tensor:
-    x = _as_tensor(x)
-
-    def forward():
-        return np.tanh(x.data)
-
-    out = x._make_child(forward(), (x,), None, forward)
-
-    def backward(grad: np.ndarray):
-        return (grad * (1.0 - out.data**2),)
-
-    return out._set_backward(backward)
 
 
 def maximum(a: TensorLike, b: TensorLike) -> Tensor:
@@ -105,36 +74,6 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
         tie = (a.data == b.data) * 0.5
         return (grad * ((a.data > b.data) + tie) if a.requires_grad else None,
                 grad * ((b.data > a.data) + tie) if b.requires_grad else None)
-
-    return a._make_child(forward(), (a, b), backward, forward)
-
-
-def minimum(a: TensorLike, b: TensorLike) -> Tensor:
-    """Elementwise minimum (dual of :func:`maximum`)."""
-    return -maximum(-_as_tensor(a), -_as_tensor(b))
-
-
-def where(condition: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
-    """Differentiable selection: ``a`` where ``condition`` is true, else ``b``.
-
-    ``condition`` is a plain boolean array (no gradient flows through it).
-    The condition is captured statically, so this op is tape-replayable only
-    when the condition does not depend on values that change between replays;
-    for the value-dependent structural masks of the DOSA model use
-    :func:`reload_product`, which re-derives its masks every pass.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    a_mask = cond.astype(np.float64)
-    b_mask = 1.0 - a_mask
-
-    def forward():
-        return np.where(cond, a.data, b.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * a_mask if a.requires_grad else None,
-                grad * b_mask if b.requires_grad else None)
 
     return a._make_child(forward(), (a, b), backward, forward)
 
@@ -220,9 +159,9 @@ def concat(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
 def transpose(x: TensorLike, axes: Sequence[int]) -> Tensor:
     """Permute the axes of a tensor (``np.transpose`` with explicit axes).
 
-    Used by the multi-start model to interleave per-layer columns inside each
-    start's row (e.g. ``(2, S, L) -> (S, L, 2)`` before flattening to the
-    per-start candidate order of the hardware derivation).
+    The parity tests build the chains of :func:`fold_max` and
+    :func:`reload_product` with it (e.g. ``(k, S, L) -> (S, L, k)`` to put
+    the folded axis last).
     """
     x = _as_tensor(x)
     axes = tuple(int(a) % x.data.ndim for a in axes)
@@ -244,19 +183,20 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
     per-ordering energies/latencies by their inverse EDP.
     """
     x = _as_tensor(x)
+    out: list = [None]
 
     def forward():
         shifted = x.data - x.data.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
-        return exps / exps.sum(axis=axis, keepdims=True)
-
-    out = x._make_child(forward(), (x,), None, forward)
+        out[0] = exps / exps.sum(axis=axis, keepdims=True)
+        return out[0]
 
     def backward(grad: np.ndarray):
-        dot = (grad * out.data).sum(axis=axis, keepdims=True)
-        return (out.data * (grad - dot),)
+        weights = out[0]
+        dot = (grad * weights).sum(axis=axis, keepdims=True)
+        return (weights * (grad - dot),)
 
-    return out._set_backward(backward)
+    return x._make_child(forward(), (x,), backward, forward)
 
 
 def cumprod(x: TensorLike) -> Tensor:
@@ -425,8 +365,8 @@ def fold_max(x: TensorLike, axis: int = -1, keepdims: bool = False) -> Tensor:
     ``maximum(maximum(x[..., 0], x[..., 1]), x[..., 2]) ...`` the way the
     per-layer hardware derivation folds its candidates: at every pairwise tie
     the gradient splits 0.5/0.5, so earlier tied candidates receive
-    geometrically smaller shares (unlike :meth:`Tensor.max`, which splits
-    evenly among *all* ties).  Rows of an N-D tensor fold independently, so
+    geometrically smaller shares, not an even split among *all* ties.  Rows
+    of an N-D tensor fold independently, so
     each start of a multi-start stack sees exactly the per-start fold
     semantics.  The forward keeps the running maxima (its value is their
     last entry), and the backward derives every fold step's tie split from

@@ -30,9 +30,9 @@ running maxima), because :meth:`Tape.forward` replays every node before
 :meth:`Tape.backward` runs; so a replayed forward/backward is bit-identical
 to re-tracing the same closure — the regression tests assert ``==``, not a
 tolerance.  What must stay fixed is the *wiring*: the traced closure may
-not branch on parameter values or bake them into constants (e.g. a
-:func:`repro.autodiff.ops.where` condition computed from parameter values is
-captured at trace time and not replayable).  When the structure does change —
+not branch on parameter values or bake them into constants (e.g. a mask
+computed from parameter values with NumPy and multiplied in as a constant is
+captured at trace time and not replayed).  When the structure does change —
 DOSA re-selects loop orderings at a rounding point — call :meth:`invalidate`
 and the next :meth:`forward` re-traces.
 """
@@ -125,17 +125,9 @@ class Tape:
         if output.data.size != 1:
             raise TapeError(f"traced loss must be a scalar, got shape {output.shape}")
         order = topological_order(output)
-        replay = []
-        for node in order:
-            if node._parents and node._recompute is None:
-                raise TapeError(
-                    "traced graph contains an op without a forward-recompute "
-                    "closure and cannot be replayed"
-                    + (f" (node {node.name!r})" if node.name else ""))
-            if node._recompute is not None:
-                replay.append((node, node._recompute))
         self._output = output
         self._order = order
-        self._replay = replay
+        # Every op node carries its forward; the leaves have none to replay.
+        self._replay = [(node, node._recompute) for node in order if node._parents]
         self._program = BackwardProgram(order)
         return output

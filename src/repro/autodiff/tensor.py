@@ -49,7 +49,7 @@ dense DOSA kernels keep only the values exact.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -210,18 +210,6 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def zeros(shape: Sequence[int] | int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape: Sequence[int] | int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def full(shape: Sequence[int] | int, value: float, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=requires_grad)
-
-    @staticmethod
     def as_tensor(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -247,17 +235,10 @@ class Tensor:
     def _raise_item(self) -> float:
         raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
 
-    def numpy(self) -> np.ndarray:
-        """Return a copy of the underlying data as a NumPy array."""
-        return self.data.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""
         return f"Tensor({np.array2string(self.data, precision=4)}{grad_flag}{label})"
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -266,17 +247,16 @@ class Tensor:
         self,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], tuple] | None,
-        forward: Callable[[], np.ndarray] | None = None,
+        backward: Callable[[np.ndarray], tuple],
+        forward: Callable[[], np.ndarray],
     ) -> "Tensor":
         """Create an op result wired into the graph when grad is enabled.
 
         ``backward`` maps an incoming gradient to one contribution per
         parent, positionally, with ``None`` for a parent that needs no
         gradient; ``forward`` recomputes this node's value from the parents'
-        current ``.data`` (used by tape replay).  Ops whose backward needs the
-        output value pass ``backward=None`` here and attach it with
-        :meth:`_set_backward` once the child exists.
+        current ``.data`` (used by tape replay).  A backward that needs the
+        output value reads what ``forward`` kept in its closure.
         """
         child = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -285,12 +265,6 @@ class Tensor:
             child._backward = backward
             child._recompute = forward
         return child
-
-    def _set_backward(self, backward: Callable[[np.ndarray], tuple]) -> "Tensor":
-        """Attach a late-bound backward closure (only if this node is wired)."""
-        if self._parents:
-            self._backward = backward
-        return self
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
@@ -355,15 +329,6 @@ class Tensor:
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor.as_tensor(other) - self
 
-    def __neg__(self) -> "Tensor":
-        def forward():
-            return -self.data
-
-        def backward(grad: np.ndarray):
-            return (-grad,)
-
-        return self._make_child(forward(), (self,), backward, forward)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
 
@@ -396,9 +361,6 @@ class Tensor:
         return Tensor.as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            return self._tensor_pow(exponent)
-
         def forward():
             return self.data**exponent
 
@@ -406,24 +368,6 @@ class Tensor:
             return (grad * exponent * self.data ** (exponent - 1),)
 
         return self._make_child(forward(), (self,), backward, forward)
-
-    def _tensor_pow(self, exponent: "Tensor") -> "Tensor":
-        def forward():
-            return self.data**exponent.data
-
-        out = self._make_child(forward(), (self, exponent), None, forward)
-
-        def backward(grad: np.ndarray):
-            base_data, exp_data = self.data, exponent.data
-            grad_base = (grad * exp_data * base_data ** (exp_data - 1)
-                         if self.requires_grad else None)
-            if not exponent.requires_grad:
-                return (grad_base, None)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_base = np.where(base_data > 0, np.log(np.maximum(base_data, 1e-300)), 0.0)
-            return (grad_base, grad * out.data * log_base)
-
-        return out._set_backward(backward)
 
     # ------------------------------------------------------------------ #
     # Matrix multiply, reshaping, indexing
@@ -452,9 +396,6 @@ class Tensor:
 
         return self._make_child(forward(), (self, other), backward, forward)
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
-
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -467,19 +408,6 @@ class Tensor:
             return (grad.reshape(original_shape),)
 
         return self._make_child(forward(), (self,), backward, forward)
-
-    def transpose(self) -> "Tensor":
-        def forward():
-            return self.data.T
-
-        def backward(grad: np.ndarray):
-            return (grad.T,)
-
-        return self._make_child(forward(), (self,), backward, forward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
         shape = self.data.shape
@@ -531,89 +459,14 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def prod(self) -> "Tensor":
-        """Product over all elements (differentiable, tolerant of zeros)."""
-
-        def forward():
-            return np.asarray(float(np.prod(self.data)))
-
-        def backward(grad: np.ndarray):
-            grad_value = float(np.asarray(grad).reshape(-1)[0])
-            flat = self.data.reshape(-1)
-            n = flat.size
-            # Gradient of the product w.r.t. each element is the product of
-            # all the others; computed with exclusive prefix/suffix products
-            # so that a single zero element does not wipe out every gradient.
-            prefix = np.ones(n)
-            suffix = np.ones(n)
-            if n > 1:
-                np.multiply.accumulate(flat[:-1], out=prefix[1:])
-                np.multiply.accumulate(flat[:0:-1], out=suffix[-2::-1])
-            partials = prefix * suffix
-            return ((grad_value * partials).reshape(self.data.shape),)
-
-        return self._make_child(forward(), (self,), backward, forward)
-
-    def max(self) -> "Tensor":
-        def forward():
-            return np.asarray(self.data.max())
-
-        out = self._make_child(forward(), (self,), None, forward)
-
-        def backward(grad: np.ndarray):
-            grad_value = float(np.asarray(grad).reshape(-1)[0])
-            mask = (self.data == out.data).astype(np.float64)
-            mask /= mask.sum()
-            return (grad_value * mask,)
-
-        return out._set_backward(backward)
-
-    def min(self) -> "Tensor":
-        return -((-self).max())
-
     def exp(self) -> "Tensor":
-        def forward():
-            return np.exp(self.data)
+        out: list = [None]
 
-        out = self._make_child(forward(), (self,), None, forward)
+        def forward():
+            out[0] = np.exp(self.data)
+            return out[0]
 
         def backward(grad: np.ndarray):
-            return (grad * out.data,)
-
-        return out._set_backward(backward)
-
-    def log(self) -> "Tensor":
-        def forward():
-            return np.log(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad / self.data,)
+            return (grad * out[0],)
 
         return self._make_child(forward(), (self,), backward, forward)
-
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
-    def abs(self) -> "Tensor":
-        def forward():
-            return np.abs(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * np.sign(self.data),)
-
-        return self._make_child(forward(), (self,), backward, forward)
-
-    # ------------------------------------------------------------------ #
-    # Comparisons (non-differentiable, return plain numpy bool arrays)
-    # ------------------------------------------------------------------ #
-    def __lt__(self, other: ArrayLike):
-        return self.data < Tensor.as_tensor(other).data
-
-    def __le__(self, other: ArrayLike):
-        return self.data <= Tensor.as_tensor(other).data
-
-    def __gt__(self, other: ArrayLike):
-        return self.data > Tensor.as_tensor(other).data
-
-    def __ge__(self, other: ArrayLike):
-        return self.data >= Tensor.as_tensor(other).data

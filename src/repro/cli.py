@@ -135,6 +135,10 @@ def _run_search(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"repro.cli search: error: {error}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"repro.cli search: error: --seed must be a non-negative integer, "
+              f"got {args.seed}", file=sys.stderr)
+        return 2
     if args.strategy == "fixed_hw_random" and not args.fixed_hardware:
         print("repro.cli search: error: --strategy fixed_hw_random requires "
               "--fixed-hardware PE_DIM ACC_KB SP_KB", file=sys.stderr)

@@ -120,23 +120,20 @@ def softmax_ordering_loss(
     return ops.fold_sum(weighted_energy) * ops.fold_sum(weighted_latency)
 
 
-def best_ordering_per_layer(
-    factors: MultiStartFactors,
-    hardware: DifferentiableHardware | None = None,
-) -> list[list[LoopOrdering]]:
+def best_ordering_per_layer(factors: MultiStartFactors) -> list[list[LoopOrdering]]:
     """Iterative loop-ordering selection (Section 5.2.1).
 
     For each start point and layer, evaluate the WS/IS/OS orderings under the
-    differentiable model and pick the ordering with the lowest layer EDP.
-    Each candidate ordering is evaluated once over all starts and layers (a
-    ``(3, S, L)`` EDP tensor, no graph recorded); ``argmin`` keeps the first
-    minimum, matching a per-layer strict-``<`` scan decision for decision.
-    Returns one list of per-layer selections per start point.
+    differentiable model, on the minimal hardware the factors imply, and pick
+    the ordering with the lowest layer EDP.  Each candidate ordering is
+    evaluated once over all starts and layers (a ``(3, S, L)`` EDP tensor, no
+    graph recorded); ``argmin`` keeps the first minimum, matching a per-layer
+    strict-``<`` scan decision for decision.  Returns one list of per-layer
+    selections per start point.
     """
     with no_grad():
         terms = DenseTerms(factors)
-        if hardware is None:
-            hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
+        hardware = DifferentiableModel.derive_hardware(factors, terms=terms)
         edps = np.stack([
             DifferentiableModel.evaluate_layer(
                 factors.with_uniform_orderings(ordering), hardware, terms

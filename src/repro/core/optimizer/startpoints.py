@@ -24,6 +24,10 @@ from repro.mapping.mapping import Mapping
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.networks import Network
 
+#: Fresh hardware draws a start point may reject before the last draw is
+#: kept regardless.
+MAX_REJECTIONS = 20
+
 
 @dataclass
 class StartPoint:
@@ -69,13 +73,15 @@ def generate_start_points(
     count: int,
     seed: SeedLike = None,
     rejection_threshold: float = 10.0,
-    max_rejections: int = 20,
     fixed_pe_dim: int | None = None,
 ) -> list[StartPoint]:
     """Generate ``count`` start points for ``network`` with rejection sampling.
 
-    ``fixed_pe_dim`` pins the PE array (used by the Gemmini-RTL experiments
-    where only buffer sizes and mappings are searched).
+    Each start point draws up to ``MAX_REJECTIONS + 1`` hardware
+    configurations and keeps the first within ``rejection_threshold`` of the
+    best so far, or else the last.  ``fixed_pe_dim`` pins the PE array (used
+    by the Gemmini-RTL experiments where only buffer sizes and mappings are
+    searched).
     """
     if count < 1:
         raise ValueError("need at least one start point")
@@ -86,7 +92,7 @@ def generate_start_points(
 
     for _ in range(count):
         candidate: StartPoint | None = None
-        for _attempt in range(max_rejections + 1):
+        for _attempt in range(MAX_REJECTIONS + 1):
             hardware = random_hardware_config(seed=rng)
             if fixed_pe_dim is not None:
                 hardware = HardwareConfig(

@@ -1,12 +1,20 @@
 """Memoization of reference-model evaluations.
 
-The black-box search baselines (and DOSA's periodic rounding) repeatedly ask
-the reference model about identical ``(mapping, hardware)`` pairs: rounding
-snaps nearby fractional factors onto the same divisors, and random samplers
-revisit small layers' tiny mapping spaces constantly.  Re-running the full
-per-level traffic walk for those repeats is pure waste, so the engine keys
+DOSA's periodic rounding asks the reference model about identical
+``(mapping, hardware)`` pairs: rounding snaps nearby fractional factors onto
+the same divisors, across steps and start points.  Re-running the full
+per-level traffic walk for those repeats is waste, so the engine keys
 finished :class:`~repro.timeloop.model.PerformanceResult` objects on an exact
 mapping/hardware fingerprint and serves repeats from memory.
+
+Repeats are common in DOSA and rare elsewhere.  With a fresh cache per
+search at seed 2 (the benchmark panel's searches), default DOSA hits 42 of
+441 lookups on resnet50, 65 of 105 on bert and 88 of 147 on gpt2_decoder,
+while 5,000-sample random searches on resnet50 and bert (5,016 and 5,000
+lookups) and Bayesian search on bert (2,005) hit none: their random
+mappings do not repeat.  Over whole benchmark runs (``perfbench/run.py``, 10 s, traced,
+seed 0, 2-vCPU VM), the offline workload's ``eval.cache_hit_ratio`` was
+0.015 and the served workload's ``service.cache_hit_ratio`` 0 over 269 jobs.
 
 Cache semantics:
 

@@ -5,7 +5,7 @@ to query the reference model.  It composes the two acceleration layers of
 this package behind the scalar API's semantics, in-process:
 
 1. an :class:`~repro.eval.cache.EvaluationCache` serves exact repeats from
-   memory (rounded candidates recur constantly in every strategy),
+   memory (DOSA's rounded candidates recur; random mappings rarely do),
 2. the vectorized batch evaluator of :mod:`repro.eval.batch` scores the
    remaining unique misses in one array pass, amortizing the per-mapping
    Python overhead.

@@ -33,6 +33,7 @@ hand-wiring per-method glue.  The pieces:
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from contextlib import contextmanager
@@ -71,8 +72,11 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_samples is not None and self.max_samples < 1:
             raise ValueError("max_samples must be at least 1 (or None)")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ValueError("max_seconds must be non-negative (or None)")
+        # ``NaN`` compares false with everything, so it would never expire.
+        if self.max_seconds is not None and not (
+                math.isfinite(self.max_seconds) and self.max_seconds >= 0):
+            raise ValueError(f"max_seconds must be a finite non-negative number "
+                             f"(or None), got {self.max_seconds!r}")
 
     def exhausted(self, samples: int, elapsed_seconds: float) -> bool:
         """Whether a run at ``samples`` evaluations / ``elapsed_seconds`` is done."""

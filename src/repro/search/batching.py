@@ -33,9 +33,9 @@ from repro.mapping.mapping import Mapping
 from repro.search.api import SearchSession
 from repro.timeloop.model import PerformanceResult
 
-#: Default evaluation chunk: large enough to amortize batch setup, small
-#: enough that wall-time budgets are still checked frequently.
-DEFAULT_CHUNK_SIZE = 32
+#: Evaluation chunk: large enough to amortize batch setup, small enough
+#: that wall-time budgets are still checked frequently.
+CHUNK_SIZE = 32
 
 
 def best_of_random_mappings(
@@ -45,7 +45,6 @@ def best_of_random_mappings(
     attempts: int,
     generate: Callable[[int], list[Mapping | None]],
     on_evaluated: Callable[[Mapping, PerformanceResult], None] | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[Mapping | None, PerformanceResult | None]:
     """Best-of-``attempts`` random mappings for one layer, batched.
 
@@ -70,7 +69,7 @@ def best_of_random_mappings(
         else:
             # Not exhausted implies samples < max_samples, so the allowance
             # is at least 1 here.
-            allowance = session.sample_allowance(min(remaining, chunk_size))
+            allowance = session.sample_allowance(min(remaining, CHUNK_SIZE))
         batch = [candidate for candidate in generate(allowance) if candidate is not None]
         remaining -= allowance
         if not batch:

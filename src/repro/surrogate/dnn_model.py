@@ -52,7 +52,7 @@ class LatencyPredictorDNN:
 
         self.mode = mode
         self.scaler = nn.StandardScaler()
-        self.network = nn.MLP(FEATURE_SIZE, list(hidden_sizes), 1, activation="relu", seed=seed)
+        self.network = nn.MLP(FEATURE_SIZE, list(hidden_sizes), 1, seed=seed)
         self._trained = False
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,6 @@ adjusted-latency (RTL) searches.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
@@ -42,10 +41,10 @@ def _json_int(value: Any, field: str) -> int:
 
 
 def _json_seconds(value: Any) -> float:
-    """``value`` as a float if it is a finite, non-bool number; a bool,
-    string, ``NaN`` or infinity is refused rather than coerced."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    """``value`` as a float if it is a non-bool number; a bool or string is
+    refused rather than coerced (:class:`SearchBudget` refuses ``NaN`` and
+    infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"max_seconds must be a finite number, got {value!r}")
     return float(value)
 

@@ -26,10 +26,10 @@ formulation of the same behaviour:
 * :mod:`oracles.gp` — the Bayesian baseline's GP with its RBF kernel built
   in one broadcast over every pairwise feature difference.
 * :mod:`oracles.chains` — the node-per-operation graphs the fused autodiff
-  kernels stand for: the multiplication chain (and ``total_prod``, the
-  per-column model's fused form of it), the level slice plus ``np.add.at``
-  gather of ``ops.gather``, the stacked Eq.-18 hinges ``hinge_below``, and
-  the reload product that re-derives its mask in the backward.
+  kernels stand for: the multiplication chain (of ``ops.cumprod``,
+  ``ops.sequence_prod`` and the per-column model's products), the level
+  slice plus ``np.add.at`` gather of ``ops.gather``, and the reload product
+  that re-derives its mask in the backward.
 
 The test suite puts ``tests/`` on ``sys.path`` (``pytest.ini``), so tests
 import them as ``oracles.<module>``; the benchmark scripts add the same

@@ -13,13 +13,7 @@ import pytest
 
 from repro.autodiff import Adam, Tape, Tensor, ops
 
-from oracles.chains import (
-    chain_prod,
-    hinge_below,
-    recomputing_reload_product,
-    sliced_gather,
-    total_prod,
-)
+from oracles.chains import chain_prod, recomputing_reload_product, sliced_gather
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -65,65 +59,7 @@ def _weights(shape, seed=0):
 
 RNG = np.random.default_rng(7)
 S, L = 3, 5
-GRID = [RNG.uniform(0.5, 2.0, (S, L)) for _ in range(3)]
-FIELD = RNG.uniform(0.5, 2.0, (S, 1))     # a per-start hardware field
-SIZES = Tensor(RNG.uniform(1.0, 9.0, L))  # an (L,) per-layer constant
-
-
-class TestTotalProd:
-    """``ops.total_prod``: one node for the chain of multiplications."""
-
-    @pytest.mark.parametrize("terms", [
-        lambda x, y, z: [x, y, z],
-        lambda x, y, z: [x, 1.0, y, 1.0, z],
-        lambda x, y, z: [x, -0.0 * y, z],
-    ], ids=["three", "literal-ones", "negative-zero-term"])
-    def test_grid_terms(self, terms):
-        w = _weights((S, L))
-        assert_parity(lambda *p: (total_prod(terms(*p)) * w).sum(),
-                      lambda *p: (chain_prod(terms(*p)) * w).sum(), GRID)
-
-    @pytest.mark.parametrize("terms", [
-        lambda x, h: [h, SIZES, x],
-        lambda x, h: [SIZES, h, x],
-        lambda x, h: [x, SIZES, h],
-        lambda x, h: [h, 2.0, h * 3.0],
-        lambda x, h: [h, h * 3.0, x],
-    ], ids=["field-first", "constant-first", "field-last", "field-only",
-            "fields-then-grid"])
-    def test_broadcast_terms(self, terms):
-        """(L,) constants and (S, 1) fields: the chain's own unbroadcasts."""
-        w = _weights((S, L))
-        assert_parity(lambda *p: (total_prod(terms(*p)) * w).sum(),
-                      lambda *p: (chain_prod(terms(*p)) * w).sum(),
-                      [GRID[0], FIELD])
-
-    def test_constant_leading_run(self):
-        """``Tensor(1.0)`` inner extents lead the model's register tiles."""
-        w = _weights((S, L))
-
-        def terms(x, y):
-            return [Tensor(1.0), Tensor(2.5), x, Tensor(1.5), y]
-
-        assert_parity(lambda x, y: (total_prod(terms(x, y)) * w).sum(),
-                      lambda x, y: (chain_prod(terms(x, y)) * w).sum(), GRID[:2])
-
-    def test_single_term_and_empty_product(self):
-        x = Tensor(GRID[0], requires_grad=True)
-        assert total_prod([1.0, x, 1.0]) is x
-        assert float(total_prod([]).data) == 1.0
-        assert float(total_prod([1.0, 1.0]).data) == 1.0
-        w = _weights((S, L))
-        assert_parity(
-            lambda x: (total_prod([1.0, x]) * total_prod([]) * w).sum(),
-            lambda x: (chain_prod([1.0, x]) * chain_prod([]) * w).sum(), GRID[:1])
-
-    def test_one_node_with_the_terms_as_parents(self):
-        terms = [Tensor(value, requires_grad=True) for value in GRID]
-        terms.insert(2, Tensor(2.0))
-        out = total_prod(terms)
-        assert len(out._parents) == 4
-        assert all(parent is term for parent, term in zip(out._parents, terms))
+GRID = [RNG.uniform(0.5, 2.0, (S, L)) for _ in range(2)]
 
 
 def _walk_index(level):
@@ -213,18 +149,6 @@ class TestForwardCachedKernels:
             return (ops.fold_max(stacked) * w).sum()
 
         assert_parity(fused, chained, GRID[:2])
-
-    def test_hinge_below_matches_relu_chain(self):
-        w = _weights((S, L, 3))
-        # Entries exactly at the threshold take no gradient.
-        values = [GRID[0] - 1.0, GRID[1] * 0.5, np.where(GRID[2] > 1.2, 1.0, GRID[2])]
-
-        def chained(*xs):
-            hinges = [ops.relu(1.0 - x) for x in xs]
-            return (ops.transpose(ops.stack(hinges), (1, 2, 0)) * w).sum()
-
-        assert_parity(lambda *xs: (hinge_below(xs, 1.0) * w).sum(), chained,
-                      values)
 
 
 def _first_step_trace(network):

@@ -62,10 +62,6 @@ class TestLinearMLP:
         expected = 4 * 8 + 8 + 8 * 8 + 8 + 8 * 1 + 1
         assert model.num_parameters() == expected
 
-    def test_mlp_rejects_unknown_activation(self):
-        with pytest.raises(ValueError):
-            nn.MLP(2, [2], 1, activation="swish")
-
     def test_mlp_fits_linear_function(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(128, 3))

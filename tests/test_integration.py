@@ -119,6 +119,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-seconds", "nan"], "max_seconds must be a finite"),
+        (["--max-seconds", "inf"], "max_seconds must be a finite"),
+        (["--seed", "-3"], "--seed must be a non-negative integer"),
+    ], ids=["nan-seconds", "infinite-seconds", "negative-seed"])
+    def test_search_refuses_bad_budget_or_seed(self, capsys, argv, message):
+        """A NaN budget would never expire and a negative seed reached NumPy:
+        both exit 2 with a one-line error before any search runs."""
+        argv = ["search", "bert", "--strategy", "random", "--max-samples", "5", *argv]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
 
 class TestPackaging:
     def test_import_loads_no_scipy(self):

@@ -85,6 +85,10 @@ class TestSearchBudget:
             SearchBudget(max_samples=0)
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=-1.0)
+        # A NaN time budget never compares as spent, so it would never expire.
+        for seconds in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SearchBudget(max_seconds=seconds)
 
     def test_exhaustion(self):
         budget = SearchBudget(max_samples=10, max_seconds=60.0)
