@@ -1,14 +1,12 @@
 """Functional operations on :class:`~repro.autodiff.tensor.Tensor` values.
 
 These are the building blocks of the DOSA differentiable model and the
-surrogate's MLP: :func:`relu` (the MLP's activation, and with
-:func:`fold_sum` the Equation-18 validity penalty ``relu(1 - f)`` that keeps
-tiling factors at or above 1), the softmax used for gradient-based
+surrogate's MLP: :func:`relu` (the MLP's activation, and the refills past
+the distinct output tiles), the softmax used for gradient-based
 loop-ordering (paper Section 5.2.2), :func:`stack` and :func:`concat`, and
-the dense kernels below (the roofline latency is a :func:`fold_max`).
-:func:`exp`, :func:`maximum` and :func:`transpose` serve the per-column
-model that the parity tests compare the dense one against, and the chains
-the kernels stand for.
+the dense kernels below.  :func:`exp`, :func:`maximum` and :func:`transpose`
+serve the per-column model that the parity tests compare the dense one
+against, and the chains the kernels stand for.
 
 Every op records a forward-recompute closure (see
 :mod:`repro.autodiff.tensor`), so graphs built from these functions can be
@@ -17,15 +15,17 @@ DOSA model runs on a handful of array ops, each one node with a fused
 backward: :func:`cumprod` (prefix products along the leading axis),
 :func:`sequence_prod` and :func:`sequence_sum` (left-fold products and sums
 of leading-axis slots taken in listed orders), :func:`gather` (distinct flat positions),
-and the reductions :func:`fold_sum`, :func:`fold_max` and
-:func:`reload_product`.  Each runs its IEEE operations in the order of the
-chain of nodes it stands for, so its values match that chain bit for bit;
-only the order in which gradients accumulate may differ.  A product of
-positive factors hands each factor the product over that factor, one
-division, instead of a walk over prefix and suffix products.  Masks select
-(``np.where``) in every backward and never multiply, so an infinite factor
-cannot turn a masked-out gradient into ``NaN``.  Masks, prefix products and
-running maxima are computed once per forward, and the backward reuses them.
+and the reductions :func:`fold_sum` and :func:`reload_product`.  Each runs
+its IEEE operations in the order of the chain of nodes it stands for, so its
+values match that chain bit for bit; only the order in which gradients
+accumulate may differ.  A product of positive factors hands each factor the
+product over that factor, one division, instead of a walk over prefix and
+suffix products.  Masks select (``np.where``) in every backward and never
+multiply, so an infinite factor cannot turn a masked-out gradient into
+``NaN``.  Masks and prefix products are computed once per forward, and the
+backward reuses them.  :func:`fold_max_grad` is the tie split of a left-fold
+maximum over arrays, which the model's hardware and roofline kernels run
+inside their own nodes.
 """
 
 from __future__ import annotations
@@ -134,24 +134,18 @@ def stack(values: Sequence[TensorLike]) -> Tensor:
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
 
-def concat(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``."""
+def concat(values: Sequence[TensorLike]) -> Tensor:
+    """Concatenate tensors along the leading axis."""
     tensors = [_as_tensor(v) for v in values]
     if not tensors:
         raise ValueError("concat of an empty sequence")
-    sizes = [t.data.shape[axis] for t in tensors]
-    boundaries = np.cumsum([0] + sizes)
+    boundaries = np.cumsum([0] + [t.data.shape[0] for t in tensors])
 
     def forward():
-        return np.concatenate([t.data for t in tensors], axis=axis)
+        return np.concatenate([t.data for t in tensors])
 
     def backward(grad: np.ndarray):
-        pieces = []
-        for i in range(len(tensors)):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(int(boundaries[i]), int(boundaries[i + 1]))
-            pieces.append(grad[tuple(index)])
-        return tuple(pieces)
+        return tuple(grad[start:stop] for start, stop in zip(boundaries[:-1], boundaries[1:]))
 
     return tensors[0]._make_child(forward(), tuple(tensors), backward, forward)
 
@@ -159,7 +153,7 @@ def concat(values: Sequence[TensorLike], axis: int = 0) -> Tensor:
 def transpose(x: TensorLike, axes: Sequence[int]) -> Tensor:
     """Permute the axes of a tensor (``np.transpose`` with explicit axes).
 
-    The parity tests build the chains of :func:`fold_max` and
+    The parity tests build the chains of the fold maximum and
     :func:`reload_product` with it (e.g. ``(k, S, L) -> (S, L, k)`` to put
     the folded axis last).
     """
@@ -269,7 +263,7 @@ def sequence_prod(x: TensorLike, sequences, slot_ndim: int = 1) -> Tensor:
         slots = x.data.reshape((size,) + plane)
         out = np.empty((len(rows),) + plane)
         for i, row in enumerate(rows):
-            np.multiply.reduce(slots[row], axis=0, out=out[i])
+            np.multiply.reduce(slots.take(row, axis=0), axis=0, out=out[i, ...])
         products[0] = out
         return out[0] if single else out
 
@@ -295,12 +289,13 @@ def sequence_sum(x: TensorLike, sequences) -> Tensor:
     x = _as_tensor(x)
     single, rows = _sequence_table(sequences)
     plane = x.data.shape[1:]
+    slot_lists = [row.tolist() for row in rows]
 
     def forward():
         data = x.data
         out = np.empty((len(rows),) + plane)
-        for i, row in enumerate(rows):
-            total = out[i]
+        for i, row in enumerate(slot_lists):
+            total = out[i, ...]
             np.add(data[row[0]], data[row[1]], out=total) if len(row) > 1 else \
                 np.copyto(total, data[row[0]])
             for index in row[2:]:
@@ -310,8 +305,9 @@ def sequence_sum(x: TensorLike, sequences) -> Tensor:
     def backward(grad: np.ndarray):
         grads = [grad] if single else grad
         full = np.zeros(x.data.shape)
-        for row, row_grad in zip(rows, grads):
-            full[row] += row_grad
+        for row, row_grad in zip(slot_lists, grads):
+            for index in row:
+                full[index] += row_grad
         return (full,)
 
     return x._make_child(forward(), (x,), backward, forward)
@@ -358,62 +354,36 @@ def fold_sum(x: TensorLike, axis: int = -1) -> Tensor:
     return x._make_child(forward(), (x,), backward, forward)
 
 
-def fold_max(x: TensorLike, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Left-fold maximum along ``axis``, as a single node.
+def fold_max_grad(grad: np.ndarray, data: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """Gradient of the left-fold maximum of ``data`` down its leading axis.
 
-    Equivalent — in value *and* subgradient — to chaining
-    ``maximum(maximum(x[..., 0], x[..., 1]), x[..., 2]) ...`` the way the
-    per-layer hardware derivation folds its candidates: at every pairwise tie
-    the gradient splits 0.5/0.5, so earlier tied candidates receive
-    geometrically smaller shares, not an even split among *all* ties.  Rows
-    of an N-D tensor fold independently, so
-    each start of a multi-start stack sees exactly the per-start fold
-    semantics.  The forward keeps the running maxima (its value is their
-    last entry), and the backward derives every fold step's tie split from
-    them; without ties or ``NaN`` the whole gradient goes to the first
-    entry equal to the maximum.  ``keepdims`` keeps the folded axis with
-    length 1.
+    ``running`` is the fold's running maxima, ``np.maximum.accumulate(data,
+    axis=0)``, whose last row is the fold's value, and ``grad`` the incoming
+    gradient with a leading axis of length 1.  The shares are those of the
+    chain ``maximum(maximum(x[0], x[1]), x[2]) ...`` of :func:`maximum`
+    nodes, the way the per-layer hardware derivation folds its candidates:
+    at every fold step the newcomer takes 1, 0.5 or 0 of the gradient
+    reaching it and the running maximum keeps 0, 0.5 or 1, so earlier tied
+    candidates receive geometrically smaller shares, not an even split among
+    *all* ties, and a step with a ``NaN`` operand hands neither side
+    anything.  Every share is a product of 0, 0.5 and 1, so one reversed
+    ``np.multiply.accumulate`` over the kept parts computes them exactly,
+    and the gradient equals the chain's bit for bit.  Without ties or
+    ``NaN`` the whole gradient goes to the one entry equal to the maximum
+    and every other entry gets ``0.0``.
     """
-    x = _as_tensor(x)
-    if x.data.ndim == 0:
-        raise ValueError(f"fold_max expects a tensor with ndim >= 1, got shape {x.shape}")
-    ndim = x.data.ndim
-    axis_n = axis % ndim
-    count = x.data.shape[axis_n]
-    last = (slice(None),) * axis_n + ((slice(-1, None),) if keepdims else (-1,))
-    # The folded axis first, and back.
-    front = (axis_n,) + tuple(a for a in range(ndim) if a != axis_n)
-    back = tuple(int(a) for a in np.argsort(front))
-    order = np.arange(count).reshape((count,) + (1,) * (ndim - 1))
-    running: list = [None]
-
-    def forward():
-        running[0] = np.maximum.accumulate(x.data, axis=axis_n)
-        return running[0][last]
-
-    def backward(grad: np.ndarray):
-        data = x.data.transpose(front)
-        run = running[0].transpose(front)
-        grad = (grad.transpose(front) if keepdims
-                else grad.reshape((1,) + grad.shape))
-        if count == 1:
-            return ((grad + np.zeros(data.shape)).transpose(back),)
-        prev, new = run[:-1], data[1:]
-        ties = new == prev
-        if not ties.any() and not np.isnan(run[-1]).any():
-            return (np.where(order == data.argmax(axis=0), grad, 0.0).transpose(back),)
-        # Share of the gradient taken by each newcomer / kept by the running
-        # max at every fold step (ties split evenly, as in ops.maximum).
-        take = (new > prev) + 0.5 * ties
-        keep = 1.0 - take
-        shares = np.empty(data.shape)
-        shares[-1] = 1.0
-        for k in range(count - 2, -1, -1):
-            shares[k] = shares[k + 1] * keep[k]
-        shares[1:] *= take
-        return ((grad * shares).transpose(back),)
-
-    return x._make_child(forward(), (x,), backward, forward)
+    if len(data) == 1:
+        return grad + np.zeros(data.shape)
+    prev, new = running[:-1], data[1:]
+    ties = new == prev
+    if not np.count_nonzero(ties) and not np.count_nonzero(np.isnan(running[-1])):
+        return np.where(data == running[-1], grad, 0.0)
+    split = 0.5 * ties
+    shares = np.empty(data.shape)
+    shares[-1] = 1.0
+    shares[-2::-1] = np.multiply.accumulate(((prev > new) + split)[::-1], axis=0)
+    shares[1:] *= (new > prev) + split
+    return grad * shares
 
 
 def reload_product(walk: Tensor, relevant: np.ndarray, eps: float = 1e-9,

@@ -7,11 +7,16 @@ surrogate trains with it too.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.autodiff.tensor import Tensor
+
+#: The decay rates of the first- and second-moment estimates, and the term
+#: that keeps the update's denominator positive (Kingma & Ba's defaults).
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
 
 class Adam:
@@ -28,8 +33,6 @@ class Adam:
         self,
         parameters: Iterable[Tensor],
         lr: float = 1e-3,
-        betas: Sequence[float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         self.parameters: list[Tensor] = [p for p in parameters]
@@ -40,11 +43,7 @@ class Adam:
                 raise ValueError("all optimized parameters must require grad")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._m: list[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
@@ -63,8 +62,8 @@ class Adam:
 
     def step(self) -> None:
         self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
+        bias1 = 1.0 - BETA1**self._step_count
+        bias2 = 1.0 - BETA2**self._step_count
         for parameter, m, v, (s1, s2) in zip(self.parameters, self._m, self._v,
                                              self._scratch):
             if parameter.grad is None:
@@ -72,16 +71,16 @@ class Adam:
             grad = parameter.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * parameter.data
-            np.multiply(grad, 1.0 - self.beta1, out=s1)
-            m *= self.beta1
+            np.multiply(grad, 1.0 - BETA1, out=s1)
+            m *= BETA1
             m += s1
             np.multiply(grad, grad, out=s1)
-            s1 *= 1.0 - self.beta2
-            v *= self.beta2
+            s1 *= 1.0 - BETA2
+            v *= BETA2
             v += s1
             np.divide(v, bias2, out=s1)
             np.sqrt(s1, out=s1)
-            s1 += self.eps
+            s1 += EPS
             np.divide(m, bias1, out=s2)
             s2 *= self.lr
             s2 /= s1

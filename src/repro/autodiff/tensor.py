@@ -42,8 +42,10 @@ chain's values bit for bit: its forward runs the chain's IEEE operations in
 the chain's order.  Its gradients match the chain's bit for bit only if its
 backward also runs the chain's operations in order, it stands for a chain
 of single-consumer nodes, and it takes its parents in the chain's order, so
-:func:`topological_order` visits every other node in the same order; the
-dense DOSA kernels keep only the values exact.
+:func:`topological_order` visits every other node in the same order.  The
+DOSA model's kernels after the traffic terms keep gradients exact too (see
+:mod:`repro.core.dmodel.hardware`); the dense kernels before them keep only
+the values exact.
 """
 
 from __future__ import annotations

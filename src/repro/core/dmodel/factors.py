@@ -129,7 +129,7 @@ class MultiStartFactors:
 
     Start points are independent: no graph node mixes rows, every reduction
     (the sequence products and sums, :func:`~repro.autodiff.ops.fold_sum`,
-    :func:`~repro.autodiff.ops.fold_max`,
+    the hardware and roofline maxima,
     :func:`~repro.autodiff.ops.reload_product`) folds along the trailing axes
     only, and the scalar training loss is the fold of the per-start losses —
     whose gradient into each start is exactly the gradient of that start's own

@@ -13,10 +13,13 @@
 Every loss takes a start-batched :class:`MultiStartFactors` (or the
 ``(S, L)``-valued :class:`LayerPerformance` evaluated from one) and returns
 one value per start point, shape ``(S,)``.  A :class:`DenseTerms` passed as
-``terms`` lets the losses of one graph share the model's terms.  The layer axis is reduced with
-the left-fold sums of :func:`repro.autodiff.ops.fold_sum`, in the same element
-order as a per-layer Python fold; start points are independent descents, so
-nothing mixes their losses before the caller's final fold.
+``terms`` lets the losses of one graph share the model's terms.  The layer axis
+is reduced with left-fold sums, in the same element order as a per-layer
+Python fold; start points are independent descents, so nothing mixes their
+losses before the caller's final fold.  :func:`network_edp_loss` and
+:func:`validity_penalty` are one node each whose backwards repeat the
+operations of the chain of nodes they replaced (``tests/oracles/tail.py``)
+in order, so their gradients are that chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ _PENALTY_SLOTS = np.array(
     + [factor_slot("T", LEVEL_DRAM, dim) for dim in DIMENSIONS])
 
 
-def _repeat_vector(repeats: Sequence[int], count: int) -> Tensor:
+def _repeat_vector(repeats: Sequence[int], count: int) -> np.ndarray:
     if len(repeats) != count:
         raise ValueError("one repetition count is required per layer performance")
-    return Tensor(np.array([float(rep) for rep in repeats]))
+    return np.array([float(rep) for rep in repeats])
 
 
 def network_edp_loss(performance: LayerPerformance,
@@ -52,12 +55,27 @@ def network_edp_loss(performance: LayerPerformance,
     """Whole-model EDP (Equation 14): sum energies x sum latencies.
 
     ``performance`` holds ``(S, L)`` energy/latency tensors; the result is the
-    ``(S,)`` vector of per-start network EDPs.
+    ``(S,)`` vector of per-start network EDPs, one node: each total is the
+    left-fold sum of the repetition-weighted layer values, and the backward
+    hands each layer its total's gradient times its repetition count, with
+    the IEEE operations of the chain of products and fold sums it replaced.
     """
-    reps = _repeat_vector(repeats, performance.energy.shape[-1])
-    total_energy = ops.fold_sum(performance.energy * reps, axis=-1)
-    total_latency = ops.fold_sum(performance.latency * reps, axis=-1)
-    return total_energy * total_latency
+    energy, latency = performance.energy, performance.latency
+    reps = _repeat_vector(repeats, energy.shape[-1])
+    totals: list = [None]
+
+    def forward():
+        total_energy = np.cumsum(energy.data * reps, axis=-1)[..., -1]
+        total_latency = np.cumsum(latency.data * reps, axis=-1)[..., -1]
+        totals[0] = total_energy, total_latency
+        return total_energy * total_latency
+
+    def backward(grad: np.ndarray):
+        total_energy, total_latency = totals[0]
+        return ((grad * total_latency)[..., None] * reps,
+                (grad * total_energy)[..., None] * reps)
+
+    return energy._make_child(forward(), (energy, latency), backward, forward)
 
 
 def validity_penalty(factors: MultiStartFactors,
@@ -66,13 +84,28 @@ def validity_penalty(factors: MultiStartFactors,
 
     Returns the ``(S,)`` vector of per-start penalties, each folded over its
     hinges layer-major (all of layer 0's factors, then layer 1's, ...), in
-    the order of ``_PENALTY_SLOTS``.  One gather reads the factors from the
-    factor tensor (``terms.tensor`` when given).
+    the order of ``_PENALTY_SLOTS``: one node that reads the factors from
+    the factor tensor (``terms.tensor`` when given) at their flat positions,
+    and whose backward runs the IEEE operations of the chain it replaced (a
+    gather, ``1 - f``, a relu and a fold sum).
     """
     tensor = terms.tensor if terms is not None else factors.factor_tensor()
     slots = np.broadcast_to(_PENALTY_SLOTS, (1, len(factors.layers), len(_PENALTY_SLOTS)))
-    values = ops.gather(tensor, factors.positions(slots).reshape(factors.num_starts, -1))
-    return ops.fold_sum(ops.relu(1.0 - values), axis=-1)
+    positions = factors.positions(slots).reshape(factors.num_starts, -1)
+    shape = tensor.data.shape
+    active: list = [None]
+
+    def forward():
+        hinges = np.maximum(1.0 - tensor.data.ravel().take(positions), 0.0)
+        active[0] = hinges > 0
+        return np.cumsum(hinges, axis=-1)[..., -1]
+
+    def backward(grad: np.ndarray):
+        full = np.zeros(shape)
+        full.reshape(-1)[positions] = -(grad[..., None] * active[0]) + 0.0
+        return (full,)
+
+    return tensor._make_child(forward(), (tensor,), backward, forward)
 
 
 _CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (

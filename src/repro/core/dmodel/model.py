@@ -3,7 +3,8 @@
 This mirrors the reference analysis of :mod:`repro.timeloop.loopnest` but over
 autodiff tensors and with smooth semantics: tile extents are real-valued
 products (no ceiling), DRAM energy is charged per element (no block rounding),
-and maxima use the exact-max subgradient of :func:`repro.autodiff.ops.fold_max`.
+and maxima use the exact-max subgradient of
+:func:`repro.autodiff.ops.fold_max_grad`.
 The structural decisions — which loops provide temporal reuse given the loop
 ordering — are made from the current numeric factor values inside the fused
 :func:`~repro.autodiff.ops.reload_product`, so each forward pass is
@@ -27,8 +28,11 @@ folds plane by plane along a leading axis, never across starts:
 * the reload factors (Eq. 6): one gather of the temporal rows in walk order,
   whose suffixes are the four tiles' walks, feeds one
   :func:`~repro.autodiff.ops.reload_product`;
-* accesses, latency and energy (Eqs. 6-14) and the hardware folds: the same
-  elementwise expressions as ever, over ``(k, S, L)`` stacks of terms.
+* the accesses (Eqs. 6-11): elementwise expressions over ``(k, S, L)``
+  stacks of terms, summed per level;
+* the roofline latency and the energy (Eqs. 12-13): one node each,
+  :func:`_roofline_latency` and :func:`_energy`, over the
+  :class:`~repro.core.dmodel.hardware.DifferentiableHardware` tables.
 
 Each product and sum runs the IEEE operations of the per-column formulas it
 replaced (kept as the parity oracle in ``tests/oracles/layer_model.py``) in
@@ -37,7 +41,12 @@ with terms of 0.0, is bit-identical.  So losses equal the oracle's; only the
 order in which gradients accumulate differs.  No op reduces over the start
 axis, so each start's values equal an S=1 stack's.  The backwards of the
 products hand each factor the product over that factor; every factor is
-positive.
+positive.  Everything after the accesses — the hardware tables, latency,
+energy and the losses of :mod:`repro.core.dmodel.loss` — also keeps the
+gradients of the chain of nodes it replaced (``tests/oracles/tail.py``) bit
+for bit: each kernel takes its parents in the chain's order and repeats the
+chain's backward operations in order, including the sums over the layer
+axis that hand the ``(n, S, 1)`` tables their gradients.
 """
 
 from __future__ import annotations
@@ -178,6 +187,80 @@ def _tile_words(extents: Tensor, stride_p: np.ndarray, stride_q: np.ndarray) -> 
     return extents._make_child(forward(), (extents,), backward, forward)
 
 
+
+def _roofline_latency(per_mac: Tensor, accesses: Tensor, bandwidths: Tensor) -> Tensor:
+    """Roofline latency (Equation 12), ``(S, L)``, one node.
+
+    The left-fold maximum, down the leading axis, of the compute latency
+    (``per_mac``'s first row) and every level's accesses over its bandwidth
+    (the level rows of ``bandwidths``).  Forward and backward run the IEEE
+    operations of the chain it replaced — a slice, a division, a concat and
+    a fold maximum whose ties split 0.5/0.5 — in its order, including the
+    sum over the layer axis that hands each ``(levels, S, 1)`` bandwidth its
+    gradient.
+    """
+    levels = len(MEMORY_LEVEL_INDICES)
+    saved: list = [None]
+
+    def forward():
+        terms = np.empty((1 + levels,) + accesses.data.shape[1:])
+        terms[0] = per_mac.data[0]
+        np.divide(accesses.data, bandwidths.data[:levels], out=terms[1:])
+        running = np.maximum.accumulate(terms, axis=0)
+        saved[0] = terms, running
+        return running[-1]
+
+    def backward(grad: np.ndarray):
+        terms, running = saved[0]
+        rates = bandwidths.data[:levels]
+        grad_terms = ops.fold_max_grad(grad[None], terms, running)
+        grad_per_mac = np.zeros(per_mac.data.shape)
+        grad_per_mac[0] += grad_terms[0]
+        grad_levels = grad_terms[1:]
+        grad_bandwidths = None
+        if bandwidths.requires_grad:
+            grad_rates = -grad_levels * accesses.data / (rates**2)
+            if grad_rates.shape != rates.shape:
+                grad_rates = grad_rates.sum(axis=-1, keepdims=True)
+            grad_bandwidths = np.zeros(bandwidths.data.shape)
+            grad_bandwidths[:levels] = grad_rates
+        return grad_per_mac, grad_levels / rates, grad_bandwidths
+
+    return per_mac._make_child(forward(), (per_mac, accesses, bandwidths), backward, forward)
+
+
+def _energy(macs: Tensor, accesses: Tensor, action_energies: Tensor) -> Tensor:
+    """Energy (Equation 13), ``(S, L)``, one node.
+
+    The left-fold sum of the MAC count and every level's accesses, each times
+    its row of ``action_energies``, with the IEEE operations of the chain it
+    replaced (a concat, a product and a fold sum) in its order, including the
+    sum over the layer axis that hands each ``(1 + levels, S, 1)`` energy its
+    gradient.
+    """
+    saved: list = [None]
+
+    def forward():
+        counts = np.concatenate([macs.data, accesses.data])
+        products = counts * action_energies.data
+        total = products[0] + products[1]
+        for product in products[2:]:
+            total += product
+        saved[0] = counts
+        return total
+
+    def backward(grad: np.ndarray):
+        grad_counts = grad * action_energies.data
+        grad_energies = None
+        if action_energies.requires_grad:
+            grad_energies = grad * saved[0]
+            if grad_energies.shape != action_energies.data.shape:
+                grad_energies = grad_energies.sum(axis=-1, keepdims=True)
+        return grad_counts[:1], grad_counts[1:], grad_energies
+
+    return macs._make_child(forward(), (macs, accesses, action_energies), backward, forward)
+
+
 class DenseTerms:
     """The ordering-independent terms of the model over one factor tensor.
 
@@ -194,7 +277,7 @@ class DenseTerms:
     * ``per_mac`` — the MAC count over the parallelism (the compute latency,
       Eq. 12), over the output reduction at the accumulator (its output
       updates) and over the input broadcast at the scratchpad (its input
-      reads), ``(3, S, L)``, and ``compute_latency``, its first row.
+      reads), ``(3, S, L)``.
     """
 
     def __init__(self, factors: MultiStartFactors) -> None:
@@ -206,7 +289,6 @@ class DenseTerms:
         self.macs = products[:1]
         self.distinct_outputs = products[4:]
         self.per_mac = self.macs / products[1:4]
-        self.compute_latency = self.per_mac[:1]
 
 
 @dataclass
@@ -291,16 +373,16 @@ class DifferentiableModel:
         The latency is the left-fold maximum of the compute latency (MACs
         over parallelism) and each level's accesses over its bandwidth; the
         energy is the left-fold sum of the MAC energy and each level's
-        accesses times its energy per access.  ``terms`` lets several
-        orderings of one factor tensor (``factors`` views) share its terms.
+        accesses times its energy per access: one node each.  ``terms`` lets
+        several orderings of one factor tensor (``factors`` views) share its
+        terms and one derived ``hardware``.
         """
         terms = terms if terms is not None else DenseTerms(factors)
         accesses = cls.traffic(factors, terms)
-        latency = ops.fold_max(ops.concat(
-            [terms.compute_latency, accesses / hardware.level_bandwidths]), axis=0)
-        energy = ops.fold_sum(ops.concat([terms.macs, accesses])
-                              * hardware.action_energies, axis=0)
-        return LayerPerformance(latency=latency, energy=energy, accesses=accesses)
+        return LayerPerformance(
+            latency=_roofline_latency(terms.per_mac, accesses, hardware.bandwidths),
+            energy=_energy(terms.macs, accesses, hardware.action_energies),
+            accesses=accesses)
 
     # ------------------------------------------------------------------ #
     # Hardware derivation (Equation 1, Figure 3) over a set of layers
@@ -313,9 +395,11 @@ class DifferentiableModel:
         One independently-derived configuration per start point: each start's
         candidates fold left to right over its layers (each layer's
         accumulator-C then scratchpad-K spatial factor, then the capacity
-        maxima) with :func:`~repro.autodiff.ops.fold_max`, whose values and
-        tie subgradients equal the chained per-layer maxima.  Fields come back
-        as ``(S, 1)`` tensors that broadcast over the ``(S, L)`` factor grid.
+        maxima), with values and tie subgradients equal to the chained
+        per-layer maxima (:func:`~repro.autodiff.ops.fold_max_grad`).  The
+        Table-2 costs come back as two nodes of ``(n, S, 1)`` tables that
+        broadcast over the ``(S, L)`` factor grid
+        (:class:`~repro.core.dmodel.hardware.DifferentiableHardware`).
         ``terms`` lets one set of terms serve hardware derivation, evaluation
         and the validity penalty within a single loss graph.
         """
@@ -323,11 +407,7 @@ class DifferentiableModel:
         slots = np.broadcast_to(_SIDE_SLOTS, (1, len(factors.layers), len(_SIDE_SLOTS)))
         sides = factors.positions(slots).reshape(factors.num_starts, 1, -1)
         return DifferentiableHardware.from_requirements(
-            spatial_factors=ops.gather(terms.tensor, sides),
-            accumulator_words=ops.fold_max(terms.output_tile, keepdims=True),
-            scratchpad_words=ops.fold_max(
-                ops.sequence_sum(terms.tiles, _SCRATCHPAD_TILES), keepdims=True),
-        )
+            terms.tensor, sides, terms.output_tile, terms.tiles, _SCRATCHPAD_TILES)
 
     @classmethod
     def evaluate_network(

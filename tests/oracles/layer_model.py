@@ -36,7 +36,6 @@ from repro.core.dmodel.factors import (
     _MIN_LOG_FACTOR,
     MultiStartFactors,
 )
-from repro.core.dmodel.hardware import DifferentiableHardware
 from repro.core.dmodel.model import _FACTOR_EPS
 from repro.core.optimizer.dosa import DosaSettings, LoopOrderingStrategy
 from repro.mapping.mapping import (
@@ -52,6 +51,7 @@ from repro.workloads.layer import DIMENSIONS, TENSOR_DIMS, LayerDims
 
 from oracles.chains import chain_prod
 from oracles.rounding import round_mapping
+from oracles.tail import ChainHardware
 
 CANDIDATE_ORDERINGS: tuple[LoopOrdering, ...] = (
     LoopOrdering.WEIGHT_STATIONARY,
@@ -312,7 +312,7 @@ class LayerModel:
     # Latency / energy / EDP (Equations 12-14)
     # ------------------------------------------------------------------ #
     @classmethod
-    def evaluate_layer(cls, factors: LayerFactors, hardware: DifferentiableHardware,
+    def evaluate_layer(cls, factors: LayerFactors, hardware: ChainHardware,
                        grid: FactorGrid | None = None) -> LayerPerformance:
         """Differentiable latency and energy of one layer on ``hardware``.
 
@@ -337,7 +337,7 @@ class LayerModel:
     # ------------------------------------------------------------------ #
     @classmethod
     def derive_hardware(cls, all_factors: Sequence[LayerFactors],
-                        grids: Sequence[FactorGrid] | None = None) -> DifferentiableHardware:
+                        grids: Sequence[FactorGrid] | None = None) -> ChainHardware:
         """Minimal hardware supporting every layer, by chained per-layer maxima."""
         if not all_factors:
             raise ValueError("derive_hardware requires at least one layer")
@@ -354,7 +354,7 @@ class LayerModel:
                                  else ops.maximum(accumulator_words, layer_accumulator))
             scratchpad_words = (layer_scratchpad if scratchpad_words is None
                                 else ops.maximum(scratchpad_words, layer_scratchpad))
-        return DifferentiableHardware(
+        return ChainHardware(
             num_pes=side * side,
             accumulator_kb=accumulator_words * (BYTES_PER_WORD[LEVEL_ACCUMULATOR] / 1024.0),
             scratchpad_kb=scratchpad_words * (BYTES_PER_WORD[LEVEL_SCRATCHPAD] / 1024.0),
@@ -362,7 +362,7 @@ class LayerModel:
 
     @classmethod
     def evaluate_network(cls, all_factors: Sequence[LayerFactors],
-                         hardware: DifferentiableHardware | None = None,
+                         hardware: ChainHardware | None = None,
                          grids: Sequence[FactorGrid] | None = None,
                          ) -> list[LayerPerformance]:
         """One :class:`LayerPerformance` of 0-d tensors per layer."""
@@ -422,7 +422,7 @@ def ordering_candidates(factors: LayerFactors) -> list[LayerFactors]:
 
 
 def softmax_ordering_loss(all_factors: Sequence[LayerFactors], repeats: Sequence[int],
-                          hardware: DifferentiableHardware | None = None,
+                          hardware: ChainHardware | None = None,
                           grids: Sequence[FactorGrid] | None = None) -> Tensor:
     """Equations 15-17, one layer at a time."""
     grids = grids if grids is not None else [f.factor_grid() for f in all_factors]
@@ -442,7 +442,7 @@ def softmax_ordering_loss(all_factors: Sequence[LayerFactors], repeats: Sequence
 
 
 def best_ordering_per_layer(all_factors: Sequence[LayerFactors],
-                            hardware: DifferentiableHardware | None = None,
+                            hardware: ChainHardware | None = None,
                             ) -> list[LoopOrdering]:
     """Section 5.2.1 re-selection as a strict-``<`` scan, layer by layer."""
     if hardware is None:

