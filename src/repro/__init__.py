@@ -40,36 +40,67 @@ sample-indexed best-so-far trace, so methods are directly comparable as in
 the paper's Figures 7-9.  The same search is available from the shell::
 
     python -m repro.cli search resnet50 --strategy dosa --max-samples 5000 --json out.json
+
+``import repro`` loads no submodule and no NumPy: each top-level name is
+resolved on first access (a module ``__getattr__``, PEP 562) by importing
+the subpackage listed for it in ``_EXPORTS``, so a caller pays only for the
+layers it uses.
 """
 
-from repro.arch import HardwareConfig
-from repro.campaign import (
-    CampaignReport,
-    CampaignScheduler,
-    CampaignSpec,
-    ResultStore,
-    StrategyVariant,
-    run_campaign,
-)
-from repro.core.optimizer import DosaSearcher, DosaSettings, LoopOrderingStrategy
-from repro.eval import EvaluationCache, EvaluationEngine
-from repro.mapping import Mapping, cosa_mapping, random_mapping
-from repro.search.api import (
-    CandidateDesign,
-    ProgressCallback,
-    SearchBudget,
-    SearchCallback,
-    Searcher,
-    SearchOutcome,
-    SearchTrace,
-    available_strategies,
-    get_searcher,
-    optimize,
-    register_searcher,
-)
-from repro.service import SearchService, ServiceConfig
-from repro.timeloop import evaluate_mapping, evaluate_network_mappings
-from repro.workloads import LayerDims, conv2d_layer, get_network, matmul_layer
+import importlib
+
+#: The subpackage each public top-level name is imported from on first use.
+_EXPORTS = {
+    "HardwareConfig": "repro.arch",
+    "CampaignReport": "repro.campaign",
+    "CampaignScheduler": "repro.campaign",
+    "CampaignSpec": "repro.campaign",
+    "ResultStore": "repro.campaign",
+    "StrategyVariant": "repro.campaign",
+    "run_campaign": "repro.campaign",
+    "DosaSearcher": "repro.core.optimizer",
+    "DosaSettings": "repro.core.optimizer",
+    "LoopOrderingStrategy": "repro.core.optimizer",
+    "EvaluationCache": "repro.eval",
+    "EvaluationEngine": "repro.eval",
+    "Mapping": "repro.mapping",
+    "cosa_mapping": "repro.mapping",
+    "random_mapping": "repro.mapping",
+    "CandidateDesign": "repro.search.api",
+    "ProgressCallback": "repro.search.api",
+    "SearchBudget": "repro.search.api",
+    "SearchCallback": "repro.search.api",
+    "Searcher": "repro.search.api",
+    "SearchOutcome": "repro.search.api",
+    "SearchTrace": "repro.search.api",
+    "available_strategies": "repro.search.api",
+    "get_searcher": "repro.search.api",
+    "optimize": "repro.search.api",
+    "register_searcher": "repro.search.api",
+    "SearchService": "repro.service",
+    "ServiceConfig": "repro.service",
+    "evaluate_mapping": "repro.timeloop",
+    "evaluate_network_mappings": "repro.timeloop",
+    "LayerDims": "repro.workloads",
+    "conv2d_layer": "repro.workloads",
+    "get_network": "repro.workloads",
+    "matmul_layer": "repro.workloads",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "3.0.0"
 

@@ -44,6 +44,30 @@ def _module_bindings(tree: ast.Module) -> set[str]:
     return bindings
 
 
+def _lazy_exports(tree: ast.Module) -> set[str]:
+    """Names a module ``__getattr__`` (PEP 562) resolves on first access.
+
+    They are the string keys of every module-level dict literal assigned
+    to a name the module's ``__getattr__`` reads; a module without the hook
+    has none.
+    """
+    hook = next((node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "__getattr__"), None)
+    if hook is None:
+        return set()
+    read = {node.id for node in ast.walk(hook) if isinstance(node, ast.Name)}
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) \
+                and any(isinstance(target, ast.Name) and target.id in read
+                        for target in node.targets):
+            names |= {key.value for key in node.value.keys
+                      if isinstance(key, ast.Constant)
+                      and isinstance(key.value, str)}
+    return names
+
+
 def _dunder_all(tree: ast.Module) -> tuple[list[tuple[str, int]], bool]:
     """``(name, line)`` entries of a literal ``__all__``, and whether one exists.
 
@@ -83,15 +107,18 @@ class ApiSurface(Checker):
 
     In every ``__init__.py`` that declares a literal ``__all__``, the list
     must match the module's actual bindings in both directions: each
-    ``__all__`` entry must name a symbol the module defines or imports
-    (an entry for a removed symbol makes ``from repro import *`` raise
-    ``AttributeError``), and each public name the module ``from``-imports
-    must appear in ``__all__`` (an unlisted import is a symbol that works
-    by accident — present at runtime, absent from the declared surface,
-    the drift this repo's top-level ``repro/__init__.py`` accumulated for
-    its campaign exports).  Names starting with ``_`` and plain ``import
-    x`` module bindings are exempt; a dynamically built ``__all__`` is not
-    audited.
+    ``__all__`` entry must name a symbol the module defines, imports or
+    exports lazily (an entry for a removed symbol makes ``from repro
+    import *`` raise ``AttributeError``), and each public name the module
+    ``from``-imports must appear in ``__all__`` (an unlisted import is a
+    symbol that works by accident — present at runtime, absent from the
+    declared surface, the drift this repo's top-level ``repro/__init__.py``
+    accumulated for its campaign exports).  Names starting with ``_`` and
+    plain ``import x`` module bindings are exempt; a dynamically built
+    ``__all__`` is not audited.  A lazy export is a string key of a
+    module-level dict literal that the module's ``__getattr__`` (PEP 562)
+    reads: the table the top-level package resolves its names from on
+    first access.
 
     Fix by adding the missing names to ``__all__`` or deleting the stale
     entry; imports used only internally can be renamed with a leading
@@ -107,14 +134,14 @@ class ApiSurface(Checker):
         entries, present = _dunder_all(source.tree)
         if not present or not entries:
             return
-        bindings = _module_bindings(source.tree)
+        bindings = _module_bindings(source.tree) | _lazy_exports(source.tree)
         listed = {name for name, _ in entries}
         for name, line in entries:
             if name not in bindings:
                 yield Finding(
                     path=source.display, line=line, rule=self.rule_id,
                     message=f"__all__ names {name!r}, which this module "
-                            "neither defines nor imports")
+                            "neither defines, imports nor exports lazily")
         for node in source.tree.body:
             if not isinstance(node, ast.ImportFrom):
                 continue

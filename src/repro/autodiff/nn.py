@@ -58,8 +58,8 @@ class Linear(Module):
         weight = rng.uniform(-bound, bound, size=(in_features, out_features))
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(weight, requires_grad=True, name="weight")
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="bias")
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return x.matmul(self.weight) + self.bias

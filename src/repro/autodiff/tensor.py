@@ -187,17 +187,12 @@ class Tensor:
     """A NumPy-backed tensor participating in a dynamic autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_recompute", "name")
+                 "_recompute")
 
     # Make numpy defer to Tensor for mixed operations such as ``2.0 * tensor``.
     __array_priority__ = 200
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        name: str | None = None,
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
@@ -206,7 +201,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
         self._recompute: Callable[[], np.ndarray] | None = None
-        self.name = name
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -230,17 +224,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        """Return the value of a single-element tensor as a Python float."""
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._raise_item()
-
-    def _raise_item(self) -> float:
-        raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        label = f", name={self.name!r}" if self.name else ""
-        return f"Tensor({np.array2string(self.data, precision=4)}{grad_flag}{label})"
+        return f"Tensor({np.array2string(self.data, precision=4)}{grad_flag})"
 
     # ------------------------------------------------------------------ #
     # Graph construction

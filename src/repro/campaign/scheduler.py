@@ -42,7 +42,12 @@ from typing import Any, Callable
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
 from repro.eval.cache import EvaluationCache
-from repro.search.api import SearchCallback, SearchOutcome, get_searcher
+from repro.search.api import (
+    SearchCallback,
+    SearchOutcome,
+    available_strategies,
+    get_searcher,
+)
 from repro.utils.log import get_logger
 from repro.utils.serialization import outcome_from_dict, outcome_to_dict
 from repro.workloads.networks import get_network
@@ -211,10 +216,17 @@ class Worker:
     :meth:`receive`; :meth:`send` may be called from any thread.  A pool run
     of :class:`CampaignScheduler` owns up to ``n_workers`` of them, the
     search service one per dispatcher.
+
+    Every built-in strategy module is imported before the fork.  The
+    registry imports them on first use, and the daemon's request threads
+    may be doing so while a dispatcher respawns a worker: a child forked in
+    the middle of an import would inherit that module's import lock, held
+    by a thread that does not exist in the child.
     """
 
     def __init__(self, fault_plan: dict | None = None,
                  fault_ledger: str | None = None, listener=None) -> None:
+        available_strategies()  # imports every built-in strategy (see above)
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -177,10 +177,8 @@ class MultiStartFactors:
         if log_spatial.shape != shape_s:
             raise ValueError(f"log_spatial must have shape {shape_s}, "
                              f"got {log_spatial.shape}")
-        self.log_temporal = Tensor(log_temporal, requires_grad=True,
-                                   name="multistart:log_temporal")
-        self.log_spatial = Tensor(log_spatial, requires_grad=True,
-                                  name="multistart:log_spatial")
+        self.log_temporal = Tensor(log_temporal, requires_grad=True)
+        self.log_spatial = Tensor(log_spatial, requires_grad=True)
         if orderings is None:
             orderings = [[DEFAULT_ORDERINGS] * count] * self.num_starts
         self.start_orderings: list[list[tuple[LoopOrdering, ...]]] = [

@@ -61,6 +61,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import __version__
 from repro.campaign.report import CampaignReport
 from repro.campaign.scheduler import (
     CampaignScheduler,
@@ -589,15 +590,13 @@ class SearchService:
         return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
 
     def health_payload(self) -> dict:
-        import repro  # runtime import: repro/__init__ imports this module
-
         with self._lock:
             depth = self._queue_depth_locked()
             tenants = {tenant: len(queue)
                        for tenant, queue in self._queues.items() if queue}
         return {
             "status": "draining" if self.draining else "ok",
-            "version": repro.__version__,
+            "version": __version__,
             "pid": os.getpid(),
             "root": str(self.layout.root),
             "workers": self.config.n_workers,

@@ -87,8 +87,8 @@ class LayerFactors:
             log_temporal = np.zeros((len(OPTIMIZED_LEVELS), NUM_DIMS))
         if log_spatial is None:
             log_spatial = np.zeros(len(SPATIAL_DIMS))
-        self.log_temporal = Tensor(log_temporal, requires_grad=True, name=f"{layer.name}:log_temporal")
-        self.log_spatial = Tensor(log_spatial, requires_grad=True, name=f"{layer.name}:log_spatial")
+        self.log_temporal = Tensor(log_temporal, requires_grad=True)
+        self.log_spatial = Tensor(log_spatial, requires_grad=True)
         self.orderings: tuple[LoopOrdering, ...] = tuple(orderings)
 
     @property

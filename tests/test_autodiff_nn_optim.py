@@ -76,7 +76,7 @@ class TestLinearMLP:
 class TestLossesAndScaler:
     def test_mse_loss_zero_for_equal(self):
         x = Tensor(np.array([1.0, 2.0]))
-        assert nn.mse_loss(x, Tensor(np.array([1.0, 2.0]))).item() == 0.0
+        assert float(nn.mse_loss(x, Tensor(np.array([1.0, 2.0]))).data) == 0.0
 
     def test_standard_scaler(self):
         rng = np.random.default_rng(0)

@@ -29,7 +29,7 @@ class TestElementwise:
 class TestReductionsAndCombos:
     def test_total_sum(self):
         values = [Tensor(2.0), Tensor(3.0), 4.0]
-        assert total_sum(values).item() == pytest.approx(9.0)
+        assert float(total_sum(values).data) == pytest.approx(9.0)
 
     def test_total_sum_empty_raises(self):
         with pytest.raises(ValueError):

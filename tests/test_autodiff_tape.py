@@ -19,8 +19,8 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _make_params():
-    p = Tensor(np.array([0.4, 1.2, 2.5]), requires_grad=True, name="p")
-    q = Tensor(np.array([[1.0, -0.5], [0.25, 2.0]]), requires_grad=True, name="q")
+    p = Tensor(np.array([0.4, 1.2, 2.5]), requires_grad=True)
+    q = Tensor(np.array([[1.0, -0.5], [0.25, 2.0]]), requires_grad=True)
     return p, q
 
 

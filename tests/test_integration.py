@@ -7,8 +7,11 @@ output is re-validated with the reference model.
 """
 
 import ast
+import importlib
+import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from repro import (
     evaluate_network_mappings,
     get_network,
 )
+from repro import cli
 from repro.cli import main as cli_main
 from repro.core.dmodel import DenseTerms, DifferentiableModel, MultiStartFactors
 from repro.mapping import (
@@ -116,6 +120,16 @@ class TestCli:
         assert "fig4_model_correlation" in captured
         assert (tmp_path / "fig4_model_correlation.csv").exists()
 
+    def test_every_listed_experiment_has_a_main(self, capsys):
+        """The harnesses load only when their figure runs, so a wrong module
+        name in the table would otherwise surface only then."""
+        assert cli_main(["list"]) == 0
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == sorted(cli._EXPERIMENTS)
+        for name in names:
+            assert callable(importlib.import_module(cli._EXPERIMENTS[name]).main)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
@@ -135,16 +149,84 @@ class TestCli:
         assert captured.err.count("\n") == 1 and message in captured.err
 
 
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter; return what it prints as JSON."""
+    src = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                            cwd=src, capture_output=True, text=True,
+                            timeout=120, check=True)
+    return json.loads(result.stdout)
+
+
 class TestPackaging:
-    def test_import_loads_no_scipy(self):
-        """``import repro`` needs NumPy only: no SciPy module gets loaded."""
-        src = Path(repro.__file__).resolve().parents[1]
-        code = ("import sys; import repro; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", code], cwd=src,
-                                capture_output=True, text=True, timeout=120,
-                                check=True)
-        assert result.stdout.strip() == "[]"
+    """Cold start: ``import repro`` loads a subpackage only when one of its
+    names is first used, so each caller pays for the layers it runs."""
+
+    def test_import_and_networks_load_only_the_workloads(self):
+        loaded = run_fresh("""
+            import json, sys
+            import repro
+            for name in ("resnet50", "bert", "gpt2_decoder"):
+                repro.get_network(name)
+            print(json.dumps(sorted(sys.modules)))
+        """)
+        assert "numpy" not in loaded
+        assert [name for name in loaded if name.split(".")[0] == "repro"
+                and name != "repro" and not name.startswith("repro.workloads")] == []
+
+    def test_search_loads_only_the_search_stack(self):
+        """A search needs NumPy only, not SciPy, and none of the campaign,
+        service, harness, surrogate or lint layers."""
+        loaded = run_fresh("""
+            import json, sys
+            import repro
+            repro.optimize("bert", "random", seed=0, budget=60)
+            print(json.dumps(sorted(sys.modules)))
+        """)
+        outside = ("repro.service", "repro.campaign", "repro.experiments",
+                   "repro.surrogate", "repro.analysis", "scipy")
+        assert [name for name in loaded
+                if name.startswith(outside)] == []
+        assert "numpy" in loaded
+
+    def test_every_export_resolves_to_its_defining_object(self):
+        result = run_fresh("""
+            import json, sys
+            import repro
+            wrong = []
+            for name in repro.__all__:
+                value = getattr(repro, name)
+                home = sys.modules[getattr(value, "__module__", "repro")]
+                if getattr(home, name) is not value:
+                    wrong.append(name)
+            try:
+                repro.not_an_export
+            except AttributeError as error:
+                unknown = str(error)
+            print(json.dumps({"count": len(repro.__all__), "wrong": wrong,
+                              "unknown": unknown}))
+        """)
+        assert result["count"] == 35 and result["wrong"] == []
+        assert "not_an_export" in result["unknown"]
+
+    def test_daemon_imports_every_strategy_before_it_forks(self, tmp_path):
+        """A worker forks with every built-in strategy imported, so no fork
+        lands in the middle of a request thread's first registry lookup."""
+        missing = run_fresh(f"""
+            import json, sys
+            import repro
+            service = repro.SearchService(
+                repro.ServiceConfig(root={str(tmp_path)!r}, n_workers=1))
+            service.start()
+            try:
+                print(json.dumps([name for name in (
+                    "repro.core.optimizer.dosa", "repro.search.random_search",
+                    "repro.search.bayesian", "repro.search.random_mapper_search")
+                    if name not in sys.modules]))
+            finally:
+                service.drain()
+        """)
+        assert missing == []
 
     def test_setup_version_matches_package(self):
         setup_py = Path(repro.__file__).resolve().parents[2] / "setup.py"

@@ -313,6 +313,27 @@ class TestApiSurface:
         """}, rules=["api-surface"])
         assert result.findings == []
 
+    def test_lazy_exports_bind_but_unknown_names_still_flagged(self, tmp_path):
+        """A name the module ``__getattr__`` resolves from its table counts
+        as bound; one in a table the hook never reads, or in no table, does
+        not."""
+        result = lint_tree(tmp_path, {"sub/__init__.py": """\
+            import importlib
+
+            _EXPORTS = {"dumps": "json"}
+            _UNUSED = {"loads": "json"}
+
+
+            def __getattr__(name):
+                return getattr(importlib.import_module(_EXPORTS[name]), name)
+
+
+            __all__ = ["dumps", "loads", "never_bound"]
+        """}, rules=["api-surface"])
+        messages = sorted(f.message for f in by_rule(result, "api-surface"))
+        assert len(messages) == 2
+        assert "'loads'" in messages[0] and "'never_bound'" in messages[1]
+
     def test_non_init_files_and_dynamic_all_ignored(self, tmp_path):
         result = lint_tree(tmp_path, {
             "sub/mod.py": "from json import dumps\n__all__ = ['gone']\n",
