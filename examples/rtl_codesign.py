@@ -4,8 +4,9 @@
    on the simulated Gemmini-RTL.
 2. Train the DNN difference model and build the combined analytical+DNN
    latency predictor.
-3. Run DOSA with PE dimensions fixed to 16x16, using the combined model to
-   select the best buffer sizes and mappings for ResNet-50.
+3. Run DOSA with PE dimensions fixed to 16x16, and let the combined model
+   pick the best buffer sizes and mappings for ResNet-50 among the search's
+   rounded candidates.
 4. Report the RTL-evaluated EDP against the hand-tuned default configuration
    (32 KB accumulator / 128 KB scratchpad), as in Figure 12 and Table 7.
 
@@ -13,7 +14,7 @@ Run with:  python examples/rtl_codesign.py
 """
 
 from repro.arch import GEMMINI_DEFAULT
-from repro.experiments.fig12_rtl import default_design_edp, search_with_latency_model
+from repro.experiments.fig12_rtl import default_design_edp, search_with_latency_models
 from repro.core.optimizer import DosaSettings
 from repro.surrogate import CombinedLatencyModel, RtlSimulator, TrainingSettings, generate_dataset
 from repro.surrogate.combined import evaluate_model_accuracy
@@ -39,7 +40,7 @@ def main() -> None:
     print("searching buffer sizes and mappings for ResNet-50 (16x16 PEs fixed)...")
     settings = DosaSettings(num_start_points=2, gd_steps=240, rounding_period=80,
                             fixed_pe_dim=GEMMINI_DEFAULT.pe_dim, seed=0)
-    design = search_with_latency_model("resnet50", combined, settings, simulator)
+    [design] = search_with_latency_models("resnet50", [combined], settings, simulator)
     default_edp = default_design_edp("resnet50", simulator)
 
     print()

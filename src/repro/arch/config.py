@@ -122,36 +122,37 @@ def minimal_hardware_for_requirements(
                           scratchpad_kb=scratchpad_kb)
 
 
-def merge_hardware_configs(configs: Iterable[HardwareConfig],
-                           bounds: HardwareBounds = DEFAULT_BOUNDS) -> HardwareConfig:
+def merge_hardware_configs(configs: Iterable[HardwareConfig]) -> HardwareConfig:
     """Parameter-wise max across per-layer minimal configs (Figure 3).
 
     The final design must support every layer's mapping, so each hardware
-    parameter takes the maximum over the per-layer requirements.
+    parameter takes the maximum over the per-layer requirements, capped at
+    :data:`DEFAULT_BOUNDS`.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("merge_hardware_configs requires at least one config")
     return HardwareConfig(
-        pe_dim=min(max(c.pe_dim for c in configs), bounds.max_pe_dim),
-        accumulator_kb=min(max(c.accumulator_kb for c in configs), bounds.max_accumulator_kb),
-        scratchpad_kb=min(max(c.scratchpad_kb for c in configs), bounds.max_scratchpad_kb),
+        pe_dim=min(max(c.pe_dim for c in configs), DEFAULT_BOUNDS.max_pe_dim),
+        accumulator_kb=min(max(c.accumulator_kb for c in configs),
+                           DEFAULT_BOUNDS.max_accumulator_kb),
+        scratchpad_kb=min(max(c.scratchpad_kb for c in configs),
+                          DEFAULT_BOUNDS.max_scratchpad_kb),
     )
 
 
-def random_hardware_config(
-    seed: SeedLike = None,
-    bounds: HardwareBounds = DEFAULT_BOUNDS,
-    pe_dim_choices: tuple[int, ...] = (4, 8, 16, 32, 64, 128),
-    sram_kb_choices: tuple[int, ...] = (16, 32, 64, 128, 256, 512),
-) -> HardwareConfig:
+#: The PE-array sides and SRAM sizes (KB) a random design point draws from;
+#: every one is within :data:`DEFAULT_BOUNDS`.
+_RANDOM_PE_DIMS = (4, 8, 16, 32, 64, 128)
+_RANDOM_SRAM_KB = (16, 32, 64, 128, 256, 512)
+
+
+def random_hardware_config(seed: SeedLike = None) -> HardwareConfig:
     """Sample a random valid hardware design point (used for GD start points
     and by the black-box search baselines)."""
     rng = make_rng(seed)
-    pe_dim = int(rng.choice([p for p in pe_dim_choices if p <= bounds.max_pe_dim]))
-    accumulator_kb = int(rng.choice([s for s in sram_kb_choices
-                                     if s <= bounds.max_accumulator_kb]))
-    scratchpad_kb = int(rng.choice([s for s in sram_kb_choices
-                                    if s <= bounds.max_scratchpad_kb]))
+    pe_dim = int(rng.choice(_RANDOM_PE_DIMS))
+    accumulator_kb = int(rng.choice(_RANDOM_SRAM_KB))
+    scratchpad_kb = int(rng.choice(_RANDOM_SRAM_KB))
     return HardwareConfig(pe_dim=pe_dim, accumulator_kb=accumulator_kb,
                           scratchpad_kb=scratchpad_kb)

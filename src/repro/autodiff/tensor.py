@@ -439,13 +439,9 @@ class Tensor:
 
         return self._make_child(forward(), (self,), backward, forward)
 
-    def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
+    def mean(self) -> "Tensor":
+        """The mean of every element."""
+        return self.sum() / float(self.data.size)
 
     def exp(self) -> "Tensor":
         out: list = [None]

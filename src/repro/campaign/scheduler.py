@@ -702,14 +702,9 @@ class CampaignScheduler:
 def run_campaign(
     spec: CampaignSpec,
     directory: str | Path | None = None,
-    persist_cache: bool = True,
-    max_jobs: int | None = None,
-    shard_index: int | None = None,
-    shard_count: int | None = None,
-    on_job_done: JobCallback | None = None,
     cache: EvaluationCache | None = None,
 ) -> CampaignRun:
-    """One-call facade: open (or create) the store and run the campaign.
+    """One-call facade: open (or create) the store and run the whole campaign.
 
     ``directory=None`` runs the campaign through an ephemeral store in a
     temporary directory — the full campaign machinery (store, spill, resume
@@ -717,16 +712,11 @@ def run_campaign(
     harnesses use that mode, so figure results flow through exactly the code
     path a persistent campaign exercises.  ``cache`` lets an inline caller
     share one evaluation cache with work it runs after the campaign (results
-    are bit-identical with or without it).
+    are bit-identical with or without it).  Shards, job caps and per-job
+    callbacks are :meth:`CampaignScheduler.run`'s.
     """
     if directory is None:
         with tempfile.TemporaryDirectory(prefix="repro-campaign-") as temp:
-            return run_campaign(spec, directory=temp,
-                                persist_cache=persist_cache, max_jobs=max_jobs,
-                                shard_index=shard_index, shard_count=shard_count,
-                                on_job_done=on_job_done, cache=cache)
+            return run_campaign(spec, directory=temp, cache=cache)
     store = ResultStore(directory, spec=spec)
-    scheduler = CampaignScheduler(spec, store, persist_cache=persist_cache,
-                                  cache=cache)
-    return scheduler.run(max_jobs=max_jobs, shard_index=shard_index,
-                         shard_count=shard_count, on_job_done=on_job_done)
+    return CampaignScheduler(spec, store, cache=cache).run()

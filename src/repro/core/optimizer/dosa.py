@@ -6,7 +6,10 @@ factors.  Every ``rounding_period`` steps the fractional factors are snapped
 to the nearest valid mapping, the loop orderings are (optionally) re-selected,
 the minimal hardware configuration is derived, and the candidate design is
 scored with the reference (Timeloop-style) model.  The best reference-scored
-design across all start points is the search result.
+design across all start points is the search result.  A learned latency
+model never enters the search: the Figure-12 harness
+(:mod:`repro.experiments.fig12_rtl`) re-ranks one search's candidates with
+each latency model instead.
 
 The descent runs start-batched: all S start points x L layers live in one
 :class:`~repro.core.dmodel.factors.MultiStartFactors` (an ``(S, L, ...)``
@@ -40,9 +43,9 @@ are served from cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -96,6 +99,9 @@ class DosaSettings:
     loop-ordering strategy, ``rejection_threshold`` drives start-point
     rejection (Section 5.3.1), ``fixed_pe_dim`` pins the PE array (the
     Gemmini-RTL experiments), and ``bounds`` caps the derived hardware.
+    The learning rate and the rejection threshold must be finite and
+    positive, the penalty weight finite and non-negative, and a pinned PE
+    array within ``1..bounds.max_pe_dim``.
     """
 
     num_start_points: int = 7
@@ -118,14 +124,19 @@ class DosaSettings:
             raise ValueError("gd_steps must be at least 1")
         if self.rounding_period < 1:
             raise ValueError("rounding_period must be at least 1")
+        for name in ("learning_rate", "rejection_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, "
+                                 f"got {value!r}")
+        if not (math.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
+            raise ValueError(f"penalty_weight must be a finite non-negative "
+                             f"number, got {self.penalty_weight!r}")
+        if self.fixed_pe_dim is not None and not (
+                1 <= self.fixed_pe_dim <= self.bounds.max_pe_dim):
+            raise ValueError(f"fixed_pe_dim must be within 1.."
+                             f"{self.bounds.max_pe_dim}, got {self.fixed_pe_dim!r}")
         self.ordering_strategy = LoopOrderingStrategy(self.ordering_strategy)
-
-
-# A latency adjuster rescales per-layer reference latencies when selecting the
-# best candidate (used by the Gemmini-RTL experiments, where latency may come
-# from a DNN-augmented model or the RTL simulator instead of the analytical
-# model).  It receives the mappings and hardware and returns per-layer latencies.
-LatencyAdjuster = Callable[[list[Mapping], HardwareConfig], list[float]]
 
 
 @register_searcher("dosa")
@@ -138,12 +149,10 @@ class DosaSearcher:
         self,
         network: Network,
         settings: DosaSettings | None = None,
-        latency_adjuster: LatencyAdjuster | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
         self.network = network
         self.settings = settings or DosaSettings()
-        self.latency_adjuster = latency_adjuster
         self.cache = cache
         self._repeats = [layer.repeats for layer in network.layers]
 
@@ -338,31 +347,7 @@ class DosaSearcher:
         self, rounded: list[Mapping], hardware: HardwareConfig,
         performance: NetworkPerformance, session: SearchSession,
     ) -> CandidateDesign:
-        """Latency adjustment + sample accounting for one evaluated start."""
-        performance = self._adjust_performance(rounded, hardware, performance)
+        """Sample accounting for one evaluated start: one sample per layer."""
         session.spend(len(rounded))
         return CandidateDesign(hardware=hardware, mappings=rounded,
                                performance=performance)
-
-    # ------------------------------------------------------------------ #
-    def _adjust_performance(
-        self,
-        mappings: list[Mapping],
-        hardware: HardwareConfig,
-        performance: NetworkPerformance,
-    ) -> NetworkPerformance:
-        """Apply the optional latency adjuster (RTL-model experiments)."""
-        if self.latency_adjuster is None:
-            return performance
-        adjusted_latencies = self.latency_adjuster(mappings, hardware)
-        if len(adjusted_latencies) != len(mappings):
-            raise ValueError("latency adjuster must return one latency per mapping")
-        total_latency = sum(
-            latency * mapping.layer.repeats
-            for latency, mapping in zip(adjusted_latencies, mappings)
-        )
-        return NetworkPerformance(
-            total_latency=total_latency,
-            total_energy=performance.total_energy,
-            per_layer=performance.per_layer,
-        )

@@ -1,10 +1,12 @@
 """Figure 12 and Table 7: Gemmini-RTL DSE with the three latency models.
 
 PE dimensions are fixed to 16x16 (matching the default Gemmini-RTL build) and
-DOSA searches only buffer sizes and mappings.  For each latency model the best
-candidate is selected with that model's latency prediction, then every final
-design is scored with the RTL simulator's latency (and the analytical energy
-model), mirroring the paper's FireSim + Accelergy evaluation.  The paper
+DOSA searches only buffer sizes and mappings.  One DOSA search runs per
+workload; the latency models never enter its descent, so each model picks
+its design by re-ranking that search's rounded candidates with its own
+latency prediction.  Every picked design is then scored with the RTL
+simulator's latency (and the analytical energy model), mirroring the paper's
+FireSim + Accelergy evaluation.  The paper
 reports EDP improvements over the hand-tuned Gemmini default of 1.48x
 (analytical), 1.66x (DNN-only) and 1.82x (analytical+DNN), and Table 7 lists
 the buffer sizes chosen by the combined model.
@@ -13,6 +15,7 @@ the buffer sizes chosen by the combined model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.arch.config import GEMMINI_DEFAULT, HardwareConfig
 from repro.core.optimizer import DosaSearcher, DosaSettings
@@ -20,6 +23,7 @@ from repro.eval.batch import evaluate_mappings_batched
 from repro.experiments.common import ExperimentOutput
 from repro.mapping.cosa import cosa_mapping
 from repro.mapping.mapping import Mapping
+from repro.search.api import CandidateDesign
 from repro.surrogate.combined import (
     AnalyticalLatencyModel,
     CombinedLatencyModel,
@@ -65,28 +69,38 @@ def default_design_edp(workload: str, simulator: RtlSimulator) -> float:
     return rtl_edp(mappings, GEMMINI_DEFAULT, simulator)
 
 
-def search_with_latency_model(
+def model_edp(model: LatencyModel, candidate: CandidateDesign) -> float:
+    """``candidate``'s EDP with ``model``'s latency and the analytical energy."""
+    total_latency = sum(model.latency(mapping, candidate.hardware) * mapping.layer.repeats
+                        for mapping in candidate.mappings)
+    return total_latency * candidate.performance.total_energy
+
+
+def search_with_latency_models(
     workload: str,
-    latency_model: LatencyModel,
+    latency_models: Sequence[LatencyModel],
     settings: DosaSettings,
     simulator: RtlSimulator,
-) -> RtlDesignPoint:
-    """Run DOSA with candidate selection driven by ``latency_model``."""
-    network = get_network(workload)
+) -> list[RtlDesignPoint]:
+    """Run one DOSA search and let each latency model pick its design.
 
-    def adjuster(mappings: list[Mapping], hardware: HardwareConfig) -> list[float]:
-        return [latency_model.latency(mapping, hardware) for mapping in mappings]
-
-    searcher = DosaSearcher(network, settings, latency_adjuster=adjuster)
-    result = searcher.search()
-    edp = rtl_edp(result.best.mappings, result.best.hardware, simulator)
-    return RtlDesignPoint(
-        workload=workload,
-        model_name=latency_model.name,
-        hardware=result.best.hardware,
-        mappings=result.best.mappings,
-        edp=edp,
-    )
+    Each model picks the first candidate, in the search's candidate order,
+    with the lowest :func:`model_edp`; the picked design is scored with
+    :func:`rtl_edp`.  One design per model, in ``latency_models`` order.
+    """
+    outcome = DosaSearcher(get_network(workload), settings).search()
+    designs = []
+    for model in latency_models:
+        # min() keeps the first of equal keys, as SearchSession.offer does.
+        best = min(outcome.candidates, key=lambda candidate: model_edp(model, candidate))
+        designs.append(RtlDesignPoint(
+            workload=workload,
+            model_name=model.name,
+            hardware=best.hardware,
+            mappings=best.mappings,
+            edp=rtl_edp(best.mappings, best.hardware, simulator),
+        ))
+    return designs
 
 
 def run(
@@ -112,19 +126,18 @@ def run(
     combined.train(dataset, training_settings)
     models: list[LatencyModel] = [AnalyticalLatencyModel(), dnn_only, combined]
 
+    settings = DosaSettings(
+        num_start_points=num_start_points,
+        gd_steps=gd_steps,
+        rounding_period=rounding_period,
+        fixed_pe_dim=GEMMINI_DEFAULT.pe_dim,
+        seed=seed,
+    )
     defaults: dict[str, float] = {}
     designs: list[RtlDesignPoint] = []
     for workload in workloads:
         defaults[workload] = default_design_edp(workload, simulator)
-        for model in models:
-            settings = DosaSettings(
-                num_start_points=num_start_points,
-                gd_steps=gd_steps,
-                rounding_period=rounding_period,
-                fixed_pe_dim=GEMMINI_DEFAULT.pe_dim,
-                seed=seed,
-            )
-            designs.append(search_with_latency_model(workload, model, settings, simulator))
+        designs += search_with_latency_models(workload, models, settings, simulator)
     return {"defaults": defaults, "designs": designs}
 
 

@@ -26,7 +26,6 @@ from repro.mapping.mapping import (
 from repro.mapping.rounding_walk import (
     RoundingTables,
     round_factor_tensors,
-    round_mapping_batch,
 )
 from repro.mapping.constraints import (
     validate_mapping,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_ORDERINGS",
     "RoundingTables",
     "round_factor_tensors",
-    "round_mapping_batch",
     "validate_mapping",
     "mapping_fits_hardware",
     "capacity_requirements",

@@ -12,7 +12,7 @@ Random mappings serve three roles in the reproduction, mirroring the paper:
 One block kernel draws every random mapping.  A candidate mapping is one
 *attempt*: a draw per prime factor of each dimension places that prime in a
 temporal slot at one memory level or, for C and K, in the dimension's
-spatial slot; then, optionally, a draw per level picks its loop ordering.
+spatial slot; then a draw per level picks its loop ordering.
 The kernel draws a block of ``n`` attempts with one ``rng.integers`` call
 over the attempt's range vector tiled ``n`` times, builds the block's
 ``(n, levels, dims)`` factor tensors, demotes over-cap spatial factors and
@@ -34,7 +34,6 @@ import numpy as np
 from repro.arch.config import HardwareConfig
 from repro.mapping.constraints import fits_hardware_arrays
 from repro.mapping.mapping import (
-    DEFAULT_ORDERINGS,
     DIM_INDEX,
     LoopOrdering,
     Mapping,
@@ -61,10 +60,10 @@ class _Plan:
 
     ``highs`` is the attempt's range vector: per dimension, one draw per
     prime factor, with range ``NUM_LEVELS`` plus 1 for the C or K spatial
-    slot; then ``NUM_LEVELS`` ordering draws of range 3 when orderings are
-    randomized.  ``slots[d]`` indexes dimension ``d``'s prime draws in
-    ascending prime order and ``primes[d]`` holds those primes; rows are
-    padded with prime 1, which multiplies nothing wherever it lands.
+    slot; then ``NUM_LEVELS`` ordering draws of range 3.  ``slots[d]``
+    indexes dimension ``d``'s prime draws in ascending prime order and
+    ``primes[d]`` holds those primes; rows are padded with prime 1, which
+    multiplies nothing wherever it lands.
     """
 
     highs: np.ndarray   # (draws,)
@@ -74,7 +73,7 @@ class _Plan:
 
 
 @lru_cache(maxsize=4096)
-def _plan(layer: LayerDims, randomize_orderings: bool) -> _Plan:
+def _plan(layer: LayerDims) -> _Plan:
     factorizations = [prime_factorization(layer.dim(dim)) for dim in DIMENSIONS]
     width = max(len(factors) for factors in factorizations)
     slots = np.zeros((NUM_DIMS, width), dtype=np.intp)
@@ -86,8 +85,7 @@ def _plan(layer: LayerDims, randomize_orderings: bool) -> _Plan:
         num_positions = len(_POSITIONS) if j in _SPATIAL_LEVEL else NUM_LEVELS
         highs += [num_positions] * len(factors)
     num_prime_draws = len(highs)
-    if randomize_orderings:
-        highs += [len(_ORDERINGS)] * NUM_LEVELS
+    highs += [len(_ORDERINGS)] * NUM_LEVELS
     plan = _Plan(np.array(highs, dtype=np.int64), slots, primes, num_prime_draws)
     for array in (plan.highs, plan.slots, plan.primes):
         array.setflags(write=False)  # shared by every caller of the cache
@@ -98,8 +96,7 @@ def _draw_attempts(
     plan: _Plan, rng: np.random.Generator, n: int, max_spatial: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``n`` attempts: their ``(n, levels, dims)`` temporal and spatial
-    factors and their ``(n, levels)`` ordering draws (``(n, 0)`` when
-    orderings are not randomized).
+    factors and their ``(n, levels)`` ordering draws.
 
     A spatial factor above ``max_spatial`` gives up its smallest prime to
     the temporal factor at the same level until it is within the cap.
@@ -160,8 +157,7 @@ def _mapping(layer: LayerDims, temporal: np.ndarray, spatial: np.ndarray,
     """One attempt of a block as a :class:`Mapping` owning its arrays."""
     return Mapping(
         layer=layer, temporal=temporal.copy(), spatial=spatial.copy(),
-        orderings=(tuple(_ORDERINGS[k] for k in orderings.tolist())
-                   if orderings.size else DEFAULT_ORDERINGS))
+        orderings=tuple(_ORDERINGS[k] for k in orderings.tolist()))
 
 
 def random_mappings_for_hardware(
@@ -170,7 +166,6 @@ def random_mappings_for_hardware(
     count: int,
     seed: SeedLike = None,
     max_attempts: int = 200,
-    randomize_orderings: bool = True,
 ) -> list[Mapping | None]:
     """``count`` random mappings of ``layer`` that fit ``config``.
 
@@ -188,7 +183,7 @@ def random_mappings_for_hardware(
     rng = make_rng(seed)
     if count == 0 or max_attempts == 0:
         return [None] * count
-    plan = _plan(layer, randomize_orderings)
+    plan = _plan(layer)
     # Draw a generous block, extend it (which continues the stream) until
     # the calls' attempts are all drawn, then rewind to the snapshot and
     # redraw just the attempts used, so the generator ends where the calls
@@ -221,7 +216,6 @@ def random_mapping(
     layer: LayerDims,
     seed: SeedLike = None,
     max_spatial: int = 128,
-    randomize_orderings: bool = True,
 ) -> Mapping:
     """Sample a structurally valid random mapping for ``layer``.
 
@@ -232,7 +226,7 @@ def random_mapping(
     """
     rng = make_rng(seed)
     temporal, spatial, orderings = _draw_attempts(
-        _plan(layer, randomize_orderings), rng, 1, max_spatial)
+        _plan(layer), rng, 1, max_spatial)
     return _mapping(layer, temporal[0], spatial[0], orderings[0])
 
 
@@ -241,13 +235,11 @@ def random_mapping_for_hardware(
     config: HardwareConfig,
     seed: SeedLike = None,
     max_attempts: int = 200,
-    randomize_orderings: bool = True,
 ) -> Mapping | None:
     """Sample a random mapping that fits ``config``; None if none found.
 
     One call of :func:`random_mappings_for_hardware` with ``count=1``.
     """
     [mapping] = random_mappings_for_hardware(
-        layer, config, 1, seed=seed, max_attempts=max_attempts,
-        randomize_orderings=randomize_orderings)
+        layer, config, 1, seed=seed, max_attempts=max_attempts)
     return mapping

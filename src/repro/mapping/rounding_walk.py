@@ -40,14 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.arch.components import LEVEL_DRAM, MEMORY_LEVEL_INDICES
-from repro.mapping.mapping import DIM_INDEX, Mapping, NUM_DIMS, NUM_LEVELS, SPATIAL_DIMS
+from repro.mapping.mapping import DIM_INDEX, NUM_DIMS, NUM_LEVELS, SPATIAL_DIMS
 from repro.utils.math_utils import divisors
 from repro.workloads.layer import DIMENSIONS, LayerDims
 
 __all__ = [
     "RoundingTables",
     "round_factor_tensors",
-    "round_mapping_batch",
 ]
 
 
@@ -221,41 +220,3 @@ def round_factor_tensors(
             rem_index = _advance_remaining(table, rows, rem_index, choice)
         out_temporal[:, :, LEVEL_DRAM, j] = table.ints[rows, rem_index]
     return out_temporal, out_spatial
-
-
-def round_mapping_batch(
-    mapping_sets: Sequence[Sequence[Mapping]],
-    max_spatial: float | None = None,
-) -> list[list[Mapping]]:
-    """Round many mapping sets over the same layer stack in one kernel pass.
-
-    ``mapping_sets`` holds S sequences of L mappings; position ``l`` must map
-    the same problem dimensions in every set (the divisor tables are per
-    layer).  Returns the same S x L structure with every mapping rounded to
-    a valid, integral copy (layers and orderings preserved).
-    """
-    sets = [list(mappings) for mappings in mapping_sets]
-    if not sets or not sets[0]:
-        raise ValueError("round_mapping_batch requires at least one mapping")
-    layers = [m.layer for m in sets[0]]
-    for mappings in sets:
-        if len(mappings) != len(layers):
-            raise ValueError("all mapping sets must cover the same layers")
-        for mapping, layer in zip(mappings, layers):
-            if mapping.layer.dims() != layer.dims():
-                raise ValueError(
-                    f"layer mismatch across sets: {mapping.layer.dims()} "
-                    f"vs {layer.dims()}")
-    temporal = np.stack([[m.temporal for m in mappings] for mappings in sets])
-    spatial = np.stack([[m.spatial for m in mappings] for mappings in sets])
-    out_temporal, out_spatial = round_factor_tensors(
-        temporal, spatial, RoundingTables.for_layers(layers),
-        max_spatial=max_spatial)
-    return [
-        [Mapping(layer=mapping.layer,
-                 temporal=out_temporal[s, l].copy(),
-                 spatial=out_spatial[s, l].copy(),
-                 orderings=mapping.orderings)
-         for l, mapping in enumerate(mappings)]
-        for s, mappings in enumerate(sets)
-    ]

@@ -39,7 +39,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, Protocol, Sequence, get_type_hints, runtime_checkable
+from typing import Any, Callable, Protocol, get_type_hints, runtime_checkable
 
 from repro.arch.config import HardwareConfig
 from repro.mapping.mapping import Mapping
@@ -255,43 +255,12 @@ class SearchCallback:
 class ProgressCallback(SearchCallback):
     """Prints a line whenever the best design improves (CLI/example progress)."""
 
-    def __init__(self, prefix: str = "[search]",
-                 printer: Callable[[str], None] = print) -> None:
+    def __init__(self, prefix: str = "[search]") -> None:
         self.prefix = prefix
-        self.printer = printer
 
     def on_best(self, candidate: CandidateDesign, samples: int) -> None:
-        self.printer(f"{self.prefix} new best EDP {candidate.edp:.4e} "
-                     f"after {samples} samples "
-                     f"({candidate.hardware.describe()})")
-
-
-class _CallbackList(SearchCallback):
-    """Fans one callback stream out to many registered callbacks."""
-
-    def __init__(self, callbacks: Sequence[SearchCallback]) -> None:
-        self.callbacks = list(callbacks)
-
-    def on_step(self, samples: int) -> None:
-        for callback in self.callbacks:
-            callback.on_step(samples)
-
-    def on_candidate(self, candidate: CandidateDesign, samples: int) -> None:
-        for callback in self.callbacks:
-            callback.on_candidate(candidate, samples)
-
-    def on_best(self, candidate: CandidateDesign, samples: int) -> None:
-        for callback in self.callbacks:
-            callback.on_best(candidate, samples)
-
-
-def as_callback(callbacks) -> SearchCallback:
-    """Normalize ``None`` / a single callback / a sequence to one dispatcher."""
-    if callbacks is None:
-        return SearchCallback()
-    if isinstance(callbacks, SearchCallback):
-        return callbacks
-    return _CallbackList(list(callbacks))
+        print(f"{self.prefix} new best EDP {candidate.edp:.4e} "
+              f"after {samples} samples ({candidate.hardware.describe()})")
 
 
 # --------------------------------------------------------------------------- #
@@ -347,13 +316,13 @@ class SearchSession:
         self,
         method: str,
         budget: SearchBudget | int | None = None,
-        callbacks=None,
+        callbacks: SearchCallback | None = None,
         settings: Any = None,
         network: Network | str | None = None,
     ) -> None:
         self.method = method
         self.budget = SearchBudget.coerce(budget)
-        self.callbacks = as_callback(callbacks)
+        self.callbacks = callbacks if callbacks is not None else SearchCallback()
         self.settings = settings
         self.network_name = network.name if isinstance(network, Network) else (network or "")
         self.trace = SearchTrace()
@@ -552,7 +521,9 @@ def check_settings_overrides(strategy: str, overrides: dict[str, Any]) -> None:
     a field of any other type (e.g. DOSA's ``bounds``, a
     :class:`~repro.arch.config.HardwareBounds` that JSON cannot build) is
     refused by name.  ``seed`` is not an override (every job supplies its
-    own).  Raises ``ValueError`` naming the first offending key.
+    own).  Raises ``ValueError`` naming the first offending key, or, once
+    every value fits its field, the settings type's own ``ValueError`` for
+    values it refuses (e.g. a ``NaN`` learning rate or ``gd_steps`` of -1).
     """
     settings_type = getattr(get_searcher(strategy), "settings_type", None)
     allowed = ({item.name for item in fields(settings_type)} - {"seed"}
@@ -572,6 +543,11 @@ def check_settings_overrides(strategy: str, overrides: dict[str, Any]) -> None:
         if not fits(overrides[name]):
             raise ValueError(f"{strategy} setting {name!r} must be {description}, "
                              f"got {overrides[name]!r}")
+    if overrides:
+        try:
+            settings_type(**overrides)
+        except ValueError as error:
+            raise ValueError(f"invalid {strategy} settings: {error}") from None
 
 
 def available_strategies() -> tuple[str, ...]:

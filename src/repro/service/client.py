@@ -41,6 +41,9 @@ TERMINAL_EVENTS = ("done", "failed", "cancelled")
 #: Cap on how long a server-sent ``Retry-After`` can make us sleep.
 MAX_RETRY_AFTER = 30.0
 
+#: Cap on :meth:`Client.wait`'s backed-off poll interval.
+MAX_POLL_SECONDS = 2.0
+
 
 class ServiceError(RuntimeError):
     """A non-2xx response from the daemon."""
@@ -105,9 +108,7 @@ class Client:
         return delay
 
     def _request(self, method: str, path: str,
-                 body: Mapping[str, Any] | None = None,
-                 timeout: float | None = None,
-                 retry: bool = True) -> tuple[int, bytes]:
+                 body: Mapping[str, Any] | None = None) -> tuple[int, bytes]:
         """One API call, with transparent retries on transient failures.
 
         Retries 429/503 (honoring ``Retry-After``) and transport-level
@@ -118,28 +119,25 @@ class Client:
         attempt = 0
         while True:
             try:
-                return self._request_once(method, path, body, timeout)
+                return self._request_once(method, path, body)
             except ServiceError as error:
-                if retry and error.status in (429, 503) \
-                        and attempt < self.retries:
+                if error.status in (429, 503) and attempt < self.retries:
                     time.sleep(self._backoff_delay(attempt,
                                                    error.retry_after))
                     attempt += 1
                     continue
                 raise
             except (http.client.HTTPException, OSError):
-                if retry and attempt < self.retries:
+                if attempt < self.retries:
                     time.sleep(self._backoff_delay(attempt))
                     attempt += 1
                     continue
                 raise
 
     def _request_once(self, method: str, path: str,
-                      body: Mapping[str, Any] | None,
-                      timeout: float | None) -> tuple[int, bytes]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout)
+                      body: Mapping[str, Any] | None) -> tuple[int, bytes]:
+        connection = http.client.HTTPConnection(self.host, self.port,
+                                                timeout=self.timeout)
         try:
             payload = None
             headers = {"Accept": "application/json"}
@@ -269,12 +267,12 @@ class Client:
         return json.loads(self.result_bytes(job_id, deterministic))
 
     def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.2, poll_cap: float = 2.0,
-             restart_grace: float = 20.0) -> dict:
+             poll: float = 0.2, restart_grace: float = 20.0) -> dict:
         """Poll until the job reaches a terminal state; raise on failure.
 
         The poll interval backs off exponentially from ``poll`` up to
-        ``poll_cap`` (a slow daemon is not hammered forever at 5 Hz).
+        :data:`MAX_POLL_SECONDS` (a slow daemon is not hammered forever at
+        5 Hz).
         Transport errors are tolerated for up to ``restart_grace`` seconds
         beyond the per-request retries — long enough to ride out a daemon
         drain + restart, which re-registers every persisted job.  Returns
@@ -308,7 +306,7 @@ class Client:
                 raise TimeoutError(
                     f"job {job_id} still {state} after {timeout:.0f}s")
             time.sleep(interval)
-            interval = min(poll_cap, interval * 1.6)
+            interval = min(MAX_POLL_SECONDS, interval * 1.6)
 
     def _failure_message(self, job_id: str, record: Mapping[str, Any]) -> str:
         message = f"job {job_id} failed: {record.get('error')}"

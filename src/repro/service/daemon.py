@@ -103,6 +103,9 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 #: managers (the chaos supervisor, the served benchmark) give SIGTERM.
 DRAIN_SECONDS = 20.0
 
+#: SSE keep-alive comment period while a job is idle in the queue.
+HEARTBEAT_SECONDS = 10.0
+
 
 @dataclass
 class ServiceConfig:
@@ -123,8 +126,6 @@ class ServiceConfig:
     request_timeout: float = 30.0
     #: Stream an ``on_step`` SSE event every N samples.
     step_period: int = 25
-    #: SSE keep-alive comment period while a job is idle in the queue.
-    heartbeat_seconds: float = 10.0
     #: Per-tenant cap on active (queued + running) jobs; beyond it submits
     #: get 429 + Retry-After.  ``None`` disables quotas.
     tenant_quota: int | None = None
@@ -1075,7 +1076,7 @@ def _build_handler(service: SearchService) -> type[BaseHTTPRequestHandler]:
             try:
                 while True:
                     batch, closed = events.since(
-                        seq, timeout=service.config.heartbeat_seconds)
+                        seq, timeout=HEARTBEAT_SECONDS)
                     for seq_i, name, payload in batch:
                         try:
                             service.fault_fire("sse.frame",
@@ -1109,14 +1110,11 @@ def urlsplit_path(path: str) -> str:
     return urlsplit(path).path
 
 
-def create_server(service: SearchService,
-                  host: str | None = None,
-                  port: int | None = None) -> ThreadingHTTPServer:
-    """Bind the HTTP front-end (``port=0`` picks an ephemeral port)."""
-    server = ThreadingHTTPServer(
-        (service.config.host if host is None else host,
-         service.config.port if port is None else port),
-        _build_handler(service))
+def create_server(service: SearchService) -> ThreadingHTTPServer:
+    """Bind the HTTP front-end at the config's host and port (``port=0``
+    picks an ephemeral port)."""
+    server = ThreadingHTTPServer((service.config.host, service.config.port),
+                                 _build_handler(service))
     server.daemon_threads = True
     service._listener = server.socket
     return server
@@ -1134,14 +1132,12 @@ def write_endpoint_file(service: SearchService,
     })
 
 
-def serve(config: ServiceConfig,
-          ready: Callable[[SearchService, ThreadingHTTPServer], None]
-          | None = None) -> int:
+def serve(config: ServiceConfig) -> int:
     """Blocking daemon entry point (the body of ``repro.cli serve``).
 
     Installs SIGTERM/SIGINT handlers that drain gracefully (a second signal
-    hard-exits).  ``ready`` is called once the socket is bound — the service
-    smoke tests use it; scripts can also poll ``<root>/service.json``.
+    hard-exits).  Once the socket is bound the endpoint is published at
+    ``<root>/service.json``, which clients poll for (``Client.from_root``).
     """
     import signal
 
@@ -1152,8 +1148,6 @@ def serve(config: ServiceConfig,
     host, port = server.server_address[:2]
     log.info("service listening on http://%s:%d (root %s)",
              host, port, service.layout.root)
-    if ready is not None:
-        ready(service, server)
     stopping = threading.Event()
 
     def _shutdown() -> None:

@@ -5,8 +5,9 @@
 * :class:`CombinedLatencyModel` — the analytical model corrected by an MLP
   trained on the analytical-vs-RTL difference (the paper's proposal).
 
-All three expose the same interface (``latency(mapping, hardware)``) so they
-can be swapped into the DOSA search and the accuracy studies of Figures 10-12.
+All three expose the same interface (``latency(mapping, hardware)``), so the
+accuracy studies of Figures 10-11 score them alike and the Figure-12 harness
+re-ranks one DOSA search's candidates with each of them.
 """
 
 from __future__ import annotations

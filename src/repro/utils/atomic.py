@@ -50,6 +50,7 @@ def write_atomic(path: str | Path, text: str) -> Path:
     return path
 
 
-def write_json_atomic(path: str | Path, payload: Any, indent: int = 2) -> Path:
-    """Atomically write ``payload`` as JSON (trailing newline included)."""
-    return write_atomic(path, json.dumps(payload, indent=indent) + "\n")
+def write_json_atomic(path: str | Path, payload: Any) -> Path:
+    """Atomically write ``payload`` as JSON indented by 2 (trailing newline
+    included)."""
+    return write_atomic(path, json.dumps(payload, indent=2) + "\n")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import IO
 
 #: The names accepted by ``--log-level`` (lower-case, argparse-friendly).
 LOG_LEVELS: tuple[str, ...] = ("debug", "info", "warning", "error", "critical")
@@ -42,14 +41,13 @@ def get_logger(component: str) -> logging.Logger:
     return logging.getLogger(f"{_ROOT_NAME}.{component}")
 
 
-def configure_logging(level: str | int = "warning",
-                      stream: IO[str] | None = None) -> logging.Logger:
-    """Install one stream handler on the ``repro`` logger at ``level``.
+def configure_logging(level: str | int = "warning") -> logging.Logger:
+    """Install one stderr handler on the ``repro`` logger at ``level``.
 
     Idempotent: calling again replaces the previously-installed handler (and
     its level) instead of stacking duplicates, so the CLI and tests can
-    reconfigure freely.  ``stream`` defaults to ``sys.stderr`` so log lines
-    never interleave with machine-readable stdout (reports, JSON).
+    reconfigure freely.  Log lines go to ``sys.stderr``, so they never
+    interleave with machine-readable stdout (reports, JSON).
     """
     if isinstance(level, str):
         if level.lower() not in LOG_LEVELS:
@@ -62,7 +60,7 @@ def configure_logging(level: str | int = "warning",
                 and not isinstance(handler, logging.NullHandler) \
                 and getattr(handler, "_repro_configured", False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(_FORMAT))
     handler._repro_configured = True  # type: ignore[attr-defined]
     root.addHandler(handler)

@@ -117,16 +117,16 @@ def conv2d_layer(
     output_size: int | tuple[int, int],
     kernel_size: int | tuple[int, int] = 3,
     stride: int | tuple[int, int] = 1,
-    batch: int = 1,
     name: str = "",
     repeats: int = 1,
 ) -> LayerDims:
-    """Construct a convolution layer from the usual framework-style arguments."""
+    """Construct a batch-1 convolution layer from the usual framework-style
+    arguments."""
     p, q = output_size if isinstance(output_size, tuple) else (output_size, output_size)
     r, s = kernel_size if isinstance(kernel_size, tuple) else (kernel_size, kernel_size)
     stride_p, stride_q = stride if isinstance(stride, tuple) else (stride, stride)
     return LayerDims(
-        R=r, S=s, P=p, Q=q, C=in_channels, K=out_channels, N=batch,
+        R=r, S=s, P=p, Q=q, C=in_channels, K=out_channels, N=1,
         stride_p=stride_p, stride_q=stride_q, name=name, repeats=repeats,
     )
 
@@ -135,16 +135,16 @@ def matmul_layer(
     m: int,
     k: int,
     n: int,
-    batch: int = 1,
     name: str = "",
     repeats: int = 1,
 ) -> LayerDims:
-    """Construct a matrix multiplication ``(M x K) @ (K x N)`` as a 7-dim layer.
+    """Construct a matrix multiplication ``(M x K) @ (K x N)`` as a batch-1
+    7-dim layer.
 
     Following the common Timeloop convention for GEMM-as-convolution, the
     reduction dimension maps to C, the output-column dimension to K, and the
     output-row dimension to P (with R = S = Q = 1).
     """
     return LayerDims(
-        R=1, S=1, P=m, Q=1, C=k, K=n, N=batch, name=name, repeats=repeats,
+        R=1, S=1, P=m, Q=1, C=k, K=n, N=1, name=name, repeats=repeats,
     )

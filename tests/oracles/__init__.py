@@ -14,6 +14,8 @@ formulation of the same behaviour:
   mapping at a time.
 * :mod:`oracles.schedule` — the DOSA search with one start point descended
   at a time (a loop of S=1 stacks).
+* :mod:`oracles.latency_ranking` — Figure 12 with one DOSA search per
+  latency model, each search ranking its candidates by that model's latency.
 * :mod:`oracles.random_mapper` — the random mapper one candidate at a time:
   scalar draws per prime factor and loop ordering, and a
   ``mapping_fits_hardware`` check per attempt.

@@ -48,7 +48,6 @@ def random_mapping(
     layer: LayerDims,
     seed: SeedLike = None,
     max_spatial: int = 128,
-    randomize_orderings: bool = True,
 ) -> Mapping:
     """One random mapping, drawn scalar by scalar."""
     rng = make_rng(seed)
@@ -75,13 +74,11 @@ def random_mapping(
                         break
             mapping.spatial[level, j] = float(spatial_value)
 
-    if randomize_orderings:
-        orderings = tuple(
-            LoopOrdering(rng.choice([o.value for o in LoopOrdering]))
-            for _ in range(NUM_LEVELS)
-        )
-        mapping = mapping.with_orderings(orderings)
-    return mapping
+    orderings = tuple(
+        LoopOrdering(rng.choice([o.value for o in LoopOrdering]))
+        for _ in range(NUM_LEVELS)
+    )
+    return mapping.with_orderings(orderings)
 
 
 def random_mapping_for_hardware(
@@ -89,17 +86,11 @@ def random_mapping_for_hardware(
     config: HardwareConfig,
     seed: SeedLike = None,
     max_attempts: int = 200,
-    randomize_orderings: bool = True,
 ) -> Mapping | None:
     """Rejection-sample one mapping that fits ``config``; None if none found."""
     rng = make_rng(seed)
     for _ in range(max_attempts):
-        candidate = random_mapping(
-            layer,
-            seed=rng,
-            max_spatial=config.pe_dim,
-            randomize_orderings=randomize_orderings,
-        )
+        candidate = random_mapping(layer, seed=rng, max_spatial=config.pe_dim)
         if mapping_fits_hardware(candidate, config):
             return candidate
     return None

@@ -671,13 +671,23 @@ from repro.cli import main
 from repro.search.api import SearchCallback
 
 class Mark(SearchCallback):
+    # Passes every hook on to the worker's callback and marks each best.
+    def __init__(self, inner):
+        self.inner = inner or SearchCallback()
+
+    def on_step(self, samples):
+        self.inner.on_step(samples)
+
+    def on_candidate(self, candidate, samples):
+        self.inner.on_candidate(candidate, samples)
+
     def on_best(self, candidate, samples):
+        self.inner.on_best(candidate, samples)
         Path(sys.argv[1], str(os.getpid())).touch()
 
 execute_job = scheduler.execute_job
 scheduler.execute_job = lambda job, cache=None, callbacks=None: execute_job(
-    job, cache=cache,
-    callbacks=[c for c in (callbacks, Mark()) if c is not None])
+    job, cache=cache, callbacks=Mark(callbacks))
 sys.exit(main(sys.argv[2:]))
 """
 

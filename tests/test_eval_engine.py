@@ -12,9 +12,10 @@ from repro.eval import (
     mapping_fingerprint,
 )
 from repro.eval.batch import evaluate_mapping_spec_pairs
-from repro.mapping import cosa_mapping, round_mapping_batch
-from repro.mapping.mapping import identity_mapping
+from repro.mapping import cosa_mapping
+from repro.mapping.mapping import Mapping, identity_mapping
 from repro.mapping.random_mapper import random_mapping
+from repro.mapping.rounding_walk import RoundingTables, round_factor_tensors
 from repro.arch.components import MEMORY_LEVEL_INDICES
 from repro.timeloop import (
     TrafficBreakdown,
@@ -22,7 +23,7 @@ from repro.timeloop import (
     evaluate_mapping,
     evaluate_network_mappings,
 )
-from repro.workloads import conv2d_layer, get_network, matmul_layer
+from repro.workloads import LayerDims, conv2d_layer, get_network, matmul_layer
 
 HARDWARE = HardwareConfig(16, 32, 128)
 
@@ -33,7 +34,7 @@ CORPUS_LAYERS = [
     conv2d_layer(32, 64, 14, kernel_size=1, name="conv_1x1"),
     conv2d_layer(1, 96, 56, kernel_size=3, name="depthwise_ish"),
     matmul_layer(512, 768, 768, name="fc"),
-    matmul_layer(128, 128, 128, batch=4, name="batched_fc"),
+    LayerDims(R=1, S=1, P=128, Q=1, C=128, K=128, N=4, name="batched_fc"),
     conv2d_layer(3, 64, 112, kernel_size=7, stride=2, name="stem"),
 ]
 
@@ -243,8 +244,12 @@ class TestEvaluationEngine:
 
 
 def round_mapping(mapping, max_spatial=None):
-    """One mapping through the production rounding kernel."""
-    return round_mapping_batch([[mapping]], max_spatial=max_spatial)[0][0]
+    """One mapping through the production rounding kernel, as a 1x1 stack."""
+    temporal, spatial = round_factor_tensors(
+        mapping.temporal[None, None], mapping.spatial[None, None],
+        RoundingTables.for_layers([mapping.layer]), max_spatial=max_spatial)
+    return Mapping(layer=mapping.layer, temporal=temporal[0, 0],
+                   spatial=spatial[0, 0], orderings=mapping.orderings)
 
 
 class TestRoundingMaxSpatial:

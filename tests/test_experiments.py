@@ -1,7 +1,10 @@
 """Integration tests: every experiment harness runs end-to-end at reduced scale."""
 
+import numpy as np
 import pytest
 
+from repro.arch import GEMMINI_DEFAULT
+from repro.core.optimizer import DosaSettings
 from repro.experiments import (
     fig4_correlation,
     fig6_loop_ordering,
@@ -12,6 +15,16 @@ from repro.experiments import (
     fig12_rtl,
 )
 from repro.experiments.common import ExperimentOutput
+from repro.surrogate import (
+    CombinedLatencyModel,
+    RtlSimulator,
+    TrainingSettings,
+    generate_dataset,
+)
+from repro.surrogate.combined import AnalyticalLatencyModel, DnnOnlyLatencyModel
+from repro.workloads import training_networks
+
+from oracles.latency_ranking import search_per_model
 
 
 class TestCommon:
@@ -103,3 +116,31 @@ class TestFig12:
         # PE dimensions were fixed, so only buffer sizes may differ.
         for design in results["designs"]:
             assert design.hardware.pe_dim == 16
+
+    def test_one_search_ranks_like_one_search_per_model(self):
+        """Each latency model's pick from one search is the design a search
+        ranked by that model returns (``oracles.latency_ranking``)."""
+        simulator = RtlSimulator()
+        dataset = generate_dataset(training_networks(), GEMMINI_DEFAULT,
+                                   samples_per_layer=2, simulator=simulator, seed=0)
+        training = TrainingSettings(epochs=30, seed=0)
+        dnn_only, combined = DnnOnlyLatencyModel(seed=0), CombinedLatencyModel(seed=0)
+        dnn_only.train(dataset, training)
+        combined.train(dataset, training)
+        models = [AnalyticalLatencyModel(), dnn_only, combined]
+        # Seed 3 is one whose two rounding points the models rank differently.
+        settings = DosaSettings(num_start_points=1, gd_steps=40, rounding_period=20,
+                                fixed_pe_dim=GEMMINI_DEFAULT.pe_dim, seed=3)
+        ranked = fig12_rtl.search_with_latency_models("bert", models, settings, simulator)
+        oracle = search_per_model("bert", models, settings, simulator)
+        assert [design.model_name for design in ranked] == \
+            ["analytical", "dnn_only", "analytical_dnn"]
+        for design, expected in zip(ranked, oracle):
+            assert design.model_name == expected.model_name
+            assert design.hardware == expected.hardware
+            for mapping, other in zip(design.mappings, expected.mappings, strict=True):
+                assert np.array_equal(mapping.temporal, other.temporal)
+                assert np.array_equal(mapping.spatial, other.spatial)
+                assert mapping.orderings == other.orderings
+            assert design.edp == expected.edp
+        assert len({design.edp for design in ranked}) > 1

@@ -31,12 +31,12 @@ from repro.mapping import (
     random_mapping,
     random_mapping_for_hardware,
     random_mappings_for_hardware,
-    round_mapping_batch,
     validate_mapping,
 )
 from repro.mapping import constraints
 from repro.mapping.constraints import TOLERANCE
 from repro.mapping.mapping import identity_mapping, ordering_for_tensor
+from repro.mapping.rounding_walk import RoundingTables, round_factor_tensors
 from repro.timeloop.loopnest import tile_words
 from repro.workloads import LayerDims, conv2d_layer, matmul_layer
 from repro.workloads.networks import NETWORK_BUILDERS, get_network
@@ -48,8 +48,12 @@ from oracles.rounding import round_factors_for_dimension
 
 
 def round_mapping(mapping: Mapping, max_spatial: float | None = None) -> Mapping:
-    """One mapping through the production rounding kernel."""
-    return round_mapping_batch([[mapping]], max_spatial=max_spatial)[0][0]
+    """One mapping through the production rounding kernel, as a 1x1 stack."""
+    temporal, spatial = round_factor_tensors(
+        mapping.temporal[None, None], mapping.spatial[None, None],
+        RoundingTables.for_layers([mapping.layer]), max_spatial=max_spatial)
+    return Mapping(layer=mapping.layer, temporal=temporal[0, 0],
+                   spatial=spatial[0, 0], orderings=mapping.orderings)
 
 
 def fig3_layer() -> LayerDims:
@@ -301,17 +305,15 @@ class TestRandomMapperParity:
     @settings(max_examples=300, deadline=None)
     @given(layer=any_layer, hardware_seed=st.integers(0, 2**32 - 1),
            count=st.integers(0, 40), max_attempts=st.sampled_from([0, 1, 5, 10, 20, 200]),
-           randomize_orderings=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_count_oracle_calls(self, layer, hardware_seed, count, max_attempts,
-                                        randomize_orderings, seed):
+                                        seed):
         config = random_hardware_config(seed=hardware_seed)
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_mappings_for_hardware(layer, config, count, seed=rng,
-                                           max_attempts=max_attempts,
-                                           randomize_orderings=randomize_orderings)
+                                           max_attempts=max_attempts)
         want = [oracle_mapper.random_mapping_for_hardware(
-                    layer, config, seed=oracle_rng, max_attempts=max_attempts,
-                    randomize_orderings=randomize_orderings)
+                    layer, config, seed=oracle_rng, max_attempts=max_attempts)
                 for _ in range(count)]
         assert [m is None for m in got] == [m is None for m in want]
         for mapping, expected in zip(got, want):
@@ -321,15 +323,12 @@ class TestRandomMapperParity:
 
     @settings(max_examples=100, deadline=None)
     @given(layer=any_layer, max_spatial=st.sampled_from([1, 2, 3, 16, 128, 15.999]),
-           randomize_orderings=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_random_mapping_matches_one_oracle_attempt(self, layer, max_spatial,
-                                                       randomize_orderings, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_mapping_matches_one_oracle_attempt(self, layer, max_spatial, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        mapping = random_mapping(layer, seed=rng, max_spatial=max_spatial,
-                                 randomize_orderings=randomize_orderings)
+        mapping = random_mapping(layer, seed=rng, max_spatial=max_spatial)
         assert_same_mapping(mapping, oracle_mapper.random_mapping(
-            layer, seed=oracle_rng, max_spatial=max_spatial,
-            randomize_orderings=randomize_orderings))
+            layer, seed=oracle_rng, max_spatial=max_spatial))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_returned_mappings_own_their_arrays(self):
@@ -443,7 +442,7 @@ def reference_minimal_hardware(mappings: list[Mapping],
             scratchpad_word_requirement=(tile_words(mapping, LEVEL_SCRATCHPAD, "W")
                                          + tile_words(mapping, LEVEL_SCRATCHPAD, "I")),
             bounds=bounds)
-        for mapping in mappings], bounds)
+        for mapping in mappings])
 
 
 def granule_below(config: HardwareConfig) -> list[HardwareConfig]:

@@ -9,6 +9,7 @@ from repro.core.optimizer import (
     SearchTrace,
     generate_start_points,
 )
+from repro.arch.config import HardwareBounds
 from repro.mapping import mapping_fits_hardware, validate_mapping
 from repro.workloads.networks import Network
 from repro.workloads.layer import conv2d_layer, matmul_layer
@@ -36,6 +37,33 @@ class TestSettings:
             DosaSettings(gd_steps=0)
         with pytest.raises(ValueError):
             DosaSettings(rounding_period=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.05),
+        ("rejection_threshold", float("nan")),
+        ("rejection_threshold", float("inf")),
+        ("rejection_threshold", 0.0),
+        ("rejection_threshold", -5.0),
+        ("penalty_weight", float("nan")),
+        ("penalty_weight", float("inf")),
+        ("penalty_weight", -1e9),
+        ("fixed_pe_dim", 0),
+        ("fixed_pe_dim", 129),
+        ("fixed_pe_dim", 1000),
+    ])
+    def test_rejects_values_the_descent_cannot_use(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DosaSettings(**{field: value})
+
+    def test_accepts_boundary_values_and_checks_its_own_bounds(self):
+        assert DosaSettings(fixed_pe_dim=1).fixed_pe_dim == 1
+        assert DosaSettings(fixed_pe_dim=128).fixed_pe_dim == 128
+        with pytest.raises(ValueError, match="fixed_pe_dim"):
+            DosaSettings(fixed_pe_dim=32, bounds=HardwareBounds(max_pe_dim=16))
+        assert DosaSettings(penalty_weight=0.0).penalty_weight == 0.0
 
     def test_strategy_coercion(self):
         assert DosaSettings(ordering_strategy="softmax").ordering_strategy \
@@ -135,28 +163,6 @@ class TestDosaSearcher:
                                 ordering_strategy=LoopOrderingStrategy.SOFTMAX, seed=0)
         result = DosaSearcher(small_network(), settings).search()
         assert result.best_edp > 0
-
-    def test_latency_adjuster_changes_scores(self):
-        settings = DosaSettings(num_start_points=1, gd_steps=20, rounding_period=10, seed=0)
-        plain = DosaSearcher(small_network(), settings).search()
-
-        def doubling_adjuster(mappings, hardware):
-            from repro.timeloop import evaluate_mapping
-
-            return [2.0 * evaluate_mapping(m, hardware).latency_cycles
-                    for m in mappings]
-
-        settings2 = DosaSettings(num_start_points=1, gd_steps=20, rounding_period=10, seed=0)
-        adjusted = DosaSearcher(small_network(), settings2,
-                                latency_adjuster=doubling_adjuster).search()
-        assert adjusted.best_edp == pytest.approx(2.0 * plain.best_edp, rel=0.2)
-
-    def test_latency_adjuster_length_mismatch_raises(self):
-        settings = DosaSettings(num_start_points=1, gd_steps=10, rounding_period=5, seed=0)
-        searcher = DosaSearcher(small_network(), settings,
-                                latency_adjuster=lambda mappings, hw: [1.0])
-        with pytest.raises(ValueError):
-            searcher.search()
 
     def test_repeated_layers_scale_objective(self, search_result):
         performance = search_result.best.performance

@@ -2,10 +2,11 @@
 
 A name in the ``__all__`` of a package ``__init__.py`` under ``src/repro`` is
 public API.  This scan fails when such a name has no whole-word reference
-outside ``tests/`` and outside its own definition: in a non-``__init__``
-module of ``src/``, or under ``examples/``, ``benchmarks/``, ``perfbench/``,
-``scripts/`` or ``docs/``, or in ``README.md``.  A name that only the tests
-need is deleted, or kept in :data:`KEEP` with the reason.
+outside ``tests/``, outside its own definition and outside a module-level
+``__all__`` list: in a non-``__init__`` module of ``src/``, or under
+``examples/``, ``benchmarks/``, ``perfbench/``, ``scripts/`` or ``docs/``, or
+in ``README.md``.  A name that only the tests need is deleted, or kept in
+:data:`KEEP` with the reason.
 
 The public functions of :mod:`repro.autodiff.ops` are scanned too, though
 callers reach them as ``ops.<name>`` rather than through an ``__all__``:
@@ -77,6 +78,19 @@ def definition_lines(tree: ast.AST, name: str) -> set[int]:
     return lines
 
 
+def export_lines(tree: ast.AST) -> set[int]:
+    """Lines of every module-level ``__all__`` list: exporting a name does
+    not call it."""
+    lines: set[int] = set()
+    for node in getattr(tree, "body", []):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
 def sources() -> list[tuple[str, ast.AST | None]]:
     """The text that counts as a caller, with the parse tree of Python files."""
     paths = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"]
@@ -95,7 +109,8 @@ def referenced(name: str, corpus: list[tuple[str, ast.AST | None]]) -> bool:
     for text, tree in corpus:
         if not pattern.search(text):
             continue
-        skip = definition_lines(tree, name) if tree is not None else set()
+        skip = (definition_lines(tree, name) | export_lines(tree)
+                if tree is not None else set())
         if any(number not in skip and pattern.search(line)
                for number, line in enumerate(text.splitlines(), 1)):
             return True
@@ -161,6 +176,9 @@ def test_kept_names_are_exported_and_still_uncalled():
     ("from repro.utils import helper\n", True),
     ("class Box:\n    def helper(self):\n        return 1\n", False),
     ("def helpers():\n    return helper_x\n", False),
+    ("__all__ = [\n    \"helper\",\n]\n", False),
+    ("__all__ += [\"helper\"]\n", False),
+    ("__all__ = [\"helper\"]\nvalue = helper()\n", True),
 ])
 def test_scan_excludes_definitions_and_partial_words(source, expected):
     assert referenced("helper", [(source, ast.parse(source))]) is expected

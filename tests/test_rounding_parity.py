@@ -18,11 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.dmodel.factors import MultiStartFactors
-from repro.mapping import (
-    Mapping,
-    minimal_hardware_for_mappings,
-    round_mapping_batch,
-)
+from repro.mapping import Mapping, minimal_hardware_for_mappings
 from repro.mapping import rounding_walk
 from repro.mapping.rounding_walk import RoundingTables, round_factor_tensors
 from repro.timeloop.model import evaluate_mapping
@@ -69,6 +65,20 @@ def _random_batch(rng: np.random.Generator, seed_tag: int):
     return sets, cap
 
 
+def round_sets(mapping_sets: list[list[Mapping]],
+               max_spatial: float | None = None) -> list[list[Mapping]]:
+    """S sets of L mappings over one layer stack through one kernel pass."""
+    out_temporal, out_spatial = round_factor_tensors(
+        np.stack([[m.temporal for m in mappings] for mappings in mapping_sets]),
+        np.stack([[m.spatial for m in mappings] for mappings in mapping_sets]),
+        RoundingTables.for_layers([m.layer for m in mapping_sets[0]]),
+        max_spatial=max_spatial)
+    return [[Mapping(layer=mapping.layer, temporal=out_temporal[s, l],
+                     spatial=out_spatial[s, l], orderings=mapping.orderings)
+             for l, mapping in enumerate(mappings)]
+            for s, mappings in enumerate(mapping_sets)]
+
+
 def _assert_mapping_bits_equal(reference: Mapping, batched: Mapping) -> None:
     assert np.array_equal(reference.temporal, batched.temporal)
     assert np.array_equal(reference.spatial, batched.spatial)
@@ -84,7 +94,7 @@ class TestRoundingWalkParity:
             rng = np.random.default_rng(seed)
             for round_index in range(5):
                 sets, cap = _random_batch(rng, seed * 100 + round_index)
-                batched = round_mapping_batch(sets, max_spatial=cap)
+                batched = round_sets(sets, max_spatial=cap)
                 for raw_set, rounded_set in zip(sets, batched):
                     for raw, rounded in zip(raw_set, rounded_set):
                         reference = round_mapping(raw, max_spatial=cap)
@@ -115,7 +125,7 @@ class TestRoundingWalkParity:
         for seed in range(6):
             rng = np.random.default_rng(1000 + seed)
             sets, cap = _random_batch(rng, seed)
-            batched = round_mapping_batch(sets, max_spatial=cap)
+            batched = round_sets(sets, max_spatial=cap)
             for raw_set, rounded_set in zip(sets, batched):
                 for raw, rounded in zip(raw_set, rounded_set):
                     reference = round_mapping(raw, max_spatial=cap)
@@ -129,7 +139,7 @@ class TestRoundingWalkParity:
         layers = [_random_layer(rng, index) for index in range(3)]
         base = [_random_fractional_mapping(rng, layer) for layer in layers]
         sets = [[m.copy() for m in base] for _ in range(4)]
-        batched = round_mapping_batch(sets, max_spatial=16)
+        batched = round_sets(sets, max_spatial=16)
         for duplicate in batched[1:]:
             for first, other in zip(batched[0], duplicate):
                 _assert_mapping_bits_equal(first, other)
@@ -143,7 +153,7 @@ class TestRoundingWalkParity:
             if len(divs) >= 2:
                 # Exactly halfway between the two largest divisors.
                 mapping.temporal[0, dim_index] = (divs[-1] + divs[-2]) / 2.0
-        [rounded], = round_mapping_batch([[mapping]]),
+        [rounded], = round_sets([[mapping]]),
         reference = round_mapping(mapping)
         _assert_mapping_bits_equal(reference, rounded[0])
         # P=12: halfway between 6 and 12 is 9 -> the oracle keeps 6.
@@ -155,7 +165,7 @@ class TestRoundingWalkParity:
         with pytest.raises(ValueError):
             round_mapping(mapping, max_spatial=0.5)
         with pytest.raises(ValueError):
-            round_mapping_batch([[mapping]], max_spatial=0.5)
+            round_sets([[mapping]], max_spatial=0.5)
         tables = RoundingTables.for_layers([layer])
         with pytest.raises(ValueError):
             round_factor_tensors(mapping.temporal[None, None],
@@ -190,7 +200,7 @@ class TestMutationRegression:
             rng = np.random.default_rng(2000 + seed)
             sets, _ = _random_batch(rng, seed)
             for cap in (3, 16):
-                batched = round_mapping_batch(sets, max_spatial=cap)
+                batched = round_sets(sets, max_spatial=cap)
                 for raw_set, rounded_set in zip(sets, batched):
                     for raw, rounded in zip(raw_set, rounded_set):
                         reference = round_mapping(raw, max_spatial=cap)

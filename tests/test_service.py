@@ -136,8 +136,8 @@ BAD_INPUTS = {
     "max_seconds-infinity": ("budget", {"max_seconds": float("inf")}),
 }
 
-#: Settings overrides whose value does not fit the field: ``(strategy,
-#: settings)`` of a search request.
+#: Settings overrides whose value does not fit the field, or that the
+#: settings type refuses: ``(strategy, settings)`` of a search request.
 BAD_SETTINGS = {
     "int-float": ("random", {"num_hardware_designs": 1.5}),
     "int-string": ("random", {"mappings_per_layer": "3"}),
@@ -147,6 +147,13 @@ BAD_SETTINGS = {
     "optional-int-float": ("dosa", {"fixed_pe_dim": 16.0}),
     "enum-unknown": ("dosa", {"ordering_strategy": "greedy"}),
     "bounds": ("dosa", {"bounds": {"max_pe_dim": 64}}),
+    "learning_rate-nan": ("dosa", {"learning_rate": float("nan")}),
+    "learning_rate-infinity": ("dosa", {"learning_rate": float("inf")}),
+    "penalty_weight-negative": ("dosa", {"penalty_weight": -1e9}),
+    "rejection_threshold-negative": ("dosa", {"rejection_threshold": -5}),
+    "fixed_pe_dim-above-bounds": ("dosa", {"fixed_pe_dim": 1000}),
+    "num_start_points-zero": ("dosa", {"num_start_points": 0}),
+    "gd_steps-negative": ("dosa", {"gd_steps": -1}),
 }
 
 

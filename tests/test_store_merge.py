@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign import (
     CampaignReport,
+    CampaignScheduler,
     CampaignSpec,
     ResultStore,
     StrategyVariant,
@@ -30,6 +31,13 @@ def small_spec(name="merge-spec", seeds=(0, 1)):
     )
 
 
+def run_shard(spec, directory, shard_index):
+    """Run shard ``shard_index`` of two of ``spec``'s grid into ``directory``."""
+    store = ResultStore(directory, spec=spec)
+    return CampaignScheduler(spec, store).run(shard_index=shard_index,
+                                              shard_count=2)
+
+
 def report_text(directory) -> str:
     return CampaignReport.from_store(
         ResultStore(directory, create=False)).to_text()
@@ -49,10 +57,8 @@ class TestMerge:
     def test_disjoint_shards_equal_single_run_report_bytes(self, tmp_path):
         spec = small_spec()
         run_campaign(spec, directory=tmp_path / "full")
-        run_campaign(spec, directory=tmp_path / "s0",
-                     shard_index=0, shard_count=2)
-        run_campaign(spec, directory=tmp_path / "s1",
-                     shard_index=1, shard_count=2)
+        run_shard(spec, tmp_path / "s0", 0)
+        run_shard(spec, tmp_path / "s1", 1)
 
         merged, stats = ResultStore.merge(
             tmp_path / "merged", [tmp_path / "s0", tmp_path / "s1"])
@@ -65,8 +71,7 @@ class TestMerge:
     def test_overlapping_shards_resolve_duplicates(self, tmp_path):
         spec = small_spec()
         run_campaign(spec, directory=tmp_path / "full")
-        run_campaign(spec, directory=tmp_path / "s0",
-                     shard_index=0, shard_count=2)
+        run_shard(spec, tmp_path / "s0", 0)
 
         # s0 overlaps the full run on one job; the merge must still match
         # the single-run report byte-for-byte (duplicates are bit-identical
@@ -78,8 +83,7 @@ class TestMerge:
 
     def test_merge_order_independent(self, tmp_path):
         spec = small_spec()
-        run_campaign(spec, directory=tmp_path / "a",
-                     shard_index=0, shard_count=2)
+        run_shard(spec, tmp_path / "a", 0)
         run_campaign(spec, directory=tmp_path / "b")
 
         ResultStore.merge(tmp_path / "ab", [tmp_path / "a", tmp_path / "b"])
@@ -113,10 +117,8 @@ class TestMerge:
 
     def test_merge_unions_cache_spill(self, tmp_path):
         spec = small_spec()
-        run_campaign(spec, directory=tmp_path / "s0",
-                     shard_index=0, shard_count=2)
-        run_campaign(spec, directory=tmp_path / "s1",
-                     shard_index=1, shard_count=2)
+        run_shard(spec, tmp_path / "s0", 0)
+        run_shard(spec, tmp_path / "s1", 1)
         ResultStore.merge(tmp_path / "merged",
                           [tmp_path / "s0", tmp_path / "s1"])
         assert spill_entries(tmp_path / "merged") == \
@@ -193,10 +195,8 @@ class TestCampaignCLIErrors:
 
     def test_merge_cli_reports_stats(self, tmp_path, capsys):
         spec = small_spec()
-        run_campaign(spec, directory=tmp_path / "a",
-                     shard_index=0, shard_count=2)
-        run_campaign(spec, directory=tmp_path / "b",
-                     shard_index=1, shard_count=2)
+        run_shard(spec, tmp_path / "a", 0)
+        run_shard(spec, tmp_path / "b", 1)
         rc = cli_main(["campaign", "merge", str(tmp_path / "a"),
                        str(tmp_path / "b"), "--into", str(tmp_path / "m")])
         captured = capsys.readouterr()
